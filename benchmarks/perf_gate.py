@@ -17,8 +17,6 @@ twins and emits a ``BENCH_pr9.json`` trajectory file:
   headroom absorbs shared-runner noise; the regression the gate exists
   to catch is a protocol- or serialization-level slowdown, which costs
   integer multiples;
-* **sweep refine** — vectorized ``refine_cell`` vs the reference
-  event-loop oracle, in refine calls/second;
 * **cached vs cold filter** — ``DensityHistogram.prefix_sums`` with a warm
   timestamp-keyed cache vs a cold (invalidated) one;
 * **telemetry overhead** — the same ingest+query workload with the
@@ -27,7 +25,7 @@ twins and emits a ``BENCH_pr9.json`` trajectory file:
   (ratio >= 0.95), the observability layer's cheap-by-default contract.
 
 The regression gate compares **speedup ratios** (batch vs sequential,
-vectorized vs reference, cached vs cold) against a checked-in baseline and
+cached vs cold) against a checked-in baseline and
 fails on a >25% drop.  Ratios, unlike raw ops/sec, transfer across
 machines: both sides of each ratio run on the same hardware in the same
 process.  Raw ops/sec are still recorded — normalized by a fixed numpy
@@ -62,11 +60,9 @@ from repro.histogram.density_histogram import DensityHistogram
 from repro.motion.model import Motion
 from repro.motion.updates import InsertUpdate
 from repro.reliability.recovery import ReliabilityConfig
-from repro.sweep.plane_sweep import refine_cell, refine_cell_reference
 
 GATED_RATIOS = (
     "ingest_speedup_memory",
-    "sweep_speedup",
     "filter_cache_speedup",
     "fr_query_per_cal",
     "pa_query_per_cal",
@@ -84,8 +80,8 @@ TOLERANCE = 0.25
 # same-process speedup ratios cancel out.  The extreme-magnitude ratios
 # swing 25-40% between back-to-back runs on virtualized hardware (the
 # cached/warm arm is sub-microsecond work), but the regression they
-# exist to catch is a ~1000x (cache broken) or ~4x (vectorization lost)
-# collapse — a wide floor loses nothing.
+# exist to catch is a ~1000x (cache broken) collapse — a wide floor
+# loses nothing.
 KEY_TOLERANCE = {
     # Tightened from the original 0.45 when band-fused refinement landed:
     # the vectorized pipeline both raised throughput ~10x and cut
@@ -95,7 +91,6 @@ KEY_TOLERANCE = {
     "pa_query_per_cal": 0.30,
     "filter_cache_speedup": 0.60,
     "ingest_speedup_memory": 0.40,
-    "sweep_speedup": 0.35,
     # Wire percentiles on a loopback socket under a shared CI box swing
     # hard with scheduler jitter; the catastrophic slowdowns the gate is
     # for (a serialization or protocol regression) cost 2-10x.
@@ -129,10 +124,9 @@ MODE_BOUND_KEYS = frozenset({
 TELEMETRY_FLOOR = 0.90
 
 MODES = {
-    # n_objects, n_queries, sweep objects, (vectorized, reference) sweep reps,
-    # ingest reps
-    "full": dict(n=1000, queries=40, sweep_n=2000, sweep_reps=(20, 5), reps=3),
-    "smoke": dict(n=250, queries=10, sweep_n=600, sweep_reps=(10, 3), reps=2),
+    # n_objects, n_queries, ingest reps
+    "full": dict(n=1000, queries=40, reps=3),
+    "smoke": dict(n=250, queries=10, reps=2),
 }
 
 
@@ -218,28 +212,6 @@ def bench_queries(reports, n_queries):
     t_fr = _best_of(fr, 3) / n_queries
     t_pa = _best_of(pa, 3) / n_queries
     return 1.0 / t_fr, 1.0 / t_pa
-
-
-def bench_sweep(sweep_n, reps):
-    rng = np.random.default_rng(3)
-    cell = Rect(0.0, 0.0, 100.0, 100.0)
-    positions = [
-        (float(x), float(y))
-        for x, y in zip(
-            rng.uniform(-20.0, 120.0, sweep_n), rng.uniform(-20.0, 120.0, sweep_n)
-        )
-    ]
-    args = (positions, cell, 20.0, max(4.0, sweep_n / 250.0))
-    fast = refine_cell(*args)
-    slow = refine_cell_reference(*args)
-    if fast.rects != slow.rects:
-        raise AssertionError("vectorized refine_cell diverged from the oracle")
-    vec_reps, ref_reps = reps
-    t_vec = _best_of(lambda: [refine_cell(*args) for _ in range(vec_reps)], 2)
-    t_ref = _best_of(
-        lambda: [refine_cell_reference(*args) for _ in range(ref_reps)], 2
-    )
-    return vec_reps / t_vec, ref_reps / t_ref
 
 
 def bench_filter_cache(n):
@@ -368,7 +340,6 @@ def run_suite(mode):
     seq_mem, bat_mem = bench_ingest(reports, params["reps"], durable=False)
     seq_dur, bat_dur = bench_ingest(reports, params["reps"], durable=True)
     fr_ops, pa_ops = bench_queries(reports, params["queries"])
-    vec_ops, ref_ops = bench_sweep(params["sweep_n"], params["sweep_reps"])
     cold_ops, warm_ops = bench_filter_cache(params["n"])
     tel_on_ops, tel_off_ops = bench_telemetry_overhead(
         reports, params["queries"], max(5, params["reps"])
@@ -409,9 +380,6 @@ def run_suite(mode):
             "pa_query": entry(pa_ops),
             "fr_query_per_cal": round(fr_ops / cal, 6),
             "pa_query_per_cal": round(pa_ops / cal, 6),
-            "sweep_reference": entry(ref_ops),
-            "sweep_vectorized": entry(vec_ops),
-            "sweep_speedup": round(vec_ops / ref_ops, 3),
             "filter_cold": entry(cold_ops),
             "filter_cached": entry(warm_ops),
             "filter_cache_speedup": round(warm_ops / cold_ops, 3),
@@ -500,7 +468,6 @@ def main(argv=None):
     for key in (
         "ingest_speedup_memory",
         "ingest_speedup_durable",
-        "sweep_speedup",
         "filter_cache_speedup",
         "telemetry_overhead_ratio",
     ):

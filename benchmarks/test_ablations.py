@@ -118,51 +118,6 @@ def test_ablation_bnb_vs_dense_grid(profile, ablation_world, benchmark, capsys):
     assert rows[-1]["bnb_nodes"] < rows[0]["bnb_nodes"]
 
 
-def test_ablation_batched_refinement(profile, ablation_world, benchmark, capsys):
-    """Per-cell refinement (the paper) vs coalesced candidate strips.
-
-    Batching adjacent candidate cells into maximal strips keeps the answer
-    identical while replacing many small range queries with fewer, larger
-    ones — trading random I/O for sweep width.
-    """
-    from repro.methods.fr import FRMethod
-
-    server = ablation_world.server
-    qt = server.tnow + 5
-    per_cell = FRMethod(server.histogram, server.tree, batch_candidates=False)
-    batched = FRMethod(server.histogram, server.tree, batch_candidates=True)
-
-    def run():
-        rows = []
-        for varrho in (1.0, 3.0):
-            query = server.make_query(qt=qt, varrho=varrho)
-            a = per_cell.query(query)
-            b = batched.query(query)
-            rows.append(
-                {
-                    "varrho": varrho,
-                    "per_cell_io": a.stats.io_count,
-                    "batched_io": b.stats.io_count,
-                    "per_cell_cpu_s": a.stats.cpu_seconds,
-                    "batched_cpu_s": b.stats.cpu_seconds,
-                    "mismatch_area": a.regions.symmetric_difference_area(b.regions),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print(
-            format_table(
-                rows, title="Ablation — per-cell vs batched candidate refinement"
-            )
-        )
-    for row in rows:
-        assert row["mismatch_area"] == pytest.approx(0.0, abs=1e-6)
-        assert row["batched_io"] < row["per_cell_io"]
-
-
 def test_ablation_interval_fr(profile, ablation_world, benchmark, capsys):
     """Naive per-snapshot union vs interval-level filtering (Definition 5).
 

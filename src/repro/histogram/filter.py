@@ -88,9 +88,6 @@ class FilterResult:
     def accepted_cells(self) -> List[Tuple[int, int]]:
         return list(self._cells_of(self.accepted))
 
-    def candidate_cells(self) -> List[Tuple[int, int]]:
-        return list(self._cells_of(self.candidate))
-
     def accepted_region(self) -> RegionSet:
         return RegionSet(
             self.histogram.cell_rect(i, j) for (i, j) in self._cells_of(self.accepted)

@@ -40,7 +40,9 @@ class IntervalFilterResult:
 
     ``accepted``/``rejected``/``candidate`` are ``m x m`` masks for the
     union semantics above; ``candidate_times`` maps each candidate cell to
-    the timestamps at which it individually needs refinement.
+    the timestamps at which it individually needs refinement, and
+    ``pending`` is the same relation the other way round — per timestamp,
+    the mask of cells still to refine then.
     """
 
     histogram: DensityHistogram
@@ -49,6 +51,7 @@ class IntervalFilterResult:
     rejected: np.ndarray
     candidate: np.ndarray
     candidate_times: Dict[Tuple[int, int], List[int]]
+    pending: Dict[int, np.ndarray]
 
     @property
     def accepted_count(self) -> int:
@@ -101,10 +104,11 @@ def filter_query_interval(
     rejected = ~ever_not_rejected
     candidate = ever_not_rejected & ~accepted
     candidate_times: Dict[Tuple[int, int], List[int]] = {}
+    pending: Dict[int, np.ndarray] = {}
     for qt, mask in per_time_candidates.items():
         # Snapshot-candidate cells that the union did not already accept.
-        pending = mask & ~accepted
-        for i, j in zip(*np.nonzero(pending)):
+        left = pending[qt] = mask & ~accepted
+        for i, j in zip(*np.nonzero(left)):
             candidate_times.setdefault((int(i), int(j)), []).append(qt)
     return IntervalFilterResult(
         histogram=histogram,
@@ -113,4 +117,5 @@ def filter_query_interval(
         rejected=rejected,
         candidate=candidate,
         candidate_times=candidate_times,
+        pending=pending,
     )

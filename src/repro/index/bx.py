@@ -15,14 +15,18 @@ rectangle is decomposed into Z-curve runs, each run is a B+-tree range scan
 actual motion.
 
 This implementation mirrors the update/query interface of
-:class:`~repro.index.tree.TPRTree`, so :class:`~repro.methods.fr.FRMethod`
-accepts either index — the basis of the index ablation benchmark.
+:class:`~repro.index.tree.TPRTree` — including the three members
+:class:`~repro.methods.fr.FRMethod` needs of an index,
+``range_positions_batch``, ``buffer`` and ``epoch`` — so FR accepts either
+index; that is the basis of the index ablation benchmark.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import IndexError_, InvalidParameterError
 from ..core.geometry import Rect
@@ -75,6 +79,7 @@ class BxTree(UpdateListener):
         # B^x-tree maintains per-partition velocity histograms; a scalar
         # max is the simplest sound variant).  Never decreased on delete.
         self._partition_speed: Dict[int, float] = {}
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     # UpdateListener protocol
@@ -119,11 +124,18 @@ class BxTree(UpdateListener):
     def max_speed(self) -> float:
         return self._max_speed
 
+    @property
+    def epoch(self) -> int:
+        """Monotone counter identifying the current contents (bumped on
+        every insert and delete; result caches upstream key on it)."""
+        return self._epoch
+
     def insert(self, motion: Motion) -> None:
         if motion.oid in self._key_of:
             raise IndexError_(
                 f"object {motion.oid} already indexed; delete its old motion first"
             )
+        self._epoch += 1
         key = self._key(motion)
         self._btree.insert(key, motion)
         self._key_of[motion.oid] = key
@@ -138,6 +150,7 @@ class BxTree(UpdateListener):
         key = self._key_of.pop(motion.oid, None)
         if key is None:
             raise IndexError_(f"object {motion.oid} is not indexed")
+        self._epoch += 1
         self._btree.delete(key, match=lambda m: m.oid == motion.oid)
         partition = key // self.grid.code_count
         remaining = self._partition_count[partition] - 1
@@ -176,6 +189,24 @@ class BxTree(UpdateListener):
                         seen.add(motion.oid)
                         results.append(motion)
         return results
+
+    def range_positions_batch(
+        self, rects: Sequence[Rect], qts, charge_io: bool = True
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """One :meth:`range_query` per rect, as ``(xs, ys)`` position arrays.
+
+        ``qts`` is a scalar timestamp or one timestamp per rect — the same
+        contract as :meth:`TPRTree.range_positions_batch`, without the
+        shared traversal (Z-curve runs of different rects rarely coincide).
+        """
+        qts_arr = np.broadcast_to(np.asarray(qts, dtype=float), (len(rects),))
+        out = []
+        for rect, qt in zip(rects, qts_arr):
+            motions = self.range_query(rect, float(qt), charge_io=charge_io)
+            pos = np.array([m.position_at(qt) for m in motions], dtype=float)
+            pos = pos.reshape(-1, 2)
+            out.append((pos[:, 0], pos[:, 1]))
+        return out
 
     def validate(self) -> None:
         """Invariants: backbone structure, key map and partition counters."""

@@ -237,17 +237,6 @@ class TPRTree(UpdateListener):
         the same closed comparison on elementwise-identical extrapolated
         positions.
         """
-        return self._batch_traverse(rects, qts, charge_io, want_motions=False)
-
-    def range_query_batch(
-        self, rects: Sequence[Rect], qts, charge_io: bool = True
-    ) -> List[List[Motion]]:
-        """Batched :meth:`range_query` returning motion lists per rect."""
-        return self._batch_traverse(rects, qts, charge_io, want_motions=True)
-
-    def _batch_traverse(
-        self, rects: Sequence[Rect], qts, charge_io: bool, want_motions: bool
-    ):
         n_rects = len(rects)
         if n_rects == 0:
             return []
@@ -258,10 +247,7 @@ class TPRTree(UpdateListener):
                 f"got {float(qts_arr.min())}"
             )
         rb = np.array([(r.x1, r.y1, r.x2, r.y2) for r in rects], dtype=float)
-        if want_motions:
-            out: List[list] = [[] for _ in range(n_rects)]
-        else:
-            out = [[] for _ in range(n_rects)]
+        out: List[list] = [[] for _ in range(n_rects)]
         stack: List[tuple] = [(self.root, np.arange(n_rects))]
         while stack:
             node, active = stack.pop()
@@ -284,12 +270,7 @@ class TPRTree(UpdateListener):
                     )
                     for row, r in enumerate(sel):
                         idx = np.flatnonzero(inside[row])
-                        if idx.size == 0:
-                            continue
-                        if want_motions:
-                            entries = node.entries
-                            out[r].extend(entries[i] for i in idx)
-                        else:
+                        if idx.size:
                             out[r].append((px[idx], py[idx]))
             else:
                 bx1, by1, bx2, by2, bvx1, bvy1, bvx2, bvy2, bt = self._child_cols(
@@ -310,8 +291,6 @@ class TPRTree(UpdateListener):
                     sub = active[overlap[c]]
                     if sub.size:
                         stack.append((child, sub))
-        if want_motions:
-            return out
         merged: List[Tuple[np.ndarray, np.ndarray]] = []
         for parts in out:
             if parts:

@@ -6,28 +6,30 @@ Evaluation proceeds in two steps:
    (provably dense in full), rejected (provably nowhere dense) or candidate,
    using the conservative/expansive neighborhood counts.
 2. **Refine** (Algorithms 2-3): fetch the objects that can influence the
-   candidate cells with timestamped range queries on the TPR-tree (paying
-   simulated I/O through the buffer pool), then plane-sweep them into the
-   exact dense sub-rectangles.
+   candidate cells from the moving-object index (paying simulated I/O
+   through the buffer pool), then plane-sweep them into the exact dense
+   sub-rectangles.
 
 The union of accepted cells and refined rectangles is the exact PDR answer.
 
-Refinement pipeline (the default, ``batch_candidates=True``): candidate
-cells are fused into per-row **bands** of maximal strips, all band
-rectangles are fetched in one shared TPR traversal
-(:meth:`~repro.index.tree.TPRTree.range_positions_batch`), and the fused
-bands are swept by the vectorised kernel in
-:mod:`repro.sweep.band_sweep` — optionally fanned across a process pool
-(``REPRO_REFINE_WORKERS``; band tasks are picklable snapshot arrays).  The
-emitted rectangles are bit-identical to refining each strip sequentially
-with :func:`~repro.sweep.plane_sweep.refine_cell` (see the kernel module
-docstring for the argument, and ``tests/test_perf_paths.py`` for the
-property suite).  The legacy one-range-query-per-cell path is kept as the
-equivalence oracle; opt back into it with ``batch_candidates=False``
-(deprecated) or ``REPRO_FR_PER_CELL=1``.
+Refinement exists once, in :meth:`FRMethod.refine`; snapshot queries hand
+it one ``(qt, candidate mask)`` entry and interval queries
+(:func:`repro.methods.interval.evaluate_interval_fr`) one entry per pending
+timestamp.  It runs three stages:
+
+* **fuse** — candidate cells become per-row **bands** of maximal strips;
+* **fetch** — every band's ``l/2``-expanded rectangle is answered by one
+  ``range_positions_batch`` call on the index;
+* **sweep** — the band kernel :func:`repro.sweep.band_sweep.refine_bands`
+  turns the bands into dense rectangles, inline or fanned across a process
+  pool (``REPRO_REFINE_WORKERS``; band tasks are picklable snapshot arrays).
+
+The kernel's output is held equal to the event-loop oracle in
+:mod:`repro.sweep.plane_sweep` and to whole-domain brute force by
+``tests/test_perf_paths.py``.
 
 Result reuse: per-band maximum active counts are cached per
-``(tree epoch, histogram epoch, qt, l)``.  A later query over the same
+``(index epoch, histogram epoch, qt, l)``.  A later query over the same
 snapshot with a *higher* density threshold skips — without fetching or
 sweeping — every band whose strips are covered by the cached strips and
 whose cached maximum is below the new threshold (no l-square centred in the
@@ -40,10 +42,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,20 +55,20 @@ from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
 from ..core.regions import RegionSet
 from ..histogram.density_histogram import DensityHistogram
 from ..histogram.filter import filter_query
-from ..index.tree import TPRTree
 from ..sweep.band_sweep import (
+    _THRESHOLD_EPS,
+    BandBatchResult,
     BandTask,
     merge_band_results,
     refine_bands,
     _refine_bands_worker,
 )
-from ..sweep.plane_sweep import _THRESHOLD_EPS, refine_cell
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 
-__all__ = ["FRMethod"]
+__all__ = ["FRMethod", "Refinement"]
 
-# Keep this many (tree epoch, histogram epoch, qt, l) snapshot keys of
+# Keep this many (index epoch, histogram epoch, qt, l) snapshot keys of
 # per-band maxima around for the ρ-monotonic skip rule.
 _BAND_CACHE_KEYS = 8
 
@@ -95,25 +97,39 @@ def _refine_pool(workers: int) -> ProcessPoolExecutor:
         return _POOL
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool so the next pooled query builds a fresh one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = None
+    pool.shutdown(wait=False)
+
+
+class Refinement(NamedTuple):
+    """Output of :meth:`FRMethod.refine`.
+
+    ``bounds`` is the ``(R, 4)`` array of dense rectangles over every
+    entry, ``objects_examined`` the number of positions the index returned,
+    and ``extra`` the stage seconds and band counters destined for
+    ``QueryStats.extra``.
+    """
+
+    bounds: np.ndarray
+    objects_examined: int
+    extra: Dict[str, float]
 
 
 class FRMethod:
     """Exact PDR evaluation over a density histogram and a moving-object index.
 
-    ``tree`` may be any index exposing ``range_query(rect, qt)`` and a
-    ``buffer`` attribute — the TPR-tree by default, the B^x-tree as the
-    drop-in alternative.  The band-fused fast path additionally uses
-    ``range_positions_batch`` when the index provides it and falls back to
-    per-strip ``range_query`` calls otherwise.
-
-    ``batch_candidates`` selects the refinement pipeline: ``True`` (the
-    default) fuses candidate cells into per-row strips refined by the
-    vectorised band kernel; ``False`` is the deprecated per-cell loop of
-    Section 5.3, kept as the bit-exactness oracle.  The answer is identical
-    (the sweep is exact on any rectangle); only the decomposition and the
-    I/O pattern change — see the refinement-batching ablation benchmark.
+    ``tree`` is any index with the three members refinement uses:
+    ``range_positions_batch(rects, qts)`` (per-rect ``(xs, ys)`` arrays of
+    the positions at ``qts`` inside each closed rect), ``buffer`` (the
+    :class:`~repro.storage.buffer.BufferPool` charged for page reads, or
+    ``None``) and ``epoch`` (a counter that moves on every content change,
+    which keys the band cache).  :class:`~repro.index.tree.TPRTree` is the
+    default; :class:`~repro.index.bx.BxTree` is the drop-in alternative.
 
     ``refine_workers`` fans band sweeps across a process pool (0 = inline;
     defaults to ``REPRO_REFINE_WORKERS``).
@@ -122,8 +138,7 @@ class FRMethod:
     def __init__(
         self,
         histogram: DensityHistogram,
-        tree: TPRTree,
-        batch_candidates: Optional[bool] = None,
+        tree,
         faults=None,
         refine_workers: Optional[int] = None,
     ) -> None:
@@ -131,17 +146,6 @@ class FRMethod:
             raise InvalidParameterError("FR needs both a histogram and an index")
         self.histogram = histogram
         self.tree = tree
-        if batch_candidates is None:
-            batch_candidates = not _env_flag("REPRO_FR_PER_CELL")
-        elif not batch_candidates:
-            warnings.warn(
-                "batch_candidates=False (per-cell refinement) is deprecated and "
-                "kept only as the band-fusion equivalence oracle; it will lose "
-                "its public switch once the oracle suite pins the kernel",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.batch_candidates = batch_candidates
         if refine_workers is None:
             try:
                 refine_workers = int(os.environ.get("REPRO_REFINE_WORKERS", "0"))
@@ -149,24 +153,13 @@ class FRMethod:
                 refine_workers = 0
         self.refine_workers = max(0, refine_workers)
         self.faults = faults
-        # (tree epoch, histogram epoch, qt, l) -> {row j: (x1s, x2s, max_active)}
+        # (index epoch, histogram epoch, qt, l) -> {row j: (x1s, x2s, max_active)}
         self._band_cache: "OrderedDict[tuple, Dict[int, tuple]]" = OrderedDict()
         self._band_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # band planning
     # ------------------------------------------------------------------
-    def _candidate_rects(self, filtered) -> List[Rect]:
-        """Candidate regions to refine: single cells, or coalesced strips."""
-        if not self.batch_candidates:
-            return [
-                self.histogram.cell_rect(i, j) for (i, j) in filtered.candidate_cells()
-            ]
-        cells = RegionSet(
-            self.histogram.cell_rect(i, j) for (i, j) in filtered.candidate_cells()
-        )
-        return list(cells.normalized())
-
     def _plan_rows(self, candidate: np.ndarray) -> List[Tuple[int, np.ndarray, np.ndarray]]:
         """Fuse a candidate mask into per-row strips.
 
@@ -177,9 +170,7 @@ class FRMethod:
         """
         hist = self.histogram
         lx = hist.cell_edge
-        ly = hist.cell_edge_y
         x0 = hist.domain.x1
-        y0 = hist.domain.y1
         out: List[Tuple[int, np.ndarray, np.ndarray]] = []
         # candidate is indexed [i, j] = (column, row).
         for j in np.flatnonzero(candidate.any(axis=0)):
@@ -192,11 +183,6 @@ class FRMethod:
             x2s = (x0 + run_ends * lx) + lx
             out.append((int(j), x1s.astype(float), x2s.astype(float)))
         return out
-
-    def _row_bounds(self, j: int) -> Tuple[float, float]:
-        hist = self.histogram
-        y1 = hist.domain.y1 + j * hist.cell_edge_y
-        return y1, y1 + hist.cell_edge_y
 
     def _accepted_bounds(self, filtered) -> np.ndarray:
         """Accepted-cell rectangles as a bounds array (cell_rect floats)."""
@@ -211,11 +197,6 @@ class FRMethod:
     # ------------------------------------------------------------------
     # ρ-monotonic band cache
     # ------------------------------------------------------------------
-    def _cache_key(self, query: SnapshotPDRQuery) -> tuple:
-        tree_epoch = getattr(self.tree, "epoch", None)
-        hist_epoch = getattr(self.histogram, "_epoch", None)
-        return (tree_epoch, hist_epoch, float(query.qt), float(query.l))
-
     @staticmethod
     def _strips_covered(
         x1s: np.ndarray, x2s: np.ndarray, cx1: np.ndarray, cx2: np.ndarray
@@ -244,88 +225,81 @@ class FRMethod:
                     skippable.add(j)
             return skippable
 
-    def _remember_rows(self, key: tuple, entries: Dict[int, tuple]) -> None:
-        if not entries:
-            return
+    def _remember_row(self, key: tuple, j: int, entry: tuple) -> None:
         with self._band_cache_lock:
             bucket = self._band_cache.get(key)
             if bucket is None:
-                bucket = {}
-                self._band_cache[key] = bucket
+                bucket = self._band_cache[key] = {}
                 while len(self._band_cache) > _BAND_CACHE_KEYS:
                     self._band_cache.popitem(last=False)
             else:
                 self._band_cache.move_to_end(key)
-            bucket.update(entries)
+            bucket[j] = entry
 
     # ------------------------------------------------------------------
-    # queries
+    # refinement
     # ------------------------------------------------------------------
-    def query(self, query: SnapshotPDRQuery, deadline=None) -> QueryResult:
-        """Exact PDR answer; stats include filter counters and charged I/O.
+    def refine(
+        self,
+        entries: Sequence[Tuple[float, np.ndarray]],
+        l: float,
+        min_count: float,
+        deadline=None,
+    ) -> Refinement:
+        """Refine candidate cells into exact dense rectangles (Algorithms 2-3).
 
-        ``deadline`` (a :class:`repro.reliability.deadline.Deadline`) is
-        checked cooperatively before each band (or candidate-cell)
-        refinement — refinement is where FR's cost lives — raising
-        :class:`~repro.core.errors.DeadlineExceededError` so the degradation
-        ladder can fall back to a cheaper method.
+        ``entries`` is ``[(qt, candidate mask)]``: one entry for a snapshot
+        query, one per pending timestamp for an interval query.  Every
+        entry's bands share one index call — adjacent timestamps touch
+        nearly the same pages, so a shared traversal reads and charges each
+        page once — and one kernel pass.  ``deadline`` is checked
+        cooperatively before each band.
         """
-        if self.batch_candidates and hasattr(self.tree, "range_positions_batch"):
-            return self._query_banded(query, deadline)
-        return self._query_per_cell(query, deadline)
-
-    def _query_banded(self, query: SnapshotPDRQuery, deadline) -> QueryResult:
-        buffer = self.tree.buffer
-        io_before = buffer.stats.misses if buffer is not None else 0
-        hits_before = self.histogram.cache_hits
-        misses_before = self.histogram.cache_misses
-        start = time.perf_counter()
-
         tracer = TELEMETRY.tracer
-        filtered = filter_query(self.histogram, query)
-        filter_seconds = time.perf_counter() - start
-        # Each measured stage float is both accumulated below and recorded
-        # as a trace leaf, so trace-derived totals equal stats.extra exactly.
-        tracer.record_span("filter", filter_seconds)
+        hist = self.histogram
+        domain = hist.domain
+        half = l / 2.0
+        threshold = min_count - _THRESHOLD_EPS
 
-        half = query.l / 2.0
-        threshold = query.min_count - _THRESHOLD_EPS
-        domain = self.histogram.domain
-
-        # --- fuse: candidate mask -> per-row strip bands -------------------
+        # --- fuse: candidate masks -> per-row strip bands ------------------
         stage = time.perf_counter()
-        rows = self._plan_rows(filtered.candidate)
-        for _ in rows:
-            if self.faults is not None:
-                self.faults.hit("fr.refine")
-            if deadline is not None:
-                deadline.check("fr.refine")
-        cache_key = self._cache_key(query)
-        skippable = self._skippable_rows(cache_key, rows, threshold)
-        kept = [r for r in rows if r[0] not in skippable]
+        # One element per band to sweep, in step: where its maximum will be
+        # cached, when and where to fetch it, and its (y1, y2, x1s, x2s).
+        cache_slots, qts, rects, strips = [], [], [], []
+        planned = 0
+        for qt, candidate in entries:
+            rows = self._plan_rows(candidate)
+            planned += len(rows)
+            for _ in rows:
+                if self.faults is not None:
+                    self.faults.hit("fr.refine")
+                if deadline is not None:
+                    deadline.check("fr.refine")
+            key = (self.tree.epoch, hist._epoch, float(qt), float(l))
+            skippable = self._skippable_rows(key, rows, threshold)
+            for j, x1s, x2s in rows:
+                if j in skippable:
+                    continue
+                y1 = domain.y1 + j * hist.cell_edge_y
+                y2 = y1 + hist.cell_edge_y
+                cache_slots.append((key, j))
+                qts.append(float(qt))
+                rects.append(
+                    Rect(float(x1s[0]) - half, y1 - half, float(x2s[-1]) + half, y2 + half)
+                )
+                strips.append((y1, y2, x1s, x2s))
+        skipped = planned - len(strips)
         fuse_seconds = time.perf_counter() - stage
-        tracer.record_span(
-            "fuse", fuse_seconds, bands=len(rows), skipped=len(skippable)
-        )
+        # Each measured stage float is both handed back in ``extra`` and
+        # recorded as a trace leaf, so trace-derived totals equal it exactly.
+        tracer.record_span("fuse", fuse_seconds, bands=planned, skipped=skipped)
 
-        # --- fetch: one shared TPR traversal for every band ----------------
+        # --- fetch: one index call for every band --------------------------
         stage = time.perf_counter()
-        fetch_rects = []
-        row_bounds = []
-        for j, x1s, x2s in kept:
-            y1, y2 = self._row_bounds(j)
-            row_bounds.append((y1, y2))
-            fetch_rects.append(
-                Rect(float(x1s[0]) - half, y1 - half, float(x2s[-1]) + half, y2 + half)
-            )
-        fetched = (
-            self.tree.range_positions_batch(fetch_rects, float(query.qt))
-            if fetch_rects
-            else []
-        )
         objects_examined = 0
         tasks: List[BandTask] = []
-        for (j, x1s, x2s), (y1, y2), (px, py) in zip(kept, row_bounds, fetched):
+        fetched = self.tree.range_positions_batch(rects, np.array(qts))
+        for strip, (px, py) in zip(strips, fetched):
             objects_examined += int(px.size)
             # Objects outside the domain do not count toward density — the
             # same convention the histogram maintains (see DensityHistogram).
@@ -335,101 +309,76 @@ class FRMethod:
                 & (py >= domain.y1)
                 & (py < domain.y2)
             )
-            tasks.append(BandTask(y1, y2, x1s, x2s, px[inside], py[inside]))
+            tasks.append(BandTask(*strip, px[inside], py[inside]))
         fetch_seconds = time.perf_counter() - stage
         tracer.record_span("fetch", fetch_seconds, objects=objects_examined)
 
-        # --- sweep: vectorised band kernel, inline or pooled ---------------
+        # --- sweep: the band kernel, then remember each band's maximum -----
         stage = time.perf_counter()
-        workers = self.refine_workers
-        if workers > 0 and len(tasks) > 1:
-            n_chunks = min(workers, len(tasks))
-            sizes = [
-                len(tasks) // n_chunks + (1 if k < len(tasks) % n_chunks else 0)
-                for k in range(n_chunks)
-            ]
-            offsets, pos = [], 0
-            payloads = []
-            for size in sizes:
-                offsets.append(pos)
-                payloads.append(
-                    (
-                        [tuple(t) for t in tasks[pos : pos + size]],
-                        query.l,
-                        query.min_count,
-                    )
-                )
-                pos += size
-            pool = _refine_pool(workers)
-            chunks = list(pool.map(_refine_bands_worker, payloads))
-            swept = merge_band_results(chunks, offsets)
-        else:
-            swept = refine_bands(tasks, query.l, query.min_count)
+        swept = self._sweep(tasks, l, min_count)
+        for (key, j), task, m_b in zip(cache_slots, tasks, swept.max_active):
+            self._remember_row(key, j, (task.strips_x1, task.strips_x2, int(m_b)))
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
             segments=swept.segments,
         )
 
-        # --- merge: accepted cells + refined rects, cache band maxima ------
-        stage = time.perf_counter()
-        self._remember_rows(
-            cache_key,
+        tm.REFINE_BANDS.labels("swept").inc(len(tasks))
+        tm.REFINE_BANDS.labels("skipped").inc(skipped)
+        tm.REFINE_POOL_WORKERS.set(float(self.refine_workers))
+        tm.REFINE_BAND_SECONDS.labels("fuse").observe(fuse_seconds)
+        tm.REFINE_BAND_SECONDS.labels("fetch").observe(fetch_seconds)
+        tm.REFINE_BAND_SECONDS.labels("sweep").observe(sweep_seconds)
+        return Refinement(
+            swept.bounds,
+            objects_examined,
             {
-                j: (x1s, x2s, int(m_b))
-                for (j, x1s, x2s), m_b in zip(kept, swept.max_active)
+                "fuse_seconds": fuse_seconds,
+                "fetch_seconds": fetch_seconds,
+                "sweep_seconds": sweep_seconds,
+                "refine_bands": float(len(tasks)),
+                "refine_bands_skipped": float(skipped),
+                "refine_segments": float(swept.segments),
+                "refine_workers": float(self.refine_workers),
             },
         )
-        bounds = np.concatenate([self._accepted_bounds(filtered), swept.bounds])
-        # Accepted cells, candidate strips and per-strip sweep emissions are
-        # pairwise disjoint by construction: the O(n) area fast path applies.
-        regions = RegionSet.from_bounds(bounds, disjoint=True)
-        merge_seconds = time.perf_counter() - stage
-        tracer.record_span("merge", merge_seconds, rects=len(regions))
 
-        tm.REFINE_BANDS.labels("swept").inc(len(kept))
-        tm.REFINE_BANDS.labels("skipped").inc(len(skippable))
-        tm.REFINE_POOL_WORKERS.set(float(workers))
-        for band_stage, dt in (
-            ("fuse", fuse_seconds),
-            ("fetch", fetch_seconds),
-            ("sweep", sweep_seconds),
-            ("merge", merge_seconds),
-        ):
-            tm.REFINE_BAND_SECONDS.labels(band_stage).observe(dt)
+    def _sweep(
+        self, tasks: List[BandTask], l: float, min_count: float
+    ) -> BandBatchResult:
+        """Run the band kernel inline, or chunked across the refine pool."""
+        workers = self.refine_workers
+        if workers == 0 or len(tasks) < 2:
+            return refine_bands(tasks, l, min_count)
+        chunks = np.array_split(np.arange(len(tasks)), min(workers, len(tasks)))
+        offsets = [int(chunk[0]) for chunk in chunks]
+        payloads = [
+            ([tuple(tasks[i]) for i in chunk], l, min_count) for chunk in chunks
+        ]
+        pool = _refine_pool(workers)
+        try:
+            results = list(pool.map(_refine_bands_worker, payloads))
+        except BrokenProcessPool:
+            # A worker died (OOM kill, operator signal).  The executor stays
+            # broken for good, so answer this query inline and let the next
+            # pooled query build a fresh pool.
+            _drop_pool(pool)
+            return refine_bands(tasks, l, min_count)
+        return merge_band_results(results, offsets)
 
-        cpu = time.perf_counter() - start
-        io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
-        io_seconds = (
-            io_count * buffer.io_seconds_per_miss if buffer is not None else 0.0
-        )
-        stats = QueryStats(
-            method="fr",
-            cpu_seconds=cpu,
-            io_count=io_count,
-            io_seconds=io_seconds,
-            accepted_cells=filtered.accepted_count,
-            rejected_cells=filtered.rejected_count,
-            candidate_cells=filtered.candidate_count,
-            objects_examined=objects_examined,
-        )
-        stats.extra["filter_seconds"] = filter_seconds
-        stats.extra["fuse_seconds"] = fuse_seconds
-        stats.extra["fetch_seconds"] = fetch_seconds
-        stats.extra["sweep_seconds"] = sweep_seconds
-        stats.extra["merge_seconds"] = merge_seconds
-        stats.extra["refine_bands"] = float(len(kept))
-        stats.extra["refine_bands_skipped"] = float(len(skippable))
-        stats.extra["refine_segments"] = float(swept.segments)
-        stats.extra["refine_workers"] = float(workers)
-        stats.extra["cache_hits"] = float(self.histogram.cache_hits - hits_before)
-        stats.extra["cache_misses"] = float(
-            self.histogram.cache_misses - misses_before
-        )
-        return QueryResult(regions=regions, stats=stats, query=query)
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def query(self, query: SnapshotPDRQuery, deadline=None) -> QueryResult:
+        """Exact PDR answer; stats include filter counters and charged I/O.
 
-    def _query_per_cell(self, query: SnapshotPDRQuery, deadline) -> QueryResult:
-        """The legacy per-candidate-rect loop (band-fusion equivalence oracle)."""
+        ``deadline`` (a :class:`repro.reliability.deadline.Deadline`) is
+        checked cooperatively before each band refinement — refinement is
+        where FR's cost lives — raising
+        :class:`~repro.core.errors.DeadlineExceededError` so the degradation
+        ladder can fall back to a cheaper method.
+        """
         buffer = self.tree.buffer
         io_before = buffer.stats.misses if buffer is not None else 0
         hits_before = self.histogram.cache_hits
@@ -439,40 +388,21 @@ class FRMethod:
         tracer = TELEMETRY.tracer
         filtered = filter_query(self.histogram, query)
         filter_seconds = time.perf_counter() - start
-        # Each measured stage float is both accumulated below and recorded
-        # as a trace leaf, so trace-derived totals equal stats.extra exactly.
         tracer.record_span("filter", filter_seconds)
-        regions: List[Rect] = list(filtered.accepted_region())
-        half = query.l / 2.0
-        domain = self.histogram.domain
-        objects_examined = 0
-        fetch_seconds = 0.0
-        sweep_seconds = 0.0
-        for cell in self._candidate_rects(filtered):
-            if self.faults is not None:
-                self.faults.hit("fr.refine")
-            if deadline is not None:
-                deadline.check("fr.refine")
-            fetch = cell.expanded(half)
-            stage = time.perf_counter()
-            motions = self.tree.range_query(fetch, query.qt)
-            dt = time.perf_counter() - stage
-            fetch_seconds += dt
-            tracer.record_span("fetch", dt, objects=len(motions))
-            objects_examined += len(motions)
-            # Objects outside the domain do not count toward density — the
-            # same convention the histogram maintains (see DensityHistogram).
-            positions = [
-                (x, y)
-                for (x, y) in (m.position_at(query.qt) for m in motions)
-                if domain.contains_point(x, y)
-            ]
-            stage = time.perf_counter()
-            refined = refine_cell(positions, cell, query.l, query.min_count)
-            dt = time.perf_counter() - stage
-            sweep_seconds += dt
-            tracer.record_span("sweep", dt, rects=len(refined))
-            regions.extend(refined)
+
+        refined = self.refine(
+            [(query.qt, filtered.candidate)], query.l, query.min_count, deadline
+        )
+
+        # --- merge: accepted cells + refined rects -------------------------
+        stage = time.perf_counter()
+        bounds = np.concatenate([self._accepted_bounds(filtered), refined.bounds])
+        # Accepted cells, candidate strips and per-strip sweep emissions are
+        # pairwise disjoint by construction: the O(n) area fast path applies.
+        regions = RegionSet.from_bounds(bounds, disjoint=True)
+        merge_seconds = time.perf_counter() - stage
+        tracer.record_span("merge", merge_seconds, rects=len(regions))
+        tm.REFINE_BAND_SECONDS.labels("merge").observe(merge_seconds)
 
         cpu = time.perf_counter() - start
         io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
@@ -487,13 +417,13 @@ class FRMethod:
             accepted_cells=filtered.accepted_count,
             rejected_cells=filtered.rejected_count,
             candidate_cells=filtered.candidate_count,
-            objects_examined=objects_examined,
+            objects_examined=refined.objects_examined,
         )
+        stats.extra.update(refined.extra)
         stats.extra["filter_seconds"] = filter_seconds
-        stats.extra["fetch_seconds"] = fetch_seconds
-        stats.extra["sweep_seconds"] = sweep_seconds
+        stats.extra["merge_seconds"] = merge_seconds
         stats.extra["cache_hits"] = float(self.histogram.cache_hits - hits_before)
         stats.extra["cache_misses"] = float(
             self.histogram.cache_misses - misses_before
         )
-        return QueryResult(regions=RegionSet(regions), stats=stats, query=query)
+        return QueryResult(regions=regions, stats=stats, query=query)

@@ -11,22 +11,21 @@ classifies cells once for the whole interval
 (:mod:`repro.histogram.interval_filter`) so a cell that is wholly dense at
 *any* timestamp is emitted without refinement, and the remaining candidate
 cells are swept only at the timestamps where they individually need it.
-The per-(cell, timestamp) refinements are then executed as one batch: every
-(timestamp, row) band of fused candidate strips is fetched in a *single*
-shared TPR-tree traversal — adjacent timestamps touch nearly identical
-pages, so each page is read and charged once for the whole interval instead
-of once per snapshot — and all bands are swept together by the vectorised
-kernel in :mod:`repro.sweep.band_sweep`.  Combined with the histogram's
-epoch-keyed per-timestamp prefix-sum memoisation, an interval query no
-longer recomputes each snapshot from scratch.
+The pending (timestamp, candidate mask) pairs then go through FR's one
+refinement routine, :meth:`repro.methods.fr.FRMethod.refine`, in a single
+call: every timestamp's bands share one index traversal — adjacent
+timestamps touch nearly identical pages, so each page is read and charged
+once for the whole interval instead of once per snapshot — and one kernel
+pass, and the ρ-monotonic band cache applies to interval queries as it does
+to snapshots.  Combined with the histogram's epoch-keyed per-timestamp
+prefix-sum memoisation, an interval query does not recompute each snapshot
+from scratch.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List
-
-import numpy as np
+from typing import Callable, List
 
 from ..core.geometry import Rect
 from ..core.query import (
@@ -37,8 +36,6 @@ from ..core.query import (
 )
 from ..core.regions import RegionSet
 from ..histogram.interval_filter import filter_query_interval
-from ..sweep.band_sweep import BandTask, refine_bands
-from ..sweep.plane_sweep import refine_cell
 
 __all__ = ["evaluate_interval", "evaluate_interval_fr"]
 
@@ -66,83 +63,16 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
     and index are used directly.
     """
     histogram = fr_method.histogram
-    tree = fr_method.tree
-    buffer = tree.buffer
+    buffer = fr_method.tree.buffer
     io_before = buffer.stats.misses if buffer is not None else 0
     start = time.perf_counter()
 
     filtered = filter_query_interval(histogram, query)
+    refined = fr_method.refine(
+        sorted(filtered.pending.items()), query.l, query.rho * query.l * query.l
+    )
     regions: List[Rect] = list(filtered.accepted_region())
-    half = query.l / 2.0
-    min_count = query.rho * query.l * query.l
-    domain = histogram.domain
-    objects_examined = 0
-
-    if hasattr(tree, "range_positions_batch"):
-        # Band-batched refinement: fuse each timestamp's pending candidate
-        # cells into per-row strips, fetch every band in one shared
-        # traversal, and sweep them all in one kernel pass.
-        m = histogram.m
-        pending_at: Dict[int, np.ndarray] = {}
-        for (i, j), timestamps in filtered.candidate_times.items():
-            for qt in timestamps:
-                mask = pending_at.get(qt)
-                if mask is None:
-                    mask = np.zeros((m, m), dtype=bool)
-                    pending_at[qt] = mask
-                mask[i, j] = True
-        tasks: List[BandTask] = []
-        fetch_rects: List[Rect] = []
-        fetch_qts: List[float] = []
-        for qt in sorted(pending_at):
-            for j, x1s, x2s in fr_method._plan_rows(pending_at[qt]):
-                y1, y2 = fr_method._row_bounds(j)
-                tasks.append(BandTask(y1, y2, x1s, x2s, None, None))
-                fetch_rects.append(
-                    Rect(
-                        float(x1s[0]) - half,
-                        y1 - half,
-                        float(x2s[-1]) + half,
-                        y2 + half,
-                    )
-                )
-                fetch_qts.append(float(qt))
-        fetched = (
-            tree.range_positions_batch(fetch_rects, np.asarray(fetch_qts))
-            if fetch_rects
-            else []
-        )
-        for idx, (px, py) in enumerate(fetched):
-            objects_examined += int(px.size)
-            inside = (
-                (px >= domain.x1)
-                & (px < domain.x2)
-                & (py >= domain.y1)
-                & (py < domain.y2)
-            )
-            t = tasks[idx]
-            tasks[idx] = BandTask(
-                t.y1, t.y2, t.strips_x1, t.strips_x2, px[inside], py[inside]
-            )
-        swept = refine_bands(tasks, query.l, min_count)
-        regions.extend(
-            Rect(row[0], row[1], row[2], row[3]) for row in swept.bounds
-        )
-    else:
-        # Indexes without a batch traversal (e.g. alternative trees) keep
-        # the per-(cell, timestamp) loop.
-        for (i, j), timestamps in filtered.candidate_times.items():
-            cell = histogram.cell_rect(i, j)
-            fetch = cell.expanded(half)
-            for qt in timestamps:
-                motions = tree.range_query(fetch, qt)
-                objects_examined += len(motions)
-                positions = [
-                    (x, y)
-                    for (x, y) in (m.position_at(qt) for m in motions)
-                    if domain.contains_point(x, y)
-                ]
-                regions.extend(refine_cell(positions, cell, query.l, min_count))
+    regions.extend(Rect(row[0], row[1], row[2], row[3]) for row in refined.bounds)
 
     cpu = time.perf_counter() - start
     io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
@@ -154,7 +84,8 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
         accepted_cells=filtered.accepted_count,
         rejected_cells=filtered.rejected_count,
         candidate_cells=filtered.candidate_count,
-        objects_examined=objects_examined,
+        objects_examined=refined.objects_examined,
     )
+    stats.extra.update(refined.extra)
     stats.extra["refinement_snapshots"] = float(filtered.refinement_snapshots())
     return QueryResult(regions=RegionSet(regions), stats=stats, query=None)

@@ -12,10 +12,9 @@ downstream answer depends on.  This module closes that gap end to end:
 
 where the checksum covers ``"<lsn>:<payload>"`` (a CRC32C-style 32-bit
 cyclic redundancy check via :func:`zlib.crc32`), so damage to either the
-frame header or the payload is caught on read.  Legacy *unframed* lines
-(plain JSON objects, the pre-framing format) are still accepted — old
-state directories replay unchanged and are upgraded line-by-line as new
-appends land.
+frame header or the payload is caught on read.  Nothing else is a record:
+a line without a frame — a bare JSON object included — has no checksum to
+vouch for it and is damage like any other.
 
 **Checkpoint digests.**  ``MANIFEST.json`` carries a per-file digest map
 for every checkpoint artifact (``ckpt-*.npz`` and its sidecar), verified
@@ -90,7 +89,7 @@ def frame_record(record: dict) -> str:
 
 
 def parse_wal_line(text: str) -> dict:
-    """Parse one WAL line, framed or legacy-unframed.
+    """Parse one framed WAL line.
 
     Raises :class:`ValueError` on any damage — a malformed frame, a
     checksum mismatch, a header/payload LSN disagreement, or unparseable
@@ -99,9 +98,6 @@ def parse_wal_line(text: str) -> dict:
     """
     if text.endswith("\n"):
         text = text[:-1]
-    if text.startswith("{"):
-        # legacy unframed record (pre-framing format): no checksum to verify
-        return json.loads(text)
     head, sep1, rest = text.partition(":")
     crc_hex, sep2, payload = rest.partition(":")
     if not sep1 or not sep2:
@@ -166,7 +162,6 @@ class FileStatus:
     lsn_first: Optional[int] = None
     lsn_last: Optional[int] = None
     framed_records: int = 0
-    legacy_records: int = 0
     good_bytes: Optional[int] = None  # bytes before the torn tail, if any
 
     def to_dict(self) -> dict:
@@ -178,7 +173,6 @@ class FileStatus:
             "lsn_first": self.lsn_first,
             "lsn_last": self.lsn_last,
             "framed_records": self.framed_records,
-            "legacy_records": self.legacy_records,
         }
 
 
@@ -239,15 +233,12 @@ class _SegmentScan:
     detail: str
     records: List[dict]
     good_bytes: int
-    framed: int
-    legacy: int
 
 
 def _scan_segment(path: str, last_segment: bool) -> _SegmentScan:
     """Classify one WAL segment without raising (the scrubber's reader)."""
     records: List[dict] = []
     good_bytes = 0
-    framed = legacy = 0
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.splitlines(keepends=True)
@@ -260,20 +251,14 @@ def _scan_segment(path: str, last_segment: bool) -> _SegmentScan:
         except (UnicodeDecodeError, ValueError) as exc:
             if last_segment and i == len(lines) - 1:
                 return _SegmentScan(
-                    "torn-tail", f"torn final record ({exc})",
-                    records, good_bytes, framed, legacy,
+                    "torn-tail", f"torn final record ({exc})", records, good_bytes
                 )
             return _SegmentScan(
-                "corrupt", f"line {i + 1}: {exc}",
-                records, good_bytes, framed, legacy,
+                "corrupt", f"line {i + 1}: {exc}", records, good_bytes
             )
         records.append(record)
         good_bytes += len(line)
-        if text.lstrip().startswith("{"):
-            legacy += 1
-        else:
-            framed += 1
-    return _SegmentScan("clean", "", records, good_bytes, framed, legacy)
+    return _SegmentScan("clean", "", records, good_bytes)
 
 
 def _manifest_digests(state_dir: str) -> Dict[str, str]:
@@ -311,7 +296,7 @@ def verify_state_dir(state_dir: str) -> IntegrityReport:
             name=name, kind="wal", state=scan.state, detail=scan.detail,
             lsn_first=lsns[0] if lsns else None,
             lsn_last=lsns[-1] if lsns else None,
-            framed_records=scan.framed, legacy_records=scan.legacy,
+            framed_records=len(scan.records),
             good_bytes=scan.good_bytes,
         )
         report.files.append(status)

@@ -138,9 +138,8 @@ class UpdateLog:
     """One append-only WAL segment of checksum-framed JSONL records.
 
     Each line is ``lsn:crc:payload`` (see
-    :func:`~repro.reliability.integrity.frame_record`); legacy unframed
-    lines written before framing existed are still read back, so an old
-    state directory upgrades in place as new appends land.
+    :func:`~repro.reliability.integrity.frame_record`); a line that does
+    not verify is a torn tail or corruption, never a record.
 
     **The fsyncgate rule.**  Any write/flush/fsync failure permanently
     *poisons* this segment's descriptor: after a failed fsync the kernel

@@ -1,5 +1,5 @@
 """Plane-sweep refinement: exact dense rectangles inside a candidate cell."""
 
-from .plane_sweep import dense_segments_1d, refine_cell, sweep_y_counts
+from .plane_sweep import dense_segments_1d, refine_cell
 
-__all__ = ["refine_cell", "dense_segments_1d", "sweep_y_counts"]
+__all__ = ["refine_cell", "dense_segments_1d"]

@@ -1,15 +1,15 @@
-"""Band-fused, vectorised refinement kernel (the fast path behind FR).
+"""Band-fused, vectorised refinement kernel — FR's production sweep.
 
-:func:`repro.sweep.plane_sweep.refine_cell` refines one rectangle at a time:
-an X-sweep over that rectangle's stopping events with a 1-D Y-sweep per
-segment.  When a query classifies thousands of candidate cells, most of them
-share an *l-band*: every cell in histogram row ``j`` sweeps the same y-range
-``[y1_j, y2_j)`` against (a superset of) the same objects.  This module
-refines an entire batch of such **bands** in one pass:
+:func:`repro.sweep.plane_sweep.refine_cell`, the oracle, refines one
+rectangle at a time: an X-sweep over that rectangle's stopping events with a
+1-D Y-sweep per segment.  When a query classifies thousands of candidate
+cells, most of them share an *l-band*: every cell in histogram row ``j``
+sweeps the same y-range ``[y1_j, y2_j)`` against (a superset of) the same
+objects.  This module refines an entire batch of such **bands** in one pass:
 
 * cells in a row are fused into maximal horizontal **strips**; a band is one
   row's worth of strips plus the objects fetched for the row's expanded
-  rectangle (one TPR range fetch per band instead of one per cell);
+  rectangle (one range fetch per band instead of one per cell);
 * the X-breakpoints of every strip come from a single sorted/unique event
   array per band, and the active-band count at each segment's left edge is
   two ``searchsorted`` subtractions instead of pointer walks;
@@ -19,18 +19,19 @@ refines an entire batch of such **bands** in one pass:
   running counts, dense-run extraction — operates on the concatenated arrays
   grouped by a global segment id.
 
-Bit-exactness.  Each strip's breakpoint set equals ``refine_cell``'s
-(:func:`numpy.unique` of the same float events restricted to the same strict
-interior), the active count at a left edge ``x`` equals the pointer walk's
-(``|{enter <= x < exit}| = |{enter <= x}| - |{exit <= x}|`` because
-``exit = enter + l``), and the flat Y-sweep performs the same comparisons on
-the same floats as :func:`dense_segments_1d` segment by segment (that
-routine depends only on the multiset of active y's).  Fetching a whole
-band's objects is harmless for any strip in it: an object outside a strip's
-``l/2`` expansion contributes no breakpoint strictly inside the strip and is
-never active there.  The property suite in ``tests/test_perf_paths.py``
-holds the kernel bit-identical — every emitted bound compared with ``==`` —
-to sequential per-strip :func:`refine_cell` calls.
+Equality with the oracle.  Each strip's breakpoint set equals
+``refine_cell``'s (the same float events restricted to the same strict
+interior), the active count at a left edge ``x`` equals the oracle's
+admit/expire walk (``|{enter <= x < exit}| = |{enter <= x}| - |{exit <= x}|``
+because ``exit = enter + l``), and the flat Y-sweep performs the same
+comparisons on the same floats as :func:`dense_segments_1d` segment by
+segment (that routine depends only on the multiset of active y's).  Fetching
+a whole band's objects is harmless for any strip in it: an object outside a
+strip's ``l/2`` expansion contributes no breakpoint strictly inside the strip
+and is never active there.  The property suite in ``tests/test_perf_paths.py``
+holds the kernel to the oracle — every emitted bound compared with ``==``
+against sequential per-strip :func:`refine_cell` calls, and zero symmetric
+difference against whole-domain brute force.
 
 Chunk invariance.  Every step is local to one band (phase A) or one segment
 (phase B), so refining bands in chunks — e.g. across a worker pool — and
@@ -44,14 +45,15 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .plane_sweep import _THRESHOLD_EPS
-
 __all__ = [
     "BandTask",
     "BandBatchResult",
     "refine_bands",
     "merge_band_results",
 ]
+
+# Dense test: integer count vs float rho*l^2 — nudge so equality means dense.
+_THRESHOLD_EPS = 1e-9
 
 _EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -145,8 +147,8 @@ def refine_bands(
             continue
         xs = np.asarray(task.xs, dtype=float)
         ys = np.asarray(task.ys, dtype=float)
-        # Same superset filter as refine_cell: only objects whose y-range can
-        # overlap the band matter (band y-extent is shared by every strip).
+        # Only objects whose y-range can overlap the band matter (the band's
+        # y-extent is shared by every strip); exactness comes from the Y-sweep.
         keep = (ys - half < task.y2 + half) & (ys + half > task.y1 - half)
         xs = xs[keep]
         ys = ys[keep]
@@ -202,8 +204,7 @@ def refine_bands(
             continue
         el_lo = x_lo[eligible]
         # Incidence: object o is active on eligible segment s iff
-        # enter_o <= x_lo_s < exit_o (same comparison refine_cell maintains
-        # with its pointer-advanced mask).
+        # enter_o <= x_lo_s < exit_o (the oracle's admit/expire rule).
         act = (enters[None, :] <= el_lo[:, None]) & (el_lo[:, None] < exits[None, :])
         si, oi = np.nonzero(act)
         seg_x_lo.append(el_lo)
@@ -238,8 +239,7 @@ def refine_bands(
 
         lo_of_pair = sy1[p_seg]
         hi_of_pair = sy2[p_seg]
-        # Objects already active at the band's low edge (dense_segments_1d's
-        # count0: enter <= lo < exit).
+        # Objects already active at the band's low edge: enter <= lo < exit.
         at_lo = (p_enter <= lo_of_pair) & (p_exit > lo_of_pair)
         count0 = np.bincount(p_seg[at_lo], minlength=n_eseg)
         # Events strictly inside (lo, hi): +1 at enter, -1 at exit.
@@ -258,8 +258,7 @@ def refine_bands(
             ev_seg = ev_seg[order]
             ev_coord = ev_coord[order]
             ev_delta = ev_delta[order]
-            # Distinct (segment, coordinate) groups and their net deltas —
-            # the per-segment analogue of np.unique + np.add.at.
+            # Distinct (segment, coordinate) groups and their net deltas.
             new_group = np.empty(ev_seg.size, dtype=bool)
             new_group[0] = True
             new_group[1:] = (ev_seg[1:] != ev_seg[:-1]) | (

@@ -17,9 +17,12 @@ from repro.core.geometry import Rect
 from repro.core.query import SnapshotPDRQuery
 from repro.histogram.density_histogram import DensityHistogram
 from repro.histogram.filter import filter_query, neighborhood_radii
+from repro.index.bx import BxTree
 from repro.index.tree import TPRTree
 from repro.methods.fr import FRMethod
+from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
+from repro.motion.updates import InsertUpdate
 from repro.storage.buffer import BufferPool
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
@@ -163,23 +166,96 @@ class TestFRBatchedRefinement:
         """Coalescing candidate cells never changes the exact answer."""
         table, hist, tree = build_world(n, seed=seed)
         query = SnapshotPDRQuery(rho=rho, l=10.0, qt=2)
-        per_cell = FRMethod(hist, tree, batch_candidates=False).query(query)
-        batched = FRMethod(hist, tree, batch_candidates=True).query(query)
-        assert per_cell.regions.symmetric_difference_area(
-            batched.regions
-        ) == pytest.approx(0.0, abs=1e-9)
+        batched = FRMethod(hist, tree).query(query)
+        exact = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        assert exact.regions.symmetric_difference_area(batched.regions) == 0.0
 
     def test_batching_issues_fewer_range_queries(self):
         table, hist, tree = build_world(120, seed=3)
         query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)
         filtered = filter_query(hist, query)
-        fr = FRMethod(hist, tree, batch_candidates=True)
-        strips = fr._candidate_rects(filtered)
+        rows = FRMethod(hist, tree)._plan_rows(filtered.candidate)
         if filtered.candidate_count > 1:
-            assert len(strips) < filtered.candidate_count
+            assert len(rows) < filtered.candidate_count  # one fetch per row
         area_cells = filtered.candidate_region().area()
-        area_strips = sum(r.area for r in strips)
+        area_strips = sum(
+            float((x2s - x1s).sum()) * hist.cell_edge_y for _j, x1s, x2s in rows
+        )
         assert area_strips == pytest.approx(area_cells)
+
+
+# Quarter-cell lattice (cell edge 5): objects on cell edges, on each
+# other's ``o ± l/2`` stopping events, and on both domain edges.
+lattice_coord = st.integers(0, 80).map(lambda k: k * 1.25)
+
+
+class TestFRIsIndexIndependent:
+    """FR needs three things of an index — ``range_positions_batch``,
+    ``buffer``, ``epoch`` — and answers the same over any that has them."""
+
+    @staticmethod
+    def world(points):
+        table = ObjectTable()
+        hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
+        tpr = TPRTree(horizon=HORIZON, fanout_override=8)
+        bx = BxTree(DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        for listener in (hist, tpr, bx):
+            table.add_listener(listener)
+        for oid, (x, y, vx, vy) in enumerate(points):
+            if DOMAIN.contains_point(x, y):
+                table.report(oid, x, y, vx, vy)
+        return table, hist, tpr, bx
+
+    @given(
+        st.lists(
+            st.tuples(
+                lattice_coord,
+                lattice_coord,
+                st.sampled_from([-1.25, 0.0, 0.0, 1.25]),
+                st.sampled_from([-1.25, 0.0, 0.0, 1.25]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bx_equals_tpr_equals_bruteforce(self, points, count, qt):
+        table, hist, tpr, bx = self.world(points)
+        query = SnapshotPDRQuery(rho=count / 100.0, l=10.0, qt=qt)
+        exact = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        for index in (tpr, bx):
+            got = FRMethod(hist, index).query(query)
+            assert got.regions.symmetric_difference_area(exact.regions) == 0.0
+
+    def test_bx_insert_between_queries_changes_the_answer(self):
+        """The band cache keys on the index epoch.  The histogram is fed one
+        object ahead of the B^x-tree so that only ``BxTree.epoch`` moves
+        between the two queries: were it not to, the second query would
+        skip the bands the first one found one object short."""
+        hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
+        bx = BxTree(DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        # Three cells, one l-square: candidates for the filter, never accepted.
+        trio = [
+            Motion(oid, 0, x, y, 0.0, 0.0)
+            for oid, (x, y) in enumerate([(11.0, 11.0), (17.0, 11.0), (14.0, 17.0)])
+        ]
+        for motion in trio:
+            hist.on_insert(InsertUpdate(0, motion))
+        for motion in trio[:2]:
+            bx.insert(motion)
+        fr = FRMethod(hist, bx)
+        query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)  # 3 objects per square
+        before = fr.query(query)
+        assert before.stats.extra["refine_bands"] > 0.0
+        assert before.regions.is_empty()
+        bx.insert(trio[2])
+        after = fr.query(query)
+        assert after.stats.extra["refine_bands_skipped"] == 0.0
+        exact = bruteforce_from_motions(trio, DOMAIN, query)
+        assert not exact.regions.is_empty()
+        assert after.regions.symmetric_difference_area(exact.regions) == 0.0
 
 
 class TestFRStats:

@@ -4,8 +4,8 @@ The acceptance scenario of the integrity work, in miniature: flip one
 byte of a WAL payload by hand and ``repro verify`` must exit non-zero
 naming the damaged segment; quarantine-and-repair from a caught-up
 replica must then restore bit-exact state, while a *torn tail* keeps
-being truncated (never quarantined) and legacy unframed logs keep
-replaying.  Also covered here: the ``*.tmp``-hardening of checkpoint
+being truncated (never quarantined) and an unframed line is never
+accepted as a record.  Also covered here: the ``*.tmp``-hardening of checkpoint
 recovery and the fault injector's counter-reset semantics the chaos
 scheduler depends on.
 """
@@ -72,9 +72,11 @@ class TestFraming:
         assert line.startswith("12:")
         assert parse_wal_line(line) == record
 
-    def test_legacy_unframed_line_still_parses(self):
+    def test_unframed_json_line_is_damage(self):
+        """A bare JSON object carries no checksum: it is not a record."""
         record = {"op": "advance", "t": 9, "lsn": 4}
-        assert parse_wal_line(json.dumps(record) + "\n") == record
+        with pytest.raises(ValueError):
+            parse_wal_line(json.dumps(record) + "\n")
 
     @pytest.mark.parametrize("position", [0, 5, 20, -2])
     def test_any_single_byte_flip_is_detected(self, position):
@@ -108,18 +110,11 @@ class TestFraming:
 
 
 class TestLegacyMigration:
-    def test_unframed_state_dir_recovers_and_verifies(self, tmp_path, reference):
-        """A pre-framing directory (plain-JSON WAL lines, digestless
-        manifest) replays unchanged and upgrades as new appends land."""
+    def test_digestless_manifest_recovers_and_verifies(self, tmp_path, reference):
+        """A pre-digest directory (manifest without a digest map) verifies
+        by deep-loading its checkpoints and replays unchanged."""
         server, state_dir = run_workload(tmp_path, n_ops=150)
         server.close()
-        # rewrite every segment in the legacy format and strip the digests
-        for name in wal_segments(state_dir):
-            path = os.path.join(state_dir, name)
-            records = [parse_wal_line(line) for line in open(path, encoding="utf-8")]
-            with open(path, "w", encoding="utf-8") as fh:
-                for r in records:
-                    fh.write(json.dumps(r) + "\n")
         manifest = os.path.join(state_dir, "MANIFEST.json")
         with open(manifest, encoding="utf-8") as fh:
             seq = json.load(fh)["seq"]
@@ -128,16 +123,11 @@ class TestLegacyMigration:
 
         report = verify_state_dir(state_dir)
         assert report.clean
-        assert any(f.legacy_records for f in report.files if f.kind == "wal")
 
         recovered = PDRServer.recover(state_dir)
         for op in OPS[150:]:
             apply_op(recovered, op)
         assert_states_match(recovered, reference)
-        # the resumed tail is framed: the directory upgraded in place
-        tail = wal_segments(state_dir)[-1]
-        last_line = open(os.path.join(state_dir, tail), encoding="utf-8").readlines()[-1]
-        assert not last_line.startswith("{")
         recovered.close()
 
 
@@ -167,11 +157,41 @@ class TestVerify:
         server.close()
         tail = wal_segments(state_dir)[-1]
         with open(os.path.join(state_dir, tail), "ab") as fh:
-            fh.write(b'{"op": "rep')  # interrupted legacy-style append
+            fh.write(b'{"op": "rep')  # interrupted append
         report = verify_state_dir(state_dir)
         [damaged] = report.damaged()
         assert damaged.name == tail
         assert damaged.state == "torn-tail"
+
+    @pytest.mark.parametrize("where, state", [("tail", "torn-tail"), ("middle", "corrupt")])
+    def test_unframed_json_line_is_torn_tail_or_corruption(self, tmp_path, where, state):
+        """A complete, parseable JSON line with no frame gets no CRC pass:
+        as the newest segment's last line it is a torn tail, anywhere else
+        it is corruption — and recovery refuses it instead of replaying it."""
+        server, state_dir = run_workload(tmp_path)
+        server.close()
+        tail = wal_segments(state_dir)[-1]
+        path = os.path.join(state_dir, tail)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        last_lsn = parse_wal_line(lines[-1])["lsn"]
+        forged = json.dumps({"op": "advance", "t": 10_000, "lsn": last_lsn + 1}) + "\n"
+        if where == "tail":
+            lines.append(forged)
+        else:
+            lines.insert(len(lines) // 2, forged)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        [damaged] = verify_state_dir(state_dir).damaged()
+        assert (damaged.name, damaged.state) == (tail, state)
+        if where == "tail":
+            recovered = PDRServer.recover(state_dir)
+            assert recovered.wal_lsn == last_lsn  # the forged advance never ran
+            assert recovered.tnow < 10_000
+            recovered.close()
+        else:
+            with pytest.raises(CorruptionError):
+                PDRServer.recover(state_dir)
 
     def test_flipped_checkpoint_fails_its_manifest_digest(self, tmp_path):
         server, state_dir = run_workload(tmp_path)

@@ -2,11 +2,13 @@
 
 Families of properties:
 
-* the vectorised 1-D sweep and X-driver are **bit-identical** to the
-  reference event-loop implementations (same floats, ``==`` on every bound);
-* the band-fused refinement kernel, the batched tree traversal and the
-  process-pool fan-out are bit-identical to the sequential per-cell path
-  (and to each other across worker counts and chunkings);
+* the band kernel equals the event-loop oracle ``refine_cell`` — ``==`` on
+  every bound strip by strip, and zero symmetric difference against
+  whole-domain brute force on inputs built to tie (objects on cell edges,
+  coinciding stopping events, the domain boundary, integer thresholds);
+* the batched tree traversal and the process-pool fan-out return exactly
+  what sequential range queries and the inline kernel return (across
+  worker counts and chunkings, and after a refine worker is killed);
 * a :meth:`PDRServer.report_batch` wave leaves every maintained structure —
   histogram counters, PA coefficients, tree contents, WAL — in exactly the
   state the same reports produce sequentially, and recovery from the
@@ -17,26 +19,29 @@ Families of properties:
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PDRServer
+from repro.baselines.bruteforce import bruteforce_pdr
 from repro.core.geometry import Rect
+from repro.core.query import IntervalPDRQuery, SnapshotPDRQuery
+from repro.core.regions import RegionSet
 from repro.histogram.density_histogram import DensityHistogram
 from repro.index.tree import TPRTree
+from repro.methods import fr as fr_module
 from repro.methods.fr import FRMethod
+from repro.methods.interval import evaluate_interval, evaluate_interval_fr
 from repro.motion.model import Motion
 from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
 from repro.sweep.band_sweep import BandTask, merge_band_results, refine_bands
-from repro.sweep.plane_sweep import (
-    dense_segments_1d,
-    dense_segments_1d_reference,
-    refine_cell,
-    refine_cell_reference,
-)
+from repro.sweep.plane_sweep import refine_cell
 
 from .conftest import populate_clustered, small_system_config
 
@@ -46,58 +51,7 @@ finite = st.floats(
 
 
 # ----------------------------------------------------------------------
-# vectorised sweep == reference sweep, bit for bit
-# ----------------------------------------------------------------------
-@settings(max_examples=200, deadline=None)
-@given(
-    coords=st.lists(finite, min_size=0, max_size=40),
-    half=st.floats(min_value=0.05, max_value=20.0),
-    bounds=st.tuples(finite, finite),
-    min_count=st.floats(min_value=0.0, max_value=12.0),
-    duplicate=st.booleans(),
-)
-def test_dense_segments_matches_reference(coords, half, bounds, min_count, duplicate):
-    if duplicate and len(coords) >= 2:
-        coords[1] = coords[0]  # exercise exact event ties
-    lo, hi = min(bounds), max(bounds)
-    arr = np.asarray(coords, dtype=float)
-    fast = dense_segments_1d(arr, half, lo, hi, min_count)
-    ref = dense_segments_1d_reference(arr, half, lo, hi, min_count)
-    assert fast == ref  # tuple float equality: bit-identical bounds
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    points=st.lists(st.tuples(finite, finite), min_size=0, max_size=50),
-    l=st.floats(min_value=0.5, max_value=30.0),
-    min_count=st.floats(min_value=0.0, max_value=8.0),
-    duplicate=st.booleans(),
-)
-def test_refine_cell_matches_reference(points, l, min_count, duplicate):
-    if duplicate and len(points) >= 2:
-        points[1] = points[0]
-    cell = Rect(10.0, 5.0, 90.0, 85.0)
-    fast = refine_cell(points, cell, l, min_count)
-    ref = refine_cell_reference(points, cell, l, min_count)
-    assert list(fast) == list(ref)
-
-
-def test_sweep_edge_cases_match_reference():
-    for coords, half, lo, hi, mc in [
-        ([], 1.0, 0.0, 10.0, 0.0),
-        ([], 1.0, 0.0, 10.0, 1.0),
-        ([5.0], 1.0, 10.0, 10.0, 0.0),  # empty span
-        ([5.0, 5.0, 5.0], 2.0, 0.0, 10.0, 3.0),  # all ties
-        ([0.0, 10.0], 5.0, 0.0, 10.0, 1.0),  # events at the boundary
-    ]:
-        arr = np.asarray(coords, dtype=float)
-        assert dense_segments_1d(arr, half, lo, hi, mc) == (
-            dense_segments_1d_reference(arr, half, lo, hi, mc)
-        )
-
-
-# ----------------------------------------------------------------------
-# band-fused refinement == per-cell refinement, bit for bit
+# band kernel == event-loop oracle
 # ----------------------------------------------------------------------
 def _random_band_case(seed):
     """Random fused bands plus the sequential per-strip oracle's answer."""
@@ -144,6 +98,71 @@ def test_band_kernel_matches_per_strip_oracle(seed):
     assert [tuple(row) for row in result.bounds] == oracle
 
 
+# A world built to tie.  Cell edge 4 and unit lattice steps put objects on
+# histogram-cell edges, make stopping events ``o ± l/2`` land on one another
+# and on strip ends, put objects on both edges of the half-open domain, and
+# ``rho * l**2`` is an integer count — every comparison the sweep makes is
+# exercised at equality.
+_TIE_CELL = 4.0
+_TIE_M = 6
+_TIE_SIDE = _TIE_CELL * _TIE_M
+tie_coord = st.one_of(
+    st.integers(0, int(_TIE_SIDE)).map(float),
+    st.floats(min_value=-1.0, max_value=_TIE_SIDE + 1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    points=st.lists(st.tuples(tie_coord, tie_coord), max_size=40),
+    l=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.0]),
+    count=st.integers(0, 5),
+    mask_bits=st.integers(0, 2 ** (_TIE_M * _TIE_M) - 1),
+)
+def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
+    """Refining a candidate mask and its complement covers the domain, so
+    the kernel's output must be brute force's point set exactly."""
+    domain = Rect(0.0, 0.0, _TIE_SIDE, _TIE_SIDE)
+    query = SnapshotPDRQuery(rho=count / (l * l), l=l, qt=0)
+    inside = [p for p in points if domain.contains_point(*p)]
+    xs = np.array([p[0] for p in inside], dtype=float)
+    ys = np.array([p[1] for p in inside], dtype=float)
+    mask = np.array(
+        [(mask_bits >> k) & 1 for k in range(_TIE_M * _TIE_M)], dtype=bool
+    ).reshape(_TIE_M, _TIE_M)
+    tasks = []
+    for part in (mask, ~mask):
+        for j in range(_TIE_M):
+            cols = np.flatnonzero(part[:, j])
+            if cols.size == 0:
+                continue
+            runs = np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1)
+            tasks.append(
+                BandTask(
+                    j * _TIE_CELL,
+                    (j + 1) * _TIE_CELL,
+                    np.array([run[0] * _TIE_CELL for run in runs]),
+                    np.array([(run[-1] + 1) * _TIE_CELL for run in runs]),
+                    xs,
+                    ys,
+                )
+            )
+    result = refine_bands(tasks, l, query.min_count)
+    per_strip = [
+        (r.x1, r.y1, r.x2, r.y2)
+        for t in tasks
+        for x1, x2 in zip(t.strips_x1, t.strips_x2)
+        for r in refine_cell(inside, Rect(x1, t.y1, x2, t.y2), l, query.min_count)
+    ]
+    assert [tuple(row) for row in result.bounds] == per_strip
+    # The decompositions legitimately differ (brute force has no cell
+    # seams); the raster breaks on the rect edges themselves, so a zero
+    # symmetric difference means identical point sets.
+    want = bruteforce_pdr(inside, domain, query).regions
+    got = RegionSet.from_bounds(result.bounds)
+    assert got.symmetric_difference_area(want) == 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n_chunks=st.integers(1, 3))
 def test_band_kernel_chunking_is_invariant(seed, n_chunks):
@@ -187,11 +206,9 @@ def test_batch_traversal_matches_sequential(seed):
                  float(x1 + rng.uniform(1, 30)), float(y1 + rng.uniform(1, 30)))
         )
         qts.append(float(rng.integers(0, 5)))
-    motions = tree.range_query_batch(rects, np.asarray(qts))
     positions = tree.range_positions_batch(rects, np.asarray(qts))
-    for rect, qt, batch_m, (px, py) in zip(rects, qts, motions, positions):
+    for rect, qt, (px, py) in zip(rects, qts, positions):
         sequential = tree.range_query(rect, qt)
-        assert [m.oid for m in sequential] == [m.oid for m in batch_m]
         sx = np.array([m.position_at(qt)[0] for m in sequential])
         sy = np.array([m.position_at(qt)[1] for m in sequential])
         assert np.array_equal(sx, px) and np.array_equal(sy, py)
@@ -209,23 +226,21 @@ def _region_tuples(result):
 
 
 def test_banded_fr_matches_per_cell_fr(fr_world):
+    """The banded pipeline equals the paper's per-cell refinement — which,
+    run over one domain-sized cell with every object, is brute force."""
     server = fr_world
     qt = server.tnow + 1
-    banded = FRMethod(server.histogram, server.tree, batch_candidates=True)
-    with pytest.deprecated_call():
-        per_cell = FRMethod(server.histogram, server.tree, batch_candidates=False)
+    banded = FRMethod(server.histogram, server.tree)
     for varrho in (0.8, 1.2, 2.0, 3.5):
         query = server.make_query(qt=qt, varrho=varrho)
         a = banded.query(query)
-        b = per_cell.query(query)
+        b = server.evaluate("bruteforce", query)
         # Same region *union*, exactly: the raster in _combine_area breaks
         # on the rect edges themselves, so zero symmetric difference means
         # identical point sets — the decompositions legitimately differ
         # (a dense run crossing a cell seam is one fused rect, not two).
         assert a.regions.symmetric_difference_area(b.regions) == 0.0
         assert a.regions.area() == pytest.approx(b.regions.area(), rel=0, abs=1e-9)
-        assert a.stats.accepted_cells == b.stats.accepted_cells
-        assert a.stats.candidate_cells == b.stats.candidate_cells
 
 
 def test_refine_worker_counts_are_invariant(fr_world):
@@ -274,6 +289,71 @@ def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world):
         fresh = FRMethod(server.histogram, server.tree).query(query)
         assert _region_tuples(result) == _region_tuples(fresh)
     assert skipped > 0, "ascending varrho must hit the band-skip cache"
+
+
+def test_killed_refine_worker_is_answered_inline_then_pool_rebuilt(fr_world):
+    """A dead worker breaks its executor for good: the query that finds out
+    answers inline, and the next one runs on a fresh pool."""
+    server = fr_world
+    query = server.make_query(qt=server.tnow + 1, varrho=1.2)
+    inline = _region_tuples(
+        FRMethod(server.histogram, server.tree, refine_workers=0).query(query)
+    )
+
+    def pooled():
+        # A fresh instance per query: an empty band cache, so every band is
+        # swept and the sweep really goes through the pool.
+        fr = FRMethod(server.histogram, server.tree, refine_workers=2)
+        return _region_tuples(fr.query(query))
+
+    assert pooled() == inline
+    broken = fr_module._POOL
+    victim = next(iter(broken._processes))
+    os.kill(victim, signal.SIGKILL)
+    assert pooled() == inline
+    assert fr_module._POOL is not broken, "the broken pool must be dropped"
+    assert pooled() == inline
+    assert fr_module._POOL is not None and fr_module._POOL is not broken
+    assert victim not in fr_module._POOL._processes
+
+
+# ----------------------------------------------------------------------
+# interval FR rides the same refinement routine
+# ----------------------------------------------------------------------
+def _interval(server, varrho, qt1, qt2):
+    base = server.make_query(qt=qt1, varrho=varrho)
+    return IntervalPDRQuery(rho=base.rho, l=base.l, qt1=qt1, qt2=qt2)
+
+
+def test_interval_fr_is_the_union_of_snapshot_answers(fr_world):
+    server = fr_world
+    for varrho in (1.2, 2.0, 3.0):
+        query = _interval(server, varrho, server.tnow, server.tnow + 4)
+        got = evaluate_interval_fr(FRMethod(server.histogram, server.tree), query)
+        snapshot_fr = FRMethod(server.histogram, server.tree)
+        for want in (
+            evaluate_interval(snapshot_fr.query, query),
+            evaluate_interval(lambda s: server.evaluate("bruteforce", s), query),
+        ):
+            assert got.regions.symmetric_difference_area(want.regions) == 0.0
+
+
+def test_interval_fr_band_skip_is_correct_not_just_present(fr_world):
+    """A second interval query at a higher rho over the same snapshot skips
+    bands off the first one's cached maxima — and still answers exactly."""
+    server = fr_world
+    fr = FRMethod(server.histogram, server.tree)
+    qt1, qt2 = server.tnow, server.tnow + 4
+    first = evaluate_interval_fr(fr, _interval(server, 1.2, qt1, qt2))
+    assert first.stats.extra["refine_bands_skipped"] == 0.0
+    higher = _interval(server, 3.0, qt1, qt2)
+    second = evaluate_interval_fr(fr, higher)
+    assert second.stats.extra["refine_bands_skipped"] > 0.0
+    fresh = evaluate_interval_fr(FRMethod(server.histogram, server.tree), higher)
+    assert fresh.stats.extra["refine_bands_skipped"] == 0.0
+    exact = evaluate_interval(lambda s: server.evaluate("bruteforce", s), higher)
+    assert second.regions.symmetric_difference_area(fresh.regions) == 0.0
+    assert second.regions.symmetric_difference_area(exact.regions) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,18 @@ class TestDenseSegments1D:
         segs = dense_segments_1d(np.array([5.0]), 5.0, 0.0, 100.0, 1.0)
         assert segs[0][0] == 0.0
 
+    @pytest.mark.parametrize(
+        "coords, half, lo, hi, min_count, want",
+        [
+            ([5.0], 1.0, 10.0, 10.0, 0.0, []),  # empty span
+            ([5.0, 5.0, 5.0], 2.0, 0.0, 10.0, 3.0, [(3.0, 7.0)]),  # all events tie
+            # exit of one object and enter of the next on the same coordinate
+            ([0.0, 10.0], 5.0, 0.0, 10.0, 1.0, [(0.0, 10.0)]),
+        ],
+    )
+    def test_event_ties(self, coords, half, lo, hi, min_count, want):
+        assert dense_segments_1d(np.array(coords), half, lo, hi, min_count) == want
+
     @given(
         st.lists(st.floats(0, 100), max_size=15),
         st.floats(1, 20),
