@@ -21,9 +21,15 @@ import numpy as np
 
 from ..core.errors import InvalidParameterError
 from .cheb1d import weighted_integrals
-from .cheb2d import normalization_factors, total_degree_mask
+from .cheb2d import coefficient_count, normalization_factors, total_degree_mask
 
-__all__ = ["delta_coefficients", "delta_coefficients_batch"]
+__all__ = [
+    "delta_coefficients",
+    "delta_coefficients_batch",
+    "strip_integrals",
+    "retained_offsets",
+    "separable_deltas",
+]
 
 
 def delta_coefficients(
@@ -42,6 +48,66 @@ def delta_coefficients(
     return coeffs
 
 
+def strip_integrals(k: int, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Normalised 1-D integrals ``c_i * A_i(z1, z2)`` of ``S`` strips.
+
+    Returns shape ``(k+1, S)``.  Bounds are clipped to ``[-1, 1]``; an empty
+    strip yields zeros.  The axis half ``c_i`` (1 for ``i = 0``, else 2) of
+    Theorem 1's factor ``c_ij = c_i c_j`` is folded in here: scaling by a
+    power of two is exact, so the product of an x and a y strip equals
+    ``c_ij A_i A_j`` bit for bit whatever the grouping.
+
+    ``sin(i * arccos(z))`` comes from the Chebyshev recurrence
+    ``s_i = 2 z s_{i-1} - s_{i-2}`` seeded with ``sqrt(1 - z^2)`` — for the
+    small ``k`` in play this agrees with direct ``np.sin`` to a few ulps
+    while skipping ~k transcendental evaluations per bound.
+    """
+    z1 = np.clip(np.asarray(z1, dtype=float), -1.0, 1.0)
+    z2 = np.clip(np.asarray(z2, dtype=float), -1.0, 1.0)
+    if z1.shape != z2.shape:
+        raise InvalidParameterError("strip bound arrays must share a shape")
+    out = np.empty((k + 1, z1.shape[0]), dtype=float)
+    out[0] = np.arccos(z1) - np.arccos(z2)  # arccos(z1) is the larger angle
+    if k >= 1:
+        cur1 = np.sqrt(1.0 - z1 * z1)  # sin(theta1); theta in [0, pi]
+        cur2 = np.sqrt(1.0 - z2 * z2)
+        prev1 = np.zeros_like(cur1)
+        prev2 = np.zeros_like(cur2)
+        out[1] = cur1 - cur2
+        for i in range(2, k + 1):
+            cur1, prev1 = 2.0 * z1 * cur1 - prev1, cur1
+            cur2, prev2 = 2.0 * z2 * cur2 - prev2, cur2
+            out[i] = (cur1 - cur2) / i
+        out[1:] *= 2.0
+    out[:, z2 <= z1] = 0.0
+    return out
+
+
+def retained_offsets(k: int) -> np.ndarray:
+    """Flat positions ``i * (k+1) + j`` of the retained coefficients
+    (``i + j <= k``) inside a ``(k+1, k+1)`` block, in row order."""
+    return np.flatnonzero(total_degree_mask(k).reshape(-1))
+
+
+def separable_deltas(ax: np.ndarray, ay: np.ndarray, height) -> np.ndarray:
+    """Retained delta coefficients of ``M`` rectangles, coefficient-major.
+
+    ``ax`` and ``ay`` are the rectangles' :func:`strip_integrals` columns,
+    shape ``(k+1, M)`` each; ``height`` is a scalar or an ``(M,)`` array.
+    Returns shape ``((k+1)(k+2)/2, M)`` with rows in
+    :func:`retained_offsets` order, so every multiply writes whole
+    contiguous rows and the ``i + j > k`` products are never formed.
+    """
+    k = ax.shape[0] - 1
+    out = np.empty((coefficient_count(k), ax.shape[1]), dtype=float)
+    row = 0
+    for i in range(k + 1):
+        np.multiply(ax[i], ay[: k + 1 - i], out=out[row : row + k + 1 - i])
+        row += k + 1 - i
+    out *= np.asarray(height, dtype=float) / np.pi**2
+    return out
+
+
 def delta_coefficients_batch(
     k: int,
     x1: np.ndarray,
@@ -52,63 +118,21 @@ def delta_coefficients_batch(
 ) -> np.ndarray:
     """Vectorised :func:`delta_coefficients` over ``M`` rectangles.
 
-    Returns shape ``(M, k+1, k+1)``.  Used by the PA maintainer, which
-    processes one rectangle per (timestamp, overlapped cell) pair of an
-    object update in a single numpy pass.
-
-    ``height`` may be a scalar shared by every rectangle or an ``(M,)``
-    array of per-rectangle heights — the batched ingest path mixes
-    deletions (negative heights) and insertions in one call; the
-    per-element arithmetic is identical either way, so a mixed batch is
-    bit-identical to per-sign calls.
+    Returns shape ``(M, k+1, k+1)``: the dense rendering of the strip
+    kernel the PA maintainer scatters from (:func:`strip_integrals` per
+    axis, :func:`separable_deltas` per rectangle).  ``height`` may be a
+    scalar shared by every rectangle or an ``(M,)`` array of per-rectangle
+    heights.
     """
-    x1 = np.clip(np.asarray(x1, dtype=float), -1.0, 1.0)
-    x2 = np.clip(np.asarray(x2, dtype=float), -1.0, 1.0)
-    y1 = np.clip(np.asarray(y1, dtype=float), -1.0, 1.0)
-    y2 = np.clip(np.asarray(y2, dtype=float), -1.0, 1.0)
-    if not (x1.shape == x2.shape == y1.shape == y2.shape):
+    ax = strip_integrals(k, x1, x2)
+    ay = strip_integrals(k, y1, y2)
+    m = ax.shape[1]
+    if ay.shape[1] != m:
         raise InvalidParameterError("rectangle bound arrays must share a shape")
-    m = x1.shape[0]
-    if m == 0:
-        return np.zeros((0, k + 1, k + 1))
-
-    def axis_integrals(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """``A_i`` for every rectangle; shape ``(k+1, M)``.
-
-        ``sin(i * arccos(z))`` comes from the Chebyshev recurrence
-        ``s_i = 2 z s_{i-1} - s_{i-2}`` seeded with ``sqrt(1 - z^2)`` —
-        for the small ``k`` in play this agrees with direct ``np.sin``
-        to a few ulps while skipping ~k transcendental evaluations per
-        bound.
-        """
-        empty = z2 <= z1
-        theta1 = np.arccos(z1)  # the larger angle
-        theta2 = np.arccos(z2)
-        out = np.empty((k + 1, m), dtype=float)
-        out[0] = theta1 - theta2
-        if k >= 1:
-            cur1 = np.sqrt(1.0 - z1 * z1)  # sin(theta1); theta in [0, pi]
-            cur2 = np.sqrt(1.0 - z2 * z2)
-            prev1 = np.zeros_like(cur1)
-            prev2 = np.zeros_like(cur2)
-            out[1] = cur1 - cur2
-            for i in range(2, k + 1):
-                cur1, prev1 = 2.0 * z1 * cur1 - prev1, cur1
-                cur2, prev2 = 2.0 * z2 * cur2 - prev2, cur2
-                out[i] = (cur1 - cur2) / i
-        out[:, empty] = 0.0
-        return out
-
-    ax = axis_integrals(x1, x2)  # (k+1, M)
-    ay = axis_integrals(y1, y2)
-    c = normalization_factors(k)
-    scale = np.asarray(height, dtype=float) / np.pi**2
-    if scale.ndim == 1:
-        if scale.shape[0] != m:
-            raise InvalidParameterError(
-                f"height array has {scale.shape[0]} entries for {m} rectangles"
-            )
-        scale = scale[:, None, None]
-    coeffs = scale * np.einsum("ij,im,jm->mij", c, ax, ay)
-    coeffs[:, ~total_degree_mask(k)] = 0.0
-    return coeffs
+    if np.ndim(height) == 1 and np.shape(height)[0] != m:
+        raise InvalidParameterError(
+            f"height array has {np.shape(height)[0]} entries for {m} rectangles"
+        )
+    coeffs = np.zeros((m, (k + 1) * (k + 1)))
+    coeffs[:, retained_offsets(k)] = separable_deltas(ax, ay, height).T
+    return coeffs.reshape(m, k + 1, k + 1)

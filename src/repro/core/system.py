@@ -33,7 +33,7 @@ This is the class the examples and the experiment harness build on.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..baselines.bruteforce import bruteforce_from_motions
 from ..baselines.dense_cell import dense_cell_query
@@ -218,7 +218,8 @@ class PDRServer:
             )
         if self.faults is not None:
             self.faults.hit("report.apply")
-        motion = self._apply_report(oid, x, y, vx, vy)
+        motion = self.table.report(oid, x, y, vx, vy)
+        self._tick_oids.add(oid)
         self._resource_check()
         return motion
 
@@ -297,13 +298,6 @@ class PDRServer:
                 return False
         self.exit_read_only()
         return True
-
-    def _apply_report(
-        self, oid: int, x: float, y: float, vx: float, vy: float
-    ) -> Motion:
-        motion = self.table.report(oid, x, y, vx, vy)
-        self._tick_oids.add(oid)
-        return motion
 
     def report_batch(
         self, reports: Sequence[Tuple[int, float, float, float, float]]
@@ -417,27 +411,51 @@ class PDRServer:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def apply_logged_record(self, record: dict) -> None:
-        """Replay one WAL record (recovery only — bypasses logging)."""
-        op = record["op"]
-        if op == "report":
-            self._apply_report(
-                int(record["oid"]),
-                float(record["x"]),
-                float(record["y"]),
-                float(record["vx"]),
-                float(record["vy"]),
-            )
-        elif op == "retire":
-            self._apply_retire(int(record["oid"]))
-        elif op == "advance":
-            t = int(record["t"])
-            if t > self.table.tnow:
-                self._apply_advance(t)
-        elif op == "epoch":
-            self.epoch = max(self.epoch, int(record["epoch"]))
-        else:
-            raise StorageError(f"unknown update-log op {op!r}")
+    def apply_logged_records(self, records: Iterable[dict]) -> None:
+        """Replay WAL records in order (recovery and replica catch-up only —
+        bypasses validation and logging).
+
+        Each run of consecutive ``report`` records logged at one tick is
+        applied as one :meth:`ObjectTable.report_batch` wave, which leaves
+        the state a record-at-a-time replay would, bit for bit.
+        """
+        wave: List[Tuple[int, float, float, float, float]] = []
+        wave_t = None
+
+        def flush() -> None:
+            if wave:
+                self.table.report_batch(wave)
+                self._tick_oids.update(report[0] for report in wave)
+                wave.clear()
+
+        for record in records:
+            op = record["op"]
+            if op == "report":
+                if record["t"] != wave_t:
+                    flush()
+                    wave_t = record["t"]
+                wave.append(
+                    (
+                        int(record["oid"]),
+                        float(record["x"]),
+                        float(record["y"]),
+                        float(record["vx"]),
+                        float(record["vy"]),
+                    )
+                )
+                continue
+            flush()
+            if op == "retire":
+                self._apply_retire(int(record["oid"]))
+            elif op == "advance":
+                t = int(record["t"])
+                if t > self.table.tnow:
+                    self._apply_advance(t)
+            elif op == "epoch":
+                self.epoch = max(self.epoch, int(record["epoch"]))
+            else:
+                raise StorageError(f"unknown update-log op {op!r}")
+        flush()
 
     def attach_manager(self, manager) -> None:
         """Re-attach durability after recovery / failover.

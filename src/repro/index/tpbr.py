@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.errors import IndexError_
 from ..core.geometry import Rect
 from ..motion.model import Motion
 
-__all__ = ["TPBR"]
+__all__ = ["TPBR", "cheapest_enlargement"]
 
 
 @dataclass
@@ -64,6 +66,15 @@ class TPBR:
     def is_empty(self) -> bool:
         return self.x1 > self.x2 or self.y1 > self.y2
 
+    def column(self) -> tuple:
+        """This bound as one column of the array :func:`cheapest_enlargement`
+        and the batched traversal read: low edge, high edge, anchor."""
+        return (
+            self.x1, self.y1, self.vx1, self.vy1,
+            self.x2, self.y2, self.vx2, self.vy2,
+            self.t_ref,
+        )
+
     def copy(self) -> "TPBR":
         return TPBR(
             self.t_ref, self.x1, self.y1, self.x2, self.y2,
@@ -97,23 +108,21 @@ class TPBR:
         """Closed-form integral of :meth:`area_at` over ``[t_from, t_to]``.
 
         With ``s = t - t_ref``, width ``w(s) = w0 + a s`` and height
-        ``h(s) = h0 + b s`` the integrand is a quadratic whose antiderivative
-        is ``w0 h0 s + (w0 b + h0 a) s^2/2 + a b s^3/3``.  The tree only ever
-        integrates over ``t >= t_ref`` where both factors are nonnegative.
+        ``h(s) = h0 + b s`` the integrand is the quadratic
+        ``w0 h0 + (w0 b + h0 a) s + a b s^2``, integrated term by term.  The
+        tree only ever integrates over ``t >= t_ref`` where both factors are
+        nonnegative.
         """
         if t_to < t_from:
             raise IndexError_(f"empty integration range [{t_from}, {t_to}]")
-        w0 = self.x2 - self.x1
-        h0 = self.y2 - self.y1
-        a = self.vx2 - self.vx1
-        b = self.vy2 - self.vy1
-
-        def antiderivative(s: float) -> float:
-            return w0 * h0 * s + (w0 * b + h0 * a) * s * s / 2.0 + a * b * s ** 3 / 3.0
-
-        s1 = t_from - self.t_ref
-        s2 = t_to - self.t_ref
-        return antiderivative(s2) - antiderivative(s1)
+        return _integral_area(
+            self.x2 - self.x1,
+            self.y2 - self.y1,
+            self.vx2 - self.vx1,
+            self.vy2 - self.vy1,
+            t_from - self.t_ref,
+            t_to - self.t_ref,
+        )
 
     def integral_margin(self, t_from: float, t_to: float) -> float:
         """Integral of the half-perimeter ``w(t) + h(t)`` over the window.
@@ -191,3 +200,42 @@ class TPBR:
         grown = self.copy()
         grown.extend_motion(motion)
         return grown.integral_area(t_from, t_to)
+
+
+def _integral_area(w0, h0, a, b, s1, s2):
+    """``∫ (w0 + a s)(h0 + b s) ds`` over ``[s1, s2]``, for floats or arrays
+    alike — one expression, so the columnar scores equal the scalar ones."""
+    return (
+        w0 * h0 * (s2 - s1)
+        + (w0 * b + h0 * a) * ((s2 * s2 - s1 * s1) / 2.0)
+        + a * b * ((s2 * s2 * s2 - s1 * s1 * s1) / 3.0)
+    )
+
+
+def cheapest_enlargement(
+    cols: np.ndarray, motion: Motion, t_from: float, t_to: float
+) -> int:
+    """Index of the child bound that ``motion`` enlarges least.
+
+    ``cols`` holds one child bound per column (:meth:`TPBR.column`).
+    Children are ranked by the key ``(enlargement, base)`` —
+    :meth:`TPBR.enlarged_integral` minus :meth:`TPBR.integral_area`, then
+    the area itself — and the first minimum wins.  Every child is scored in
+    one array expression built from the same operations, in the same order,
+    as the scalar methods, so the choice is the one a loop over them makes.
+    """
+    n = cols.shape[1]
+    lo, hi, t_ref = cols[0:4], cols[4:8], cols[8]
+    dt = t_ref - motion.t_ref
+    point = np.empty((4, n))
+    point[0] = motion.x + dt * motion.vx
+    point[1] = motion.y + dt * motion.vy
+    point[2] = motion.vx
+    point[3] = motion.vy
+    # Extents (w0, h0, a, b) of every bound as it is [0], then as grown [1].
+    extent = np.empty((4, 2, n))
+    np.subtract(hi, lo, out=extent[:, 0])
+    np.subtract(np.maximum(hi, point), np.minimum(lo, point), out=extent[:, 1])
+    base, grown = _integral_area(*extent, t_from - t_ref, t_to - t_ref)
+    # lexsort is stable: among equal keys the lowest index comes first.
+    return int(np.lexsort((base, grown - base))[0])

@@ -17,12 +17,16 @@ Implementation notes
   implementation shortcut that avoids float-equality MBR searches; I/O
   accounting is unaffected because only queries are charged).
 * Underflowing nodes are condensed: the node is removed and its remaining
-  entries reinserted, as in Guttman's R-tree.
+  entries reinserted, as in Guttman's R-tree.  A wave of deletions is
+  condensed once, leaf-grouped and level by level (:meth:`TPRTree._condense`).
+* Every node caches its entries as numpy columns (:meth:`Node.columns`):
+  leaf bounds, choose-subtree scores and the batched traversal are array
+  expressions over them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +37,9 @@ from ..motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
-from .node import Node
+from .node import Node, motion_columns
 from .split import pick_split
-from .tpbr import TPBR
+from .tpbr import cheapest_enlargement
 from .zorder import interleave
 
 __all__ = ["TPRTree"]
@@ -70,13 +74,9 @@ class TPRTree(UpdateListener):
         self._min_fill_internal = max(2, self._internal_fanout * 2 // 5)
         self._next_page = 0
         self._leaf_of: Dict[int, Node] = {}
-        # Structure epoch: bumped on any mutation of contents or shape.
-        # Batched traversal caches per-node column arrays keyed by page id
-        # and drops them wholesale when the epoch moves; result-reuse caches
-        # upstream key on the epoch as well.
+        # Structure epoch: bumped on any mutation of contents or shape;
+        # result-reuse caches upstream key on it.
         self._epoch = 0
-        self._node_cols: Dict[int, tuple] = {}
-        self._node_cols_epoch = -1
         self.root = self._new_node(level=0)
 
     # ------------------------------------------------------------------
@@ -116,34 +116,38 @@ class TPRTree(UpdateListener):
             seen.add(oid)
         if len(updates) > len(self._leaf_of):
             tm.TPR_REPACKS.labels("bulk_insert").inc()
-            self._bulk_build(
-                self.all_motions() + [u.motion for u in updates]
-            )
+            self.bulk_load(self.all_motions() + [u.motion for u in updates])
         else:
             for update in self._zorder_sorted(updates):
                 self.insert(update.motion)
 
     def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        """Delete a wave; when it covers at least half the population the
-        survivors are simply repacked (condensing node-by-node would
+        """Delete a wave.  Its deletions are grouped by leaf and removed in
+        one pass per leaf, then the touched nodes are condensed together
+        (:meth:`_condense`); when the wave covers at least half the
+        population the survivors are simply repacked (condensing would
         reinsert most of the tree anyway)."""
         if not updates:
             return
         self._tnow = max(self._tnow, float(max(u.tnow for u in updates)))
+        doomed = set()
+        for update in updates:
+            oid = update.motion.oid
+            if oid not in self._leaf_of or oid in doomed:
+                raise IndexError_(f"object {oid} is not indexed")
+            doomed.add(oid)
         if 2 * len(updates) >= len(self._leaf_of):
-            doomed = set()
-            for update in updates:
-                oid = update.motion.oid
-                if oid not in self._leaf_of or oid in doomed:
-                    raise IndexError_(f"object {oid} is not indexed")
-                doomed.add(oid)
             tm.TPR_REPACKS.labels("bulk_delete").inc()
-            self._bulk_build(
+            self.bulk_load(
                 [m for m in self.all_motions() if m.oid not in doomed]
             )
-        else:
-            for update in updates:
-                self.delete(update.motion)
+            return
+        self._epoch += 1
+        # a dict, not a set: wave order, so tree shape does not hang on id()
+        leaves = {self._leaf_of.pop(u.motion.oid): None for u in updates}
+        for leaf in leaves:
+            leaf.discard(doomed)
+        self._condense(leaves)
 
     # ------------------------------------------------------------------
     # public API
@@ -173,7 +177,10 @@ class TPRTree(UpdateListener):
         leaf = self._choose_leaf(motion)
         leaf.add(motion)
         self._leaf_of[motion.oid] = leaf
-        self._grow_ancestors(leaf, motion)
+        node = leaf.parent
+        while node is not None:
+            node.grow(motion)
+            node = node.parent
         if len(leaf.entries) > self._leaf_fanout:
             self._split_upwards(leaf)
 
@@ -183,13 +190,8 @@ class TPRTree(UpdateListener):
         if leaf is None:
             raise IndexError_(f"object {motion.oid} is not indexed")
         self._epoch += 1
-        for i, entry in enumerate(leaf.entries):
-            if entry.oid == motion.oid:
-                leaf.entries.pop(i)
-                break
-        else:  # pragma: no cover - map/leaf inconsistency
-            raise IndexError_(f"leaf map stale for object {motion.oid}")
-        self._condense(leaf)
+        leaf.discard({motion.oid})
+        self._condense([leaf])
 
     def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[Motion]:
         """Objects whose predicted position at ``qt`` lies in ``rect`` (closed).
@@ -255,7 +257,7 @@ class TPRTree(UpdateListener):
             if node.is_leaf:
                 if not node.entries:
                     continue
-                x0, y0, vx, vy, t_ref = self._leaf_cols(node)
+                x0, y0, vx, vy, t_ref = node.columns()
                 for qt in np.unique(qts_arr[active]):
                     sel = active[qts_arr[active] == qt]
                     dt = qt - t_ref
@@ -273,9 +275,7 @@ class TPRTree(UpdateListener):
                         if idx.size:
                             out[r].append((px[idx], py[idx]))
             else:
-                bx1, by1, bx2, by2, bvx1, bvy1, bvx2, bvy2, bt = self._child_cols(
-                    node
-                )
+                bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = node.columns()
                 dt = qts_arr[active][None, :] - bt[:, None]
                 x_lo = bx1[:, None] + bvx1[:, None] * dt
                 x_hi = bx2[:, None] + bvx2[:, None] * dt
@@ -306,49 +306,6 @@ class TPRTree(UpdateListener):
                 )
         return merged
 
-    def _cols_cache(self) -> Dict[int, tuple]:
-        if self._node_cols_epoch != self._epoch:
-            self._node_cols = {}
-            self._node_cols_epoch = self._epoch
-        return self._node_cols
-
-    def _leaf_cols(self, node: Node) -> tuple:
-        """Column arrays (x, y, vx, vy, t_ref) of a leaf's entries, cached
-        per structure epoch."""
-        cache = self._cols_cache()
-        cols = cache.get(node.page_id)
-        if cols is None:
-            entries = node.entries
-            cols = (
-                np.array([m.x for m in entries], dtype=float),
-                np.array([m.y for m in entries], dtype=float),
-                np.array([m.vx for m in entries], dtype=float),
-                np.array([m.vy for m in entries], dtype=float),
-                np.array([m.t_ref for m in entries], dtype=float),
-            )
-            cache[node.page_id] = cols
-        return cols
-
-    def _child_cols(self, node: Node) -> tuple:
-        """Column arrays of an internal node's child TPBRs, cached per epoch."""
-        cache = self._cols_cache()
-        cols = cache.get(node.page_id)
-        if cols is None:
-            bounds = [c.bound for c in node.entries]
-            cols = (
-                np.array([b.x1 for b in bounds], dtype=float),
-                np.array([b.y1 for b in bounds], dtype=float),
-                np.array([b.x2 for b in bounds], dtype=float),
-                np.array([b.y2 for b in bounds], dtype=float),
-                np.array([b.vx1 for b in bounds], dtype=float),
-                np.array([b.vy1 for b in bounds], dtype=float),
-                np.array([b.vx2 for b in bounds], dtype=float),
-                np.array([b.vy2 for b in bounds], dtype=float),
-                np.array([b.t_ref for b in bounds], dtype=float),
-            )
-            cache[node.page_id] = cols
-        return cols
-
     def all_motions(self) -> List[Motion]:
         return list(self.root.iter_subtree_motions())
 
@@ -371,6 +328,8 @@ class TPRTree(UpdateListener):
             limit = self._leaf_fanout if node.is_leaf else self._internal_fanout
             if len(node.entries) > limit:
                 raise IndexError_(f"node {node.page_id} overflows fanout {limit}")
+            if not np.array_equal(node.columns(), node.fresh_columns()):
+                raise IndexError_(f"node {node.page_id} caches stale columns")
             for entry in node.entries:
                 if isinstance(entry, Node):
                     if entry.parent is not node:
@@ -416,32 +375,24 @@ class TPRTree(UpdateListener):
         order = np.argsort(codes, kind="stable")
         return [updates[i] for i in order]
 
-    def _bulk_build(self, motions: List[Motion]) -> None:
-        """Rebuild the whole tree by Sort-Tile-Recursive packing.
+    def bulk_load(self, motions: List[Motion]) -> None:
+        """Replace the whole tree by a Sort-Tile-Recursive packing of ``motions``.
 
         Leaves are packed from vertical slabs of the x-sorted wave, each
         slab y-sorted (classic STR); upper levels chunk children in slab
-        order.  Bounds are grown through the same :meth:`Node.add` path as
-        incremental insertion, so :meth:`validate`'s containment invariant
-        holds by construction.  All previous pages are invalidated — a
-        rebuild rewrites the file in the simulated-I/O model.
+        order.  Every node is bounded afresh at the current time, so
+        :meth:`validate`'s containment invariant holds by construction.  All
+        previous pages are invalidated — a rebuild rewrites the file in the
+        simulated-I/O model.
         """
         self._epoch += 1
-        if self.buffer is not None:
-            for node in self.root.subtree_nodes():
-                self.buffer.invalidate(node.page_id)
+        self._free(self.root.subtree_nodes())
         self._leaf_of = {}
         if not motions:
             self.root = self._new_node(level=0)
             return
-        t_ref = np.array([m.t_ref for m in motions], dtype=float)
-        dt = self._tnow - t_ref
-        px = np.array([m.x for m in motions]) + dt * np.array(
-            [m.vx for m in motions]
-        )
-        py = np.array([m.y for m in motions]) + dt * np.array(
-            [m.vy for m in motions]
-        )
+        cols = motion_columns(motions)
+        px, py = cols[0:2] + (self._tnow - cols[4]) * cols[2:4]
         per_leaf = self._leaf_fanout
         n = len(motions)
         n_leaves = -(-n // per_leaf)
@@ -453,10 +404,14 @@ class TPRTree(UpdateListener):
             slab = order_x[s : s + slab_pts]
             slab = slab[np.argsort(py[slab], kind="stable")]
             for c in range(0, len(slab), per_leaf):
+                members = slab[c : c + per_leaf]
                 leaf = self._new_node(level=0)
-                for i in slab[c : c + per_leaf]:
-                    motion = motions[i]
-                    leaf.add(motion)
+                leaf.set_entries(
+                    [motions[i] for i in members],
+                    self._tnow,
+                    np.take(cols, members, axis=1),  # row-contiguous
+                )
+                for motion in leaf.entries:
                     self._leaf_of[motion.oid] = leaf
                 nodes.append(leaf)
         level = 1
@@ -464,13 +419,11 @@ class TPRTree(UpdateListener):
             parents = []
             for c in range(0, len(nodes), self._internal_fanout):
                 parent = self._new_node(level)
-                for child in nodes[c : c + self._internal_fanout]:
-                    parent.add(child)
+                parent.set_entries(nodes[c : c + self._internal_fanout], self._tnow)
                 parents.append(parent)
             nodes = parents
             level += 1
         self.root = nodes[0]
-        self.root.parent = None
 
     def _new_node(self, level: int) -> Node:
         node = Node(self._next_page, level, t_ref=self._tnow)
@@ -488,23 +441,10 @@ class TPRTree(UpdateListener):
         t_from, t_to = self._window()
         node = self.root
         while not node.is_leaf:
-            best_child = None
-            best_key = None
-            for child in node.entries:
-                base = child.bound.integral_area(t_from, t_to)
-                grown = child.bound.enlarged_integral(motion, t_from, t_to)
-                key = (grown - base, base)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_child = child
-            node = best_child
+            node = node.entries[
+                cheapest_enlargement(node.columns(), motion, t_from, t_to)
+            ]
         return node
-
-    def _grow_ancestors(self, leaf: Node, motion: Motion) -> None:
-        node = leaf.parent
-        while node is not None:
-            node.bound.extend_motion(motion)
-            node = node.parent
 
     def _split_upwards(self, node: Node) -> None:
         t_from, t_to = self._window()
@@ -514,56 +454,61 @@ class TPRTree(UpdateListener):
             min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
             group_a, group_b = pick_split(node.entries, min_fill, t_from, t_to)
             sibling = self._new_node(node.level)
-            node.entries = []
-            node.bound = TPBR.empty(t_from)
-            for entry in group_a:
-                node.add(entry)
-            for entry in group_b:
-                sibling.add(entry)
+            node.set_entries(group_a, t_from)
+            sibling.set_entries(group_b, t_from)
             if node.is_leaf:
-                for entry in sibling.entries:
+                for entry in group_b:
                     self._leaf_of[entry.oid] = sibling
             parent = node.parent
             if parent is None:
-                new_root = self._new_node(node.level + 1)
-                new_root.add(node)
-                new_root.add(sibling)
-                self.root = new_root
+                self.root = self._new_node(node.level + 1)
+                self.root.set_entries([node, sibling], t_from)
                 return
             parent.add(sibling)
-            parent.retighten(t_from)
-            self._retighten_ancestors(parent.parent)
+            ancestor = parent
+            while ancestor is not None:
+                ancestor.retighten(t_from)
+                ancestor = ancestor.parent
             node = parent
 
-    def _retighten_ancestors(self, node: Optional[Node]) -> None:
-        t_from, _ = self._window()
-        while node is not None:
-            node.retighten(t_from)
-            node = node.parent
+    def _condense(self, leaves: Iterable[Node]) -> None:
+        """Handle (possible) underflow after removals from ``leaves``.
 
-    def _condense(self, node: Node) -> None:
-        """Handle (possible) underflow at ``node`` after a removal."""
-        t_from, _ = self._window()
+        Level by level from the leaves up, every touched node is either
+        retightened — once, however many removals happened beneath it — or,
+        when under-full, dissolved into its parent's orphans; the orphaned
+        motions are reinserted afterwards, as in Guttman's R-tree.
+        """
+        t_from = self._tnow
         orphans: List[Motion] = []
-        while node.parent is not None:
-            min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
-            parent = node.parent
-            if len(node.entries) < min_fill:
-                parent.entries.remove(node)
-                orphans.extend(node.iter_subtree_motions())
-                for freed in node.subtree_nodes():
-                    if self.buffer is not None:
-                        self.buffer.invalidate(freed.page_id)
-            else:
-                node.retighten(t_from)
-            node = parent
-        node.retighten(t_from)  # node is now the root
-        if not node.is_leaf and len(node.entries) == 1:
-            self.root = node.entries[0]
-            self.root.parent = None
-            if self.buffer is not None:
-                self.buffer.invalidate(node.page_id)
+        touched = list(leaves)
+        while touched:
+            parents: Dict[Node, None] = {}  # insertion-ordered set
+            for node in touched:
+                parent = node.parent
+                min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
+                if parent is not None and len(node.entries) < min_fill:
+                    parent.remove(node)
+                    orphans.extend(node.iter_subtree_motions())
+                    self._free(node.subtree_nodes())
+                else:
+                    node.retighten(t_from)
+                if parent is not None:
+                    parents[parent] = None
+            touched = list(parents)
+        while not self.root.is_leaf and len(self.root.entries) <= 1:
+            self._free([self.root])
+            if self.root.entries:
+                self.root = self.root.entries[0]
+                self.root.parent = None
+            else:  # every child was dissolved
+                self.root = self._new_node(level=0)
         for motion in orphans:
-            self._leaf_of.pop(motion.oid, None)
+            del self._leaf_of[motion.oid]
             self.insert(motion)
 
+    def _free(self, nodes: Iterable[Node]) -> None:
+        """Drop the pages of nodes that left the tree from the buffer pool."""
+        if self.buffer is not None:
+            for node in nodes:
+                self.buffer.invalidate(node.page_id)

@@ -17,11 +17,11 @@ delta squares are baked into the coefficients); querying with a different
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..chebyshev.delta import delta_coefficients_batch
+from ..chebyshev.delta import retained_offsets, separable_deltas, strip_integrals
 from ..chebyshev.grid import ChebSurface, GridSpec
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
@@ -31,6 +31,14 @@ from ..motion.updates import DeleteUpdate, InsertUpdate, ReportPair, UpdateListe
 from ..telemetry import TELEMETRY
 
 __all__ = ["PAMethod"]
+
+
+def _expand_runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten runs of ``counts[i]`` items: each run's first flat index,
+    every item's run, and every item's offset inside its run."""
+    first = np.cumsum(counts) - counts
+    run = np.repeat(np.arange(counts.shape[0]), counts)
+    return first, run, np.arange(run.shape[0]) - first[run]
 
 
 class PAMethod(UpdateListener):
@@ -102,11 +110,10 @@ class PAMethod(UpdateListener):
     # update stream (Algorithms 4 and 5)
     # ------------------------------------------------------------------
     def on_insert(self, update: InsertUpdate) -> None:
-        self._apply(update.motion, update.tnow, update.tnow + self.horizon, +1.0)
+        self._apply_batch([(update.motion, update.tnow, +1.0)])
 
     def on_delete(self, update: DeleteUpdate) -> None:
-        motion = update.motion
-        self._apply(motion, motion.t_ref, motion.t_ref + self.horizon, -1.0)
+        self._apply_batch([(update.motion, update.motion.t_ref, -1.0)])
 
     def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
         self._apply_batch([(u.motion, u.tnow, +1.0) for u in updates])
@@ -129,37 +136,49 @@ class PAMethod(UpdateListener):
             jobs.append((insert.motion, insert.tnow, +1.0))
         self._apply_batch(jobs)
 
-    def _apply(self, motion: Motion, t_from: int, t_to: int, sign: float) -> None:
-        rects = self._update_rects(motion, t_from, t_to)
-        if rects is None:
-            return
-        slots, ci, cj, rx1, rx2, ry1, ry2 = rects
-        deltas = delta_coefficients_batch(
-            self.spec.k, rx1, rx2, ry1, ry2, height=sign / (self.l * self.l)
-        )
-        np.add.at(self._coeffs, (slots, ci, cj), deltas)
+    # Rectangles per delta/scatter flush: small enough that the chunk's
+    # coefficient rows and the tiles they scatter into stay cache-resident
+    # across the coefficient-major passes, large enough that the per-call
+    # numpy overhead amortises away.
+    _BATCH_RECTS = 4096
 
-    # Rectangles per delta/scatter flush.  Large enough that the per-call
-    # trig/einsum overhead amortises away, small enough that the
-    # intermediate (M, k+1, k+1) arrays stay cache-resident instead of
-    # spilling — one unbounded pass over a big wave is *slower* than the
-    # scalar path.
-    _BATCH_RECTS = 16384
+    def _axis_strips(
+        self, s1: np.ndarray, s2: np.ndarray, origin: float, width: float
+    ) -> Tuple[np.ndarray, ...]:
+        """The tile strips each clipped interval ``[s1, s2]`` crosses on one axis.
+
+        Returns ``(span, first, tile, integrals)``: strips per interval, the
+        index of each interval's first strip, every strip's tile index, and
+        the strips' normalised weighted integrals, shape ``(k+1, strips)``.
+        """
+        g = self.spec.g
+        t0 = np.clip(((s1 - origin) / width).astype(np.int64), 0, g - 1)
+        t1 = np.clip(((s2 - origin) / width - 1e-12).astype(np.int64), 0, g - 1)
+        span = t1 - t0 + 1
+        first, of, offset = _expand_runs(span)
+        tile = t0[of] + offset
+        tile_lo = origin + tile * width
+        # Overlap of the interval with its tile, in the tile frame [-1, 1].
+        z1 = 2.0 * (np.maximum(s1[of], tile_lo) - tile_lo) / width - 1.0
+        z2 = 2.0 * (np.minimum(s2[of], tile_lo + width) - tile_lo) / width - 1.0
+        return span, first, tile, strip_integrals(self.spec.k, z1, z2)
 
     def _apply_batch(
         self, jobs: Sequence[Tuple[Motion, int, float]]
     ) -> None:
-        """Apply ``(motion, t_from, sign)`` updates in whole-wave numpy passes.
+        """Apply ``(motion, t_from, sign)`` updates in whole-wave numpy passes
+        (Algorithms 4/5; a single update is a one-job wave).
 
-        The (timestamp, tile, rectangle) expansion runs over the entire wave
-        at once — the batched analogue of :meth:`_update_rects` — and the
-        resulting rectangles are stably re-sorted into job order before the
-        chunked ``np.add.at`` flushes.  Within one job every rectangle hits
-        a distinct ``(slot, tile)`` coefficient cell (distinct timestamps
-        map to distinct slots, distinct tiles to distinct cells), so the
-        only accumulation order that matters per cell is *across* jobs; the
-        stable job sort preserves it exactly, making the result
-        bit-identical to calling :meth:`_apply` once per job.
+        Lemma 4's delta is separable, so the 1-D integrals are taken once
+        per (job, timestamp, tile column) and once per (job, timestamp,
+        tile row) strip; an overlap rectangle is a pair of strip indices.
+        Rectangles come out job-major.  Within one job every rectangle hits
+        a distinct ``(slot, tile)`` coefficient block (distinct timestamps
+        map to distinct slots, distinct tiles to distinct blocks), so the
+        only accumulation order that matters per coefficient is *across*
+        jobs, and every flush below adds a coefficient's deltas in
+        rectangle order — the result is bit-identical to applying the jobs
+        one at a time.
         """
         n = len(jobs)
         if n == 0:
@@ -173,7 +192,7 @@ class PAMethod(UpdateListener):
         sign = np.array([job[2] for job in jobs])
 
         # (n, slots) trajectory grid — elementwise the same ``x + dt*vx``
-        # Motion.positions_at computes on the scalar path.
+        # as Motion.positions_at.
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
         dt = ts.astype(float)[None, :] - t_ref[:, None]
         xs = x0[:, None] + dt * vx[:, None]
@@ -182,106 +201,10 @@ class PAMethod(UpdateListener):
             ts[None, :]
             <= np.minimum(t_from + self.horizon, self._tnow + self.horizon)[:, None]
         )
-        dom = self.spec.domain
-        half = self.l / 2.0
-        sx1 = np.maximum(xs - half, dom.x1)
-        sx2 = np.minimum(xs + half, dom.x2)
-        sy1 = np.maximum(ys - half, dom.y1)
-        sy2 = np.minimum(ys + half, dom.y2)
-        in_domain = (
-            (xs >= dom.x1) & (xs < dom.x2) & (ys >= dom.y1) & (ys < dom.y2)
-        )
-        nonempty = covered & (sx2 > sx1) & (sy2 > sy1) & in_domain
-        if not nonempty.any():
-            return
-        job_idx, t_idx = np.nonzero(nonempty)
-        ts_f = ts[t_idx]
-        sx1, sx2, sy1, sy2 = (
-            sx1[nonempty],
-            sx2[nonempty],
-            sy1[nonempty],
-            sy2[nonempty],
-        )
-
-        cw = self.spec.cell_width
-        ch = self.spec.cell_height
-        g = self.spec.g
-        tiny = 1e-12
-        ci0 = np.clip(((sx1 - dom.x1) / cw).astype(np.int64), 0, g - 1)
-        ci1 = np.clip(((sx2 - dom.x1) / cw - tiny).astype(np.int64), 0, g - 1)
-        cj0 = np.clip(((sy1 - dom.y1) / ch).astype(np.int64), 0, g - 1)
-        cj1 = np.clip(((sy2 - dom.y1) / ch - tiny).astype(np.int64), 0, g - 1)
-
-        # Expand variable-size tile spans into flat (job, timestamp, tile)
-        # rectangles in one repeat pass.  ``job_idx`` from np.nonzero is
-        # row-major, so the expansion comes out job-major with no sort;
-        # within one job the tile visit order differs from the scalar
-        # path's, which is immaterial because a job's rectangles all hit
-        # distinct coefficient cells.
-        ci_span = ci1 - ci0 + 1
-        cj_span = cj1 - cj0 + 1
-        counts = ci_span * cj_span
-        rect_of = np.repeat(np.arange(counts.shape[0]), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offset = np.arange(rect_of.shape[0]) - starts[rect_of]
-        span = cj_span[rect_of]
-        di = offset // span
-        dj = offset - di * span
-        ci = ci0[rect_of] + di
-        cj = cj0[rect_of] + dj
-        tile_x1 = dom.x1 + ci * cw
-        tile_y1 = dom.y1 + cj * ch
-        ox1 = np.maximum(sx1[rect_of], tile_x1)
-        ox2 = np.minimum(sx2[rect_of], tile_x1 + cw)
-        oy1 = np.maximum(sy1[rect_of], tile_y1)
-        oy2 = np.minimum(sy2[rect_of], tile_y1 + ch)
-        slots = ts_f[rect_of] % self._slots
-        rx1 = 2.0 * (ox1 - tile_x1) / cw - 1.0
-        rx2 = 2.0 * (ox2 - tile_x1) / cw - 1.0
-        ry1 = 2.0 * (oy1 - tile_y1) / ch - 1.0
-        ry2 = 2.0 * (oy2 - tile_y1) / ch - 1.0
-        heights = sign[job_idx[rect_of]] / (self.l * self.l)
-
-        # Scatter through a flat 1-D view: np.add.at on linear indices is
-        # several times faster than the equivalent N-D fancy index, and the
-        # element addition order (rect order, then the 36 distinct
-        # coefficient positions within a rect) is unchanged.
-        kk = self.spec.k + 1
-        base = ((slots * g + ci) * g + cj) * (kk * kk)
-        offsets = np.arange(kk * kk, dtype=np.int64)
-        flat = self._coeffs.reshape(-1)
-        total = slots.shape[0]
-        for start in range(0, total, self._BATCH_RECTS):
-            end = min(start + self._BATCH_RECTS, total)
-            deltas = delta_coefficients_batch(
-                self.spec.k,
-                rx1[start:end],
-                rx2[start:end],
-                ry1[start:end],
-                ry2[start:end],
-                height=heights[start:end],
-            )
-            idx = (base[start:end, None] + offsets[None, :]).reshape(-1)
-            np.add.at(flat, idx, deltas.reshape(-1))
-
-    def _update_rects(
-        self, motion: Motion, t_from: int, t_to: int
-    ) -> Optional[Tuple[np.ndarray, ...]]:
-        """The (slot, tile, normalized-rect) pairs one update touches.
-
-        Returns ``(slots, ci, cj, rx1, rx2, ry1, ry2)`` arrays, or ``None``
-        when the update covers nothing inside the window and domain.
-        """
-        lo = max(t_from, self._tnow)
-        hi = min(t_to, self._tnow + self.horizon)
-        if hi < lo:
-            return None
-        ts = np.arange(lo, hi + 1, dtype=np.int64)
-        xs, ys = motion.positions_at(ts)
-        half = self.l / 2.0
-        dom = self.spec.domain
         # The influence square of the object at each covered timestamp,
         # clipped to the domain.
+        dom = self.spec.domain
+        half = self.l / 2.0
         sx1 = np.maximum(xs - half, dom.x1)
         sx2 = np.minimum(xs + half, dom.x2)
         sy1 = np.maximum(ys - half, dom.y1)
@@ -292,63 +215,43 @@ class PAMethod(UpdateListener):
         in_domain = (
             (xs >= dom.x1) & (xs < dom.x2) & (ys >= dom.y1) & (ys < dom.y2)
         )
-        nonempty = (sx2 > sx1) & (sy2 > sy1) & in_domain
+        nonempty = covered & (sx2 > sx1) & (sy2 > sy1) & in_domain
         if not nonempty.any():
-            return None
-        ts, sx1, sx2, sy1, sy2 = (
-            ts[nonempty],
-            sx1[nonempty],
-            sx2[nonempty],
-            sy1[nonempty],
-            sy2[nonempty],
+            return
+        # np.nonzero is row-major, so squares (and everything expanded from
+        # them) come out job-major with no sort.
+        job_idx, t_idx = np.nonzero(nonempty)
+        x_span, x_first, x_tile, ax = self._axis_strips(
+            sx1[nonempty], sx2[nonempty], dom.x1, self.spec.cell_width
         )
-        cw = self.spec.cell_width
-        ch = self.spec.cell_height
-        g = self.spec.g
-        tiny = 1e-12
-        ci0 = np.clip(((sx1 - dom.x1) / cw).astype(np.int64), 0, g - 1)
-        ci1 = np.clip(((sx2 - dom.x1) / cw - tiny).astype(np.int64), 0, g - 1)
-        cj0 = np.clip(((sy1 - dom.y1) / ch).astype(np.int64), 0, g - 1)
-        cj1 = np.clip(((sy2 - dom.y1) / ch - tiny).astype(np.int64), 0, g - 1)
+        y_span, y_first, y_tile, ay = self._axis_strips(
+            sy1[nonempty], sy2[nonempty], dom.y1, self.spec.cell_height
+        )
 
-        # Expand variable-size tile spans into flat (timestamp, tile) pairs
-        # by looping over the (tiny) span offsets, keeping everything numpy.
-        max_di = int((ci1 - ci0).max())
-        max_dj = int((cj1 - cj0).max())
-        slot_l, ci_l, cj_l = [], [], []
-        rx1_l, rx2_l, ry1_l, ry2_l = [], [], [], []
-        for di in range(max_di + 1):
-            for dj in range(max_dj + 1):
-                ci = ci0 + di
-                cj = cj0 + dj
-                mask = (ci <= ci1) & (cj <= cj1)
-                if not mask.any():
-                    continue
-                ci_m = ci[mask]
-                cj_m = cj[mask]
-                tile_x1 = dom.x1 + ci_m * cw
-                tile_y1 = dom.y1 + cj_m * ch
-                ox1 = np.maximum(sx1[mask], tile_x1)
-                ox2 = np.minimum(sx2[mask], tile_x1 + cw)
-                oy1 = np.maximum(sy1[mask], tile_y1)
-                oy2 = np.minimum(sy2[mask], tile_y1 + ch)
-                slot_l.append((ts[mask] % self._slots))
-                ci_l.append(ci_m)
-                cj_l.append(cj_m)
-                # Normalise overlap rectangles to the tile frame [-1, 1].
-                rx1_l.append(2.0 * (ox1 - tile_x1) / cw - 1.0)
-                rx2_l.append(2.0 * (ox2 - tile_x1) / cw - 1.0)
-                ry1_l.append(2.0 * (oy1 - tile_y1) / ch - 1.0)
-                ry2_l.append(2.0 * (oy2 - tile_y1) / ch - 1.0)
-        return (
-            np.concatenate(slot_l),
-            np.concatenate(ci_l),
-            np.concatenate(cj_l),
-            np.concatenate(rx1_l),
-            np.concatenate(rx2_l),
-            np.concatenate(ry1_l),
-            np.concatenate(ry2_l),
+        # One rectangle per (square, tile column, tile row): a pair of
+        # strip indices.
+        _, of, offset = _expand_runs(x_span * y_span)
+        di = offset // y_span[of]
+        xi = x_first[of] + di
+        yi = y_first[of] + (offset - di * y_span[of])
+        heights = sign[job_idx[of]] / (self.l * self.l)
+
+        # Scatter through a flat 1-D view (np.add.at on linear indices is
+        # several times faster than the equivalent N-D fancy index), one
+        # contiguous row of rectangles per retained coefficient.
+        g = self.spec.g
+        kk = self.spec.k + 1
+        base = (((ts[t_idx] % self._slots)[of] * g + x_tile[xi]) * g + y_tile[yi]) * (
+            kk * kk
         )
+        offsets = retained_offsets(self.spec.k)[:, None]
+        flat = self._coeffs.reshape(-1)
+        for start in range(0, of.shape[0], self._BATCH_RECTS):
+            chunk = slice(start, start + self._BATCH_RECTS)
+            deltas = separable_deltas(
+                ax[:, xi[chunk]], ay[:, yi[chunk]], heights[chunk]
+            )
+            np.add.at(flat, (base[chunk] + offsets).reshape(-1), deltas.reshape(-1))
 
     # ------------------------------------------------------------------
     # persistence

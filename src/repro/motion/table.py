@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.errors import InvalidParameterError, QueryError
+from ..core.errors import InvalidParameterError, ListenerFanoutError, QueryError
 from ..telemetry import instruments as tm
 from .model import Motion
 from .updates import (
@@ -67,8 +67,6 @@ class ObjectTable:
         motion (a deletion update), then registers the new one (an insertion
         update), exactly as Section 5.1 prescribes.
         """
-        from ..core.errors import ListenerFanoutError
-
         new_motion = Motion(oid, self._tnow, x, y, vx, vy)
         old_motion = self._motions.get(oid)
         # The delete+insert protocol must run to completion even if a
@@ -106,8 +104,6 @@ class ObjectTable:
         consecutive waves so every wave retracts at most one motion per
         object, preserving the sequential delete+insert semantics exactly.
         """
-        from ..core.errors import ListenerFanoutError
-
         results: List[Motion] = []
         failures = []
         wave: List[ReportPair] = []

@@ -759,16 +759,21 @@ def recover_server(
             restore_server_state(server, state)
 
         last_lsn = base_lsn
-        for _seq, record in _iter_wal_records(state_dir, from_seq):
-            lsn = int(record["lsn"])
-            if lsn <= base_lsn:
-                continue
-            if lsn != last_lsn + 1:
-                raise RecoveryError(
-                    f"update log gap: expected lsn {last_lsn + 1}, found {lsn}"
-                )
-            server.apply_logged_record(record)
-            last_lsn = lsn
+
+        def tail() -> Iterator[dict]:
+            nonlocal last_lsn
+            for _seq, record in _iter_wal_records(state_dir, from_seq):
+                lsn = int(record["lsn"])
+                if lsn <= base_lsn:
+                    continue
+                if lsn != last_lsn + 1:
+                    raise RecoveryError(
+                        f"update log gap: expected lsn {last_lsn + 1}, found {lsn}"
+                    )
+                last_lsn = lsn
+                yield record
+
+        server.apply_logged_records(tail())
 
         manager = ReliabilityManager.resume(state_dir, rc, lsn=last_lsn)
         server.attach_manager(manager)

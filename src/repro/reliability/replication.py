@@ -15,7 +15,7 @@ plus N in-memory replicas into a serving tier:
   sites for the :class:`~repro.reliability.faults.FaultInjector`.
 * **In-order apply.**  A :class:`Replica` holds out-of-order arrivals in
   a reorder buffer and applies records strictly by LSN through the same
-  ``apply_logged_record`` path recovery uses, so a caught-up replica is
+  ``apply_logged_records`` path recovery uses, so a caught-up replica is
   *bit-exact* with the primary (identical numpy operations in identical
   order) — the same guarantee crash recovery gives.
 * **Catch-up.**  A replica that lost records (drop, partition, joining
@@ -238,14 +238,15 @@ class Replica:
 
     def drain(self) -> int:
         """Apply buffered records strictly in LSN order; returns count."""
-        applied = 0
         t0 = time.perf_counter()
-        while self.applied_lsn + 1 in self._pending:
-            record = self._pending.pop(self.applied_lsn + 1)
-            self.server.apply_logged_record(record)
+        run = []
+        while self.applied_lsn + 1 + len(run) in self._pending:
+            run.append(self._pending.pop(self.applied_lsn + 1 + len(run)))
+        self.server.apply_logged_records(run)
+        for record in run:
             self.applied_lsn += 1
             self._remember(self.applied_lsn, record)
-            applied += 1
+        applied = len(run)
         if applied:
             tm.REPLICATION_APPLIED.labels(self.name).inc(applied)
             tm.REPLICATION_APPLY_SECONDS.observe(time.perf_counter() - t0)
@@ -288,12 +289,11 @@ class Replica:
             if not self._install_image_if_newer(state_dir):
                 raise
             records = list(records_from_lsn(state_dir, self.applied_lsn))
-        applied = 0
+        self.server.apply_logged_records(records)
         for record in records:
-            self.server.apply_logged_record(record)
             self.applied_lsn = int(record["lsn"])
             self._remember(self.applied_lsn, record)
-            applied += 1
+        applied = len(records)
         self._pending = {n: r for n, r in self._pending.items() if n > self.applied_lsn}
         self.epoch = max(self.epoch, self.server.epoch)
         return applied

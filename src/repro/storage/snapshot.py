@@ -186,10 +186,9 @@ def restore_server_state(server: PDRServer, state: SnapshotState) -> None:
     server.table.restore(state.motions, state.tnow)
     server.histogram.load_state_arrays(state.hist_state)
     server.pa.load_state_arrays(state.pa_state)
-    # Rebuild the index by direct insertion (the table must NOT re-notify
+    # Rebuild the index by one STR bulk load (the table must NOT re-notify
     # the histogram/PA listeners, whose state is already restored).
-    for motion in state.motions:
-        server.tree.insert(motion)
+    server.tree.bulk_load(state.motions)
 
 
 def load_server(path: Union[str, "object"], expected_objects: int = 0) -> PDRServer:

@@ -82,6 +82,47 @@ class TestMaintenance:
         live = pa.surface_at(qt)
         assert np.allclose(live.coeffs, reference.coeffs, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_wave_equals_sequential_on_wide_squares_and_big_waves(self, k):
+        """Wave == sequential, bitwise, where the default-config pins do not
+        reach: ``l > 2 * cell_width`` (every square spans >= 3 tile columns
+        and rows), low degrees, objects that leave the domain mid-window,
+        and a wave several flush chunks long."""
+        gen = np.random.default_rng(k)
+        horizon = 12
+
+        def world():
+            pa = PAMethod(DOMAIN, l=45.0, horizon=horizon, g=5, k=k, md=64)
+            table = ObjectTable()
+            table.add_listener(pa)
+            return pa, table
+
+        def wave(n):
+            reports = [
+                (oid, float(gen.uniform(1, 99)), float(gen.uniform(1, 99)),
+                 float(gen.uniform(-2, 2)), float(gen.uniform(-2, 2)))
+                for oid in range(n)
+            ]
+            # near an edge and heading out: inside now, gone within the window
+            reports += [(n, 98.0, 50.0, 1.5, 0.0), (n + 1, 40.0, 1.0, 0.0, -0.5)]
+            return reports
+
+        waves = [wave(90), wave(90)]  # the second wave retracts the first
+        (seq_pa, seq_table), (wave_pa, wave_table) = world(), world()
+        for tick, reports in enumerate(waves):
+            seq_table.advance_to(tick)
+            wave_table.advance_to(tick)
+            for report in reports:
+                seq_table.report(*report)
+            wave_table.report_batch(reports)
+        squares = 2 * 92 * (horizon + 1)  # delete + insert jobs x timestamps
+        assert 9 * squares > 4 * PAMethod._BATCH_RECTS  # several flushes
+        assert np.array_equal(wave_pa._coeffs, seq_pa._coeffs)
+        assert np.any(wave_pa._coeffs != 0.0)
+        for qt in (1, 7, horizon):
+            reference = rebuilt_surface(wave_pa, wave_table, qt)
+            assert np.allclose(wave_pa.surface_at(qt).coeffs, reference.coeffs, atol=1e-9)
+
     def test_advance_then_rereport_keeps_window_exact(self):
         pa = make_pa(horizon=5)
         table = ObjectTable()

@@ -152,6 +152,43 @@ class TestCleanRecovery:
         assert_states_match(recovered, reference)
         recovered.close()
 
+    def test_replay_in_waves_equals_the_live_server(self, tmp_path):
+        """Recovery coalesces each WAL run of ``report`` records into one
+        wave; runs broken by ``retire``, ``advance`` and ``epoch`` records
+        and a run holding one oid twice must still replay to the live
+        server's state (which applied every record one at a time)."""
+        rng = np.random.default_rng(3)
+
+        def reports(oids):
+            return [
+                ("report", int(oid), *(float(v) for v in rng.uniform(1.0, 99.0, size=2)),
+                 *(float(v) for v in rng.uniform(-1.5, 1.5, size=2)))
+                for oid in oids
+            ]
+
+        ops = [("advance", 1), *reports(range(20)), ("retire", 4)]
+        ops += [*reports(range(5, 12)), ("epoch", 2), *reports([13, 14])]
+        ops += [("advance", 2), *reports([0, 1, 2, 1, 3])]  # oid 1 twice in one run
+        ops += [("retire", 0), ("advance", 4), *reports(range(8, 20))]
+        rc = durable_config(tmp_path, interval=0)
+        live = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
+        for op in ops:
+            if op[0] == "epoch":
+                live.promote(op[1])
+            else:
+                apply_op(live, op)
+        assert live.wal_lsn == len(ops)
+        live.close()
+        recovered = PDRServer.recover(rc.state_dir)
+        assert recovered.wal_lsn == len(ops)
+        assert recovered.epoch == live.epoch == 2
+        assert recovered._tick_oids == live._tick_oids
+        assert sorted(recovered.table.motions(), key=lambda m: m.oid) == sorted(
+            live.table.motions(), key=lambda m: m.oid
+        )
+        assert_states_match(recovered, live)
+        recovered.close()
+
     def test_fsync_path(self, tmp_path):
         rc = ReliabilityConfig(
             state_dir=os.path.join(str(tmp_path), "state"),

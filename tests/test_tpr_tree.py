@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 
 from repro.core.errors import IndexError_
 from repro.core.geometry import Rect
+from repro.datagen import TripSimulator, synthetic_metro
+from repro.index.node import Node
 from repro.index.split import bound_of_entries, pick_split
+from repro.index.tpbr import cheapest_enlargement
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
+from repro.motion.updates import DeleteUpdate, InsertUpdate
 from repro.storage.buffer import BufferPool
 
 
@@ -252,3 +256,256 @@ class TestSplitHelper:
         bound = bound_of_entries(motions, t_ref=0)
         r = bound.rect_at(0)
         assert (r.x1, r.y1, r.x2, r.y2) == (0, 0, 10, 5)
+
+
+# ----------------------------------------------------------------------
+# columnar node arithmetic == the scalar TPBR loops
+# ----------------------------------------------------------------------
+# Lattice-valued coordinates make exact ties, shared edges and zero-area or
+# collinear groups likely instead of measure-zero.
+lattice = st.integers(min_value=-8, max_value=8).map(lambda v: v / 2.0)
+coordinate = st.one_of(
+    lattice, st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+)
+velocity = st.one_of(lattice, st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+
+
+@st.composite
+def motion_lists(draw, min_size=1, max_size=12):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9), coordinate, coordinate,
+                velocity, velocity,
+            ),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    return [Motion(i, *row) for i, row in enumerate(rows)]
+
+
+def loop_choice(children, motion, t_from, t_to):
+    """The scalar choose-subtree loop: key (enlargement, base), first minimum."""
+    best, best_key = None, None
+    for index, child in enumerate(children):
+        base = child.bound.integral_area(t_from, t_to)
+        grown = child.bound.enlarged_integral(motion, t_from, t_to)
+        key = (grown - base, base)
+        if best_key is None or key < best_key:
+            best, best_key = index, key
+    return best
+
+
+class TestColumnarArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(motion_lists(max_size=30), st.integers(min_value=9, max_value=40))
+    def test_leaf_bound_equals_extend_motion_loop(self, motions, t_ref):
+        leaf = Node(0, level=0, t_ref=0.0)
+        leaf.set_entries(list(motions), float(t_ref))
+        assert leaf.bound == bound_of_entries(motions, float(t_ref))
+        # ... and again from the columns the leaf kept while growing
+        grown = Node(1, level=0, t_ref=float(t_ref))
+        grown.columns()
+        for motion in motions:
+            grown.add(motion)
+        grown.retighten(float(t_ref))
+        assert grown.bound == leaf.bound
+        assert np.array_equal(grown.columns(), grown.fresh_columns())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(motion_lists(max_size=4), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=12, max_size=12),
+        motion_lists(max_size=1),
+        st.integers(min_value=0, max_value=30),
+    )
+    def test_choose_subtree_equals_scalar_loop(self, groups, repeats, anchors, probe, horizon):
+        t_from = 10.0
+        # duplicated groups tie exactly; single motions and collinear groups
+        # have zero integral area
+        groups = groups + [groups[i % len(groups)] for i in repeats]
+        parent = Node(99, level=1, t_ref=t_from)
+        children = []
+        for page, (motions, anchor) in enumerate(zip(groups, anchors)):
+            child = Node(page, level=0, t_ref=0.0)
+            child.set_entries(list(motions), float(anchor))
+            children.append(child)
+        parent.set_entries(children, t_from)
+        motion = Motion(1000, *[getattr(probe[0], f) for f in ("t_ref", "x", "y", "vx", "vy")])
+        got = cheapest_enlargement(parent.columns(), motion, t_from, t_from + horizon)
+        assert got == loop_choice(children, motion, t_from, t_from + horizon)
+
+    def test_choose_subtree_first_minimum_wins_on_ties(self):
+        parent = Node(9, level=1, t_ref=0.0)
+        twins = []
+        for page in range(3):
+            child = Node(page, level=0, t_ref=0.0)
+            child.set_entries([Motion(page, 0, 1.0, 1.0, 0.0, 0.0), Motion(10 + page, 0, 3.0, 2.0, 0.5, 0.0)], 0.0)
+            twins.append(child)
+        parent.set_entries(twins, 0.0)
+        inside = Motion(50, 0, 2.0, 1.5, 0.25, 0.0)  # enlarges none of them
+        assert cheapest_enlargement(parent.columns(), inside, 0.0, 10.0) == 0
+        assert loop_choice(twins, inside, 0.0, 10.0) == 0
+
+
+# ----------------------------------------------------------------------
+# wave maintenance == sequential maintenance
+# ----------------------------------------------------------------------
+def contents(tree):
+    return sorted((m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in tree.all_motions())
+
+
+def leaves_of(tree):
+    return [node for node in tree.root.subtree_nodes() if node.is_leaf]
+
+
+class TestWaveMaintenance:
+    def build_pair(self, n=120, fanout=8):
+        motions = random_motions(n, seed=5)
+        pair = (make_tree(fanout=fanout), make_tree(fanout=fanout))
+        for tree in pair:
+            for motion in motions:
+                tree.insert(motion)
+        return pair
+
+    def test_wave_underfilling_several_leaves_and_emptying_one(self):
+        sequential, wave = self.build_pair()
+        min_fill = wave._min_fill_leaf
+        leaves = leaves_of(wave)
+        assert len(leaves) >= 8
+        doomed = [m.oid for m in leaves[0].entries]  # this leaf is emptied
+        for leaf in leaves[1:5]:  # these end one short of the minimum fill
+            doomed += [m.oid for m in leaf.entries[: len(leaf.entries) - min_fill + 1]]
+        assert 2 * len(doomed) < len(wave)  # below the repack threshold
+        by_oid = {m.oid: m for m in wave.all_motions()}
+        deletes = [DeleteUpdate(0, by_oid[oid]) for oid in doomed]
+        wave.on_delete_batch(deletes)
+        for delete in deletes:
+            sequential.on_delete(delete)
+        wave.validate()
+        sequential.validate()
+        assert contents(wave) == contents(sequential)
+        assert len(wave) == 120 - len(doomed)
+        # the traversal and the leaf bound read rows: they must stay contiguous
+        assert all(leaf.columns().flags["C_CONTIGUOUS"] for leaf in leaves_of(wave))
+
+    def test_report_wave_moving_whole_leaves_away(self):
+        sequential, wave = self.build_pair()
+        movers = [m for leaf in leaves_of(wave)[:4] for m in leaf.entries]
+        pairs = [
+            (DeleteUpdate(1, old), InsertUpdate(1, Motion(old.oid, 1, 500.0 + old.oid, 500.0, 0.0, 1.0)))
+            for old in movers
+        ]
+        wave.on_report_batch(pairs)
+        for delete, insert in pairs:
+            sequential.on_delete(delete)
+            sequential.on_insert(insert)
+        wave.validate()
+        assert contents(wave) == contents(sequential)
+
+    def test_wave_dissolving_every_leaf_of_a_two_leaf_tree(self):
+        tree = make_tree(fanout=20)
+        motions = random_motions(21, seed=2)  # one split: two leaves under one root
+        for motion in motions:
+            tree.insert(motion)
+        assert tree.height == 2 and len(leaves_of(tree)) == 2
+        min_fill = tree._min_fill_leaf
+        doomed = [
+            m for leaf in leaves_of(tree) for m in leaf.entries[: len(leaf.entries) - min_fill + 1]
+        ]
+        assert 2 * len(doomed) < len(tree)
+        tree.on_delete_batch([DeleteUpdate(0, m) for m in doomed])
+        tree.validate()
+        assert {m.oid for m in tree.all_motions()} == {m.oid for m in motions} - {m.oid for m in doomed}
+
+    def test_wave_rejects_unknown_and_repeated_oids_before_mutating(self):
+        _, wave = self.build_pair(n=40)
+        before = contents(wave)
+        known = wave.all_motions()[0]
+        for bad in ([DeleteUpdate(0, known), DeleteUpdate(0, known)],
+                    [DeleteUpdate(0, known), DeleteUpdate(0, Motion(999, 0, 1.0, 1.0, 0.0, 0.0))]):
+            with pytest.raises(IndexError_):
+                wave.on_delete_batch(bad)
+            assert contents(wave) == before
+            wave.validate()
+
+    def test_bulk_load_matches_incremental_contents(self):
+        motions = random_motions(300, seed=9)
+        packed = make_tree(fanout=8)
+        packed.bulk_load(motions)
+        packed.validate()
+        assert all(leaf.columns().flags["C_CONTIGUOUS"] for leaf in leaves_of(packed))
+        assert contents(packed) == sorted(
+            (m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in motions
+        )
+        rect = Rect(20, 20, 70, 70)
+        got = sorted(m.oid for m in packed.range_query(rect, 4))
+        assert got == brute_range(motions, rect, 4)
+
+
+class _Trace:
+    """What a datagen simulator sees instead of an ObjectTable: it records
+    every tick's (delete, insert) pairs."""
+
+    def __init__(self):
+        self.tnow = 0
+        self.motions = {}
+        self.waves = {}
+
+    def advance_to(self, tnow):
+        self.tnow = tnow
+
+    def motion_of(self, oid):
+        return self.motions.get(oid)
+
+    def report(self, oid, x, y, vx, vy):
+        old = self.motions.get(oid)
+        new = Motion(oid, self.tnow, x, y, vx, vy)
+        self.motions[oid] = new
+        self.waves.setdefault(self.tnow, []).append(
+            (DeleteUpdate(self.tnow, old) if old is not None else None,
+             InsertUpdate(self.tnow, new))
+        )
+        return new
+
+
+def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
+    """Tree-quality guard: leaf-grouped condense and wave inserts must not
+    buy their speed with looser leaves.  Both trees start from one STR pack
+    of the tick-60 world (by then the road traffic reports staggered, a few
+    to a few dozen objects per tick) and absorb the same 50 waves."""
+    domain = Rect(0.0, 0.0, 1000.0, 1000.0)
+    simulator = TripSimulator(
+        synthetic_metro(domain, grid_n=20, seed=7), n_objects=600, update_interval=60, seed=13
+    )
+    trace = _Trace()
+    simulator.initialize(trace)
+    simulator.run_until(trace, 60)
+    start = list(trace.motions.values())
+    simulator.run_until(trace, 110)
+    horizon = 120
+    sequential = TPRTree(horizon=horizon, fanout_override=16, tnow=60)
+    wave = TPRTree(horizon=horizon, fanout_override=16, tnow=60)
+    sequential.bulk_load(list(start))
+    wave.bulk_load(list(start))
+    for tick in range(61, 111):
+        pairs = trace.waves.get(tick, [])
+        assert 0 < 2 * len(pairs) < len(wave)  # never the repack path
+        sequential.on_advance(tick)
+        wave.on_advance(tick)
+        for delete, insert in pairs:
+            sequential.on_delete(delete)
+            sequential.on_insert(insert)
+        wave.on_report_batch(pairs)
+    wave.validate()
+    assert contents(wave) == contents(sequential)
+
+    def leaf_area(tree):
+        return sum(
+            leaf.bound.integral_area(tree._tnow, tree._tnow + horizon)
+            for leaf in leaves_of(tree)
+        )
+
+    assert leaf_area(wave) <= 1.10 * leaf_area(sequential)
