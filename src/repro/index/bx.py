@@ -24,7 +24,7 @@ index; that is the basis of the index ablation benchmark.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from .bplus import BPlusTree
+from .positions import pack_positions, query_windows
 from .zorder import ZGrid
 
 __all__ = ["BxTree"]
@@ -191,22 +192,25 @@ class BxTree(UpdateListener):
         return results
 
     def range_positions_batch(
-        self, rects: Sequence[Rect], qts, charge_io: bool = True
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One :meth:`range_query` per rect, as ``(xs, ys)`` position arrays.
+        self, rects, qts, charge_io: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One :meth:`range_query` per rect, as CSR columns ``(offsets, px, py)``.
 
-        ``qts`` is a scalar timestamp or one timestamp per rect — the same
-        contract as :meth:`TPRTree.range_positions_batch`, without the
-        shared traversal (Z-curve runs of different rects rarely coincide).
+        ``rects`` is an ``(R, 4)`` array of closed windows and ``qts`` a
+        scalar timestamp or one timestamp per rect — the same contract as
+        :meth:`TPRTree.range_positions_batch`, without the shared traversal
+        (Z-curve runs of different rects rarely coincide).
         """
-        qts_arr = np.broadcast_to(np.asarray(qts, dtype=float), (len(rects),))
-        out = []
-        for rect, qt in zip(rects, qts_arr):
-            motions = self.range_query(rect, float(qt), charge_io=charge_io)
+        rb, qts_arr = query_windows(rects, qts)
+        rect_ids, xs, ys = [], [], []
+        for r, (window, qt) in enumerate(zip(rb, qts_arr)):
+            motions = self.range_query(Rect(*window), float(qt), charge_io=charge_io)
             pos = np.array([m.position_at(qt) for m in motions], dtype=float)
             pos = pos.reshape(-1, 2)
-            out.append((pos[:, 0], pos[:, 1]))
-        return out
+            rect_ids.append(np.full(len(motions), r))
+            xs.append(pos[:, 0])
+            ys.append(pos[:, 1])
+        return pack_positions(rect_ids, xs, ys, rb.shape[0])
 
     def validate(self) -> None:
         """Invariants: backbone structure, key map and partition counters."""

@@ -38,6 +38,7 @@ from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
 from .node import Node, motion_columns
+from .positions import pack_positions, query_windows
 from .split import pick_split
 from .tpbr import cheapest_enlargement
 from .zorder import interleave
@@ -222,15 +223,19 @@ class TPRTree(UpdateListener):
         return results
 
     def range_positions_batch(
-        self, rects: Sequence[Rect], qts, charge_io: bool = True
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched :meth:`range_query` returning position arrays per rect.
+        self, rects, qts, charge_io: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`range_query` returning positions as CSR columns.
 
-        ``qts`` is a scalar timestamp or one timestamp per rect.  All rects
-        are answered in a single shared traversal: each visited page is
-        touched (and charged) once for the whole batch, and every node
-        carries the subset of rects whose query window still intersects its
-        bound — per-rect membership masks instead of N independent walks.
+        ``rects`` is an ``(R, 4)`` array of closed ``x1, y1, x2, y2``
+        windows, ``qts`` a scalar timestamp or one timestamp per rect.  The
+        answer is ``(offsets, px, py)``: rect ``r``'s positions at its
+        timestamp are ``px/py[offsets[r]:offsets[r + 1]]`` (see
+        :mod:`repro.index.positions`).  All rects are answered in a single
+        shared traversal: each visited page is touched (and charged) once
+        for the whole batch, and every node carries the subset of rects
+        whose query window still intersects its bound — per-rect membership
+        masks instead of N independent walks.
 
         Per-rect results are identical to ``range_query(rect, qt)``, in the
         same visit order: a stack DFS restricted to the subset of nodes one
@@ -239,18 +244,17 @@ class TPRTree(UpdateListener):
         the same closed comparison on elementwise-identical extrapolated
         positions.
         """
-        n_rects = len(rects)
-        if n_rects == 0:
-            return []
-        qts_arr = np.broadcast_to(np.asarray(qts, dtype=float), (n_rects,))
-        if float(qts_arr.min()) < self._tnow:
+        rb, qts_arr = query_windows(rects, qts)
+        n_rects = rb.shape[0]
+        if n_rects and float(qts_arr.min()) < self._tnow:
             raise IndexError_(
                 f"TPR-tree bounds are only valid for t >= {self._tnow}, "
                 f"got {float(qts_arr.min())}"
             )
-        rb = np.array([(r.x1, r.y1, r.x2, r.y2) for r in rects], dtype=float)
-        out: List[list] = [[] for _ in range(n_rects)]
-        stack: List[tuple] = [(self.root, np.arange(n_rects))]
+        hit_rect: List[np.ndarray] = []
+        hit_x: List[np.ndarray] = []
+        hit_y: List[np.ndarray] = []
+        stack: List[tuple] = [(self.root, np.arange(n_rects))] if n_rects else []
         while stack:
             node, active = stack.pop()
             self._touch(node, charge_io)
@@ -258,22 +262,22 @@ class TPRTree(UpdateListener):
                 if not node.entries:
                     continue
                 x0, y0, vx, vy, t_ref = node.columns()
-                for qt in np.unique(qts_arr[active]):
-                    sel = active[qts_arr[active] == qt]
-                    dt = qt - t_ref
-                    px = x0 + dt * vx
-                    py = y0 + dt * vy
-                    # Closed containment, one broadcast per (leaf, timestamp).
-                    inside = (
-                        (rb[sel, 0][:, None] <= px[None, :])
-                        & (px[None, :] <= rb[sel, 2][:, None])
-                        & (rb[sel, 1][:, None] <= py[None, :])
-                        & (py[None, :] <= rb[sel, 3][:, None])
-                    )
-                    for row, r in enumerate(sel):
-                        idx = np.flatnonzero(inside[row])
-                        if idx.size:
-                            out[r].append((px[idx], py[idx]))
+                # One (rect, entry) broadcast per leaf: each row extrapolates
+                # to its own rect's timestamp, closed containment.
+                dt = qts_arr[active][:, None] - t_ref
+                px = x0 + dt * vx
+                py = y0 + dt * vy
+                window = rb[active]
+                row, col = np.nonzero(
+                    (window[:, 0:1] <= px)
+                    & (px <= window[:, 2:3])
+                    & (window[:, 1:2] <= py)
+                    & (py <= window[:, 3:4])
+                )
+                if row.size:
+                    hit_rect.append(active[row])
+                    hit_x.append(px[row, col])
+                    hit_y.append(py[row, col])
             else:
                 bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = node.columns()
                 dt = qts_arr[active][None, :] - bt[:, None]
@@ -291,20 +295,7 @@ class TPRTree(UpdateListener):
                     sub = active[overlap[c]]
                     if sub.size:
                         stack.append((child, sub))
-        merged: List[Tuple[np.ndarray, np.ndarray]] = []
-        for parts in out:
-            if parts:
-                merged.append(
-                    (
-                        np.concatenate([p[0] for p in parts]),
-                        np.concatenate([p[1] for p in parts]),
-                    )
-                )
-            else:
-                merged.append(
-                    (np.empty(0, dtype=float), np.empty(0, dtype=float))
-                )
-        return merged
+        return pack_positions(hit_rect, hit_x, hit_y, n_rects)
 
     def all_motions(self) -> List[Motion]:
         return list(self.root.iter_subtree_motions())

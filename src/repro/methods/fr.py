@@ -15,95 +15,61 @@ The union of accepted cells and refined rectangles is the exact PDR answer.
 Refinement exists once, in :meth:`FRMethod.refine`; snapshot queries hand
 it one ``(qt, candidate mask)`` entry and interval queries
 (:func:`repro.methods.interval.evaluate_interval_fr`) one entry per pending
-timestamp.  It runs three stages:
+timestamp.  Its three stages build and consume one
+:class:`~repro.sweep.band_sweep.BandBatch` — flat arrays over every band of
+every entry, never unpacked into per-band objects:
 
 * **fuse** — candidate cells become per-row **bands** of maximal strips;
 * **fetch** — every band's ``l/2``-expanded rectangle is answered by one
-  ``range_positions_batch`` call on the index;
+  ``range_positions_batch`` call on the index, whose CSR columns become the
+  batch's object columns;
 * **sweep** — the band kernel :func:`repro.sweep.band_sweep.refine_bands`
-  turns the bands into dense rectangles, inline or fanned across a process
-  pool (``REPRO_REFINE_WORKERS``; band tasks are picklable snapshot arrays).
+  turns the batch into dense rectangles.
 
 The kernel's output is held equal to the event-loop oracle in
 :mod:`repro.sweep.plane_sweep` and to whole-domain brute force by
 ``tests/test_perf_paths.py``.
 
-Result reuse: per-band maximum active counts are cached per
-``(index epoch, histogram epoch, qt, l)``.  A later query over the same
-snapshot with a *higher* density threshold skips — without fetching or
-sweeping — every band whose strips are covered by the cached strips and
-whose cached maximum is below the new threshold (no l-square centred in the
-band can ever hold more objects than the band's maximum active count; this
-is the ρ-monotonic containment rule).
+Result reuse: every swept band's maximum active count is remembered, per
+``(index epoch, histogram epoch, qt, l)``, on the candidate cells the band
+covered — no l-square centred in the band's strips can ever hold more
+objects than that.  A later query over the same snapshot with a *higher*
+density threshold skips — without fetching or sweeping — every band whose
+candidate cells all carry a remembered maximum below the new threshold
+(the ρ-monotonic containment rule).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from ..core.geometry import Rect
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
 from ..core.regions import RegionSet
 from ..histogram.density_histogram import DensityHistogram
 from ..histogram.filter import filter_query
-from ..sweep.band_sweep import (
-    _THRESHOLD_EPS,
-    BandBatchResult,
-    BandTask,
-    merge_band_results,
-    refine_bands,
-    _refine_bands_worker,
-)
+from ..sweep.band_sweep import _THRESHOLD_EPS, BandBatch, refine_bands
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 
 __all__ = ["FRMethod", "Refinement"]
 
 # Keep this many (index epoch, histogram epoch, qt, l) snapshot keys of
-# per-band maxima around for the ρ-monotonic skip rule.
+# per-cell band maxima around for the ρ-monotonic skip rule.
 _BAND_CACHE_KEYS = 8
-
-# Process pool shared by every FRMethod in the process; sized lazily to the
-# last requested worker count (queries are read-only, so one pool serves all
-# instances).
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
-_POOL_LOCK = threading.Lock()
+# A cell no swept band has covered yet: above every threshold.
+_UNSWEPT = np.iinfo(np.int64).max
 
 
-def _refine_pool(workers: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_WORKERS != workers:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)
-            # Spawned workers import the package fresh: no inherited locks
-            # from the (possibly threaded) serving process.
-            import multiprocessing
-
-            _POOL = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-            )
-            _POOL_WORKERS = workers
-        return _POOL
-
-
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Forget a broken pool so the next pooled query builds a fresh one."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is pool:
-            _POOL = None
-    pool.shutdown(wait=False)
+def _concat(parts, dtype=float) -> np.ndarray:
+    """``np.concatenate`` that takes an empty list (a refinement without
+    entries is an empty batch, not a special case)."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 class Refinement(NamedTuple):
@@ -124,65 +90,53 @@ class FRMethod:
     """Exact PDR evaluation over a density histogram and a moving-object index.
 
     ``tree`` is any index with the three members refinement uses:
-    ``range_positions_batch(rects, qts)`` (per-rect ``(xs, ys)`` arrays of
-    the positions at ``qts`` inside each closed rect), ``buffer`` (the
+    ``range_positions_batch(rects, qts)`` (``rects`` an ``(R, 4)`` array of
+    closed ``x1, y1, x2, y2`` windows, ``qts`` one timestamp per rect;
+    returns the CSR columns ``(offsets, px, py)`` — rect ``r``'s positions
+    at ``qts[r]`` are ``px/py[offsets[r]:offsets[r + 1]]``), ``buffer`` (the
     :class:`~repro.storage.buffer.BufferPool` charged for page reads, or
     ``None``) and ``epoch`` (a counter that moves on every content change,
     which keys the band cache).  :class:`~repro.index.tree.TPRTree` is the
     default; :class:`~repro.index.bx.BxTree` is the drop-in alternative.
-
-    ``refine_workers`` fans band sweeps across a process pool (0 = inline;
-    defaults to ``REPRO_REFINE_WORKERS``).
     """
 
-    def __init__(
-        self,
-        histogram: DensityHistogram,
-        tree,
-        faults=None,
-        refine_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, histogram: DensityHistogram, tree, faults=None) -> None:
         if histogram is None or tree is None:
             raise InvalidParameterError("FR needs both a histogram and an index")
         self.histogram = histogram
         self.tree = tree
-        if refine_workers is None:
-            try:
-                refine_workers = int(os.environ.get("REPRO_REFINE_WORKERS", "0"))
-            except ValueError:
-                refine_workers = 0
-        self.refine_workers = max(0, refine_workers)
         self.faults = faults
-        # (index epoch, histogram epoch, qt, l) -> {row j: (x1s, x2s, max_active)}
-        self._band_cache: "OrderedDict[tuple, Dict[int, tuple]]" = OrderedDict()
+        # (index epoch, histogram epoch, qt, l) -> per-cell [i, j] maximum
+        # active count of the swept band that covered the cell
+        self._band_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._band_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # band planning
     # ------------------------------------------------------------------
-    def _plan_rows(self, candidate: np.ndarray) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    def _plan_rows(
+        self, candidate: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fuse a candidate mask into per-row strips.
 
-        Returns ``(row j, strips_x1, strips_x2)`` for every row with at
-        least one candidate cell; strips are the maximal runs of adjacent
-        candidate columns, with world extents matching
-        :meth:`DensityHistogram.cell_rect` bit for bit.
+        Returns ``(band_row, strip_band, strip_x1, strip_x2)``: the rows
+        with at least one candidate cell, ascending (one band each), and
+        every row's maximal runs of adjacent candidate columns as flat
+        strips in band order — ``strip_band[s]`` indexes ``band_row`` —
+        with world extents matching :meth:`DensityHistogram.cell_rect` bit
+        for bit.
         """
         hist = self.histogram
         lx = hist.cell_edge
         x0 = hist.domain.x1
-        out: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        # candidate is indexed [i, j] = (column, row).
-        for j in np.flatnonzero(candidate.any(axis=0)):
-            cols = np.flatnonzero(candidate[:, j])
-            breaks = np.flatnonzero(np.diff(cols) > 1)
-            run_starts = cols[np.concatenate([[0], breaks + 1])]
-            run_ends = cols[np.concatenate([breaks, [cols.size - 1]])]
-            # Same float expressions as cell_rect: x1 = x0 + i*lx, x2 = x1 + lx.
-            x1s = x0 + run_starts * lx
-            x2s = (x0 + run_ends * lx) + lx
-            out.append((int(j), x1s.astype(float), x2s.astype(float)))
-        return out
+        # candidate is indexed [i, j] = (column, row): one diff along each
+        # row finds where its runs start (+1) and end (-1), row-major.
+        steps = np.diff(candidate.T.astype(np.int8), axis=1, prepend=0, append=0)
+        strip_row, run_starts = np.nonzero(steps == 1)
+        run_ends = np.nonzero(steps == -1)[1] - 1
+        band_row, strip_band = np.unique(strip_row, return_inverse=True)
+        # Same float expressions as cell_rect: x1 = x0 + i*lx, x2 = x1 + lx.
+        return band_row, strip_band, x0 + run_starts * lx, (x0 + run_ends * lx) + lx
 
     def _accepted_bounds(self, filtered) -> np.ndarray:
         """Accepted-cell rectangles as a bounds array (cell_rect floats)."""
@@ -197,44 +151,35 @@ class FRMethod:
     # ------------------------------------------------------------------
     # ρ-monotonic band cache
     # ------------------------------------------------------------------
-    @staticmethod
-    def _strips_covered(
-        x1s: np.ndarray, x2s: np.ndarray, cx1: np.ndarray, cx2: np.ndarray
-    ) -> bool:
-        """True when every [x1, x2) strip lies inside some cached strip."""
-        idx = np.searchsorted(cx1, x1s, side="right") - 1
-        if (idx < 0).any():
-            return False
-        return bool((x1s >= cx1[idx]).all() and (x2s <= cx2[idx]).all())
-
     def _skippable_rows(
-        self, key: tuple, rows, threshold: float
-    ) -> set:
-        """Rows whose cached band maximum proves the refinement empty."""
+        self, key: tuple, candidate: np.ndarray, threshold: float
+    ) -> np.ndarray:
+        """Mask of rows whose remembered band maxima prove the refinement
+        empty: every candidate cell of the row was covered by a swept band
+        that stayed below ``threshold``."""
         with self._band_cache_lock:
-            cached = self._band_cache.get(key)
-            if cached is None:
-                return set()
-            skippable = set()
-            for j, x1s, x2s in rows:
-                entry = cached.get(j)
-                if entry is None:
-                    continue
-                cx1, cx2, m_b = entry
-                if m_b < threshold and self._strips_covered(x1s, x2s, cx1, cx2):
-                    skippable.add(j)
-            return skippable
+            maxima = self._band_cache.get(key)
+            if maxima is None:
+                return np.zeros(candidate.shape[1], dtype=bool)
+            return ~(candidate & (maxima >= threshold)).any(axis=0)
 
-    def _remember_row(self, key: tuple, j: int, entry: tuple) -> None:
+    def _remember_rows(
+        self, key: tuple, swept: np.ndarray, band_row: np.ndarray, max_active: np.ndarray
+    ) -> None:
+        """Record the bands of one entry: ``swept`` is the cell mask they
+        covered, ``max_active[b]`` the maximum of the band on row
+        ``band_row[b]``."""
+        row_max = np.zeros(swept.shape[1], dtype=np.int64)
+        row_max[band_row] = max_active
         with self._band_cache_lock:
-            bucket = self._band_cache.get(key)
-            if bucket is None:
-                bucket = self._band_cache[key] = {}
+            maxima = self._band_cache.get(key)
+            if maxima is None:
+                maxima = self._band_cache[key] = np.full(swept.shape, _UNSWEPT)
                 while len(self._band_cache) > _BAND_CACHE_KEYS:
                     self._band_cache.popitem(last=False)
             else:
                 self._band_cache.move_to_end(key)
-            bucket[j] = entry
+            np.copyto(maxima, row_max, where=swept)
 
     # ------------------------------------------------------------------
     # refinement
@@ -253,7 +198,8 @@ class FRMethod:
         entry's bands share one index call — adjacent timestamps touch
         nearly the same pages, so a shared traversal reads and charges each
         page once — and one kernel pass.  ``deadline`` is checked
-        cooperatively before each band.
+        cooperatively once per planned band, then before the fetch and
+        before the sweep.
         """
         tracer = TELEMETRY.tracer
         hist = self.histogram
@@ -261,72 +207,83 @@ class FRMethod:
         half = l / 2.0
         threshold = min_count - _THRESHOLD_EPS
 
-        # --- fuse: candidate masks -> per-row strip bands ------------------
+        # --- fuse: candidate masks -> one flat batch of strip bands --------
         stage = time.perf_counter()
-        # One element per band to sweep, in step: where its maximum will be
-        # cached, when and where to fetch it, and its (y1, y2, x1s, x2s).
-        cache_slots, qts, rects, strips = [], [], [], []
-        planned = 0
+        remembered = []  # per entry: (cache key, swept cell mask, band rows)
+        band_y1, band_qt, strip_band, strip_x1, strip_x2 = [], [], [], [], []
+        planned = n_bands = 0
         for qt, candidate in entries:
-            rows = self._plan_rows(candidate)
-            planned += len(rows)
-            for _ in rows:
+            rows = int(candidate.any(axis=0).sum())
+            planned += rows
+            for _ in range(rows):
                 if self.faults is not None:
                     self.faults.hit("fr.refine")
                 if deadline is not None:
                     deadline.check("fr.refine")
             key = (self.tree.epoch, hist._epoch, float(qt), float(l))
-            skippable = self._skippable_rows(key, rows, threshold)
-            for j, x1s, x2s in rows:
-                if j in skippable:
-                    continue
-                y1 = domain.y1 + j * hist.cell_edge_y
-                y2 = y1 + hist.cell_edge_y
-                cache_slots.append((key, j))
-                qts.append(float(qt))
-                rects.append(
-                    Rect(float(x1s[0]) - half, y1 - half, float(x2s[-1]) + half, y2 + half)
-                )
-                strips.append((y1, y2, x1s, x2s))
-        skipped = planned - len(strips)
+            live = candidate & ~self._skippable_rows(key, candidate, threshold)
+            band_row, strips, x1s, x2s = self._plan_rows(live)
+            remembered.append((key, live, band_row))
+            band_y1.append(domain.y1 + band_row * hist.cell_edge_y)
+            band_qt.append(np.full(band_row.size, float(qt)))
+            strip_band.append(strips + n_bands)
+            strip_x1.append(x1s)
+            strip_x2.append(x2s)
+            n_bands += band_row.size
+        y1 = _concat(band_y1)
+        y2 = y1 + hist.cell_edge_y
+        strip_band = _concat(strip_band, dtype=np.int64)
+        strip_x1 = _concat(strip_x1)
+        strip_x2 = _concat(strip_x2)
+        qts = _concat(band_qt)
+        # Each band is fetched once, for the l/2 expansion of its hull.
+        first = np.flatnonzero(np.diff(strip_band, prepend=-1))
+        last = np.flatnonzero(np.diff(strip_band, append=n_bands))
+        rects = np.column_stack(
+            [strip_x1[first] - half, y1 - half, strip_x2[last] + half, y2 + half]
+        )
+        skipped = planned - n_bands
         fuse_seconds = time.perf_counter() - stage
         # Each measured stage float is both handed back in ``extra`` and
         # recorded as a trace leaf, so trace-derived totals equal it exactly.
         tracer.record_span("fuse", fuse_seconds, bands=planned, skipped=skipped)
 
         # --- fetch: one index call for every band --------------------------
+        if deadline is not None:
+            deadline.check("fr.refine")
         stage = time.perf_counter()
-        objects_examined = 0
-        tasks: List[BandTask] = []
-        fetched = self.tree.range_positions_batch(rects, np.array(qts))
-        for strip, (px, py) in zip(strips, fetched):
-            objects_examined += int(px.size)
-            # Objects outside the domain do not count toward density — the
-            # same convention the histogram maintains (see DensityHistogram).
-            inside = (
-                (px >= domain.x1)
-                & (px < domain.x2)
-                & (py >= domain.y1)
-                & (py < domain.y2)
-            )
-            tasks.append(BandTask(*strip, px[inside], py[inside]))
+        offsets, px, py = self.tree.range_positions_batch(rects, qts)
+        objects_examined = int(px.size)
+        # Objects outside the domain do not count toward density — the
+        # same convention the histogram maintains (see DensityHistogram).
+        inside = (
+            (px >= domain.x1) & (px < domain.x2) & (py >= domain.y1) & (py < domain.y2)
+        )
+        batch = BandBatch(
+            y1, y2, strip_x1, strip_x2, strip_band,
+            np.concatenate(([0], np.cumsum(inside)))[offsets], px[inside], py[inside],
+        )
         fetch_seconds = time.perf_counter() - stage
         tracer.record_span("fetch", fetch_seconds, objects=objects_examined)
 
         # --- sweep: the band kernel, then remember each band's maximum -----
+        if deadline is not None:
+            deadline.check("fr.refine")
         stage = time.perf_counter()
-        swept = self._sweep(tasks, l, min_count)
-        for (key, j), task, m_b in zip(cache_slots, tasks, swept.max_active):
-            self._remember_row(key, j, (task.strips_x1, task.strips_x2, int(m_b)))
+        swept = refine_bands(batch, l, min_count)
+        start = 0
+        for key, live, band_row in remembered:
+            stop = start + band_row.size
+            self._remember_rows(key, live, band_row, swept.max_active[start:stop])
+            start = stop
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
             segments=swept.segments,
         )
 
-        tm.REFINE_BANDS.labels("swept").inc(len(tasks))
+        tm.REFINE_BANDS.labels("swept").inc(n_bands)
         tm.REFINE_BANDS.labels("skipped").inc(skipped)
-        tm.REFINE_POOL_WORKERS.set(float(self.refine_workers))
         tm.REFINE_BAND_SECONDS.labels("fuse").observe(fuse_seconds)
         tm.REFINE_BAND_SECONDS.labels("fetch").observe(fetch_seconds)
         tm.REFINE_BAND_SECONDS.labels("sweep").observe(sweep_seconds)
@@ -337,35 +294,11 @@ class FRMethod:
                 "fuse_seconds": fuse_seconds,
                 "fetch_seconds": fetch_seconds,
                 "sweep_seconds": sweep_seconds,
-                "refine_bands": float(len(tasks)),
+                "refine_bands": float(n_bands),
                 "refine_bands_skipped": float(skipped),
                 "refine_segments": float(swept.segments),
-                "refine_workers": float(self.refine_workers),
             },
         )
-
-    def _sweep(
-        self, tasks: List[BandTask], l: float, min_count: float
-    ) -> BandBatchResult:
-        """Run the band kernel inline, or chunked across the refine pool."""
-        workers = self.refine_workers
-        if workers == 0 or len(tasks) < 2:
-            return refine_bands(tasks, l, min_count)
-        chunks = np.array_split(np.arange(len(tasks)), min(workers, len(tasks)))
-        offsets = [int(chunk[0]) for chunk in chunks]
-        payloads = [
-            ([tuple(tasks[i]) for i in chunk], l, min_count) for chunk in chunks
-        ]
-        pool = _refine_pool(workers)
-        try:
-            results = list(pool.map(_refine_bands_worker, payloads))
-        except BrokenProcessPool:
-            # A worker died (OOM kill, operator signal).  The executor stays
-            # broken for good, so answer this query inline and let the next
-            # pooled query build a fresh pool.
-            _drop_pool(pool)
-            return refine_bands(tasks, l, min_count)
-        return merge_band_results(results, offsets)
 
     # ------------------------------------------------------------------
     # queries

@@ -10,47 +10,46 @@ objects.  This module refines an entire batch of such **bands** in one pass:
 * cells in a row are fused into maximal horizontal **strips**; a band is one
   row's worth of strips plus the objects fetched for the row's expanded
   rectangle (one range fetch per band instead of one per cell);
-* the X-breakpoints of every strip come from a single sorted/unique event
-  array per band, and the active-band count at each segment's left edge is
-  two ``searchsorted`` subtractions instead of pointer walks;
+* a query's bands are one structure of arrays, :class:`BandBatch` — flat
+  strip and object columns with a band index — and no step loops over
+  bands.  Every per-band order is one flat order of ``(band, value)`` keys
+  (:func:`_band_keys`), so a ``searchsorted`` on the flat array *is* the
+  per-band ``searchsorted``;
+* one stable sort of the objects by ``(band, x)`` orders every band's enter
+  events ``x - l/2`` and its exit events ``x + l/2`` at once (both are
+  monotone in ``x``); the X-breakpoints of every strip come from the merged
+  distinct events, and the active set at a segment's left edge ``e`` is the
+  contiguous range ``[#exits <= e, #enters <= e)`` of the band's sorted
+  objects — two ``searchsorted`` calls give its count and its members;
 * the per-segment Y-sweeps of *all* bands run as one flat segmented
-  sort+cumsum: the (segment, object) incidence pairs are built per band,
-  then every downstream step — boundary counts, in-range events, net deltas,
-  running counts, dense-run extraction — operates on the concatenated arrays
-  grouped by a global segment id.
+  sort+cumsum: the (segment, object) incidence pairs are those ranges
+  expanded with ``repeat``/``arange``, then every downstream step — boundary
+  counts, in-range events, net deltas, running counts, dense-run extraction
+  — operates on flat arrays grouped by a global segment id.
 
 Equality with the oracle.  Each strip's breakpoint set equals
 ``refine_cell``'s (the same float events restricted to the same strict
 interior), the active count at a left edge ``x`` equals the oracle's
 admit/expire walk (``|{enter <= x < exit}| = |{enter <= x}| - |{exit <= x}|``
-because ``exit = enter + l``), and the flat Y-sweep performs the same
+because ``exit >= enter``), and the flat Y-sweep performs the same
 comparisons on the same floats as :func:`dense_segments_1d` segment by
-segment (that routine depends only on the multiset of active y's).  Fetching
+segment (that routine depends only on the multiset of active y's, so the
+order in which a segment's objects are listed never shows).  Fetching
 a whole band's objects is harmless for any strip in it: an object outside a
 strip's ``l/2`` expansion contributes no breakpoint strictly inside the strip
 and is never active there.  The property suite in ``tests/test_perf_paths.py``
 holds the kernel to the oracle — every emitted bound compared with ``==``
 against sequential per-strip :func:`refine_cell` calls, and zero symmetric
 difference against whole-domain brute force.
-
-Chunk invariance.  Every step is local to one band (phase A) or one segment
-(phase B), so refining bands in chunks — e.g. across a worker pool — and
-concatenating the outputs is elementwise identical to one inline call.
-:func:`merge_band_results` is that concatenation.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-__all__ = [
-    "BandTask",
-    "BandBatchResult",
-    "refine_bands",
-    "merge_band_results",
-]
+__all__ = ["BandBatch", "BandBatchResult", "refine_bands"]
 
 # Dense test: integer count vs float rho*l^2 — nudge so equality means dense.
 _THRESHOLD_EPS = 1e-9
@@ -59,22 +58,26 @@ _EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
 
-class BandTask(NamedTuple):
-    """One l-band to refine: a row of fused strips plus its fetched objects.
+class BandBatch(NamedTuple):
+    """Every l-band of one refinement, as one structure of arrays.
 
-    ``strips_x1``/``strips_x2`` are the half-open x-extents of the row's
-    maximal candidate runs (ascending, pairwise disjoint); ``y1``/``y2`` the
-    row's y-extent; ``xs``/``ys`` the positions (already domain-filtered) of
-    every object fetched for the band's ``l/2`` expansion.  All arrays are
-    plain float64 ndarrays, so a task pickles cheaply into a worker process.
+    Band ``b`` is the histogram row ``[y1[b], y2[b])``; its maximal candidate
+    runs are the strips ``s`` with ``strip_band[s] == b`` (``strip_band`` is
+    non-decreasing, a band's strips ascend in x and are pairwise disjoint),
+    each the half-open x-extent ``[strip_x1[s], strip_x2[s])``.  The objects
+    fetched for the band's ``l/2`` expansion (already domain-filtered) are
+    ``px/py[offsets[b]:offsets[b + 1]]`` — the CSR columns an index's
+    ``range_positions_batch`` returns.  All arrays are float64 or int64.
     """
 
-    y1: float
-    y2: float
-    strips_x1: np.ndarray
-    strips_x2: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    strip_x1: np.ndarray
+    strip_x2: np.ndarray
+    strip_band: np.ndarray
+    offsets: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
 
 
 class BandBatchResult(NamedTuple):
@@ -83,7 +86,7 @@ class BandBatchResult(NamedTuple):
     ``bounds`` is the ``(R, 4)`` array of dense rectangles in canonical
     emission order (band-major, strip-major, segment-minor, y ascending) —
     exactly the order sequential per-strip :func:`refine_cell` calls emit.
-    ``task_of_rect`` maps each rectangle to its originating task index.
+    ``band_of_rect`` maps each rectangle to its originating band.
     ``max_active`` is each band's maximum active-band count over all sweep
     segments (the ρ-monotonic skip bound: no l-square centred in the band's
     strips can ever hold more than this many objects).  ``segments`` counts
@@ -91,7 +94,7 @@ class BandBatchResult(NamedTuple):
     """
 
     bounds: np.ndarray
-    task_of_rect: np.ndarray
+    band_of_rect: np.ndarray
     max_active: np.ndarray
     segments: int
 
@@ -103,139 +106,114 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def refine_bands(
-    tasks: Sequence[BandTask], l: float, min_count: float
-) -> BandBatchResult:
-    """Refine every band in ``tasks``; see the module docstring for the math."""
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, within)`` of the concatenation of ``arange(c)`` per count."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    within = np.arange(owner.size, dtype=np.int64) - _exclusive_cumsum(counts)[owner]
+    return owner, within
+
+
+def _band_keys(band: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``(band, value)`` pairs as sort keys.
+
+    numpy orders complex numbers lexicographically — real part, then
+    imaginary — in ``sort``, ``unique`` and ``searchsorted`` alike, so one
+    flat array of these keys is every band's values side by side, and a
+    comparison between two keys of one band is the comparison of the two
+    doubles themselves (no offset is ever added to a coordinate).
+    """
+    keys = np.empty(values.size, dtype=complex)
+    keys.real = band
+    keys.imag = values
+    return keys
+
+
+def _merge_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of two ascending arrays, ascending (a merge by
+    rank — each element lands at its own index plus the count of the other
+    array's elements before it — not a sort)."""
+    merged = np.empty(a.size + b.size, dtype=a.dtype)
+    merged[np.arange(a.size) + np.searchsorted(b, a, side="left")] = a
+    merged[np.arange(b.size) + np.searchsorted(a, b, side="right")] = b
+    distinct = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    return merged[distinct]
+
+
+def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResult:
+    """Refine every band of ``batch``; see the module docstring for the math."""
     half = l / 2.0
     threshold = min_count - _THRESHOLD_EPS
-    n_tasks = len(tasks)
-    max_active = np.zeros(n_tasks, dtype=np.int64)
-    if n_tasks == 0:
-        return BandBatchResult(
-            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), max_active, 0
+    y1, y2 = batch.y1, batch.y2
+    x1s, x2s, strip_band = batch.strip_x1, batch.strip_x2, batch.strip_band
+    max_active = np.zeros(y1.size, dtype=np.int64)
+
+    # ---------------- phase A: segment construction, all bands at once ------
+    # Only objects whose y-range can overlap their band matter (the band's
+    # y-extent is shared by every strip); exactness comes from the Y-sweep.
+    obj_band = np.repeat(np.arange(y1.size), np.diff(batch.offsets))
+    keep = (batch.py - half < y2[obj_band] + half) & (
+        batch.py + half > y1[obj_band] - half
+    )
+    obj_band = obj_band[keep]
+    xs = batch.px[keep]
+    # x - l/2 and x + l/2 are both monotone in x: one sort by (band, x) puts
+    # the band's enters and its exits in ascending order at once.
+    order = np.argsort(_band_keys(obj_band, xs), kind="stable")
+    xs = xs[order]
+    ys = batch.py[keep][order]
+    enters = _band_keys(obj_band, xs - half)
+    exits = _band_keys(obj_band, xs + half)
+    events = _merge_distinct(enters, exits)
+    event_x = events.imag
+    # Breakpoints strictly inside each strip: (x1, x2) ∩ its band's events.
+    lo_idx = np.searchsorted(events, _band_keys(strip_band, x1s), side="right")
+    hi_idx = np.searchsorted(events, _band_keys(strip_band, x2s), side="left")
+    inner = hi_idx - lo_idx
+    strip_of, within = _ragged(inner + 1)
+    segments_total = strip_of.size
+    x_lo = x1s[strip_of]
+    x_hi = x2s[strip_of]
+    if events.size:
+        ev_idx = lo_idx[strip_of] + within
+        x_lo = np.where(within == 0, x_lo, event_x[np.maximum(ev_idx - 1, 0)])
+        x_hi = np.where(
+            within == inner[strip_of],
+            x_hi,
+            event_x[np.minimum(ev_idx, events.size - 1)],
         )
+    # Active at a left edge e: enter <= e < exit.  In the band's x-order the
+    # objects that have entered are a prefix and so are those that have
+    # expired (exit >= enter), so the active ones are the contiguous index
+    # range [#exits <= e, #enters <= e) of the (band, x)-sorted objects.
+    seg_band = strip_band[strip_of]
+    edge = _band_keys(seg_band, x_lo)
+    first_active = np.searchsorted(exits, edge, side="right")
+    cnt = np.searchsorted(enters, edge, side="right") - first_active
+    np.maximum.at(max_active, seg_band, cnt)
 
-    # ---------------- phase A: per-band segment construction ----------------
-    # Sweep-eligible segments (active count may clear the threshold):
-    seg_x_lo: List[np.ndarray] = []
-    seg_x_hi: List[np.ndarray] = []
-    seg_y1: List[np.ndarray] = []
-    seg_y2: List[np.ndarray] = []
-    seg_gid: List[np.ndarray] = []  # global segment ids (emission order keys)
-    seg_task: List[np.ndarray] = []
-    # (segment, object) incidence pairs for the flat Y-sweep; segments are
-    # referenced by *eligible-segment* index (assigned after concatenation).
-    pair_count: List[int] = []
-    pair_obj_enter: List[np.ndarray] = []
-    pair_obj_exit: List[np.ndarray] = []
-    pair_local_seg: List[np.ndarray] = []
-    # Empty segments emitted full-height (only when the threshold is <= 0):
-    full_x_lo: List[np.ndarray] = []
-    full_x_hi: List[np.ndarray] = []
-    full_y1: List[np.ndarray] = []
-    full_y2: List[np.ndarray] = []
-    full_gid: List[np.ndarray] = []
-    full_task: List[np.ndarray] = []
-
-    gid_base = 0
-    for t_idx, task in enumerate(tasks):
-        x1s = np.asarray(task.strips_x1, dtype=float)
-        x2s = np.asarray(task.strips_x2, dtype=float)
-        n_strips = x1s.size
-        if n_strips == 0:
-            continue
-        xs = np.asarray(task.xs, dtype=float)
-        ys = np.asarray(task.ys, dtype=float)
-        # Only objects whose y-range can overlap the band matter (the band's
-        # y-extent is shared by every strip); exactness comes from the Y-sweep.
-        keep = (ys - half < task.y2 + half) & (ys + half > task.y1 - half)
-        xs = xs[keep]
-        ys = ys[keep]
-        enters = xs - half
-        exits = xs + half
-        events = np.unique(np.concatenate([enters, exits]))
-        # Breakpoints strictly inside each strip: (x1, x2) ∩ events.
-        lo_idx = np.searchsorted(events, x1s, side="right")
-        hi_idx = np.searchsorted(events, x2s, side="left")
-        inner = hi_idx - lo_idx
-        nseg = inner + 1
-        total = int(nseg.sum())
-        strip_of = np.repeat(np.arange(n_strips), nseg)
-        within = np.arange(total, dtype=np.int64) - _exclusive_cumsum(nseg)[strip_of]
-        if events.size:
-            ev_idx = lo_idx[strip_of] + within
-            x_lo = np.where(
-                within == 0, x1s[strip_of], events[np.maximum(ev_idx - 1, 0)]
-            )
-            x_hi = np.where(
-                within == inner[strip_of],
-                x2s[strip_of],
-                events[np.minimum(ev_idx, events.size - 1)],
-            )
-        else:
-            x_lo = x1s[strip_of]
-            x_hi = x2s[strip_of]
-        # Active count at each left edge: enter <= x < exit, and because
-        # every interval has identical width l, |{exit <= x}| counts exactly
-        # the entered-and-expired objects.
-        sorted_enters = np.sort(enters)
-        sorted_exits = np.sort(exits)
-        cnt = np.searchsorted(sorted_enters, x_lo, side="right") - np.searchsorted(
-            sorted_exits, x_lo, side="right"
-        )
-        if cnt.size:
-            max_active[t_idx] = int(cnt.max())
-        gids = gid_base + np.arange(total, dtype=np.int64)
-        gid_base += total
-
-        empty = cnt == 0
-        if threshold <= 0 and bool(empty.any()):
-            e = np.flatnonzero(empty)
-            full_x_lo.append(x_lo[e])
-            full_x_hi.append(x_hi[e])
-            full_y1.append(np.full(e.size, task.y1))
-            full_y2.append(np.full(e.size, task.y2))
-            full_gid.append(gids[e])
-            full_task.append(np.full(e.size, t_idx, dtype=np.int64))
-
-        eligible = np.flatnonzero((~empty) & (cnt >= threshold))
-        if eligible.size == 0:
-            continue
-        el_lo = x_lo[eligible]
-        # Incidence: object o is active on eligible segment s iff
-        # enter_o <= x_lo_s < exit_o (the oracle's admit/expire rule).
-        act = (enters[None, :] <= el_lo[:, None]) & (el_lo[:, None] < exits[None, :])
-        si, oi = np.nonzero(act)
-        seg_x_lo.append(el_lo)
-        seg_x_hi.append(x_hi[eligible])
-        seg_y1.append(np.full(eligible.size, task.y1))
-        seg_y2.append(np.full(eligible.size, task.y2))
-        seg_gid.append(gids[eligible])
-        seg_task.append(np.full(eligible.size, t_idx, dtype=np.int64))
-        pair_local_seg.append(si.astype(np.int64))
-        pair_obj_enter.append(ys[oi] - half)
-        pair_obj_exit.append(ys[oi] + half)
-        pair_count.append(eligible.size)
-
-    segments_total = gid_base
+    # Empty segments are emitted full-height (only when the threshold is <= 0);
+    # the global segment index is the emission-order key.
+    full = np.flatnonzero(cnt == 0) if threshold <= 0 else _EMPTY_I
+    # Sweep-eligible segments: the active count may clear the threshold.
+    eligible = np.flatnonzero((cnt > 0) & (cnt >= threshold))
 
     # ---------------- phase B: flat segmented Y-sweep ----------------
-    if seg_x_lo:
-        sx_lo = np.concatenate(seg_x_lo)
-        sx_hi = np.concatenate(seg_x_hi)
-        sy1 = np.concatenate(seg_y1)
-        sy2 = np.concatenate(seg_y2)
-        sgid = np.concatenate(seg_gid)
-        stask = np.concatenate(seg_task)
-        n_eseg = sx_lo.size
-        # Re-base each band's local segment indices into the flat space.
-        offsets = _exclusive_cumsum(np.asarray(pair_count, dtype=np.int64))
-        p_seg = np.concatenate(
-            [ls + off for ls, off in zip(pair_local_seg, offsets)]
-        )
-        p_enter = np.concatenate(pair_obj_enter)
-        p_exit = np.concatenate(pair_obj_exit)
+    if eligible.size:
+        n_eseg = eligible.size
+        sx_lo = x_lo[eligible]
+        sx_hi = x_hi[eligible]
+        sband = seg_band[eligible]
+        sy1 = y1[sband]
+        sy2 = y2[sband]
+        # (segment, object) incidence: each eligible segment's contiguous
+        # range of active objects, expanded.  The order of the pairs inside a
+        # segment is immaterial: everything below takes counts and integer
+        # net deltas per (segment, coordinate) group.
+        p_seg, p_rank = _ragged(cnt[eligible])
+        p_y = ys[first_active[eligible][p_seg] + p_rank]
+        p_enter = p_y - half
+        p_exit = p_y + half
 
         lo_of_pair = sy1[p_seg]
         hi_of_pair = sy2[p_seg]
@@ -287,12 +265,8 @@ def refine_bands(
             uniq_start = np.zeros(n_eseg, dtype=np.int64)
 
         # One "position" per sweep interval: [lo, u1), [u1, u2), ..., [um, hi).
-        pos_per_seg = m_per_seg + 1
-        n_pos = int(pos_per_seg.sum())
-        seg_of_pos = np.repeat(np.arange(n_eseg), pos_per_seg)
-        within = (
-            np.arange(n_pos, dtype=np.int64) - _exclusive_cumsum(pos_per_seg)[seg_of_pos]
-        )
+        seg_of_pos, within = _ragged(m_per_seg + 1)
+        n_pos = seg_of_pos.size
         prev_u = uniq_start[seg_of_pos] + within - 1
         if running.size:
             safe_prev = np.clip(prev_u, 0, running.size - 1)
@@ -325,62 +299,24 @@ def refine_bands(
         sweep_bounds = np.column_stack(
             [sx_lo[run_seg], left_pos[s_idx], sx_hi[run_seg], right_pos[e_idx]]
         )
-        sweep_gid = sgid[run_seg]
-        sweep_task = stask[run_seg]
+        sweep_gid = eligible[run_seg]
     else:
         sweep_bounds = np.empty((0, 4), dtype=float)
         sweep_gid = _EMPTY_I
-        sweep_task = _EMPTY_I
 
     # ---------------- phase C: merge with full-height emissions ----------------
-    if full_x_lo:
-        fb = np.column_stack(
+    # Canonical emission order is segment-major (which encodes band and strip
+    # order), y ascending within a segment; the swept rows already are.
+    bounds, gid = sweep_bounds, sweep_gid
+    if full.size:
+        full_band = seg_band[full]
+        bounds = np.concatenate(
             [
-                np.concatenate(full_x_lo),
-                np.concatenate(full_y1),
-                np.concatenate(full_x_hi),
-                np.concatenate(full_y2),
+                bounds,
+                np.column_stack([x_lo[full], y1[full_band], x_hi[full], y2[full_band]]),
             ]
         )
-        all_bounds = np.concatenate([sweep_bounds, fb])
-        all_gid = np.concatenate([sweep_gid, np.concatenate(full_gid)])
-        all_task = np.concatenate([sweep_task, np.concatenate(full_task)])
-    else:
-        all_bounds = sweep_bounds
-        all_gid = sweep_gid
-        all_task = sweep_task
-    if all_gid.size:
-        # Canonical emission order: segment-major (which encodes band and
-        # strip order), y ascending within a segment.
-        order = np.lexsort((all_bounds[:, 1], all_gid))
-        all_bounds = all_bounds[order]
-        all_task = all_task[order]
-    return BandBatchResult(all_bounds, all_task, max_active, segments_total)
-
-
-def merge_band_results(
-    chunks: Sequence[BandBatchResult], chunk_task_offsets: Sequence[int]
-) -> BandBatchResult:
-    """Concatenate per-chunk results back into whole-batch order.
-
-    ``chunk_task_offsets[k]`` is the index of chunk ``k``'s first task in the
-    original task list.  Because every kernel step is band- or segment-local,
-    this merge is elementwise identical to refining the whole batch inline.
-    """
-    if not chunks:
-        return BandBatchResult(
-            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), _EMPTY_I.copy(), 0
-        )
-    bounds = np.concatenate([c.bounds for c in chunks])
-    task_of_rect = np.concatenate(
-        [c.task_of_rect + off for c, off in zip(chunks, chunk_task_offsets)]
-    )
-    max_active = np.concatenate([c.max_active for c in chunks])
-    segments = sum(c.segments for c in chunks)
-    return BandBatchResult(bounds, task_of_rect, max_active, segments)
-
-
-def _refine_bands_worker(payload):
-    """Top-level pool entry point (must be picklable by name)."""
-    tasks, l, min_count = payload
-    return refine_bands([BandTask(*t) for t in tasks], l, min_count)
+        gid = np.concatenate([gid, full])
+        order = np.lexsort((bounds[:, 1], gid))
+        bounds, gid = bounds[order], gid[order]
+    return BandBatchResult(bounds, seg_band[gid], max_active, segments_total)

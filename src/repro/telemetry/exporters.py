@@ -38,9 +38,7 @@ REQUIRED_FAMILIES = (
     "repro_query_stage_seconds",
     "repro_query_seconds",
     # repro_refine_bands_total is labeled and only materialises once a
-    # banded FR query runs; the pool-worker gauge and band-stage histogram
-    # are unlabeled/required
-    "repro_refine_pool_workers",
+    # banded FR query runs; the band-stage histogram is required
     "repro_refine_band_seconds",
     "repro_wal_append_seconds",
     "repro_wal_fsync_seconds",

@@ -67,10 +67,6 @@ REFINE_BANDS = _reg.counter(
     "Fused refinement bands, by how they were resolved",
     labelnames=("outcome",),  # swept | skipped (ρ-monotonic cache)
 )
-REFINE_POOL_WORKERS = _reg.gauge(
-    "repro_refine_pool_workers",
-    "Process-pool workers configured for band refinement (0 = inline)",
-)
 REFINE_BAND_SECONDS = _reg.histogram(
     "repro_refine_band_seconds",
     "Band-refinement pipeline latency per query, by stage",

@@ -174,13 +174,15 @@ class TestFRBatchedRefinement:
         table, hist, tree = build_world(120, seed=3)
         query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)
         filtered = filter_query(hist, query)
-        rows = FRMethod(hist, tree)._plan_rows(filtered.candidate)
-        if filtered.candidate_count > 1:
-            assert len(rows) < filtered.candidate_count  # one fetch per row
-        area_cells = filtered.candidate_region().area()
-        area_strips = sum(
-            float((x2s - x1s).sum()) * hist.cell_edge_y for _j, x1s, x2s in rows
+        band_row, strip_band, x1s, x2s = FRMethod(hist, tree)._plan_rows(
+            filtered.candidate
         )
+        if filtered.candidate_count > 1:
+            assert band_row.size < filtered.candidate_count  # one fetch per row
+        assert np.array_equal(band_row, np.flatnonzero(filtered.candidate.any(axis=0)))
+        assert np.array_equal(np.unique(strip_band), np.arange(band_row.size))
+        area_cells = filtered.candidate_region().area()
+        area_strips = float((x2s - x1s).sum()) * hist.cell_edge_y
         assert area_strips == pytest.approx(area_cells)
 
 
@@ -190,8 +192,10 @@ lattice_coord = st.integers(0, 80).map(lambda k: k * 1.25)
 
 
 class TestFRIsIndexIndependent:
-    """FR needs three things of an index — ``range_positions_batch``,
-    ``buffer``, ``epoch`` — and answers the same over any that has them."""
+    """FR needs three things of an index — ``range_positions_batch`` (an
+    ``(R, 4)`` array of closed windows and their timestamps in, the CSR
+    columns ``(offsets, px, py)`` out), ``buffer``, ``epoch`` — and answers
+    the same over any that has them."""
 
     @staticmethod
     def world(points):
@@ -229,6 +233,35 @@ class TestFRIsIndexIndependent:
             got = FRMethod(hist, index).query(query)
             assert got.regions.symmetric_difference_area(exact.regions) == 0.0
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_both_indexes_return_the_same_csr_columns(self, seed):
+        gen = np.random.default_rng(seed)
+        points = [
+            (float(x), float(y), float(vx), float(vy))
+            for x, y, vx, vy in zip(
+                gen.uniform(0, 100, 40), gen.uniform(0, 100, 40),
+                gen.uniform(-1, 1, 40), gen.uniform(-1, 1, 40),
+            )
+        ]
+        _table, _hist, tpr, bx = self.world(points)
+        corner = gen.uniform(0, 70, (5, 2))
+        rects = np.hstack([corner, corner + gen.uniform(5, 30, (5, 2))])
+        rects[4] = (200.0, 200.0, 210.0, 210.0)  # answers nothing
+        qts = gen.integers(0, 4, 5).astype(float)
+        a_off, a_x, a_y = tpr.range_positions_batch(rects, qts)
+        b_off, b_x, b_y = bx.range_positions_batch(rects, qts)
+        # same contract, same contents; the visit order is each index's own
+        assert np.array_equal(a_off, b_off) and a_off.shape == (6,)
+        assert a_off[0] == 0 and a_off[-1] == a_x.size == a_y.size
+        for r in range(5):
+            window = slice(a_off[r], a_off[r + 1])
+            assert sorted(zip(a_x[window], a_y[window])) == sorted(
+                zip(b_x[window], b_y[window])
+            )
+        empty = tpr.range_positions_batch(np.empty((0, 4)), np.empty(0))
+        assert [column.tolist() for column in empty] == [[0], [], []]
+
     def test_bx_insert_between_queries_changes_the_answer(self):
         """The band cache keys on the index epoch.  The histogram is fed one
         object ahead of the B^x-tree so that only ``BxTree.epoch`` moves
@@ -256,6 +289,33 @@ class TestFRIsIndexIndependent:
         exact = bruteforce_from_motions(trio, DOMAIN, query)
         assert not exact.regions.is_empty()
         assert after.regions.symmetric_difference_area(exact.regions) == 0.0
+
+
+class TestBandCache:
+    """The ρ-monotonic skip rule, cell by cell: a row is skipped only when
+    every one of its candidate cells lies under a swept band whose maximum
+    active count is below the new threshold."""
+
+    def test_skips_need_every_candidate_cell_covered_and_below_threshold(self):
+        hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
+        fr = FRMethod(hist, TPRTree(horizon=HORIZON, fanout_override=8))
+        key = ("epochs", 0.0, 10.0)
+        swept = np.zeros((20, 20), dtype=bool)
+        swept[2:6, 3] = swept[8:10, 3] = True  # row 3: two strips, maximum 4
+        swept[0:5, 7] = True  # row 7: maximum 9
+        candidate = swept.copy()
+        assert not fr._skippable_rows(key, candidate, 5.0)[[3, 7]].any()  # nothing known
+        fr._remember_rows(key, swept, np.array([3, 7]), np.array([4, 9]))
+        assert fr._skippable_rows(key, candidate, 5.0)[[3, 7]].tolist() == [True, False]
+        assert fr._skippable_rows(key, candidate, 4.0)[[3, 7]].tolist() == [False, False]
+        assert fr._skippable_rows(key, candidate, 9.5)[[3, 7]].tolist() == [True, True]
+        # a sub-run of a swept strip is covered; one cell beyond it is not
+        narrower = np.zeros_like(swept)
+        narrower[3:5, 3] = True
+        assert fr._skippable_rows(key, narrower, 5.0)[3]
+        narrower[6, 3] = True
+        assert not fr._skippable_rows(key, narrower, 5.0)[3]
+        assert not fr._skippable_rows(("other", 0.0, 10.0), candidate, 9.5)[[3, 7]].any()
 
 
 class TestFRStats:

@@ -5,10 +5,11 @@ Families of properties:
 * the band kernel equals the event-loop oracle ``refine_cell`` — ``==`` on
   every bound strip by strip, and zero symmetric difference against
   whole-domain brute force on inputs built to tie (objects on cell edges,
-  coinciding stopping events, the domain boundary, integer thresholds);
-* the batched tree traversal and the process-pool fan-out return exactly
-  what sequential range queries and the inline kernel return (across
-  worker counts and chunkings, and after a refine worker is killed);
+  coinciding stopping events, the domain boundary, integer thresholds) —
+  whatever the batch looks like (bands without objects, without events,
+  thresholds at or below zero) and in whatever order a band's objects come;
+* the batched tree traversal returns, rect by rect, exactly what sequential
+  range queries return, timestamps mixed;
 * a :meth:`PDRServer.report_batch` wave leaves every maintained structure —
   histogram counters, PA coefficients, tree contents, WAL — in exactly the
   state the same reports produce sequentially, and recovery from the
@@ -19,12 +20,9 @@ Families of properties:
 
 from __future__ import annotations
 
-import os
-import signal
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import PDRServer
@@ -33,14 +31,14 @@ from repro.core.geometry import Rect
 from repro.core.query import IntervalPDRQuery, SnapshotPDRQuery
 from repro.core.regions import RegionSet
 from repro.histogram.density_histogram import DensityHistogram
+from repro.histogram.filter import filter_query
 from repro.index.tree import TPRTree
-from repro.methods import fr as fr_module
 from repro.methods.fr import FRMethod
 from repro.methods.interval import evaluate_interval, evaluate_interval_fr
 from repro.motion.model import Motion
 from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
-from repro.sweep.band_sweep import BandTask, merge_band_results, refine_bands
+from repro.sweep.band_sweep import BandBatch, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
 from .conftest import populate_clustered, small_system_config
@@ -53,6 +51,41 @@ finite = st.floats(
 # ----------------------------------------------------------------------
 # band kernel == event-loop oracle
 # ----------------------------------------------------------------------
+def _batch(bands):
+    """The flat batch of ``[(y1, y2, strips_x1, strips_x2, xs, ys)]`` bands."""
+
+    def column(k, dtype=float):
+        parts = [np.asarray(band[k], dtype=dtype) for band in bands]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    strips = [len(band[2]) for band in bands]
+    objects = [len(band[4]) for band in bands]
+    return BandBatch(
+        np.array([band[0] for band in bands], dtype=float),
+        np.array([band[1] for band in bands], dtype=float),
+        column(2),
+        column(3),
+        np.repeat(np.arange(len(bands)), strips),
+        np.concatenate(([0], np.cumsum(objects))).astype(np.int64),
+        column(4),
+        column(5),
+    )
+
+
+def _per_strip_oracle(bands, l, min_count):
+    """Sequential ``refine_cell`` calls, one per strip, in batch order."""
+    return [
+        (r.x1, r.y1, r.x2, r.y2)
+        for y1, y2, sx1, sx2, xs, ys in bands
+        for x1, x2 in zip(sx1, sx2)
+        for r in refine_cell(list(zip(xs, ys)), Rect(x1, y1, x2, y2), l, min_count)
+    ]
+
+
+def _bounds(result):
+    return [tuple(row) for row in result.bounds]
+
+
 def _random_band_case(seed):
     """Random fused bands plus the sequential per-strip oracle's answer."""
     rng = np.random.default_rng(seed)
@@ -63,7 +96,7 @@ def _random_band_case(seed):
     min_count = rho * l * l
     xs = rng.uniform(-5, 25, n)
     ys = rng.uniform(-5, 25, n)
-    tasks = []
+    bands = []
     oracle = []
     for _ in range(int(rng.integers(1, 4))):
         y1 = float(rng.uniform(0, 18))
@@ -80,22 +113,103 @@ def _random_band_case(seed):
             & (ys >= fy1)
             & (ys <= fy2)
         )
-        tasks.append(BandTask(y1, y2, sx1, sx2, xs[keep], ys[keep]))
-        # the oracle fetches and refines strip by strip, like the old path
+        bands.append((y1, y2, sx1, sx2, xs[keep], ys[keep]))
+        # the oracle fetches and refines strip by strip, like the paper
         for x1, x2 in zip(sx1, sx2):
             strip = (xs >= x1 - half) & (xs <= x2 + half) & (ys >= fy1) & (ys <= fy2)
             positions = list(zip(xs[strip], ys[strip]))
             for r in refine_cell(positions, Rect(x1, y1, x2, y2), l, min_count):
                 oracle.append((r.x1, r.y1, r.x2, r.y2))
-    return tasks, l, min_count, oracle
+    return bands, l, min_count, oracle
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_band_kernel_matches_per_strip_oracle(seed):
-    tasks, l, min_count, oracle = _random_band_case(seed)
-    result = refine_bands(tasks, l, min_count)
-    assert [tuple(row) for row in result.bounds] == oracle
+    bands, l, min_count, oracle = _random_band_case(seed)
+    assert _bounds(refine_bands(_batch(bands), l, min_count)) == oracle
+
+
+# Batches on a half-unit lattice with l a whole number: objects exactly l
+# apart (one's exit is another's enter), duplicate x's (tied events), strip
+# edges on events, bands with strips but no objects, bands whose objects all
+# sit beyond the y-reach, and thresholds at or below zero (full-height
+# emissions between swept ones) all come up by construction.
+lattice = st.integers(0, 24).map(lambda k: k * 0.5)
+
+
+@st.composite
+def lattice_band(draw):
+    y1 = draw(st.integers(0, 8).map(float))
+    y2 = y1 + draw(st.sampled_from([0.5, 1.0, 2.0]))
+    edges = sorted(draw(st.sets(lattice, min_size=2, max_size=6)))
+    edges = edges[: len(edges) // 2 * 2]
+    objects = draw(st.lists(st.tuples(lattice, lattice), max_size=12))
+    beyond_reach = draw(st.booleans())
+    xs = [x for x, _ in objects]
+    ys = [y + 100.0 if beyond_reach else y for _, y in objects]
+    return (y1, y2, edges[0::2], edges[1::2], xs, ys)
+
+
+_EMPTY_BAND = (2.0, 3.0, [1.0, 6.0], [4.0, 9.0], [], [])
+_UNREACHABLE_BAND = (2.0, 3.0, [1.0], [9.0], [3.0, 5.0], [40.0, -40.0])
+_TIED_BAND = (4.0, 5.0, [1.0, 7.0], [5.0, 11.0], [2.0, 4.0, 4.0, 6.0, 8.0], [4.5] * 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bands=st.lists(lattice_band(), min_size=1, max_size=4),
+    l=st.sampled_from([1.0, 2.0, 3.0]),
+    count=st.integers(-1, 4),
+)
+@example(bands=[_EMPTY_BAND], l=2.0, count=0)
+@example(bands=[_EMPTY_BAND, _UNREACHABLE_BAND], l=2.0, count=1)
+@example(bands=[_EMPTY_BAND, _UNREACHABLE_BAND, _TIED_BAND], l=2.0, count=2)
+@example(bands=[_TIED_BAND, _EMPTY_BAND, _TIED_BAND], l=2.0, count=-1)
+def test_band_kernel_matches_oracle_whatever_the_batch(bands, l, count):
+    """Only the last band having events, a band with nothing to sweep
+    between two that have, ``min_count <= 0``: the flat arrays must come out
+    as the per-strip oracle emits them, in its order."""
+    min_count = float(count)
+    result = refine_bands(_batch(bands), l, min_count)
+    assert _bounds(result) == _per_strip_oracle(bands, l, min_count)
+    # rect -> band map and band maxima, against the definition
+    want_band = [
+        b
+        for b, (y1, y2, sx1, sx2, xs, ys) in enumerate(bands)
+        for x1, x2 in zip(sx1, sx2)
+        for _ in refine_cell(list(zip(xs, ys)), Rect(x1, y1, x2, y2), l, min_count)
+    ]
+    assert result.band_of_rect.tolist() == want_band
+    assert result.segments >= sum(len(band[2]) for band in bands)  # one per strip at least
+    for b, (y1, y2, sx1, sx2, xs, ys) in enumerate(bands):
+        # the maximum is taken at left edges: strip starts and enter events
+        reach = [x for x, y in zip(xs, ys) if y - l / 2 < y2 + l / 2 and y + l / 2 > y1 - l / 2]
+        edges = list(sx1) + [
+            x - l / 2 for x in reach if any(a < x - l / 2 < c for a, c in zip(sx1, sx2))
+        ]
+        want = max(sum(1 for x in reach if x - l / 2 <= e < x + l / 2) for e in edges)
+        assert result.max_active[b] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), shuffle=st.integers(0, 2**32 - 1))
+def test_band_kernel_ignores_object_order_within_a_band(seed, shuffle):
+    """The active set of a segment is read as a contiguous range of the
+    band's x-sorted objects: the order the index returned them in (and the
+    order of equal x's) must not show in a single output float."""
+    bands, l, min_count, _ = _random_band_case(seed)
+    rng = np.random.default_rng(shuffle)
+    shuffled = []
+    for y1, y2, sx1, sx2, xs, ys in bands:
+        # duplicate some x's so that ties are permuted too
+        xs = np.where(rng.random(xs.size) < 0.3, np.round(xs), xs)
+        order = rng.permutation(xs.size)
+        shuffled.append(((y1, y2, sx1, sx2, xs, ys), (y1, y2, sx1, sx2, xs[order], ys[order])))
+    a = refine_bands(_batch([pair[0] for pair in shuffled]), l, min_count)
+    b = refine_bands(_batch([pair[1] for pair in shuffled]), l, min_count)
+    for got, want in zip(a, b):
+        assert np.array_equal(got, want)
 
 
 # A world built to tie.  Cell edge 4 and unit lattice steps put objects on
@@ -125,36 +239,30 @@ def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
     domain = Rect(0.0, 0.0, _TIE_SIDE, _TIE_SIDE)
     query = SnapshotPDRQuery(rho=count / (l * l), l=l, qt=0)
     inside = [p for p in points if domain.contains_point(*p)]
-    xs = np.array([p[0] for p in inside], dtype=float)
-    ys = np.array([p[1] for p in inside], dtype=float)
+    xs = [p[0] for p in inside]
+    ys = [p[1] for p in inside]
     mask = np.array(
         [(mask_bits >> k) & 1 for k in range(_TIE_M * _TIE_M)], dtype=bool
     ).reshape(_TIE_M, _TIE_M)
-    tasks = []
+    bands = []
     for part in (mask, ~mask):
         for j in range(_TIE_M):
             cols = np.flatnonzero(part[:, j])
             if cols.size == 0:
                 continue
             runs = np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1)
-            tasks.append(
-                BandTask(
+            bands.append(
+                (
                     j * _TIE_CELL,
                     (j + 1) * _TIE_CELL,
-                    np.array([run[0] * _TIE_CELL for run in runs]),
-                    np.array([(run[-1] + 1) * _TIE_CELL for run in runs]),
+                    [run[0] * _TIE_CELL for run in runs],
+                    [(run[-1] + 1) * _TIE_CELL for run in runs],
                     xs,
                     ys,
                 )
             )
-    result = refine_bands(tasks, l, query.min_count)
-    per_strip = [
-        (r.x1, r.y1, r.x2, r.y2)
-        for t in tasks
-        for x1, x2 in zip(t.strips_x1, t.strips_x2)
-        for r in refine_cell(inside, Rect(x1, t.y1, x2, t.y2), l, query.min_count)
-    ]
-    assert [tuple(row) for row in result.bounds] == per_strip
+    result = refine_bands(_batch(bands), l, query.min_count)
+    assert _bounds(result) == _per_strip_oracle(bands, l, query.min_count)
     # The decompositions legitimately differ (brute force has no cell
     # seams); the raster breaks on the rect edges themselves, so a zero
     # symmetric difference means identical point sets.
@@ -163,32 +271,7 @@ def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
     assert got.symmetric_difference_area(want) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n_chunks=st.integers(1, 3))
-def test_band_kernel_chunking_is_invariant(seed, n_chunks):
-    """Splitting tasks across pool chunks never changes a single float."""
-    tasks, l, min_count, _ = _random_band_case(seed)
-    whole = refine_bands(tasks, l, min_count)
-    sizes = [
-        len(tasks) // n_chunks + (1 if i < len(tasks) % n_chunks else 0)
-        for i in range(n_chunks)
-    ]
-    chunks, offsets, start = [], [], 0
-    for size in sizes:
-        chunks.append(refine_bands(tasks[start : start + size], l, min_count))
-        offsets.append(start)
-        start += size
-    merged = merge_band_results(chunks, offsets)
-    assert np.array_equal(merged.bounds, whole.bounds)
-    assert np.array_equal(merged.task_of_rect, whole.task_of_rect)
-    assert np.array_equal(merged.max_active, whole.max_active)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_batch_traversal_matches_sequential(seed):
-    """One shared traversal answers every rect exactly like N traversals."""
-    rng = np.random.default_rng(seed)
+def _random_tree(rng):
     tree = TPRTree(horizon=10.0)
     for oid in range(int(rng.integers(1, 150))):
         tree.insert(
@@ -198,20 +281,34 @@ def test_batch_traversal_matches_sequential(seed):
                 float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
             )
         )
-    rects, qts = [], []
-    for _ in range(int(rng.integers(1, 10))):
-        x1, y1 = rng.uniform(0, 90, 2)
-        rects.append(
-            Rect(float(x1), float(y1),
-                 float(x1 + rng.uniform(1, 30)), float(y1 + rng.uniform(1, 30)))
-        )
-        qts.append(float(rng.integers(0, 5)))
-    positions = tree.range_positions_batch(rects, np.asarray(qts))
-    for rect, qt, (px, py) in zip(rects, qts, positions):
-        sequential = tree.range_query(rect, qt)
+    return tree
+
+
+def _assert_fetch_matches_range_queries(tree, rects, qts, fetched):
+    """CSR columns == one ``range_query`` + ``position_at`` per rect, in
+    that rect's own visit order."""
+    offsets, px, py = fetched
+    assert offsets[0] == 0 and offsets[-1] == px.size == py.size
+    for r, (window, qt) in enumerate(zip(rects, qts)):
+        sequential = tree.range_query(Rect(*window), qt, charge_io=False)
         sx = np.array([m.position_at(qt)[0] for m in sequential])
         sy = np.array([m.position_at(qt)[1] for m in sequential])
-        assert np.array_equal(sx, px) and np.array_equal(sy, py)
+        assert np.array_equal(sx, px[offsets[r] : offsets[r + 1]])
+        assert np.array_equal(sy, py[offsets[r] : offsets[r + 1]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_batch_traversal_matches_sequential(seed):
+    """One shared traversal answers every rect exactly like N traversals."""
+    rng = np.random.default_rng(seed)
+    tree = _random_tree(rng)
+    n_rects = int(rng.integers(0, 10))
+    corner = rng.uniform(0, 90, (n_rects, 2))
+    rects = np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])
+    qts = rng.integers(0, 5, n_rects).astype(float)
+    fetched = tree.range_positions_batch(rects, qts)
+    _assert_fetch_matches_range_queries(tree, rects, qts, fetched)
 
 
 @pytest.fixture(scope="module")
@@ -243,20 +340,6 @@ def test_banded_fr_matches_per_cell_fr(fr_world):
         assert a.regions.area() == pytest.approx(b.regions.area(), rel=0, abs=1e-9)
 
 
-def test_refine_worker_counts_are_invariant(fr_world):
-    server = fr_world
-    qt = server.tnow + 1
-    query = server.make_query(qt=qt, varrho=1.2)
-    baseline = FRMethod(server.histogram, server.tree, refine_workers=0).query(query)
-    assert baseline.stats.extra["refine_workers"] == 0.0
-    for workers in (1, 2):
-        result = FRMethod(
-            server.histogram, server.tree, refine_workers=workers
-        ).query(query)
-        assert _region_tuples(result) == _region_tuples(baseline)
-        assert result.stats.extra["refine_workers"] == float(workers)
-
-
 def test_fused_rows_dedup_adjacent_cells(fr_world):
     """Adjacent candidate cells fuse into one strip: one fetch per band row,
     no duplicated or overlapping refinement output at the seam."""
@@ -275,6 +358,52 @@ def test_fused_rows_dedup_adjacent_cells(fr_world):
     )
 
 
+def test_deadline_is_checked_per_planned_band_then_before_fetch_and_sweep(
+    fr_world, monkeypatch
+):
+    """One cooperative check per planned band while fusing, one before the
+    fetch, one before the sweep — so a deadline that runs out during the
+    fetch is not billed the sweep as well."""
+    from repro.core.errors import DeadlineExceededError
+    from repro.methods import fr as fr_module
+    from repro.reliability.deadline import Deadline
+    from repro.reliability.faults import VirtualClock
+
+    server = fr_world
+    query = server.make_query(qt=server.tnow + 1, varrho=1.2)
+    candidate = filter_query(server.histogram, query).candidate
+    planned = int(candidate.any(axis=0).sum())
+    assert planned > 0
+
+    class CountingDeadline(Deadline):
+        checks = 0
+
+        def check(self, site=""):
+            CountingDeadline.checks += 1
+            super().check(site)
+
+    clock = VirtualClock()
+    fr = FRMethod(server.histogram, server.tree)
+    fr.refine([(query.qt, candidate)], query.l, query.min_count, CountingDeadline(1.0, clock))
+    assert CountingDeadline.checks == planned + 2
+
+    fetch = server.tree.range_positions_batch
+
+    def slow_fetch(rects, qts, charge_io=True):
+        clock.sleep(5.0)
+        return fetch(rects, qts, charge_io)
+
+    def no_sweep(*_args):
+        raise AssertionError("the sweep ran after the deadline had expired")
+
+    monkeypatch.setattr(server.tree, "range_positions_batch", slow_fetch)
+    monkeypatch.setattr(fr_module, "refine_bands", no_sweep)
+    with pytest.raises(DeadlineExceededError, match="at fr.refine"):
+        FRMethod(server.histogram, server.tree).refine(
+            [(query.qt, candidate)], query.l, query.min_count, Deadline(1.0, clock)
+        )
+
+
 def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world):
     """Raising varrho on the same snapshot skips bands whose cached max
     active count already rules them out — without changing the answer."""
@@ -289,32 +418,6 @@ def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world):
         fresh = FRMethod(server.histogram, server.tree).query(query)
         assert _region_tuples(result) == _region_tuples(fresh)
     assert skipped > 0, "ascending varrho must hit the band-skip cache"
-
-
-def test_killed_refine_worker_is_answered_inline_then_pool_rebuilt(fr_world):
-    """A dead worker breaks its executor for good: the query that finds out
-    answers inline, and the next one runs on a fresh pool."""
-    server = fr_world
-    query = server.make_query(qt=server.tnow + 1, varrho=1.2)
-    inline = _region_tuples(
-        FRMethod(server.histogram, server.tree, refine_workers=0).query(query)
-    )
-
-    def pooled():
-        # A fresh instance per query: an empty band cache, so every band is
-        # swept and the sweep really goes through the pool.
-        fr = FRMethod(server.histogram, server.tree, refine_workers=2)
-        return _region_tuples(fr.query(query))
-
-    assert pooled() == inline
-    broken = fr_module._POOL
-    victim = next(iter(broken._processes))
-    os.kill(victim, signal.SIGKILL)
-    assert pooled() == inline
-    assert fr_module._POOL is not broken, "the broken pool must be dropped"
-    assert pooled() == inline
-    assert fr_module._POOL is not None and fr_module._POOL is not broken
-    assert victim not in fr_module._POOL._processes
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +457,42 @@ def test_interval_fr_band_skip_is_correct_not_just_present(fr_world):
     exact = evaluate_interval(lambda s: server.evaluate("bruteforce", s), higher)
     assert second.regions.symmetric_difference_area(fresh.regions) == 0.0
     assert second.regions.symmetric_difference_area(exact.regions) == 0.0
+
+
+def test_two_timestamp_refine_is_one_fetch_of_per_rect_range_queries(
+    fr_world, monkeypatch
+):
+    """Interval FR hands ``refine`` one entry per timestamp.  Bands of
+    different ``qt`` go down the tree together (they share leaves), yet each
+    rect's slice of the flat fetch is its own range query at its own time,
+    and the batch refines to what the entries refine to one by one."""
+    server = fr_world
+    base = server.make_query(qt=server.tnow, varrho=1.2)
+    entries = []
+    for qt in (server.tnow, server.tnow + 3):
+        query = SnapshotPDRQuery(rho=base.rho, l=base.l, qt=qt)
+        entries.append((qt, filter_query(server.histogram, query).candidate))
+    calls = []
+    fetch = server.tree.range_positions_batch
+
+    def spy(rects, qts, charge_io=True):
+        calls.append((rects, qts, fetch(rects, qts, charge_io)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(server.tree, "range_positions_batch", spy)
+    together = FRMethod(server.histogram, server.tree).refine(
+        entries, base.l, base.min_count
+    )
+    ((rects, qts, fetched),) = calls
+    assert sorted(set(qts)) == [server.tnow, server.tnow + 3]
+    _assert_fetch_matches_range_queries(server.tree, rects, qts, fetched)
+    apart = [
+        FRMethod(server.histogram, server.tree).refine([entry], base.l, base.min_count)
+        for entry in entries
+    ]
+    assert together.bounds.shape[0] > 0
+    assert np.array_equal(together.bounds, np.concatenate([r.bounds for r in apart]))
+    assert together.objects_examined == sum(r.objects_examined for r in apart)
 
 
 # ----------------------------------------------------------------------
