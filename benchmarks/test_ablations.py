@@ -3,9 +3,10 @@
 1. **Multiple polynomials vs one global polynomial** (Section 6.4): a single
    expansion cannot track a skewed metro density surface; the g x g tiling
    is what makes PA accurate.
-2. **Branch-and-bound vs dense-grid evaluation** (Section 6.3): the paper's
-   "trivial approach" evaluates the polynomial on every cell of an
-   m_d x m_d grid; B&B bounds prune most of the plane instead.
+2. **Tile bound vs dense-grid evaluation** (Section 6.3): the paper's
+   "trivial approach" evaluates the polynomial on every cell of the
+   evaluation grid; one bracket per tile decides most tiles outright and
+   only the undecided ones are evaluated.
 3. **Filter-step effectiveness** (Section 5.2): accepts + rejects resolve
    the vast majority of cells without touching the TPR-tree, which is what
    keeps the exact method viable at all.
@@ -72,32 +73,50 @@ def test_ablation_single_vs_multi_polynomial(profile, ablation_world, benchmark,
     assert grid["r_fn_pct"] < single["r_fn_pct"] + 1e-9
 
 
+def _best_of(fn, rounds=5):
+    best, out = float("inf"), None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
 def test_ablation_bnb_vs_dense_grid(profile, ablation_world, benchmark, capsys):
-    """B&B evaluation vs the paper's 'trivial' dense m_d x m_d evaluation."""
+    """Tile bound + dense survivors vs evaluating all g^2 tiles densely.
+
+    The paper's 'trivial approach' evaluates the polynomial on every cell
+    of the evaluation grid.  PA brackets each tile once and evaluates only
+    the undecided ones on the same leaf grid, so its evaluations are a
+    subset of the trivial method's — the bound is what makes them fall as
+    the threshold rises.
+    """
     server = ablation_world.server
     qt = server.tnow + 5
     md = server.config.evaluation_grid
+    surface = server.pa.surface_at(qt)
 
     def run():
         rows = []
         for varrho in (1.0, 3.0, 5.0):
             query = server.make_query(qt=qt, varrho=varrho)
-            t0 = time.perf_counter()
-            result = server.pa.query(query)
-            bnb_s = time.perf_counter() - t0
-            surface = server.pa.surface_at(qt)
-            t0 = time.perf_counter()
-            values = surface.density_grid(md)
-            dense_cells = int((values >= query.rho).sum())
-            grid_s = time.perf_counter() - t0
+            bnb_s, (_regions, bnb) = _best_of(
+                lambda: surface.dense_regions(query.rho, md=md)
+            )
+            leaf_grid = bnb.mask.shape[0]
+            grid_s, dense_cells = _best_of(
+                lambda: int((surface.density_grid(leaf_grid) >= query.rho).sum())
+            )
             rows.append(
                 {
                     "varrho": varrho,
                     "bnb_s": bnb_s,
-                    "bnb_nodes": result.stats.bnb_nodes,
+                    "tiles_evaluated": bnb.tiles_evaluated,
+                    "bnb_evaluations": bnb.resolved_at_leaf,
                     "grid_s": grid_s,
-                    "grid_evaluations": md * md,
+                    "grid_evaluations": leaf_grid * leaf_grid,
                     "grid_dense_cells": dense_cells,
+                    "bnb_dense_cells": int(bnb.mask.sum()),
                 }
             )
         return rows
@@ -108,14 +127,23 @@ def test_ablation_bnb_vs_dense_grid(profile, ablation_world, benchmark, capsys):
         print(
             format_table(
                 rows,
-                title=f"Ablation — branch-and-bound vs dense {md}x{md} evaluation",
+                title=(
+                    "Ablation — tile bound + dense survivors vs dense "
+                    f"evaluation of every tile (m_d = {md})"
+                ),
             )
         )
     for row in rows:
-        # B&B touches a small fraction of the trivial method's evaluations.
-        assert row["bnb_nodes"] < 0.5 * row["grid_evaluations"]
-    # And pruning strengthens with the threshold.
-    assert rows[-1]["bnb_nodes"] < rows[0]["bnb_nodes"]
+        # Strictly fewer evaluations than the full leaf grid at every
+        # threshold, and no slower in wall-clock (best of five each; the
+        # margin absorbs timer noise at sub-millisecond scale).
+        assert row["bnb_evaluations"] < row["grid_evaluations"]
+        assert row["bnb_dense_cells"] == row["grid_dense_cells"]  # same answer
+        assert row["bnb_s"] <= 1.25 * row["grid_s"]
+    # Pruning strengthens with the threshold.
+    evaluations = [row["bnb_evaluations"] for row in rows]
+    assert evaluations == sorted(evaluations, reverse=True)
+    assert evaluations[-1] < evaluations[0]
 
 
 def test_ablation_interval_fr(profile, ablation_world, benchmark, capsys):

@@ -1,4 +1,4 @@
-"""Chebyshev machinery behind the PA method: expansions, deltas, bounds, B&B."""
+"""Chebyshev machinery behind the PA method: expansions, deltas, bounds, dense regions."""
 
 from .bnb import BnBResult, dense_boxes
 from .bounds import bound_expansion

@@ -1,198 +1,93 @@
-"""Branch-and-bound dense-region extraction (Section 6.3).
+"""Dense-region extraction: bound each tile once, evaluate the rest (Section 6.3).
 
-Starting from the whole normalized square of every polynomial tile, compute
-a sound bracket ``[lower, upper]`` of the approximated density over each
-box:
-
-* ``lower >= rho``  — the whole box is dense, emit it;
-* ``upper  < rho``  — the box is nowhere dense, prune it;
-* otherwise split into four quadrants and recurse, until the box edge drops
-  below the resolution ``min_edge`` — then classify by the density at the
-  box centre (the paper's ``m_d``-grid fallback).
-
-The search is level-synchronous and fully vectorised: every surviving box of
-a level — across *all* tiles — is bounded in one numpy pass, and only the
-``(k+1)(k+2)/2`` coefficients the total-degree truncation retains enter the
-interval arithmetic.  That keeps the PA query cost dependent only on the
-coefficient count and the geometry of the density surface, never on the
-number of moving objects (the property behind Figure 10(b)).
+The paper's branch-and-bound brackets the approximated density over a box
+and accepts it (``lower >= rho``), prunes it (``upper < rho``) or quarters
+it, down to the cells of the ``m_d`` evaluation grid, which are classified
+by the density at their centre.  Here the bracket is taken once, over each
+whole polynomial tile — that is what makes the work fall as the threshold
+rises — and every undecided tile is then evaluated at all of its leaf
+centres in one batched ``T · C · Tᵀ`` with the Chebyshev basis computed once:
+a degree-``k`` polynomial on an ``n x n`` patch is two small matmuls,
+cheaper than bounding the thousands of boxes a recursion would visit.  The
+answer is the same point set the recursion reaches (an accepted box has
+every leaf centre ``>= rho``, a pruned one none, the rest are classified by
+centre), and the cost still depends only on the coefficient count and the
+geometry of the density surface, never on the number of moving objects (the
+property behind Figure 10(b)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from .cheb2d import chebyshev_values
+from .bounds import bound_expansion
+from .cheb1d import chebyshev_values
+from .cheb2d import evaluate_tiles
 
 __all__ = ["BnBResult", "dense_boxes", "dense_boxes_grid"]
-
-_TWO_PI = 2.0 * np.pi
-
-
-def _empty_boxes() -> np.ndarray:
-    return np.empty((0, 4))
-
-
-def _empty_tiles() -> np.ndarray:
-    return np.empty((0, 2), dtype=np.int64)
 
 
 @dataclass
 class BnBResult:
-    """Dense boxes in normalized coordinates plus search statistics.
+    """The leaf-resolution dense mask, its column runs and search statistics.
 
-    ``boxes`` is an ``(M, 4)`` array of ``(x1, y1, x2, y2)`` in each tile's
-    normalized frame; ``tiles`` is the matching ``(M, 2)`` array of tile
-    indices (all zeros for single-polynomial searches).
+    ``mask`` is the ``(g n, g n)`` boolean raster of leaf cells indexed
+    ``[ix, iy]`` (``n`` dyadic leaves per tile and axis); ``cells`` is the
+    ``(M, 4)`` integer array of its maximal y-runs per leaf column as
+    ``(ix, iy1, ix + 1, iy2)`` — pairwise disjoint, covering exactly the
+    mask.  A *node* is a bounded tile or an evaluated leaf cell.
     """
 
-    boxes: np.ndarray = field(default_factory=_empty_boxes)
-    tiles: np.ndarray = field(default_factory=_empty_tiles)
-    nodes_visited: int = 0
+    mask: np.ndarray
+    cells: np.ndarray
+    tiles_bounded: int = 0
     accepted_by_bound: int = 0
     pruned_by_bound: int = 0
     resolved_at_leaf: int = 0
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.cells)
+
+    @property
+    def tiles_evaluated(self) -> int:
+        return self.tiles_bounded - self.accepted_by_bound - self.pruned_by_bound
+
+    @property
+    def nodes_visited(self) -> int:
+        return self.tiles_bounded + self.resolved_at_leaf
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """The runs as ``(x1, y1, x2, y2)`` rows with the tiling scaled to ``[-1, 1]^2``."""
+        return 2.0 * self.cells / self.mask.shape[0] - 1.0
 
     def box_tuples(self) -> List[Tuple[float, float, float, float]]:
         """Boxes as python tuples (test/debug convenience)."""
         return [tuple(map(float, row)) for row in self.boxes]
 
 
-def _chebyshev_interval_bounds(
-    k: int, z1: np.ndarray, z2: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact bounds of ``T_i`` over ``[z1, z2]`` for every i, vectorised.
-
-    ``z1``/``z2`` have shape ``(M,)``; the result has shape ``(k+1, M)``.
-    With ``theta = arccos x`` (decreasing), the angular interval of degree
-    ``i`` is ``[i*arccos(z2), i*arccos(z1)]``; the cosine extrema are read
-    off by checking whether the interval crosses a multiple of ``2*pi``
-    (maximum +1) or an odd multiple of ``pi`` (minimum -1).
-    """
-    theta_lo = np.arccos(np.clip(z2, -1.0, 1.0))  # smaller angle
-    theta_hi = np.arccos(np.clip(z1, -1.0, 1.0))
-    i = np.arange(k + 1, dtype=float)[:, None]
-    phi1 = i * theta_lo[None, :]
-    phi2 = i * theta_hi[None, :]
-    c1 = np.cos(phi1)
-    c2 = np.cos(phi2)
-    hi = np.maximum(c1, c2)
-    lo = np.minimum(c1, c2)
-    has_max = np.floor(phi2 / _TWO_PI) >= np.ceil(phi1 / _TWO_PI)
-    has_min = np.floor((phi2 - np.pi) / _TWO_PI) >= np.ceil((phi1 - np.pi) / _TWO_PI)
-    hi = np.where(has_max, 1.0, hi)
-    lo = np.where(has_min, -1.0, lo)
-    # Degree 0 is constant 1 regardless of the interval.
-    lo[0] = 1.0
-    hi[0] = 1.0
-    return lo, hi
-
-
-
-
-class _GridSearcher:
-    """Shared state for one :func:`dense_boxes_grid` run."""
-
-    def __init__(self, coeff_grid: np.ndarray) -> None:
-        k = coeff_grid.shape[2] - 1
-        self.k = k
-        self.coeff_grid = coeff_grid
-        # Flat list of the retained (i, j) coefficient indices (i + j <= k);
-        # only these enter the interval arithmetic.
-        ii, jj = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        keep = (ii + jj) <= k
-        self.ii = ii[keep]
-        self.jj = jj[keep]
-        # (g, g, P) view of the retained coefficients.
-        self.flat_coeffs = coeff_grid[:, :, self.ii, self.jj]
-        # Sign-split per-tile coefficient matrices, flattened to (g*g, P):
-        # a sound sum bound is pos @ t_lo + neg @ t_hi (lower) and its
-        # mirror (upper), which lets :meth:`bound` run as two matmuls over
-        # the deduped (tile, geometry) combinations.
-        self.g = coeff_grid.shape[0]
-        flat2d = np.ascontiguousarray(self.flat_coeffs.reshape(self.g * self.g, -1))
-        self.pos_coeffs = np.maximum(flat2d, 0.0)
-        self.neg_coeffs = np.minimum(flat2d, 0.0)
-
-    def bound(
-        self,
-        ti: np.ndarray,
-        tj: np.ndarray,
-        x1: np.ndarray,
-        x2: np.ndarray,
-        y1: np.ndarray,
-        y2: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sound (lower, upper) brackets for ``M`` boxes; shapes ``(M,)``.
-
-        The level-synchronous frontier is dyadic: thousands of boxes share a
-        handful of distinct normalized intervals per level (the same
-        subdivision pattern repeats across tiles), so the trig and the
-        interval products run once per *distinct* box geometry, and the
-        coefficient contraction runs as two BLAS matmuls over the distinct
-        (tile, geometry) pairs — never once per box.
-        """
-        ux, inv_x = np.unique(x1 + 1j * x2, return_inverse=True)
-        uy, inv_y = np.unique(y1 + 1j * y2, return_inverse=True)
-        lx, hx = _chebyshev_interval_bounds(self.k, ux.real, ux.imag)
-        ly, hy = _chebyshev_interval_bounds(self.k, uy.real, uy.imag)
-        code = inv_x * uy.size + inv_y
-        ucode, geo = np.unique(code, return_inverse=True)
-        gx = ucode // uy.size
-        gy = ucode % uy.size
-        lxp, hxp = lx[self.ii][:, gx], hx[self.ii][:, gx]  # (P, U)
-        lyp, hyp = ly[self.jj][:, gy], hy[self.jj][:, gy]
-        p1 = lxp * lyp
-        p2 = lxp * hyp
-        p3 = hxp * lyp
-        p4 = hxp * hyp
-        t_lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        t_hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        tcode = ti * self.g + tj
-        utile, inv_t = np.unique(tcode, return_inverse=True)
-        if utile.size * ucode.size <= 8 * ti.size:
-            # Dense regime (most levels): bound every (tile, geometry)
-            # combination by matmul, then gather each box's entry.
-            pos = self.pos_coeffs[utile]  # (T, P)
-            neg = self.neg_coeffs[utile]
-            lo_combo = pos @ t_lo + neg @ t_hi  # (T, U)
-            hi_combo = pos @ t_hi + neg @ t_lo
-            return lo_combo[inv_t, geo], hi_combo[inv_t, geo]
-        # Sparse regime (nearly every box has a private geometry): expand
-        # the deduped products back per box and contract elementwise.
-        t_lo_b, t_hi_b = t_lo[:, geo], t_hi[:, geo]  # (P, M)
-        pos = self.pos_coeffs[tcode].T  # (P, M)
-        neg = self.neg_coeffs[tcode].T
-        return (
-            (pos * t_lo_b + neg * t_hi_b).sum(axis=0),
-            (pos * t_hi_b + neg * t_lo_b).sum(axis=0),
-        )
-
-    def evaluate_centers(
-        self, ti: np.ndarray, tj: np.ndarray, cx: np.ndarray, cy: np.ndarray
-    ) -> np.ndarray:
-        # Leaf centres are dyadic too — evaluate each distinct ordinate once.
-        ux, inv_x = np.unique(cx, return_inverse=True)
-        uy, inv_y = np.unique(cy, return_inverse=True)
-        tx = chebyshev_values(self.k, ux)[:, inv_x]  # (k+1, M)
-        ty = chebyshev_values(self.k, uy)[:, inv_y]
-        a = self.flat_coeffs[ti, tj].T  # (P, M)
-        return (a * tx[self.ii] * ty[self.jj]).sum(axis=0)
+def _column_runs(mask: np.ndarray) -> np.ndarray:
+    """Maximal runs of True along axis 1, as ``(ix, iy1, ix + 1, iy2)`` rows."""
+    width, height = mask.shape
+    padded = np.zeros((width, height + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # Every padded column starts and ends False, so the flat list of value
+    # changes alternates run start, run end.
+    flips = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    ix, start = np.divmod(flips[0::2], height + 1)
+    return np.stack([ix, start, ix + 1, flips[1::2] - ix * (height + 1)], axis=1)
 
 
 def dense_boxes_grid(coeff_grid: np.ndarray, rho: float, min_edge: float) -> BnBResult:
-    """Branch-and-bound over a ``(g, g, k+1, k+1)`` grid of polynomials.
+    """Dense leaf cells of a ``(g, g, k+1, k+1)`` grid of polynomials.
 
-    Each tile is searched in its own normalized ``[-1, 1]^2`` frame; all
-    tiles advance level-by-level together so every numpy pass covers the
-    whole frontier.  Returns normalized boxes tagged with their tile.
+    Each tile is classified in its own normalized ``[-1, 1]^2`` frame at
+    the leaves the paper's quartering stops at: the first dyadic edge
+    ``2 / n`` that is ``<= min_edge``.
     """
     if min_edge <= 0:
         raise InvalidParameterError(f"min_edge must be positive, got {min_edge}")
@@ -201,97 +96,28 @@ def dense_boxes_grid(coeff_grid: np.ndarray, rho: float, min_edge: float) -> BnB
             f"expected (g, g, k+1, k+1) coefficients, got shape {coeff_grid.shape}"
         )
     g = coeff_grid.shape[0]
-    searcher = _GridSearcher(coeff_grid)
-    result = BnBResult()
-    out_boxes: List[np.ndarray] = []
-    out_tiles: List[np.ndarray] = []
-
-    # Frontier arrays: tile indices and normalized box bounds.
-    ti, tj = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    ti = ti.ravel()
-    tj = tj.ravel()
-    n0 = g * g
-    bx1 = np.full(n0, -1.0)
-    by1 = np.full(n0, -1.0)
-    bx2 = np.ones(n0)
-    by2 = np.ones(n0)
-
-    def emit(mask: np.ndarray) -> None:
-        if mask.any():
-            out_boxes.append(np.stack([bx1[mask], by1[mask], bx2[mask], by2[mask]], 1))
-            out_tiles.append(np.stack([ti[mask], tj[mask]], 1))
-
-    while ti.size:
-        result.nodes_visited += ti.size
-        lo, hi = searcher.bound(ti, tj, bx1, bx2, by1, by2)
-        accept = lo >= rho
-        prune = ~accept & (hi < rho)
-        undecided = ~accept & ~prune
-        result.accepted_by_bound += int(accept.sum())
-        result.pruned_by_bound += int(prune.sum())
-        emit(accept)
-
-        ti, tj = ti[undecided], tj[undecided]
-        bx1, by1 = bx1[undecided], by1[undecided]
-        bx2, by2 = bx2[undecided], by2[undecided]
-        if ti.size == 0:
-            break
-
-        small_x = (bx2 - bx1) <= min_edge
-        small_y = (by2 - by1) <= min_edge
-        leaf = small_x & small_y
-        if leaf.any():
-            result.resolved_at_leaf += int(leaf.sum())
-            cx = (bx1[leaf] + bx2[leaf]) / 2.0
-            cy = (by1[leaf] + by2[leaf]) / 2.0
-            values = searcher.evaluate_centers(ti[leaf], tj[leaf], cx, cy)
-            dense_leaf = leaf.copy()
-            dense_leaf[leaf] = values >= rho
-            emit(dense_leaf)
-
-        split = ~leaf
-        ti, tj = ti[split], tj[split]
-        bx1, by1, bx2, by2 = bx1[split], by1[split], bx2[split], by2[split]
-        split_x = (bx2 - bx1) > min_edge
-        split_y = (by2 - by1) > min_edge
-        if ti.size == 0:
-            break
-
-        mx = (bx1 + bx2) / 2.0
-        my = (by1 + by2) / 2.0
-        # Children: low/high halves per axis; an axis at the resolution
-        # floor contributes a single (full-extent) slab instead of two.
-        child = {"ti": [], "tj": [], "x1": [], "x2": [], "y1": [], "y2": []}
-        x_halves = [
-            (np.ones_like(split_x, dtype=bool), bx1, np.where(split_x, mx, bx2)),
-            (split_x, mx, bx2),
-        ]
-        y_halves = [
-            (np.ones_like(split_y, dtype=bool), by1, np.where(split_y, my, by2)),
-            (split_y, my, by2),
-        ]
-        for use_x, x_lo, x_hi in x_halves:
-            for use_y, y_lo, y_hi in y_halves:
-                use = use_x & use_y
-                if not use.any():
-                    continue
-                child["ti"].append(ti[use])
-                child["tj"].append(tj[use])
-                child["x1"].append(x_lo[use])
-                child["x2"].append(x_hi[use])
-                child["y1"].append(y_lo[use])
-                child["y2"].append(y_hi[use])
-        ti = np.concatenate(child["ti"])
-        tj = np.concatenate(child["tj"])
-        bx1 = np.concatenate(child["x1"])
-        bx2 = np.concatenate(child["x2"])
-        by1 = np.concatenate(child["y1"])
-        by2 = np.concatenate(child["y2"])
-
-    if out_boxes:
-        result.boxes = np.concatenate(out_boxes)
-        result.tiles = np.concatenate(out_tiles)
-    return result
+    n = 1
+    while 2.0 / n > min_edge:
+        n *= 2
+    lower, upper = bound_expansion(coeff_grid, -1.0, 1.0, -1.0, 1.0)
+    accept = lower >= rho
+    undecided = ~accept & (upper >= rho)
+    ti, tj = np.nonzero(undecided)
+    mask = np.repeat(np.repeat(accept, n, axis=0), n, axis=1)
+    if ti.size:
+        centres = (2.0 * np.arange(n) + 1.0) / n - 1.0
+        basis = chebyshev_values(coeff_grid.shape[2] - 1, centres).T
+        values = evaluate_tiles(coeff_grid[ti, tj], basis, basis)
+        mask.reshape(g, n, g, n)[ti, :, tj, :] = values >= rho
+    accepted = int(accept.sum())
+    return BnBResult(
+        mask=mask,
+        cells=_column_runs(mask),
+        tiles_bounded=g * g,
+        accepted_by_bound=accepted,
+        pruned_by_bound=g * g - accepted - ti.size,
+        resolved_at_leaf=ti.size * n * n,
+    )
 
 
 def dense_boxes(coeffs: np.ndarray, rho: float, min_edge: float) -> BnBResult:
@@ -299,5 +125,4 @@ def dense_boxes(coeffs: np.ndarray, rho: float, min_edge: float) -> BnBResult:
 
     Thin wrapper over :func:`dense_boxes_grid` with a 1x1 tile grid.
     """
-    grid = coeffs[None, None, :, :]
-    return dense_boxes_grid(grid, rho, min_edge)
+    return dense_boxes_grid(coeffs[None, None, :, :], rho, min_edge)

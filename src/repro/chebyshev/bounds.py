@@ -4,7 +4,7 @@ To decide whether a subregion can contain dense points, the PA method bounds
 ``f_hat(x, y) = sum a_ij T_i(x) T_j(y)`` over a normalized box
 ``[x1, x2] x [y1, y2]``: each term is bounded by interval arithmetic from
 the exact 1-D bounds of ``T_i`` (cosine extrema, see
-:func:`repro.chebyshev.cheb1d.interval_bounds`), and the term bounds are
+:func:`repro.chebyshev.cheb1d.interval_bounds_all`), and the term bounds are
 summed.  The result brackets the true range — possibly loosely, never
 incorrectly — which is exactly what branch-and-bound needs.
 """
@@ -20,26 +20,28 @@ from .cheb1d import interval_bounds_all
 __all__ = ["bound_expansion"]
 
 
-def bound_expansion(
-    coeffs: np.ndarray, x1: float, x2: float, y1: float, y2: float
-) -> Tuple[float, float]:
-    """``(lower, upper)`` bracket of the expansion over the box.
+def bound_expansion(coeffs: np.ndarray, x1, x2, y1, y2) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` bracket of expansions over boxes, vectorised.
 
-    The bracket is sound: ``lower <= f_hat(x, y) <= upper`` for every point
-    of the box.  Cost is ``O(k^2)`` after two ``O(k)`` 1-D bound passes.
+    ``coeffs`` is one ``(k+1, k+1)`` expansion or a ``(..., k+1, k+1)``
+    stack; the box bounds are scalars (one geometry for the whole stack) or
+    arrays broadcastable against the stack's leading shape.  The bracket is
+    sound: ``lower <= f_hat(x, y) <= upper`` for every point of each box.
+    Over the whole frame ``[-1, 1]^2`` it collapses to ``a_00 ± Σ|a_ij|``.
     """
-    k = coeffs.shape[0] - 1
+    k = coeffs.shape[-1] - 1
     lx, hx = interval_bounds_all(k, x1, x2)
     ly, hy = interval_bounds_all(k, y1, y2)
+    lx, hx = lx[..., :, None], hx[..., :, None]
+    ly, hy = ly[..., None, :], hy[..., None, :]
     # Interval product [lx, hx] * [ly, hy]: extrema among the four corners.
-    p1 = lx[:, None] * ly[None, :]
-    p2 = lx[:, None] * hy[None, :]
-    p3 = hx[:, None] * ly[None, :]
-    p4 = hx[:, None] * hy[None, :]
-    t_lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    t_hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    # Multiply by the (signed) coefficient: swap bounds where negative.
-    pos = coeffs >= 0
-    term_lo = np.where(pos, coeffs * t_lo, coeffs * t_hi)
-    term_hi = np.where(pos, coeffs * t_hi, coeffs * t_lo)
-    return float(term_lo.sum()), float(term_hi.sum())
+    corners = (lx * ly, lx * hy, hx * ly, hx * hy)
+    t_lo = np.minimum.reduce(corners)
+    t_hi = np.maximum.reduce(corners)
+    # A signed coefficient swaps which product bound it takes.
+    pos = np.maximum(coeffs, 0.0)
+    neg = np.minimum(coeffs, 0.0)
+    return (
+        (pos * t_lo + neg * t_hi).sum(axis=(-2, -1)),
+        (pos * t_hi + neg * t_lo).sum(axis=(-2, -1)),
+    )

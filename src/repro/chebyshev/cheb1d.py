@@ -96,41 +96,36 @@ def plain_integrals(k: int, z1: float, z2: float) -> np.ndarray:
     return out
 
 
-def _cos_range(phi1: float, phi2: float) -> Tuple[float, float]:
-    """Exact (lo, hi) of ``cos`` over ``[phi1, phi2]`` with ``phi1 <= phi2``."""
-    lo = min(math.cos(phi1), math.cos(phi2))
-    hi = max(math.cos(phi1), math.cos(phi2))
-    # cos attains +1 at multiples of 2*pi and -1 at odd multiples of pi.
-    if math.floor(phi2 / _TWO_PI) >= math.ceil(phi1 / _TWO_PI):
-        hi = 1.0
-    if math.floor((phi2 - math.pi) / _TWO_PI) >= math.ceil((phi1 - math.pi) / _TWO_PI):
-        lo = -1.0
-    return lo, hi
-
-
 def interval_bounds(i: int, z1: float, z2: float) -> Tuple[float, float]:
-    """Exact ``(lower, upper)`` of ``T_i`` over ``[z1, z2] ⊆ [-1, 1]``.
-
-    ``T_i(x) = cos(i θ)`` with ``θ = arccos x`` decreasing in ``x``, so the
-    angular interval is ``[i·arccos(z2), i·arccos(z1)]``.
-    """
+    """Exact ``(lower, upper)`` of ``T_i`` over ``[z1, z2] ⊆ [-1, 1]``."""
     if i < 0:
         raise InvalidParameterError(f"degree must be >= 0, got {i}")
     if z2 < z1:
         raise InvalidParameterError(f"empty interval [{z1}, {z2}]")
-    z1 = min(max(z1, -1.0), 1.0)
-    z2 = min(max(z2, -1.0), 1.0)
-    if i == 0:
-        return (1.0, 1.0)
-    phi1 = i * math.acos(z2)
-    phi2 = i * math.acos(z1)
-    return _cos_range(phi1, phi2)
+    lows, highs = interval_bounds_all(i, z1, z2)
+    return float(lows[i]), float(highs[i])
 
 
-def interval_bounds_all(k: int, z1: float, z2: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``interval_bounds`` for every degree ``0..k``; returns (lows, highs)."""
-    lows = np.empty(k + 1, dtype=float)
-    highs = np.empty(k + 1, dtype=float)
-    for i in range(k + 1):
-        lows[i], highs[i] = interval_bounds(i, z1, z2)
+def interval_bounds_all(k: int, z1, z2) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact bounds of ``T_0..T_k`` over ``[z1, z2]``; returns (lows, highs).
+
+    ``z1``/``z2`` are scalars or broadcastable arrays (clipped to
+    ``[-1, 1]``); the results have shape ``(..., k+1)``.  ``T_i(x) =
+    cos(i θ)`` with ``θ = arccos x`` decreasing in ``x``, so the angular
+    interval of degree ``i`` is ``[i·arccos(z2), i·arccos(z1)]``; the cosine
+    attains +1 when it crosses a multiple of ``2π`` and -1 when it crosses
+    an odd multiple of ``π``, otherwise its extrema sit at the endpoints.
+    """
+    i = np.arange(k + 1, dtype=float)
+    phi1 = i * np.arccos(np.clip(z2, -1.0, 1.0))[..., None]
+    phi2 = i * np.arccos(np.clip(z1, -1.0, 1.0))[..., None]
+    c1 = np.cos(phi1)
+    c2 = np.cos(phi2)
+    has_max = np.floor(phi2 / _TWO_PI) >= np.ceil(phi1 / _TWO_PI)
+    has_min = np.floor((phi2 - math.pi) / _TWO_PI) >= np.ceil((phi1 - math.pi) / _TWO_PI)
+    highs = np.where(has_max, 1.0, np.maximum(c1, c2))
+    lows = np.where(has_min, -1.0, np.minimum(c1, c2))
+    # Degree 0 is constant 1 regardless of the interval.
+    lows[..., 0] = 1.0
+    highs[..., 0] = 1.0
     return lows, highs

@@ -10,7 +10,7 @@ positive, 2 when exactly one is zero, and 1 when both are zero (Theorem 1).
 
 Coefficients are stored in a dense ``(k+1, k+1)`` array whose upper
 anti-triangle (``i + j > k``) is identically zero; that keeps evaluation a
-single einsum while honouring the paper's total-degree truncation and its
+pair of matmuls while honouring the paper's total-degree truncation and its
 ``(k+1)(k+2)/2`` coefficient count.
 """
 
@@ -27,6 +27,7 @@ __all__ = [
     "coefficient_count",
     "evaluate",
     "evaluate_grid",
+    "evaluate_tiles",
     "approximate_function",
 ]
 
@@ -61,12 +62,23 @@ def evaluate(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,i...,j...->...", coeffs, tx, ty)
 
 
+def evaluate_tiles(coeffs: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Batched tensor-grid evaluation ``tx · C · tyᵀ`` of a stack of expansions.
+
+    ``coeffs`` is ``(..., k+1, k+1)``; ``tx``/``ty`` hold the basis values
+    sample-major, ``(..., nx, k+1)`` and ``(..., ny, k+1)``, broadcastable
+    against the stack.  Returns ``(..., nx, ny)``.  The basis is computed
+    once by the caller and reused for every tile.
+    """
+    return np.matmul(np.matmul(tx, coeffs), np.swapaxes(ty, -1, -2))
+
+
 def evaluate_grid(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Evaluate on the tensor grid ``xs x ys``; shape ``(len(xs), len(ys))``."""
     k = coeffs.shape[0] - 1
-    tx = chebyshev_values(k, np.asarray(xs, dtype=float))
-    ty = chebyshev_values(k, np.asarray(ys, dtype=float))
-    return np.einsum("ij,ia,jb->ab", coeffs, tx, ty)
+    tx = chebyshev_values(k, np.asarray(xs, dtype=float)).T
+    ty = chebyshev_values(k, np.asarray(ys, dtype=float)).T
+    return evaluate_tiles(coeffs, tx, ty)
 
 
 def approximate_function(func, k: int, quad_points: int = 64) -> np.ndarray:

@@ -5,8 +5,8 @@ the PA method tiles the domain with a ``g x g`` macro grid and keeps an
 independent total-degree-``k`` Chebyshev expansion per tile, each over its
 own normalized ``[-1, 1]^2`` frame.  :class:`GridSpec` owns the coordinate
 mapping; :class:`ChebSurface` wraps the ``(g, g, k+1, k+1)`` coefficient
-block of one timestamp and provides evaluation and branch-and-bound region
-extraction in world coordinates.
+block of one timestamp and provides evaluation and dense-region extraction in
+world coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from ..core.errors import InvalidParameterError
 from ..core.geometry import Rect
 from ..core.regions import RegionSet
 from .bnb import BnBResult, dense_boxes_grid
-from .cheb2d import coefficient_count, evaluate, evaluate_grid
+from .cheb1d import chebyshev_values
+from .cheb2d import coefficient_count, evaluate, evaluate_tiles
 from .delta import delta_coefficients
 
 __all__ = ["GridSpec", "ChebSurface"]
@@ -101,9 +102,6 @@ class ChebSurface:
             )
         self.spec = spec
         self.coeffs = coeffs
-        # Cached tile dimensions (hot in density_grid / dense_regions).
-        self.cell_width_ = spec.cell_width
-        self.cell_height_ = spec.cell_height
 
     # ------------------------------------------------------------------
     # evaluation
@@ -123,32 +121,21 @@ class ChebSurface:
         """
         if resolution < 1:
             raise InvalidParameterError("resolution must be >= 1")
-        xs = self.spec.domain.x1 + (np.arange(resolution) + 0.5) * (
-            self.spec.domain.width / resolution
-        )
-        ys = self.spec.domain.y1 + (np.arange(resolution) + 0.5) * (
-            self.spec.domain.height / resolution
-        )
-        col = np.clip(
-            ((xs - self.spec.domain.x1) / self.cell_width_).astype(int), 0, self.spec.g - 1
-        )
-        row = np.clip(
-            ((ys - self.spec.domain.y1) / self.cell_height_).astype(int), 0, self.spec.g - 1
-        )
-        out = np.empty((resolution, resolution))
-        for i in range(self.spec.g):
-            xi = np.nonzero(col == i)[0]
-            if xi.size == 0:
-                continue
-            nx = self.spec.to_normalized_x(i, xs[xi])
-            for j in range(self.spec.g):
-                yj = np.nonzero(row == j)[0]
-                if yj.size == 0:
-                    continue
-                ny = self.spec.to_normalized_y(j, ys[yj])
-                block = evaluate_grid(self.coeffs[i, j], nx, ny)
-                out[np.ix_(xi, yj)] = block
-        return out
+        g = self.spec.g
+        # Both axes share one sampling pattern in tile units.  Tiles own
+        # ``per`` or ``per - 1`` samples each; padding every tile to ``per``
+        # makes the evaluation one batched contraction over all g^2 tiles,
+        # and ``keep`` picks the real samples back out in order.
+        at = (np.arange(resolution) + 0.5) * (g / resolution)
+        tile = at.astype(int)
+        first = np.searchsorted(tile, np.arange(g))
+        per = int(np.bincount(tile, minlength=g).max())
+        keep = tile * per + (np.arange(resolution) - first[tile])
+        z = np.zeros(g * per)
+        z[keep] = 2.0 * (at - tile) - 1.0
+        basis = chebyshev_values(self.spec.k, z).T.reshape(g, per, -1)
+        values = evaluate_tiles(self.coeffs, basis[:, None], basis[None, :])
+        return values.transpose(0, 2, 1, 3).reshape(g * per, g * per)[np.ix_(keep, keep)]
 
     # ------------------------------------------------------------------
     # direct increments (tests / offline loading)
@@ -190,30 +177,23 @@ class ChebSurface:
     # dense-region extraction
     # ------------------------------------------------------------------
     def dense_regions(self, rho: float, md: int = 512) -> Tuple[RegionSet, BnBResult]:
-        """World dense regions by per-tile branch-and-bound.
+        """World dense regions: per-tile bound, then dense leaf evaluation.
 
         ``md`` is the paper's global evaluation-grid resolution ``m_d``; the
-        per-tile recursion floor is therefore ``2 g / m_d`` in normalized
-        units (never coarser than a whole tile).
+        per-tile leaf edge is the first dyadic fraction of the tile that is
+        ``<= 2 g / m_d`` in normalized units (never coarser than a whole
+        tile), so the grid actually evaluated has ``g * 2^ceil(log2(m_d / g))``
+        cells per axis — 640, not 512, at the defaults.
         """
         if md < self.spec.g:
             raise InvalidParameterError(
                 f"m_d ({md}) must be at least the polynomial grid factor g ({self.spec.g})"
             )
-        min_edge = 2.0 * self.spec.g / md
-        totals = dense_boxes_grid(self.coeffs, rho, min_edge)
-        if len(totals) == 0:
-            return RegionSet(), totals
-        # Vectorised normalized -> world conversion for all boxes at once.
-        cw, ch = self.cell_width_, self.cell_height_
-        tx1 = self.spec.domain.x1 + totals.tiles[:, 0] * cw
-        ty1 = self.spec.domain.y1 + totals.tiles[:, 1] * ch
-        wx1 = tx1 + (totals.boxes[:, 0] + 1.0) / 2.0 * cw
-        wy1 = ty1 + (totals.boxes[:, 1] + 1.0) / 2.0 * ch
-        wx2 = tx1 + (totals.boxes[:, 2] + 1.0) / 2.0 * cw
-        wy2 = ty1 + (totals.boxes[:, 3] + 1.0) / 2.0 * ch
-        # B&B emissions partition the dense area (siblings tile their
-        # parent, tiles tile the domain), so the set is disjoint by
-        # construction and downstream area() is a plain sum.
-        bounds = np.stack([wx1, wy1, wx2, wy2], axis=1)
+        totals = dense_boxes_grid(self.coeffs, rho, 2.0 * self.spec.g / md)
+        # Column runs of a raster are disjoint by construction, so
+        # downstream area() is a plain sum.
+        domain = self.spec.domain
+        leaves = totals.mask.shape[0]
+        bounds = totals.cells * np.tile([domain.width / leaves, domain.height / leaves], 2)
+        bounds += (domain.x1, domain.y1, domain.x1, domain.y1)
         return RegionSet.from_bounds(bounds, disjoint=True), totals

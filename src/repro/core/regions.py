@@ -17,7 +17,7 @@ matrices stay within a fixed memory budget regardless of input size.
 Storage is columnar: a set holds one ``(N, 4)`` float array of bounds and
 materialises :class:`Rect` objects only when a caller actually iterates.
 Query evaluators that emit their rectangles pairwise-disjoint by
-construction (FR's sweep segments, PA's branch-and-bound tiling) pass
+construction (FR's sweep segments, PA's leaf-column runs) pass
 ``disjoint=True`` so :meth:`area` reduces to a single vector sum instead of
 a rasterisation — the answer-area accounting on the serving path is O(N).
 """

@@ -5,9 +5,10 @@ method keeps a ``g x g`` grid of total-degree-``k`` Chebyshev expansions of
 the point-density surface.  Each object insertion (deletion) adds
 (subtracts) the closed-form delta coefficients of the object's indicator
 square at every covered timestamp — Algorithm 4/5 — vectorised here over
-the whole trajectory in one numpy pass.  Queries run branch-and-bound on
-the per-tile expansions (Section 6.3) and never touch the objects
-themselves, which is why PA's query cost is independent of the dataset size.
+the whole trajectory in one numpy pass.  Queries bound each tile's expansion
+once and evaluate the undecided tiles on the leaf grid (Section 6.3); they
+never touch the objects themselves, which is why PA's query cost is
+independent of the dataset size.
 
 Unlike FR, PA fixes the neighborhood edge ``l`` at construction time (the
 delta squares are baked into the coefficients); querying with a different
@@ -42,7 +43,7 @@ def _expand_runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 class PAMethod(UpdateListener):
-    """On-line Chebyshev density maintenance plus B&B query evaluation."""
+    """On-line Chebyshev density maintenance plus bound-then-evaluate queries."""
 
     def __init__(
         self,
@@ -293,11 +294,12 @@ class PAMethod(UpdateListener):
         return ChebSurface(self.spec, self._coeffs[slot])
 
     def query(self, query: SnapshotPDRQuery, deadline=None) -> QueryResult:
-        """Approximate PDR answer by branch-and-bound (Section 6.3).
+        """Approximate PDR answer by bound-then-evaluate (Section 6.3).
 
-        The deadline is checked once at entry: a single B&B pass is cheap
-        and all-or-nothing, so there is no useful intermediate point at
-        which to abandon it.
+        The deadline is checked once at entry: the whole pass — one tile
+        bound, one batched leaf evaluation, one run scan — is about a
+        millisecond at the default grid, far below any deadline worth
+        setting, so there is no intermediate point at which to abandon it.
         """
         if abs(query.l - self.l) > 1e-9:
             raise InvalidParameterError(
@@ -312,7 +314,14 @@ class PAMethod(UpdateListener):
         surface = self.surface_at(query.qt)
         regions, bnb = surface.dense_regions(query.rho, md=self.md)
         cpu = time.perf_counter() - start
-        TELEMETRY.tracer.record_span("bnb", cpu, nodes=bnb.nodes_visited)
+        TELEMETRY.tracer.record_span(
+            "bnb",
+            cpu,
+            tiles_bounded=bnb.tiles_bounded,
+            tiles_evaluated=bnb.tiles_evaluated,
+            cells_evaluated=bnb.resolved_at_leaf,
+            runs_emitted=len(bnb),
+        )
         stats = QueryStats(method="pa", cpu_seconds=cpu, bnb_nodes=bnb.nodes_visited)
         stats.extra["bnb_accepted"] = float(bnb.accepted_by_bound)
         stats.extra["bnb_pruned"] = float(bnb.pruned_by_bound)

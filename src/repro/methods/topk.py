@@ -22,7 +22,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..chebyshev.bnb import _GridSearcher
+from ..chebyshev.bounds import bound_expansion
+from ..chebyshev.cheb2d import evaluate
 from ..core.errors import InvalidParameterError
 from .pa import PAMethod
 
@@ -61,27 +62,14 @@ def top_k_peaks(
         raise InvalidParameterError("md must be at least the polynomial grid g")
     surface = pa.surface_at(qt)
     spec = surface.spec
-    searcher = _GridSearcher(surface.coeffs)
     min_edge = 2.0 * spec.g / md
 
     counter = itertools.count()  # heap tie-breaker
     heap: List[Tuple[float, int, int, int, float, float, float, float]] = []
-    ti, tj = np.meshgrid(np.arange(spec.g), np.arange(spec.g), indexing="ij")
-    ti = ti.ravel()
-    tj = tj.ravel()
-    _lo, hi = searcher.bound(
-        ti,
-        tj,
-        np.full(ti.size, -1.0),
-        np.ones(ti.size),
-        np.full(ti.size, -1.0),
-        np.ones(ti.size),
-    )
-    for idx in range(ti.size):
+    _lo, hi = bound_expansion(surface.coeffs, -1.0, 1.0, -1.0, 1.0)
+    for (i, j), tile_hi in np.ndenumerate(hi):
         heapq.heappush(
-            heap,
-            (-float(hi[idx]), next(counter), int(ti[idx]), int(tj[idx]),
-             -1.0, -1.0, 1.0, 1.0),
+            heap, (-float(tile_hi), next(counter), i, j, -1.0, -1.0, 1.0, 1.0)
         )
 
     peaks: List[DensityPeak] = []
@@ -99,9 +87,7 @@ def top_k_peaks(
         if (x2 - x1) <= min_edge and (y2 - y1) <= min_edge:
             cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
             value = float(
-                searcher.evaluate_centers(
-                    np.array([i]), np.array([j]), np.array([cx]), np.array([cy])
-                )[0]
+                evaluate(surface.coeffs[i, j], np.array([cx]), np.array([cy]))[0]
             )
             wx, wy = spec.from_normalized(i, j, cx, cy)
             if far_enough(wx, wy):
@@ -121,13 +107,8 @@ def top_k_peaks(
                 (x1, y1, mx, my), (mx, y1, x2, my),
                 (x1, my, mx, y2), (mx, my, x2, y2),
             ]
-        cx1 = np.array([c[0] for c in children])
-        cy1 = np.array([c[1] for c in children])
-        cx2 = np.array([c[2] for c in children])
-        cy2 = np.array([c[3] for c in children])
-        tiles = np.full(len(children), i)
-        tjls = np.full(len(children), j)
-        _clo, chi = searcher.bound(tiles, tjls, cx1, cx2, cy1, cy2)
+        cx1, cy1, cx2, cy2 = np.array(children).T
+        _clo, chi = bound_expansion(surface.coeffs[i, j], cx1, cx2, cy1, cy2)
         for child, child_hi in zip(children, chi):
             # Prune children that cannot beat the current k-th peak.
             if len(peaks) >= k and child_hi <= peaks[-1].density:

@@ -7,9 +7,9 @@ progressively cheaper evaluations::
     fr  ->  pa  ->  dh-optimistic
 
 FR checks the deadline cooperatively at every candidate-cell refinement;
-PA checks at entry (its branch-and-bound pass is cheap and all-or-
-nothing); the histogram bounds are O(m^2) arithmetic and always run.  The
-budget is *sliced* geometrically across the rungs — at each non-terminal
+PA checks at entry (its bound-then-evaluate pass is about a millisecond
+and all-or-nothing); the histogram bounds are O(m^2) arithmetic and always
+run.  The budget is *sliced* geometrically across the rungs — at each non-terminal
 rung's entry the rung may spend half of the budget still remaining, the
 last rung is unbounded — so that when FR blows its slice there is still
 budget left for PA to produce an approximate answer *within* the overall

@@ -187,6 +187,11 @@ class PDRTCPServer:
     async def wait_drained(self) -> None:
         await self._drained.wait()
 
+    @property
+    def drained(self) -> bool:
+        """True once a drain has run to completion."""
+        return self._drained.is_set()
+
     async def drain(self) -> float:
         """Stop accepting, finish in-flight work, close; returns seconds.
 
@@ -634,10 +639,27 @@ class ServerThread:
         return self.server._executor.submit(locked).result()
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        if self._loop is None or not self._loop.is_running():
+        """Drain the server and wait for it; safe beside a wire-initiated drain.
+
+        The loop thread exits as soon as *any* drain finishes, so a call
+        that loses that race finds the loop closed under it, or has its
+        waiter cancelled (or never run) by the exiting thread.  Each of
+        those means "already drained", not an error.
+        """
+        loop = self._loop
+        if loop is None or not loop.is_running():
             return
-        future = asyncio.run_coroutine_threadsafe(self.server.drain(), self._loop)
-        future.result(timeout=timeout or self.server.config.drain_deadline + 10.0)
+        waiter = self.server.drain()
+        try:
+            future = asyncio.run_coroutine_threadsafe(waiter, loop)
+        except RuntimeError:  # closed since the check; nothing was scheduled
+            waiter.close()
+            return
+        try:
+            future.result(timeout=timeout or self.server.config.drain_deadline + 10.0)
+        except (TimeoutError, concurrent.futures.CancelledError):
+            if not self.server.drained:
+                raise
 
     def stop(self) -> None:
         """Drain, stop the loop thread and release the backend executor."""

@@ -378,9 +378,12 @@ def render_span_tree(tree: dict, indent: int = 0) -> List[str]:
     for name, acc in sorted((tree.get("stages") or {}).items()):
         seconds = acc.get("seconds", 0.0)
         count = acc.get("count", 0)
-        lines.append(
-            f"{pad}  - {name}  {seconds * 1000.0:.2f}ms  (x{count})"
+        line = f"{pad}  - {name}  {seconds * 1000.0:.2f}ms  (x{count})"
+        sums = " ".join(
+            f"{key}={value}" for key, value in sorted(acc.items())
+            if key not in ("seconds", "count")
         )
+        lines.append(f"{line}  [{sums}]" if sums else line)
     for child in tree.get("children") or ():
         lines.extend(render_span_tree(child, indent + 1))
     return lines

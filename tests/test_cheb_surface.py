@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.chebyshev.grid import ChebSurface, GridSpec
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import Rect
+from repro.core.regions import RegionSet
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -156,6 +157,24 @@ class TestDenseRegions:
         assert not regions.contains_point(10.0, 10.0)
         # Area roughly matches the hotspot.
         assert regions.area() == pytest.approx(400.0, rel=0.5)
+
+    def test_regions_are_disjoint_column_runs_of_the_leaf_mask(self):
+        surface = make_surface(g=3, k=4)
+        gen = np.random.default_rng(4)
+        surface.coeffs[:] = gen.normal(size=surface.coeffs.shape) * 0.3
+        # m_d = 20 over g = 3: the first dyadic split with >= 20/3 leaves
+        # per tile is 8, so the leaf grid is 24 x 24, not 20 x 20.
+        regions, stats = surface.dense_regions(rho=0.1, md=20)
+        assert stats.mask.shape == (24, 24)
+        leaf = 100.0 / 24
+        assert 0 < stats.mask.sum() < 24 * 24
+        assert regions.area() == pytest.approx(stats.mask.sum() * leaf * leaf, rel=1e-12)
+        assert RegionSet(regions.rects).area() == pytest.approx(regions.area(), rel=1e-9)
+        assert np.allclose(regions.bounds[:, 2] - regions.bounds[:, 0], leaf)
+        for ix, iy in ((0, 0), (7, 8), (23, 23), (12, 5)):
+            x, y = (ix + 0.5) * leaf, (iy + 0.5) * leaf
+            assert regions.contains_point(x, y) == stats.mask[ix, iy]
+            assert stats.mask[ix, iy] == (surface.density_at(x, y) >= 0.1)
 
     def test_md_validation(self):
         surface = make_surface(g=4, k=3)

@@ -1,4 +1,4 @@
-"""Tests for delta coefficients (Lemma 4), expansion bounds and B&B search."""
+"""Tests for delta coefficients (Lemma 4), expansion bounds and dense-region search."""
 
 from __future__ import annotations
 
@@ -135,13 +135,77 @@ class TestBoundExpansion:
         assert hi == pytest.approx(0.6)
 
 
+def leaves_per_tile(min_edge):
+    n = 1
+    while 2.0 / n > min_edge:
+        n *= 2
+    return n
+
+
+def reference_quartering(coeff_grid, rho, min_edge):
+    """The paper's recursion, one box at a time (the oracle for the kernel).
+
+    Bound the box; accept it, prune it, or quarter it; a box whose edge is
+    down to ``min_edge`` is classified by the density at its centre.
+    Returns the leaf raster ``[ix, iy]`` and the number of boxes bounded.
+    """
+    g = coeff_grid.shape[0]
+    n = leaves_per_tile(min_edge)
+    mask = np.zeros((g * n, g * n), dtype=bool)
+    bounded = 0
+    for i in range(g):
+        for j in range(g):
+            coeffs = coeff_grid[i, j]
+            stack = [(-1.0, -1.0, 1.0, 1.0)]
+            while stack:
+                x1, y1, x2, y2 = stack.pop()
+                bounded += 1
+                lo, hi = bound_expansion(coeffs, x1, x2, y1, y2)
+                cells = (
+                    slice(i * n + round((x1 + 1) * n / 2), i * n + round((x2 + 1) * n / 2)),
+                    slice(j * n + round((y1 + 1) * n / 2), j * n + round((y2 + 1) * n / 2)),
+                )
+                mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+                if lo >= rho:
+                    mask[cells] = True
+                elif hi < rho:
+                    continue
+                elif x2 - x1 <= min_edge:
+                    mask[cells] = evaluate(coeffs, np.array([mx]), np.array([my]))[0] >= rho
+                else:
+                    stack += [
+                        (x1, y1, mx, my), (mx, y1, x2, my),
+                        (x1, my, mx, y2), (mx, my, x2, y2),
+                    ]
+    return mask, bounded
+
+
+def paint(cells, shape):
+    """How many emitted rectangles cover each leaf cell."""
+    cover = np.zeros(shape, dtype=int)
+    for x1, y1, x2, y2 in cells:
+        cover[x1:x2, y1:y2] += 1
+    return cover
+
+
+def random_grid(g, k, seed):
+    gen = np.random.default_rng(seed)
+    grid = gen.normal(size=(g, g, k + 1, k + 1))
+    grid[:, :, ~total_degree_mask(k)] = 0.0
+    return grid
+
+
 class TestDenseBoxes:
     def test_constant_above_threshold_whole_domain(self):
         coeffs = np.zeros((3, 3))
         coeffs[0, 0] = 5.0
         result = dense_boxes(coeffs, rho=1.0, min_edge=0.1)
-        assert len(result) == 1
-        assert result.box_tuples()[0] == (-1.0, -1.0, 1.0, 1.0)
+        assert result.mask.all()
+        # One full-height run per leaf column.
+        assert len(result) == result.mask.shape[0] == 32
+        assert {(y1, y2) for _x1, y1, _x2, y2 in result.box_tuples()} == {(-1.0, 1.0)}
+        assert sorted(x1 for x1, *_ in result.box_tuples())[0] == -1.0
+        assert sorted(x2 for _x1, _y1, x2, _y2 in result.box_tuples())[-1] == 1.0
         assert result.accepted_by_bound == 1
         assert result.nodes_visited == 1
 
@@ -150,7 +214,44 @@ class TestDenseBoxes:
         coeffs[0, 0] = 0.5
         result = dense_boxes(coeffs, rho=1.0, min_edge=0.1)
         assert len(result) == 0
+        assert result.cells.shape == (0, 4)
+        assert not result.mask.any()
         assert result.pruned_by_bound == 1
+        assert result.nodes_visited == 1
+
+    def test_constant_exactly_at_threshold_accepted(self):
+        """``lower == upper == rho``: dense by definition (``>=``), by bound."""
+        coeffs = np.zeros((4, 4))
+        coeffs[0, 0] = 0.3
+        result = dense_boxes(coeffs, rho=0.3, min_edge=0.25)
+        assert result.mask.all()
+        assert result.accepted_by_bound == 1
+        assert result.resolved_at_leaf == 0
+
+    def test_one_leaf_per_tile(self):
+        """``m_d == g``: an undecided tile is classified by its centre alone."""
+        grid = random_grid(3, 4, seed=5)
+        result = dense_boxes_grid(grid, rho=0.0, min_edge=2.0)
+        assert result.mask.shape == (3, 3)
+        centre = np.array([0.0])
+        for i in range(3):
+            for j in range(3):
+                assert result.mask[i, j] == (evaluate(grid[i, j], centre, centre)[0] >= 0.0)
+        assert result.resolved_at_leaf == result.tiles_evaluated
+        want, _ = reference_quartering(grid, 0.0, 2.0)
+        assert np.array_equal(result.mask, want)
+
+    def test_all_tiles_accepted_or_all_pruned(self):
+        grid = np.zeros((3, 3, 4, 4))
+        grid[:, :, 0, 0] = 2.0
+        grid[:, :, 1, 0] = 0.5
+        dense = dense_boxes_grid(grid, rho=1.0, min_edge=0.5)
+        assert dense.accepted_by_bound == 9 and dense.nodes_visited == 9
+        assert len(dense) == dense.mask.shape[0] == 12  # merged: one run per column
+        assert (paint(dense.cells, dense.mask.shape) == 1).all()
+        empty = dense_boxes_grid(grid, rho=3.0, min_edge=0.5)
+        assert empty.pruned_by_bound == 9 and empty.nodes_visited == 9
+        assert len(empty) == 0 and not empty.mask.any()
 
     def test_halfplane_split(self):
         # f = x: dense where x >= 0.
@@ -170,51 +271,73 @@ class TestDenseBoxes:
     @given(st.integers(2, 5), st.integers(0, 10_000), st.floats(-1, 1))
     @settings(max_examples=30, deadline=None)
     def test_boxes_classify_correctly_at_resolution(self, k, seed, rho):
-        """Every accepted box centre is >= rho; every deeply-excluded point
-        is < rho (boundary leaves may go either way at min_edge)."""
+        """A leaf cell is in a box exactly when the density at its centre is
+        ``>= rho`` — the semantics of the m_d fallback (the recursion halves
+        [-1, 1] down to cells of size min_edge)."""
         coeffs = random_coeffs(k, seed)
         min_edge = 0.125
         result = dense_boxes(coeffs, rho=rho, min_edge=min_edge)
-        boxes = result.box_tuples()
-        # Accepted box centres are dense.
-        for x1, y1, x2, y2 in boxes:
-            cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
-            val = evaluate(coeffs, np.array([cx]), np.array([cy]))[0]
-            assert val >= rho - 1e-6
-        # A dense point outside every box must sit in a dyadic leaf whose
-        # centre is below rho — the exact semantics of the m_d fallback
-        # (the recursion halves [-1,1] down to cells of size min_edge).
+        n = result.mask.shape[0]
+        assert n == 16
+        centres = (np.arange(n) + 0.5) * min_edge - 1.0
+        cx, cy = np.meshgrid(centres, centres, indexing="ij")
+        values = evaluate(coeffs, cx.ravel(), cy.ravel()).reshape(n, n)
+        assert (values[result.mask] >= rho - 1e-6).all()
+        assert (values[~result.mask] < rho + 1e-6).all()
+        # The boxes are the mask: in normalized coordinates, too.
         gen = np.random.default_rng(seed + 1)
+        boxes = result.box_tuples()
         for _ in range(30):
             px, py = gen.uniform(-1, 1, size=2)
-            in_box = any(
-                x1 <= px <= x2 and y1 <= py <= y2 for x1, y1, x2, y2 in boxes
-            )
-            if in_box:
-                continue
-            val = evaluate(coeffs, np.array([px]), np.array([py]))[0]
-            if val < rho + 1e-6:
-                continue
-            leaf_cx = (np.floor((px + 1.0) / min_edge) + 0.5) * min_edge - 1.0
-            leaf_cy = (np.floor((py + 1.0) / min_edge) + 0.5) * min_edge - 1.0
-            centre_val = evaluate(
-                coeffs, np.array([leaf_cx]), np.array([leaf_cy])
-            )[0]
-            assert centre_val < rho + 1e-6
+            in_box = any(x1 <= px < x2 and y1 <= py < y2 for x1, y1, x2, y2 in boxes)
+            leaf = result.mask[int((px + 1.0) / min_edge), int((py + 1.0) / min_edge)]
+            assert in_box == leaf
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+        st.floats(-2, 2),
+        st.sampled_from([3.0, 2.0, 1.0, 0.7, 0.5, 0.3, 0.25, 0.2, 0.125, 0.078125]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_quartering(self, g, k, seed, rho, min_edge):
+        """Same leaf raster as the recursion, emitted as disjoint rectangles."""
+        grid = random_grid(g, k, seed)
+        result = dense_boxes_grid(grid, rho, min_edge)
+        want, bounded = reference_quartering(grid, rho, min_edge)
+        assert np.array_equal(result.mask, want)
+        cover = paint(result.cells, want.shape)
+        assert cover.max(initial=0) <= 1  # pairwise disjoint
+        assert np.array_equal(cover == 1, want)
+        areas = (result.cells[:, 2] - result.cells[:, 0]) * (
+            result.cells[:, 3] - result.cells[:, 1]
+        )
+        assert areas.sum() == want.sum()
+        # Runs are maximal: no run continues the one below it.
+        order = np.lexsort((result.cells[:, 1], result.cells[:, 0]))
+        runs = result.cells[order]
+        touching = (runs[1:, 0] == runs[:-1, 0]) & (runs[1:, 1] == runs[:-1, 3])
+        assert not touching.any()
+        # Never more bound calls than the recursion, and the same node
+        # accounting: boxes bounded plus leaf cells evaluated.
+        assert result.tiles_bounded == g * g <= bounded
+        n = leaves_per_tile(min_edge)
+        assert result.resolved_at_leaf == result.tiles_evaluated * n * n
+        assert result.nodes_visited == g * g + result.resolved_at_leaf
 
     def test_grid_version_matches_per_tile(self):
         gen = np.random.default_rng(7)
         grid = gen.normal(size=(2, 2, 4, 4))
         grid[:, :, ~total_degree_mask(3)] = 0.0
         combined = dense_boxes_grid(grid, rho=0.3, min_edge=0.25)
-        # Per-tile searches produce the same boxes per tile.
+        # Per-tile searches produce the same leaves per tile.
+        n = 8
         for i in range(2):
             for j in range(2):
                 single = dense_boxes(grid[i, j], rho=0.3, min_edge=0.25)
-                mask = (combined.tiles[:, 0] == i) & (combined.tiles[:, 1] == j)
-                got = sorted(map(tuple, np.round(combined.boxes[mask], 9)))
-                want = sorted(map(tuple, np.round(single.boxes, 9)))
-                assert got == want
+                block = combined.mask[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                assert np.array_equal(block, single.mask)
 
     def test_grid_shape_validation(self):
         with pytest.raises(InvalidParameterError):

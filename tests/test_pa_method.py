@@ -215,3 +215,32 @@ class TestQuery:
         pa = make_pa()
         result = pa.query(SnapshotPDRQuery(rho=0.01, l=10.0, qt=0))
         assert "bnb_pruned" in result.stats.extra
+
+    def test_node_accounting_and_span_attributes(self):
+        """nodes = tiles bounded + leaf cells evaluated, falling with rho;
+        the ``bnb`` span carries the same counts for ``repro trace``."""
+        from repro.telemetry import TELEMETRY, render_span_tree
+
+        pa = make_pa(g=5, k=5)  # md=128 -> 32 leaves per tile and axis
+        table = ObjectTable()
+        table.add_listener(pa)
+        gen = np.random.default_rng(3)
+        for oid in range(60):
+            x, y = gen.normal([50.0, 50.0], 9.0, size=2)
+            table.report(oid, float(x), float(y), 0.0, 0.0)
+        nodes = []
+        for rho in (0.02, 0.1):
+            with TELEMETRY.tracer.trace("query") as root:
+                result = pa.query(SnapshotPDRQuery(rho=rho, l=10.0, qt=0))
+            stats, span = result.stats, root.stages["bnb"]
+            leaves = stats.extra["bnb_leaves"]
+            assert stats.bnb_nodes == 25 + leaves
+            assert span["tiles_bounded"] == 25
+            assert span["tiles_evaluated"] == (
+                25 - stats.extra["bnb_accepted"] - stats.extra["bnb_pruned"]
+            )
+            assert span["cells_evaluated"] == leaves == span["tiles_evaluated"] * 32 * 32
+            assert span["runs_emitted"] == len(result.regions) > 0
+            assert any("tiles_evaluated=" in line for line in render_span_tree(root.to_dict()))
+            nodes.append(stats.bnb_nodes)
+        assert nodes[1] < nodes[0]

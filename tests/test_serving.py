@@ -11,6 +11,8 @@ estimate, which the client then actually sleeps.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import random
 import socket
 import threading
@@ -271,6 +273,44 @@ def test_drain_is_idempotent_and_observed(front_door):
         assert client.drain()["draining"] is True
     thread.drain()  # concurrent/second drain must not error
     assert thread.server.draining
+
+
+def _adopt_and_cancel(coro, _loop):
+    """``run_coroutine_threadsafe`` on a loop whose exiting thread cancels
+    the waiter it has just adopted."""
+    coro.close()
+    future = concurrent.futures.Future()
+    future.cancel()
+    return future
+
+
+@pytest.mark.parametrize("lost_race", ["loop_closed", "waiter_cancelled"])
+def test_second_drain_that_loses_the_race_is_already_drained(
+    front_door, monkeypatch, lost_race
+):
+    """``thread.drain()`` passes its ``is_running()`` check, then the
+    wire-initiated drain finishes and the loop thread winds down before the
+    second drain's waiter runs: it must return, not raise."""
+    thread, _group = front_door
+    with ResilientClient([thread.address]) as client:
+        assert client.drain()["draining"] is True
+    thread._thread.join(timeout=10.0)  # the wire drain stopped the loop
+    assert thread.server.drained and thread._loop.is_closed()
+    monkeypatch.setattr(thread._loop, "is_running", lambda: True)  # check already passed
+    if lost_race == "waiter_cancelled":
+        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", _adopt_and_cancel)
+    thread.drain()
+    thread.stop()
+
+
+def test_cancelled_drain_of_an_undrained_server_still_raises(front_door, monkeypatch):
+    thread, _group = front_door
+
+    with monkeypatch.context() as patched:
+        patched.setattr(asyncio, "run_coroutine_threadsafe", _adopt_and_cancel)
+        with pytest.raises(concurrent.futures.CancelledError):
+            thread.drain()
+    assert not thread.server.drained
 
 
 # ----------------------------------------------------------------------
