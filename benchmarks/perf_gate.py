@@ -3,8 +3,12 @@
 Measures the batch execution engine against its per-object / reference
 twins and emits a ``BENCH_pr9.json`` trajectory file:
 
-* **batch ingest** — ``PDRServer.report_batch`` vs per-report ingest, both
-  in-memory and on a durable (WAL + fsync) server, in reports/second;
+* **batch ingest** — ``PDRServer.report_batch`` of the whole load vs one
+  ``PDRServer.report`` per object, both in-memory and on a durable (WAL +
+  fsync) server, in reports/second.  There is one write path — ``report``
+  is a one-row wave — so the ``ingest_seq_*`` arms and the
+  ``ingest_speedup_*`` ratios compare that path at two wave sizes (1 and
+  n), i.e. what batching amortises, not two implementations;
 * **FR / PA queries** — snapshot query throughput on the populated
   server.  The calibration-normalized scalars (``fr_query_per_cal``,
   ``pa_query_per_cal``) are **gated**: query throughput per unit of
@@ -57,8 +61,7 @@ from repro.core.config import SystemConfig
 from repro.core.geometry import Rect
 from repro.core.system import PDRServer
 from repro.histogram.density_histogram import DensityHistogram
-from repro.motion.model import Motion
-from repro.motion.updates import InsertUpdate
+from repro.motion.table import ObjectTable
 from repro.reliability.recovery import ReliabilityConfig
 
 GATED_RATIOS = (
@@ -217,21 +220,20 @@ def bench_queries(reports, n_queries):
 def bench_filter_cache(n):
     rng = np.random.default_rng(11)
     hist = DensityHistogram(Rect(0.0, 0.0, 1000.0, 1000.0), m=200, horizon=120)
-    updates = [
-        InsertUpdate(
-            motion=Motion(
-                oid=i,
-                x=float(rng.uniform(0.0, 1000.0)),
-                y=float(rng.uniform(0.0, 1000.0)),
-                vx=float(rng.uniform(-2.0, 2.0)),
-                vy=float(rng.uniform(-2.0, 2.0)),
-                t_ref=0,
-            ),
-            tnow=0,
-        )
-        for i in range(n)
-    ]
-    hist.on_insert_batch(updates)
+    table = ObjectTable()
+    table.add_listener(hist)
+    table.report_batch(
+        [
+            (
+                i,
+                float(rng.uniform(0.0, 1000.0)),
+                float(rng.uniform(0.0, 1000.0)),
+                float(rng.uniform(-2.0, 2.0)),
+                float(rng.uniform(-2.0, 2.0)),
+            )
+            for i in range(n)
+        ]
+    )
     qts = list(range(0, 60, 6))
 
     def cold():

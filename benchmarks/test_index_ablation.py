@@ -35,18 +35,16 @@ def bx_world(profile):
             random_io_seconds=server.config.page_model.random_io_seconds,
         )
         bx = BxTree(
+            server.table,
             server.config.domain,
             horizon=server.config.horizon,
             phase_length=server.config.max_update_interval // 2,
             bits=8,
             buffer_pool=bx_buffer,
-            tnow=0,
         )
         # Load the current state; subsequent updates (none in benchmarks)
         # would flow through the listener interface.
-        bx._tnow = float(server.tnow)
-        for motion in server.table.motions():
-            bx.insert(motion)
+        bx.bulk_load()
         server.table.add_listener(bx)
         world._bx_index = bx
     return world

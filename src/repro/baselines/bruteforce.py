@@ -10,11 +10,11 @@ of Section 7.2 and for cross-checking FR in the test suite.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..core.geometry import Rect
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
-from ..motion.model import Motion
+from ..motion.updates import Columns
 from ..sweep.plane_sweep import refine_cell
 
 __all__ = ["bruteforce_pdr", "bruteforce_from_motions"]
@@ -36,7 +36,7 @@ def bruteforce_pdr(
 
 
 def bruteforce_from_motions(
-    motions: Iterable[Motion], domain: Rect, query: SnapshotPDRQuery
+    motions: Columns, domain: Rect, query: SnapshotPDRQuery
 ) -> QueryResult:
     """Exact dense regions for moving objects evaluated at the query time.
 
@@ -44,9 +44,6 @@ def bruteforce_from_motions(
     nothing: the paper models objects "moving in an L x L region", and every
     maintained structure (histogram, polynomials) shares that convention.
     """
-    positions = [
-        (x, y)
-        for (x, y) in (m.position_at(query.qt) for m in motions)
-        if domain.contains_point(x, y)
-    ]
-    return bruteforce_pdr(positions, domain, query)
+    x, y = motions.positions_at(query.qt)
+    inside = domain.contains_points(x, y)
+    return bruteforce_pdr(list(zip(x[inside].tolist(), y[inside].tolist())), domain, query)

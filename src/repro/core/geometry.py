@@ -105,6 +105,10 @@ class Rect:
         """Membership under the half-open convention."""
         return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
 
+    def contains_points(self, xs, ys):
+        """:meth:`contains_point` for coordinate arrays: a boolean mask."""
+        return (self.x1 <= xs) & (xs < self.x2) & (self.y1 <= ys) & (ys < self.y2)
+
     def contains_rect(self, other: "Rect") -> bool:
         """True when ``other`` (as a point set) is a subset of this rect."""
         if other.is_empty():

@@ -142,10 +142,10 @@ class PDRServer:
             faults=self.faults,
         )
         self.tree = TPRTree(
+            self.table,
             horizon=cfg.horizon,
             page_model=cfg.page_model,
             buffer_pool=self.buffer,
-            tnow=tnow,
         )
         self.histogram = DensityHistogram(
             cfg.domain, m=cfg.histogram_cells, horizon=cfg.horizon, tnow=tnow
@@ -190,38 +190,14 @@ class PDRServer:
     ) -> Optional[Motion]:
         """Process one location report (delete + insert per Section 5.1).
 
-        The report is validated first: a malformed one is quarantined in
-        :attr:`dead_letters` and ``None`` is returned — none of the
-        maintained structures see it.  An accepted report is write-ahead
-        logged (when durability is on) and applied everywhere, returning
-        the registered :class:`Motion`.
+        A one-report :meth:`report_batch` that also checks the report's own
+        timestamp ``t`` against the server clock: a malformed report is
+        quarantined in :attr:`dead_letters` and ``None`` is returned — none
+        of the maintained structures see it.  An accepted report is
+        write-ahead logged (when durability is on) and applied everywhere,
+        returning the registered :class:`Motion`.
         """
-        self._check_writable()
-        verdict = self._validator.validate(
-            oid, x, y, vx, vy, t, self.table.tnow, self._tick_oids
-        )
-        if verdict is not None:
-            reason, detail = verdict
-            self.dead_letters.push(
-                RejectedReport(
-                    oid=oid, x=x, y=y, vx=vx, vy=vy, t=t,
-                    tnow=self.table.tnow, reason=reason, detail=detail,
-                )
-            )
-            tm.INGEST_REPORTS.labels("rejected").inc()
-            tm.DEAD_LETTERS.inc()
-            return None
-        tm.INGEST_REPORTS.labels("accepted").inc()
-        if self._manager is not None:
-            self._log_guarded(
-                self._manager.log_report, oid, x, y, vx, vy, self.table.tnow
-            )
-        if self.faults is not None:
-            self.faults.hit("report.apply")
-        motion = self.table.report(oid, x, y, vx, vy)
-        self._tick_oids.add(oid)
-        self._resource_check()
-        return motion
+        return self._ingest([(oid, x, y, vx, vy)], t)[0]
 
     def _check_writable(self) -> None:
         if self.role != "primary":
@@ -304,31 +280,39 @@ class PDRServer:
     ) -> List[Optional[Motion]]:
         """Process a wave of ``(oid, x, y, vx, vy)`` reports in one pass.
 
-        Semantically equivalent to calling :meth:`report` once per element
-        in order — same validation verdicts, same dead-letter entries, same
-        final state — but the accepted reports are write-ahead logged in a
-        single group commit (one fsync for the wave) and applied through
-        the listeners' batch hooks (one numpy pass per structure instead of
-        two Python dispatches per report).  Returns a list aligned with the
-        input: the registered :class:`Motion` per accepted report, ``None``
-        per rejected one.
+        Every report is validated in order (a duplicate policy sees the
+        earlier accepted reports of the same wave); rejects land in
+        :attr:`dead_letters`.  The accepted reports are write-ahead logged
+        in a single group commit (one fsync for the wave) and applied as one
+        :meth:`ObjectTable.report_batch` wave (one numpy pass per
+        structure).  Returns a list aligned with the input: the registered
+        :class:`Motion` per accepted report, ``None`` per rejected one.
         """
+        return self._ingest(reports, None)
+
+    def _ingest(
+        self,
+        reports: Sequence[Tuple[int, float, float, float, float]],
+        t: Optional[int],
+    ) -> List[Optional[Motion]]:
+        """The write path of :meth:`report` and :meth:`report_batch`:
+        validate -> dead-letter -> WAL -> fault site -> apply."""
         self._check_writable()
         tnow = self.table.tnow
         results: List[Optional[Motion]] = [None] * len(reports)
         accepted: List[Tuple[int, float, float, float, float]] = []
         slots: List[int] = []
         # Validation must see earlier accepted reports of the same wave
-        # exactly as the sequential path would (duplicate policy), without
-        # committing to _tick_oids before the wave is applied.
+        # (duplicate policy) without committing to _tick_oids before the
+        # wave is applied.
         seen = set(self._tick_oids)
         for i, (oid, x, y, vx, vy) in enumerate(reports):
-            verdict = self._validator.validate(oid, x, y, vx, vy, None, tnow, seen)
+            verdict = self._validator.validate(oid, x, y, vx, vy, t, tnow, seen)
             if verdict is not None:
                 reason, detail = verdict
                 self.dead_letters.push(
                     RejectedReport(
-                        oid=oid, x=x, y=y, vx=vx, vy=vy, t=None,
+                        oid=oid, x=x, y=y, vx=vx, vy=vy, t=t,
                         tnow=tnow, reason=reason, detail=detail,
                     )
                 )
@@ -681,7 +665,7 @@ class PDRServer:
             return dh_pessimistic(self.histogram, q)
         if method == "bruteforce":
             return bruteforce_from_motions(
-                self.table.motions(), self.config.domain, q
+                self.table.columns(), self.config.domain, q
             )
         if method == "dense-cell":
             return dense_cell_query(self.histogram, q)

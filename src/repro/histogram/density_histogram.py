@@ -21,14 +21,13 @@ object re-reports within ``U``, so slots up to ``t_now + W`` are complete.)
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
-from ..motion.model import Motion
-from ..motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
+from ..motion.updates import Columns, UpdateListener, Wave
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 
@@ -163,78 +162,27 @@ class DensityHistogram(UpdateListener):
         self._tnow = tnow
         self._epoch += 1
 
-    def _covered_times(self, t_from: int, t_to: int) -> np.ndarray:
-        """Timestamps in both the window and ``[t_from, t_to]``."""
-        lo = max(t_from, self._tnow)
-        hi = min(t_to, self._tnow + self.horizon)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(lo, hi + 1, dtype=np.int64)
-
     # ------------------------------------------------------------------
     # update stream
     # ------------------------------------------------------------------
-    def on_insert(self, update: InsertUpdate) -> None:
-        self._scatter(update.motion, update.tnow, update.tnow + self.horizon, +1)
+    def on_report_batch(self, wave: Wave) -> None:
+        # Integer counters: the order of retractions and insertions is free.
+        self._scatter_batch(wave.deleted, -1)
+        self._scatter_batch(wave.inserted, +1)
 
-    def on_delete(self, update: DeleteUpdate) -> None:
-        motion = update.motion
-        self._scatter(motion, motion.t_ref, motion.t_ref + self.horizon, -1)
-
-    def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
-        self._scatter_batch(
-            [u.motion for u in updates],
-            np.array([u.tnow for u in updates], dtype=np.int64),
-            +1,
-        )
-
-    def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        self._scatter_batch(
-            [u.motion for u in updates],
-            np.array([u.motion.t_ref for u in updates], dtype=np.int64),
-            -1,
-        )
-
-    def _scatter(self, motion: Motion, t_from: int, t_to: int, sign: int) -> None:
-        ts = self._covered_times(t_from, t_to)
-        if ts.size == 0:
-            return
-        xs, ys = motion.positions_at(ts)
-        ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
-        iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
-        if not inside.all():
-            ts, ix, iy = ts[inside], ix[inside], iy[inside]
-        slots = ts % self._slots
-        np.add.at(self._counts, (slots, ix, iy), sign)
-        self._epoch += 1
-
-    def _scatter_batch(
-        self, motions: Sequence[Motion], t_from: np.ndarray, sign: int
-    ) -> None:
+    def _scatter_batch(self, motions: Columns, sign: int) -> None:
         """Scatter a whole wave of motions in one numpy pass.
 
-        Each motion covers ``[t_from_i, t_from_i + horizon]`` intersected
-        with the maintained window.  Counter increments are integers, so
-        the accumulation is exactly the per-motion result in any order.
+        Each motion covers ``[t_ref, t_ref + horizon]`` intersected with the
+        maintained window.  Counter increments are integers, so the
+        accumulation is exactly the per-motion result in any order.
         """
-        if not motions:
-            return
         n = len(motions)
+        if n == 0:
+            return
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
-        t_ref = np.array([m.t_ref for m in motions], dtype=float)
-        x0 = np.array([m.x for m in motions])
-        y0 = np.array([m.y for m in motions])
-        vx = np.array([m.vx for m in motions])
-        vy = np.array([m.vy for m in motions])
-        # (n, slots) trajectory grid — the same ``x + dt*vx`` the scalar
-        # path computes, evaluated for the whole wave at once.
-        dt = ts.astype(float)[None, :] - t_ref[:, None]
-        xs = x0[:, None] + dt * vx[:, None]
-        ys = y0[:, None] + dt * vy[:, None]
-        covered = (ts[None, :] >= np.maximum(t_from, self._tnow)[:, None]) & (
-            ts[None, :] <= np.minimum(t_from + self.horizon, self._tnow + self.horizon)[:, None]
-        )
+        xs, ys = motions.trajectory(ts)
+        covered = motions.covering(ts, self.horizon)
         ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
         iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
         hit = covered & (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)

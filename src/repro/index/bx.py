@@ -24,14 +24,15 @@ index; that is the basis of the index ablation benchmark.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import IndexError_, InvalidParameterError
 from ..core.geometry import Rect
-from ..motion.model import Motion
-from ..motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
+from ..motion.table import ObjectTable
+from ..motion.updates import UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from .bplus import BPlusTree
@@ -46,6 +47,7 @@ class BxTree(UpdateListener):
 
     def __init__(
         self,
+        table: ObjectTable,
         domain: Rect,
         horizon: float,
         phase_length: Optional[int] = None,
@@ -53,11 +55,13 @@ class BxTree(UpdateListener):
         max_speed_hint: float = 0.0,
         page_model: PageModel = DEFAULT_PAGE_MODEL,
         buffer_pool: Optional[BufferPool] = None,
-        tnow: int = 0,
         fanout_override: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
+        # Weak: the table owns its listeners, so a strong back-pointer would
+        # tie every maintained structure into a cycle only the GC can free.
+        self.table = weakref.proxy(table)
         self.domain = domain
         self.horizon = horizon
         # The B^x-tree typically uses delta = U / n with small n; half the
@@ -68,13 +72,13 @@ class BxTree(UpdateListener):
         if self.phase_length < 1:
             raise InvalidParameterError("phase_length must be >= 1")
         self.grid = ZGrid(domain, bits=bits)
-        self._tnow = float(tnow)
+        self._tnow = float(table.tnow)
         self._max_speed = float(max_speed_hint)
         fanout = (
             fanout_override if fanout_override is not None else page_model.leaf_fanout
         )
         self._btree = BPlusTree(fanout=fanout, buffer_pool=buffer_pool)
-        self._key_of: Dict[int, int] = {}  # oid -> stored key
+        self._key_of: Dict[int, int] = {}  # table row -> stored key
         self._partition_count: Dict[int, int] = {}  # partition -> live entries
         # Per-partition speed bound for query enlargement (the original
         # B^x-tree maintains per-partition velocity histograms; a scalar
@@ -85,13 +89,28 @@ class BxTree(UpdateListener):
     # ------------------------------------------------------------------
     # UpdateListener protocol
     # ------------------------------------------------------------------
-    def on_insert(self, update: InsertUpdate) -> None:
-        self._tnow = max(self._tnow, float(update.tnow))
-        self.insert(update.motion)
+    def on_report_batch(self, wave: Wave) -> None:
+        """Delete the wave's retracted rows, then insert its new ones.  All
+        deletions come first: a row's key is remembered in ``_key_of``, so
+        deleting never reads the table, where the wave's rows already hold
+        the new motions."""
+        self._tnow = max(self._tnow, float(wave.tnow))
+        for row in wave.deleted_rows.tolist():
+            self._delete(row)
+        self._insert_rows(wave.rows)
 
-    def on_delete(self, update: DeleteUpdate) -> None:
-        self._tnow = max(self._tnow, float(update.tnow))
-        self.delete(update.motion)
+    def bulk_load(self) -> None:
+        """Rebuild the index from the table's live rows — how a tree joins a
+        table that already holds motions (cf. :meth:`TPRTree.bulk_load`)."""
+        self._btree = BPlusTree(fanout=self._btree.fanout, buffer_pool=self._btree.buffer)
+        self._key_of.clear()
+        self._partition_count.clear()
+        self._partition_speed.clear()
+        self._insert_rows(self.table.rows())
+
+    def _insert_rows(self, rows: np.ndarray) -> None:
+        for row, (_, *motion) in zip(rows.tolist(), self.table.columns(rows).tuples()):
+            self._insert(row, *motion)
 
     def on_advance(self, tnow: int) -> None:
         self._tnow = max(self._tnow, float(tnow))
@@ -106,10 +125,12 @@ class BxTree(UpdateListener):
     def _partition(self, tl: int) -> int:
         return tl // self.phase_length
 
-    def _key(self, motion: Motion) -> int:
-        tl = self.label_timestamp(motion.t_ref)
-        x, y = motion.position_at(tl)
-        return self._partition(tl) * self.grid.code_count + self.grid.code_of(x, y)
+    def _key(self, t_ref: int, x: float, y: float, vx: float, vy: float) -> int:
+        tl = self.label_timestamp(t_ref)
+        dt = tl - t_ref
+        return self._partition(tl) * self.grid.code_count + self.grid.code_of(
+            x + dt * vx, y + dt * vy
+        )
 
     # ------------------------------------------------------------------
     # public API (mirrors TPRTree)
@@ -131,28 +152,28 @@ class BxTree(UpdateListener):
         every insert and delete; result caches upstream key on it)."""
         return self._epoch
 
-    def insert(self, motion: Motion) -> None:
-        if motion.oid in self._key_of:
+    def _insert(self, row: int, t_ref: int, x: float, y: float, vx: float, vy: float) -> None:
+        if row in self._key_of:
             raise IndexError_(
-                f"object {motion.oid} already indexed; delete its old motion first"
+                f"table row {row} already indexed; delete its old motion first"
             )
         self._epoch += 1
-        key = self._key(motion)
-        self._btree.insert(key, motion)
-        self._key_of[motion.oid] = key
+        key = self._key(t_ref, x, y, vx, vy)
+        self._btree.insert(key, row)
+        self._key_of[row] = key
         partition = key // self.grid.code_count
         self._partition_count[partition] = self._partition_count.get(partition, 0) + 1
-        speed = motion.speed
+        speed = math.hypot(vx, vy)
         self._max_speed = max(self._max_speed, speed)
         if speed > self._partition_speed.get(partition, 0.0):
             self._partition_speed[partition] = speed
 
-    def delete(self, motion: Motion) -> None:
-        key = self._key_of.pop(motion.oid, None)
+    def _delete(self, row: int) -> None:
+        key = self._key_of.pop(row, None)
         if key is None:
-            raise IndexError_(f"object {motion.oid} is not indexed")
+            raise IndexError_(f"table row {row} is not indexed")
         self._epoch += 1
-        self._btree.delete(key, match=lambda m: m.oid == motion.oid)
+        self._btree.delete(key, match=lambda stored: stored == row)
         partition = key // self.grid.code_count
         remaining = self._partition_count[partition] - 1
         if remaining:
@@ -160,19 +181,20 @@ class BxTree(UpdateListener):
         else:
             del self._partition_count[partition]
 
-    def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[Motion]:
-        """Objects whose predicted position at ``qt`` lies in ``rect`` (closed).
+    def _range_hits(
+        self, rect: Rect, qt: float, charge_io: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(oid, x, y)`` of the objects whose predicted position at ``qt``
+        lies in ``rect`` (closed), in scan order.
 
         Visits every live partition with its speed-enlarged query window;
-        results are filtered exactly, so the answer matches
-        :meth:`TPRTree.range_query` on the same contents.
+        the candidates are filtered exactly against the table.
         """
         if qt < self._tnow:
             raise IndexError_(
                 f"B^x-tree queries are only valid for t >= {self._tnow}, got {qt}"
             )
-        results: List[Motion] = []
-        seen = set()
+        candidates: Dict[int, None] = {}  # insertion-ordered set
         for partition in list(self._partition_count):
             tl = partition * self.phase_length
             speed_bound = self._partition_speed.get(partition, self._max_speed)
@@ -180,16 +202,20 @@ class BxTree(UpdateListener):
             enlarged = rect.expanded(margin)
             base = partition * self.grid.code_count
             for lo, hi in self.grid.rect_runs(enlarged):
-                for _key, motion in self._btree.range_scan(
+                for _key, row in self._btree.range_scan(
                     base + lo, base + hi, charge_io=charge_io
                 ):
-                    if motion.oid in seen:
-                        continue
-                    x, y = motion.position_at(qt)
-                    if rect.x1 <= x <= rect.x2 and rect.y1 <= y <= rect.y2:
-                        seen.add(motion.oid)
-                        results.append(motion)
-        return results
+                    candidates[row] = None
+        motions = self.table.columns(np.fromiter(candidates, dtype=np.intp, count=len(candidates)))
+        x, y = motions.positions_at(qt)
+        inside = (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
+        return motions.oid[inside], x[inside], y[inside]
+
+    def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[int]:
+        """Ids of the objects whose predicted position at ``qt`` lies in
+        ``rect`` (closed) — the answer of :meth:`TPRTree.range_query` on the
+        same contents, in scan order."""
+        return self._range_hits(rect, qt, charge_io)[0].tolist()
 
     def range_positions_batch(
         self, rects, qts, charge_io: bool = True
@@ -204,12 +230,10 @@ class BxTree(UpdateListener):
         rb, qts_arr = query_windows(rects, qts)
         rect_ids, xs, ys = [], [], []
         for r, (window, qt) in enumerate(zip(rb, qts_arr)):
-            motions = self.range_query(Rect(*window), float(qt), charge_io=charge_io)
-            pos = np.array([m.position_at(qt) for m in motions], dtype=float)
-            pos = pos.reshape(-1, 2)
-            rect_ids.append(np.full(len(motions), r))
-            xs.append(pos[:, 0])
-            ys.append(pos[:, 1])
+            _, x, y = self._range_hits(Rect(*window), float(qt), charge_io)
+            rect_ids.append(np.full(x.shape[0], r))
+            xs.append(x)
+            ys.append(y)
         return pack_positions(rect_ids, xs, ys, rb.shape[0])
 
     def validate(self) -> None:
@@ -218,10 +242,9 @@ class BxTree(UpdateListener):
         if len(self._btree) != len(self._key_of):
             raise IndexError_("B+-tree size disagrees with the key map")
         counts: Dict[int, int] = {}
-        for oid, key in self._key_of.items():
-            stored = self._btree.search(key)
-            if not any(m.oid == oid for m in stored):
-                raise IndexError_(f"object {oid} missing under its mapped key")
+        for row, key in self._key_of.items():
+            if row not in self._btree.search(key):
+                raise IndexError_(f"table row {row} missing under its mapped key")
             partition = key // self.grid.code_count
             counts[partition] = counts.get(partition, 0) + 1
         if counts != self._partition_count:

@@ -1,28 +1,22 @@
 """TPR-tree nodes.
 
-A node corresponds to one disk page (see :mod:`repro.storage.pages`).  Leaf
-nodes hold :class:`~repro.motion.model.Motion` entries; internal nodes hold
-child nodes.  Every node carries a :class:`~repro.index.tpbr.TPBR` bounding
-all entries for every time at or after the bound's anchor.
+A node corresponds to one disk page (see :mod:`repro.storage.pages`).  A
+leaf's entries are rows of the :class:`~repro.motion.table.ObjectTable` —
+an int array and nothing else; the motions themselves live only in the
+table.  An internal node's entries are child nodes.  Every node carries a
+:class:`~repro.index.tpbr.TPBR` bounding all entries for every time at or
+after the bound's anchor.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from ..core.errors import IndexError_
-from ..motion.model import Motion
-from .tpbr import TPBR
+from .tpbr import TPBR, anchored_edges
 
-__all__ = ["Node", "motion_columns"]
-
-
-def motion_columns(motions: Sequence[Motion]) -> np.ndarray:
-    """``(x, y, vx, vy, t_ref)`` of every motion, one column each."""
-    rows = [(m.x, m.y, m.vx, m.vy, m.t_ref) for m in motions]
-    return np.array(rows, dtype=float).reshape(len(rows), 5).T.copy()
+__all__ = ["Node"]
 
 
 class Node:
@@ -33,7 +27,9 @@ class Node:
     def __init__(self, page_id: int, level: int, t_ref: float) -> None:
         self.page_id = page_id
         self.level = level  # 0 = leaf
-        self.entries: List[Union[Motion, "Node"]] = []
+        self.entries: Union[np.ndarray, List["Node"]] = (
+            np.empty(0, dtype=np.intp) if level == 0 else []
+        )
         self.parent: Optional["Node"] = None
         self.bound: TPBR = TPBR.empty(t_ref)
         self._cols: Optional[np.ndarray] = None
@@ -45,22 +41,24 @@ class Node:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def columns(self) -> np.ndarray:
-        """The entries as one array, a column per entry, cached.
+    def columns(self, table) -> np.ndarray:
+        """The entries' bounds as one array, a :meth:`TPBR.column` per entry.
 
-        A leaf's columns are :func:`motion_columns` of its motions, an
-        internal node's the :meth:`TPBR.column` of each child bound.  The cache is dropped whenever ``entries``
-        changes and a child's column is rewritten whenever its bound does
-        (:meth:`_publish_bound`), so it always equals a fresh build —
-        ``TPRTree.validate`` checks exactly that.
+        A leaf reads its rows from ``table`` — one gather, never cached; a
+        motion is the degenerate bound :meth:`TPBR.point`.  An internal
+        node caches its children's bounds: the cache is dropped whenever
+        ``entries`` changes and a child's column is rewritten whenever its
+        bound does (:meth:`_publish_bound`), so it always equals
+        :meth:`child_columns` — ``TPRTree.validate`` checks exactly that.
         """
+        if self.is_leaf:
+            _, t_ref, x, y, vx, vy = table.columns(self.entries)
+            return np.array((x, y, vx, vy, x, y, vx, vy, t_ref), dtype=float)
         if self._cols is None:
-            self._cols = self.fresh_columns()
+            self._cols = self.child_columns()
         return self._cols
 
-    def fresh_columns(self) -> np.ndarray:
-        if self.is_leaf:
-            return motion_columns(self.entries)
+    def child_columns(self) -> np.ndarray:
         rows = [child.bound.column() for child in self.entries]
         return np.array(rows, dtype=float).reshape(len(rows), 9).T.copy()
 
@@ -70,28 +68,20 @@ class Node:
         if parent is not None and parent._cols is not None:
             parent._cols[:, parent.entries.index(self)] = self.bound.column()
 
-    def add(self, entry: Union[Motion, "Node"]) -> None:
-        """Append an entry and grow the bound; sets child parent pointers."""
-        self.entries.append(entry)
-        if isinstance(entry, Node):
-            if self.is_leaf:
-                raise IndexError_("cannot add a child node to a leaf")
+    def add(self, entry: Union[int, "Node"], bound: TPBR) -> None:
+        """Append a table row (leaf) or a child node (which gets its parent
+        pointer set) and grow over its ``bound``."""
+        if self.is_leaf:
+            self.entries = np.append(self.entries, entry)
+        else:
+            self.entries.append(entry)
             entry.parent = self
             self._cols = None
-            self.bound.extend_tpbr(entry.bound)
-        else:
-            if not self.is_leaf:
-                raise IndexError_("cannot add a motion to an internal node")
-            if self._cols is not None:
-                self._cols = np.concatenate(
-                    (self._cols, motion_columns([entry])), axis=1
-                )
-            self.bound.extend_motion(entry)
-        self._publish_bound()
+        self.grow(bound)
 
-    def grow(self, motion: Motion) -> None:
-        """Extend the bound over a motion inserted somewhere below."""
-        self.bound.extend_motion(motion)
+    def grow(self, bound: TPBR) -> None:
+        """Extend the bound over something inserted at or below this node."""
+        self.bound.extend_tpbr(bound)
         self._publish_bound()
 
     def remove(self, child: "Node") -> None:
@@ -99,61 +89,41 @@ class Node:
         self.entries.remove(child)
         self._cols = None
 
-    def discard(self, oids) -> None:
-        """Drop the motions whose object id is in ``oids`` from a leaf; the
+    def discard(self, rows) -> None:
+        """Drop ``rows`` from a leaf, keeping the order of the rest; the
         bound stays loose until :meth:`retighten`."""
-        keep = [m.oid not in oids for m in self.entries]
-        self.entries = [m for m, kept in zip(self.entries, keep) if kept]
-        if self._cols is not None:
-            # compress, not cols[:, keep]: rows must stay contiguous
-            self._cols = np.compress(keep, self._cols, axis=1)
+        self.entries = self.entries[(self.entries[:, None] != rows).all(axis=1)]
 
-    def set_entries(
-        self,
-        entries: List[Union[Motion, "Node"]],
-        t_ref: float,
-        cols: Optional[np.ndarray] = None,
-    ) -> None:
-        """Replace all entries (``cols``: their columns, when the caller
-        has them) and bound them afresh, anchored at ``t_ref``."""
+    def set_entries(self, entries: Union[np.ndarray, List["Node"]], t_ref: float, table) -> None:
+        """Replace all entries and bound them afresh, anchored at ``t_ref``."""
         self.entries = entries
-        self._cols = cols
+        self._cols = None
         if not self.is_leaf:
             for child in entries:
                 child.parent = self
-        self.retighten(t_ref)
+        self.retighten(t_ref, table)
 
-    def retighten(self, t_ref: float) -> None:
+    def retighten(self, t_ref: float, table) -> None:
         """Recompute the bound from scratch, anchored at ``t_ref``.
 
         Called after deletions (bounds may shrink) and periodically on
-        updates; this is the TPR-tree's "tightening" step.  A leaf's bound
-        is one min/max over its motion columns — elementwise the same
-        ``x + (t_ref - t0) * vx`` as :meth:`Motion.position_at`, so it
-        equals the :meth:`TPBR.extend_motion` loop's.
+        updates; this is the TPR-tree's "tightening" step: one min/max over
+        the entries' bounds re-anchored at ``t_ref``.
         """
         bound = TPBR.empty(t_ref)
-        if not self.is_leaf:
-            for child in self.entries:
-                bound.extend_tpbr(child.bound)
-        elif self.entries:
-            cols = self.columns()
-            stacked = np.concatenate(
-                (cols[0:2] + (t_ref - cols[4]) * cols[2:4], cols[2:4])
-            )
-            x1, y1, vx1, vy1 = stacked.min(axis=1).tolist()
-            x2, y2, vx2, vy2 = stacked.max(axis=1).tolist()
+        if len(self.entries):
+            lo, hi = anchored_edges(self.columns(table), t_ref)
+            x1, y1, vx1, vy1 = lo.min(axis=1).tolist()
+            x2, y2, vx2, vy2 = hi.max(axis=1).tolist()
             bound = TPBR(t_ref, x1, y1, x2, y2, vx1, vy1, vx2, vy2)
         self.bound = bound
         self._publish_bound()
 
-    def iter_subtree_motions(self):
-        """Yield every motion stored at or below this node."""
-        if self.is_leaf:
-            yield from self.entries
-        else:
-            for child in self.entries:
-                yield from child.iter_subtree_motions()
+    def subtree_rows(self) -> np.ndarray:
+        """Every table row stored at or below this node, in leaf order."""
+        leaves = [node.entries for node in self.subtree_nodes() if node.is_leaf]
+        # an internal node whose children were all dissolved has none
+        return np.concatenate(leaves) if leaves else np.empty(0, dtype=np.intp)
 
     def subtree_nodes(self):
         """Yield every node of the subtree rooted here (preorder)."""

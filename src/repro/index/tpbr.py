@@ -15,14 +15,14 @@ form (the area is a quadratic polynomial of time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..core.errors import IndexError_
 from ..core.geometry import Rect
-from ..motion.model import Motion
 
-__all__ = ["TPBR", "cheapest_enlargement"]
+__all__ = ["TPBR", "anchored_edges", "cheapest_enlargement", "pick_split"]
 
 
 @dataclass
@@ -47,15 +47,14 @@ class TPBR:
     # constructors
     # ------------------------------------------------------------------
     @staticmethod
-    def from_motion(motion: Motion, t_ref: float) -> "TPBR":
-        """Degenerate TPBR exactly tracking one object.
+    def point(t_ref: float, x: float, y: float, vx: float, vy: float) -> "TPBR":
+        """Degenerate TPBR exactly tracking one motion reported at ``t_ref``.
 
-        The object's position is extrapolated (forwards or backwards) to the
-        anchor time; because the edge velocities equal the object velocity,
-        the bound is exact for every ``t``.
+        Because the edge velocities equal the object velocity, the bound is
+        exact for every ``t`` — a motion *is* a TPBR, which is why leaves
+        and internal nodes share every bounding expression.
         """
-        x, y = motion.position_at(t_ref)
-        return TPBR(t_ref, x, y, x, y, motion.vx, motion.vy, motion.vx, motion.vy)
+        return TPBR(t_ref, x, y, x, y, vx, vy, vx, vy)
 
     @staticmethod
     def empty(t_ref: float) -> "TPBR":
@@ -133,11 +132,14 @@ class TPBR:
         """
         if t_to < t_from:
             raise IndexError_(f"empty integration range [{t_from}, {t_to}]")
-        w0 = (self.x2 - self.x1) + (self.y2 - self.y1)
-        slope = (self.vx2 - self.vx1) + (self.vy2 - self.vy1)
-        s1 = t_from - self.t_ref
-        s2 = t_to - self.t_ref
-        return w0 * (s2 - s1) + slope * (s2 * s2 - s1 * s1) / 2.0
+        return _integral_margin(
+            self.x2 - self.x1,
+            self.y2 - self.y1,
+            self.vx2 - self.vx1,
+            self.vy2 - self.vy1,
+            t_from - self.t_ref,
+            t_to - self.t_ref,
+        )
 
     def intersects_rect_at(self, rect: Rect, t: float) -> bool:
         """Closed-interval overlap test between the bound at ``t`` and ``rect``.
@@ -158,18 +160,6 @@ class TPBR:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def extend_motion(self, motion: Motion) -> None:
-        """Grow (in place) to enclose ``motion`` for every ``t >= t_ref``."""
-        x, y = motion.position_at(self.t_ref)
-        self.x1 = min(self.x1, x)
-        self.y1 = min(self.y1, y)
-        self.x2 = max(self.x2, x)
-        self.y2 = max(self.y2, y)
-        self.vx1 = min(self.vx1, motion.vx)
-        self.vy1 = min(self.vy1, motion.vy)
-        self.vx2 = max(self.vx2, motion.vx)
-        self.vy2 = max(self.vy2, motion.vy)
-
     def extend_tpbr(self, other: "TPBR") -> None:
         """Grow (in place) to enclose ``other`` for every ``t >= t_ref``.
 
@@ -193,12 +183,10 @@ class TPBR:
         self.vx2 = max(self.vx2, other.vx2)
         self.vy2 = max(self.vy2, other.vy2)
 
-    def enlarged_integral(
-        self, motion: Motion, t_from: float, t_to: float
-    ) -> float:
-        """Integral area after hypothetically adding ``motion`` (no mutation)."""
+    def enlarged_integral(self, other: "TPBR", t_from: float, t_to: float) -> float:
+        """Integral area after hypothetically adding ``other`` (no mutation)."""
         grown = self.copy()
-        grown.extend_motion(motion)
+        grown.extend_tpbr(other)
         return grown.integral_area(t_from, t_to)
 
 
@@ -212,10 +200,26 @@ def _integral_area(w0, h0, a, b, s1, s2):
     )
 
 
+def _integral_margin(w0, h0, a, b, s1, s2):
+    """``∫ (w0 + a s) + (h0 + b s) ds`` over ``[s1, s2]``, floats or arrays."""
+    return (w0 + h0) * (s2 - s1) + (a + b) * (s2 * s2 - s1 * s1) / 2.0
+
+
+def anchored_edges(cols: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Low and high edges ``(x, y, vx, vy)`` of every bound in ``cols`` (one
+    :meth:`TPBR.column` per column) re-anchored at time ``t`` — the
+    ``other.x1 + other.vx1 * dt`` of :meth:`TPBR.extend_tpbr`, elementwise."""
+    dt = t - cols[8]
+    lo, hi = cols[0:4].copy(), cols[4:8].copy()
+    lo[0:2] += cols[2:4] * dt
+    hi[0:2] += cols[6:8] * dt
+    return lo, hi
+
+
 def cheapest_enlargement(
-    cols: np.ndarray, motion: Motion, t_from: float, t_to: float
+    cols: np.ndarray, point: TPBR, t_from: float, t_to: float
 ) -> int:
-    """Index of the child bound that ``motion`` enlarges least.
+    """Index of the child bound that the motion ``point`` enlarges least.
 
     ``cols`` holds one child bound per column (:meth:`TPBR.column`).
     Children are ranked by the key ``(enlargement, base)`` —
@@ -226,16 +230,57 @@ def cheapest_enlargement(
     """
     n = cols.shape[1]
     lo, hi, t_ref = cols[0:4], cols[4:8], cols[8]
-    dt = t_ref - motion.t_ref
-    point = np.empty((4, n))
-    point[0] = motion.x + dt * motion.vx
-    point[1] = motion.y + dt * motion.vy
-    point[2] = motion.vx
-    point[3] = motion.vy
+    dt = t_ref - point.t_ref
+    at = np.empty((4, n))
+    at[0] = point.x1 + point.vx1 * dt
+    at[1] = point.y1 + point.vy1 * dt
+    at[2] = point.vx1
+    at[3] = point.vy1
     # Extents (w0, h0, a, b) of every bound as it is [0], then as grown [1].
     extent = np.empty((4, 2, n))
     np.subtract(hi, lo, out=extent[:, 0])
-    np.subtract(np.maximum(hi, point), np.minimum(lo, point), out=extent[:, 1])
+    np.subtract(np.maximum(hi, at), np.minimum(lo, at), out=extent[:, 1])
     base, grown = _integral_area(*extent, t_from - t_ref, t_to - t_ref)
     # lexsort is stable: among equal keys the lowest index comes first.
     return int(np.lexsort((base, grown - base))[0])
+
+
+def pick_split(
+    cols: np.ndarray, min_fill: int, t_from: float, t_to: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Partition the bounds in ``cols`` into two groups of ``>= min_fill``.
+
+    The axis-sweep split of the TPR-tree: on each axis the entries are
+    ordered by their centre at the middle of ``[t_from, t_to]`` (stable),
+    every legal prefix/suffix distribution is scored by the two groups'
+    summed integral bounding area — summed integral margin breaking ties,
+    for collinear entries whose areas are all zero — and the first minimum
+    wins.  Prefix and suffix bounds are running minima/maxima of the
+    entries re-anchored at ``t_from``; min and max are exact, so the scores
+    equal those of an :meth:`TPBR.extend_tpbr` loop.  Returns the two
+    groups as index arrays into ``cols``, each in centre order.
+    """
+    n = cols.shape[1]
+    if n < 2 * min_fill:
+        raise IndexError_(f"cannot split {n} entries with minimum fill {min_fill}")
+    mid_lo, mid_hi = anchored_edges(cols, (t_from + t_to) / 2.0)
+    lo, hi = anchored_edges(cols, t_from)
+    sizes = np.arange(min_fill, n - min_fill + 1)  # of the first group
+    span = (0.0, t_to - t_from)
+    orders, areas, margins = [], [], []
+    for axis in (0, 1):
+        order = np.argsort((mid_lo[axis] + mid_hi[axis]) / 2.0, kind="stable")
+        lo_s, hi_s = lo[:, order], hi[:, order]
+        head = np.maximum.accumulate(hi_s, axis=1) - np.minimum.accumulate(lo_s, axis=1)
+        tail = (
+            np.maximum.accumulate(hi_s[:, ::-1], axis=1)
+            - np.minimum.accumulate(lo_s[:, ::-1], axis=1)
+        )[:, ::-1]
+        first, second = head[:, sizes - 1], tail[:, sizes]
+        orders.append(order)
+        areas.append(_integral_area(*first, *span) + _integral_area(*second, *span))
+        margins.append(_integral_margin(*first, *span) + _integral_margin(*second, *span))
+    # lexsort is stable: the first minimum in (axis, size) order wins.
+    best = int(np.lexsort((np.concatenate(margins), np.concatenate(areas)))[0])
+    axis, k = divmod(best, sizes.shape[0])
+    return orders[axis][: sizes[k]], orders[axis][sizes[k] :]

@@ -10,37 +10,39 @@ charged (Section 4: index maintenance is shared with other query types).
 
 Implementation notes
 --------------------
+* The tree stores no motions.  A leaf holds rows of the
+  :class:`~repro.motion.table.ObjectTable` it was built over and reads
+  their columns there (one gather per visited leaf); a motion is a
+  degenerate TPBR, so leaves and internal nodes share every bounding,
+  choose-subtree and split expression (:meth:`Node.columns`).
 * Insertion descends by minimum enlargement of the *integral* bounding area
   over the horizon window ``[t_now, t_now + H]`` and splits overflowing
-  nodes with the axis-sweep heuristic of :mod:`repro.index.split`.
-* Deletion locates leaves through an object-id -> leaf map (a standard
+  nodes with the axis-sweep heuristic of :func:`repro.index.tpbr.pick_split`.
+* Deletion locates leaves through a table-row -> leaf map (a standard
   implementation shortcut that avoids float-equality MBR searches; I/O
   accounting is unaffected because only queries are charged).
 * Underflowing nodes are condensed: the node is removed and its remaining
   entries reinserted, as in Guttman's R-tree.  A wave of deletions is
   condensed once, leaf-grouped and level by level (:meth:`TPRTree._condense`).
-* Every node caches its entries as numpy columns (:meth:`Node.columns`):
-  leaf bounds, choose-subtree scores and the batched traversal are array
-  expressions over them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import IndexError_, InvalidParameterError
 from ..core.geometry import Rect
-from ..motion.model import Motion
-from ..motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
+from ..motion.table import ObjectTable
+from ..motion.updates import UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
-from .node import Node, motion_columns
+from .node import Node
 from .positions import pack_positions, query_windows
-from .split import pick_split
-from .tpbr import cheapest_enlargement
+from .tpbr import TPBR, cheapest_enlargement, pick_split
 from .zorder import interleave
 
 __all__ = ["TPRTree"]
@@ -51,18 +53,21 @@ class TPRTree(UpdateListener):
 
     def __init__(
         self,
+        table: ObjectTable,
         horizon: float,
         page_model: PageModel = DEFAULT_PAGE_MODEL,
         buffer_pool: Optional[BufferPool] = None,
-        tnow: int = 0,
         fanout_override: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
+        # Weak: the table owns its listeners, so a strong back-pointer would
+        # tie every maintained structure into a cycle only the GC can free.
+        self.table = weakref.proxy(table)
         self.horizon = horizon
         self.page_model = page_model
         self.buffer = buffer_pool
-        self._tnow = float(tnow)
+        self._tnow = float(table.tnow)
         if fanout_override is not None:
             if fanout_override < 4:
                 raise InvalidParameterError("fanout_override must be >= 4")
@@ -83,72 +88,49 @@ class TPRTree(UpdateListener):
     # ------------------------------------------------------------------
     # UpdateListener protocol
     # ------------------------------------------------------------------
-    def on_insert(self, update: InsertUpdate) -> None:
-        self._tnow = max(self._tnow, float(update.tnow))
-        self.insert(update.motion)
-
-    def on_delete(self, update: DeleteUpdate) -> None:
-        self._tnow = max(self._tnow, float(update.tnow))
-        self.delete(update.motion)
-
     def on_advance(self, tnow: int) -> None:
         self._tnow = max(self._tnow, float(tnow))
 
-    def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
-        """Insert a wave; the indexed *contents* are exactly the per-update
-        result, but tree shape is an implementation detail (only
-        :meth:`validate`'s invariants are contractual).
+    def on_report_batch(self, wave: Wave) -> None:
+        """Absorb a wave; the indexed *contents* are contractual, tree shape
+        is an implementation detail (only :meth:`validate`'s invariants).
 
-        A wave that outnumbers the current population is cheaper to absorb
-        by rebuilding the whole tree with an STR bulk pack than by N
-        choose-leaf descents; smaller waves are inserted incrementally in
-        Z-order, so spatially adjacent insertions descend into the same
-        subtrees back to back."""
-        if not updates:
+        Every deleted row leaves its leaf *before* anything is retightened
+        or inserted: the wave's rows already hold the new motions in the
+        table (a re-report overwrites in place, a first report may reuse a
+        retired row), so from then on every row in a leaf reads true.
+        Deletions are grouped by leaf and removed in one pass per leaf, then
+        the touched nodes are condensed together (:meth:`_condense`);
+        insertions go in Z-order, so spatially adjacent ones descend into
+        the same subtrees back to back.  A wave that dominates the
+        population — it deletes at least half of it, or inserts more than
+        what is left — is cheaper to absorb by one STR :meth:`bulk_load`
+        than by condensing or N choose-leaf descents.
+        """
+        self._tnow = max(self._tnow, float(wave.tnow))
+        doomed, rows = wave.deleted_rows.tolist(), wave.rows.tolist()
+        gone = set(doomed)
+        if len(gone) < len(doomed) or not gone <= self._leaf_of.keys():
+            raise IndexError_(f"rows {doomed} are not all indexed, each once")
+        if len(set(rows)) < len(rows) or any(
+            row in self._leaf_of and row not in gone for row in rows
+        ):
+            raise IndexError_(f"rows {rows} are already indexed; delete them first")
+        survivors = len(self._leaf_of) - len(doomed)
+        if (doomed and survivors <= len(doomed)) or len(rows) > survivors:
+            tm.TPR_REPACKS.labels("bulk_insert" if len(rows) > survivors else "bulk_delete").inc()
+            self.bulk_load()
             return
-        self._tnow = max(self._tnow, float(max(u.tnow for u in updates)))
-        seen = set()
-        for update in updates:
-            oid = update.motion.oid
-            if oid in self._leaf_of or oid in seen:
-                raise IndexError_(
-                    f"object {oid} already indexed; delete its old motion first"
-                )
-            seen.add(oid)
-        if len(updates) > len(self._leaf_of):
-            tm.TPR_REPACKS.labels("bulk_insert").inc()
-            self.bulk_load(self.all_motions() + [u.motion for u in updates])
-        else:
-            for update in self._zorder_sorted(updates):
-                self.insert(update.motion)
-
-    def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        """Delete a wave.  Its deletions are grouped by leaf and removed in
-        one pass per leaf, then the touched nodes are condensed together
-        (:meth:`_condense`); when the wave covers at least half the
-        population the survivors are simply repacked (condensing would
-        reinsert most of the tree anyway)."""
-        if not updates:
-            return
-        self._tnow = max(self._tnow, float(max(u.tnow for u in updates)))
-        doomed = set()
-        for update in updates:
-            oid = update.motion.oid
-            if oid not in self._leaf_of or oid in doomed:
-                raise IndexError_(f"object {oid} is not indexed")
-            doomed.add(oid)
-        if 2 * len(updates) >= len(self._leaf_of):
-            tm.TPR_REPACKS.labels("bulk_delete").inc()
-            self.bulk_load(
-                [m for m in self.all_motions() if m.oid not in doomed]
-            )
-            return
-        self._epoch += 1
-        # a dict, not a set: wave order, so tree shape does not hang on id()
-        leaves = {self._leaf_of.pop(u.motion.oid): None for u in updates}
-        for leaf in leaves:
-            leaf.discard(doomed)
-        self._condense(leaves)
+        if doomed:
+            self._epoch += 1
+            # a dict, not a set: wave order, so tree shape does not hang on id()
+            leaves: Dict[Node, List[int]] = {}
+            for row in doomed:
+                leaves.setdefault(self._leaf_of.pop(row), []).append(row)
+            for leaf, rows_gone in leaves.items():
+                leaf.discard(rows_gone)
+            self._condense(leaves)
+        self._insert_rows(self._zorder_sorted(wave.rows))
 
     # ------------------------------------------------------------------
     # public API
@@ -168,54 +150,50 @@ class TPRTree(UpdateListener):
         """Monotone counter identifying the current tree contents/shape."""
         return self._epoch
 
-    def insert(self, motion: Motion) -> None:
-        """Insert a motion; the object id must not already be present."""
-        if motion.oid in self._leaf_of:
-            raise IndexError_(
-                f"object {motion.oid} already indexed; delete its old motion first"
-            )
-        self._epoch += 1
-        leaf = self._choose_leaf(motion)
-        leaf.add(motion)
-        self._leaf_of[motion.oid] = leaf
-        node = leaf.parent
-        while node is not None:
-            node.grow(motion)
-            node = node.parent
-        if len(leaf.entries) > self._leaf_fanout:
-            self._split_upwards(leaf)
+    def _insert_rows(self, rows: np.ndarray) -> None:
+        """Insert table rows one choose-leaf descent at a time, in order."""
+        t_from, t_to = self._tnow, self._tnow + self.horizon
+        for row, (_, *motion) in zip(rows.tolist(), self.table.columns(rows).tuples()):
+            self._epoch += 1
+            point = TPBR.point(*motion)
+            leaf = self.root
+            while not leaf.is_leaf:
+                leaf = leaf.entries[
+                    cheapest_enlargement(leaf.columns(self.table), point, t_from, t_to)
+                ]
+            leaf.add(row, point)
+            self._leaf_of[row] = leaf
+            node = leaf.parent
+            while node is not None:
+                node.grow(point)
+                node = node.parent
+            if len(leaf.entries) > self._leaf_fanout:
+                self._split_upwards(leaf)
 
-    def delete(self, motion: Motion) -> None:
-        """Remove the indexed motion of ``motion.oid``."""
-        leaf = self._leaf_of.pop(motion.oid, None)
-        if leaf is None:
-            raise IndexError_(f"object {motion.oid} is not indexed")
-        self._epoch += 1
-        leaf.discard({motion.oid})
-        self._condense([leaf])
+    def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[int]:
+        """Ids of the objects whose predicted position at ``qt`` lies in
+        ``rect`` (closed), in visit order.
 
-    def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[Motion]:
-        """Objects whose predicted position at ``qt`` lies in ``rect`` (closed).
-
-        Visited pages are charged against the buffer pool when ``charge_io``
-        is set.  The returned containment is *closed* on every edge — callers
-        needing half-open semantics re-filter (deliberate superset; see
-        :meth:`TPBR.intersects_rect_at`).
+        The one-rect reference traversal :meth:`range_positions_batch` is
+        tested against.  Visited pages are charged against the buffer pool
+        when ``charge_io`` is set.  The containment is *closed* on every
+        edge — callers needing half-open semantics re-filter (deliberate
+        superset; see :meth:`TPBR.intersects_rect_at`).
         """
         if qt < self._tnow:
             raise IndexError_(
                 f"TPR-tree bounds are only valid for t >= {self._tnow}, got {qt}"
             )
-        results: List[Motion] = []
+        results: List[int] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             self._touch(node, charge_io)
             if node.is_leaf:
-                for motion in node.entries:
-                    x, y = motion.position_at(qt)
-                    if rect.x1 <= x <= rect.x2 and rect.y1 <= y <= rect.y2:
-                        results.append(motion)
+                motions = self.table.columns(node.entries)
+                x, y = motions.positions_at(qt)
+                inside = (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
+                results.extend(motions.oid[inside].tolist())
             else:
                 for child in node.entries:
                     if child.bound.intersects_rect_at(rect, qt):
@@ -259,9 +237,7 @@ class TPRTree(UpdateListener):
             node, active = stack.pop()
             self._touch(node, charge_io)
             if node.is_leaf:
-                if not node.entries:
-                    continue
-                x0, y0, vx, vy, t_ref = node.columns()
+                _, t_ref, x0, y0, vx, vy = self.table.columns(node.entries)
                 # One (rect, entry) broadcast per leaf: each row extrapolates
                 # to its own rect's timestamp, closed containment.
                 dt = qts_arr[active][:, None] - t_ref
@@ -279,7 +255,7 @@ class TPRTree(UpdateListener):
                     hit_x.append(px[row, col])
                     hit_y.append(py[row, col])
             else:
-                bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = node.columns()
+                bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = node.columns(self.table)
                 dt = qts_arr[active][None, :] - bt[:, None]
                 x_lo = bx1[:, None] + bvx1[:, None] * dt
                 x_hi = bx2[:, None] + bvx2[:, None] * dt
@@ -297,9 +273,6 @@ class TPRTree(UpdateListener):
                         stack.append((child, sub))
         return pack_positions(hit_rect, hit_x, hit_y, n_rects)
 
-    def all_motions(self) -> List[Motion]:
-        return list(self.root.iter_subtree_motions())
-
     def validate(self) -> None:
         """Structural invariants; raises :class:`IndexError_` on violation.
 
@@ -311,65 +284,69 @@ class TPRTree(UpdateListener):
         sound with respect to the objects beneath it, which is all query
         pruning relies on.)
         """
-        seen_oids = set()
-        t_checks = (self._tnow, self._tnow + self.horizon)
+        seen_rows = set()
         for node in self.root.subtree_nodes():
-            if node is not self.root and len(node.entries) == 0:
-                raise IndexError_(f"empty non-root node {node.page_id}")
+            if len(node.entries) == 0:
+                if node is not self.root:
+                    raise IndexError_(f"empty non-root node {node.page_id}")
+                continue
             limit = self._leaf_fanout if node.is_leaf else self._internal_fanout
             if len(node.entries) > limit:
                 raise IndexError_(f"node {node.page_id} overflows fanout {limit}")
-            if not np.array_equal(node.columns(), node.fresh_columns()):
-                raise IndexError_(f"node {node.page_id} caches stale columns")
-            for entry in node.entries:
-                if isinstance(entry, Node):
-                    if entry.parent is not node:
-                        raise IndexError_(f"bad parent pointer under {node.page_id}")
-                else:
-                    if self._leaf_of.get(entry.oid) is not node:
-                        raise IndexError_(f"leaf map stale for object {entry.oid}")
-                    if entry.oid in seen_oids:
-                        raise IndexError_(f"object {entry.oid} indexed twice")
-                    seen_oids.add(entry.oid)
-            for motion in node.iter_subtree_motions():
-                for t in t_checks:
-                    x, y = motion.position_at(t)
-                    outer = node.bound.rect_at(t)
-                    if not (
-                        outer.x1 - 1e-6 <= x <= outer.x2 + 1e-6
-                        and outer.y1 - 1e-6 <= y <= outer.y2 + 1e-6
-                    ):
-                        raise IndexError_(
-                            f"object {motion.oid} escapes node {node.page_id} "
-                            f"bound at t={t}"
-                        )
-        if seen_oids != set(self._leaf_of):
+            if node.is_leaf:
+                for row in node.entries.tolist():
+                    if self._leaf_of.get(row) is not node:
+                        raise IndexError_(f"leaf map stale for table row {row}")
+                    if row in seen_rows:
+                        raise IndexError_(f"table row {row} indexed twice")
+                    seen_rows.add(row)
+            else:
+                if not np.array_equal(node.columns(self.table), node.child_columns()):
+                    raise IndexError_(f"node {node.page_id} caches stale child bounds")
+                if any(child.parent is not node for child in node.entries):
+                    raise IndexError_(f"bad parent pointer under {node.page_id}")
+            motions = self.table.columns(node.subtree_rows())
+            for t in (self._tnow, self._tnow + self.horizon):
+                x, y = motions.positions_at(t)
+                outer = node.bound.rect_at(t)
+                escaped = ~(
+                    (outer.x1 - 1e-6 <= x) & (x <= outer.x2 + 1e-6)
+                    & (outer.y1 - 1e-6 <= y) & (y <= outer.y2 + 1e-6)
+                )
+                if escaped.any():
+                    raise IndexError_(
+                        f"object {motions.oid[escaped][0]} escapes node "
+                        f"{node.page_id} bound at t={t}"
+                    )
+        if seen_rows != set(self._leaf_of):
             raise IndexError_("leaf map does not match tree contents")
+        if seen_rows != set(self.table.rows().tolist()):
+            raise IndexError_("indexed rows are not the table's live rows")
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _zorder_sorted(self, updates: Sequence[InsertUpdate]) -> List[InsertUpdate]:
-        """The wave ordered by Morton code of current position.
+    def _zorder_sorted(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` ordered by Morton code of current position.
 
-        The quantisation grid spans the wave's own bounding box (the tree
+        The quantisation grid spans the rows' own bounding box (the tree
         has no domain of its own), which is all locality needs; ties keep
         arrival order (stable sort)."""
-        if len(updates) < 2:
-            return list(updates)
-        pos = np.array([u.motion.position_at(self._tnow) for u in updates])
+        if rows.shape[0] < 2:
+            return rows
+        pos = np.stack(self.table.columns(rows).positions_at(self._tnow), axis=1)
         lo = pos.min(axis=0)
         span = pos.max(axis=0) - lo
         span[span == 0.0] = 1.0
         cells = np.clip(((pos - lo) / span * 1024.0).astype(np.int64), 0, 1023)
         codes = interleave(cells[:, 0], cells[:, 1])
-        order = np.argsort(codes, kind="stable")
-        return [updates[i] for i in order]
+        return rows[np.argsort(codes, kind="stable")]
 
-    def bulk_load(self, motions: List[Motion]) -> None:
-        """Replace the whole tree by a Sort-Tile-Recursive packing of ``motions``.
+    def bulk_load(self) -> None:
+        """Replace the whole tree by a Sort-Tile-Recursive packing of the
+        table's live rows.
 
-        Leaves are packed from vertical slabs of the x-sorted wave, each
+        Leaves are packed from vertical slabs of the x-sorted rows, each
         slab y-sorted (classic STR); upper levels chunk children in slab
         order.  Every node is bounded afresh at the current time, so
         :meth:`validate`'s containment invariant holds by construction.  All
@@ -379,13 +356,13 @@ class TPRTree(UpdateListener):
         self._epoch += 1
         self._free(self.root.subtree_nodes())
         self._leaf_of = {}
-        if not motions:
+        rows = self.table.rows()
+        n = rows.shape[0]
+        if n == 0:
             self.root = self._new_node(level=0)
             return
-        cols = motion_columns(motions)
-        px, py = cols[0:2] + (self._tnow - cols[4]) * cols[2:4]
+        px, py = self.table.columns(rows).positions_at(self._tnow)
         per_leaf = self._leaf_fanout
-        n = len(motions)
         n_leaves = -(-n // per_leaf)
         n_slabs = int(np.ceil(np.sqrt(n_leaves)))
         slab_pts = -(-n // n_slabs)
@@ -395,22 +372,18 @@ class TPRTree(UpdateListener):
             slab = order_x[s : s + slab_pts]
             slab = slab[np.argsort(py[slab], kind="stable")]
             for c in range(0, len(slab), per_leaf):
-                members = slab[c : c + per_leaf]
                 leaf = self._new_node(level=0)
-                leaf.set_entries(
-                    [motions[i] for i in members],
-                    self._tnow,
-                    np.take(cols, members, axis=1),  # row-contiguous
-                )
-                for motion in leaf.entries:
-                    self._leaf_of[motion.oid] = leaf
+                leaf.set_entries(rows[slab[c : c + per_leaf]], self._tnow, self.table)
+                self._leaf_of.update(dict.fromkeys(leaf.entries.tolist(), leaf))
                 nodes.append(leaf)
         level = 1
         while len(nodes) > 1:
             parents = []
             for c in range(0, len(nodes), self._internal_fanout):
                 parent = self._new_node(level)
-                parent.set_entries(nodes[c : c + self._internal_fanout], self._tnow)
+                parent.set_entries(
+                    nodes[c : c + self._internal_fanout], self._tnow, self.table
+                )
                 parents.append(parent)
             nodes = parents
             level += 1
@@ -425,40 +398,30 @@ class TPRTree(UpdateListener):
         if charge_io and self.buffer is not None:
             self.buffer.access(node.page_id)
 
-    def _window(self):
-        return self._tnow, self._tnow + self.horizon
-
-    def _choose_leaf(self, motion: Motion) -> Node:
-        t_from, t_to = self._window()
-        node = self.root
-        while not node.is_leaf:
-            node = node.entries[
-                cheapest_enlargement(node.columns(), motion, t_from, t_to)
-            ]
-        return node
-
     def _split_upwards(self, node: Node) -> None:
-        t_from, t_to = self._window()
+        t_from, t_to = self._tnow, self._tnow + self.horizon
         while len(node.entries) > (
             self._leaf_fanout if node.is_leaf else self._internal_fanout
         ):
             min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
-            group_a, group_b = pick_split(node.entries, min_fill, t_from, t_to)
+            first, second = pick_split(node.columns(self.table), min_fill, t_from, t_to)
             sibling = self._new_node(node.level)
-            node.set_entries(group_a, t_from)
-            sibling.set_entries(group_b, t_from)
             if node.is_leaf:
-                for entry in group_b:
-                    self._leaf_of[entry.oid] = sibling
+                groups = node.entries[first], node.entries[second]
+                self._leaf_of.update(dict.fromkeys(groups[1].tolist(), sibling))
+            else:
+                groups = [node.entries[i] for i in first], [node.entries[i] for i in second]
+            node.set_entries(groups[0], t_from, self.table)
+            sibling.set_entries(groups[1], t_from, self.table)
             parent = node.parent
             if parent is None:
                 self.root = self._new_node(node.level + 1)
-                self.root.set_entries([node, sibling], t_from)
+                self.root.set_entries([node, sibling], t_from, self.table)
                 return
-            parent.add(sibling)
+            parent.add(sibling, sibling.bound)
             ancestor = parent
             while ancestor is not None:
-                ancestor.retighten(t_from)
+                ancestor.retighten(t_from, self.table)
                 ancestor = ancestor.parent
             node = parent
 
@@ -468,10 +431,10 @@ class TPRTree(UpdateListener):
         Level by level from the leaves up, every touched node is either
         retightened — once, however many removals happened beneath it — or,
         when under-full, dissolved into its parent's orphans; the orphaned
-        motions are reinserted afterwards, as in Guttman's R-tree.
+        rows are reinserted afterwards, as in Guttman's R-tree.
         """
         t_from = self._tnow
-        orphans: List[Motion] = []
+        orphans: List[np.ndarray] = []
         touched = list(leaves)
         while touched:
             parents: Dict[Node, None] = {}  # insertion-ordered set
@@ -480,10 +443,10 @@ class TPRTree(UpdateListener):
                 min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
                 if parent is not None and len(node.entries) < min_fill:
                     parent.remove(node)
-                    orphans.extend(node.iter_subtree_motions())
+                    orphans.append(node.subtree_rows())
                     self._free(node.subtree_nodes())
                 else:
-                    node.retighten(t_from)
+                    node.retighten(t_from, self.table)
                 if parent is not None:
                     parents[parent] = None
             touched = list(parents)
@@ -494,9 +457,11 @@ class TPRTree(UpdateListener):
                 self.root.parent = None
             else:  # every child was dissolved
                 self.root = self._new_node(level=0)
-        for motion in orphans:
-            del self._leaf_of[motion.oid]
-            self.insert(motion)
+        if orphans:
+            rows = np.concatenate(orphans)
+            for row in rows.tolist():
+                del self._leaf_of[row]
+            self._insert_rows(rows)
 
     def _free(self, nodes: Iterable[Node]) -> None:
         """Drop the pages of nodes that left the tree from the buffer pool."""

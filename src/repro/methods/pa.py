@@ -18,7 +18,7 @@ delta squares are baked into the coefficients); querying with a different
 from __future__ import annotations
 
 import time
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ..chebyshev.grid import ChebSurface, GridSpec
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
-from ..motion.model import Motion
-from ..motion.updates import DeleteUpdate, InsertUpdate, ReportPair, UpdateListener
+from ..motion.updates import Columns, UpdateListener, Wave
 from ..telemetry import TELEMETRY
 
 __all__ = ["PAMethod"]
@@ -110,32 +109,22 @@ class PAMethod(UpdateListener):
     # ------------------------------------------------------------------
     # update stream (Algorithms 4 and 5)
     # ------------------------------------------------------------------
-    def on_insert(self, update: InsertUpdate) -> None:
-        self._apply_batch([(update.motion, update.tnow, +1.0)])
-
-    def on_delete(self, update: DeleteUpdate) -> None:
-        self._apply_batch([(update.motion, update.motion.t_ref, -1.0)])
-
-    def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
-        self._apply_batch([(u.motion, u.tnow, +1.0) for u in updates])
-
-    def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        self._apply_batch(
-            [(u.motion, u.motion.t_ref, -1.0) for u in updates]
-        )
-
-    def on_report_batch(self, pairs: Sequence[ReportPair]) -> None:
+    def on_report_batch(self, wave: Wave) -> None:
         # Coefficient accumulation is float addition, which is not
-        # associative: to stay bit-identical to the sequential path the
-        # wave must apply delete_i, insert_i, delete_{i+1}, ... in the
-        # exact per-report interleaving — hence this override instead of
-        # the default all-deletes-then-all-inserts split.
-        jobs = []
-        for delete, insert in pairs:
-            if delete is not None:
-                jobs.append((delete.motion, delete.motion.t_ref, -1.0))
-            jobs.append((insert.motion, insert.tnow, +1.0))
-        self._apply_batch(jobs)
+        # associative: however a tick's reports are cut into waves, the jobs
+        # must run delete_i, insert_i, delete_{i+1}, ... in report order for
+        # the coefficients to come out bit-identical.  A retraction takes
+        # the turn of the report that supersedes it (a retire, which no
+        # report supersedes, keeps its own).
+        d, n = len(wave.deleted), len(wave.inserted)
+        turn = np.arange(d)
+        replaces = wave.supersedes >= 0
+        turn[wave.supersedes[replaces]] = np.flatnonzero(replaces)
+        order = np.argsort(
+            np.concatenate((2 * turn, 2 * np.arange(n) + 1)), kind="stable"
+        )
+        jobs = Columns.concatenate((wave.deleted, wave.inserted)).take(order)
+        self._apply_batch(jobs, np.where(order < d, -1.0, 1.0))
 
     # Rectangles per delta/scatter flush: small enough that the chunk's
     # coefficient rows and the tiles they scatter into stay cache-resident
@@ -164,11 +153,9 @@ class PAMethod(UpdateListener):
         z2 = 2.0 * (np.minimum(s2[of], tile_lo + width) - tile_lo) / width - 1.0
         return span, first, tile, strip_integrals(self.spec.k, z1, z2)
 
-    def _apply_batch(
-        self, jobs: Sequence[Tuple[Motion, int, float]]
-    ) -> None:
-        """Apply ``(motion, t_from, sign)`` updates in whole-wave numpy passes
-        (Algorithms 4/5; a single update is a one-job wave).
+    def _apply_batch(self, jobs: Columns, sign: np.ndarray) -> None:
+        """Add (``sign`` +1) or subtract (-1) the motions of ``jobs`` in
+        whole-wave numpy passes (Algorithms 4/5).
 
         Lemma 4's delta is separable, so the 1-D integrals are taken once
         per (job, timestamp, tile column) and once per (job, timestamp,
@@ -181,27 +168,11 @@ class PAMethod(UpdateListener):
         rectangle order — the result is bit-identical to applying the jobs
         one at a time.
         """
-        n = len(jobs)
-        if n == 0:
+        if len(jobs) == 0:
             return
-        t_ref = np.array([job[0].t_ref for job in jobs], dtype=float)
-        x0 = np.array([job[0].x for job in jobs])
-        y0 = np.array([job[0].y for job in jobs])
-        vx = np.array([job[0].vx for job in jobs])
-        vy = np.array([job[0].vy for job in jobs])
-        t_from = np.array([job[1] for job in jobs], dtype=np.int64)
-        sign = np.array([job[2] for job in jobs])
-
-        # (n, slots) trajectory grid — elementwise the same ``x + dt*vx``
-        # as Motion.positions_at.
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
-        dt = ts.astype(float)[None, :] - t_ref[:, None]
-        xs = x0[:, None] + dt * vx[:, None]
-        ys = y0[:, None] + dt * vy[:, None]
-        covered = (ts[None, :] >= np.maximum(t_from, self._tnow)[:, None]) & (
-            ts[None, :]
-            <= np.minimum(t_from + self.horizon, self._tnow + self.horizon)[:, None]
-        )
+        xs, ys = jobs.trajectory(ts)
+        covered = jobs.covering(ts, self.horizon)
         # The influence square of the object at each covered timestamp,
         # clipped to the domain.
         dom = self.spec.domain
@@ -213,10 +184,7 @@ class PAMethod(UpdateListener):
         # Timestamps where the object itself has left the domain contribute
         # nothing: density is defined over the objects inside the L x L
         # region (shared convention with histogram and brute force).
-        in_domain = (
-            (xs >= dom.x1) & (xs < dom.x2) & (ys >= dom.y1) & (ys < dom.y2)
-        )
-        nonempty = covered & (sx2 > sx1) & (sy2 > sy1) & in_domain
+        nonempty = covered & (sx2 > sx1) & (sy2 > sy1) & dom.contains_points(xs, ys)
         if not nonempty.any():
             return
         # np.nonzero is row-major, so squares (and everything expanded from

@@ -2,66 +2,39 @@
 
 A :class:`TimedListener` decorates any
 :class:`~repro.motion.updates.UpdateListener` and accumulates the CPU spent
-in its insert/delete hooks into an
-:class:`~repro.metrics.cost.UpdateCostTimer`, so the harness can report the
-per-update maintenance cost of the density histogram and the polynomial
-approximation separately while both consume the same update stream.
+in its wave hook into an :class:`~repro.metrics.cost.UpdateCostTimer`, so
+the harness can report the per-update maintenance cost of the density
+histogram and the polynomial approximation separately while both consume
+the same update stream.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
-from ..motion.updates import (
-    DeleteUpdate,
-    InsertUpdate,
-    ReportPair,
-    UpdateListener,
-)
+from ..motion.updates import UpdateListener, Wave
 from .cost import UpdateCostTimer
 
 __all__ = ["TimedListener"]
 
 
 class TimedListener(UpdateListener):
-    """Forwards the update stream to ``inner``, timing insert/delete hooks.
+    """Forwards the update stream to ``inner``, timing the wave hook.
 
-    The batch hooks forward as batches — routing them through the
-    per-object defaults here would silently undo the batching of whatever
-    sits inside the wrapper — and charge the timer once per contained
-    update, so per-update averages stay comparable across paths.
+    The timer is charged once per contained update (deletions plus
+    insertions), so per-update averages stay comparable across wave sizes.
     """
 
     def __init__(self, inner: UpdateListener, timer: UpdateCostTimer = None) -> None:
         self.inner = inner
         self.timer = timer if timer is not None else UpdateCostTimer()
 
-    def on_insert(self, update: InsertUpdate) -> None:
+    def on_report_batch(self, wave: Wave) -> None:
         start = time.perf_counter()
-        self.inner.on_insert(update)
-        self.timer.record(time.perf_counter() - start)
-
-    def on_delete(self, update: DeleteUpdate) -> None:
-        start = time.perf_counter()
-        self.inner.on_delete(update)
-        self.timer.record(time.perf_counter() - start)
-
-    def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
-        start = time.perf_counter()
-        self.inner.on_insert_batch(updates)
-        self.timer.record(time.perf_counter() - start, updates=len(updates))
-
-    def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        start = time.perf_counter()
-        self.inner.on_delete_batch(updates)
-        self.timer.record(time.perf_counter() - start, updates=len(updates))
-
-    def on_report_batch(self, pairs: Sequence[ReportPair]) -> None:
-        start = time.perf_counter()
-        self.inner.on_report_batch(pairs)
-        updates = sum(1 for d, _ in pairs if d is not None) + len(pairs)
-        self.timer.record(time.perf_counter() - start, updates=updates)
+        self.inner.on_report_batch(wave)
+        self.timer.record(
+            time.perf_counter() - start, updates=len(wave.deleted) + len(wave.inserted)
+        )
 
     def on_advance(self, tnow: int) -> None:
         # Clock advances are bookkeeping, not per-update maintenance cost.

@@ -9,95 +9,112 @@ Objects communicate with the server through two update kinds:
 
 A position report from an already-known object therefore expands into a
 deletion of its previous motion followed by an insertion of the new one.
-Every maintained structure (density histograms, Chebyshev coefficients, the
-TPR-tree) subscribes to the same stream through :class:`UpdateListener`.
+The :class:`~repro.motion.table.ObjectTable` renders a tick's reports as one
+columnar :class:`Wave` of such deletions and insertions, and every maintained
+structure (density histograms, Chebyshev coefficients, the TPR-tree)
+subscribes to that one stream through :class:`UpdateListener`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Tuple
+
+import numpy as np
 
 from ..core.errors import ListenerFanoutError
-from .model import Motion
 
-__all__ = [
-    "InsertUpdate",
-    "DeleteUpdate",
-    "Update",
-    "ReportPair",
-    "UpdateListener",
-    "dispatch",
-]
+__all__ = ["Columns", "Wave", "UpdateListener", "dispatch"]
 
 
 @dataclass(frozen=True)
-class InsertUpdate:
-    """Registers ``motion`` with the server at time ``tnow`` (= motion.t_ref)."""
+class Columns:
+    """Motions as aligned numpy columns: entry ``i`` of every field is motion
+    ``i``.  The fields are :class:`~repro.motion.model.Motion`'s, in its
+    order; ``oid`` and ``t_ref`` are int64 (exact), the rest float64."""
 
-    tnow: int
-    motion: Motion
+    oid: np.ndarray
+    t_ref: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+
+    def __len__(self) -> int:
+        return self.oid.shape[0]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter((self.oid, self.t_ref, self.x, self.y, self.vx, self.vy))
+
+    def tuples(self) -> Iterator[tuple]:
+        """One ``(oid, t_ref, x, y, vx, vy)`` of Python scalars per motion."""
+        return zip(*(column.tolist() for column in self))
+
+    def take(self, index) -> "Columns":
+        """The motions at ``index`` (any numpy index), as columns."""
+        return Columns(*(column[index] for column in self))
+
+    @staticmethod
+    def concatenate(parts: Iterable["Columns"]) -> "Columns":
+        return Columns(*(np.concatenate(columns) for columns in zip(*parts)))
+
+    def positions_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Predicted position of every motion at time ``t`` — elementwise
+        the ``x + (t - t_ref) * vx`` of :meth:`Motion.position_at`."""
+        dt = t - self.t_ref
+        return self.x + dt * self.vx, self.y + dt * self.vy
+
+    def trajectory(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`positions_at` every timestamp of ``ts``: two ``(n,
+        len(ts))`` grids, a row per motion."""
+        dt = np.asarray(ts, dtype=float)[None, :] - self.t_ref[:, None]
+        return (
+            self.x[:, None] + dt * self.vx[:, None],
+            self.y[:, None] + dt * self.vy[:, None],
+        )
+
+    def covering(self, ts: np.ndarray, horizon: int) -> np.ndarray:
+        """Which motions' prediction windows ``[t_ref, t_ref + horizon]``
+        cover which timestamps of ``ts``: an ``(n, len(ts))`` mask."""
+        t_ref = self.t_ref[:, None]
+        ts = np.asarray(ts)[None, :]
+        return (t_ref <= ts) & (ts <= t_ref + horizon)
 
 
 @dataclass(frozen=True)
-class DeleteUpdate:
-    """Retracts ``motion`` (registered at ``motion.t_ref``) effective at ``tnow``."""
+class Wave:
+    """One batch of updates effective at ``tnow``; each object at most once.
+
+    ``deleted`` holds the retracted motions *by value*: by the time a
+    listener sees the wave their table rows (``deleted_rows``) may already
+    hold other motions — a re-report overwrites its object's row in place
+    and a first report may reuse the row a retire freed.  ``inserted`` are
+    the new motions in report order and ``rows`` the table rows they now
+    occupy; ``supersedes[i]`` is the index in ``deleted`` of the motion that
+    report ``i`` replaces, or -1 for a first report.  A deleted motion no
+    report supersedes is a retire.
+    """
 
     tnow: int
-    motion: Motion
-
-
-Update = Union[InsertUpdate, DeleteUpdate]
-
-# One report of a wave: the retraction of the object's previous motion (or
-# ``None`` for a first report) paired with the insertion of the new one.
-ReportPair = Tuple[Optional[DeleteUpdate], InsertUpdate]
+    deleted: Columns
+    deleted_rows: np.ndarray
+    inserted: Columns
+    rows: np.ndarray
+    supersedes: np.ndarray
 
 
 class UpdateListener:
     """Interface for structures maintained against the update stream.
 
-    Subclasses override the hooks they care about; defaults are no-ops so a
-    listener may observe only inserts, only deletes, or only clock advances.
-
-    The ``*_batch`` hooks let a listener process a whole report wave at
-    once (one numpy pass instead of N Python dispatches); their defaults
-    fall back to the per-object hooks, so a listener that never heard of
-    batching still sees every update exactly once, in order.
+    Both hooks default to no-ops, so a listener may observe only waves or
+    only clock advances.
     """
 
-    def on_insert(self, update: InsertUpdate) -> None:  # noqa: B027 - optional hook
-        """Called for each insertion update."""
-
-    def on_delete(self, update: DeleteUpdate) -> None:  # noqa: B027 - optional hook
-        """Called for each deletion update."""
+    def on_report_batch(self, wave: Wave) -> None:  # noqa: B027 - optional hook
+        """Called once per :class:`Wave` of deletions and insertions."""
 
     def on_advance(self, tnow: int) -> None:  # noqa: B027 - optional hook
         """Called when the server clock moves forward to ``tnow``."""
-
-    def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
-        """Called with a wave of insertions; default is the per-object loop."""
-        for update in updates:
-            self.on_insert(update)
-
-    def on_delete_batch(self, updates: Sequence[DeleteUpdate]) -> None:
-        """Called with a wave of deletions; default is the per-object loop."""
-        for update in updates:
-            self.on_delete(update)
-
-    def on_report_batch(self, pairs: Sequence[ReportPair]) -> None:
-        """Called with a whole report wave (each oid at most once per wave).
-
-        The default retracts every superseded motion, then registers every
-        new one — a wave-atomic rendering of Section 5.1's delete+insert
-        protocol.  Listeners whose state is order-sensitive at float
-        precision (the PA coefficients) override this to keep the exact
-        per-report interleaving.
-        """
-        deletes = [d for d, _ in pairs if d is not None]
-        if deletes:
-            self.on_delete_batch(deletes)
-        self.on_insert_batch([i for _, i in pairs])
 
 
 def dispatch(listeners: Iterable[UpdateListener], hook: str, payload) -> None:

@@ -898,12 +898,10 @@ class ChaosScheduler:
             # re-report within U), so the oracle must share that filter —
             # exactly the one the structural audit cross-checks
             horizon = group.primary.config.horizon
-            in_window = [
-                m for m in group.primary.table.motions()
-                if m.t_ref <= q.qt <= m.t_ref + horizon
-            ]
+            motions = group.primary.table.columns()
+            in_window = motions.covering([q.qt], horizon)[:, 0]
             want = bruteforce_from_motions(
-                in_window, group.primary.config.domain, q
+                motions.take(in_window), group.primary.config.domain, q
             )
             got = group.primary.evaluate("fr", q)
             diff = got.regions.symmetric_difference_area(want.regions)

@@ -47,6 +47,8 @@ import re
 import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.errors import (
     AuditError,
     CorruptionError,
@@ -402,9 +404,6 @@ class ReliabilityManager:
         for record in records:
             for callback in self.on_append:
                 callback(record)
-
-    def log_report(self, oid: int, x: float, y: float, vx: float, vy: float, tnow: int) -> None:
-        self._append({"op": "report", "t": tnow, "oid": oid, "x": x, "y": y, "vx": vx, "vy": vy})
 
     def log_report_batch(self, reports, tnow: int) -> None:
         """Group-commit a wave of ``(oid, x, y, vx, vy)`` reports."""
@@ -836,14 +835,15 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
         violations.append(f"PA clock {server.pa.tnow} != table clock {tnow}")
     horizon = server.config.horizon
     domain = server.config.domain
-    for qt in range(tnow, tnow + horizon + 1):
-        expected = 0
-        for motion in server.table.motions():
-            if not (motion.t_ref <= qt <= motion.t_ref + horizon):
-                continue
-            x, y = motion.position_at(qt)
-            if domain.contains_point(x, y):
-                expected += 1
+    # One (n, H + 1) pass over the table's columns: which objects are inside
+    # their own prediction window and inside the (half-open) domain at each
+    # timestamp of the maintained window.
+    motions = server.table.columns()
+    qts = np.arange(tnow, tnow + horizon + 1)
+    counted = motions.covering(qts, horizon) & domain.contains_points(
+        *motions.trajectory(qts)
+    )
+    for qt, expected in zip(qts.tolist(), counted.sum(axis=0).tolist()):
         observed = server.histogram.total_at(qt)
         if observed != expected:
             violations.append(

@@ -12,7 +12,7 @@ Reject reasons
 ``nonfinite``      a coordinate or velocity is NaN or infinite
 ``out_of_bounds``  the reported position lies outside the domain
 ``over_speed``     the reported speed exceeds ``policy.max_speed``
-``bad_oid``        the object id is negative or not integral
+``bad_oid``        the object id is negative, not integral, or above 2**63 - 1
 ``stale``          the report carries an explicit timestamp < ``t_now``
 ``future``         the report carries an explicit timestamp > ``t_now``
 ``duplicate``      the object already reported this tick (strict mode)
@@ -39,6 +39,10 @@ __all__ = [
     "ResourceConfig",
     "ReliabilityConfig",
 ]
+
+# Object ids are stored (table, checkpoints) as exact int64; a larger id
+# must die here, before its WAL record would poison every later recovery.
+_MAX_OID = 2**63 - 1
 
 REJECT_REASONS = (
     "nonfinite",
@@ -136,8 +140,11 @@ class ReportValidator:
     ) -> Optional[Tuple[str, str]]:
         """Return ``(reason, detail)`` for a reject, or ``None`` to accept."""
         policy = self.policy
-        if not isinstance(oid, int) or isinstance(oid, bool) or oid < 0:
-            return ("bad_oid", f"object id must be a non-negative integer, got {oid!r}")
+        if not isinstance(oid, int) or isinstance(oid, bool) or not 0 <= oid <= _MAX_OID:
+            return (
+                "bad_oid",
+                f"object id must be an integer in [0, 2**63 - 1], got {oid!r}",
+            )
         if policy.reject_nonfinite and not all(
             math.isfinite(v) for v in (x, y, vx, vy)
         ):

@@ -3,12 +3,18 @@
 A production moving-objects server restarts; re-deriving the density
 histograms and polynomial coefficients would require replaying up to ``H``
 timestamps of updates.  :func:`save_server` serialises the whole maintained
-state — configuration, live motions, histogram counters and Chebyshev
-coefficients — into a single ``.npz`` file, and :func:`load_server`
-reconstructs an equivalent :class:`~repro.core.system.PDRServer`: the
-TPR-tree is rebuilt by re-inserting the live motions (cheap, and the tree's
-exact page layout is not semantically meaningful), while histogram and
-polynomial state is restored bit-for-bit.
+state — configuration, the object table's columns, histogram counters and
+Chebyshev coefficients — into a single ``.npz`` file, and
+:func:`load_server` reconstructs an equivalent
+:class:`~repro.core.system.PDRServer`: the TPR-tree is rebuilt by one STR
+``bulk_load`` over the restored table (cheap, and the tree's exact page
+layout is not semantically meaningful), while histogram and polynomial
+state is restored bit-for-bit.
+
+Format version 2 stores the table column by column in its own dtypes —
+object ids and reference times as exact int64, positions and velocities as
+float64 (version 1 squeezed all six through one float64 array, which
+rounds ids above 2**53).  Files of any other version are refused.
 
 Snapshots double as the *checkpoints* of the recovery subsystem
 (:mod:`repro.reliability.recovery`), which imposes two extra duties met
@@ -25,8 +31,8 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass
-from typing import List, Union
+from dataclasses import dataclass, fields
+from typing import Union
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from ..core.config import SystemConfig
 from ..core.errors import StorageError
 from ..core.geometry import Rect
 from ..core.system import PDRServer
-from ..motion.model import Motion
+from ..motion.updates import Columns
 
 __all__ = [
     "save_server",
@@ -46,7 +52,8 @@ __all__ = [
     "config_from_dict",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_MOTION_KEYS = tuple(f"motion_{f.name}" for f in fields(Columns))
 
 
 def config_to_dict(config: SystemConfig) -> dict:
@@ -89,7 +96,7 @@ class SnapshotState:
 
     config: SystemConfig
     tnow: int
-    motions: List[Motion]
+    motions: Columns
     hist_state: dict
     pa_state: dict
 
@@ -102,17 +109,13 @@ def save_server(server: PDRServer, path: Union[str, "object"], atomic: bool = Tr
     point leaves either the old complete file or no file, never a
     truncated one.
     """
-    motions = list(server.table.motions())
-    motion_array = np.array(
-        [(m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in motions], dtype=float
-    ).reshape(len(motions), 6)
     hist_state = server.histogram.state_arrays()
     pa_state = server.pa.state_arrays()
     payload = dict(
         format_version=np.int64(_FORMAT_VERSION),
         config_json=np.bytes_(json.dumps(config_to_dict(server.config)).encode()),
         tnow=np.int64(server.tnow),
-        motions=motion_array,
+        **dict(zip(_MOTION_KEYS, server.table.columns())),
         hist_counts=hist_state["counts"],
         hist_slot_time=hist_state["slot_time"],
         pa_coeffs=pa_state["coeffs"],
@@ -154,10 +157,7 @@ def read_snapshot(path: Union[str, "object"]) -> SnapshotState:
                 )
             config = config_from_dict(json.loads(bytes(data["config_json"]).decode()))
             tnow = int(data["tnow"])
-            motions = [
-                Motion(int(row[0]), int(row[1]), row[2], row[3], row[4], row[5])
-                for row in data["motions"]
-            ]
+            motions = Columns(*(data[key] for key in _MOTION_KEYS))
             hist_state = {
                 "counts": data["hist_counts"],
                 "slot_time": data["hist_slot_time"],
@@ -188,7 +188,7 @@ def restore_server_state(server: PDRServer, state: SnapshotState) -> None:
     server.pa.load_state_arrays(state.pa_state)
     # Rebuild the index by one STR bulk load (the table must NOT re-notify
     # the histogram/PA listeners, whose state is already restored).
-    server.tree.bulk_load(state.motions)
+    server.tree.bulk_load()
 
 
 def load_server(path: Union[str, "object"], expected_objects: int = 0) -> PDRServer:

@@ -11,7 +11,6 @@ from repro.baselines.edq import edq_query, edq_report_ambiguity
 from repro.core.geometry import Rect
 from repro.core.query import SnapshotPDRQuery
 from repro.histogram.density_histogram import DensityHistogram
-from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
@@ -27,15 +26,18 @@ class TestBruteForce:
 
     def test_from_motions_evaluates_at_qt(self):
         q = SnapshotPDRQuery(rho=0.01, l=10.0, qt=5)
-        motions = [Motion(0, 0, 10.0, 50.0, 4.0, 0.0)]  # at qt=5: x=30
-        result = bruteforce_from_motions(motions, DOMAIN, q)
+        table = ObjectTable()
+        table.report(0, 10.0, 50.0, 4.0, 0.0)  # at qt=5: x=30
+        result = bruteforce_from_motions(table.columns(), DOMAIN, q)
         assert result.regions.contains_point(30.0, 50.0)
         assert not result.regions.contains_point(10.0, 50.0)
 
     def test_from_motions_ignores_out_of_domain(self):
         q = SnapshotPDRQuery(rho=0.001, l=10.0, qt=5)
-        motions = [Motion(0, 0, 90.0, 50.0, 4.0, 0.0)]  # at qt=5: x=110
-        result = bruteforce_from_motions(motions, DOMAIN, q)
+        table = ObjectTable()
+        table.report(0, 90.0, 50.0, 4.0, 0.0)  # at qt=5: x=110
+        table.report(1, 50.0, 50.0, 10.0, 0.0)  # at qt=5: x=100, the open edge
+        result = bruteforce_from_motions(table.columns(), DOMAIN, q)
         assert result.regions.is_empty()
 
 

@@ -12,6 +12,7 @@ from repro.core.geometry import Rect
 from repro.index.bx import BxTree
 from repro.index.zorder import ZGrid, deinterleave, interleave
 from repro.motion.model import Motion
+from repro.motion.table import ObjectTable
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -105,49 +106,59 @@ def brute_range(motions, rect, qt):
     return sorted(out)
 
 
-def make_bx(**kwargs):
+def make_bx(tnow=0, **kwargs):
+    """A table and the B^x-tree maintained against it (the table's waves are
+    the tree's only write path)."""
     defaults = dict(domain=DOMAIN, horizon=20, phase_length=5, bits=6,
                     fanout_override=8)
     defaults.update(kwargs)
-    return BxTree(**defaults)
+    table = ObjectTable(tnow=tnow)
+    bx = BxTree(table, **defaults)
+    table.add_listener(bx)
+    return table, bx
+
+
+def report(table, motions):
+    for m in motions:
+        table.report(m.oid, m.x, m.y, m.vx, m.vy)
 
 
 class TestBxTreeBasics:
     def test_label_timestamp(self):
-        bx = make_bx(phase_length=5)
+        _, bx = make_bx(phase_length=5)
         assert bx.label_timestamp(0) == 5
         assert bx.label_timestamp(4) == 5
         assert bx.label_timestamp(5) == 10
         assert bx.label_timestamp(12) == 15
 
     def test_insert_delete_roundtrip(self):
-        bx = make_bx()
-        m = Motion(1, 0, 50.0, 50.0, 1.0, 0.0)
-        bx.insert(m)
+        table, bx = make_bx()
+        table.report(1, 50.0, 50.0, 1.0, 0.0)
         assert len(bx) == 1
         bx.validate()
-        bx.delete(m)
+        table.retire(1)
         assert len(bx) == 0
         bx.validate()
 
     def test_duplicate_insert_rejected(self):
-        bx = make_bx()
-        bx.insert(Motion(1, 0, 1, 1, 0, 0))
-        with pytest.raises(IndexError_):
-            bx.insert(Motion(1, 0, 2, 2, 0, 0))
+        table, bx = make_bx()
+        table.report(1, 1.0, 1.0, 0.0, 0.0)
+        row = table.rows()[0]
+        with pytest.raises(IndexError_):  # its row is indexed already
+            bx._insert(row, 0, 2.0, 2.0, 0.0, 0.0)
 
     def test_delete_unknown_rejected(self):
         with pytest.raises(IndexError_):
-            make_bx().delete(Motion(7, 0, 0, 0, 0, 0))
+            make_bx()[1]._delete(7)
 
     def test_query_before_tnow_rejected(self):
-        bx = make_bx(tnow=5)
+        _, bx = make_bx(tnow=5)
         with pytest.raises(IndexError_):
             bx.range_query(Rect(0, 0, 1, 1), 4)
 
     def test_max_speed_tracking(self):
-        bx = make_bx()
-        bx.insert(Motion(0, 0, 1, 1, 3.0, 4.0))
+        table, bx = make_bx()
+        table.report(0, 1.0, 1.0, 3.0, 4.0)
         assert bx.max_speed == pytest.approx(5.0)
 
 
@@ -163,66 +174,60 @@ class TestBxTreeQueries:
         x1, y1, w, h = rect_params
         rect = Rect(x1, y1, x1 + w, y1 + h)
         motions = random_motions(n, seed=seed)
-        bx = make_bx()
-        for m in motions:
-            bx.insert(m)
-        hits = sorted(m.oid for m in bx.range_query(rect, qt))
-        assert hits == brute_range(motions, rect, qt)
+        table, bx = make_bx()
+        report(table, motions)
+        assert sorted(bx.range_query(rect, qt)) == brute_range(motions, rect, qt)
 
     def test_matches_tpr_tree(self):
         """Both indexes answer identically — FR can use either."""
         from repro.index.tree import TPRTree
 
         motions = random_motions(120, seed=4)
-        bx = make_bx()
-        tpr = TPRTree(horizon=20, fanout_override=8)
-        for m in motions:
-            bx.insert(m)
-            tpr.insert(m)
+        table, bx = make_bx()
+        tpr = TPRTree(table, horizon=20, fanout_override=8)
+        table.add_listener(tpr)
+        report(table, motions)
         rect = Rect(20, 30, 70, 80)
         for qt in (0, 6, 15):
-            got_bx = sorted(m.oid for m in bx.range_query(rect, qt))
-            got_tpr = sorted(m.oid for m in tpr.range_query(rect, qt, charge_io=False))
-            assert got_bx == got_tpr
+            got_bx = sorted(bx.range_query(rect, qt))
+            assert got_bx == sorted(tpr.range_query(rect, qt, charge_io=False))
+            assert got_bx == brute_range(motions, rect, qt)
 
     def test_matches_bruteforce_after_updates(self):
         gen = np.random.default_rng(5)
-        bx = make_bx()
-        live = {}
+        table, bx = make_bx()
         for step in range(4):
-            tnow = step * 3
-            bx.on_advance(tnow)
-            for oid in range(40):
-                new = Motion(oid, tnow, float(gen.uniform(0, 100)),
-                             float(gen.uniform(0, 100)), float(gen.uniform(-2, 2)),
-                             float(gen.uniform(-2, 2)))
-                if oid in live:
-                    bx.delete(live[oid])
-                live[oid] = new
-                bx.insert(new)
+            table.advance_to(step * 3)
+            wave = [
+                (oid, float(gen.uniform(0, 100)), float(gen.uniform(0, 100)),
+                 float(gen.uniform(-2, 2)), float(gen.uniform(-2, 2)))
+                for oid in range(40)
+            ]
+            # re-reports as one wave on even steps, one-row waves on odd ones
+            if step % 2 == 0:
+                table.report_batch(wave)
+            else:
+                for r in wave:
+                    table.report(*r)
         bx.validate()
         rect = Rect(10, 10, 90, 60)
         qt = 12
-        got = sorted(m.oid for m in bx.range_query(rect, qt))
-        assert got == brute_range(live.values(), rect, qt)
+        assert sorted(bx.range_query(rect, qt)) == brute_range(table.motions(), rect, qt)
 
     def test_objects_leaving_domain_still_found_inside(self):
         # Object near the border moving out: at the label timestamp its
         # position is outside the domain (clamped code), but queries at
         # earlier times must still find it.
-        bx = make_bx(phase_length=10)
-        m = Motion(0, 0, 98.0, 50.0, 1.5, 0.0)  # outside from t ~ 1.3
-        bx.insert(m)
-        hits = bx.range_query(Rect(95, 45, 100, 55), 0)
-        assert [h.oid for h in hits] == [0]
+        table, bx = make_bx(phase_length=10)
+        table.report(0, 98.0, 50.0, 1.5, 0.0)  # outside from t ~ 1.3
+        assert bx.range_query(Rect(95, 45, 100, 55), 0) == [0]
 
     def test_io_charged_only_on_queries(self):
         from repro.storage.buffer import BufferPool
 
         pool = BufferPool(capacity_pages=2)
-        bx = make_bx(buffer_pool=pool)
-        for m in random_motions(60, seed=1):
-            bx.insert(m)
+        table, bx = make_bx(buffer_pool=pool)
+        report(table, random_motions(60, seed=1))
         assert pool.stats.accesses == 0
         bx.range_query(Rect(0, 0, 100, 100), 0)
         assert pool.stats.accesses > 0
@@ -239,8 +244,8 @@ class TestFRWithBxIndex:
 
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=12)
-        bx = BxTree(DOMAIN, horizon=12, phase_length=3, bits=6, fanout_override=8)
-        tpr = TPRTree(horizon=12, fanout_override=8)
+        bx = BxTree(table, DOMAIN, horizon=12, phase_length=3, bits=6, fanout_override=8)
+        tpr = TPRTree(table, horizon=12, fanout_override=8)
         table.add_listener(hist)
         table.add_listener(bx)
         table.add_listener(tpr)

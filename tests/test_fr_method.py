@@ -20,9 +20,7 @@ from repro.histogram.filter import filter_query, neighborhood_radii
 from repro.index.bx import BxTree
 from repro.index.tree import TPRTree
 from repro.methods.fr import FRMethod
-from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
-from repro.motion.updates import InsertUpdate
 from repro.storage.buffer import BufferPool
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
@@ -33,7 +31,7 @@ def build_world(n, seed, clustered=True, buffer_pages=8):
     table = ObjectTable()
     hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)  # cell edge 5
     pool = BufferPool(capacity_pages=buffer_pages)
-    tree = TPRTree(horizon=HORIZON, buffer_pool=pool, fanout_override=8)
+    tree = TPRTree(table, horizon=HORIZON, buffer_pool=pool, fanout_override=8)
     table.add_listener(hist)
     table.add_listener(tree)
     gen = np.random.default_rng(seed)
@@ -133,7 +131,7 @@ class TestFRMatchesBruteForce:
         fr = FRMethod(hist, tree)
         query = SnapshotPDRQuery(rho=rho, l=10.0, qt=qt)
         got = fr.query(query)
-        want = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        want = bruteforce_from_motions(table.columns(), DOMAIN, query)
         assert got.regions.symmetric_difference_area(want.regions) == pytest.approx(
             0.0, abs=1e-6
         )
@@ -143,7 +141,7 @@ class TestFRMatchesBruteForce:
         fr = FRMethod(hist, tree)
         query = SnapshotPDRQuery(rho=0.01, l=30.0, qt=2)
         got = fr.query(query)
-        want = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        want = bruteforce_from_motions(table.columns(), DOMAIN, query)
         assert got.regions.symmetric_difference_area(want.regions) == pytest.approx(
             0.0, abs=1e-6
         )
@@ -151,7 +149,7 @@ class TestFRMatchesBruteForce:
     def test_empty_world(self):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tree = TPRTree(horizon=HORIZON, fanout_override=8)
+        tree = TPRTree(table, horizon=HORIZON, fanout_override=8)
         table.add_listener(hist)
         table.add_listener(tree)
         fr = FRMethod(hist, tree)
@@ -167,7 +165,7 @@ class TestFRBatchedRefinement:
         table, hist, tree = build_world(n, seed=seed)
         query = SnapshotPDRQuery(rho=rho, l=10.0, qt=2)
         batched = FRMethod(hist, tree).query(query)
-        exact = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        exact = bruteforce_from_motions(table.columns(), DOMAIN, query)
         assert exact.regions.symmetric_difference_area(batched.regions) == 0.0
 
     def test_batching_issues_fewer_range_queries(self):
@@ -201,8 +199,8 @@ class TestFRIsIndexIndependent:
     def world(points):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tpr = TPRTree(horizon=HORIZON, fanout_override=8)
-        bx = BxTree(DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        tpr = TPRTree(table, horizon=HORIZON, fanout_override=8)
+        bx = BxTree(table, DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
         for listener in (hist, tpr, bx):
             table.add_listener(listener)
         for oid, (x, y, vx, vy) in enumerate(points):
@@ -228,7 +226,7 @@ class TestFRIsIndexIndependent:
     def test_bx_equals_tpr_equals_bruteforce(self, points, count, qt):
         table, hist, tpr, bx = self.world(points)
         query = SnapshotPDRQuery(rho=count / 100.0, l=10.0, qt=qt)
-        exact = bruteforce_from_motions(table.motions(), DOMAIN, query)
+        exact = bruteforce_from_motions(table.columns(), DOMAIN, query)
         for index in (tpr, bx):
             got = FRMethod(hist, index).query(query)
             assert got.regions.symmetric_difference_area(exact.regions) == 0.0
@@ -267,26 +265,27 @@ class TestFRIsIndexIndependent:
         object ahead of the B^x-tree so that only ``BxTree.epoch`` moves
         between the two queries: were it not to, the second query would
         skip the bands the first one found one object short."""
+        ahead, behind = ObjectTable(), ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        bx = BxTree(DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        ahead.add_listener(hist)
+        bx = BxTree(behind, DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        behind.add_listener(bx)
         # Three cells, one l-square: candidates for the filter, never accepted.
         trio = [
-            Motion(oid, 0, x, y, 0.0, 0.0)
+            (oid, x, y, 0.0, 0.0)
             for oid, (x, y) in enumerate([(11.0, 11.0), (17.0, 11.0), (14.0, 17.0)])
         ]
-        for motion in trio:
-            hist.on_insert(InsertUpdate(0, motion))
-        for motion in trio[:2]:
-            bx.insert(motion)
+        ahead.report_batch(trio)
+        behind.report_batch(trio[:2])
         fr = FRMethod(hist, bx)
         query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)  # 3 objects per square
         before = fr.query(query)
         assert before.stats.extra["refine_bands"] > 0.0
         assert before.regions.is_empty()
-        bx.insert(trio[2])
+        behind.report(*trio[2])
         after = fr.query(query)
         assert after.stats.extra["refine_bands_skipped"] == 0.0
-        exact = bruteforce_from_motions(trio, DOMAIN, query)
+        exact = bruteforce_from_motions(ahead.columns(), DOMAIN, query)
         assert not exact.regions.is_empty()
         assert after.regions.symmetric_difference_area(exact.regions) == 0.0
 
@@ -298,7 +297,8 @@ class TestBandCache:
 
     def test_skips_need_every_candidate_cell_covered_and_below_threshold(self):
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        fr = FRMethod(hist, TPRTree(horizon=HORIZON, fanout_override=8))
+        table = ObjectTable()
+        fr = FRMethod(hist, TPRTree(table, horizon=HORIZON, fanout_override=8))
         key = ("epochs", 0.0, 10.0)
         swept = np.zeros((20, 20), dtype=bool)
         swept[2:6, 3] = swept[8:10, 3] = True  # row 3: two strips, maximum 4
@@ -334,7 +334,7 @@ class TestFRStats:
     def test_no_buffer_pool_means_no_io_charge(self):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tree = TPRTree(horizon=HORIZON, buffer_pool=None, fanout_override=8)
+        tree = TPRTree(table, horizon=HORIZON, buffer_pool=None, fanout_override=8)
         table.add_listener(hist)
         table.add_listener(tree)
         gen = np.random.default_rng(0)

@@ -10,20 +10,32 @@ from hypothesis import strategies as st
 from repro.core.errors import InvalidParameterError, QueryError
 from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
-from repro.motion.updates import DeleteUpdate, InsertUpdate, UpdateListener
+from repro.motion.updates import Columns, UpdateListener
+
+
+def motions_of(columns: Columns):
+    return [Motion(*fields) for fields in columns.tuples()]
 
 
 class Recorder(UpdateListener):
-    """Collects every event for assertions."""
+    """Collects every event for assertions: a wave unrolls into the
+    delete_i, insert_i, ... sequence its ``supersedes`` index prescribes."""
 
     def __init__(self):
         self.events = []
+        self.waves = []
 
-    def on_insert(self, update):
-        self.events.append(("insert", update.tnow, update.motion))
-
-    def on_delete(self, update):
-        self.events.append(("delete", update.tnow, update.motion))
+    def on_report_batch(self, wave):
+        self.waves.append(wave)
+        deleted, inserted = motions_of(wave.deleted), motions_of(wave.inserted)
+        superseded = set(wave.supersedes.tolist())
+        for j, motion in enumerate(deleted):
+            if j not in superseded:  # a retire
+                self.events.append(("delete", wave.tnow, motion))
+        for motion, j in zip(inserted, wave.supersedes.tolist()):
+            if j >= 0:
+                self.events.append(("delete", wave.tnow, deleted[j]))
+            self.events.append(("insert", wave.tnow, motion))
 
     def on_advance(self, tnow):
         self.events.append(("advance", tnow, None))
@@ -155,10 +167,71 @@ class TestObjectTable:
         assert m.t_ref == 7
 
 
+    def test_report_retire_and_report_batch_build_the_same_kind_of_wave(self):
+        table = ObjectTable(tnow=2)
+        rec = Recorder()
+        table.add_listener(rec)
+        table.report(1, 1.0, 2.0, 0.5, 0.0)
+        table.report_batch([(1, 3.0, 4.0, 0.0, 0.5), (2, 5.0, 6.0, 0.0, 0.0)])
+        table.retire(2)
+        first, mixed, retire = rec.waves
+        assert first.supersedes.tolist() == [-1] and len(first.deleted) == 0
+        assert mixed.supersedes.tolist() == [0, -1]
+        assert motions_of(mixed.deleted) == [Motion(1, 2, 1.0, 2.0, 0.5, 0.0)]
+        # the re-report overwrote its row in place; the wave kept the old value
+        assert mixed.deleted_rows.tolist() == [mixed.rows[0]] == first.rows.tolist()
+        assert motions_of(table.columns(mixed.rows)) == motions_of(mixed.inserted)
+        assert len(retire.inserted) == 0 and retire.deleted.oid.tolist() == [2]
+        assert retire.deleted_rows.tolist() == [mixed.rows[1]]
+        assert mixed.inserted.oid.dtype == mixed.inserted.t_ref.dtype == np.int64
+
+    def test_duplicate_oid_splits_the_batch_into_consecutive_waves(self):
+        table = ObjectTable()
+        rec = Recorder()
+        table.add_listener(rec)
+        table.report_batch(
+            [(1, 0.0, 0.0, 0.0, 0.0), (2, 1.0, 1.0, 0.0, 0.0), (1, 2.0, 2.0, 0.0, 0.0)]
+        )
+        assert [w.inserted.oid.tolist() for w in rec.waves] == [[1, 2], [1]]
+        assert rec.waves[1].deleted.x.tolist() == [0.0]
+        assert [e[0] for e in rec.events] == ["insert", "insert", "delete", "insert"]
+        assert table.motion_of(1).x == 2.0 and len(table) == 2
+
+    def test_retired_row_is_reused_and_columns_grow_past_the_initial_capacity(self):
+        table = ObjectTable()
+        table.report(1, 1.0, 1.0, 0.0, 0.0)
+        table.report(2, 2.0, 2.0, 0.0, 0.0)
+        table.retire(1)
+        rec = Recorder()
+        table.add_listener(rec)
+        table.report(3, 3.0, 3.0, 0.0, 0.0)
+        assert rec.waves[0].rows.tolist() == [0]  # the row object 1 freed
+        many = [(10 + i, float(i % 90), 1.0, 0.0, 0.0) for i in range(3000)]
+        table.report_batch(many)
+        assert len(table) == 3002
+        assert sorted(m.oid for m in table.motions()) == [2, 3] + [10 + i for i in range(3000)]
+        assert table.motion_of(2) == Motion(2, 0, 2.0, 2.0, 0.0, 0.0)
+        assert table.motion_of(3009) == Motion(3009, 0, 29.0, 1.0, 0.0, 0.0)
+        assert table.rows().tolist()[:2] == [1, 0]  # first-report order, not row order
+
+    def test_oids_beyond_float_precision_stay_exact(self):
+        table = ObjectTable()
+        table.report(2**53 + 1, 1.0, 1.0, 0.0, 0.0)
+        table.report(2**53, 2.0, 2.0, 0.0, 0.0)
+        assert len(table) == 2
+        assert table.motion_of(2**53 + 1).x == 1.0
+        assert sorted(oid for oid, _, _ in table.positions_at(0)) == [2**53, 2**53 + 1]
+
+
 class TestUpdateListenerDefaults:
-    def test_hooks_are_noops(self):
-        listener = UpdateListener()
-        m = Motion(0, 0, 0, 0, 0, 0)
-        listener.on_insert(InsertUpdate(0, m))
-        listener.on_delete(DeleteUpdate(0, m))
-        listener.on_advance(5)
+    def test_bare_listener_ignores_waves_and_advances(self):
+        table = ObjectTable()
+        table.add_listener(UpdateListener())
+        table.report(0, 0.0, 0.0, 0.0, 0.0)
+        table.report(0, 1.0, 1.0, 0.0, 0.0)
+        table.retire(0)
+        table.advance_to(5)
+        assert len(table) == 0 and table.tnow == 5
+        assert [name for name in vars(UpdateListener) if name.startswith("on_")] == [
+            "on_report_batch", "on_advance",
+        ]

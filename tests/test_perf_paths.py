@@ -10,10 +10,12 @@ Families of properties:
   thresholds at or below zero) and in whatever order a band's objects come;
 * the batched tree traversal returns, rect by rect, exactly what sequential
   range queries return, timestamps mixed;
-* a :meth:`PDRServer.report_batch` wave leaves every maintained structure —
-  histogram counters, PA coefficients, tree contents, WAL — in exactly the
-  state the same reports produce sequentially, and recovery from the
-  group-committed WAL reproduces it bit-for-bit;
+* there is one write path, the wave: however a tick's reports are cut into
+  consecutive waves (all one-row, one wave, random cuts — first reports,
+  re-reports, a retire in between, a duplicate oid), every maintained
+  structure — histogram counters, PA coefficients, table, tree contents —
+  ends in exactly the same state, and recovery from the group-committed WAL
+  reproduces it bit-for-bit;
 * the timestamp-keyed caches return the same arrays as cold computation and
   invalidate on every mutation epoch.
 """
@@ -35,7 +37,7 @@ from repro.histogram.filter import filter_query
 from repro.index.tree import TPRTree
 from repro.methods.fr import FRMethod
 from repro.methods.interval import evaluate_interval, evaluate_interval_fr
-from repro.motion.model import Motion
+from repro.motion.table import ObjectTable
 from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
 from repro.sweep.band_sweep import BandBatch, refine_bands
@@ -272,27 +274,28 @@ def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
 
 
 def _random_tree(rng):
-    tree = TPRTree(horizon=10.0)
+    table = ObjectTable()
+    tree = TPRTree(table, horizon=10.0)
+    table.add_listener(tree)
     for oid in range(int(rng.integers(1, 150))):
-        tree.insert(
-            Motion(
-                oid, 0,
-                float(rng.uniform(0, 100)), float(rng.uniform(0, 100)),
-                float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
-            )
+        table.report(
+            oid,
+            float(rng.uniform(0, 100)), float(rng.uniform(0, 100)),
+            float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
         )
-    return tree
+    return table, tree
 
 
-def _assert_fetch_matches_range_queries(tree, rects, qts, fetched):
+def _assert_fetch_matches_range_queries(table, tree, rects, qts, fetched):
     """CSR columns == one ``range_query`` + ``position_at`` per rect, in
     that rect's own visit order."""
     offsets, px, py = fetched
     assert offsets[0] == 0 and offsets[-1] == px.size == py.size
     for r, (window, qt) in enumerate(zip(rects, qts)):
         sequential = tree.range_query(Rect(*window), qt, charge_io=False)
-        sx = np.array([m.position_at(qt)[0] for m in sequential])
-        sy = np.array([m.position_at(qt)[1] for m in sequential])
+        positions = [table.motion_of(oid).position_at(qt) for oid in sequential]
+        sx = np.array([x for x, _ in positions])
+        sy = np.array([y for _, y in positions])
         assert np.array_equal(sx, px[offsets[r] : offsets[r + 1]])
         assert np.array_equal(sy, py[offsets[r] : offsets[r + 1]])
 
@@ -302,13 +305,13 @@ def _assert_fetch_matches_range_queries(tree, rects, qts, fetched):
 def test_batch_traversal_matches_sequential(seed):
     """One shared traversal answers every rect exactly like N traversals."""
     rng = np.random.default_rng(seed)
-    tree = _random_tree(rng)
+    table, tree = _random_tree(rng)
     n_rects = int(rng.integers(0, 10))
     corner = rng.uniform(0, 90, (n_rects, 2))
     rects = np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])
     qts = rng.integers(0, 5, n_rects).astype(float)
     fetched = tree.range_positions_batch(rects, qts)
-    _assert_fetch_matches_range_queries(tree, rects, qts, fetched)
+    _assert_fetch_matches_range_queries(table, tree, rects, qts, fetched)
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +488,7 @@ def test_two_timestamp_refine_is_one_fetch_of_per_rect_range_queries(
     )
     ((rects, qts, fetched),) = calls
     assert sorted(set(qts)) == [server.tnow, server.tnow + 3]
-    _assert_fetch_matches_range_queries(server.tree, rects, qts, fetched)
+    _assert_fetch_matches_range_queries(server.table, server.tree, rects, qts, fetched)
     apart = [
         FRMethod(server.histogram, server.tree).refine([entry], base.l, base.min_count)
         for entry in entries
@@ -496,7 +499,7 @@ def test_two_timestamp_refine_is_one_fetch_of_per_rect_range_queries(
 
 
 # ----------------------------------------------------------------------
-# batched ingest == sequential ingest, structure by structure
+# one write path: however a tick is cut into waves, the state is the same
 # ----------------------------------------------------------------------
 def _wave(rng, n, oid_base=0, domain=100.0):
     return [
@@ -511,65 +514,145 @@ def _wave(rng, n, oid_base=0, domain=100.0):
     ]
 
 
-def _drive(server, waves, batched):
-    for advance, wave in waves:
+def _ticks(rng):
+    """Three ticks of ops, in order: ``("report", (oid, x, y, vx, vy))`` and
+    ``("retire", oid)``.  First reports, re-reports, an oid reported twice
+    in one tick (forces a wave split), a retire in the middle of a tick
+    followed by a first report (which takes the freed row), and fast movers
+    that leave the domain inside the horizon."""
+
+    def report(oid):
+        fast = rng.random() < 0.25
+        speed = 8.0 if fast else 0.5
+        return ("report", (
+            int(oid),
+            float(rng.uniform(1.0, 99.0)), float(rng.uniform(1.0, 99.0)),
+            float(rng.uniform(-speed, speed)), float(rng.uniform(-speed, speed)),
+        ))
+
+    ticks = [(0, [report(oid) for oid in range(24)])]
+    live = set(range(24))
+    for tick in (1, 2):
+        oids = rng.permutation(34)[: int(rng.integers(6, 20))].tolist()
+        ops = [report(oid) for oid in oids]
+        ops.insert(int(rng.integers(1, len(ops) + 1)), report(oids[0]))  # a duplicate
+        live.update(oids)
+        victim = int(rng.choice(sorted(live - set(oids))))
+        at = int(rng.integers(0, len(ops) + 1))
+        ops[at:at] = [("retire", victim), report(100 + tick)]
+        live.discard(victim)
+        ticks.append((int(rng.integers(1, 3)), ops))
+    return ticks
+
+
+def _drive(server, ticks, cut):
+    """Apply ``ticks``; each run of consecutive reports is cut into waves of
+    the sizes ``cut(run length)`` yields (``None``: per-object ``report``)."""
+
+    def flush(run):
+        if cut is None:
+            for report in run:
+                assert server.report(*report) is not None
+            return
+        start = 0
+        for size in cut(len(run)):
+            assert None not in server.report_batch(run[start : start + size])
+            start += size
+        assert start == len(run)
+
+    for advance, ops in ticks:
         if advance:
             server.advance_to(server.tnow + advance)
-        if batched:
-            server.report_batch(wave)
-        else:
-            for report in wave:
-                server.report(*report)
+        run = []
+        for kind, payload in ops:
+            if kind == "retire":
+                flush(run)
+                run = []
+                assert server.retire(payload)
+            else:
+                run.append(payload)
+        flush(run)
+
+
+def _random_cuts(rng):
+    def cut(n):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+        return sizes
+
+    return cut
+
+
+def _table_contents(server):
+    return sorted(server.table.columns().tuples())
 
 
 def _tree_contents(server):
-    return sorted(
-        (m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in server.tree.all_motions()
-    )
+    rows = server.tree.root.subtree_rows()
+    return sorted(server.table.columns(rows).tuples())
+
+
+def _assert_same_state(a, b):
+    # Histogram counters are integers: exact equality, slot labels included.
+    assert np.array_equal(a.histogram._counts, b.histogram._counts)
+    assert np.array_equal(a.histogram._slot_time, b.histogram._slot_time)
+    # PA coefficients are floats: every wave applies delete_i, insert_i,
+    # delete_i+1, ... in report order, so equality is bitwise.
+    assert np.array_equal(a.pa._coeffs, b.pa._coeffs)
+    assert np.array_equal(a.pa._slot_time, b.pa._slot_time)
+    assert a.tnow == b.tnow and _table_contents(a) == _table_contents(b)
+    # The tree's contract is its contents plus structural invariants; wave
+    # size does shape it (Z-order, repacks).
+    for server in (a, b):
+        server.tree.validate()
+        assert _tree_contents(server) == _table_contents(server)
+        assert server.audit(raise_on_violation=False) == []
+        assert server._tick_oids == a._tick_oids
+
+
+def _assert_fr_is_exact(server):
+    for qt in (server.tnow, server.tnow + 1):
+        for rho in (0.02, 0.05):
+            got = server.query("fr", qt=qt, rho=rho)
+            want = server.query("bruteforce", qt=qt, rho=rho)
+            assert got.regions.symmetric_difference_area(want.regions) == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_report_batch_states_bit_identical(seed):
+    """Any partition of a tick's reports into consecutive waves — per-object
+    ``report`` calls, whole runs, random cuts — leaves the same state."""
+    rng = np.random.default_rng(seed)
+    ticks = _ticks(rng)
+    servers = []
+    for cut in (None, lambda n: [1] * n, lambda n: [n] if n else [], _random_cuts(rng)):
+        server = PDRServer(small_system_config(), expected_objects=200)
+        _drive(server, ticks, cut)
+        servers.append(server)
+    for other in servers[1:]:
+        _assert_same_state(servers[0], other)
+        assert other.dead_letters.total == 0
+    _assert_fr_is_exact(servers[0])
+    _assert_fr_is_exact(servers[-1])
+    for method in ("pa", "dh-optimistic"):
+        answers = [
+            set(server.query(method, qt=server.tnow + 1, rho=0.05).regions)
+            for server in servers
+        ]
+        assert all(answer == answers[0] for answer in answers)
 
 
 @pytest.fixture
 def report_waves():
     rng = np.random.default_rng(42)
-    first = _wave(rng, 40)
-    rereport = _wave(rng, 40)
-    # A duplicate oid inside one batch forces the wave-splitting path.
-    rereport.append((7, 50.0, 50.0, 0.1, 0.1))
-    later = _wave(rng, 30, oid_base=20)
-    return [(0, first), (0, rereport), (2, later)]
-
-
-def test_report_batch_states_bit_identical(report_waves):
-    sequential = PDRServer(small_system_config(), expected_objects=200)
-    batched = PDRServer(small_system_config(), expected_objects=200)
-    _drive(sequential, report_waves, batched=False)
-    _drive(batched, report_waves, batched=True)
-
-    # Histogram counters are integers: exact equality, slot labels included.
-    assert np.array_equal(
-        sequential.histogram._counts, batched.histogram._counts
-    )
-    assert np.array_equal(
-        sequential.histogram._slot_time, batched.histogram._slot_time
-    )
-    # PA coefficients are floats: the batched path preserves the exact
-    # per-report interleaving, so equality is bitwise, not approximate.
-    assert np.array_equal(sequential.pa._coeffs, batched.pa._coeffs)
-    assert np.array_equal(sequential.pa._slot_time, batched.pa._slot_time)
-    # The tree's contract is its contents plus structural invariants; the
-    # Z-order bulk insert may shape the tree differently.
-    batched.tree.validate()
-    assert _tree_contents(sequential) == _tree_contents(batched)
-    # Queries agree as answer sets.
-    for method in ("fr", "pa", "dh-optimistic", "bruteforce"):
-        a = sequential.query(method, qt=sequential.tnow + 1, rho=0.05)
-        b = batched.query(method, qt=batched.tnow + 1, rho=0.05)
-        assert set(a.regions) == set(b.regions)
+    return [_wave(rng, 40), _wave(rng, 40)]
 
 
 def test_report_batch_results_align_with_input(report_waves):
     server = PDRServer(small_system_config(), expected_objects=200)
-    wave = report_waves[0][1]
+    wave = report_waves[0]
     results = server.report_batch(wave)
     assert len(results) == len(wave)
     for (oid, x, y, _vx, _vy), motion in zip(wave, results):
@@ -593,30 +676,81 @@ def test_report_batch_rejects_like_sequential():
     assert sequential.dead_letters.total == batched.dead_letters.total == 2
     assert dict(sequential.dead_letters.counts) == dict(batched.dead_letters.counts)
     assert np.array_equal(sequential.histogram._counts, batched.histogram._counts)
+    # a report's own timestamp is checked on the per-object call only
+    assert sequential.report(4, 1.0, 1.0, 0.0, 0.0, t=sequential.tnow + 1) is None
+    assert sequential.dead_letters.latest.reason == "future"
 
 
-def test_report_batch_wal_recovery_bit_identical(tmp_path, report_waves):
-    state_dir = str(tmp_path / "state")
-    live = PDRServer(
-        small_system_config(),
-        expected_objects=200,
-        reliability=ReliabilityConfig(state_dir=state_dir),
-    )
-    _drive(live, report_waves, batched=True)
-    live.close()
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_report_batch_wal_recovery_bit_identical(seed):
+    """Replay coalesces logged reports into waves of its own cut (runs of
+    one tick's records): recovery ends in the live state bit for bit, and
+    in the state per-object ingest gives."""
+    import tempfile
 
-    recovered = PDRServer.recover(state_dir)
-    try:
-        assert recovered.tnow == live.tnow
-        assert len(recovered.table) == len(live.table)
-        assert np.array_equal(recovered.histogram._counts, live.histogram._counts)
-        # Replay applies records sequentially; the batched live path must
-        # therefore be bit-identical to sequential application for the
-        # recovered floats to match exactly.
-        assert np.array_equal(recovered.pa._coeffs, live.pa._coeffs)
-        assert _tree_contents(recovered) == _tree_contents(live)
-    finally:
-        recovered.close()
+    rng = np.random.default_rng(seed)
+    ticks = _ticks(rng)
+    rowwise = PDRServer(small_system_config(), expected_objects=200)
+    _drive(rowwise, ticks, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        live = PDRServer(
+            small_system_config(),
+            expected_objects=200,
+            reliability=ReliabilityConfig(state_dir=tmp + "/state", fsync=False),
+        )
+        _drive(live, ticks[:2], _random_cuts(rng))
+        live.checkpoint()  # the image carries the table's columns
+        _drive(live, ticks[2:], _random_cuts(rng))
+        live.close()
+        recovered = PDRServer.recover(tmp + "/state")
+        try:
+            _assert_same_state(live, recovered)
+            _assert_same_state(rowwise, recovered)
+            assert recovered.wal_lsn == live.wal_lsn
+            _assert_fr_is_exact(recovered)
+        finally:
+            recovered.close()
+
+
+def test_retire_then_first_report_in_one_tick_reuses_the_freed_row():
+    server = PDRServer(small_system_config(), expected_objects=200)
+    populate_clustered(server, 60)
+    server.advance_to(1)
+    row = server.table.rows()[17]
+    assert server.retire(17)
+    server.report(900, 31.0, 31.0, 0.1, 0.1)  # lands in the dense cluster
+    assert server.table.rows()[-1] == row and len(server.table) == 60
+    server.report_batch([(900, 32.0, 32.0, 0.0, 0.0), (5, 30.0, 30.0, 0.0, 0.0)])
+    server.tree.validate()
+    assert server.audit(raise_on_violation=False) == []
+    assert _tree_contents(server) == _table_contents(server)
+    assert server.histogram.total_at(server.tnow) == 60
+    _assert_fr_is_exact(server)
+
+
+def test_growing_past_the_initial_capacity_between_queries_changes_no_answer():
+    """The columns are reallocated when the table doubles; nothing may keep
+    reading the old arrays.  1000 objects, an FR query, 300 visitors that
+    arrive (crossing the 1024-row capacity) and leave again, the same FR
+    query: the same world, hence the same answer."""
+    server = PDRServer(small_system_config(), expected_objects=2000)
+    rng = np.random.default_rng(5)
+    server.report_batch(_wave(rng, 1000))
+    before = server.query("fr", qt=server.tnow + 1, rho=0.15)
+    capacity = server.table._oid.shape[0]
+    server.report_batch(_wave(rng, 300, oid_base=5000))
+    assert server.table._oid.shape[0] == 2 * capacity
+    crowded = server.query("fr", qt=server.tnow + 1, rho=0.15)
+    assert crowded.regions.area() > before.regions.area()
+    _assert_fr_is_exact(server)
+    for oid in range(5000, 5300):
+        assert server.retire(oid)
+    after = server.query("fr", qt=server.tnow + 1, rho=0.15)
+    assert not before.regions.is_empty()
+    assert after.regions.symmetric_difference_area(before.regions) == 0.0
+    _assert_fr_is_exact(server)
+    assert server.audit(raise_on_violation=False) == []
 
 
 def test_update_log_group_commit_bytes_identical(tmp_path):
@@ -642,50 +776,27 @@ def test_update_log_group_commit_bytes_identical(tmp_path):
 
 
 def test_timed_listener_forwards_batches():
-    """The server wraps histogram/PA in TimedListener; if the wrapper fell
-    back to per-object forwarding, batching would silently vanish and the
-    per-update counts would drift from the sequential path."""
-
-    class Recorder:
-        def __init__(self):
-            self.calls = []
-
-        def on_report_batch(self, pairs):
-            self.calls.append(("report_batch", len(pairs)))
-
-        def on_insert(self, update):  # pragma: no cover - must not be hit
-            raise AssertionError("batch was unbatched")
-
-        def on_insert_batch(self, updates):
-            self.calls.append(("insert_batch", len(updates)))
-
-        def on_delete_batch(self, updates):
-            self.calls.append(("delete_batch", len(updates)))
-
-        def on_delete(self, update):  # pragma: no cover - must not be hit
-            raise AssertionError("batch was unbatched")
-
-        def on_advance(self, tnow):
-            pass
-
+    """The server wraps histogram/PA in TimedListener: a wave must reach the
+    wrapped listener as the wave it is — through an attribute lookup at call
+    time, so a proxy set on the inner instance (the benchmark's span
+    recorder does that) is what gets called — and the timer is charged one
+    update per deletion and per insertion."""
     from repro.metrics.instrument import TimedListener
-    from repro.motion.model import Motion
-    from repro.motion.updates import DeleteUpdate, InsertUpdate
 
-    inner = Recorder()
-    timed = TimedListener(inner)
-    inserts = [InsertUpdate(0, Motion(i, 0, 1.0 * i, 2.0, 0.0, 0.0)) for i in range(4)]
-    deletes = [DeleteUpdate(1, u.motion) for u in inserts[:2]]
-    timed.on_insert_batch(inserts)
-    timed.on_delete_batch(deletes)
-    timed.on_report_batch([(deletes[0], inserts[0]), (None, inserts[1])])
-    assert inner.calls == [
-        ("insert_batch", 4),
-        ("delete_batch", 2),
-        ("report_batch", 2),
-    ]
-    # One delete + two inserts in the report wave, plus 4 + 2 before it.
-    assert timed.timer.updates == 4 + 2 + 3
+    calls = []
+    table = ObjectTable()
+    hist = DensityHistogram(Rect(0.0, 0.0, 100.0, 100.0), m=10, horizon=4)
+    timed = TimedListener(hist)
+    table.add_listener(timed)
+    inner = hist.on_report_batch
+    hist.on_report_batch = lambda wave: (calls.append(wave), inner(wave))[1]
+    table.report_batch([(i, 10.0 * i + 5.0, 20.0, 0.0, 0.0) for i in range(4)])
+    table.report_batch([(0, 50.0, 50.0, 0.0, 0.0), (9, 60.0, 60.0, 0.0, 0.0)])
+    table.retire(1)
+    table.advance_to(1)
+    assert [(len(w.deleted), len(w.inserted)) for w in calls] == [(0, 4), (1, 2), (1, 0)]
+    assert timed.timer.updates == 4 + 3 + 1
+    assert hist.total_at(1) == 4 and hist.tnow == 1
 
 
 # ----------------------------------------------------------------------

@@ -342,6 +342,48 @@ class TestCorruptionHandling:
             PDRServer.recover(rc.state_dir)
 
 
+class TestObjectIdRange:
+    def test_oid_beyond_float_precision_survives_checkpoint_and_recovery(self, tmp_path):
+        rc = durable_config(tmp_path, interval=0)
+        server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
+        big = 2**53 + 1
+        assert server.report(big, 40.0, 40.0, 0.1, 0.0) is not None
+        assert server.report(7, 60.0, 60.0, 0.0, 0.0) is not None
+        server.checkpoint()
+        server.advance_to(1)
+        server.close()
+        recovered = PDRServer.recover(rc.state_dir)
+        try:
+            assert recovered.table.motion_of(big) == server.table.motion_of(big)
+            assert recovered.report(big, 41.0, 40.0, 0.1, 0.0) is not None  # no ghost
+            assert recovered.object_count() == 2
+            assert recovered.histogram.total_at(recovered.tnow) == 2
+            assert recovered.audit() == []
+        finally:
+            recovered.close()
+
+    def test_oid_beyond_int64_dies_at_the_validator_before_the_wal(self, tmp_path):
+        """The table stores oids as int64: 2**63 would overflow *after* its
+        WAL record was appended, poisoning every later recovery."""
+        rc = durable_config(tmp_path, interval=0)
+        server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
+        assert server.report(2**63 - 1, 10.0, 10.0, 0.0, 0.0) is not None
+        lsn = server.wal_lsn
+        assert server.report(2**63, 20.0, 20.0, 0.0, 0.0) is None
+        assert server.report_batch(
+            [(2**63, 20.0, 20.0, 0.0, 0.0), (1, 30.0, 30.0, 0.0, 0.0), (2**70, 1.0, 1.0, 0.0, 0.0)]
+        ) == [None, server.table.motion_of(1), None]
+        assert server.retire(2**63) is False
+        assert server.wal_lsn == lsn + 1  # only object 1 was logged
+        assert server.dead_letters.counts == {"bad_oid": 3, "unknown_oid": 1}
+        server.close()
+        recovered = PDRServer.recover(rc.state_dir)
+        try:
+            assert sorted(m.oid for m in recovered.table.motions()) == [1, 2**63 - 1]
+        finally:
+            recovered.close()
+
+
 class TestAudit:
     def test_audit_detects_structure_divergence(self):
         server = PDRServer(small_system_config(), expected_objects=N_OBJECTS)
@@ -351,13 +393,42 @@ class TestAudit:
         # silently drop an object from the table only: every structure
         # now disagrees with the registry, which the audit must surface
         oid = next(iter(server.table.motions())).oid
-        server.table._motions.pop(oid)
+        server.table._row_of.pop(oid)
         violations = server.audit(raise_on_violation=False)
         assert any("tree holds" in v for v in violations)
         assert any("histogram total" in v for v in violations)
         with pytest.raises(AuditError) as info:
             audit_server(server)
         assert info.value.violations == violations
+
+    def test_audit_names_the_one_timestamp_whose_slot_was_zeroed(self, reference):
+        """The recount is one (n, H + 1) array expression over the table's
+        columns; the object-by-object loop it replaced is the oracle here.
+        By tick 200 the workload holds motions that outlived their window
+        and motions that left the domain — both must be left out."""
+        server, horizon = reference, reference.config.horizon
+        domain, tnow = server.config.domain, server.tnow
+        expected = {}
+        for qt in range(tnow, tnow + horizon + 1):
+            expected[qt] = sum(
+                1
+                for m in server.table.motions()
+                if m.t_ref <= qt <= m.t_ref + horizon
+                and domain.contains_point(*m.position_at(qt))
+            )
+            assert server.histogram.total_at(qt) == expected[qt]
+        assert len(set(expected.values())) > 1 and max(expected.values()) < len(server.table)
+        assert server.audit() == []
+        qt = tnow + 2
+        slot = server.histogram._counts[qt % (horizon + 1)]
+        saved = slot.copy()
+        slot[:] = 0
+        try:
+            assert server.audit(raise_on_violation=False) == [
+                f"histogram total 0 at t={qt} != {expected[qt]} live in-domain objects"
+            ]
+        finally:
+            slot[:] = saved
 
     def test_recover_runs_the_audit_by_default(self, tmp_path):
         rc = durable_config(tmp_path)

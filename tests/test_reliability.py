@@ -24,7 +24,8 @@ from repro.core.errors import (
     TransientFaultError,
     TransientIOError,
 )
-from repro.motion.updates import UpdateListener, dispatch
+from repro.motion.table import ObjectTable
+from repro.motion.updates import UpdateListener
 from repro.reliability.deadline import (
     DEGRADATION_LADDER,
     Deadline,
@@ -361,10 +362,10 @@ class TestQueryDegradation:
 # ----------------------------------------------------------------------
 class _ExplodingListener(UpdateListener):
     def __init__(self):
-        self.inserts = 0
+        self.waves = 0
 
-    def on_insert(self, update):
-        self.inserts += 1
+    def on_report_batch(self, wave):
+        self.waves += 1
         raise RuntimeError("listener bug")
 
 
@@ -373,21 +374,31 @@ class _CountingListener(UpdateListener):
         self.inserts = 0
         self.deletes = 0
 
-    def on_insert(self, update):
-        self.inserts += 1
-
-    def on_delete(self, update):
-        self.deletes += 1
+    def on_report_batch(self, wave):
+        self.inserts += len(wave.inserted)
+        self.deletes += len(wave.deleted)
 
 
 class TestListenerFanout:
     def test_dispatch_notifies_all_listeners_despite_failures(self):
-        bad, good = _ExplodingListener(), _CountingListener()
+        table = ObjectTable()
+        bad, good, worse = _ExplodingListener(), _CountingListener(), _ExplodingListener()
+        for listener in (bad, good, worse):
+            table.add_listener(listener)
         with pytest.raises(ListenerFanoutError) as info:
-            dispatch([bad, good], "on_insert", object())
-        assert good.inserts == 1  # still notified
-        assert len(info.value.failures) == 1
-        assert "listener bug" in str(info.value)
+            # the repeated oid cuts the batch into two waves
+            table.report_batch([(1, 1.0, 1.0, 0.0, 0.0), (1, 2.0, 2.0, 0.0, 0.0)])
+        assert (good.inserts, good.deletes) == (2, 1)  # still notified, both waves
+        assert bad.waves == worse.waves == 2  # a failed wave does not stop the next
+        # ONE error carries every failure of every wave ...
+        assert [listener for listener, _ in info.value.failures] == [bad, worse, bad, worse]
+        assert "4 listener failure(s)" in str(info.value)
+        assert all("listener bug" in str(exc) for _, exc in info.value.failures)
+        # ... and the table had committed the rows before anyone was told
+        assert table.motion_of(1).x == 2.0 and len(table) == 1
+        with pytest.raises(ListenerFanoutError) as info:
+            table.retire(1)
+        assert good.deletes == 2 and len(info.value.failures) == 2 and 1 not in table
 
     def test_server_structures_stay_consistent_when_a_listener_fails(self):
         server = make_server()
@@ -401,21 +412,25 @@ class TestListenerFanout:
         assert server.audit() == []
         # re-reporting (delete+insert) also survives the bad listener
         with pytest.raises(ListenerFanoutError):
-            server.report(1, 20.0, 20.0, 0.0, 0.5)
-        assert server.object_count() == 1
+            server.report_batch([(1, 20.0, 20.0, 0.0, 0.5), (2, 30.0, 30.0, 0.0, 0.0)])
+        assert server.object_count() == 2
         assert server.audit() == []
+        assert bad.waves == 2
 
     def test_crash_during_fanout_propagates_immediately(self):
         faults = FaultInjector()
 
         class CrashingListener(UpdateListener):
-            def on_insert(self, update):
+            def on_report_batch(self, wave):
                 faults.inject_crash("x")
                 faults.hit("x")
 
+        table = ObjectTable()
         notified = _CountingListener()
+        table.add_listener(CrashingListener())
+        table.add_listener(notified)
         with pytest.raises(InjectedCrashError):
-            dispatch([CrashingListener(), notified], "on_insert", object())
+            table.report(1, 1.0, 1.0, 0.0, 0.0)
         assert notified.inserts == 0  # a dead process notifies nobody
 
 

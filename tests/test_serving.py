@@ -157,6 +157,21 @@ def test_basic_ops_over_the_wire(front_door):
             assert answer["area"] >= 0.0
 
 
+def test_oid_beyond_int64_is_dead_lettered_over_the_wire(front_door):
+    thread, group = front_door
+    with ResilientClient([thread.address]) as client:
+        lsn = group.primary.wal_lsn
+        batch = client.report_batch(
+            [(2**63, 40.0, 40.0, 0.0, 0.0), (2**64 + 5, 60.0, 60.0, 0.0, 0.0)]
+        )
+        assert (batch["accepted"], batch["rejected"]) == (0, 2)
+        assert client.report(2**63, 50.0, 50.0, 0.1, 0.1)["accepted"] is False
+        assert group.primary.wal_lsn == lsn  # nothing reached the log
+        assert group.primary.dead_letters.counts["bad_oid"] == 3
+        assert client.report(2**63 - 1, 50.0, 50.0, 0.1, 0.1)["accepted"] is True
+        assert group.primary.wal_lsn == lsn + 1
+
+
 def test_malformed_and_unknown_requests_are_bad_request(front_door):
     thread, _group = front_door
     config = ClientConfig(max_attempts=2)

@@ -65,14 +65,38 @@ class TestSnapshotRoundTrip:
             oracle.regions
         ) == pytest.approx(0.0, abs=1e-6)
 
+    def test_oid_beyond_float_precision_survives_and_rereports_in_place(
+        self, warm_server, tmp_path
+    ):
+        """Format 2 stores oids as int64.  Squeezed through float64 (format
+        1) this id checkpointed as 2**53, and a re-report after the restore
+        created a ghost beside it."""
+        big = 2**53 + 1
+        assert warm_server.report(big, 40.0, 40.0, 0.0, 0.0) is not None
+        path = tmp_path / "snap.npz"
+        save_server(warm_server, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert data["motion_oid"].dtype == data["motion_t_ref"].dtype == np.int64
+            assert data["motion_x"].dtype == np.float64
+        restored = load_server(path)
+        assert restored.table.motion_of(big) == warm_server.table.motion_of(big)
+        assert restored.table.motion_of(2**53) is None
+        for server in (warm_server, restored):
+            assert server.report(big, 41.0, 41.0, 0.0, 0.0) is not None
+        assert restored.object_count() == warm_server.object_count() == 121
+        qt = restored.tnow
+        assert restored.histogram.total_at(qt) == warm_server.histogram.total_at(qt)
+        assert restored.audit() == []
+
     def test_bad_version_rejected(self, warm_server, tmp_path):
         path = tmp_path / "snap.npz"
         save_server(warm_server, path)
         data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.int64(999)
-        np.savez(path, **data)
-        with pytest.raises(StorageError):
-            load_server(path)
+        for version in (1, 999):  # the float64-oid format, and the future
+            data["format_version"] = np.int64(version)
+            np.savez(path, **data)
+            with pytest.raises(StorageError, match="not supported"):
+                load_server(path)
 
     def test_restore_requires_empty_table(self, warm_server):
         with pytest.raises(QueryError):

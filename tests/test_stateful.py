@@ -25,6 +25,7 @@ from repro.core.geometry import Rect
 from repro.index.bx import BxTree
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
+from repro.motion.table import ObjectTable
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -39,28 +40,40 @@ class TPRTreeMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         self.tnow = 0
-        self.tree = TPRTree(horizon=15, fanout_override=5, tnow=0)
+        self.table = ObjectTable()
+        self.tree = TPRTree(self.table, horizon=15, fanout_override=5)
+        self.table.add_listener(self.tree)
         self.model = {}
 
     @rule(oid=oid_strategy, x=coord, y=coord, vx=velocity, vy=velocity)
     def report(self, oid, x, y, vx, vy):
         """Insert (or replace) a motion, as the update protocol would."""
-        motion = Motion(oid, self.tnow, x, y, vx, vy)
-        if oid in self.model:
-            self.tree.delete(self.model[oid])
-        self.tree.insert(motion)
-        self.model[oid] = motion
+        self.table.report(oid, x, y, vx, vy)
+        self.model[oid] = Motion(oid, self.tnow, x, y, vx, vy)
+
+    @rule(
+        wave=st.lists(
+            st.tuples(oid_strategy, coord, coord, velocity, velocity), min_size=2, max_size=12
+        )
+    )
+    def report_wave(self, wave):
+        """Several reports at once (repeated oids split the wave): first
+        reports, in-place re-reports and reused rows share one dispatch."""
+        self.table.report_batch(wave)
+        for oid, x, y, vx, vy in wave:
+            self.model[oid] = Motion(oid, self.tnow, x, y, vx, vy)
 
     @precondition(lambda self: self.model)
     @rule(pick=st.randoms(use_true_random=False))
     def retire(self, pick):
         oid = pick.choice(sorted(self.model))
-        self.tree.delete(self.model.pop(oid))
+        self.table.retire(oid)
+        del self.model[oid]
 
     @rule(dt=st.integers(1, 4))
     def advance(self, dt):
         self.tnow += dt
-        self.tree.on_advance(self.tnow)
+        self.table.advance_to(self.tnow)
 
     @rule(
         x1=st.floats(0, 70),
@@ -72,7 +85,7 @@ class TPRTreeMachine(RuleBasedStateMachine):
     def query_matches_model(self, x1, y1, w, h, dt):
         rect = Rect(x1, y1, x1 + w, y1 + h)
         qt = self.tnow + dt
-        got = sorted(m.oid for m in self.tree.range_query(rect, qt, charge_io=False))
+        got = sorted(self.tree.range_query(rect, qt, charge_io=False))
         want = []
         for motion in self.model.values():
             px, py = motion.position_at(qt)
@@ -92,29 +105,29 @@ class BxTreeMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         self.tnow = 0
+        self.table = ObjectTable()
         self.tree = BxTree(
-            DOMAIN, horizon=15, phase_length=4, bits=5, fanout_override=6, tnow=0
+            self.table, DOMAIN, horizon=15, phase_length=4, bits=5, fanout_override=6
         )
+        self.table.add_listener(self.tree)
         self.model = {}
 
     @rule(oid=oid_strategy, x=coord, y=coord, vx=velocity, vy=velocity)
     def report(self, oid, x, y, vx, vy):
-        motion = Motion(oid, self.tnow, x, y, vx, vy)
-        if oid in self.model:
-            self.tree.delete(self.model[oid])
-        self.tree.insert(motion)
-        self.model[oid] = motion
+        self.table.report(oid, x, y, vx, vy)
+        self.model[oid] = Motion(oid, self.tnow, x, y, vx, vy)
 
     @precondition(lambda self: self.model)
     @rule(pick=st.randoms(use_true_random=False))
     def retire(self, pick):
         oid = pick.choice(sorted(self.model))
-        self.tree.delete(self.model.pop(oid))
+        self.table.retire(oid)
+        del self.model[oid]
 
     @rule(dt=st.integers(1, 4))
     def advance(self, dt):
         self.tnow += dt
-        self.tree.on_advance(self.tnow)
+        self.table.advance_to(self.tnow)
 
     @rule(
         x1=st.floats(0, 70),
@@ -126,7 +139,7 @@ class BxTreeMachine(RuleBasedStateMachine):
     def query_matches_model(self, x1, y1, w, h, dt):
         rect = Rect(x1, y1, x1 + w, y1 + h)
         qt = self.tnow + dt
-        got = sorted(m.oid for m in self.tree.range_query(rect, qt, charge_io=False))
+        got = sorted(self.tree.range_query(rect, qt, charge_io=False))
         want = []
         for motion in self.model.values():
             px, py = motion.position_at(qt)

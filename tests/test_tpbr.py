@@ -23,10 +23,14 @@ motion_strategy = st.builds(
 )
 
 
+def point(m: Motion) -> TPBR:
+    return TPBR.point(m.t_ref, m.x, m.y, m.vx, m.vy)
+
+
 class TestFromMotion:
     def test_tracks_object_exactly(self):
         m = Motion(0, 2, 10.0, 20.0, 1.0, -0.5)
-        bound = TPBR.from_motion(m, t_ref=2)
+        bound = point(m)
         for t in (2, 5, 10):
             x, y = m.position_at(t)
             r = bound.rect_at(t)
@@ -37,7 +41,8 @@ class TestFromMotion:
 
     def test_backward_anchor(self):
         m = Motion(0, 5, 10.0, 0.0, 2.0, 0.0)
-        bound = TPBR.from_motion(m, t_ref=0)  # extrapolated back
+        bound = TPBR.empty(0)
+        bound.extend_tpbr(point(m))  # extrapolated back
         r = bound.rect_at(5)
         assert r.x1 == pytest.approx(10.0)
 
@@ -90,7 +95,7 @@ class TestExtend:
             Motion(1, 0, 5.0, 5.0, -1.0, 0.5),
         ]
         for m in motions:
-            bound.extend_motion(m)
+            bound.extend_tpbr(point(m))
         for t in (0, 3, 12):
             r = bound.rect_at(t)
             for m in motions:
@@ -124,7 +129,7 @@ class TestExtend:
     def test_enlarged_integral_does_not_mutate(self):
         bound = TPBR(0, 0, 0, 1, 1, 0, 0, 0, 0)
         before = bound.copy()
-        grown = bound.enlarged_integral(Motion(0, 0, 50.0, 50.0, 1.0, 1.0), 0, 10)
+        grown = bound.enlarged_integral(point(Motion(0, 0, 50.0, 50.0, 1.0, 1.0)), 0, 10)
         assert bound == before
         assert grown > bound.integral_area(0, 10)
 
@@ -133,7 +138,7 @@ class TestExtend:
     def test_bound_contains_all_motions_property(self, motions, t):
         bound = TPBR.empty(10)
         for m in motions:
-            bound.extend_motion(m)
+            bound.extend_tpbr(point(m))
         r = bound.rect_at(float(t))
         for m in motions:
             x, y = m.position_at(float(t))
@@ -145,5 +150,5 @@ class TestExtend:
     def test_integral_area_nonnegative(self, motions):
         bound = TPBR.empty(10)
         for m in motions:
-            bound.extend_motion(m)
+            bound.extend_tpbr(point(m))
         assert bound.integral_area(10, 30) >= 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,18 +13,21 @@ from repro.core.errors import IndexError_
 from repro.core.geometry import Rect
 from repro.datagen import TripSimulator, synthetic_metro
 from repro.index.node import Node
-from repro.index.split import bound_of_entries, pick_split
-from repro.index.tpbr import cheapest_enlargement
+from repro.index.tpbr import TPBR, cheapest_enlargement, pick_split
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
-from repro.motion.updates import DeleteUpdate, InsertUpdate
+from repro.motion.table import ObjectTable
+from repro.motion.updates import Columns, UpdateListener
 from repro.storage.buffer import BufferPool
 
 
 def make_tree(fanout=8, horizon=20, buffer_pool=None, tnow=0):
-    return TPRTree(
-        horizon=horizon, buffer_pool=buffer_pool, tnow=tnow, fanout_override=fanout
-    )
+    """A table and the TPR-tree maintained against it: reports and retires
+    go to the table, whose waves are the tree's only write path."""
+    table = ObjectTable(tnow=tnow)
+    tree = TPRTree(table, horizon=horizon, buffer_pool=buffer_pool, fanout_override=fanout)
+    table.add_listener(tree)
+    return table, tree
 
 
 def random_motions(n, seed=0, tnow=0):
@@ -40,6 +45,26 @@ def random_motions(n, seed=0, tnow=0):
     ]
 
 
+def report(table, motions):
+    """One one-row wave per motion (each registered at the table's clock)."""
+    for m in motions:
+        table.report(m.oid, m.x, m.y, m.vx, m.vy)
+
+
+def columns_of(motions) -> Columns:
+    """Motions as columns — ``table.restore`` loads them whatever their t_ref."""
+    fields = list(zip(*[(m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in motions]))
+    return Columns(
+        np.array(fields[0], dtype=np.int64),
+        np.array(fields[1], dtype=np.int64),
+        *(np.array(column, dtype=float) for column in fields[2:]),
+    )
+
+
+def point(m: Motion) -> TPBR:
+    return TPBR.point(m.t_ref, m.x, m.y, m.vx, m.vy)
+
+
 def brute_range(motions, rect, qt):
     out = []
     for m in motions:
@@ -49,91 +74,126 @@ def brute_range(motions, rect, qt):
     return sorted(out)
 
 
+class Waves(UpdateListener):
+    """Keeps the waves a table dispatched, to replay or doctor them."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_report_batch(self, wave):
+        self.seen.append(wave)
+
+
 class TestInsertBasics:
     def test_empty_tree(self):
-        tree = make_tree()
+        _, tree = make_tree()
         assert len(tree) == 0
         assert tree.height == 1
         assert tree.range_query(Rect(0, 0, 100, 100), 0) == []
 
     def test_single_insert_and_query(self):
-        tree = make_tree()
-        tree.insert(Motion(1, 0, 5.0, 5.0, 1.0, 0.0))
-        hits = tree.range_query(Rect(0, 0, 10, 10), 0)
-        assert [m.oid for m in hits] == [1]
+        table, tree = make_tree()
+        table.report(1, 5.0, 5.0, 1.0, 0.0)
+        assert tree.range_query(Rect(0, 0, 10, 10), 0) == [1]
         # At t=10 the object has moved to x=15: outside.
         assert tree.range_query(Rect(0, 0, 10, 10), 10) == []
-        assert [m.oid for m in tree.range_query(Rect(10, 0, 20, 10), 10)] == [1]
+        assert tree.range_query(Rect(10, 0, 20, 10), 10) == [1]
 
     def test_duplicate_oid_rejected(self):
-        tree = make_tree()
-        tree.insert(Motion(1, 0, 0, 0, 0, 0))
-        with pytest.raises(IndexError_):
-            tree.insert(Motion(1, 0, 5, 5, 0, 0))
+        table, tree = make_tree()
+        waves = Waves()
+        table.add_listener(waves)
+        table.report(1, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(IndexError_):  # its row is indexed already
+            tree.on_report_batch(waves.seen[0])
+        assert len(tree) == 1
+        tree.validate()
 
     def test_split_grows_height(self):
-        tree = make_tree(fanout=4)
-        for m in random_motions(30):
-            tree.insert(m)
+        table, tree = make_tree(fanout=4)
+        report(table, random_motions(30))
         assert tree.height >= 2
         assert len(tree) == 30
         tree.validate()
 
     def test_query_before_tnow_raises(self):
-        tree = make_tree(tnow=5)
+        _, tree = make_tree(tnow=5)
         with pytest.raises(IndexError_):
             tree.range_query(Rect(0, 0, 1, 1), 4)
+
+    def test_the_tree_keeps_no_motion_of_its_own(self):
+        table, tree = make_tree(fanout=4)
+        report(table, random_motions(30))
+        for node in tree.root.subtree_nodes():
+            if node.is_leaf:
+                assert isinstance(node.entries, np.ndarray) and node.entries.dtype == np.intp
+                assert node._cols is None  # leaves cache nothing: the table is the copy
+        assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
 
 
 class TestDelete:
     def test_delete_removes_object(self):
-        tree = make_tree()
-        m = Motion(3, 0, 5.0, 5.0, 0.0, 0.0)
-        tree.insert(m)
-        tree.delete(m)
+        table, tree = make_tree()
+        table.report(3, 5.0, 5.0, 0.0, 0.0)
+        table.retire(3)
         assert len(tree) == 0
         assert tree.range_query(Rect(0, 0, 100, 100), 0) == []
 
     def test_delete_unknown_raises(self):
-        with pytest.raises(IndexError_):
-            make_tree().delete(Motion(9, 0, 0, 0, 0, 0))
+        table, tree = make_tree()
+        waves = Waves()
+        table.add_listener(waves)
+        table.report(9, 0.0, 0.0, 0.0, 0.0)
+        table.retire(9)
+        with pytest.raises(IndexError_):  # the retire wave again: row gone
+            tree.on_report_batch(waves.seen[1])
 
     def test_delete_all_after_splits(self):
-        tree = make_tree(fanout=4)
+        table, tree = make_tree(fanout=4)
         motions = random_motions(40, seed=3)
+        report(table, motions)
         for m in motions:
-            tree.insert(m)
-        for m in motions:
-            tree.delete(m)
+            table.retire(m.oid)
         assert len(tree) == 0
         tree.validate()
 
     def test_interleaved_insert_delete(self):
-        tree = make_tree(fanout=5)
+        table, tree = make_tree(fanout=5)
         motions = random_motions(60, seed=4)
         live = {}
         gen = np.random.default_rng(11)
         for m in motions:
-            tree.insert(m)
+            report(table, [m])
             live[m.oid] = m
             if gen.random() < 0.4 and live:
                 victim_oid = int(gen.choice(sorted(live)))
-                tree.delete(live.pop(victim_oid))
+                table.retire(live.pop(victim_oid).oid)
         tree.validate()
         hits = tree.range_query(Rect(-1000, -1000, 1000, 1000), 0)
-        assert sorted(m.oid for m in hits) == sorted(live)
+        assert sorted(hits) == sorted(live)
 
     def test_root_collapse(self):
-        tree = make_tree(fanout=4)
+        table, tree = make_tree(fanout=4)
         motions = random_motions(30, seed=5)
-        for m in motions:
-            tree.insert(m)
+        report(table, motions)
         tall = tree.height
         for m in motions[:-2]:
-            tree.delete(m)
+            table.retire(m.oid)
         assert tree.height <= tall
         tree.validate()
         assert len(tree) == 2
+
+    def test_retire_then_first_report_reuses_the_row_within_one_tick(self):
+        table, tree = make_tree(fanout=4)
+        motions = random_motions(20, seed=6)
+        report(table, motions)
+        row = table.rows()[7]
+        table.retire(motions[7].oid)
+        table.report(500, 90.0, 90.0, 0.0, 0.0)  # takes the freed row
+        assert table.rows()[-1] == row
+        tree.validate()
+        assert tree.range_query(Rect(89, 89, 91, 91), 0) == [500]
+        assert motions[7].oid not in tree.range_query(Rect(-1e3, -1e3, 1e3, 1e3), 0)
 
 
 class TestRangeQueryAgainstBruteForce:
@@ -150,78 +210,80 @@ class TestRangeQueryAgainstBruteForce:
         x1, y1, w, h = rect_params
         rect = Rect(x1, y1, x1 + w, y1 + h)
         motions = random_motions(n, seed=seed)
-        tree = make_tree(fanout=6)
-        for m in motions:
-            tree.insert(m)
-        hits = sorted(m.oid for m in tree.range_query(rect, qt))
-        assert hits == brute_range(motions, rect, qt)
+        table, tree = make_tree(fanout=6)
+        report(table, motions)
+        assert sorted(tree.range_query(rect, qt)) == brute_range(motions, rect, qt)
 
     @given(st.integers(2, 40), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_matches_bruteforce_after_deletes(self, n, seed):
         motions = random_motions(n, seed=seed)
-        tree = make_tree(fanout=5)
-        for m in motions:
-            tree.insert(m)
+        table, tree = make_tree(fanout=5)
+        report(table, motions)
         for m in motions[:: 2]:
-            tree.delete(m)
+            table.retire(m.oid)
         remaining = motions[1::2]
         rect = Rect(20, 20, 70, 70)
         for qt in (0, 7):
-            hits = sorted(m.oid for m in tree.range_query(rect, qt))
-            assert hits == brute_range(remaining, rect, qt)
+            assert sorted(tree.range_query(rect, qt)) == brute_range(remaining, rect, qt)
 
 
 class TestValidateInvariants:
     @given(st.integers(1, 80), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_structure_valid_after_bulk_insert(self, n, seed):
-        tree = make_tree(fanout=5)
-        for m in random_motions(n, seed=seed):
-            tree.insert(m)
+        table, tree = make_tree(fanout=5)
+        report(table, random_motions(n, seed=seed))
         tree.validate()
 
     def test_node_count_reasonable(self):
-        tree = make_tree(fanout=8)
-        for m in random_motions(100, seed=9):
-            tree.insert(m)
+        table, tree = make_tree(fanout=8)
+        report(table, random_motions(100, seed=9))
         # With fanout 8 and min fill 40%, 100 objects need <= ~60 nodes.
         assert tree.node_count() <= 60
+
+    def test_validate_sees_a_tree_that_lost_step_with_its_table(self):
+        table, tree = make_tree(fanout=4)
+        report(table, random_motions(12, seed=1))
+        table.remove_listener(tree)
+        table.report(3, 500.0, 500.0, 0.0, 0.0)  # overwrites row 3 behind the tree
+        with pytest.raises(IndexError_, match="escapes"):
+            tree.validate()
+        table.report(99, 1.0, 1.0, 0.0, 0.0)
+        tree.bulk_load()
+        tree.validate()
+        assert len(tree) == 13
 
 
 class TestIOAccounting:
     def test_queries_charge_buffer(self):
         pool = BufferPool(capacity_pages=2)
-        tree = make_tree(fanout=4, buffer_pool=pool)
-        for m in random_motions(40, seed=2):
-            tree.insert(m)
+        table, tree = make_tree(fanout=4, buffer_pool=pool)
+        report(table, random_motions(40, seed=2))
         pool.reset_stats()
         tree.range_query(Rect(0, 0, 100, 100), 0)
         assert pool.stats.accesses > 0
 
     def test_charge_io_flag(self):
         pool = BufferPool(capacity_pages=2)
-        tree = make_tree(fanout=4, buffer_pool=pool)
-        for m in random_motions(20, seed=2):
-            tree.insert(m)
+        table, tree = make_tree(fanout=4, buffer_pool=pool)
+        report(table, random_motions(20, seed=2))
         pool.reset_stats()
         tree.range_query(Rect(0, 0, 100, 100), 0, charge_io=False)
         assert pool.stats.accesses == 0
 
     def test_updates_not_charged(self):
         pool = BufferPool(capacity_pages=2)
-        tree = make_tree(fanout=4, buffer_pool=pool)
-        for m in random_motions(40, seed=2):
-            tree.insert(m)
+        table, tree = make_tree(fanout=4, buffer_pool=pool)
+        report(table, random_motions(40, seed=2))
         # Inserts/splits never touched the pool (Section 4: maintenance I/O
         # is not counted).
         assert pool.stats.accesses == 0
 
     def test_repeated_query_hits_buffer(self):
         pool = BufferPool(capacity_pages=128)
-        tree = make_tree(fanout=4, buffer_pool=pool)
-        for m in random_motions(60, seed=2):
-            tree.insert(m)
+        table, tree = make_tree(fanout=4, buffer_pool=pool)
+        report(table, random_motions(60, seed=2))
         tree.range_query(Rect(0, 0, 100, 100), 0)
         first = pool.reset_stats()
         tree.range_query(Rect(0, 0, 100, 100), 0)
@@ -231,31 +293,76 @@ class TestIOAccounting:
         assert second.hits == first.accesses
 
 
+def bound_columns(bounds) -> np.ndarray:
+    """One :meth:`TPBR.column` per column — what :meth:`Node.columns` returns."""
+    return np.array([b.column() for b in bounds], dtype=float).reshape(len(bounds), 9).T
+
+
+def bound_of_entries(bounds, t_ref: float) -> TPBR:
+    """The scalar reference: TPBR anchored at ``t_ref`` grown over every bound
+    (a motion enters as its degenerate :func:`point` bound) one at a time."""
+    bound = TPBR.empty(t_ref)
+    for other in bounds:
+        bound.extend_tpbr(other)
+    return bound
+
+
+def loop_split(bounds, min_fill, t_from, t_to):
+    """The scalar axis-sweep split the columnar :func:`pick_split` replaced:
+    ``sorted`` by centre, prefix/suffix bounds grown by ``extend_tpbr``, key
+    (summed integral area, summed integral margin), first minimum wins."""
+    n = len(bounds)
+    t_mid = (t_from + t_to) / 2.0
+
+    def center(b, axis):
+        r = bound_of_entries([b], t_mid)
+        return ((r.x1 + r.x2) / 2.0, (r.y1 + r.y2) / 2.0)[axis]
+
+    best_cost, best = (float("inf"), float("inf")), None
+    for axis in (0, 1):
+        order = sorted(range(n), key=lambda i: center(bounds[i], axis))
+        for k in range(min_fill, n - min_fill + 1):
+            first = bound_of_entries([bounds[i] for i in order[:k]], t_from)
+            second = bound_of_entries([bounds[i] for i in order[k:]], t_from)
+            cost = (
+                first.integral_area(t_from, t_to) + second.integral_area(t_from, t_to),
+                first.integral_margin(t_from, t_to) + second.integral_margin(t_from, t_to),
+            )
+            if cost < best_cost:
+                best_cost, best = cost, (order[:k], order[k:])
+    return best
+
+
 class TestSplitHelper:
     def test_pick_split_sizes(self):
-        motions = random_motions(10, seed=1)
-        a, b = pick_split(motions, min_fill=3, t_from=0, t_to=10)
+        cols = bound_columns([point(m) for m in random_motions(10, seed=1)])
+        a, b = pick_split(cols, min_fill=3, t_from=0, t_to=10)
         assert len(a) >= 3 and len(b) >= 3
-        assert len(a) + len(b) == 10
-        assert {m.oid for m in a} | {m.oid for m in b} == {m.oid for m in motions}
+        assert sorted(a.tolist() + b.tolist()) == list(range(10))
 
     def test_pick_split_too_few_raises(self):
+        cols = bound_columns([point(m) for m in random_motions(4)])
         with pytest.raises(IndexError_):
-            pick_split(random_motions(4), min_fill=3, t_from=0, t_to=10)
+            pick_split(cols, min_fill=3, t_from=0, t_to=10)
 
     def test_split_separates_clusters(self):
         left = [Motion(i, 0, float(i), 0.0, 0.0, 0.0) for i in range(5)]
         right = [Motion(10 + i, 0, 100.0 + i, 0.0, 0.0, 0.0) for i in range(5)]
-        a, b = pick_split(left + right, min_fill=2, t_from=0, t_to=10)
-        groups = {frozenset(m.oid for m in a), frozenset(m.oid for m in b)}
-        assert frozenset(m.oid for m in left) in groups
-        assert frozenset(m.oid for m in right) in groups
+        cols = bound_columns([point(m) for m in left + right])
+        a, b = pick_split(cols, min_fill=2, t_from=0, t_to=10)
+        assert {frozenset(a.tolist()), frozenset(b.tolist())} == {
+            frozenset(range(5)), frozenset(range(5, 10))
+        }
 
     def test_bound_of_entries(self):
         motions = [Motion(0, 0, 0, 0, 0, 0), Motion(1, 0, 10, 5, 0, 0)]
-        bound = bound_of_entries(motions, t_ref=0)
-        r = bound.rect_at(0)
+        table = ObjectTable()
+        report(table, motions)
+        leaf = Node(0, level=0, t_ref=0.0)
+        leaf.set_entries(table.rows(), 0.0, table)
+        r = leaf.bound.rect_at(0)
         assert (r.x1, r.y1, r.x2, r.y2) == (0, 0, 10, 5)
+        assert leaf.bound == bound_of_entries([point(m) for m in motions], 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +392,28 @@ def motion_lists(draw, min_size=1, max_size=12):
     return [Motion(i, *row) for i, row in enumerate(rows)]
 
 
-def loop_choice(children, motion, t_from, t_to):
+def leaves_over(groups, anchors):
+    """One table holding every group's motions (whatever their t_ref) and one
+    leaf per group over its rows, bounded at the group's anchor."""
+    flat = [m for motions in groups for m in motions]
+    table = ObjectTable()
+    table.restore(columns_of([dataclasses.replace(m, oid=i) for i, m in enumerate(flat)]), 0)
+    rows = table.rows()
+    leaves, start = [], 0
+    for page, (motions, anchor) in enumerate(zip(groups, anchors)):
+        leaf = Node(page, level=0, t_ref=0.0)
+        leaf.set_entries(rows[start : start + len(motions)], float(anchor), table)
+        leaves.append(leaf)
+        start += len(motions)
+    return table, leaves
+
+
+def loop_choice(children, probe, t_from, t_to):
     """The scalar choose-subtree loop: key (enlargement, base), first minimum."""
     best, best_key = None, None
     for index, child in enumerate(children):
         base = child.bound.integral_area(t_from, t_to)
-        grown = child.bound.enlarged_integral(motion, t_from, t_to)
+        grown = child.bound.enlarged_integral(probe, t_from, t_to)
         key = (grown - base, base)
         if best_key is None or key < best_key:
             best, best_key = index, key
@@ -301,17 +424,16 @@ class TestColumnarArithmetic:
     @settings(max_examples=150, deadline=None)
     @given(motion_lists(max_size=30), st.integers(min_value=9, max_value=40))
     def test_leaf_bound_equals_extend_motion_loop(self, motions, t_ref):
-        leaf = Node(0, level=0, t_ref=0.0)
-        leaf.set_entries(list(motions), float(t_ref))
-        assert leaf.bound == bound_of_entries(motions, float(t_ref))
-        # ... and again from the columns the leaf kept while growing
+        table, (leaf,) = leaves_over([motions], [t_ref])
+        assert leaf.bound == bound_of_entries([point(m) for m in motions], float(t_ref))
+        # ... and again for a leaf that grew one row at a time
         grown = Node(1, level=0, t_ref=float(t_ref))
-        grown.columns()
-        for motion in motions:
-            grown.add(motion)
-        grown.retighten(float(t_ref))
+        for row, motion in zip(table.rows().tolist(), motions):
+            grown.add(row, point(motion))
         assert grown.bound == leaf.bound
-        assert np.array_equal(grown.columns(), grown.fresh_columns())
+        grown.retighten(float(t_ref), table)
+        assert grown.bound == leaf.bound
+        assert grown.entries.tolist() == leaf.entries.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -326,128 +448,175 @@ class TestColumnarArithmetic:
         # duplicated groups tie exactly; single motions and collinear groups
         # have zero integral area
         groups = groups + [groups[i % len(groups)] for i in repeats]
+        table, children = leaves_over(groups, anchors)
         parent = Node(99, level=1, t_ref=t_from)
-        children = []
-        for page, (motions, anchor) in enumerate(zip(groups, anchors)):
-            child = Node(page, level=0, t_ref=0.0)
-            child.set_entries(list(motions), float(anchor))
-            children.append(child)
-        parent.set_entries(children, t_from)
-        motion = Motion(1000, *[getattr(probe[0], f) for f in ("t_ref", "x", "y", "vx", "vy")])
-        got = cheapest_enlargement(parent.columns(), motion, t_from, t_from + horizon)
-        assert got == loop_choice(children, motion, t_from, t_from + horizon)
+        parent.set_entries(children, t_from, table)
+        got = cheapest_enlargement(parent.columns(table), point(probe[0]), t_from, t_from + horizon)
+        assert got == loop_choice(children, point(probe[0]), t_from, t_from + horizon)
+        # the parent's own bound: one min/max over the cached child columns
+        assert parent.bound == bound_of_entries([c.bound for c in children], t_from)
 
     def test_choose_subtree_first_minimum_wins_on_ties(self):
+        twin = [Motion(0, 0, 1.0, 1.0, 0.0, 0.0), Motion(1, 0, 3.0, 2.0, 0.5, 0.0)]
+        table, twins = leaves_over([twin, twin, twin], [0.0, 0.0, 0.0])
         parent = Node(9, level=1, t_ref=0.0)
-        twins = []
-        for page in range(3):
-            child = Node(page, level=0, t_ref=0.0)
-            child.set_entries([Motion(page, 0, 1.0, 1.0, 0.0, 0.0), Motion(10 + page, 0, 3.0, 2.0, 0.5, 0.0)], 0.0)
-            twins.append(child)
-        parent.set_entries(twins, 0.0)
-        inside = Motion(50, 0, 2.0, 1.5, 0.25, 0.0)  # enlarges none of them
-        assert cheapest_enlargement(parent.columns(), inside, 0.0, 10.0) == 0
+        parent.set_entries(twins, 0.0, table)
+        inside = point(Motion(50, 0, 2.0, 1.5, 0.25, 0.0))  # enlarges none of them
+        assert cheapest_enlargement(parent.columns(table), inside, 0.0, 10.0) == 0
         assert loop_choice(twins, inside, 0.0, 10.0) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(motion_lists(max_size=3), min_size=4, max_size=12),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=12, max_size=12),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=30),
+        st.booleans(),
+    )
+    def test_pick_split_equals_scalar_loop(self, groups, anchors, min_fill, horizon, as_leaf):
+        """Leaf entries (degenerate bounds) and internal entries (child
+        bounds, mixed anchors) go through the same columnar scorer; lattice
+        values make tied centres, tied costs and zero-area groups common."""
+        t_from = 10.0
+        if as_leaf:
+            bounds = [point(m) for motions in groups for m in motions]
+        else:
+            bounds = [leaf.bound for leaf in leaves_over(groups, anchors)[1]]
+        if len(bounds) < 2 * min_fill:
+            with pytest.raises(IndexError_):
+                pick_split(bound_columns(bounds), min_fill, t_from, t_from + horizon)
+            return
+        first, second = pick_split(bound_columns(bounds), min_fill, t_from, t_from + horizon)
+        want = loop_split(bounds, min_fill, t_from, t_from + horizon)
+        assert (first.tolist(), second.tolist()) == want
+
 
 # ----------------------------------------------------------------------
-# wave maintenance == sequential maintenance
+# one wave == the same reports as one-row waves
 # ----------------------------------------------------------------------
-def contents(tree):
-    return sorted((m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in tree.all_motions())
+def contents(table, tree):
+    """The motions the tree indexes, read where they live: in the table."""
+    return sorted(table.columns(tree.root.subtree_rows()).tuples())
 
 
 def leaves_of(tree):
     return [node for node in tree.root.subtree_nodes() if node.is_leaf]
 
 
+def oids_in(table, leaf, count=None):
+    return table.columns(leaf.entries[:count]).oid.tolist()
+
+
 class TestWaveMaintenance:
     def build_pair(self, n=120, fanout=8):
+        """Two identical (table, tree) pairs: ``rowwise`` will take a tick's
+        reports as one-row waves, ``wave`` as one wave."""
         motions = random_motions(n, seed=5)
         pair = (make_tree(fanout=fanout), make_tree(fanout=fanout))
-        for tree in pair:
-            for motion in motions:
-                tree.insert(motion)
+        for table, _ in pair:
+            report(table, motions)
         return pair
 
+    @staticmethod
+    def move_away(oids, tick=1):
+        return [(oid, 500.0 + oid, 500.0, 0.0, 1.0) for oid in oids]
+
+    def apply_both(self, pair, reports):
+        (rowwise_table, rowwise), (wave_table, wave) = pair
+        for table in (rowwise_table, wave_table):
+            table.advance_to(1)
+        for r in reports:
+            rowwise_table.report(*r)
+        wave_table.report_batch(reports)
+        wave.validate()
+        rowwise.validate()
+        assert contents(wave_table, wave) == contents(rowwise_table, rowwise)
+
     def test_wave_underfilling_several_leaves_and_emptying_one(self):
-        sequential, wave = self.build_pair()
+        pair = self.build_pair()
+        table, wave = pair[1]
         min_fill = wave._min_fill_leaf
         leaves = leaves_of(wave)
         assert len(leaves) >= 8
-        doomed = [m.oid for m in leaves[0].entries]  # this leaf is emptied
+        movers = oids_in(table, leaves[0])  # this leaf is emptied
         for leaf in leaves[1:5]:  # these end one short of the minimum fill
-            doomed += [m.oid for m in leaf.entries[: len(leaf.entries) - min_fill + 1]]
-        assert 2 * len(doomed) < len(wave)  # below the repack threshold
-        by_oid = {m.oid: m for m in wave.all_motions()}
-        deletes = [DeleteUpdate(0, by_oid[oid]) for oid in doomed]
-        wave.on_delete_batch(deletes)
-        for delete in deletes:
-            sequential.on_delete(delete)
-        wave.validate()
-        sequential.validate()
-        assert contents(wave) == contents(sequential)
-        assert len(wave) == 120 - len(doomed)
-        # the traversal and the leaf bound read rows: they must stay contiguous
-        assert all(leaf.columns().flags["C_CONTIGUOUS"] for leaf in leaves_of(wave))
+            movers += oids_in(table, leaf, len(leaf.entries) - min_fill + 1)
+        assert 2 * len(movers) < len(wave)  # below the repack threshold
+        self.apply_both(pair, self.move_away(movers))
+        assert len(wave) == 120
 
     def test_report_wave_moving_whole_leaves_away(self):
-        sequential, wave = self.build_pair()
-        movers = [m for leaf in leaves_of(wave)[:4] for m in leaf.entries]
-        pairs = [
-            (DeleteUpdate(1, old), InsertUpdate(1, Motion(old.oid, 1, 500.0 + old.oid, 500.0, 0.0, 1.0)))
-            for old in movers
-        ]
-        wave.on_report_batch(pairs)
-        for delete, insert in pairs:
-            sequential.on_delete(delete)
-            sequential.on_insert(insert)
-        wave.validate()
-        assert contents(wave) == contents(sequential)
+        pair = self.build_pair()
+        table, wave = pair[1]
+        movers = [oid for leaf in leaves_of(wave)[:4] for oid in oids_in(table, leaf)]
+        self.apply_both(pair, self.move_away(movers))
 
     def test_wave_dissolving_every_leaf_of_a_two_leaf_tree(self):
-        tree = make_tree(fanout=20)
+        table, tree = make_tree(fanout=20)
         motions = random_motions(21, seed=2)  # one split: two leaves under one root
-        for motion in motions:
-            tree.insert(motion)
+        report(table, motions)
         assert tree.height == 2 and len(leaves_of(tree)) == 2
         min_fill = tree._min_fill_leaf
-        doomed = [
-            m for leaf in leaves_of(tree) for m in leaf.entries[: len(leaf.entries) - min_fill + 1]
+        movers = [
+            oid for leaf in leaves_of(tree)
+            for oid in oids_in(table, leaf, len(leaf.entries) - min_fill + 1)
         ]
-        assert 2 * len(doomed) < len(tree)
-        tree.on_delete_batch([DeleteUpdate(0, m) for m in doomed])
+        assert 2 * len(movers) < len(tree)
+        table.report_batch(self.move_away(movers))
         tree.validate()
-        assert {m.oid for m in tree.all_motions()} == {m.oid for m in motions} - {m.oid for m in doomed}
+        assert sorted(tree.range_query(Rect(-1e4, -1e4, 1e4, 1e4), 0)) == list(range(21))
+        assert sorted(tree.range_query(Rect(400, 400, 700, 700), 0)) == sorted(movers)
 
     def test_wave_rejects_unknown_and_repeated_oids_before_mutating(self):
-        _, wave = self.build_pair(n=40)
-        before = contents(wave)
-        known = wave.all_motions()[0]
-        for bad in ([DeleteUpdate(0, known), DeleteUpdate(0, known)],
-                    [DeleteUpdate(0, known), DeleteUpdate(0, Motion(999, 0, 1.0, 1.0, 0.0, 0.0))]):
+        table, tree = self.build_pair(n=40)[1]
+        waves = Waves()
+        table.remove_listener(tree)
+        table.add_listener(waves)
+        table.report_batch(self.move_away([3, 4]))  # the tree does not see this wave ...
+        good = waves.seen[0]
+        before = sorted(tree.root.subtree_rows().tolist())
+        unknown = table.rows().max() + 1
+        for field, value in (
+            ("deleted_rows", np.array([good.deleted_rows[0]] * 2)),  # ... a row twice
+            ("deleted_rows", np.array([good.deleted_rows[0], unknown])),  # ... a row unknown
+            ("rows", np.array([good.rows[0], table.rows()[10]])),  # ... a row still indexed
+        ):
             with pytest.raises(IndexError_):
-                wave.on_delete_batch(bad)
-            assert contents(wave) == before
-            wave.validate()
+                tree.on_report_batch(dataclasses.replace(good, **{field: value}))
+            assert sorted(tree.root.subtree_rows().tolist()) == before
+        tree.on_report_batch(good)  # ... until now
+        tree.validate()
 
     def test_bulk_load_matches_incremental_contents(self):
         motions = random_motions(300, seed=9)
-        packed = make_tree(fanout=8)
-        packed.bulk_load(motions)
+        table = ObjectTable()
+        report(table, motions)
+        packed = TPRTree(table, horizon=20, fanout_override=8)
+        packed.bulk_load()
         packed.validate()
-        assert all(leaf.columns().flags["C_CONTIGUOUS"] for leaf in leaves_of(packed))
-        assert contents(packed) == sorted(
+        assert contents(table, packed) == sorted(
             (m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in motions
         )
         rect = Rect(20, 20, 70, 70)
-        got = sorted(m.oid for m in packed.range_query(rect, 4))
-        assert got == brute_range(motions, rect, 4)
+        assert sorted(packed.range_query(rect, 4)) == brute_range(motions, rect, 4)
+
+    def test_dominating_waves_repack(self):
+        table, tree = make_tree(fanout=4)
+        table.report_batch(self.move_away(range(30)))  # outnumbers an empty tree
+        tree.validate()
+        packed = [len(leaf.entries) for leaf in leaves_of(tree)]
+        assert len(tree) == 30 and packed == [4, 4, 2] * 3  # three STR slabs
+        table.report_batch(self.move_away(range(16)))  # re-reports over half of it
+        tree.validate()
+        assert [len(leaf.entries) for leaf in leaves_of(tree)] == packed
+        table.report_batch(self.move_away(range(5)))  # a small wave goes in row by row
+        tree.validate()
+        assert len(tree) == 30
 
 
 class _Trace:
     """What a datagen simulator sees instead of an ObjectTable: it records
-    every tick's (delete, insert) pairs."""
+    every tick's reports."""
 
     def __init__(self):
         self.tnow = 0
@@ -461,21 +630,18 @@ class _Trace:
         return self.motions.get(oid)
 
     def report(self, oid, x, y, vx, vy):
-        old = self.motions.get(oid)
         new = Motion(oid, self.tnow, x, y, vx, vy)
         self.motions[oid] = new
-        self.waves.setdefault(self.tnow, []).append(
-            (DeleteUpdate(self.tnow, old) if old is not None else None,
-             InsertUpdate(self.tnow, new))
-        )
+        self.waves.setdefault(self.tnow, []).append((oid, x, y, vx, vy))
         return new
 
 
 def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
-    """Tree-quality guard: leaf-grouped condense and wave inserts must not
-    buy their speed with looser leaves.  Both trees start from one STR pack
-    of the tick-60 world (by then the road traffic reports staggered, a few
-    to a few dozen objects per tick) and absorb the same 50 waves."""
+    """Tree-quality guard: leaf-grouped condense and Z-ordered wave inserts
+    must not buy their speed with looser leaves than one-row waves give.
+    Both trees start from one STR pack of the tick-60 world (by then the
+    road traffic reports staggered, a few to a few dozen objects per tick)
+    and absorb the same 50 ticks of reports."""
     domain = Rect(0.0, 0.0, 1000.0, 1000.0)
     simulator = TripSimulator(
         synthetic_metro(domain, grid_n=20, seed=7), n_objects=600, update_interval=60, seed=13
@@ -483,24 +649,28 @@ def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
     trace = _Trace()
     simulator.initialize(trace)
     simulator.run_until(trace, 60)
-    start = list(trace.motions.values())
+    start = columns_of(trace.motions.values())
     simulator.run_until(trace, 110)
     horizon = 120
-    sequential = TPRTree(horizon=horizon, fanout_override=16, tnow=60)
-    wave = TPRTree(horizon=horizon, fanout_override=16, tnow=60)
-    sequential.bulk_load(list(start))
-    wave.bulk_load(list(start))
+    pair = []
+    for _ in range(2):
+        table = ObjectTable()
+        table.restore(start, 60)
+        tree = TPRTree(table, horizon=horizon, fanout_override=16)
+        tree.bulk_load()
+        table.add_listener(tree)
+        pair.append((table, tree))
+    (rowwise_table, rowwise), (wave_table, wave) = pair
     for tick in range(61, 111):
-        pairs = trace.waves.get(tick, [])
-        assert 0 < 2 * len(pairs) < len(wave)  # never the repack path
-        sequential.on_advance(tick)
-        wave.on_advance(tick)
-        for delete, insert in pairs:
-            sequential.on_delete(delete)
-            sequential.on_insert(insert)
-        wave.on_report_batch(pairs)
+        reports = trace.waves.get(tick, [])
+        assert 0 < 2 * len(reports) < len(wave)  # never the repack path
+        rowwise_table.advance_to(tick)
+        wave_table.advance_to(tick)
+        for r in reports:
+            rowwise_table.report(*r)
+        wave_table.report_batch(reports)
     wave.validate()
-    assert contents(wave) == contents(sequential)
+    assert contents(wave_table, wave) == contents(rowwise_table, rowwise)
 
     def leaf_area(tree):
         return sum(
@@ -508,4 +678,4 @@ def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
             for leaf in leaves_of(tree)
         )
 
-    assert leaf_area(wave) <= 1.10 * leaf_area(sequential)
+    assert leaf_area(wave) <= 1.10 * leaf_area(rowwise)
