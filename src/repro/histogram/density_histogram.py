@@ -312,12 +312,10 @@ class DensityHistogram(UpdateListener):
         if radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         m = prefix.shape[0] - 1
-        idx = np.arange(m)
-        lo = np.clip(idx - radius, 0, m)
-        hi = np.clip(idx + radius + 1, 0, m)
-        return (
-            prefix[np.ix_(hi, hi)]
-            - prefix[np.ix_(lo, hi)]
-            - prefix[np.ix_(hi, lo)]
-            + prefix[np.ix_(lo, lo)]
-        )
+        # Clamping an index to [0, m] is edge replication: in the padded
+        # array, prefix[clip(i - radius)] and prefix[clip(i + radius + 1)]
+        # for i = 0..m-1 are two slices.
+        padded = np.pad(prefix, radius, mode="edge")
+        lo = slice(0, m)
+        hi = slice(2 * radius + 1, 2 * radius + 1 + m)
+        return padded[hi, hi] - padded[lo, hi] - padded[hi, lo] + padded[lo, lo]

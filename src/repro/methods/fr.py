@@ -279,7 +279,7 @@ class FRMethod:
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
-            segments=swept.segments,
+            segments=swept.segments, events=swept.events,
         )
 
         tm.REFINE_BANDS.labels("swept").inc(n_bands)
@@ -297,6 +297,7 @@ class FRMethod:
                 "refine_bands": float(n_bands),
                 "refine_bands_skipped": float(skipped),
                 "refine_segments": float(swept.segments),
+                "refine_events": float(swept.events),
             },
         )
 

@@ -12,20 +12,30 @@ objects.  This module refines an entire batch of such **bands** in one pass:
   rectangle (one range fetch per band instead of one per cell);
 * a query's bands are one structure of arrays, :class:`BandBatch` — flat
   strip and object columns with a band index — and no step loops over
-  bands.  Every per-band order is one flat order of ``(band, value)`` keys
-  (:func:`_band_keys`), so a ``searchsorted`` on the flat array *is* the
-  per-band ``searchsorted``;
-* one stable sort of the objects by ``(band, x)`` orders every band's enter
-  events ``x - l/2`` and its exit events ``x + l/2`` at once (both are
-  monotone in ``x``); the X-breakpoints of every strip come from the merged
-  distinct events, and the active set at a segment's left edge ``e`` is the
-  contiguous range ``[#exits <= e, #enters <= e)`` of the band's sorted
-  objects — two ``searchsorted`` calls give its count and its members;
-* the per-segment Y-sweeps of *all* bands run as one flat segmented
-  sort+cumsum: the (segment, object) incidence pairs are those ranges
-  expanded with ``repeat``/``arange``, then every downstream step — boundary
-  counts, in-range events, net deltas, running counts, dense-run extraction
-  — operates on flat arrays grouped by a global segment id.
+  bands.  Every per-band order is one flat order of ``(band, value)`` pairs:
+  complex search keys (:func:`_band_keys`), on which a ``searchsorted``
+  *is* the per-band ``searchsorted``, or a sort of the values followed by a
+  stable sort on the band index (:func:`_sort_pairs`);
+* one sort of the objects by ``(band, x)`` orders every band's enter events
+  ``x - l/2`` and its exit events ``x + l/2`` at once (both are monotone in
+  ``x``).  A strip's breakpoints are the enters and the exits strictly inside
+  it — two ranges of that order, sorted together per strip — and the active
+  set at a segment's left edge ``e`` is the contiguous range ``[#exits <= e,
+  #enters <= e)`` of the band's sorted objects: the two counts at the
+  strip's left end plus the strip's own stops at or before ``e``;
+* the per-segment Y-sweeps of *all* bands run as one flat pass in which no
+  array is indexed by (segment, object) pair.  A band is one histogram row,
+  ``l_c <= l/2`` tall (Algorithm 1's precondition) inside a reach of ``l +
+  l_c``, so only the objects in two ``l_c``-thin slabs — a share ``2 l_c /
+  (l + l_c)`` — open or close their square inside the band; the others
+  cover it whole.  Which of the three an object does depends on the band
+  alone, so it is asked once per (band, object); prefix sums over the
+  x-order then turn a segment's active range into its count at the band's
+  low edge (a difference) and into *one range of the band's event list*,
+  the only thing expanded per segment.  The event coordinates are ranked
+  once per band, an expanded event is one int64 ``(segment, rank, sign)``,
+  and sorting those values is the whole sweep order: running counts and
+  dense runs are flat passes over the sorted keys.
 
 Equality with the oracle.  Each strip's breakpoint set equals
 ``refine_cell``'s (the same float events restricted to the same strict
@@ -33,8 +43,14 @@ interior), the active count at a left edge ``x`` equals the oracle's
 admit/expire walk (``|{enter <= x < exit}| = |{enter <= x}| - |{exit <= x}|``
 because ``exit >= enter``), and the flat Y-sweep performs the same
 comparisons on the same floats as :func:`dense_segments_1d` segment by
-segment (that routine depends only on the multiset of active y's, so the
-order in which a segment's objects are listed never shows).  Fetching
+segment: ``y - l/2`` and ``y + l/2`` against the band's ``y1`` and ``y2``
+involve nothing of the segment, so comparing once per (band, object) is
+comparing once per pair; two events share a rank exactly when their doubles
+are equal (the oracle folds equal coordinates into one net delta) and ranks
+ascend with the doubles; every emitted y-bound is one of those doubles,
+looked up by rank, never recomputed.  (That routine depends only on the
+multiset of active y's, so the order in which a segment's objects are
+listed — hence the order of equal x's in the sort — never shows.)  Fetching
 a whole band's objects is harmless for any strip in it: an object outside a
 strip's ``l/2`` expansion contributes no breakpoint strictly inside the strip
 and is never active there.  The property suite in ``tests/test_perf_paths.py``
@@ -54,7 +70,6 @@ __all__ = ["BandBatch", "BandBatchResult", "refine_bands"]
 # Dense test: integer count vs float rho*l^2 — nudge so equality means dense.
 _THRESHOLD_EPS = 1e-9
 
-_EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
 
@@ -90,37 +105,45 @@ class BandBatchResult(NamedTuple):
     ``max_active`` is each band's maximum active-band count over all sweep
     segments (the ρ-monotonic skip bound: no l-square centred in the band's
     strips can ever hold more than this many objects).  ``segments`` counts
-    X-segments examined across the batch.
+    X-segments examined across the batch, ``events`` the Y-events expanded
+    for them (what the sweep's time is proportional to).
     """
 
     bounds: np.ndarray
     band_of_rect: np.ndarray
     max_active: np.ndarray
     segments: int
+    events: int
 
 
-def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size, dtype=np.int64)
-    if counts.size > 1:
-        np.cumsum(counts[:-1], out=out[1:])
+def _prefix_counts(flags: np.ndarray) -> np.ndarray:
+    """``out[i]`` = the sum of ``flags[:i]``, for ``i`` up to ``flags.size``."""
+    out = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=out[1:])
     return out
 
 
-def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(owner, within)`` of the concatenation of ``arange(c)`` per count."""
+def _ranges(first: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, index)`` of the concatenated ranges ``first[i] + arange(counts[i])``."""
     owner = np.repeat(np.arange(counts.size), counts)
-    within = np.arange(owner.size, dtype=np.int64) - _exclusive_cumsum(counts)[owner]
-    return owner, within
+    shift = np.repeat(first - _prefix_counts(counts)[:-1], counts)
+    return owner, np.arange(owner.size, dtype=np.int64) + shift
+
+
+def _last_of_run(ids: np.ndarray) -> np.ndarray:
+    """Flags on the last element of every run of equal ``ids``."""
+    last = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=last[:-1])
+    return last
 
 
 def _band_keys(band: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``(band, value)`` pairs as sort keys.
+    """``(band, value)`` pairs as search keys.
 
     numpy orders complex numbers lexicographically — real part, then
-    imaginary — in ``sort``, ``unique`` and ``searchsorted`` alike, so one
-    flat array of these keys is every band's values side by side, and a
-    comparison between two keys of one band is the comparison of the two
-    doubles themselves (no offset is ever added to a coordinate).
+    imaginary — so one flat array of these keys is every band's values side
+    by side, and a comparison between two keys of one band is the comparison
+    of the two doubles themselves (no offset is ever added to a coordinate).
     """
     keys = np.empty(values.size, dtype=complex)
     keys.real = band
@@ -128,16 +151,25 @@ def _band_keys(band: np.ndarray, values: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _merge_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct values of two ascending arrays, ascending (a merge by
-    rank — each element lands at its own index plus the count of the other
-    array's elements before it — not a sort)."""
-    merged = np.empty(a.size + b.size, dtype=a.dtype)
-    merged[np.arange(a.size) + np.searchsorted(b, a, side="left")] = a
-    merged[np.arange(b.size) + np.searchsorted(a, b, side="right")] = b
-    distinct = np.ones(merged.size, dtype=bool)
-    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
-    return merged[distinct]
+def _sort_pairs(
+    group: np.ndarray, values: np.ndarray, n_groups: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``(group, value)`` pairs: the permutation, the sorted values and
+    a flag on the first of every run of equal pairs.
+
+    An unstable sort of the doubles, then a stable sort on the group index
+    alone — numpy's radix sort when the batch has few enough groups for 16
+    bits.  The order of equal pairs is left open.
+    """
+    order = np.argsort(values)
+    group = group[order].astype(np.uint16 if n_groups <= 1 << 16 else np.int64)
+    by_group = np.argsort(group, kind="stable")
+    order = order[by_group]
+    group = group[by_group]
+    values = values[order]
+    distinct = np.ones(order.size, dtype=bool)
+    distinct[1:] = (group[1:] != group[:-1]) | (values[1:] != values[:-1])
+    return order, values, distinct
 
 
 def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResult:
@@ -146,51 +178,69 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     threshold = min_count - _THRESHOLD_EPS
     y1, y2 = batch.y1, batch.y2
     x1s, x2s, strip_band = batch.strip_x1, batch.strip_x2, batch.strip_band
-    max_active = np.zeros(y1.size, dtype=np.int64)
+    n_bands, n_strips = y1.size, x1s.size
+    max_active = np.zeros(n_bands, dtype=np.int64)
 
     # ---------------- phase A: segment construction, all bands at once ------
     # Only objects whose y-range can overlap their band matter (the band's
     # y-extent is shared by every strip); exactness comes from the Y-sweep.
-    obj_band = np.repeat(np.arange(y1.size), np.diff(batch.offsets))
+    obj_band = np.repeat(np.arange(n_bands), np.diff(batch.offsets))
     keep = (batch.py - half < y2[obj_band] + half) & (
         batch.py + half > y1[obj_band] - half
     )
     obj_band = obj_band[keep]
-    xs = batch.px[keep]
     # x - l/2 and x + l/2 are both monotone in x: one sort by (band, x) puts
     # the band's enters and its exits in ascending order at once.
-    order = np.argsort(_band_keys(obj_band, xs), kind="stable")
-    xs = xs[order]
+    order, xs, _ = _sort_pairs(obj_band, batch.px[keep], n_bands)
     ys = batch.py[keep][order]
-    enters = _band_keys(obj_band, xs - half)
-    exits = _band_keys(obj_band, xs + half)
-    events = _merge_distinct(enters, exits)
-    event_x = events.imag
-    # Breakpoints strictly inside each strip: (x1, x2) ∩ its band's events.
-    lo_idx = np.searchsorted(events, _band_keys(strip_band, x1s), side="right")
-    hi_idx = np.searchsorted(events, _band_keys(strip_band, x2s), side="left")
-    inner = hi_idx - lo_idx
-    strip_of, within = _ragged(inner + 1)
-    segments_total = strip_of.size
-    x_lo = x1s[strip_of]
-    x_hi = x2s[strip_of]
-    if events.size:
-        ev_idx = lo_idx[strip_of] + within
-        x_lo = np.where(within == 0, x_lo, event_x[np.maximum(ev_idx - 1, 0)])
-        x_hi = np.where(
-            within == inner[strip_of],
-            x_hi,
-            event_x[np.minimum(ev_idx, events.size - 1)],
-        )
+    n_obj = xs.size
+    stops = np.concatenate([xs - half, xs + half])
+    enters = _band_keys(obj_band, stops[:n_obj])
+    exits = _band_keys(obj_band, stops[n_obj:])
+    strip_lo = _band_keys(strip_band, x1s)
+    strip_hi = _band_keys(strip_band, x2s)
+    # At a strip's left end this many of the flat x-order have entered and
+    # this many have expired; its breakpoints are the enters and the exits
+    # strictly inside (x1, x2), two ranges of ``stops``.
+    entered = np.searchsorted(enters, strip_lo, side="right")
+    expired = np.searchsorted(exits, strip_lo, side="right")
+    n_enter = np.searchsorted(enters, strip_hi, side="left") - entered
+    n_exit = np.searchsorted(exits, strip_hi, side="left") - expired
+    # Expand the ranges (all enters, then all exits), add each strip's own
+    # left end — it lies below its stops — and sort by (strip, x): every
+    # distinct pair is the left edge of one segment.
+    owner, stop_idx = _ranges(
+        np.concatenate([entered, n_obj + expired]), np.concatenate([n_enter, n_exit])
+    )
+    stop_strip = np.concatenate([owner - n_strips * (owner >= n_strips), np.arange(n_strips)])
+    order, stop_x, new_seg = _sort_pairs(
+        stop_strip, np.concatenate([stops[stop_idx], x1s]), n_strips
+    )
+    seg_first = np.flatnonzero(new_seg)
+    segments_total = seg_first.size
+    strip_of = stop_strip[order[seg_first]]
+    seg_band = strip_band[strip_of]
+    x_lo = stop_x[seg_first]
+    # A segment runs to the next one's left edge, a strip's last one to x2.
+    x_hi = np.empty(segments_total, dtype=float)
+    x_hi[:-1] = x_lo[1:]
+    x_hi[_last_of_run(strip_of)] = x2s
     # Active at a left edge e: enter <= e < exit.  In the band's x-order the
     # objects that have entered are a prefix and so are those that have
     # expired (exit >= enter), so the active ones are the contiguous index
-    # range [#exits <= e, #enters <= e) of the (band, x)-sorted objects.
-    seg_band = strip_band[strip_of]
-    edge = _band_keys(seg_band, x_lo)
-    first_active = np.searchsorted(exits, edge, side="right")
-    cnt = np.searchsorted(enters, edge, side="right") - first_active
-    np.maximum.at(max_active, seg_band, cnt)
+    # range [#exits <= e, #enters <= e) of the (band, x)-sorted objects: the
+    # strip's two counts plus its stops sorted at or before e (the strip's
+    # left end, which sorts first, is not one).
+    seg_end = np.append(seg_first, order.size)[1:]
+    enters_seen = (
+        _prefix_counts(order < n_enter.sum())[seg_end] - _prefix_counts(n_enter)[strip_of]
+    )
+    stops_seen = seg_end - 1 - _prefix_counts(n_enter + n_exit + 1)[strip_of]
+    first_active = expired[strip_of] + stops_seen - enters_seen
+    cnt = entered[strip_of] + enters_seen - first_active
+    # seg_band is non-decreasing: each band's segments are one run.
+    band_first = np.flatnonzero(np.diff(seg_band, prepend=-1))
+    max_active[seg_band[band_first]] = np.maximum.reduceat(cnt, band_first)
 
     # Empty segments are emitted full-height (only when the threshold is <= 0);
     # the global segment index is the emission-order key.
@@ -199,115 +249,94 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     eligible = np.flatnonzero((cnt > 0) & (cnt >= threshold))
 
     # ---------------- phase B: flat segmented Y-sweep ----------------
-    if eligible.size:
-        n_eseg = eligible.size
-        sx_lo = x_lo[eligible]
-        sx_hi = x_hi[eligible]
-        sband = seg_band[eligible]
-        sy1 = y1[sband]
-        sy2 = y2[sband]
-        # (segment, object) incidence: each eligible segment's contiguous
-        # range of active objects, expanded.  The order of the pairs inside a
-        # segment is immaterial: everything below takes counts and integer
-        # net deltas per (segment, coordinate) group.
-        p_seg, p_rank = _ragged(cnt[eligible])
-        p_y = ys[first_active[eligible][p_seg] + p_rank]
-        p_enter = p_y - half
-        p_exit = p_y + half
+    # What an object does to a Y-sweep of its band — is it active at the low
+    # edge, does it enter inside, does it exit inside — does not depend on
+    # the segment: ask once per (band, object).
+    coords = np.column_stack([ys - half, ys + half])
+    lo_of_obj = y1[obj_band]
+    active_below = _prefix_counts((coords[:, 0] <= lo_of_obj) & (coords[:, 1] > lo_of_obj))
+    # Events strictly inside (lo, hi): +1 at an enter, -1 at an exit.  The
+    # event list is object-major (x-ordered per band), enter before exit.
+    inside = (lo_of_obj[:, None] < coords) & (coords < y2[obj_band][:, None])
+    enters_below = _prefix_counts(inside[:, 0])
+    events_below = _prefix_counts(inside.ravel())[::2]
+    event = np.flatnonzero(inside)
+    # Rank the event coordinates once: per band ascending, equal doubles
+    # sharing a rank (they fold into one net delta), the doubles themselves
+    # kept by rank.  Each band's low edge is ranked with them — it lies below
+    # them all — and opens every Y-sweep of the band.
+    order, coord, distinct = _sort_pairs(
+        np.concatenate([obj_band[event >> 1], np.arange(n_bands)]),
+        np.concatenate([coords.ravel()[event], y1]),
+        n_bands,
+    )
+    coord_of_rank = coord[distinct]
+    # (rank << 1) | is_enter, per event and then per band's low edge.
+    code = np.empty(order.size, dtype=np.int64)
+    code[order] = (np.cumsum(distinct) - 1) << 1
+    code[: event.size] |= ~event & 1
 
-        lo_of_pair = sy1[p_seg]
-        hi_of_pair = sy2[p_seg]
-        # Objects already active at the band's low edge: enter <= lo < exit.
-        at_lo = (p_enter <= lo_of_pair) & (p_exit > lo_of_pair)
-        count0 = np.bincount(p_seg[at_lo], minlength=n_eseg)
-        # Events strictly inside (lo, hi): +1 at enter, -1 at exit.
-        in_enter = (lo_of_pair < p_enter) & (p_enter < hi_of_pair)
-        in_exit = (lo_of_pair < p_exit) & (p_exit < hi_of_pair)
-        ev_seg = np.concatenate([p_seg[in_enter], p_seg[in_exit]])
-        ev_coord = np.concatenate([p_enter[in_enter], p_exit[in_exit]])
-        ev_delta = np.concatenate(
-            [
-                np.ones(int(in_enter.sum()), dtype=np.int64),
-                -np.ones(int(in_exit.sum()), dtype=np.int64),
-            ]
+    # A segment's active objects are a range [a, b) of the flat x-order, so
+    # its counts at the low and at the high edge are differences of prefix
+    # sums and its events are one range of the event list — the only thing
+    # expanded per segment.
+    a = first_active[eligible]
+    b = a + cnt[eligible]
+    count_lo = active_below[b] - active_below[a]
+    per_seg = events_below[b] - events_below[a]
+    count_hi = count_lo + 2 * (enters_below[b] - enters_below[a]) - per_seg
+    owner, event_idx = _ranges(events_below[a], per_seg)
+    # One int64 per event, (((segment << bits) | rank) << 1) | is_enter:
+    # sorting the values sorts by (segment, coordinate), nothing rides along.
+    bits = int(coord_of_rank.size).bit_length()
+    if eligible.size << (bits + 1) >= 1 << 63:
+        raise OverflowError(
+            f"{eligible.size} segments x {coord_of_rank.size} event coordinates "
+            "do not fit an int64 key"
         )
-        if ev_seg.size:
-            order = np.lexsort((ev_coord, ev_seg))
-            ev_seg = ev_seg[order]
-            ev_coord = ev_coord[order]
-            ev_delta = ev_delta[order]
-            # Distinct (segment, coordinate) groups and their net deltas.
-            new_group = np.empty(ev_seg.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (ev_seg[1:] != ev_seg[:-1]) | (
-                ev_coord[1:] != ev_coord[:-1]
-            )
-            group_id = np.cumsum(new_group) - 1
-            net = np.bincount(group_id, weights=ev_delta).astype(np.int64)
-            u_seg = ev_seg[new_group]
-            u_coord = ev_coord[new_group]
-            # Running count after each distinct coordinate, restarted per
-            # segment: global cumsum minus the segment's preceding total.
-            csum = np.cumsum(net)
-            seg_first = np.empty(u_seg.size, dtype=bool)
-            seg_first[0] = True
-            seg_first[1:] = u_seg[1:] != u_seg[:-1]
-            first_idx = np.flatnonzero(seg_first)
-            base_vals = np.where(first_idx == 0, 0, csum[np.maximum(first_idx - 1, 0)])
-            occurring = np.diff(np.append(first_idx, u_seg.size))
-            running = csum - np.repeat(base_vals, occurring)
-            m_per_seg = np.bincount(u_seg, minlength=n_eseg)
-            uniq_start = _exclusive_cumsum(m_per_seg)
-        else:
-            u_coord = _EMPTY_F
-            running = _EMPTY_I
-            m_per_seg = np.zeros(n_eseg, dtype=np.int64)
-            uniq_start = np.zeros(n_eseg, dtype=np.int64)
-
-        # One "position" per sweep interval: [lo, u1), [u1, u2), ..., [um, hi).
-        seg_of_pos, within = _ragged(m_per_seg + 1)
-        n_pos = seg_of_pos.size
-        prev_u = uniq_start[seg_of_pos] + within - 1
-        if running.size:
-            safe_prev = np.clip(prev_u, 0, running.size - 1)
-            counts_pos = np.where(
-                within == 0, count0[seg_of_pos], count0[seg_of_pos] + running[safe_prev]
-            )
-            left_pos = np.where(within == 0, sy1[seg_of_pos], u_coord[safe_prev])
-            next_u = np.clip(prev_u + 1, 0, u_coord.size - 1)
-            right_pos = np.where(
-                within == m_per_seg[seg_of_pos], sy2[seg_of_pos], u_coord[next_u]
-            )
-        else:
-            counts_pos = count0[seg_of_pos]
-            left_pos = sy1[seg_of_pos]
-            right_pos = sy2[seg_of_pos]
-        dense = counts_pos >= threshold
-        # Maximal dense runs within each segment (adjacent intervals share an
-        # edge float exactly, which is what dense_segments_1d merges).
-        prev_dense = np.empty(n_pos, dtype=bool)
-        prev_dense[0] = False
-        prev_dense[1:] = dense[:-1]
-        next_dense = np.empty(n_pos, dtype=bool)
-        next_dense[-1] = False
-        next_dense[:-1] = dense[1:]
-        run_start = dense & ~(prev_dense & (within > 0))
-        run_end = dense & ~(next_dense & (within < m_per_seg[seg_of_pos]))
-        s_idx = np.flatnonzero(run_start)
-        e_idx = np.flatnonzero(run_end)
-        run_seg = seg_of_pos[s_idx]
-        sweep_bounds = np.column_stack(
-            [sx_lo[run_seg], left_pos[s_idx], sx_hi[run_seg], right_pos[e_idx]]
-        )
-        sweep_gid = eligible[run_seg]
-    else:
-        sweep_bounds = np.empty((0, 4), dtype=float)
-        sweep_gid = _EMPTY_I
+    low_edge = code[event.size + seg_band[eligible]]
+    keys = np.concatenate([owner, np.arange(eligible.size)]) << (bits + 1)
+    keys |= np.concatenate([code[event_idx], low_edge])
+    keys.sort()
+    # +1 at an enter, -1 at an exit; a segment's keys start with its low
+    # edge, where the running count restarts: from the count at the previous
+    # segment's high edge to this one's at its low edge.
+    delta = ((keys & 1) << 1) - 1
+    seg_start = _prefix_counts(per_seg + 1)[:-1]
+    delta[seg_start] = count_lo
+    delta[seg_start[1:]] -= count_hi[:-1]
+    # Each distinct (segment, coordinate) group is the low end of one sweep
+    # interval, whose count is the running count after the group's last key.
+    group = keys >> 1
+    last = np.flatnonzero(_last_of_run(group))
+    dense = np.cumsum(delta)[last] >= threshold
+    group = group[last]
+    g_seg = group >> bits
+    # Maximal dense runs within each segment (adjacent intervals share an
+    # edge float exactly, which is what dense_segments_1d merges).
+    seg_last = _last_of_run(g_seg)
+    run_start = dense.copy()
+    run_start[1:] &= seg_last[:-1] | ~dense[:-1]
+    run_end = dense.copy()
+    run_end[:-1] &= seg_last[:-1] | ~dense[1:]
+    s_idx = np.flatnonzero(run_start)
+    e_idx = np.flatnonzero(run_end)
+    gid = eligible[g_seg[s_idx]]
+    # A run ends at the next group's coordinate, or — in the segment's last
+    # interval — at the band's high edge.
+    rank_of = (1 << bits) - 1
+    top = np.where(
+        seg_last[e_idx],
+        y2[seg_band[gid]],
+        coord_of_rank[group[np.minimum(e_idx + 1, group.size - 1)] & rank_of],
+    )
+    bounds = np.column_stack(
+        [x_lo[gid], coord_of_rank[group[s_idx] & rank_of], x_hi[gid], top]
+    )
 
     # ---------------- phase C: merge with full-height emissions ----------------
     # Canonical emission order is segment-major (which encodes band and strip
     # order), y ascending within a segment; the swept rows already are.
-    bounds, gid = sweep_bounds, sweep_gid
     if full.size:
         full_band = seg_band[full]
         bounds = np.concatenate(
@@ -319,4 +348,4 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
         gid = np.concatenate([gid, full])
         order = np.lexsort((bounds[:, 1], gid))
         bounds, gid = bounds[order], gid[order]
-    return BandBatchResult(bounds, seg_band[gid], max_active, segments_total)
+    return BandBatchResult(bounds, seg_band[gid], max_active, segments_total, event_idx.size)

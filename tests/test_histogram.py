@@ -231,3 +231,30 @@ class TestPrefixSums:
                 lo_i, hi_i = max(i - radius, 0), min(i + radius + 1, 6)
                 lo_j, hi_j = max(j - radius, 0), min(j + radius + 1, 6)
                 assert sums[i, j] == counts[lo_i:hi_i, lo_j:hi_j].sum()
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 7, 40]), st.sampled_from([30.0, 60.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_block_sums_equal_the_clamped_gather_definition(self, seed, m, l):
+        """``block_sums`` slices an edge-padded prefix array; the definition
+        is four gathers at indices clamped to ``[0, m]``.  Same integers for
+        the filter's two radii, the cell itself, and radii that reach or
+        pass the grid's edge from every cell."""
+        from repro.histogram.filter import neighborhood_radii
+
+        gen = np.random.default_rng(seed)
+        counts = gen.integers(0, 2**20, (m, m)).astype(np.int32)
+        prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
+        prefix[1:, 1:] = counts.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+        eta_l, eta_h = neighborhood_radii(l, 5.0)
+        idx = np.arange(m)
+        for radius in {0, 1, eta_l - 1, eta_h, max(m - 1, 0), m, m + 3}:
+            lo = np.clip(idx - radius, 0, m)
+            hi = np.clip(idx + radius + 1, 0, m)
+            want = (
+                prefix[np.ix_(hi, hi)]
+                - prefix[np.ix_(lo, hi)]
+                - prefix[np.ix_(hi, lo)]
+                + prefix[np.ix_(lo, lo)]
+            )
+            got = DensityHistogram.block_sums(prefix, radius)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -156,6 +156,17 @@ def lattice_band(draw):
 _EMPTY_BAND = (2.0, 3.0, [1.0, 6.0], [4.0, 9.0], [], [])
 _UNREACHABLE_BAND = (2.0, 3.0, [1.0], [9.0], [3.0, 5.0], [40.0, -40.0])
 _TIED_BAND = (4.0, 5.0, [1.0, 7.0], [5.0, 11.0], [2.0, 4.0, 4.0, 6.0, 8.0], [4.5] * 5)
+# With l = 2, squares that open or close exactly on an edge of the band
+# [4, 5): enter == y1, exit == y1, enter == y2, exit == y2 — one object per
+# band, then all four in one.
+_ON_EDGE_YS = [5.0, 3.0, 6.0, 4.0]
+_ON_EDGE_BANDS = [(4.0, 5.0, [1.0], [9.0], [4.0], [y]) for y in _ON_EDGE_YS]
+_ALL_ON_EDGE_BAND = (4.0, 5.0, [1.0], [9.0], [3.0, 4.0, 5.0, 6.0], _ON_EDGE_YS)
+# With l = 1, a band taller than l: both objects enter *and* exit inside it.
+_TALL_BAND = (2.0, 4.0, [1.0], [9.0], [4.0, 4.5], [3.0, 2.5])
+# Duplicate (x, y) objects: tied X events and, where all five are active, Y
+# events that tie with opposite signs (+3 and -2 at y = 4.5 for l = 2).
+_DUPLICATES_BAND = (4.0, 5.0, [1.0], [9.0], [3.0] * 3 + [4.0] * 2, [5.5] * 3 + [3.5] * 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,6 +179,13 @@ _TIED_BAND = (4.0, 5.0, [1.0, 7.0], [5.0, 11.0], [2.0, 4.0, 4.0, 6.0, 8.0], [4.5
 @example(bands=[_EMPTY_BAND, _UNREACHABLE_BAND], l=2.0, count=1)
 @example(bands=[_EMPTY_BAND, _UNREACHABLE_BAND, _TIED_BAND], l=2.0, count=2)
 @example(bands=[_TIED_BAND, _EMPTY_BAND, _TIED_BAND], l=2.0, count=-1)
+@example(bands=_ON_EDGE_BANDS, l=2.0, count=1)
+@example(bands=[_ALL_ON_EDGE_BAND], l=2.0, count=1)
+@example(bands=[_ALL_ON_EDGE_BAND, _EMPTY_BAND], l=2.0, count=2)
+@example(bands=[_TALL_BAND], l=1.0, count=1)
+@example(bands=[_TALL_BAND, _TIED_BAND], l=1.0, count=2)
+@example(bands=[_DUPLICATES_BAND], l=2.0, count=3)
+@example(bands=[_DUPLICATES_BAND, _ALL_ON_EDGE_BAND], l=2.0, count=4)
 def test_band_kernel_matches_oracle_whatever_the_batch(bands, l, count):
     """Only the last band having events, a band with nothing to sweep
     between two that have, ``min_count <= 0``: the flat arrays must come out
@@ -212,6 +230,118 @@ def test_band_kernel_ignores_object_order_within_a_band(seed, shuffle):
     b = refine_bands(_batch([pair[1] for pair in shuffled]), l, min_count)
     for got, want in zip(a, b):
         assert np.array_equal(got, want)
+
+
+def _active_pairs(bands, l, min_count):
+    """Sum, over the sweep-eligible segments of every strip, of the active
+    count at the segment's left edge — the oracle's admit/expire walk,
+    ``|{enter <= e < exit}|`` — i.e. how many (segment, object) pairs the
+    Y-sweeps are about."""
+    half = l / 2.0
+    total = 0
+    for y1, y2, sx1, sx2, xs, ys in bands:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        xs = xs[(ys - half < y2 + half) & (ys + half > y1 - half)]
+        stops = np.concatenate([xs - half, xs + half])
+        for x1, x2 in zip(sx1, sx2):
+            edges = np.unique(np.concatenate([[x1], stops[(x1 < stops) & (stops < x2)]]))
+            active = ((xs - half <= edges[:, None]) & (edges[:, None] < xs + half)).sum(axis=1)
+            total += int(active[(active > 0) & (active >= min_count - 1e-9)].sum())
+    return total
+
+
+def test_only_objects_that_open_or_close_inside_the_band_are_expanded():
+    """A band whose objects all cover it whole has no Y-event: every swept
+    segment is emitted full-height or not at all, by the threshold alone.
+    A band whose objects all open or close inside it has one per pair."""
+    l = 3.0
+    cover = (4.0, 5.0, [0.0], [10.0], [2.0, 3.0, 7.0], [4.5, 4.0, 5.0])
+    for count, emitted in ((1, True), (2, True), (3, False)):
+        result = refine_bands(_batch([cover]), l, float(count))
+        assert _bounds(result) == _per_strip_oracle([cover], l, float(count))
+        assert result.events == 0 and bool(_bounds(result)) == emitted
+        assert {(y1, y2) for _, y1, _, y2 in _bounds(result)} <= {(4.0, 5.0)}
+    edge = (4.0, 5.0, [0.0], [10.0], [2.0, 3.0, 3.0, 7.0], [2.9, 6.1, 6.4, 3.3])
+    for count in (1, 2, 3):
+        result = refine_bands(_batch([edge]), l, float(count))
+        assert _bounds(result) == _per_strip_oracle([edge], l, float(count))
+        assert result.events == _active_pairs([edge], l, float(count)) > 0
+
+
+def test_band_kernel_with_more_bands_than_a_16_bit_index_holds():
+    """The (band, value) orders sort the band index with numpy's radix sort
+    while the batch's band count fits 16 bits and with a wider stable sort
+    beyond (interval FR batches rows x timestamps bands).  A batch of
+    2**16 + 3 bands, all empty but three — the last one among them: the
+    rectangles of the three bands alone, under their own band indices."""
+    populated = [_TIED_BAND, _ALL_ON_EDGE_BAND, _DUPLICATES_BAND]
+    small = _batch(populated)
+    n = (1 << 16) + 3
+    where = np.array([5, 40_000, n - 1])
+    y1, y2, objects = np.zeros(n), np.ones(n), np.zeros(n, dtype=np.int64)
+    y1[where], y2[where], objects[where] = small.y1, small.y2, np.diff(small.offsets)
+    wide = small._replace(
+        y1=y1, y2=y2, strip_band=where[small.strip_band],
+        offsets=np.concatenate(([0], np.cumsum(objects))),
+    )
+    for count in (-1.0, 1.0, 2.0, 3.0):
+        a = refine_bands(small, 2.0, count)
+        b = refine_bands(wide, 2.0, count)
+        assert _bounds(a) == _per_strip_oracle(populated, 2.0, count)
+        assert np.array_equal(a.bounds, b.bounds)
+        assert np.array_equal(where[a.band_of_rect], b.band_of_rect)
+        assert np.array_equal(a.max_active, b.max_active[where])
+        assert b.max_active.sum() == a.max_active.sum()
+        assert (a.segments, a.events) == (b.segments, b.events)
+    assert a.bounds.shape[0] > 0
+
+
+def test_convoy_is_exact_and_expands_events_not_pairs(monkeypatch):
+    """300 objects inside one l-square, spread over three rows of cells: the
+    centre cell is accepted, the eight around it are the candidate block,
+    and every segment of its three bands is active with most of the convoy
+    — the (segment, object) pair count is quadratic in the group size.  The
+    answer is brute force's, and what the sweep expands stays under half
+    the pairs (only the top and the bottom third of the convoy open or close
+    their square inside a band, and in one band each)."""
+    from repro.methods import fr as fr_module
+
+    server = PDRServer(small_system_config(), expected_objects=400)
+    rng = np.random.default_rng(19)
+    server.report_batch(
+        [
+            (oid, float(x), float(y), 0.0, 0.0)
+            for oid, (x, y) in enumerate(rng.uniform(40.0, 55.0, (300, 2)))
+        ]
+    )
+    batches = []
+
+    def spy(batch, l, min_count):
+        batches.append(batch)
+        return refine_bands(batch, l, min_count)
+
+    monkeypatch.setattr(fr_module, "refine_bands", spy)
+    l, rho = 20.0, 250 / 400.0
+    got = server.query("fr", qt=server.tnow, l=l, rho=rho)
+    want = server.query("bruteforce", qt=server.tnow, l=l, rho=rho)
+    assert not got.regions.is_empty()
+    assert got.regions.symmetric_difference_area(want.regions) == 0.0
+    stats = got.stats
+    assert (stats.accepted_cells, stats.candidate_cells) == (1, 8)
+    assert stats.extra["refine_bands"] == 3.0
+    (batch,) = batches
+    bands = [
+        (
+            batch.y1[b], batch.y2[b],
+            batch.strip_x1[batch.strip_band == b], batch.strip_x2[batch.strip_band == b],
+            batch.px[batch.offsets[b] : batch.offsets[b + 1]],
+            batch.py[batch.offsets[b] : batch.offsets[b + 1]],
+        )
+        for b in range(3)
+    ]
+    pairs = _active_pairs(bands, l, rho * l * l)
+    assert pairs > 50 * 300  # hundreds of segments, most of the convoy in each
+    assert 0 < stats.extra["refine_events"] <= 0.5 * pairs
 
 
 # A world built to tie.  Cell edge 4 and unit lattice steps put objects on
