@@ -13,7 +13,6 @@ so the comparison in the examples is apples-to-apples.
 from __future__ import annotations
 
 import time
-from typing import List
 
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
 from ..core.regions import RegionSet
@@ -36,10 +35,9 @@ def dense_cell_query(
     counts = histogram.counts_at(query.qt)
     cell_area = histogram.cell_edge * histogram.cell_edge_y
     needed = query.rho * cell_area - _THRESHOLD_EPS
-    rects: List = []
-    dense = counts >= needed
-    for i, j in zip(*dense.nonzero()):
-        rects.append(histogram.cell_rect(int(i), int(j)))
+    regions = RegionSet.from_bounds(
+        histogram.cell_bounds(counts >= needed), disjoint=True
+    )
     cpu = time.perf_counter() - start
     stats = QueryStats(method="dense-cell", cpu_seconds=cpu)
-    return QueryResult(regions=RegionSet(rects), stats=stats, query=query)
+    return QueryResult(regions=regions, stats=stats, query=query)

@@ -547,8 +547,8 @@ def _answer_query(server, args, group=None) -> int:
             f"replication: epoch {status['epoch']}, "
             f"acked lsn {status['primary']['acked_lsn']}, {lags}"
         )
-    for rect in list(result.regions)[: args.max_rects]:
-        print(f"  [{rect.x1:.2f}, {rect.x2:.2f}) x [{rect.y1:.2f}, {rect.y2:.2f})")
+    for x1, y1, x2, y2 in result.regions.bounds[: args.max_rects].tolist():
+        print(f"  [{x1:.2f}, {x2:.2f}) x [{y1:.2f}, {y2:.2f})")
     remaining = len(result.regions) - args.max_rects
     if remaining > 0:
         print(f"  ... and {remaining} more")

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import GeometryError
-from .regions import RegionSet, _edges
+from .regions import RegionSet, _edges_of
 
 __all__ = ["boundary_rings", "ring_signed_area", "regions_to_geojson"]
 
@@ -65,8 +65,8 @@ def boundary_rings(regions: RegionSet) -> List[Ring]:
     """
     if regions.is_empty():
         return []
-    xs, ys = _edges(regions.rects)
-    mask = RegionSet._rasterize(regions.rects, xs, ys)
+    xs, ys = _edges_of(regions.bounds)
+    mask = RegionSet._raster_bounds(regions.bounds, xs, ys)
     nx, ny = mask.shape
 
     # Directed boundary edges, CCW around filled cells: key = start vertex

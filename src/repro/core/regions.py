@@ -14,17 +14,23 @@ rectangles because region membership is constant within each grid cell.  The
 rasterisation is chunked along the x axis so that the transient boolean
 matrices stay within a fixed memory budget regardless of input size.
 
-Storage is columnar: a set holds one ``(N, 4)`` float array of bounds and
-materialises :class:`Rect` objects only when a caller actually iterates.
+Storage is columnar: a set holds one ``(N, 4)`` float array of bounds, and
+that array is the only representation of an answer between the kernel that
+emits it and its consumer — every measure, the boundary tracer, the raster
+metrics, the CLI and the wire frame read :attr:`RegionSet.bounds`.
+:class:`Rect` is the value type of the API edge: objects are materialised
+only when a caller iterates the set (``for rect in result.regions``,
+:attr:`RegionSet.rects`), never by a serving path.
 Query evaluators that emit their rectangles pairwise-disjoint by
-construction (FR's sweep segments, PA's leaf-column runs) pass
-``disjoint=True`` so :meth:`area` reduces to a single vector sum instead of
-a rasterisation — the answer-area accounting on the serving path is O(N).
+construction (histogram cells, FR's sweep segments, PA's leaf-column runs)
+pass ``disjoint=True`` so :meth:`area` reduces to a single vector sum
+instead of a rasterisation — the answer-area accounting on the serving path
+is O(N).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,11 +53,6 @@ def _edges_of(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     xs = np.unique(bounds[:, (0, 2)])
     ys = np.unique(bounds[:, (1, 3)])
     return xs, ys
-
-
-def _edges(rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct sorted x and y edge coordinates of ``rects``."""
-    return _edges_of(_bounds_from_rects(rects))
 
 
 def _bounds_from_rects(rects: Iterable[Rect]) -> np.ndarray:
@@ -332,11 +333,6 @@ class RegionSet:
         return counts[:nx, :ny] > 0
 
     @staticmethod
-    def _rasterize(rects: Sequence[Rect], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Boolean occupancy of ``rects`` over the compressed grid (xs, ys)."""
-        return RegionSet._raster_bounds(_bounds_from_rects(rects), xs, ys)
-
-    @staticmethod
     def _combine_area(a: "RegionSet", b: "RegionSet", op: str) -> float:
         """Area of a boolean combination of two rectangle unions."""
         bounds_a = a._bounds
@@ -392,12 +388,3 @@ class RegionSet:
         clipped[:, 0] = np.maximum(sub[:, 0], lo)
         clipped[:, 2] = np.minimum(sub[:, 2], hi)
         return RegionSet._raster_bounds(clipped, xs, ys)
-
-    @staticmethod
-    def _clipped_raster(
-        rects: Sequence[Rect], xs: np.ndarray, ys: np.ndarray
-    ) -> np.ndarray:
-        """Rasterise rects clipped to the x-range covered by ``xs``."""
-        return RegionSet._clipped_raster_bounds(
-            _bounds_from_rects(rects), xs, ys, float(xs[0]), float(xs[-1])
-        )

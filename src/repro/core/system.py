@@ -42,7 +42,7 @@ from ..histogram.answers import dh_optimistic, dh_pessimistic
 from ..histogram.density_histogram import DensityHistogram
 from ..index.tree import TPRTree
 from ..methods.fr import FRMethod
-from ..methods.interval import evaluate_interval
+from ..methods.interval import evaluate_interval, evaluate_interval_fr
 from ..methods.pa import PAMethod
 from ..metrics.cost import UpdateCostTimer
 from ..metrics.instrument import TimedListener
@@ -344,12 +344,16 @@ class PDRServer:
         raised: a double-retire (e.g. a duplicated departure message) must
         not take the serving path down."""
         self._check_writable()
-        if oid not in self.table:
+        # The type rule first: ``True`` and ``3.0`` hash equal to 1 and 3, so
+        # a bare membership test would retire somebody else's object.
+        integral = isinstance(oid, int) and not isinstance(oid, bool)
+        if not integral or oid not in self.table:
             self.dead_letters.push(
                 RejectedReport(
                     oid=oid, x=float("nan"), y=float("nan"),
                     vx=float("nan"), vy=float("nan"), t=None,
-                    tnow=self.table.tnow, reason="unknown_oid",
+                    tnow=self.table.tnow,
+                    reason="unknown_oid" if integral else "bad_oid",
                     detail=f"cannot retire unknown object {oid!r}",
                 )
             )
@@ -687,15 +691,14 @@ class PDRServer:
     ) -> QueryResult:
         """Evaluate an interval PDR query (Definition 5) with the named method.
 
-        ``method="fr-optimized"`` uses the interval-level filter (accept a
-        cell once for the whole union, refine candidates only at the
-        timestamps that need it) — exact, usually far less refinement I/O.
+        ``"fr"`` runs the interval-level filter (accept a cell once for the
+        whole union, refine candidates only at the timestamps that need it,
+        one shared index traversal); every other method is lifted snapshot
+        by snapshot.
         """
         base = self.make_query(qt=qt1, l=l, rho=rho, varrho=varrho)
         interval = IntervalPDRQuery(rho=base.rho, l=base.l, qt1=qt1, qt2=qt2)
-        if method == "fr-optimized":
-            from ..methods.interval import evaluate_interval_fr
-
+        if method == "fr":
             return evaluate_interval_fr(self._fr, interval)
         return evaluate_interval(lambda s: self.evaluate(method, s), interval)
 

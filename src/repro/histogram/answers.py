@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
+from ..core.regions import RegionSet
 from ..telemetry import TELEMETRY
 from .density_histogram import DensityHistogram
 from .filter import filter_query
@@ -34,9 +37,11 @@ def _answer(
     misses_before = histogram.cache_misses
     start = time.perf_counter()
     result = filter_query(histogram, query)
-    region = result.accepted_region()
+    bounds = histogram.cell_bounds(result.accepted)
     if include_candidates:
-        region = region.union(result.candidate_region())
+        bounds = np.concatenate([bounds, histogram.cell_bounds(result.candidate)])
+    # Accepted and candidate are exclusive masks: distinct cells, disjoint.
+    region = RegionSet.from_bounds(bounds, disjoint=True)
     cpu = time.perf_counter() - start
     TELEMETRY.tracer.record_span("filter", cpu)
     stats = QueryStats(

@@ -118,6 +118,21 @@ class DensityHistogram(UpdateListener):
         y1 = self.domain.y1 + j * ly
         return Rect(x1, y1, x1 + lx, y1 + ly)
 
+    def cell_bounds(self, mask: np.ndarray) -> np.ndarray:
+        """The cells set in ``mask[i, j]`` as ``(N, 4)`` ``x1, y1, x2, y2`` rows.
+
+        The one place a cell mask becomes rectangles: rows come in
+        ``np.nonzero`` order and in :meth:`cell_rect`'s exact floats, and
+        distinct cells are disjoint (``RegionSet.from_bounds(...,
+        disjoint=True)``).
+        """
+        i, j = np.nonzero(mask)
+        lx = self.cell_edge
+        ly = self.cell_edge_y
+        x1 = self.domain.x1 + i * lx
+        y1 = self.domain.y1 + j * ly
+        return np.column_stack([x1, y1, x1 + lx, y1 + ly])
+
     def cell_of(self, x: float, y: float) -> Tuple[int, int]:
         """Cell indices containing ``(x, y)``; raises for out-of-domain points."""
         if not self.domain.contains_point(x, y):

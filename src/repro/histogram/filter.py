@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,7 +60,8 @@ class FilterResult:
 
     ``accepted``/``rejected``/``candidate`` are boolean ``m x m`` masks
     (indexed ``[i, j]`` = column, row to match
-    :meth:`DensityHistogram.cell_rect`).
+    :meth:`DensityHistogram.cell_rect`); a mask becomes rectangles through
+    :meth:`DensityHistogram.cell_bounds` and nowhere else.
     """
 
     histogram: DensityHistogram
@@ -81,21 +82,14 @@ class FilterResult:
     def candidate_count(self) -> int:
         return int(self.candidate.sum())
 
-    def _cells_of(self, mask: np.ndarray) -> Iterator[Tuple[int, int]]:
-        for i, j in zip(*np.nonzero(mask)):
-            yield (int(i), int(j))
-
-    def accepted_cells(self) -> List[Tuple[int, int]]:
-        return list(self._cells_of(self.accepted))
-
     def accepted_region(self) -> RegionSet:
-        return RegionSet(
-            self.histogram.cell_rect(i, j) for (i, j) in self._cells_of(self.accepted)
+        return RegionSet.from_bounds(
+            self.histogram.cell_bounds(self.accepted), disjoint=True
         )
 
     def candidate_region(self) -> RegionSet:
-        return RegionSet(
-            self.histogram.cell_rect(i, j) for (i, j) in self._cells_of(self.candidate)
+        return RegionSet.from_bounds(
+            self.histogram.cell_bounds(self.candidate), disjoint=True
         )
 
 

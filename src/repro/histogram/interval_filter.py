@@ -14,20 +14,19 @@ directly:
   sweep it at.
 
 The classification runs one vectorised pass per timestamp but allocates the
-output masks once, and returns the per-cell candidate timestamp lists the
-interval FR evaluator consumes.
+output masks once, and returns the per-timestamp masks of cells still to
+refine that the interval FR evaluator consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError
 from ..core.query import IntervalPDRQuery
-from ..core.regions import RegionSet
 from .density_histogram import DensityHistogram
 from .filter import filter_query
 
@@ -39,10 +38,9 @@ class IntervalFilterResult:
     """Union classification over ``[qt1, qt2]``.
 
     ``accepted``/``rejected``/``candidate`` are ``m x m`` masks for the
-    union semantics above; ``candidate_times`` maps each candidate cell to
-    the timestamps at which it individually needs refinement, and
-    ``pending`` is the same relation the other way round — per timestamp,
-    the mask of cells still to refine then.
+    union semantics above; ``pending`` maps each timestamp to the mask of
+    cells still to refine then (snapshot candidates the union did not
+    already accept).
     """
 
     histogram: DensityHistogram
@@ -50,7 +48,6 @@ class IntervalFilterResult:
     accepted: np.ndarray
     rejected: np.ndarray
     candidate: np.ndarray
-    candidate_times: Dict[Tuple[int, int], List[int]]
     pending: Dict[int, np.ndarray]
 
     @property
@@ -65,21 +62,9 @@ class IntervalFilterResult:
     def candidate_count(self) -> int:
         return int(self.candidate.sum())
 
-    def accepted_region(self) -> RegionSet:
-        return RegionSet(
-            self.histogram.cell_rect(int(i), int(j))
-            for i, j in zip(*np.nonzero(self.accepted))
-        )
-
-    def candidate_region(self) -> RegionSet:
-        return RegionSet(
-            self.histogram.cell_rect(int(i), int(j))
-            for i, j in zip(*np.nonzero(self.candidate))
-        )
-
     def refinement_snapshots(self) -> int:
         """Total (cell, timestamp) refinement tasks remaining."""
-        return sum(len(ts) for ts in self.candidate_times.values())
+        return sum(int(mask.sum()) for mask in self.pending.values())
 
 
 def filter_query_interval(
@@ -103,19 +88,13 @@ def filter_query_interval(
         per_time_candidates[snapshot.qt] = step.candidate
     rejected = ~ever_not_rejected
     candidate = ever_not_rejected & ~accepted
-    candidate_times: Dict[Tuple[int, int], List[int]] = {}
-    pending: Dict[int, np.ndarray] = {}
-    for qt, mask in per_time_candidates.items():
-        # Snapshot-candidate cells that the union did not already accept.
-        left = pending[qt] = mask & ~accepted
-        for i, j in zip(*np.nonzero(left)):
-            candidate_times.setdefault((int(i), int(j)), []).append(qt)
+    # Snapshot-candidate cells that the union did not already accept.
+    pending = {qt: mask & ~accepted for qt, mask in per_time_candidates.items()}
     return IntervalFilterResult(
         histogram=histogram,
         query=query,
         accepted=accepted,
         rejected=rejected,
         candidate=candidate,
-        candidate_times=candidate_times,
         pending=pending,
     )

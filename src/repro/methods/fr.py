@@ -138,16 +138,6 @@ class FRMethod:
         # Same float expressions as cell_rect: x1 = x0 + i*lx, x2 = x1 + lx.
         return band_row, strip_band, x0 + run_starts * lx, (x0 + run_ends * lx) + lx
 
-    def _accepted_bounds(self, filtered) -> np.ndarray:
-        """Accepted-cell rectangles as a bounds array (cell_rect floats)."""
-        ai, aj = np.nonzero(filtered.accepted)
-        if ai.size == 0:
-            return np.empty((0, 4), dtype=float)
-        hist = self.histogram
-        x1 = hist.domain.x1 + ai * hist.cell_edge
-        y1 = hist.domain.y1 + aj * hist.cell_edge_y
-        return np.column_stack([x1, y1, x1 + hist.cell_edge, y1 + hist.cell_edge_y])
-
     # ------------------------------------------------------------------
     # ρ-monotonic band cache
     # ------------------------------------------------------------------
@@ -330,7 +320,9 @@ class FRMethod:
 
         # --- merge: accepted cells + refined rects -------------------------
         stage = time.perf_counter()
-        bounds = np.concatenate([self._accepted_bounds(filtered), refined.bounds])
+        bounds = np.concatenate(
+            [self.histogram.cell_bounds(filtered.accepted), refined.bounds]
+        )
         # Accepted cells, candidate strips and per-strip sweep emissions are
         # pairwise disjoint by construction: the O(n) area fast path applies.
         regions = RegionSet.from_bounds(bounds, disjoint=True)

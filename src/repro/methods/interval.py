@@ -6,7 +6,9 @@ evaluator (FR, PA, DH, brute force) can be lifted via
 :func:`evaluate_interval`; statistics are summed across the constituent
 snapshots.
 
-:func:`evaluate_interval_fr` is the optimised exact evaluator.  It
+:func:`evaluate_interval_fr` is the one exact interval path — what
+``PDRServer.query_interval("fr", ...)`` runs; the lifted union over FR is
+its oracle in the tests and ablation AB-5, not a second serving path.  It
 classifies cells once for the whole interval
 (:mod:`repro.histogram.interval_filter`) so a cell that is wholly dense at
 *any* timestamp is emitted without refinement, and the remaining candidate
@@ -19,15 +21,19 @@ once for the whole interval instead of once per snapshot — and one kernel
 pass, and the ρ-monotonic band cache applies to interval queries as it does
 to snapshots.  Combined with the histogram's epoch-keyed per-timestamp
 prefix-sum memoisation, an interval query does not recompute each snapshot
-from scratch.
+from scratch.  The answer is one bounds array — the union-accepted cells
+(:meth:`~repro.histogram.density_histogram.DensityHistogram.cell_bounds`)
+followed by the refined rectangles — left unnormalised: accepted cells of
+one timestamp may overlap refined rectangles of another.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List
+from typing import Callable
 
-from ..core.geometry import Rect
+import numpy as np
+
 from ..core.query import (
     IntervalPDRQuery,
     QueryResult,
@@ -71,13 +77,14 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
     refined = fr_method.refine(
         sorted(filtered.pending.items()), query.l, query.rho * query.l * query.l
     )
-    regions: List[Rect] = list(filtered.accepted_region())
-    regions.extend(Rect(row[0], row[1], row[2], row[3]) for row in refined.bounds)
+    regions = RegionSet.from_bounds(
+        np.concatenate([histogram.cell_bounds(filtered.accepted), refined.bounds])
+    )
 
     cpu = time.perf_counter() - start
     io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
     stats = QueryStats(
-        method="fr-interval-optimized",
+        method="fr-interval",
         cpu_seconds=cpu,
         io_count=io_count,
         io_seconds=io_count * buffer.io_seconds_per_miss if buffer is not None else 0.0,
@@ -88,4 +95,4 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
     )
     stats.extra.update(refined.extra)
     stats.extra["refinement_snapshots"] = float(filtered.refinement_snapshots())
-    return QueryResult(regions=RegionSet(regions), stats=stats, query=None)
+    return QueryResult(regions=regions, stats=stats, query=None)

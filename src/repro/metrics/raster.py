@@ -44,18 +44,14 @@ class RasterMeasure:
         """Boolean occupancy of ``region`` (cells marked by centre membership)."""
         n = self.resolution
         mask = np.zeros((n, n), dtype=bool)
-        x0, y0 = self.domain.x1, self.domain.y1
-        for r in region:
-            # A cell centre x0 + (i + 0.5) dx lies in [r.x1, r.x2) iff
-            # i in [ceil((r.x1-x0)/dx - 0.5), ...); derive index ranges.
-            ix1 = int(np.ceil((r.x1 - x0) / self._dx - 0.5))
-            ix2 = int(np.ceil((r.x2 - x0) / self._dx - 0.5))
-            iy1 = int(np.ceil((r.y1 - y0) / self._dy - 0.5))
-            iy2 = int(np.ceil((r.y2 - y0) / self._dy - 0.5))
-            ix1, ix2 = max(ix1, 0), min(ix2, n)
-            iy1, iy2 = max(iy1, 0), min(iy2, n)
-            if ix2 > ix1 and iy2 > iy1:
-                mask[ix1:ix2, iy1:iy2] = True
+        # A cell centre x0 + (i + 0.5) dx lies in [x1, x2) iff
+        # i in [ceil((x1-x0)/dx - 0.5), ceil((x2-x0)/dx - 0.5)): all four
+        # index columns in one expression, clipped to the grid.
+        origin = np.array([self.domain.x1, self.domain.y1] * 2)
+        step = np.array([self._dx, self._dy] * 2)
+        index = np.ceil((region.bounds - origin) / step - 0.5).astype(np.int64)
+        for ix1, iy1, ix2, iy2 in np.clip(index, 0, n).tolist():
+            mask[ix1:ix2, iy1:iy2] = True
         return mask
 
     def area(self, region: RegionSet) -> float:

@@ -51,11 +51,11 @@ __all__ = [
 
 # Relative evaluation cost per method, in tokens.  The ordering mirrors
 # measured work: FR touches the index and refines candidates (I/O), PA is
-# a branch-and-bound over coefficients, the histogram bounds are O(m^2)
-# arithmetic.  Bruteforce/edq scan every object and are priced out.
+# a bound-then-evaluate pass over coefficients, the histogram bounds are one
+# array expression over the m^2 cells (measured per-method table:
+# docs/replication.md).  Bruteforce/edq scan every object and are priced out.
 DEFAULT_COST_CLASSES: Dict[str, float] = {
     "fr": 4.0,
-    "fr-optimized": 4.0,
     "pa": 2.0,
     "dh-optimistic": 1.0,
     "dh-pessimistic": 1.0,

@@ -95,6 +95,11 @@ class ServingConfig:
 # probe, which is an idempotent heal-attempt and safe under concurrent
 # readers; every actual mutation takes the exclusive side.)
 READ_OPS = frozenset({"fr_query", "pa_query", "query", "status"})
+# Every op the dispatcher answers.  The op string comes from the client, so
+# only these may become a metric label value; anything else is "?".
+KNOWN_OPS = READ_OPS | {
+    "health", "drain", "report", "report_batch", "retire", "advance",
+}
 
 
 class _ReadWriteLock:
@@ -354,10 +359,9 @@ class PDRTCPServer:
             tm.SERVING_INFLIGHT.dec()
             conn.inflight -= 1
         outcome = "ok" if response.get("ok") else "error"
-        tm.SERVING_FRAMES.labels(op or "?", outcome).inc()
-        tm.SERVING_REQUEST_SECONDS.labels(op or "?").observe(
-            time.perf_counter() - t0
-        )
+        label = op if op in KNOWN_OPS else "?"
+        tm.SERVING_FRAMES.labels(label, outcome).inc()
+        tm.SERVING_REQUEST_SECONDS.labels(label).observe(time.perf_counter() - t0)
         if "id" in message:
             response["id"] = message["id"]
         await self._send(conn, response)
@@ -490,16 +494,19 @@ class PDRTCPServer:
 
     def _dispatch_backend(self, op: str, message: dict) -> dict:
         backend = self.backend
+        # Object ids reach the backend as decoded: its validator dead-letters
+        # a non-integer id as ``bad_oid`` before anything is logged, where a
+        # coercion here would log 3.7 or true under somebody else's key.
         if op == "report":
             motion = backend.report(
-                int(message["oid"]), float(message["x"]), float(message["y"]),
+                message["oid"], float(message["x"]), float(message["y"]),
                 float(message["vx"]), float(message["vy"]),
             )
             return {"accepted": motion is not None, "lsn": self._lsn(),
                     "tnow": int(backend.tnow)}
         if op == "report_batch":
             reports = [
-                (int(r[0]), float(r[1]), float(r[2]), float(r[3]), float(r[4]))
+                (r[0], float(r[1]), float(r[2]), float(r[3]), float(r[4]))
                 for r in message["reports"]
             ]
             results = backend.report_batch(reports)
@@ -507,13 +514,21 @@ class PDRTCPServer:
             return {"accepted": accepted, "rejected": len(results) - accepted,
                     "lsn": self._lsn(), "tnow": int(backend.tnow)}
         if op == "retire":
-            return {"retired": bool(backend.retire(int(message["oid"]))),
+            return {"retired": bool(backend.retire(message["oid"])),
                     "lsn": self._lsn()}
         if op == "advance":
             to = int(message.get("to", backend.tnow + 1))
             backend.advance_to(to)
             return {"tnow": int(backend.tnow), "lsn": self._lsn()}
         if op in ("fr_query", "pa_query", "query"):
+            max_regions = message.get("max_regions")
+            if max_regions is not None and (
+                type(max_regions) is not int or max_regions < 0
+            ):
+                raise ProtocolError(
+                    f"max_regions must be a non-negative integer, got {max_regions!r}",
+                    code="bad_request",
+                )
             method = str(message.get("method") or op.split("_", 1)[0])
             qt = (int(message["qt"]) if "qt" in message
                   else int(backend.tnow) + int(message.get("qt_offset", 0)))
@@ -527,10 +542,9 @@ class PDRTCPServer:
                 deadline=(None if message.get("deadline") is None
                           else float(message["deadline"])),
             )
-            regions = [[r.x1, r.y1, r.x2, r.y2] for r in result.regions]
-            max_regions = message.get("max_regions")
-            if max_regions is not None:  # keep answer frames bounded
-                regions = regions[: int(max_regions)]
+            # Cut before materialising: the frame costs its own rows, not
+            # the answer's (max_regions = None keeps every row).
+            regions = result.regions.bounds[:max_regions].tolist()
             return {
                 "method": result.stats.method,
                 "requested_method": getattr(result, "requested_method", method),

@@ -79,8 +79,8 @@ class TestFilterStep:
         positions = [(x, y) for (_o, x, y) in table.positions_at(0)]
         from repro.core.geometry import point_in_square
 
-        for (i, j) in result.accepted_cells():
-            cell = hist.cell_rect(i, j)
+        for (i, j) in zip(*np.nonzero(result.accepted)):
+            cell = hist.cell_rect(int(i), int(j))
             # Probe the cell corners and centre: all must be dense.
             probes = [
                 (cell.x1, cell.y1),

@@ -62,22 +62,24 @@ class TestIntervalFilter:
         assert (short.accepted & ~long.accepted).sum() == 0
         assert (long.rejected & ~short.rejected).sum() == 0
 
-    def test_candidate_times_cover_candidates(self, server):
+    def test_pending_covers_candidates(self, server):
         query = make_interval(server, 3.0, 0, 4)
         result = filter_query_interval(server.histogram, query)
-        for (i, j) in result.candidate_times:
-            assert result.candidate[i, j]
-            assert not result.accepted[i, j]
-        # Every union-candidate cell needs at least one refinement snapshot.
-        for i, j in zip(*np.nonzero(result.candidate)):
-            assert (int(i), int(j)) in result.candidate_times
+        assert sorted(result.pending) == [s.qt for s in query.snapshots()]
+        ever_pending = np.logical_or.reduce(list(result.pending.values()))
+        # Pending cells are union candidates, never union-accepted ones ...
+        assert not (ever_pending & ~result.candidate).any()
+        assert not (ever_pending & result.accepted).any()
+        # ... and every union-candidate cell is pending at >= 1 timestamp.
+        assert np.array_equal(ever_pending, result.candidate)
 
     def test_refinement_snapshots_counted(self, server):
         query = make_interval(server, 3.0, 0, 3)
         result = filter_query_interval(server.histogram, query)
         assert result.refinement_snapshots() == sum(
-            len(v) for v in result.candidate_times.values()
+            int(mask.sum()) for mask in result.pending.values()
         )
+        assert result.refinement_snapshots() >= result.candidate_count
 
 
 class TestOptimizedIntervalFR:
@@ -102,7 +104,7 @@ class TestOptimizedIntervalFR:
         # The optimised evaluator inspects at most as many objects (it skips
         # refinement at timestamps covered by union-accepted cells).
         assert optimized.stats.objects_examined <= naive.stats.objects_examined
-        assert optimized.stats.method == "fr-interval-optimized"
+        assert optimized.stats.method == "fr-interval"
 
     def test_stats_fields(self, server):
         from repro.methods.fr import FRMethod

@@ -143,6 +143,30 @@ class TestRasterMeasure:
         assert raster_report.r_fp == pytest.approx(exact_report.r_fp, rel=0.02, abs=0.05)
         assert raster_report.r_fn == pytest.approx(exact_report.r_fn, rel=0.02, abs=0.05)
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(-30, 120), st.floats(-30, 120),
+                      st.floats(0, 60), st.floats(0, 60)),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mask_equals_the_per_rectangle_reference(self, rects):
+        """The index columns come from one array expression; the scalar
+        per-``Rect`` arithmetic it replaced is the reference."""
+        raster = RasterMeasure(DOMAIN, resolution=64)
+        regions = RegionSet([Rect(x, y, x + w, y + h) for x, y, w, h in rects])
+        n, x0, y0 = raster.resolution, DOMAIN.x1, DOMAIN.y1
+        expected = np.zeros((n, n), dtype=bool)
+        for r in regions:
+            ix1 = max(int(np.ceil((r.x1 - x0) / raster._dx - 0.5)), 0)
+            ix2 = min(int(np.ceil((r.x2 - x0) / raster._dx - 0.5)), n)
+            iy1 = max(int(np.ceil((r.y1 - y0) / raster._dy - 0.5)), 0)
+            iy2 = min(int(np.ceil((r.y2 - y0) / raster._dy - 0.5)), n)
+            if ix2 > ix1 and iy2 > iy1:
+                expected[ix1:ix2, iy1:iy2] = True
+        assert np.array_equal(raster.rasterize(regions), expected)
+
     def test_rect_outside_domain_clipped(self):
         raster = RasterMeasure(DOMAIN, resolution=50)
         assert raster.area(region((90, 90, 200, 200))) == pytest.approx(100.0)

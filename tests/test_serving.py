@@ -37,7 +37,8 @@ from repro.serving.protocol import (
     read_frame_sync,
     write_frame_sync,
 )
-from repro.serving.server import ServerThread, ServingConfig
+from repro.serving.server import KNOWN_OPS, ServerThread, ServingConfig
+from repro.telemetry import instruments as tm
 
 N_OBJECTS = 48
 
@@ -170,6 +171,63 @@ def test_oid_beyond_int64_is_dead_lettered_over_the_wire(front_door):
         assert group.primary.dead_letters.counts["bad_oid"] == 3
         assert client.report(2**63 - 1, 50.0, 50.0, 0.1, 0.1)["accepted"] is True
         assert group.primary.wal_lsn == lsn + 1
+
+
+@pytest.mark.parametrize("oid", [3.7, True, "9"])
+def test_non_integer_oid_is_dead_lettered_not_coerced(front_door, oid):
+    """``int(3.7)``, ``int(True)`` and ``int("9")`` are objects 3, 1 and 9:
+    the id must reach the validator as decoded."""
+    thread, group = front_door
+    primary = group.primary
+    with ResilientClient([thread.address]) as client:
+        lsn = primary.wal_lsn
+        before = sorted(primary.table.columns().oid.tolist())
+        frame = client.request(
+            {"op": "report", "oid": oid, "x": 50.0, "y": 50.0, "vx": 0.1, "vy": 0.1}
+        )
+        assert frame["accepted"] is False
+        frame = client.request(
+            {"op": "report_batch", "reports": [[oid, 40.0, 40.0, 0.0, 0.0]]}
+        )
+        assert (frame["accepted"], frame["rejected"]) == (0, 1)
+        assert client.request({"op": "retire", "oid": oid})["retired"] is False
+        assert primary.dead_letters.counts["bad_oid"] == 3
+        assert primary.wal_lsn == lsn  # nothing reached the log
+        assert sorted(primary.table.columns().oid.tolist()) == before
+
+
+@pytest.mark.parametrize("max_regions", [-1, 1.5, "8", True])
+def test_max_regions_must_be_a_non_negative_integer(front_door, max_regions):
+    thread, _group = front_door
+    config = ClientConfig(max_attempts=2)
+    with ResilientClient([thread.address], config=config) as client:
+        with pytest.raises(WireError) as excinfo:
+            client.query("pa", varrho=2.0, max_regions=max_regions)
+        assert excinfo.value.code == "bad_request"
+        assert "max_regions" in str(excinfo.value)
+        assert client.health()["live"]
+
+
+def test_unknown_ops_share_one_metric_series(front_door):
+    """The op string is the client's: it may not mint metric series."""
+    thread, _group = front_door
+
+    def op_labels(family):
+        return {labels[0] for labels, _child in family.series()}
+
+    unknown = tm.SERVING_FRAMES.labels("?", "error")
+    before = unknown.value
+    garbage = [f"no_such_op_{i}" for i in range(12)] + [7, None, ""]
+    config = ClientConfig(max_attempts=2)
+    with ResilientClient([thread.address], config=config) as client:
+        for op in garbage:
+            with pytest.raises(WireError) as excinfo:
+                client.request({"op": op})
+            assert excinfo.value.code == "bad_request"
+        assert client.health()["live"]
+    assert unknown.value == before + len(garbage)
+    for family in (tm.SERVING_FRAMES, tm.SERVING_REQUEST_SECONDS):
+        assert {"health", "?"} <= op_labels(family) <= KNOWN_OPS | {"?"}
 
 
 def test_malformed_and_unknown_requests_are_bad_request(front_door):

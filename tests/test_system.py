@@ -8,6 +8,8 @@ import pytest
 from repro import PDRServer, SystemConfig
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import Rect
+from repro.core.query import IntervalPDRQuery
+from repro.methods.interval import evaluate_interval
 from tests.conftest import populate_clustered, small_system_config
 
 
@@ -93,14 +95,15 @@ class TestEndToEndMethods:
             assert missed == pytest.approx(0.0, abs=1e-6)
 
     def test_optimized_interval_fr_matches_union(self, populated_server):
-        naive = populated_server.query_interval("fr", qt1=0, qt2=3, varrho=3.0)
-        fast = populated_server.query_interval(
-            "fr-optimized", qt1=0, qt2=3, varrho=3.0
-        )
+        server = populated_server
+        base = server.make_query(qt=0, varrho=3.0)
+        interval = IntervalPDRQuery(rho=base.rho, l=base.l, qt1=0, qt2=3)
+        naive = evaluate_interval(lambda s: server.evaluate("fr", s), interval)
+        fast = server.query_interval("fr", qt1=0, qt2=3, varrho=3.0)
         assert fast.regions.symmetric_difference_area(
             naive.regions
         ) == pytest.approx(0.0, abs=1e-6)
-        assert fast.stats.method == "fr-interval-optimized"
+        assert fast.stats.method == "fr-interval"
 
     def test_interval_stats_merged(self, populated_server):
         combined = populated_server.query_interval("pa", qt1=0, qt2=2, varrho=3.0)
