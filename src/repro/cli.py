@@ -80,7 +80,9 @@ from .core.errors import (
 from .datagen.network import synthetic_metro
 from .datagen.trips import TripSimulator
 from .experiments.viz import render_region
+from .methods.table import METHODS
 from .storage.snapshot import load_server, save_server
+from .telemetry.instruments import SERVING_INFLIGHT
 
 __all__ = ["main", "build_parser", "EXIT_CODES"]
 
@@ -134,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="evaluate a snapshot PDR query")
     query.add_argument("--snapshot", required=True, help="snapshot produced by simulate")
     query.add_argument("--method", default="pa",
-                       choices=["fr", "pa", "dh-optimistic", "dh-pessimistic",
-                                "bruteforce", "dense-cell", "edq"])
+                       choices=list(METHODS))
     group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("--varrho", type=float, help="threshold relative to average density")
     group.add_argument("--rho", type=float, help="absolute density threshold")
@@ -1097,7 +1098,7 @@ def _render_top_frame(families: dict, qps: Optional[float]) -> str:
     lines.append(
         f"repro top — epoch {epoch}  "
         f"state {'READ-ONLY' if readonly else 'serving'}  "
-        f"inflight {int(_gauge_value(families.get('repro_serving_inflight')))}"
+        f"inflight {int(_gauge_value(families.get(SERVING_INFLIGHT.name)))}"
     )
     served = _counter_total(families.get("repro_query_total"))
     qps_text = f"{qps:8.1f}/s" if qps is not None else "       --"

@@ -5,17 +5,10 @@ uses — the object table, the TPR-tree over a simulated buffer pool, the
 per-timestamp density histograms and the per-timestamp Chebyshev
 surfaces — behind one update entry point (:meth:`report` /
 :meth:`advance_to`) and one query entry point (:meth:`query`) that selects
-the evaluation method by name:
-
-======================  =======================================================
-``"fr"``                exact filtering-refinement (Section 5)
-``"pa"``                approximate polynomial evaluation (Section 6)
-``"dh-optimistic"``     filter step only, candidates counted dense
-``"dh-pessimistic"``    filter step only, candidates dropped
-``"bruteforce"``        exact full-plane sweep (oracle; ignores all structures)
-``"dense-cell"``        dense-cell baseline (answer loss by design)
-``"edq"``               effective-density-query baseline (ambiguous by design)
-======================  =======================================================
+the evaluation method by name — ``"fr"`` (exact, Section 5), ``"pa"``
+(approximate, Section 6), the histogram bounds and the baselines; the method
+table in :mod:`repro.methods.table` lists every name with its evaluator,
+admission cost and fallback.
 
 The server also hosts the reliability layer (:mod:`repro.reliability`):
 
@@ -32,23 +25,21 @@ This is the class the examples and the experiment harness build on.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..baselines.bruteforce import bruteforce_from_motions
-from ..baselines.dense_cell import dense_cell_query
-from ..baselines.edq import edq_query
-from ..histogram.answers import dh_optimistic, dh_pessimistic
 from ..histogram.density_histogram import DensityHistogram
 from ..index.tree import TPRTree
 from ..methods.fr import FRMethod
 from ..methods.interval import evaluate_interval, evaluate_interval_fr
 from ..methods.pa import PAMethod
+from ..methods.table import method_named
 from ..metrics.cost import UpdateCostTimer
 from ..metrics.instrument import TimedListener
 from ..motion.model import Motion
 from ..motion.table import ObjectTable
-from ..reliability.deadline import evaluate_with_degradation, run_with_retries
+from ..reliability.deadline import evaluate_with_degradation
 from ..reliability.faults import MonotonicClock
 from ..reliability.validation import (
     DeadLetterQueue,
@@ -60,7 +51,6 @@ from ..storage.buffer import BufferPool
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
-from ..telemetry.tracing import NOOP_SPAN
 from .config import SystemConfig
 from .errors import (
     InvalidParameterError,
@@ -77,15 +67,9 @@ from .query import (
 
 __all__ = ["PDRServer"]
 
-_METHODS = (
-    "fr",
-    "pa",
-    "dh-optimistic",
-    "dh-pessimistic",
-    "bruteforce",
-    "dense-cell",
-    "edq",
-)
+# The FR stages whose seconds the reliability report sums; "bnb" is PA's.
+_FR_STAGES = ("filter", "fuse", "fetch", "sweep", "merge")
+_STAGES = _FR_STAGES + ("bnb",)
 
 
 class PDRServer:
@@ -124,8 +108,8 @@ class PDRServer:
         # state directory goes through checkpoint+replay recovery.
         self.recovery_generation = 0
         self.query_counters: Counter = Counter()
-        # Per-stage seconds accumulated across served queries (the FR
-        # breakdown: filter / fetch / sweep), for the reliability report.
+        # Per-stage seconds accumulated across served queries (summed
+        # ``stats.extra["<stage>_seconds"]``), for the reliability report.
         self.stage_seconds: Counter = Counter()
         self.expected_objects = expected_objects
         self.faults = self.reliability.faults
@@ -574,111 +558,72 @@ class PDRServer:
         back to cheaper evaluations (``fr -> pa -> dh-optimistic``) so an
         answer is produced within the budget; the result's
         ``requested_method`` / ``degraded`` fields say what actually ran.
-        Transient faults are retried with exponential backoff either way
-        (``retries`` overrides the configured count).
+        Without one the requested method alone runs.  Transient faults are
+        retried with exponential backoff either way (``retries`` overrides
+        the configured count).  An unknown ``method`` is refused before
+        anything is evaluated or counted.
         """
+        method_named(method)
         q = self.make_query(qt=qt, l=l, rho=rho, varrho=varrho)
-        n_retries = self.reliability.retries if retries is None else retries
-        tracer = TELEMETRY.tracer
-        with tracer.trace(
+        start = time.perf_counter()
+        with TELEMETRY.tracer.trace(
             "query", method=method, qt=q.qt, l=q.l, rho=q.rho, role=self.role
         ) as span:
-            if deadline is not None:
-                result = evaluate_with_degradation(
-                    self,
-                    method,
-                    q,
-                    budget_seconds=deadline,
-                    retries=n_retries,
-                    backoff_seconds=self.reliability.backoff_seconds,
-                )
-            else:
-                result, attempts = run_with_retries(
-                    lambda: self.evaluate(method, q),
-                    n_retries,
-                    self.reliability.backoff_seconds,
-                    self.clock,
-                )
-                if attempts:
-                    tm.QUERY_RETRIES.inc(attempts)
-                result.requested_method = method
+            result = evaluate_with_degradation(
+                self,
+                method,
+                q,
+                budget_seconds=deadline,
+                retries=self.reliability.retries if retries is None else retries,
+                backoff_seconds=self.reliability.backoff_seconds,
+            )
             span.set(
                 served_method=result.stats.method,
                 degraded=result.degraded,
                 answer_area=result.area(),
             )
-        self._account_query(method, q, result, span)
+        self._account_query(method, result, span, time.perf_counter() - start)
         return result
 
-    def _account_query(self, method, q, result, span) -> None:
+    def _account_query(self, method, result, span, seconds) -> None:
         """Fold one served query into counters, histograms and the slow log.
 
-        The per-stage seconds come from the query's trace when tracing is
-        on — the instrumented methods record each stage's measured float
-        as a leaf span, so the trace-derived totals match the old
-        hand-accumulated ``stats.extra`` arithmetic bit-for-bit — and fall
-        back to ``stats.extra`` when it is off.  ``stage_seconds`` and the
-        ``reliability_report`` keys fed from it are the compatibility view
-        of this accounting.
+        ``stats.extra["<stage>_seconds"]`` is the one record of where the
+        evaluation's time went — each method times a stage once, stores the
+        float there and hands the same float to the trace as a leaf — so the
+        stage histograms, ``stage_seconds`` and the ``reliability_report``
+        view are all read from it, traced or not.  ``seconds`` is the wall
+        time of the whole query.
         """
         self.query_counters["served"] += 1
         if result.degraded:
             self.query_counters["degraded"] += 1
         extra = result.stats.extra
-        traced = span is not NOOP_SPAN
-        totals = span.stage_totals() if traced else {}
         served = result.stats.method
-        for stage in ("filter", "fuse", "fetch", "sweep", "merge"):
-            seconds = (
-                totals.get(stage, 0.0)
-                if traced
-                else extra.get(f"{stage}_seconds", 0.0)
-            )
-            self.stage_seconds[stage] += seconds
-            if seconds > 0.0:
-                tm.QUERY_STAGE_SECONDS.labels(served, stage).observe(seconds)
-        if traced and totals.get("bnb", 0.0) > 0.0:
-            tm.QUERY_STAGE_SECONDS.labels(served, "bnb").observe(totals["bnb"])
+        for stage in _STAGES:
+            spent = extra.get(f"{stage}_seconds", 0.0)
+            self.stage_seconds[stage] += spent
+            if spent > 0.0:
+                tm.QUERY_STAGE_SECONDS.labels(served, stage).observe(spent)
         self.query_counters["cache_hits"] += int(extra.get("cache_hits", 0.0))
         self.query_counters["cache_misses"] += int(extra.get("cache_misses", 0.0))
         tm.QUERIES.labels(method, "degraded" if result.degraded else "ok").inc()
-        # Feed the SLO monitor the best latency signal available: the
-        # traced wall duration, else the evaluation's measured CPU time.
-        tm.slo_record(span.duration if traced else result.stats.cpu_seconds)
-        if traced:
-            tm.QUERY_SECONDS.labels(method).observe(span.duration)
-            TELEMETRY.note_query(span, result, requested_method=method)
+        tm.slo_record(seconds)
+        tm.QUERY_SECONDS.labels(method).observe(seconds)
+        TELEMETRY.note_query(span, result, requested_method=method)
 
     def evaluate(
         self, method: str, q: SnapshotPDRQuery, deadline=None
     ) -> QueryResult:
-        """Evaluate an already-constructed query.
+        """Evaluate an already-constructed query with one row of the method
+        table (:mod:`repro.methods.table`).
 
         ``deadline`` is a :class:`~repro.reliability.deadline.Deadline`
         checked cooperatively by the methods that can run long (FR at each
         candidate refinement, PA at entry); the histogram bounds and
         baselines ignore it.
         """
-        if method == "fr":
-            return self._fr.query(q, deadline=deadline)
-        if method == "pa":
-            return self.pa.query(q, deadline=deadline)
-        if method == "dh-optimistic":
-            return dh_optimistic(self.histogram, q)
-        if method == "dh-pessimistic":
-            return dh_pessimistic(self.histogram, q)
-        if method == "bruteforce":
-            return bruteforce_from_motions(
-                self.table.columns(), self.config.domain, q
-            )
-        if method == "dense-cell":
-            return dense_cell_query(self.histogram, q)
-        if method == "edq":
-            positions = [(x, y) for (_oid, x, y) in self.table.positions_at(q.qt)]
-            return edq_query(positions, self.config.domain, q)
-        raise InvalidParameterError(
-            f"unknown method {method!r}; expected one of {_METHODS}"
-        )
+        return method_named(method).evaluate(self, q, deadline)
 
     def query_interval(
         self,
@@ -729,8 +674,7 @@ class PDRServer:
             "queries_degraded": self.query_counters["degraded"],
             "wal_lsn": self.wal_lsn,
             "query_stage_seconds": {
-                stage: self.stage_seconds[stage]
-                for stage in ("filter", "fuse", "fetch", "sweep", "merge")
+                stage: self.stage_seconds[stage] for stage in _FR_STAGES
             },
             "query_cache_hits": self.query_counters["cache_hits"],
             "query_cache_misses": self.query_counters["cache_misses"],

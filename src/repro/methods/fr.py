@@ -234,8 +234,8 @@ class FRMethod:
         )
         skipped = planned - n_bands
         fuse_seconds = time.perf_counter() - stage
-        # Each measured stage float is both handed back in ``extra`` and
-        # recorded as a trace leaf, so trace-derived totals equal it exactly.
+        # Each stage is timed once: ``extra`` is the record, the trace leaf
+        # renders the same float.
         tracer.record_span("fuse", fuse_seconds, bands=planned, skipped=skipped)
 
         # --- fetch: one index call for every band --------------------------
@@ -274,9 +274,6 @@ class FRMethod:
 
         tm.REFINE_BANDS.labels("swept").inc(n_bands)
         tm.REFINE_BANDS.labels("skipped").inc(skipped)
-        tm.REFINE_BAND_SECONDS.labels("fuse").observe(fuse_seconds)
-        tm.REFINE_BAND_SECONDS.labels("fetch").observe(fetch_seconds)
-        tm.REFINE_BAND_SECONDS.labels("sweep").observe(sweep_seconds)
         return Refinement(
             swept.bounds,
             objects_examined,
@@ -328,7 +325,6 @@ class FRMethod:
         regions = RegionSet.from_bounds(bounds, disjoint=True)
         merge_seconds = time.perf_counter() - stage
         tracer.record_span("merge", merge_seconds, rects=len(regions))
-        tm.REFINE_BAND_SECONDS.labels("merge").observe(merge_seconds)
 
         cpu = time.perf_counter() - start
         io_count = (buffer.stats.misses - io_before) if buffer is not None else 0

@@ -291,6 +291,7 @@ class PAMethod(UpdateListener):
             runs_emitted=len(bnb),
         )
         stats = QueryStats(method="pa", cpu_seconds=cpu, bnb_nodes=bnb.nodes_visited)
+        stats.extra["bnb_seconds"] = cpu
         stats.extra["bnb_accepted"] = float(bnb.accepted_by_bound)
         stats.extra["bnb_pruned"] = float(bnb.pruned_by_bound)
         stats.extra["bnb_leaves"] = float(bnb.resolved_at_leaf)

@@ -47,7 +47,7 @@ from .admission import (
     CircuitBreaker,
     TokenBucket,
 )
-from .deadline import DEGRADATION_LADDER, Deadline, evaluate_with_degradation, run_with_retries
+from .deadline import Deadline, evaluate_with_degradation, run_with_retries
 from .faults import FaultInjector, InjectedCrashError, MonotonicClock, VirtualClock
 from .integrity import (
     FileStatus,
@@ -81,7 +81,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "CircuitBreaker",
-    "DEGRADATION_LADDER",
     "Deadline",
     "DeadLetterQueue",
     "evaluate_with_degradation",

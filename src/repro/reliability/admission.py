@@ -5,10 +5,12 @@ decisions per query *before* any evaluation work happens:
 
 * **Can the group afford it right now?**  A token bucket refilled at
   ``rate`` tokens per second (burst-capped) is charged the query's *cost
-  class* — FR costs more than PA, PA more than the histogram bounds.
-  When the requested class is unaffordable the controller degrades the
-  request down the same ``fr -> pa -> dh-optimistic`` ladder the deadline
-  machinery uses, trading answer precision for admission.  When even the
+  class* — the ``cost`` column of the method table
+  (:mod:`repro.methods.table`): FR costs more than PA, PA more than the
+  histogram bounds.  When the requested class is unaffordable the
+  controller walks the rungs the router hands it — the same
+  :func:`~repro.reliability.deadline.ladder_for` rungs a deadline degrades
+  down — trading answer precision for admission.  When even the
   cheapest rung is unaffordable, the query is shed with a
   :class:`~repro.core.errors.AdmissionRejectedError` carrying
   ``retry_after`` — an overloaded group answers *something* (cheap
@@ -20,7 +22,9 @@ decisions per query *before* any evaluation work happens:
 * **Is the chosen backend healthy?**  A per-backend
   :class:`CircuitBreaker` ejects a repeatedly failing replica from the
   rotation and re-admits it after a probation period via a half-open
-  probe, so one sick backend cannot eat every query's retry budget.
+  probe, so one sick backend cannot eat every query's retry budget.  The
+  breakers themselves live with the router that owns the backends
+  (:class:`~repro.reliability.replication.ReplicationGroup`).
 
 Everything is driven by an injectable :class:`~repro.reliability.faults.Clock`,
 so overload scenarios are exact in tests (virtual time) and real in
@@ -33,12 +37,13 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.errors import AdmissionRejectedError, InvalidParameterError
+from ..methods.table import METHODS, method_named
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
-from .deadline import DEGRADATION_LADDER
+from .deadline import ladder_for
 from .faults import Clock
 
 __all__ = [
@@ -46,23 +51,7 @@ __all__ = [
     "CircuitBreaker",
     "AdmissionConfig",
     "AdmissionController",
-    "DEFAULT_COST_CLASSES",
 ]
-
-# Relative evaluation cost per method, in tokens.  The ordering mirrors
-# measured work: FR touches the index and refines candidates (I/O), PA is
-# a bound-then-evaluate pass over coefficients, the histogram bounds are one
-# array expression over the m^2 cells (measured per-method table:
-# docs/replication.md).  Bruteforce/edq scan every object and are priced out.
-DEFAULT_COST_CLASSES: Dict[str, float] = {
-    "fr": 4.0,
-    "pa": 2.0,
-    "dh-optimistic": 1.0,
-    "dh-pessimistic": 1.0,
-    "dense-cell": 1.0,
-    "bruteforce": 8.0,
-    "edq": 8.0,
-}
 
 
 class TokenBucket:
@@ -166,19 +155,19 @@ class AdmissionConfig:
 
     ``rate``/``burst`` shape the token bucket (tokens per second /
     bucket capacity); ``max_concurrent`` caps in-flight evaluations;
-    ``cost_classes`` prices each method; ``degrade`` allows the
-    controller to admit a cheaper method than requested before shedding.
+    ``cost_classes`` prices each method in tokens (default: the method
+    table's ``cost`` column, which also prices any method the mapping
+    omits); ``degrade`` allows the controller to admit a cheaper method
+    than requested before shedding.
     """
 
     rate: float = 100.0
     burst: float = 200.0
     max_concurrent: int = 64
     cost_classes: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_COST_CLASSES)
+        default_factory=lambda: {name: row.cost for name, row in METHODS.items()}
     )
     degrade: bool = True
-    breaker_threshold: int = 3
-    breaker_probation_seconds: float = 5.0
 
 
 class AdmissionController:
@@ -190,7 +179,6 @@ class AdmissionController:
         self.bucket = TokenBucket(config.rate, config.burst, clock)
         self.in_flight = 0
         self.counters: Counter = Counter()
-        self._breakers: Dict[str, CircuitBreaker] = {}
         # Read-only queries are admitted from a thread pool in the serving
         # tier; the bucket's refill-check-charge sequence and the seat
         # counter must not interleave or tokens get double-spent.
@@ -200,27 +188,32 @@ class AdmissionController:
     # admission
     # ------------------------------------------------------------------
     def cost_of(self, method: str) -> float:
-        return self.config.cost_classes.get(method, 1.0)
+        cost = self.config.cost_classes.get(method)
+        return method_named(method).cost if cost is None else cost
 
-    def _rungs(self, method: str) -> Tuple[str, ...]:
-        if not self.config.degrade:
-            return (method,)
-        if method in DEGRADATION_LADDER:
-            return DEGRADATION_LADDER[DEGRADATION_LADDER.index(method):]
-        return (method,)
-
-    def admit(self, method: str) -> Tuple[str, bool]:
+    def admit(
+        self, method: str, rungs: Optional[Sequence[str]] = None
+    ) -> Tuple[str, bool]:
         """Admit ``method`` or a cheaper rung; raise when shedding.
 
+        ``rungs`` is the request's ladder (``ladder_for(method, query,
+        pa_l)``, which the router computes so a rung the query cannot run on
+        is never admitted); left out, it is the method's full ladder.
         Returns ``(admitted_method, degraded)``.  Raises
         :class:`AdmissionRejectedError` with a ``retry_after`` computed
         from the bucket's refill rate when even the cheapest acceptable
-        rung is unaffordable, or when the concurrency cap is reached.
+        rung is unaffordable, or when the concurrency cap is reached — and
+        ``InvalidParameterError`` for an unknown method, which is neither
+        counted nor charged.
         """
+        if rungs is None:
+            rungs = ladder_for(method)
+        if not self.config.degrade:
+            rungs = rungs[:1]
         with self._lock:
-            return self._admit_locked(method)
+            return self._admit_locked(method, rungs)
 
-    def _admit_locked(self, method: str) -> Tuple[str, bool]:
+    def _admit_locked(self, method: str, rungs: Sequence[str]) -> Tuple[str, bool]:
         self.counters["requested"] += 1
         if self.in_flight >= self.config.max_concurrent:
             self.counters["rejected"] += 1
@@ -238,7 +231,6 @@ class AdmissionController:
                 f"cap {self.config.max_concurrent})",
                 retry_after=self.bucket.seconds_until(self.cost_of(method)),
             )
-        rungs = self._rungs(method)
         for rung in rungs:
             if self.bucket.try_take(self.cost_of(rung)):
                 self.counters["admitted"] += 1
@@ -270,29 +262,10 @@ class AdmissionController:
             with self._lock:
                 self.in_flight -= 1
 
-    # ------------------------------------------------------------------
-    # circuit breaking
-    # ------------------------------------------------------------------
-    def breaker(self, backend: str) -> CircuitBreaker:
-        """The (lazily created) breaker guarding ``backend``."""
-        with self._lock:
-            if backend not in self._breakers:
-                self._breakers[backend] = CircuitBreaker(
-                    self.clock,
-                    threshold=self.config.breaker_threshold,
-                    probation_seconds=self.config.breaker_probation_seconds,
-                    name=backend,
-                )
-            return self._breakers[backend]
-
-    def breaker_states(self) -> Dict[str, str]:
-        return {name: b.state for name, b in self._breakers.items()}
-
     def report(self) -> dict:
         """Operator-facing counters (merged into ``reliability_report``)."""
         with self._lock:
             out = dict(self.counters)
             out["in_flight"] = self.in_flight
             out["tokens"] = round(self.bucket.tokens, 6)
-            out["breakers"] = self.breaker_states()
             return out

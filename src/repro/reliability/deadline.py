@@ -2,9 +2,14 @@
 
 A query issued with a time budget must return *something* useful inside
 that budget.  The ladder runs the requested method first and falls back to
-progressively cheaper evaluations::
+progressively cheaper evaluations, following each method's ``cheaper`` link
+in the method table (:mod:`repro.methods.table`)::
 
     fr  ->  pa  ->  dh-optimistic
+
+:func:`ladder_for` is the one place a request becomes rungs: the admission
+controller prices the same rungs when tokens are short, and a query without
+a budget is the one-rung case of :func:`evaluate_with_degradation`.
 
 FR checks the deadline cooperatively at every candidate-cell refinement;
 PA checks at entry (its bound-then-evaluate pass is about a millisecond
@@ -36,6 +41,7 @@ from ..core.errors import (
     TransientFaultError,
 )
 from ..core.query import QueryResult, SnapshotPDRQuery
+from ..methods.table import method_named
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from .faults import Clock
@@ -43,12 +49,9 @@ from .faults import Clock
 __all__ = [
     "Deadline",
     "run_with_retries",
-    "DEGRADATION_LADDER",
     "ladder_for",
     "evaluate_with_degradation",
 ]
-
-DEGRADATION_LADDER = ("fr", "pa", "dh-optimistic")
 
 T = TypeVar("T")
 
@@ -114,23 +117,25 @@ def run_with_retries(
             attempt += 1
 
 
-def ladder_for(method: str, query: SnapshotPDRQuery, pa_l: float) -> List[str]:
-    """The fallback rungs for ``method``, cheapest last.
+def ladder_for(
+    method: str,
+    query: Optional[SnapshotPDRQuery] = None,
+    pa_l: Optional[float] = None,
+) -> List[str]:
+    """The fallback rungs for ``method``, cheapest last: the method itself,
+    then each row's ``cheaper`` link in the method table down to a terminal
+    histogram bound.  An unknown method raises ``InvalidParameterError``.
 
-    The PA rung is dropped when the query's ``l`` differs from the edge
-    the polynomial surfaces were built for (PA fixes ``l`` at
-    construction, Section 6).  ``dh-pessimistic`` is already a terminal
-    bound; every other method degrades to the optimistic histogram bound,
-    which is a superset of the true answer — under pressure the server
-    over-reports dense area rather than silently dropping regions.
+    Given the query, the PA rung is dropped when the query's ``l`` differs
+    from ``pa_l``, the edge the polynomial surfaces were built for (PA fixes
+    ``l`` at construction, Section 6).
     """
-    if method in DEGRADATION_LADDER:
-        rungs = list(DEGRADATION_LADDER[DEGRADATION_LADDER.index(method):])
-    elif method == "dh-pessimistic":
-        rungs = [method]
-    else:
-        rungs = [method, "dh-optimistic"]
-    if abs(query.l - pa_l) > 1e-9:
+    rungs: List[str] = []
+    name: Optional[str] = method
+    while name is not None:
+        rungs.append(name)
+        name = method_named(name).cheaper
+    if query is not None and abs(query.l - pa_l) > 1e-9:
         rungs = [r for r in rungs if r != "pa"]
     return rungs
 
@@ -139,20 +144,29 @@ def evaluate_with_degradation(
     server,
     method: str,
     query: SnapshotPDRQuery,
-    budget_seconds: float,
+    budget_seconds: Optional[float],
     retries: int,
     backoff_seconds: float,
 ) -> QueryResult:
-    """Evaluate ``query`` under a time budget, degrading down the ladder."""
+    """Evaluate ``query``, degrading down the ladder to stay inside the budget.
+
+    ``budget_seconds=None`` is the one-rung case: ``method`` alone runs, with
+    no deadline, and a transient fault that outlives its retries is raised.
+    """
     clock = server.clock
-    deadline = Deadline(budget_seconds, clock)
-    rungs = ladder_for(method, query, server.pa.l)
+    if budget_seconds is None:
+        deadline, rungs = None, [method]
+    else:
+        deadline = Deadline(budget_seconds, clock)
+        rungs = ladder_for(method, query, server.pa.l)
     fallbacks = 0
     total_retries = 0
     for i, rung in enumerate(rungs):
         last = i == len(rungs) - 1
         if last:
-            rung_deadline = None  # the terminal bound always produces an answer
+            # the last rung runs to completion: a terminal bound always
+            # answers, and a query without a budget has no clock to beat
+            rung_deadline = None
         else:
             # Geometric slicing against the budget *remaining at rung
             # entry*: this rung may spend half of it, so even when a rung
@@ -194,8 +208,9 @@ def evaluate_with_degradation(
         rung_span.set(retries=attempts)
         result.requested_method = method
         result.degraded = rung != method
-        result.stats.extra["deadline_seconds"] = float(budget_seconds)
-        result.stats.extra["deadline_spent"] = clock.now() - deadline.started
+        if deadline is not None:
+            result.stats.extra["deadline_seconds"] = float(budget_seconds)
+            result.stats.extra["deadline_spent"] = clock.now() - deadline.started
         if fallbacks:
             result.stats.extra["ladder_fallbacks"] = float(fallbacks)
         if total_retries:

@@ -54,7 +54,6 @@ __all__ = [
     "ProcessChaosConfig",
     "ProcessChaosResult",
     "run_process_cell",
-    "run_process_matrix",
 ]
 
 
@@ -360,22 +359,3 @@ def _check_oracles(config, state_dir, client, supervisor, result) -> None:
     if supervisor.restarts < 1:
         # redundant with the drive phase, but cheap and explicit
         result.violations.append("no supervised restart was observed")
-
-
-def run_process_matrix(
-    sites, seeds, workroot: str, python: Optional[str] = None
-):
-    """Run cells for every site × seed; yields results as they finish."""
-    import shutil
-
-    for site in sites:
-        for seed in seeds:
-            workdir = os.path.join(workroot, f"{site.replace('.', '-')}-{seed}")
-            os.makedirs(workdir, exist_ok=True)
-            try:
-                yield run_process_cell(
-                    ProcessChaosConfig(site=site, seed=seed, python=python),
-                    workdir,
-                )
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)

@@ -626,19 +626,14 @@ def records_from_lsn(state_dir: str, lsn: int) -> Iterator[dict]:
 
 
 def load_latest_checkpoint(state_dir: str):
-    """The newest loadable checkpoint image, or ``None``.
+    """The newest loadable checkpoint at or below the manifest seq, or
+    ``None``.
 
     Returns ``(SnapshotState, sidecar)`` where the sidecar dict carries
     ``{"seq", "lsn", "tnow"}`` — the replay cursor to resume from after
-    installing the image.  This is the image-transfer half of replica
-    catch-up; the other half is :func:`records_from_lsn`.
-    """
-    return _load_best_checkpoint(state_dir)
-
-
-def _load_best_checkpoint(state_dir: str):
-    """The newest loadable checkpoint at or below the manifest seq, or
-    ``None``.  Returns ``(SnapshotState, sidecar_dict)``.
+    installing the image.  Recovery starts from it, and it is the
+    image-transfer half of replica catch-up; the other half is
+    :func:`records_from_lsn`.
 
     Candidates are discovered through the anchored ``ckpt-NNNNNNNN.json``
     pattern, so stray ``*.tmp`` leftovers of a crash-during-rename (a
@@ -732,7 +727,7 @@ def recover_server(
                 f"corrupt server-config.json in {state_dir!r}: {exc}"
             ) from exc
 
-        loaded = _load_best_checkpoint(state_dir)
+        loaded = load_latest_checkpoint(state_dir)
         if loaded is not None:
             state, sidecar = loaded
             base_lsn = int(sidecar["lsn"])

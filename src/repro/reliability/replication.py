@@ -56,11 +56,13 @@ import json
 import os
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.errors import (
     FailoverError,
+    HorizonError,
     InvalidParameterError,
     QueryError,
     RecoveryError,
@@ -73,6 +75,7 @@ from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
 from .admission import AdmissionConfig, AdmissionController, CircuitBreaker
+from .deadline import ladder_for
 from .faults import FaultInjector, InjectedCrashError
 from .validation import ReliabilityConfig
 
@@ -452,6 +455,7 @@ class ReplicationGroup:
                 self.clock,
                 threshold=self.replication.breaker_threshold,
                 probation_seconds=self.replication.breaker_probation_seconds,
+                name=name,
             )
         return self._breakers[name]
 
@@ -674,6 +678,68 @@ class ReplicationGroup:
             backends.append((self.primary_name, self.primary))
         return backends
 
+    def _route(self, method: str, query, call):
+        """Serve one read: admit, pick a backend, call it, account the outcome.
+
+        ``query`` carries the request's ``l`` (what decides its ladder);
+        ``call(server, admitted_method)`` runs it on one backend.  Admission
+        (when configured) may degrade the method or shed the request before
+        any backend is touched; circuit breakers skip ejected backends;
+        replicas outside the staleness bound are never consulted.
+
+        One rule says what a failure means.  An error that says the
+        *request* is wrong never counts against a breaker:
+        ``InvalidParameterError`` (an unknown method is raised by
+        ``ladder_for`` before a token is charged) surfaces at once, and
+        ``HorizonError`` after the remaining backends were tried, since a
+        replica one ``advance`` behind has a different window.  Every other
+        error is the backend's fault: it counts, and the next backend is
+        tried.  The last error is re-raised when nobody answered.
+        """
+        rungs = ladder_for(method, query, self.primary.pa.l)
+        with TELEMETRY.tracer.span("admission"):
+            admitted, admission_degraded = (
+                self.admission.admit(method, rungs)
+                if self.admission is not None
+                else (method, False)
+            )
+        backends = self._read_backends()
+        if not backends:
+            raise StalenessExceededError(
+                f"no backend within staleness bound "
+                f"{self.replication.staleness_bound} "
+                f"(acked lsn {self._acked_lsn}) and the primary is unavailable"
+            )
+        slot = self.admission.slot if self.admission is not None else nullcontext
+        last_exc: Optional[ReproError] = None
+        for name, server in backends:
+            breaker = self._breaker(name)
+            if not breaker.allow():
+                continue
+            try:
+                with slot():
+                    result = call(server, admitted)
+            except (InjectedCrashError, InvalidParameterError):
+                raise
+            except HorizonError as exc:
+                last_exc = exc
+                continue
+            except ReproError as exc:
+                breaker.record_failure()
+                last_exc = exc
+                continue
+            breaker.record_success()
+            result.served_by = name
+            if admission_degraded:
+                result.degraded = True
+                result.requested_method = method
+            return result
+        if last_exc is not None:
+            raise last_exc
+        raise QueryError(
+            "every eligible backend is circuit-broken; retry after probation"
+        )
+
     def query(
         self,
         method: str,
@@ -684,64 +750,19 @@ class ReplicationGroup:
         deadline: Optional[float] = None,
         retries: Optional[int] = None,
     ):
-        """Evaluate a snapshot query on the best available backend.
-
-        Admission control (when configured) may degrade the method or
-        shed the query before any backend is touched; circuit breakers
-        skip ejected backends; replicas outside the staleness bound are
-        never consulted.  The result's ``served_by`` names the backend.
-        """
-        with TELEMETRY.tracer.trace("group_query", method=method, qt=qt) as group_span:
-            with TELEMETRY.tracer.span("admission"):
-                admitted, admission_degraded = (
-                    self.admission.admit(method)
-                    if self.admission is not None
-                    else (method, False)
-                )
-            backends = self._read_backends()
-            if not backends:
-                raise StalenessExceededError(
-                    f"no backend within staleness bound "
-                    f"{self.replication.staleness_bound} "
-                    f"(acked lsn {self._acked_lsn}) and the primary is unavailable"
-                )
-            last_exc: Optional[ReproError] = None
-            for name, server in backends:
-                breaker = self._breaker(name)
-                if not breaker.allow():
-                    continue
-                try:
-                    if self.admission is not None:
-                        with self.admission.slot():
-                            result = server.query(
-                                admitted, qt=qt, l=l, rho=rho, varrho=varrho,
-                                deadline=deadline, retries=retries,
-                            )
-                    else:
-                        result = server.query(
-                            admitted, qt=qt, l=l, rho=rho, varrho=varrho,
-                            deadline=deadline, retries=retries,
-                        )
-                except InjectedCrashError:
-                    raise
-                except ReproError as exc:
-                    breaker.record_failure()
-                    last_exc = exc
-                    continue
-                breaker.record_success()
-                result.served_by = name
-                if admission_degraded:
-                    result.degraded = True
-                    result.requested_method = method
-                group_span.set(served_by=name, served_method=result.stats.method)
-                break
-            else:
-                if last_exc is not None:
-                    raise last_exc
-                raise QueryError(
-                    "every eligible backend is circuit-broken; retry after probation"
-                )
-        TELEMETRY.note_query(group_span, result, requested_method=method)
+        """Evaluate a snapshot query on the best available backend
+        (:meth:`_route`).  The result's ``served_by`` names the backend."""
+        with TELEMETRY.tracer.trace("group_query", method=method, qt=qt) as span:
+            result = self._route(
+                method,
+                self.primary.make_query(qt=qt, l=l, rho=rho, varrho=varrho),
+                lambda server, admitted: server.query(
+                    admitted, qt=qt, l=l, rho=rho, varrho=varrho,
+                    deadline=deadline, retries=retries,
+                ),
+            )
+            span.set(served_by=result.served_by, served_method=result.stats.method)
+        TELEMETRY.note_query(span, result, requested_method=method)
         return result
 
     def query_interval(
@@ -754,29 +775,13 @@ class ReplicationGroup:
         varrho: Optional[float] = None,
     ):
         """Route an interval query like a snapshot one (admission included)."""
-        admitted, admission_degraded = (
-            self.admission.admit(method) if self.admission is not None else (method, False)
+        return self._route(
+            method,
+            self.primary.make_query(qt=qt1, l=l, rho=rho, varrho=varrho),
+            lambda server, admitted: server.query_interval(
+                admitted, qt1=qt1, qt2=qt2, l=l, rho=rho, varrho=varrho
+            ),
         )
-        for name, server in self._read_backends():
-            breaker = self._breaker(name)
-            if not breaker.allow():
-                continue
-            try:
-                result = server.query_interval(
-                    admitted, qt1=qt1, qt2=qt2, l=l, rho=rho, varrho=varrho
-                )
-            except InjectedCrashError:
-                raise
-            except ReproError:
-                breaker.record_failure()
-                continue
-            breaker.record_success()
-            result.served_by = name
-            if admission_degraded:
-                result.degraded = True
-                result.requested_method = method
-            return result
-        raise StalenessExceededError("no backend available for the interval query")
 
     # ------------------------------------------------------------------
     # introspection

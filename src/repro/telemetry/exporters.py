@@ -37,9 +37,6 @@ REQUIRED_FAMILIES = (
     "repro_ingest_waves_total",
     "repro_query_stage_seconds",
     "repro_query_seconds",
-    # repro_refine_bands_total is labeled and only materialises once a
-    # banded FR query runs; the band-stage histogram is required
-    "repro_refine_band_seconds",
     "repro_wal_append_seconds",
     "repro_wal_fsync_seconds",
     "repro_replication_lag_records",

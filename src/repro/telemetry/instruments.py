@@ -59,18 +59,13 @@ QUERY_SECONDS = _reg.histogram(
 )
 QUERY_STAGE_SECONDS = _reg.histogram(
     "repro_query_stage_seconds",
-    "Per-stage query latency (filter/fetch/sweep/bnb) by served method",
+    "Per-stage query latency (filter/fuse/fetch/sweep/merge/bnb) by served method",
     labelnames=("method", "stage"),
 )
 REFINE_BANDS = _reg.counter(
     "repro_refine_bands_total",
     "Fused refinement bands, by how they were resolved",
     labelnames=("outcome",),  # swept | skipped (ρ-monotonic cache)
-)
-REFINE_BAND_SECONDS = _reg.histogram(
-    "repro_refine_band_seconds",
-    "Band-refinement pipeline latency per query, by stage",
-    labelnames=("stage",),  # fuse | fetch | sweep | merge
 )
 LADDER_FALLBACKS = _reg.counter(
     "repro_query_ladder_fallbacks_total",

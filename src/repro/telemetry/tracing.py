@@ -7,8 +7,7 @@ nodes, one per meaningful unit of work::
       admission                        <- token-bucket decision
       rung(method=fr)                  <- one ladder rung (reliability.deadline)
         filter                         <- histogram classification
-        fetch                          <- aggregated over candidate cells
-        sweep                          <- aggregated over candidate cells
+        fuse / fetch / sweep / merge   <- the refinement stages, once each
 
 Span and trace IDs are deterministic process-local counters (hex), so a
 seeded run produces the same tree shape run over run.  The tracer keeps a
@@ -23,17 +22,12 @@ Two recording styles:
   enclosed block with :func:`time.perf_counter` and pushes the span so
   nested work attaches to it.
 * ``tracer.record_span("fetch", seconds)`` — folds an already-measured
-  leaf into the enclosing span's per-stage accumulator.  A stage that
-  fires once per candidate cell can fire thousands of times per query,
-  so leaves are *aggregated*, not materialized: one dict slot per stage
-  name holding a count, a running duration fold and sums of any numeric
-  attributes.  Instrumented code that must keep its own ``perf_counter``
-  arithmetic (the FR stage accounting predates tracing and its floats
-  are contractual — ``stage_seconds`` compatibility is bit-for-bit)
-  measures once and hands the *same float* to the trace; because the
-  accumulator performs the identical ``total += dt`` fold in recording
-  order, trace-derived stage totals equal the hand-accumulated ones
-  exactly.
+  leaf into the enclosing span's per-stage accumulator: one dict slot per
+  stage name holding a count, the summed seconds and sums of any numeric
+  attributes.  A method times each stage once, keeps the float in
+  ``stats.extra["<stage>_seconds"]`` — the one record every counter and
+  report reads — and hands the same float here; the leaf is how a trace
+  *renders* that record, not a second source of it.
 
 When tracing is disabled — or no trace is open — both styles degrade to a
 shared no-op span; the cost is one branch and one ``perf_counter`` pair.
@@ -116,9 +110,7 @@ class Span:
         self.attrs: dict = attrs or {}
         self.children: List["Span"] = []
         # Aggregated leaves from record_span(): name -> {"count", "seconds",
-        # <summed numeric attrs>}.  "seconds" is a running fold in recording
-        # order — the bit-for-bit twin of the instrumented code's own
-        # ``total += dt`` accumulation.
+        # <summed numeric attrs>}.
         self.stages: Dict[str, dict] = {}
         # ``local_root``: the top of this *process's* contribution to a
         # trace — a true root, or the first span under a cross-process
@@ -141,29 +133,6 @@ class Span:
         span = Span(name, self.trace_id, parent_id=self.span_id, attrs=attrs)
         self.children.append(span)
         return span
-
-    # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
-    def stage_totals(self) -> Dict[str, float]:
-        """Durations of descendant work keyed by stage/span name.
-
-        Aggregated leaves contribute their accumulator value — already a
-        ``total += dt`` fold in recording order, so for a stage whose
-        instrumented code hand-accumulates the same floats the result is
-        bit-for-bit identical (float addition is order-sensitive; the
-        accumulator's order *is* the recording order).  Child spans are
-        then visited depth-first, adding their own durations and stage
-        totals.
-        """
-        totals: Dict[str, float] = {}
-        for name, acc in self.stages.items():
-            totals[name] = totals.get(name, 0.0) + acc["seconds"]
-        for child in self.children:
-            totals[child.name] = totals.get(child.name, 0.0) + child.duration
-            for name, value in child.stage_totals().items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
 
     def walk(self):
         """Yield this span and every descendant, depth-first."""
@@ -205,9 +174,6 @@ class _NoopSpan:
 
     def set(self, **attrs) -> None:
         pass
-
-    def stage_totals(self) -> Dict[str, float]:
-        return {}
 
     def walk(self):
         return iter(())
@@ -336,10 +302,9 @@ class Tracer:
     def record_span(self, name: str, seconds: float, **attrs) -> None:
         """Fold an already-measured leaf into the current span.
 
-        Aggregates rather than allocates: a per-cell stage firing
-        thousands of times per query costs one dict update per firing,
-        and the resulting trace stays small enough to serialize into the
-        slow-query log.  Numeric attributes are summed.
+        Aggregates rather than allocates: one dict slot per stage name,
+        so the trace stays small enough to serialize into the slow-query
+        log.  Numeric attributes are summed.
         """
         if not self.enabled:
             return

@@ -17,7 +17,12 @@ import pytest
 from tests.conftest import populate_clustered, small_system_config
 from tests.test_recovery import durable_config
 from repro import PDRServer
-from repro.core.errors import AdmissionRejectedError, InvalidParameterError, QueryError
+from repro.core.errors import (
+    AdmissionRejectedError,
+    HorizonError,
+    InvalidParameterError,
+    QueryError,
+)
 from repro.methods.monitor import PDRMonitor
 from repro.reliability import (
     AdmissionConfig,
@@ -121,14 +126,40 @@ class TestAdmissionController:
             ctl.admit("fr")
         assert ctl.counters["degraded"] == 0
 
-    def test_non_ladder_methods_never_degrade(self):
+    def test_non_ladder_methods_degrade_to_the_optimistic_bound(self):
+        # one ladder: what a deadline does to a baseline, admission does too
+        for method in ("bruteforce", "edq", "dense-cell"):
+            ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=0.5), VirtualClock())
+            with pytest.raises(AdmissionRejectedError):
+                ctl.admit(method)  # not even the 1-token bound is affordable
         ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=2.0), VirtualClock())
+        assert ctl.admit("bruteforce") == ("dh-optimistic", True)  # costs 8
+        assert ctl.admit("dh-pessimistic") == ("dh-pessimistic", False)  # terminal
+        ctl = AdmissionController(
+            AdmissionConfig(rate=1.0, burst=2.0, degrade=False), VirtualClock()
+        )
         with pytest.raises(AdmissionRejectedError):
-            ctl.admit("bruteforce")  # costs 8; no cheaper rung for it
+            ctl.admit("bruteforce")
 
-    def test_unpriced_method_defaults_to_one_token(self):
+    def test_admit_prices_only_the_ladder_it_is_handed(self):
+        # the router hands over ladder_for(method, query, pa_l): PA is not
+        # on it when the query's l is not the one PA was built for
+        ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=3.0), VirtualClock())
+        assert ctl.admit("fr", ["fr", "dh-optimistic"]) == ("dh-optimistic", True)
+        assert ctl.bucket.tokens == pytest.approx(2.0)
+
+    def test_unknown_method_is_refused_unpriced(self):
         ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=2.0), VirtualClock())
-        assert ctl.cost_of("mystery") == 1.0
+        with pytest.raises(InvalidParameterError, match="unknown method 'mystery'"):
+            ctl.cost_of("mystery")
+        with pytest.raises(InvalidParameterError, match="unknown method 'mystery'"):
+            ctl.admit("mystery")
+        assert ctl.bucket.tokens == 2.0 and ctl.counters["requested"] == 0
+        # a partial price list falls back to the method table's column
+        partial = AdmissionController(
+            AdmissionConfig(rate=1.0, burst=2.0, cost_classes={"fr": 3.0}), VirtualClock()
+        )
+        assert partial.cost_of("fr") == 3.0 and partial.cost_of("pa") == 2.0
 
     def test_concurrency_cap_rejects_with_retry_after(self):
         ctl = AdmissionController(
@@ -144,12 +175,11 @@ class TestAdmissionController:
     def test_report_shape(self):
         ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=1.0), VirtualClock())
         ctl.admit("dh-optimistic")
-        ctl.breaker("replica-0").record_failure()
         report = ctl.report()
         assert report["requested"] == 1
         assert report["admitted"] == 1
         assert report["tokens"] == 0.0
-        assert report["breakers"] == {"replica-0": "closed"}
+        assert "breakers" not in report  # the router owns them: status()
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +243,66 @@ class TestBreakerIntegration:
                 group.query("pa", qt=group.tnow, varrho=2.0)
         with pytest.raises(QueryError, match="circuit-broken"):
             group.query("pa", qt=group.tnow, varrho=2.0)
+        group.close()
+
+
+class TestOneQueryPath:
+    """One routing loop, one ladder, one rule for what trips a breaker —
+    at group level, on the injector's virtual clock."""
+
+    def test_wrong_requests_never_trip_a_breaker_or_cost_a_token(self, tmp_path):
+        admission = AdmissionConfig(rate=0.001, burst=20.0)
+        group, faults = make_serving_group(tmp_path, admission=admission, n_replicas=1)
+        assert isinstance(faults.clock, VirtualClock)
+        beyond = group.tnow + group.config.horizon + 50
+        for _ in range(3):
+            with pytest.raises(HorizonError):
+                group.query("fr", qt=beyond, varrho=2.0)
+        tokens = group.admission.bucket.tokens
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError, match="unknown method"):
+                group.query("mystery", qt=group.tnow, varrho=2.0)
+            with pytest.raises(InvalidParameterError, match="unknown method"):
+                group.query_interval("mystery", qt1=group.tnow, qt2=group.tnow + 1, varrho=2.0)
+        assert group.admission.bucket.tokens == tokens  # never priced
+        assert group.admission.counters["requested"] == 3  # the horizon ones only
+        assert all(b.state == "closed" and b.failures == 0 for b in group._breakers.values())
+        assert [r["breaker"] for r in group.status()["replicas"]] == ["closed"]
+        result = group.query("pa", qt=group.tnow, varrho=2.0)
+        assert result.stats.method == "pa" and not result.degraded
+        group.close()
+
+    def test_out_of_window_tries_the_remaining_backends(self, tmp_path):
+        # a replica one advance behind has a different window: its
+        # HorizonError must not hide a primary that can answer
+        group, _ = make_serving_group(tmp_path, n_replicas=1)
+        replica = group.replicas[0]
+        replica.link.partitioned = True
+        group.replication.staleness_bound = 10
+        group.advance_to(group.tnow + 1)
+        qt = group.tnow + group.config.horizon  # inside the primary's window only
+        result = group.query("dh-optimistic", qt=qt, varrho=2.0)
+        assert result.served_by == "primary"
+        assert group._breakers[replica.name].failures == 0
+        group.close()
+
+    @pytest.mark.parametrize("deadline", [None, 5.0])
+    def test_admission_and_deadline_degrade_down_the_same_ladder(self, tmp_path, deadline):
+        # 3 tokens: fr (4) is unaffordable, and PA was built for l = 10, so
+        # the only cheaper rung for an l = 20 query is the optimistic bound
+        admission = AdmissionConfig(rate=0.001, burst=3.0)
+        group, _ = make_serving_group(tmp_path, admission=admission, n_replicas=0)
+        result = group.query("fr", qt=group.tnow, l=20.0, varrho=2.0, deadline=deadline)
+        assert result.stats.method == "dh-optimistic"
+        assert result.degraded is True and result.requested_method == "fr"
+        assert group._breakers["primary"].failures == 0
+        group.close()
+
+    def test_reversed_interval_raises_the_real_error(self, tmp_path):
+        group, _ = make_serving_group(tmp_path, n_replicas=1)
+        with pytest.raises(InvalidParameterError, match="qt1 <= qt2"):
+            group.query_interval("fr", qt1=group.tnow + 5, qt2=group.tnow, varrho=2.0)
+        assert all(b.state == "closed" and b.failures == 0 for b in group._breakers.values())
         group.close()
 
 

@@ -248,3 +248,21 @@ class TestMetricsCLI:
             env=_subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_top_frame_reads_the_declared_inflight_gauge():
+    """``repro top``'s header shows the gauge the front door maintains."""
+    from repro.cli import _render_top_frame
+    from repro.telemetry import instruments as tm
+
+    for _ in range(3):
+        tm.SERVING_INFLIGHT.inc()
+    try:
+        snapshot = json.loads(render_json(TELEMETRY.registry.snapshot()))
+    finally:
+        for _ in range(3):
+            tm.SERVING_INFLIGHT.dec()
+    families = {family["name"]: family for family in snapshot["families"]}
+    assert tm.SERVING_INFLIGHT.name in families
+    header = _render_top_frame(families, qps=None).splitlines()[0]
+    assert header.endswith("inflight 3")

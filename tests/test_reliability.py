@@ -24,10 +24,11 @@ from repro.core.errors import (
     TransientFaultError,
     TransientIOError,
 )
+from repro.methods.table import METHODS
 from repro.motion.table import ObjectTable
 from repro.motion.updates import UpdateListener
+from repro.reliability.admission import AdmissionConfig
 from repro.reliability.deadline import (
-    DEGRADATION_LADDER,
     Deadline,
     ladder_for,
     run_with_retries,
@@ -263,13 +264,54 @@ class TestRetries:
 class TestLadder:
     def test_ladder_shapes(self, small_config):
         q = lambda l: type("Q", (), {"l": l})()  # noqa: E731 - only .l is read
-        assert ladder_for("fr", q(10.0), 10.0) == list(DEGRADATION_LADDER)
+        assert ladder_for("fr", q(10.0), 10.0) == ["fr", "pa", "dh-optimistic"]
         assert ladder_for("pa", q(10.0), 10.0) == ["pa", "dh-optimistic"]
         assert ladder_for("dh-optimistic", q(10.0), 10.0) == ["dh-optimistic"]
         assert ladder_for("dh-pessimistic", q(10.0), 10.0) == ["dh-pessimistic"]
         assert ladder_for("bruteforce", q(10.0), 10.0) == ["bruteforce", "dh-optimistic"]
         # PA cannot answer a different l: its rung is dropped
         assert ladder_for("fr", q(7.0), 10.0) == ["fr", "dh-optimistic"]
+
+
+class TestMethodTable:
+    """One table: the evaluator, the ladder, the prices and the CLI read it."""
+
+    def test_every_row_evaluates_and_names_itself(self):
+        server = make_server()
+        server.advance_to(1)
+        populate_clustered(server, 40)
+        for name in METHODS:
+            result = server.query(name, qt=2, rho=0.01)
+            assert result.stats.method == name and not result.degraded
+            assert server.evaluate(name, server.make_query(qt=2, rho=0.01)).stats.method == name
+        with pytest.raises(InvalidParameterError, match="unknown method 'fr-optimised'"):
+            server.query("fr-optimised", qt=2, rho=0.01)
+        assert server.reliability_report()["queries_served"] == len(METHODS)
+
+    def test_cli_choices_are_the_table_keys(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["query", "--snapshot", "w.npz", "--varrho", "2", "--method", "fr-optimised"]
+            )
+        (query,) = [
+            sub.choices["query"] for sub in parser._actions if "query" in (sub.choices or ())
+        ]
+        (method,) = [a for a in query._actions if a.dest == "method"]
+        assert list(method.choices) == list(METHODS)
+
+    def test_every_ladder_ends_in_a_bound_and_never_costs_more(self):
+        prices = AdmissionConfig().cost_classes
+        assert prices == {name: row.cost for name, row in METHODS.items()}
+        for name in METHODS:
+            rungs = ladder_for(name)
+            assert rungs[0] == name
+            assert METHODS[rungs[-1]].cheaper is None
+            assert rungs[-1] in ("dh-optimistic", "dh-pessimistic")
+            costs = [prices[r] for r in rungs]
+            assert costs == sorted(costs, reverse=True), (name, costs)
 
 
 class TestQueryDegradation:

@@ -244,6 +244,39 @@ def test_malformed_and_unknown_requests_are_bad_request(front_door):
         assert client.health()["live"]
 
 
+def test_wrong_requests_cannot_lock_readers_out(tmp_path):
+    """A client error is the client's: out-of-window and unknown-method
+    frames get their error codes and leave every breaker closed, so the
+    next valid frame is served."""
+    group = _make_group(tmp_path / "state", replicas=0)  # what `--replicas 0` mounts
+    thread = ServerThread(group, ServingConfig()).start()
+    try:
+        sock = _raw_conn(thread.address)
+        try:
+            def ask(**frame):
+                write_frame_sync(sock, frame)
+                return read_frame_sync(sock)
+
+            beyond = group.config.horizon + 50
+            for i in range(3):
+                response = ask(op="fr_query", id=i, qt_offset=beyond, varrho=2.0)
+                assert (response["ok"], response["error"]) == (False, "query_failed")
+                assert "outside maintained window" in response["message"]
+            for i in range(3):
+                response = ask(op="query", id=10 + i, method="mystery", varrho=2.0)
+                assert (response["ok"], response["error"]) == (False, "bad_request")
+                assert "unknown method 'mystery'" in response["message"]
+            response = ask(op="fr_query", id=20, qt_offset=1, varrho=2.0)
+            assert response["ok"] and response["method"] == "fr"
+            assert response["served_by"] == "primary"
+        finally:
+            sock.close()
+        assert {b.state for b in group._breakers.values()} <= {"closed"}
+    finally:
+        thread.stop()
+        group.close()
+
+
 def test_oversized_frame_gets_error_but_connection_survives(tmp_path):
     group = _make_group(tmp_path / "state")
     thread = ServerThread(group, ServingConfig(max_frame=2048)).start()
