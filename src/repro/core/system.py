@@ -605,8 +605,6 @@ class PDRServer:
             self.stage_seconds[stage] += spent
             if spent > 0.0:
                 tm.QUERY_STAGE_SECONDS.labels(served, stage).observe(spent)
-        self.query_counters["cache_hits"] += int(extra.get("cache_hits", 0.0))
-        self.query_counters["cache_misses"] += int(extra.get("cache_misses", 0.0))
         tm.QUERIES.labels(method, "degraded" if result.degraded else "ok").inc()
         tm.slo_record(seconds)
         tm.QUERY_SECONDS.labels(method).observe(seconds)
@@ -676,8 +674,6 @@ class PDRServer:
             "query_stage_seconds": {
                 stage: self.stage_seconds[stage] for stage in _FR_STAGES
             },
-            "query_cache_hits": self.query_counters["cache_hits"],
-            "query_cache_misses": self.query_counters["cache_misses"],
             "histogram_cache": {
                 "hits": self.histogram.cache_hits,
                 "misses": self.histogram.cache_misses,

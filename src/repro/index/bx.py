@@ -15,9 +15,9 @@ rectangle is decomposed into Z-curve runs, each run is a B+-tree range scan
 actual motion.
 
 This implementation mirrors the update/query interface of
-:class:`~repro.index.tree.TPRTree` — including the three members
+:class:`~repro.index.tree.TPRTree` — including the two members
 :class:`~repro.methods.fr.FRMethod` needs of an index,
-``range_positions_batch``, ``buffer`` and ``epoch`` — so FR accepts either
+``range_positions_batch`` and ``buffer`` — so FR accepts either
 index; that is the basis of the index ablation benchmark.
 """
 
@@ -84,7 +84,6 @@ class BxTree(UpdateListener):
         # B^x-tree maintains per-partition velocity histograms; a scalar
         # max is the simplest sound variant).  Never decreased on delete.
         self._partition_speed: Dict[int, float] = {}
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # UpdateListener protocol
@@ -146,18 +145,11 @@ class BxTree(UpdateListener):
     def max_speed(self) -> float:
         return self._max_speed
 
-    @property
-    def epoch(self) -> int:
-        """Monotone counter identifying the current contents (bumped on
-        every insert and delete; result caches upstream key on it)."""
-        return self._epoch
-
     def _insert(self, row: int, t_ref: int, x: float, y: float, vx: float, vy: float) -> None:
         if row in self._key_of:
             raise IndexError_(
                 f"table row {row} already indexed; delete its old motion first"
             )
-        self._epoch += 1
         key = self._key(t_ref, x, y, vx, vy)
         self._btree.insert(key, row)
         self._key_of[row] = key
@@ -172,7 +164,6 @@ class BxTree(UpdateListener):
         key = self._key_of.pop(row, None)
         if key is None:
             raise IndexError_(f"table row {row} is not indexed")
-        self._epoch += 1
         self._btree.delete(key, match=lambda stored: stored == row)
         partition = key // self.grid.code_count
         remaining = self._partition_count[partition] - 1

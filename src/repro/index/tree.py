@@ -80,9 +80,6 @@ class TPRTree(UpdateListener):
         self._min_fill_internal = max(2, self._internal_fanout * 2 // 5)
         self._next_page = 0
         self._leaf_of: Dict[int, Node] = {}
-        # Structure epoch: bumped on any mutation of contents or shape;
-        # result-reuse caches upstream key on it.
-        self._epoch = 0
         self.root = self._new_node(level=0)
 
     # ------------------------------------------------------------------
@@ -122,7 +119,6 @@ class TPRTree(UpdateListener):
             self.bulk_load()
             return
         if doomed:
-            self._epoch += 1
             # a dict, not a set: wave order, so tree shape does not hang on id()
             leaves: Dict[Node, List[int]] = {}
             for row in doomed:
@@ -145,16 +141,10 @@ class TPRTree(UpdateListener):
     def node_count(self) -> int:
         return sum(1 for _ in self.root.subtree_nodes())
 
-    @property
-    def epoch(self) -> int:
-        """Monotone counter identifying the current tree contents/shape."""
-        return self._epoch
-
     def _insert_rows(self, rows: np.ndarray) -> None:
         """Insert table rows one choose-leaf descent at a time, in order."""
         t_from, t_to = self._tnow, self._tnow + self.horizon
         for row, (_, *motion) in zip(rows.tolist(), self.table.columns(rows).tuples()):
-            self._epoch += 1
             point = TPBR.point(*motion)
             leaf = self.root
             while not leaf.is_leaf:
@@ -353,7 +343,6 @@ class TPRTree(UpdateListener):
         previous pages are invalidated — a rebuild rewrites the file in the
         simulated-I/O model.
         """
-        self._epoch += 1
         self._free(self.root.subtree_nodes())
         self._leaf_of = {}
         rows = self.table.rows()

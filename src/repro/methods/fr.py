@@ -30,20 +30,14 @@ The kernel's output is held equal to the event-loop oracle in
 :mod:`repro.sweep.plane_sweep` and to whole-domain brute force by
 ``tests/test_perf_paths.py``.
 
-Result reuse: every swept band's maximum active count is remembered, per
-``(index epoch, histogram epoch, qt, l)``, on the candidate cells the band
-covered — no l-square centred in the band's strips can ever hold more
-objects than that.  A later query over the same snapshot with a *higher*
-density threshold skips — without fetching or sweeping — every band whose
-candidate cells all carry a remembered maximum below the new threshold
-(the ρ-monotonic containment rule).
+A query leaves nothing behind: :meth:`FRMethod.refine` is a pure function
+of the histogram, the index and its arguments, so an answer and its work
+counters do not depend on which queries ran before it or beside it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -53,17 +47,10 @@ from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
 from ..core.regions import RegionSet
 from ..histogram.density_histogram import DensityHistogram
 from ..histogram.filter import filter_query
-from ..sweep.band_sweep import _THRESHOLD_EPS, BandBatch, refine_bands
+from ..sweep.band_sweep import BandBatch, refine_bands
 from ..telemetry import TELEMETRY
-from ..telemetry import instruments as tm
 
 __all__ = ["FRMethod", "Refinement"]
-
-# Keep this many (index epoch, histogram epoch, qt, l) snapshot keys of
-# per-cell band maxima around for the ρ-monotonic skip rule.
-_BAND_CACHE_KEYS = 8
-# A cell no swept band has covered yet: above every threshold.
-_UNSWEPT = np.iinfo(np.int64).max
 
 
 def _concat(parts, dtype=float) -> np.ndarray:
@@ -89,15 +76,14 @@ class Refinement(NamedTuple):
 class FRMethod:
     """Exact PDR evaluation over a density histogram and a moving-object index.
 
-    ``tree`` is any index with the three members refinement uses:
+    ``tree`` is any index with the two members refinement uses:
     ``range_positions_batch(rects, qts)`` (``rects`` an ``(R, 4)`` array of
     closed ``x1, y1, x2, y2`` windows, ``qts`` one timestamp per rect;
     returns the CSR columns ``(offsets, px, py)`` — rect ``r``'s positions
-    at ``qts[r]`` are ``px/py[offsets[r]:offsets[r + 1]]``), ``buffer`` (the
+    at ``qts[r]`` are ``px/py[offsets[r]:offsets[r + 1]]``) and ``buffer`` (the
     :class:`~repro.storage.buffer.BufferPool` charged for page reads, or
-    ``None``) and ``epoch`` (a counter that moves on every content change,
-    which keys the band cache).  :class:`~repro.index.tree.TPRTree` is the
-    default; :class:`~repro.index.bx.BxTree` is the drop-in alternative.
+    ``None``).  :class:`~repro.index.tree.TPRTree` is the default;
+    :class:`~repro.index.bx.BxTree` is the drop-in alternative.
     """
 
     def __init__(self, histogram: DensityHistogram, tree, faults=None) -> None:
@@ -106,10 +92,6 @@ class FRMethod:
         self.histogram = histogram
         self.tree = tree
         self.faults = faults
-        # (index epoch, histogram epoch, qt, l) -> per-cell [i, j] maximum
-        # active count of the swept band that covered the cell
-        self._band_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._band_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # band planning
@@ -139,39 +121,6 @@ class FRMethod:
         return band_row, strip_band, x0 + run_starts * lx, (x0 + run_ends * lx) + lx
 
     # ------------------------------------------------------------------
-    # ρ-monotonic band cache
-    # ------------------------------------------------------------------
-    def _skippable_rows(
-        self, key: tuple, candidate: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Mask of rows whose remembered band maxima prove the refinement
-        empty: every candidate cell of the row was covered by a swept band
-        that stayed below ``threshold``."""
-        with self._band_cache_lock:
-            maxima = self._band_cache.get(key)
-            if maxima is None:
-                return np.zeros(candidate.shape[1], dtype=bool)
-            return ~(candidate & (maxima >= threshold)).any(axis=0)
-
-    def _remember_rows(
-        self, key: tuple, swept: np.ndarray, band_row: np.ndarray, max_active: np.ndarray
-    ) -> None:
-        """Record the bands of one entry: ``swept`` is the cell mask they
-        covered, ``max_active[b]`` the maximum of the band on row
-        ``band_row[b]``."""
-        row_max = np.zeros(swept.shape[1], dtype=np.int64)
-        row_max[band_row] = max_active
-        with self._band_cache_lock:
-            maxima = self._band_cache.get(key)
-            if maxima is None:
-                maxima = self._band_cache[key] = np.full(swept.shape, _UNSWEPT)
-                while len(self._band_cache) > _BAND_CACHE_KEYS:
-                    self._band_cache.popitem(last=False)
-            else:
-                self._band_cache.move_to_end(key)
-            np.copyto(maxima, row_max, where=swept)
-
-    # ------------------------------------------------------------------
     # refinement
     # ------------------------------------------------------------------
     def refine(
@@ -195,25 +144,18 @@ class FRMethod:
         hist = self.histogram
         domain = hist.domain
         half = l / 2.0
-        threshold = min_count - _THRESHOLD_EPS
 
         # --- fuse: candidate masks -> one flat batch of strip bands --------
         stage = time.perf_counter()
-        remembered = []  # per entry: (cache key, swept cell mask, band rows)
         band_y1, band_qt, strip_band, strip_x1, strip_x2 = [], [], [], [], []
-        planned = n_bands = 0
+        n_bands = 0
         for qt, candidate in entries:
-            rows = int(candidate.any(axis=0).sum())
-            planned += rows
-            for _ in range(rows):
+            band_row, strips, x1s, x2s = self._plan_rows(candidate)
+            for _ in range(band_row.size):
                 if self.faults is not None:
                     self.faults.hit("fr.refine")
                 if deadline is not None:
                     deadline.check("fr.refine")
-            key = (self.tree.epoch, hist._epoch, float(qt), float(l))
-            live = candidate & ~self._skippable_rows(key, candidate, threshold)
-            band_row, strips, x1s, x2s = self._plan_rows(live)
-            remembered.append((key, live, band_row))
             band_y1.append(domain.y1 + band_row * hist.cell_edge_y)
             band_qt.append(np.full(band_row.size, float(qt)))
             strip_band.append(strips + n_bands)
@@ -232,11 +174,10 @@ class FRMethod:
         rects = np.column_stack(
             [strip_x1[first] - half, y1 - half, strip_x2[last] + half, y2 + half]
         )
-        skipped = planned - n_bands
         fuse_seconds = time.perf_counter() - stage
         # Each stage is timed once: ``extra`` is the record, the trace leaf
         # renders the same float.
-        tracer.record_span("fuse", fuse_seconds, bands=planned, skipped=skipped)
+        tracer.record_span("fuse", fuse_seconds, bands=n_bands)
 
         # --- fetch: one index call for every band --------------------------
         if deadline is not None:
@@ -256,24 +197,17 @@ class FRMethod:
         fetch_seconds = time.perf_counter() - stage
         tracer.record_span("fetch", fetch_seconds, objects=objects_examined)
 
-        # --- sweep: the band kernel, then remember each band's maximum -----
+        # --- sweep: the band kernel ------------------------------------------
         if deadline is not None:
             deadline.check("fr.refine")
         stage = time.perf_counter()
         swept = refine_bands(batch, l, min_count)
-        start = 0
-        for key, live, band_row in remembered:
-            stop = start + band_row.size
-            self._remember_rows(key, live, band_row, swept.max_active[start:stop])
-            start = stop
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
             segments=swept.segments, events=swept.events,
         )
 
-        tm.REFINE_BANDS.labels("swept").inc(n_bands)
-        tm.REFINE_BANDS.labels("skipped").inc(skipped)
         return Refinement(
             swept.bounds,
             objects_examined,
@@ -282,7 +216,6 @@ class FRMethod:
                 "fetch_seconds": fetch_seconds,
                 "sweep_seconds": sweep_seconds,
                 "refine_bands": float(n_bands),
-                "refine_bands_skipped": float(skipped),
                 "refine_segments": float(swept.segments),
                 "refine_events": float(swept.events),
             },

@@ -18,8 +18,7 @@ refinement routine, :meth:`repro.methods.fr.FRMethod.refine`, in a single
 call: every timestamp's bands share one index traversal — adjacent
 timestamps touch nearly identical pages, so each page is read and charged
 once for the whole interval instead of once per snapshot — and one kernel
-pass, and the ρ-monotonic band cache applies to interval queries as it does
-to snapshots.  Combined with the histogram's epoch-keyed per-timestamp
+pass.  Combined with the histogram's epoch-keyed per-timestamp
 prefix-sum memoisation, an interval query does not recompute each snapshot
 from scratch.  The answer is one bounds array — the union-accepted cells
 (:meth:`~repro.histogram.density_histogram.DensityHistogram.cell_bounds`)

@@ -47,7 +47,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..core.errors import (
     AdmissionRejectedError,
@@ -90,16 +90,14 @@ class ServingConfig:
     primary_address: Optional[Tuple[str, int]] = None  # redirect target
 
 
-# Ops that never mutate backend state; they run on the reader pool under
-# the shared side of the state lock.  (``status`` includes the resource
-# probe, which is an idempotent heal-attempt and safe under concurrent
-# readers; every actual mutation takes the exclusive side.)
-READ_OPS = frozenset({"fr_query", "pa_query", "query", "status"})
-# Every op the dispatcher answers.  The op string comes from the client, so
-# only these may become a metric label value; anything else is "?".
-KNOWN_OPS = READ_OPS | {
-    "health", "drain", "report", "report_batch", "retire", "advance",
-}
+class _Op(NamedTuple):
+    """One row of :data:`OPS`, the front door's op table."""
+
+    handler: Callable[["PDRTCPServer", dict], dict]
+    # True: never mutates backend state — reader pool, shared side of the
+    # state lock.  False: writer thread, exclusive side.  None: answered on
+    # the event loop without touching the lock (liveness never queues).
+    reads: Optional[bool]
 
 
 class _ReadWriteLock:
@@ -257,7 +255,7 @@ class PDRTCPServer:
         server = self.backend.primary if self._is_group else self.backend
         return int(getattr(server, "recovery_generation", 0) or 0)
 
-    def _health_payload(self) -> dict:
+    def _op_health(self, message: dict) -> dict:
         return {
             "ok": True,
             "live": True,
@@ -275,6 +273,12 @@ class PDRTCPServer:
             "tnow": int(self.backend.tnow),
             "advertise": list(self.config.advertise or self.address or ()),
         }
+
+    def _op_drain(self, message: dict) -> dict:
+        asyncio.ensure_future(self.drain())
+        return {"ok": True, "draining": True,
+                "drain_deadline": self.config.drain_deadline,
+                "epoch": self._epoch()}
 
     # ------------------------------------------------------------------
     # connection handling
@@ -359,7 +363,9 @@ class PDRTCPServer:
             tm.SERVING_INFLIGHT.dec()
             conn.inflight -= 1
         outcome = "ok" if response.get("ok") else "error"
-        label = op if op in KNOWN_OPS else "?"
+        # The op string is the client's: only a key of the table may become
+        # a metric label value.
+        label = op if op in OPS else "?"
         tm.SERVING_FRAMES.labels(label, outcome).inc()
         tm.SERVING_REQUEST_SECONDS.labels(label).observe(time.perf_counter() - t0)
         if "id" in message:
@@ -367,20 +373,18 @@ class PDRTCPServer:
         await self._send(conn, response)
 
     async def _response_for(self, op: str, message: dict) -> dict:
-        if op == "health":
-            return self._health_payload()  # liveness never queues
-        if op == "drain":
-            asyncio.ensure_future(self.drain())
-            return {"ok": True, "draining": True,
-                    "drain_deadline": self.config.drain_deadline,
-                    "epoch": self._epoch()}
+        entry = OPS.get(op)
+        if entry is None:
+            return self._error_frame("bad_request", f"unknown op {op!r}")
+        if entry.reads is None:
+            return entry.handler(self, message)
         if self.draining:
             return self._error_frame(
                 "draining", "server is draining; use another endpoint",
                 retry_after=self.config.drain_retry_after,
             )
         loop = asyncio.get_event_loop()
-        executor = self._read_executor if op in READ_OPS else self._executor
+        executor = self._read_executor if entry.reads else self._executor
         try:
             payload = await loop.run_in_executor(
                 executor, self._backend_call, op, message
@@ -457,13 +461,14 @@ class PDRTCPServer:
     # ------------------------------------------------------------------
     def _backend_call(self, op: str, message: dict) -> dict:
         envelope = parse_trace_envelope(message)
-        if op in READ_OPS:
+        handler, reads = OPS[op]
+        if reads:
             self._state_lock.acquire_read()
         else:
             self._state_lock.acquire_write()
         try:
             if envelope is None:
-                return self._dispatch_backend(op, message)
+                return handler(self, message)
             # This callable runs wholly on one executor worker thread
             # (writer or reader pool), so adopting into the thread-local
             # tracer here is what lets the backend's spans — group_query,
@@ -475,7 +480,7 @@ class PDRTCPServer:
                 with tracer.trace(
                     "dispatch", op=op, pid=os.getpid(), role=self._role()
                 ) as dispatch_span:
-                    payload = self._dispatch_backend(op, message)
+                    payload = handler(self, message)
             if sampled and dispatch_span is not NOOP_SPAN:
                 payload["trace"] = dispatch_span.to_dict()
             return payload
@@ -487,87 +492,110 @@ class PDRTCPServer:
                 code="bad_request",
             ) from exc
         finally:
-            if op in READ_OPS:
+            if reads:
                 self._state_lock.release_read()
             else:
                 self._state_lock.release_write()
 
-    def _dispatch_backend(self, op: str, message: dict) -> dict:
+    def _op_report(self, message: dict) -> dict:
         backend = self.backend
         # Object ids reach the backend as decoded: its validator dead-letters
         # a non-integer id as ``bad_oid`` before anything is logged, where a
         # coercion here would log 3.7 or true under somebody else's key.
-        if op == "report":
-            motion = backend.report(
-                message["oid"], float(message["x"]), float(message["y"]),
-                float(message["vx"]), float(message["vy"]),
+        motion = backend.report(
+            message["oid"], float(message["x"]), float(message["y"]),
+            float(message["vx"]), float(message["vy"]),
+        )
+        return {"accepted": motion is not None, "lsn": self._lsn(),
+                "tnow": int(backend.tnow)}
+
+    def _op_report_batch(self, message: dict) -> dict:
+        reports = [
+            (r[0], float(r[1]), float(r[2]), float(r[3]), float(r[4]))
+            for r in message["reports"]
+        ]
+        results = self.backend.report_batch(reports)
+        accepted = sum(1 for r in results if r is not None)
+        return {"accepted": accepted, "rejected": len(results) - accepted,
+                "lsn": self._lsn(), "tnow": int(self.backend.tnow)}
+
+    def _op_retire(self, message: dict) -> dict:
+        return {"retired": bool(self.backend.retire(message["oid"])),
+                "lsn": self._lsn()}
+
+    def _op_advance(self, message: dict) -> dict:
+        backend = self.backend
+        backend.advance_to(int(message.get("to", backend.tnow + 1)))
+        return {"tnow": int(backend.tnow), "lsn": self._lsn()}
+
+    def _op_query(self, message: dict) -> dict:
+        backend = self.backend
+        max_regions = message.get("max_regions")
+        if max_regions is not None and (
+            type(max_regions) is not int or max_regions < 0
+        ):
+            raise ProtocolError(
+                f"max_regions must be a non-negative integer, got {max_regions!r}",
+                code="bad_request",
             )
-            return {"accepted": motion is not None, "lsn": self._lsn(),
-                    "tnow": int(backend.tnow)}
-        if op == "report_batch":
-            reports = [
-                (r[0], float(r[1]), float(r[2]), float(r[3]), float(r[4]))
-                for r in message["reports"]
-            ]
-            results = backend.report_batch(reports)
-            accepted = sum(1 for r in results if r is not None)
-            return {"accepted": accepted, "rejected": len(results) - accepted,
-                    "lsn": self._lsn(), "tnow": int(backend.tnow)}
-        if op == "retire":
-            return {"retired": bool(backend.retire(message["oid"])),
-                    "lsn": self._lsn()}
-        if op == "advance":
-            to = int(message.get("to", backend.tnow + 1))
-            backend.advance_to(to)
-            return {"tnow": int(backend.tnow), "lsn": self._lsn()}
-        if op in ("fr_query", "pa_query", "query"):
-            max_regions = message.get("max_regions")
-            if max_regions is not None and (
-                type(max_regions) is not int or max_regions < 0
-            ):
-                raise ProtocolError(
-                    f"max_regions must be a non-negative integer, got {max_regions!r}",
-                    code="bad_request",
-                )
-            method = str(message.get("method") or op.split("_", 1)[0])
-            qt = (int(message["qt"]) if "qt" in message
-                  else int(backend.tnow) + int(message.get("qt_offset", 0)))
-            result = backend.query(
-                method, qt=qt,
-                l=(None if message.get("l") is None else float(message["l"])),
-                rho=(None if message.get("rho") is None
-                     else float(message["rho"])),
-                varrho=(None if message.get("varrho") is None
-                        else float(message["varrho"])),
-                deadline=(None if message.get("deadline") is None
-                          else float(message["deadline"])),
-            )
-            # Cut before materialising: the frame costs its own rows, not
-            # the answer's (max_regions = None keeps every row).
-            regions = result.regions.bounds[:max_regions].tolist()
-            return {
-                "method": result.stats.method,
-                "requested_method": getattr(result, "requested_method", method),
-                "degraded": bool(result.degraded),
-                "served_by": getattr(result, "served_by", None),
-                "qt": qt,
-                "n_regions": len(result.regions),
-                "regions": regions,
-                "area": result.area(),
-                "cpu_seconds": result.stats.cpu_seconds,
-            }
-        if op == "status":
-            # operator polling doubles as the resource probe: a backend in
-            # read-only degraded mode tries to heal whenever it is looked
-            # at (no-op — and cheap — while writable)
-            if hasattr(backend, "probe_resources"):
-                backend.probe_resources()
-            if self._is_group:
-                return {"status": self.backend.status()}
-            return {"status": {"role": backend.role, "epoch": self._epoch(),
-                               "lsn": self._lsn(), "tnow": int(backend.tnow),
-                               "read_only": self._read_only()}}
-        raise ProtocolError(f"unknown op {op!r}", code="bad_request")
+        # ``fr_query`` / ``pa_query`` name their method in the op
+        method = str(message.get("method") or message["op"].split("_", 1)[0])
+        qt = (int(message["qt"]) if "qt" in message
+              else int(backend.tnow) + int(message.get("qt_offset", 0)))
+        result = backend.query(
+            method, qt=qt,
+            l=(None if message.get("l") is None else float(message["l"])),
+            rho=(None if message.get("rho") is None
+                 else float(message["rho"])),
+            varrho=(None if message.get("varrho") is None
+                    else float(message["varrho"])),
+            deadline=(None if message.get("deadline") is None
+                      else float(message["deadline"])),
+        )
+        # Cut before materialising: the frame costs its own rows, not
+        # the answer's (max_regions = None keeps every row).
+        regions = result.regions.bounds[:max_regions].tolist()
+        return {
+            "method": result.stats.method,
+            "requested_method": getattr(result, "requested_method", method),
+            "degraded": bool(result.degraded),
+            "served_by": getattr(result, "served_by", None),
+            "qt": qt,
+            "n_regions": len(result.regions),
+            "regions": regions,
+            "area": result.area(),
+            "cpu_seconds": result.stats.cpu_seconds,
+        }
+
+    def _op_status(self, message: dict) -> dict:
+        backend = self.backend
+        # operator polling doubles as the resource probe: a backend in
+        # read-only degraded mode tries to heal whenever it is looked
+        # at (no-op — and cheap — while writable; an idempotent heal-attempt,
+        # safe under concurrent readers)
+        if hasattr(backend, "probe_resources"):
+            backend.probe_resources()
+        if self._is_group:
+            return {"status": backend.status()}
+        return {"status": {"role": backend.role, "epoch": self._epoch(),
+                           "lsn": self._lsn(), "tnow": int(backend.tnow),
+                           "read_only": self._read_only()}}
+
+
+# Every op the front door answers.  Executor choice, lock side, the metric
+# label and the ``unknown op`` refusal all read this table.
+OPS: Dict[str, _Op] = {
+    "health": _Op(PDRTCPServer._op_health, None),
+    "drain": _Op(PDRTCPServer._op_drain, None),
+    "report": _Op(PDRTCPServer._op_report, False),
+    "report_batch": _Op(PDRTCPServer._op_report_batch, False),
+    "retire": _Op(PDRTCPServer._op_retire, False),
+    "advance": _Op(PDRTCPServer._op_advance, False),
+    "fr_query": _Op(PDRTCPServer._op_query, True),
+    "pa_query": _Op(PDRTCPServer._op_query, True),
+    "query": _Op(PDRTCPServer._op_query, True),
+    "status": _Op(PDRTCPServer._op_status, True),
+}
 
 
 class ServerThread:

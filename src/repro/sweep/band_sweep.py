@@ -102,16 +102,12 @@ class BandBatchResult(NamedTuple):
     emission order (band-major, strip-major, segment-minor, y ascending) —
     exactly the order sequential per-strip :func:`refine_cell` calls emit.
     ``band_of_rect`` maps each rectangle to its originating band.
-    ``max_active`` is each band's maximum active-band count over all sweep
-    segments (the ρ-monotonic skip bound: no l-square centred in the band's
-    strips can ever hold more than this many objects).  ``segments`` counts
-    X-segments examined across the batch, ``events`` the Y-events expanded
-    for them (what the sweep's time is proportional to).
+    ``segments`` counts X-segments examined across the batch, ``events`` the
+    Y-events expanded for them (what the sweep's time is proportional to).
     """
 
     bounds: np.ndarray
     band_of_rect: np.ndarray
-    max_active: np.ndarray
     segments: int
     events: int
 
@@ -179,7 +175,6 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     y1, y2 = batch.y1, batch.y2
     x1s, x2s, strip_band = batch.strip_x1, batch.strip_x2, batch.strip_band
     n_bands, n_strips = y1.size, x1s.size
-    max_active = np.zeros(n_bands, dtype=np.int64)
 
     # ---------------- phase A: segment construction, all bands at once ------
     # Only objects whose y-range can overlap their band matter (the band's
@@ -238,9 +233,6 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     stops_seen = seg_end - 1 - _prefix_counts(n_enter + n_exit + 1)[strip_of]
     first_active = expired[strip_of] + stops_seen - enters_seen
     cnt = entered[strip_of] + enters_seen - first_active
-    # seg_band is non-decreasing: each band's segments are one run.
-    band_first = np.flatnonzero(np.diff(seg_band, prepend=-1))
-    max_active[seg_band[band_first]] = np.maximum.reduceat(cnt, band_first)
 
     # Empty segments are emitted full-height (only when the threshold is <= 0);
     # the global segment index is the emission-order key.
@@ -348,4 +340,4 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
         gid = np.concatenate([gid, full])
         order = np.lexsort((bounds[:, 1], gid))
         bounds, gid = bounds[order], gid[order]
-    return BandBatchResult(bounds, seg_band[gid], max_active, segments_total, event_idx.size)
+    return BandBatchResult(bounds, seg_band[gid], segments_total, event_idx.size)

@@ -62,11 +62,6 @@ QUERY_STAGE_SECONDS = _reg.histogram(
     "Per-stage query latency (filter/fuse/fetch/sweep/merge/bnb) by served method",
     labelnames=("method", "stage"),
 )
-REFINE_BANDS = _reg.counter(
-    "repro_refine_bands_total",
-    "Fused refinement bands, by how they were resolved",
-    labelnames=("outcome",),  # swept | skipped (ρ-monotonic cache)
-)
 LADDER_FALLBACKS = _reg.counter(
     "repro_query_ladder_fallbacks_total",
     "Degradation-ladder rungs abandoned (deadline or fault), by rung",

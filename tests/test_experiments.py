@@ -169,6 +169,28 @@ class TestFigureRunners:
         assert structures == {"DH", "PA"}
         assert all(r["updates"] > 0 for r in rows_b)
 
+    def test_fig9a_times_every_filter_call_cold(self, tiny_world, monkeypatch):
+        """The sweep reuses its ``qts`` under every threshold: a timed call
+        that found the block sums memoised would time two dict lookups."""
+        from repro.experiments import fig9_cpu
+        from repro.histogram.filter import filter_query
+
+        grown = []
+
+        def counted(histogram, query):
+            before = histogram.cache_misses, histogram.cache_hits
+            result = filter_query(histogram, query)
+            grown.append(
+                (histogram.cache_misses - before[0], histogram.cache_hits - before[1])
+            )
+            return result
+
+        monkeypatch.setattr(fig9_cpu, "filter_query", counted)
+        fig9_cpu.run_fig9a(TINY, world=tiny_world)
+        # cold: the prefix sums and both block sums miss; the one hit is the
+        # second block sum finding the prefix the first one built
+        assert grown == [(3, 1)] * 10
+
     def test_fig10a(self, tiny_world):
         from repro.experiments.fig10_cost import run_fig10a
 

@@ -6,6 +6,8 @@ exactly, region for region, under random workloads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from repro.baselines.bruteforce import bruteforce_from_motions
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import Rect
 from repro.core.query import SnapshotPDRQuery
+from repro.experiments.config import PROFILES, VARRHO_SWEEP
+from repro.experiments.datasets import get_world, medium_world_spec
 from repro.histogram.density_histogram import DensityHistogram
 from repro.histogram.filter import filter_query, neighborhood_radii
 from repro.index.bx import BxTree
@@ -261,10 +265,10 @@ class TestFRIsIndexIndependent:
         assert [column.tolist() for column in empty] == [[0], [], []]
 
     def test_bx_insert_between_queries_changes_the_answer(self):
-        """The band cache keys on the index epoch.  The histogram is fed one
-        object ahead of the B^x-tree so that only ``BxTree.epoch`` moves
-        between the two queries: were it not to, the second query would
-        skip the bands the first one found one object short."""
+        """Nothing of the first query outlives it.  The histogram is fed one
+        object ahead of the B^x-tree, so the filter sees the same candidates
+        both times and only the index contents move between the two
+        queries: the second answer must come from the second fetch."""
         ahead, behind = ObjectTable(), ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
         ahead.add_listener(hist)
@@ -284,38 +288,59 @@ class TestFRIsIndexIndependent:
         assert before.regions.is_empty()
         behind.report(*trio[2])
         after = fr.query(query)
-        assert after.stats.extra["refine_bands_skipped"] == 0.0
         exact = bruteforce_from_motions(ahead.columns(), DOMAIN, query)
         assert not exact.regions.is_empty()
         assert after.regions.symmetric_difference_area(exact.regions) == 0.0
 
 
-class TestBandCache:
-    """The ρ-monotonic skip rule, cell by cell: a row is skipped only when
-    every one of its candidate cells lies under a swept band whose maximum
-    active count is below the new threshold."""
+@pytest.fixture(scope="module")
+def smoke_world():
+    profile = PROFILES["smoke"]
+    return get_world(medium_world_spec(profile), profile.raster_resolution)
 
-    def test_skips_need_every_candidate_cell_covered_and_below_threshold(self):
-        hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        table = ObjectTable()
-        fr = FRMethod(hist, TPRTree(table, horizon=HORIZON, fanout_override=8))
-        key = ("epochs", 0.0, 10.0)
-        swept = np.zeros((20, 20), dtype=bool)
-        swept[2:6, 3] = swept[8:10, 3] = True  # row 3: two strips, maximum 4
-        swept[0:5, 7] = True  # row 7: maximum 9
-        candidate = swept.copy()
-        assert not fr._skippable_rows(key, candidate, 5.0)[[3, 7]].any()  # nothing known
-        fr._remember_rows(key, swept, np.array([3, 7]), np.array([4, 9]))
-        assert fr._skippable_rows(key, candidate, 5.0)[[3, 7]].tolist() == [True, False]
-        assert fr._skippable_rows(key, candidate, 4.0)[[3, 7]].tolist() == [False, False]
-        assert fr._skippable_rows(key, candidate, 9.5)[[3, 7]].tolist() == [True, True]
-        # a sub-run of a swept strip is covered; one cell beyond it is not
-        narrower = np.zeros_like(swept)
-        narrower[3:5, 3] = True
-        assert fr._skippable_rows(key, narrower, 5.0)[3]
-        narrower[6, 3] = True
-        assert not fr._skippable_rows(key, narrower, 5.0)[3]
-        assert not fr._skippable_rows(("other", 0.0, 10.0), candidate, 9.5)[[3, 7]].any()
+
+def figure_10a_queries(world):
+    """Figure 10(a)'s loop at l = 30: ϱ ascending over fixed ``qt``s."""
+    return [
+        world.server.make_query(qt=qt, l=30.0, varrho=varrho)
+        for varrho in VARRHO_SWEEP
+        for qt in world.query_times(PROFILES["smoke"].n_queries)
+    ]
+
+
+def test_fr_work_is_independent_of_query_order(smoke_world):
+    """An FR query leaves nothing behind: its answer and its work depend on
+    the histogram, the index and the query, not on the queries before it."""
+    server = smoke_world.server
+    queries = figure_10a_queries(smoke_world)
+    fr = FRMethod(server.histogram, server.tree)
+    before = dict(vars(fr))
+    for query in queries:
+        shared = fr.query(query)
+        fresh = FRMethod(server.histogram, server.tree).query(query)
+        assert np.array_equal(shared.regions.bounds, fresh.regions.bounds)
+        assert shared.stats.extra["refine_bands"] > 0.0
+        for counter in ("refine_bands", "refine_segments"):
+            assert shared.stats.extra[counter] == fresh.stats.extra[counter]
+        assert shared.stats.objects_examined == fresh.stats.objects_examined
+    for query in queries:
+        fr.query(query)
+    after = vars(fr)
+    assert list(after) == list(before) == ["histogram", "tree", "faults"]
+    assert all(after[name] is before[name] for name in before)
+
+
+def test_concurrent_fr_queries_return_the_serial_answers(smoke_world):
+    server = smoke_world.server
+    queries = figure_10a_queries(smoke_world)
+    fr = FRMethod(server.histogram, server.tree)
+    serial = [fr.query(query) for query in queries]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = list(pool.map(lambda _: [fr.query(q) for q in queries], range(4)))
+    for answers in runs:
+        for got, want in zip(answers, serial):
+            assert np.array_equal(got.regions.bounds, want.regions.bounds)
+            assert got.stats.extra["refine_bands"] == want.stats.extra["refine_bands"]
 
 
 class TestFRStats:

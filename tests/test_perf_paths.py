@@ -193,7 +193,7 @@ def test_band_kernel_matches_oracle_whatever_the_batch(bands, l, count):
     min_count = float(count)
     result = refine_bands(_batch(bands), l, min_count)
     assert _bounds(result) == _per_strip_oracle(bands, l, min_count)
-    # rect -> band map and band maxima, against the definition
+    # rect -> band map, against the definition
     want_band = [
         b
         for b, (y1, y2, sx1, sx2, xs, ys) in enumerate(bands)
@@ -202,14 +202,6 @@ def test_band_kernel_matches_oracle_whatever_the_batch(bands, l, count):
     ]
     assert result.band_of_rect.tolist() == want_band
     assert result.segments >= sum(len(band[2]) for band in bands)  # one per strip at least
-    for b, (y1, y2, sx1, sx2, xs, ys) in enumerate(bands):
-        # the maximum is taken at left edges: strip starts and enter events
-        reach = [x for x, y in zip(xs, ys) if y - l / 2 < y2 + l / 2 and y + l / 2 > y1 - l / 2]
-        edges = list(sx1) + [
-            x - l / 2 for x in reach if any(a < x - l / 2 < c for a, c in zip(sx1, sx2))
-        ]
-        want = max(sum(1 for x in reach if x - l / 2 <= e < x + l / 2) for e in edges)
-        assert result.max_active[b] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,8 +282,6 @@ def test_band_kernel_with_more_bands_than_a_16_bit_index_holds():
         assert _bounds(a) == _per_strip_oracle(populated, 2.0, count)
         assert np.array_equal(a.bounds, b.bounds)
         assert np.array_equal(where[a.band_of_rect], b.band_of_rect)
-        assert np.array_equal(a.max_active, b.max_active[where])
-        assert b.max_active.sum() == a.max_active.sum()
         assert (a.segments, a.events) == (b.segments, b.events)
     assert a.bounds.shape[0] > 0
 
@@ -480,8 +470,8 @@ def test_fused_rows_dedup_adjacent_cells(fr_world):
     query = server.make_query(qt=server.tnow + 1, varrho=1.2)
     result = FRMethod(server.histogram, server.tree).query(query)
     extra = result.stats.extra
-    assert extra["refine_bands"] + extra["refine_bands_skipped"] < (
-        result.stats.candidate_cells
+    assert (
+        extra["refine_bands"] < result.stats.candidate_cells
     ), "fusion must fetch fewer bands than there are candidate cells"
     rects = _region_tuples(result)
     assert len(rects) == len(set(rects)), "fused strips must not emit duplicates"
@@ -537,22 +527,6 @@ def test_deadline_is_checked_per_planned_band_then_before_fetch_and_sweep(
         )
 
 
-def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world):
-    """Raising varrho on the same snapshot skips bands whose cached max
-    active count already rules them out — without changing the answer."""
-    server = fr_world
-    qt = server.tnow + 1
-    fr = FRMethod(server.histogram, server.tree)
-    skipped = 0.0
-    for varrho in (1.2, 1.5, 2.0, 3.0):
-        query = server.make_query(qt=qt, varrho=varrho)
-        result = fr.query(query)
-        skipped += result.stats.extra["refine_bands_skipped"]
-        fresh = FRMethod(server.histogram, server.tree).query(query)
-        assert _region_tuples(result) == _region_tuples(fresh)
-    assert skipped > 0, "ascending varrho must hit the band-skip cache"
-
-
 # ----------------------------------------------------------------------
 # interval FR rides the same refinement routine
 # ----------------------------------------------------------------------
@@ -562,34 +536,20 @@ def _interval(server, varrho, qt1, qt2):
 
 
 def test_interval_fr_is_the_union_of_snapshot_answers(fr_world):
+    """Whatever the same ``FRMethod`` answered before: a snapshot query at a
+    lower threshold first, then the interval queries with ϱ ascending."""
     server = fr_world
+    fr = FRMethod(server.histogram, server.tree)
+    fr.query(server.make_query(qt=server.tnow + 1, varrho=0.8))
     for varrho in (1.2, 2.0, 3.0):
         query = _interval(server, varrho, server.tnow, server.tnow + 4)
-        got = evaluate_interval_fr(FRMethod(server.histogram, server.tree), query)
+        got = evaluate_interval_fr(fr, query)
         snapshot_fr = FRMethod(server.histogram, server.tree)
         for want in (
             evaluate_interval(snapshot_fr.query, query),
             evaluate_interval(lambda s: server.evaluate("bruteforce", s), query),
         ):
             assert got.regions.symmetric_difference_area(want.regions) == 0.0
-
-
-def test_interval_fr_band_skip_is_correct_not_just_present(fr_world):
-    """A second interval query at a higher rho over the same snapshot skips
-    bands off the first one's cached maxima — and still answers exactly."""
-    server = fr_world
-    fr = FRMethod(server.histogram, server.tree)
-    qt1, qt2 = server.tnow, server.tnow + 4
-    first = evaluate_interval_fr(fr, _interval(server, 1.2, qt1, qt2))
-    assert first.stats.extra["refine_bands_skipped"] == 0.0
-    higher = _interval(server, 3.0, qt1, qt2)
-    second = evaluate_interval_fr(fr, higher)
-    assert second.stats.extra["refine_bands_skipped"] > 0.0
-    fresh = evaluate_interval_fr(FRMethod(server.histogram, server.tree), higher)
-    assert fresh.stats.extra["refine_bands_skipped"] == 0.0
-    exact = evaluate_interval(lambda s: server.evaluate("bruteforce", s), higher)
-    assert second.regions.symmetric_difference_area(fresh.regions) == 0.0
-    assert second.regions.symmetric_difference_area(exact.regions) == 0.0
 
 
 def test_two_timestamp_refine_is_one_fetch_of_per_rect_range_queries(
@@ -996,7 +956,11 @@ def test_fr_stage_timings_and_cache_counters(populated_server):
     assert second.stats.extra["cache_hits"] >= 1.0  # warm caches
     assert set(first.regions) == set(second.regions)
     report = server.reliability_report()
-    assert report["query_cache_hits"] >= 1
+    assert "query_cache_hits" not in report and "query_cache_misses" not in report
+    assert report["histogram_cache"] == {
+        "hits": server.histogram.cache_hits,
+        "misses": server.histogram.cache_misses,
+    }
     assert report["histogram_cache"]["hits"] >= 1
     assert set(report["query_stage_seconds"]) == {
         "filter",

@@ -37,7 +37,7 @@ from repro.serving.protocol import (
     read_frame_sync,
     write_frame_sync,
 )
-from repro.serving.server import KNOWN_OPS, ServerThread, ServingConfig
+from repro.serving.server import OPS, ServerThread, ServingConfig
 from repro.telemetry import instruments as tm
 
 N_OBJECTS = 48
@@ -227,7 +227,38 @@ def test_unknown_ops_share_one_metric_series(front_door):
         assert client.health()["live"]
     assert unknown.value == before + len(garbage)
     for family in (tm.SERVING_FRAMES, tm.SERVING_REQUEST_SECONDS):
-        assert {"health", "?"} <= op_labels(family) <= KNOWN_OPS | {"?"}
+        assert {"health", "?"} <= op_labels(family) <= set(OPS) | {"?"}
+
+
+def test_every_op_of_the_table_answers_and_nothing_else_does(front_door):
+    """One table at the front door: each of its keys, sent bare over a real
+    socket, gets ``ok`` or a structured error under its own metric label;
+    an op outside it is ``bad_request`` under ``"?"``."""
+    thread, _group = front_door
+    assert [op for op in OPS if OPS[op].reads] == ["fr_query", "pa_query", "query", "status"]
+    ops = [op for op in OPS if op != "drain"] + ["drain"]  # nothing answers after it
+    counted = {
+        (op, outcome): tm.SERVING_FRAMES.labels(op, outcome).value
+        for op in ops + ["?"] for outcome in ("ok", "error")
+    }
+    sock = _raw_conn(thread.address)
+    try:
+        write_frame_sync(sock, {"op": "flush", "id": "x"})
+        refused = read_frame_sync(sock)
+        assert (refused["ok"], refused["error"], refused["id"]) == (False, "bad_request", "x")
+        assert "unknown op 'flush'" in refused["message"]
+        counted["?", "error"] += 1
+        for n, op in enumerate(ops):
+            write_frame_sync(sock, {"op": op, "id": n})
+            response = read_frame_sync(sock)
+            assert response["id"] == n and isinstance(response["epoch"], int)
+            if not response["ok"]:  # a bare write op lacks its fields
+                assert response["error"] == "bad_request" and response["message"]
+            counted[op, "ok" if response["ok"] else "error"] += 1
+    finally:
+        sock.close()
+    for (op, outcome), want in counted.items():
+        assert tm.SERVING_FRAMES.labels(op, outcome).value == want
 
 
 def test_malformed_and_unknown_requests_are_bad_request(front_door):
