@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import IndexError_, InvalidParameterError
 from ..core.geometry import Rect
 from ..motion.table import ObjectTable
-from ..motion.updates import UpdateListener, Wave
+from ..motion.updates import Columns, UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from .bplus import BPlusTree
-from .positions import pack_positions, query_windows
+from .positions import deal_positions, query_windows
 from .zorder import ZGrid
 
 __all__ = ["BxTree"]
@@ -172,60 +172,61 @@ class BxTree(UpdateListener):
         else:
             del self._partition_count[partition]
 
-    def _range_hits(
-        self, rect: Rect, qt: float, charge_io: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(oid, x, y)`` of the objects whose predicted position at ``qt``
-        lies in ``rect`` (closed), in scan order.
+    def _candidates(self, queries: Iterable[Tuple[Rect, float]], charge_io: bool) -> Columns:
+        """The motions that may lie in some ``rect`` at its ``qt``, each
+        once, in scan order.
 
-        Visits every live partition with its speed-enlarged query window;
-        the candidates are filtered exactly against the table.
+        Every query visits every live partition with its speed-enlarged
+        window, one B+-tree range scan per Z-curve run.
         """
-        if qt < self._tnow:
-            raise IndexError_(
-                f"B^x-tree queries are only valid for t >= {self._tnow}, got {qt}"
-            )
-        candidates: Dict[int, None] = {}  # insertion-ordered set
-        for partition in list(self._partition_count):
-            tl = partition * self.phase_length
-            speed_bound = self._partition_speed.get(partition, self._max_speed)
-            margin = speed_bound * abs(qt - tl)
-            enlarged = rect.expanded(margin)
-            base = partition * self.grid.code_count
-            for lo, hi in self.grid.rect_runs(enlarged):
-                for _key, row in self._btree.range_scan(
-                    base + lo, base + hi, charge_io=charge_io
-                ):
-                    candidates[row] = None
-        motions = self.table.columns(np.fromiter(candidates, dtype=np.intp, count=len(candidates)))
-        x, y = motions.positions_at(qt)
-        inside = (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
-        return motions.oid[inside], x[inside], y[inside]
+        rows: Dict[int, None] = {}  # insertion-ordered set
+        for rect, qt in queries:
+            if qt < self._tnow:
+                raise IndexError_(
+                    f"B^x-tree queries are only valid for t >= {self._tnow}, got {qt}"
+                )
+            for partition in list(self._partition_count):
+                tl = partition * self.phase_length
+                speed_bound = self._partition_speed.get(partition, self._max_speed)
+                margin = speed_bound * abs(qt - tl)
+                enlarged = rect.expanded(margin)
+                base = partition * self.grid.code_count
+                for lo, hi in self.grid.rect_runs(enlarged):
+                    for _key, row in self._btree.range_scan(
+                        base + lo, base + hi, charge_io=charge_io
+                    ):
+                        rows[row] = None
+        return self.table.columns(np.fromiter(rows, dtype=np.intp, count=len(rows)))
 
     def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[int]:
         """Ids of the objects whose predicted position at ``qt`` lies in
         ``rect`` (closed) — the answer of :meth:`TPRTree.range_query` on the
-        same contents, in scan order."""
-        return self._range_hits(rect, qt, charge_io)[0].tolist()
+        same contents, in scan order.  The candidates are filtered exactly
+        against the table."""
+        motions = self._candidates([(rect, qt)], charge_io)
+        x, y = motions.positions_at(qt)
+        inside = (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
+        return motions.oid[inside].tolist()
 
     def range_positions_batch(
         self, rects, qts, charge_io: bool = True
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One :meth:`range_query` per rect, as CSR columns ``(offsets, px, py)``.
+        """Batched :meth:`range_query` returning positions as CSR columns.
 
         ``rects`` is an ``(R, 4)`` array of closed windows and ``qts`` a
         scalar timestamp or one timestamp per rect — the same contract as
         :meth:`TPRTree.range_positions_batch`, without the shared traversal
-        (Z-curve runs of different rects rarely coincide).
+        (Z-curve runs of different rects rarely coincide): every rect scans
+        its own partitions and pays its own I/O.  The union of their
+        candidate rows is dealt to the windows by
+        :func:`~repro.index.positions.deal_positions`, which is exact over
+        any superset of a rect's candidates.
         """
         rb, qts_arr = query_windows(rects, qts)
-        rect_ids, xs, ys = [], [], []
-        for r, (window, qt) in enumerate(zip(rb, qts_arr)):
-            _, x, y = self._range_hits(Rect(*window), float(qt), charge_io)
-            rect_ids.append(np.full(x.shape[0], r))
-            xs.append(x)
-            ys.append(y)
-        return pack_positions(rect_ids, xs, ys, rb.shape[0])
+        motions = self._candidates(
+            ((Rect(*window), float(qt)) for window, qt in zip(rb, qts_arr)), charge_io
+        )
+        return deal_positions(motions, rb, qts_arr)
 
     def validate(self) -> None:
         """Invariants: backbone structure, key map and partition counters."""

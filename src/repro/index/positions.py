@@ -1,19 +1,27 @@
-"""The answer format of ``range_positions_batch``, shared by every index.
+"""The answer of ``range_positions_batch``, shared by every index.
 
 A batch of range queries is answered as CSR columns ``(offsets, px, py)``:
 rect ``r``'s positions are ``px[offsets[r]:offsets[r + 1]]`` and the same
-slice of ``py``, in the order that rect's own traversal visits them.  The
-band kernel consumes the columns as they are (see
+slice of ``py``.  The order *within* a rect's slice is unspecified
+(ascending ``y`` in practice); the band kernel ignores it (see
 :class:`repro.sweep.band_sweep.BandBatch`).
+
+An index answers in two steps: it finds candidate rows — every object that
+can lie in some window at that window's timestamp, each row once — paying
+its own page accesses, then hands them to :func:`deal_positions`, the one
+routine that turns candidates into the answer.  Dealing is exact over any
+such superset, so an index only has to be sound, not tight.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["query_windows", "pack_positions"]
+from ..motion.updates import Columns
+
+__all__ = ["query_windows", "deal_positions"]
 
 
 def query_windows(rects, qts) -> Tuple[np.ndarray, np.ndarray]:
@@ -24,19 +32,42 @@ def query_windows(rects, qts) -> Tuple[np.ndarray, np.ndarray]:
     return windows, np.broadcast_to(np.asarray(qts, dtype=float), windows.shape[:1])
 
 
-def pack_positions(
-    rect_ids: List[np.ndarray], xs: List[np.ndarray], ys: List[np.ndarray], n_rects: int
+def deal_positions(
+    motions: Columns, windows: np.ndarray, qts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hit lists in visit order -> ``(offsets, px, py)``.
+    """Candidate motions -> ``(offsets, px, py)``: rect ``r`` gets the
+    positions at ``qts[r]`` that lie in the closed window ``windows[r]``.
 
-    ``rect_ids[k]``, ``xs[k]`` and ``ys[k]`` are aligned: the positions found
-    at visit ``k``, each tagged with the rect it answers.  One stable sort by
-    rect id groups the hits per rect and keeps every rect's visit order.
+    Every motion is extrapolated once per *distinct* timestamp, with the
+    ``x + (t - t_ref) * vx`` of :meth:`Columns.positions_at`, and the
+    positions are sorted by ``y``.  A window's closed ``y`` range is then
+    one contiguous run of that order (two ``searchsorted`` calls); the runs
+    are expanded rect by rect and the closed ``x`` test keeps the hits, so
+    the columns come out rect-major without a regrouping sort.
     """
+    n_rects, n = windows.shape[0], len(motions)
     offsets = np.zeros(n_rects + 1, dtype=np.int64)
-    if not rect_ids:
+    if n_rects == 0 or n == 0:
         return offsets, np.empty(0, dtype=float), np.empty(0, dtype=float)
-    rect_of_hit = np.concatenate(rect_ids)
-    order = np.argsort(rect_of_hit, kind="stable")
-    np.cumsum(np.bincount(rect_of_hit, minlength=n_rects), out=offsets[1:])
-    return offsets, np.concatenate(xs)[order], np.concatenate(ys)[order]
+    times, time_of_rect = np.unique(qts, return_inverse=True)
+    xs = np.empty((times.size, n))
+    ys = np.empty((times.size, n))
+    lo = np.empty(n_rects, dtype=np.int64)
+    hi = np.empty(n_rects, dtype=np.int64)
+    for k, qt in enumerate(times):
+        x, y = motions.positions_at(qt)
+        order = np.argsort(y, kind="stable")
+        xs[k], ys[k] = x[order], y[order]
+        mine = np.flatnonzero(time_of_rect == k)
+        # Runs index the flattened (time, rank) grid.
+        lo[mine] = k * n + np.searchsorted(ys[k], windows[mine, 1], side="left")
+        hi[mine] = k * n + np.searchsorted(ys[k], windows[mine, 3], side="right")
+    span = np.maximum(hi - lo, 0)
+    ends = np.cumsum(span)
+    slot = np.arange(ends[-1]) + np.repeat(lo - (ends - span), span)
+    x = xs.ravel()[slot]
+    hit = np.flatnonzero(
+        (np.repeat(windows[:, 0], span) <= x) & (x <= np.repeat(windows[:, 2], span))
+    )
+    offsets[1:] = np.searchsorted(hit, ends)
+    return offsets, x[hit], ys.ravel()[slot[hit]]

@@ -12,7 +12,8 @@ Implementation notes
 --------------------
 * The tree stores no motions.  A leaf holds rows of the
   :class:`~repro.motion.table.ObjectTable` it was built over and reads
-  their columns there (one gather per visited leaf); a motion is a
+  their columns there (a batched query gathers its visited leaves' rows
+  once, after the descent); a motion is a
   degenerate TPBR, so leaves and internal nodes share every bounding,
   choose-subtree and split expression (:meth:`Node.columns`).
 * Insertion descends by minimum enlargement of the *integral* bounding area
@@ -41,7 +42,7 @@ from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
 from .node import Node
-from .positions import pack_positions, query_windows
+from .positions import deal_positions, query_windows
 from .tpbr import TPBR, cheapest_enlargement, pick_split
 from .zorder import interleave
 
@@ -198,19 +199,17 @@ class TPRTree(UpdateListener):
         ``rects`` is an ``(R, 4)`` array of closed ``x1, y1, x2, y2``
         windows, ``qts`` a scalar timestamp or one timestamp per rect.  The
         answer is ``(offsets, px, py)``: rect ``r``'s positions at its
-        timestamp are ``px/py[offsets[r]:offsets[r + 1]]`` (see
-        :mod:`repro.index.positions`).  All rects are answered in a single
-        shared traversal: each visited page is touched (and charged) once
-        for the whole batch, and every node carries the subset of rects
-        whose query window still intersects its bound — per-rect membership
-        masks instead of N independent walks.
+        timestamp are ``px/py[offsets[r]:offsets[r + 1]]``, in unspecified
+        order (see :mod:`repro.index.positions`).
 
-        Per-rect results are identical to ``range_query(rect, qt)``, in the
-        same visit order: a stack DFS restricted to the subset of nodes one
-        rect intersects visits them in the same order as that rect's own
-        stack DFS (same child push order), and the leaf containment test is
-        the same closed comparison on elementwise-identical extrapolated
-        positions.
+        All rects share one descent: every node carries the subset of rects
+        whose window still intersects its bound, so each page is touched
+        (and charged) once for the whole batch, in DFS order.  A reached
+        leaf is only collected; after the descent its rows are dealt to the
+        windows by :func:`~repro.index.positions.deal_positions`.  Per rect
+        that is the set ``range_query(rect, qt)`` returns: a node's bound
+        contains every motion beneath it from its anchor on, so any object
+        inside a window lies in a leaf that window reaches.
         """
         rb, qts_arr = query_windows(rects, qts)
         n_rects = rb.shape[0]
@@ -219,31 +218,13 @@ class TPRTree(UpdateListener):
                 f"TPR-tree bounds are only valid for t >= {self._tnow}, "
                 f"got {float(qts_arr.min())}"
             )
-        hit_rect: List[np.ndarray] = []
-        hit_x: List[np.ndarray] = []
-        hit_y: List[np.ndarray] = []
+        leaves: List[np.ndarray] = []
         stack: List[tuple] = [(self.root, np.arange(n_rects))] if n_rects else []
         while stack:
             node, active = stack.pop()
             self._touch(node, charge_io)
             if node.is_leaf:
-                _, t_ref, x0, y0, vx, vy = self.table.columns(node.entries)
-                # One (rect, entry) broadcast per leaf: each row extrapolates
-                # to its own rect's timestamp, closed containment.
-                dt = qts_arr[active][:, None] - t_ref
-                px = x0 + dt * vx
-                py = y0 + dt * vy
-                window = rb[active]
-                row, col = np.nonzero(
-                    (window[:, 0:1] <= px)
-                    & (px <= window[:, 2:3])
-                    & (window[:, 1:2] <= py)
-                    & (py <= window[:, 3:4])
-                )
-                if row.size:
-                    hit_rect.append(active[row])
-                    hit_x.append(px[row, col])
-                    hit_y.append(py[row, col])
+                leaves.append(node.entries)
             else:
                 bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = node.columns(self.table)
                 dt = qts_arr[active][None, :] - bt[:, None]
@@ -261,7 +242,8 @@ class TPRTree(UpdateListener):
                     sub = active[overlap[c]]
                     if sub.size:
                         stack.append((child, sub))
-        return pack_positions(hit_rect, hit_x, hit_y, n_rects)
+        rows = np.concatenate(leaves) if leaves else np.empty(0, dtype=np.intp)
+        return deal_positions(self.table.columns(rows), rb, qts_arr)
 
     def validate(self) -> None:
         """Structural invariants; raises :class:`IndexError_` on violation.

@@ -22,7 +22,8 @@ every entry, never unpacked into per-band objects:
 * **fuse** — candidate cells become per-row **bands** of maximal strips;
 * **fetch** — every band's ``l/2``-expanded rectangle is answered by one
   ``range_positions_batch`` call on the index, whose CSR columns become the
-  batch's object columns;
+  batch's object columns (in whatever order the index deals them: the
+  kernel depends only on each band's multiset of positions);
 * **sweep** — the band kernel :func:`repro.sweep.band_sweep.refine_bands`
   turns the batch into dense rectangles.
 
@@ -80,9 +81,9 @@ class FRMethod:
     ``range_positions_batch(rects, qts)`` (``rects`` an ``(R, 4)`` array of
     closed ``x1, y1, x2, y2`` windows, ``qts`` one timestamp per rect;
     returns the CSR columns ``(offsets, px, py)`` — rect ``r``'s positions
-    at ``qts[r]`` are ``px/py[offsets[r]:offsets[r + 1]]``) and ``buffer`` (the
-    :class:`~repro.storage.buffer.BufferPool` charged for page reads, or
-    ``None``).  :class:`~repro.index.tree.TPRTree` is the default;
+    at ``qts[r]`` are ``px/py[offsets[r]:offsets[r + 1]]``, in any order)
+    and ``buffer`` (the :class:`~repro.storage.buffer.BufferPool` charged
+    for page reads, or ``None``).  :class:`~repro.index.tree.TPRTree` is the default;
     :class:`~repro.index.bx.BxTree` is the drop-in alternative.
     """
 

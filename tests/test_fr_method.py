@@ -194,10 +194,10 @@ lattice_coord = st.integers(0, 80).map(lambda k: k * 1.25)
 
 
 class TestFRIsIndexIndependent:
-    """FR needs three things of an index — ``range_positions_batch`` (an
+    """FR needs two things of an index — ``range_positions_batch`` (an
     ``(R, 4)`` array of closed windows and their timestamps in, the CSR
-    columns ``(offsets, px, py)`` out), ``buffer``, ``epoch`` — and answers
-    the same over any that has them."""
+    columns ``(offsets, px, py)`` out) and ``buffer`` — and answers the
+    same over any that has them."""
 
     @staticmethod
     def world(points):

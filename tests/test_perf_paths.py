@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 
 from repro import PDRServer
 from repro.baselines.bruteforce import bruteforce_pdr
+from repro.core.config import SystemConfig
 from repro.core.geometry import Rect
 from repro.core.query import IntervalPDRQuery, SnapshotPDRQuery
 from repro.core.regions import RegionSet
+from repro.datagen import TripSimulator, synthetic_metro
 from repro.histogram.density_histogram import DensityHistogram
 from repro.histogram.filter import filter_query
 from repro.index.tree import TPRTree
@@ -40,6 +42,7 @@ from repro.methods.interval import evaluate_interval, evaluate_interval_fr
 from repro.motion.table import ObjectTable
 from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
+from repro.storage.buffer import BufferPool
 from repro.sweep.band_sweep import BandBatch, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
@@ -393,9 +396,9 @@ def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
     assert got.symmetric_difference_area(want) == 0.0
 
 
-def _random_tree(rng):
+def _random_tree(rng, **tree_options):
     table = ObjectTable()
-    tree = TPRTree(table, horizon=10.0)
+    tree = TPRTree(table, horizon=10.0, **tree_options)
     table.add_listener(tree)
     for oid in range(int(rng.integers(1, 150))):
         table.report(
@@ -407,17 +410,19 @@ def _random_tree(rng):
 
 
 def _assert_fetch_matches_range_queries(table, tree, rects, qts, fetched):
-    """CSR columns == one ``range_query`` + ``position_at`` per rect, in
-    that rect's own visit order."""
+    """CSR columns == one ``range_query`` + ``position_at`` per rect: the
+    same counts, and per rect the same positions bit for bit (a rect's
+    order within its slice is unspecified, so both sides are sorted)."""
     offsets, px, py = fetched
     assert offsets[0] == 0 and offsets[-1] == px.size == py.size
+    want = [0]
     for r, (window, qt) in enumerate(zip(rects, qts)):
         sequential = tree.range_query(Rect(*window), qt, charge_io=False)
-        positions = [table.motion_of(oid).position_at(qt) for oid in sequential]
-        sx = np.array([x for x, _ in positions])
-        sy = np.array([y for _, y in positions])
-        assert np.array_equal(sx, px[offsets[r] : offsets[r + 1]])
-        assert np.array_equal(sy, py[offsets[r] : offsets[r + 1]])
+        want.append(want[-1] + len(sequential))
+        expected = sorted(table.motion_of(oid).position_at(qt) for oid in sequential)
+        got = sorted(zip(px[offsets[r] : offsets[r + 1]], py[offsets[r] : offsets[r + 1]]))
+        assert np.array_equal(np.array(got).reshape(-1, 2), np.array(expected).reshape(-1, 2))
+    assert np.array_equal(offsets, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -428,10 +433,51 @@ def test_batch_traversal_matches_sequential(seed):
     table, tree = _random_tree(rng)
     n_rects = int(rng.integers(0, 10))
     corner = rng.uniform(0, 90, (n_rects, 2))
-    rects = np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])
-    qts = rng.integers(0, 5, n_rects).astype(float)
+    rects = [np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])]
+    qts = [rng.integers(0, 5, n_rects).astype(float)]
+    # Windows spanned by two objects' own positions put objects on their
+    # edges: containment must be closed on all four.
+    motions = table.columns()
+    for qt in rng.integers(0, 5, int(rng.integers(0, 5))).astype(float):
+        x, y = motions.positions_at(qt)
+        pair = rng.integers(0, len(motions), 2)
+        rects.append([[x[pair].min(), y[pair].min(), x[pair].max(), y[pair].max()]])
+        qts.append([qt])
+    rects, qts = np.vstack(rects), np.concatenate(qts)
     fetched = tree.range_positions_batch(rects, qts)
     _assert_fetch_matches_range_queries(table, tree, rects, qts, fetched)
+
+
+class _PageLog(BufferPool):
+    """A buffer pool that remembers every page it is asked for."""
+
+    def __init__(self) -> None:
+        super().__init__(capacity_pages=1 << 20)
+        self.pages = []
+
+    def access(self, page_id: int) -> bool:
+        self.pages.append(page_id)
+        return super().access(page_id)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_batch_fetch_touches_the_pages_of_its_range_queries(seed):
+    """The shared descent reads each page at most once, and exactly the
+    pages the per-rect range queries read between them."""
+    rng = np.random.default_rng(seed)
+    log = _PageLog()
+    table, tree = _random_tree(rng, fanout_override=8, buffer_pool=log)
+    n_rects = int(rng.integers(1, 10))
+    corner = rng.uniform(0, 90, (n_rects, 2))
+    rects = np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])
+    qts = rng.integers(0, 5, n_rects).astype(float)
+    tree.range_positions_batch(rects, qts)
+    batch, log.pages = log.pages, []
+    for window, qt in zip(rects, qts):
+        tree.range_query(Rect(*window), qt)
+    assert len(batch) == len(set(batch))
+    assert set(batch) == set(log.pages)
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +632,56 @@ def test_two_timestamp_refine_is_one_fetch_of_per_rect_range_queries(
     assert together.bounds.shape[0] > 0
     assert np.array_equal(together.bounds, np.concatenate([r.bounds for r in apart]))
     assert together.objects_examined == sum(r.objects_examined for r in apart)
+
+
+@pytest.fixture(scope="module")
+def road_world():
+    """Road-network trips at the default configuration, 60 ticks in."""
+    config = SystemConfig()
+    server = PDRServer(config, expected_objects=600)
+    simulator = TripSimulator(
+        synthetic_metro(config.domain, grid_n=40, seed=7),
+        n_objects=600, update_interval=config.max_update_interval, seed=101,
+    )
+    simulator.initialize(server.table)
+    simulator.run_until(server.table, 60)
+    return server
+
+
+def test_fr_answer_ignores_the_fetch_order(road_world, monkeypatch):
+    """A rect's positions come back in no promised order: reversing every
+    rect's slice of the fetch leaves the answers and the work counters of
+    the ten benchmark query shapes (l in {30, 60}, varrho 1..5) as they are."""
+    server = road_world
+    window = server.config.prediction_window
+    queries = [
+        server.make_query(qt=server.tnow + (3 * i) % (window + 1), l=l, varrho=varrho)
+        for i, (l, varrho) in enumerate((l, v) for l in (30.0, 60.0) for v in range(1, 6))
+    ]
+
+    def answers():
+        fr = FRMethod(server.histogram, server.tree)
+        return [fr.query(query) for query in queries]
+
+    def outcome(result):
+        extra = result.stats.extra
+        counters = (extra["refine_segments"], extra["refine_events"])
+        return counters + (result.stats.objects_examined,)
+
+    as_fetched = answers()
+    fetch = server.tree.range_positions_batch
+
+    def reversed_fetch(rects, qts, charge_io=True):
+        offsets, px, py = fetch(rects, qts, charge_io)
+        rect_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        mirror = offsets[rect_of] + offsets[rect_of + 1] - 1 - np.arange(px.size)
+        return offsets, px[mirror], py[mirror]
+
+    monkeypatch.setattr(server.tree, "range_positions_batch", reversed_fetch)
+    assert sum(outcome(result)[0] for result in as_fetched) > 0
+    for want, got in zip(as_fetched, answers()):
+        assert np.array_equal(want.regions.bounds, got.regions.bounds)
+        assert outcome(want) == outcome(got)
 
 
 # ----------------------------------------------------------------------

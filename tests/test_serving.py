@@ -308,6 +308,33 @@ def test_wrong_requests_cannot_lock_readers_out(tmp_path):
         group.close()
 
 
+def test_a_reader_that_raises_releases_the_state_lock(front_door, monkeypatch):
+    """A bug inside a read op is that frame's ``internal`` error, and the
+    reader's share of the state lock goes with it: the next write, which
+    needs the lock alone, is answered within the socket timeout."""
+    thread, group = front_door
+
+    def broken_query(*_args, **_kwargs):
+        raise ZeroDivisionError("reader bug")
+
+    monkeypatch.setattr(group, "query", broken_query)
+    sock = _raw_conn(thread.address)  # every read waits at most 5 s
+    try:
+        write_frame_sync(sock, {"op": "fr_query", "id": 1, "qt_offset": 1, "varrho": 2.0})
+        failed = read_frame_sync(sock)
+        assert (failed["ok"], failed["error"], failed["id"]) == (False, "internal", 1)
+        assert "ZeroDivisionError: reader bug" in failed["message"]
+        write_frame_sync(sock, {
+            "op": "report", "id": 2, "oid": 1, "x": 50.0, "y": 50.0, "vx": 0.0, "vy": 0.0,
+        })
+        served = read_frame_sync(sock)
+        assert (served["ok"], served["accepted"], served["id"]) == (True, True, 2)
+    finally:
+        sock.close()
+    lock = thread.server._state_lock
+    assert (lock._readers, lock._writer_active, lock._writers_waiting) == (0, False, 0)
+
+
 def test_oversized_frame_gets_error_but_connection_survives(tmp_path):
     group = _make_group(tmp_path / "state")
     thread = ServerThread(group, ServingConfig(max_frame=2048)).start()
