@@ -768,6 +768,7 @@ def _cmd_serve(args) -> int:
     import threading
 
     from .reliability.crashpoints import arm_from_env
+    from .reliability.statedir import holds_state
     from .serving.loadtest import build_serving_group
     from .serving.server import ServerThread, ServingConfig
 
@@ -797,7 +798,7 @@ def _cmd_serve(args) -> int:
     if args.snapshot is not None:
         group = _serving_group(args.snapshot, args.replicas, args.staleness,
                                state_dir)
-    elif os.path.exists(os.path.join(state_dir, "server-config.json")):
+    elif holds_state(state_dir):
         # a previous incarnation (crashed or drained) left durable state:
         # serve what it acknowledged, not a fresh workload over it
         group = _recovered_group(state_dir, args)

@@ -502,21 +502,6 @@ class PDRServer:
 
         return audit_server(self, raise_on_violation=raise_on_violation)
 
-    @staticmethod
-    def verify_state(state_dir: str):
-        """Checksum-verify a durable state directory without touching it.
-
-        Runs the integrity scrubber in read-only mode over the WAL
-        segments, checkpoint artifacts and manifest; returns the
-        :class:`~repro.reliability.integrity.IntegrityReport` whose
-        ``clean`` flag says whether recovery from this directory would
-        reproduce the exact acknowledged state (``repro verify`` is the
-        CLI face of this call).
-        """
-        from ..reliability.integrity import verify_state_dir
-
-        return verify_state_dir(state_dir)
-
     # ------------------------------------------------------------------
     # query side
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Metrics: accuracy ratios of Section 7.2 and cost accounting of Section 7.3."""
 
 from .accuracy import AccuracyReport, accuracy, false_negative_ratio, false_positive_ratio
-from .cost import CostAccumulator, UpdateCostTimer
+from .cost import UpdateCostTimer
 from .instrument import TimedListener
 from .raster import RasterMeasure
 
@@ -11,7 +11,6 @@ __all__ = [
     "AccuracyReport",
     "false_positive_ratio",
     "false_negative_ratio",
-    "CostAccumulator",
     "UpdateCostTimer",
     "TimedListener",
 ]

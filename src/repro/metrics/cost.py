@@ -1,55 +1,14 @@
-"""Cost aggregation helpers for the experiment harness.
+"""Cost aggregation for the experiment harness.
 
-The paper reports *average per-query* CPU cost, I/O cost and total cost over
-a query workload, and *average per-update* maintenance cost.  These helpers
-accumulate :class:`~repro.core.query.QueryStats` (or raw timings) and expose
-the averages the figures plot.
+The paper reports *average per-update* maintenance cost (Figure 9(b));
+:class:`UpdateCostTimer` accumulates raw timings and exposes that average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
-from ..core.query import QueryStats
-
-__all__ = ["CostAccumulator", "UpdateCostTimer"]
-
-
-@dataclass
-class CostAccumulator:
-    """Accumulates per-query statistics for one experimental configuration."""
-
-    samples: List[QueryStats] = field(default_factory=list)
-
-    def add(self, stats: QueryStats) -> None:
-        self.samples.append(stats)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def _mean(self, values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    @property
-    def mean_cpu_seconds(self) -> float:
-        return self._mean([s.cpu_seconds for s in self.samples])
-
-    @property
-    def mean_io_count(self) -> float:
-        return self._mean([float(s.io_count) for s in self.samples])
-
-    @property
-    def mean_io_seconds(self) -> float:
-        return self._mean([s.io_seconds for s in self.samples])
-
-    @property
-    def mean_total_seconds(self) -> float:
-        return self._mean([s.total_seconds for s in self.samples])
-
-    @property
-    def mean_candidate_cells(self) -> float:
-        return self._mean([float(s.candidate_cells) for s in self.samples])
+__all__ = ["UpdateCostTimer"]
 
 
 @dataclass

@@ -26,7 +26,8 @@ inputs and partial failures.  Six pillars:
   with per-method cost classes, a concurrency cap and per-backend
   circuit breakers; overload degrades ``fr -> pa -> dh-optimistic`` and
   then sheds with ``retry_after`` instead of collapsing.
-* **State integrity** (:mod:`.integrity`): every WAL record is
+* **State integrity** (:mod:`.integrity`, over the one owner of the
+  state directory's format, :mod:`.statedir`): every WAL record is
   checksum-framed and every checkpoint artifact digest-pinned by the
   manifest; :func:`verify_state_dir` scrubs a state directory
   (clean / torn-tail / corrupt), :func:`scrub_state_dir` quarantines the
@@ -53,8 +54,6 @@ from .integrity import (
     FileStatus,
     IntegrityReport,
     flip_byte,
-    frame_record,
-    parse_wal_line,
     repair_state_dir,
     scrub_state_dir,
     verify_state_dir,
@@ -76,6 +75,7 @@ from .validation import (
     ReportValidator,
     ResourceConfig,
 )
+from .statedir import frame_record, parse_wal_line
 
 __all__ = [
     "AdmissionConfig",

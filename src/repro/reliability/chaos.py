@@ -139,6 +139,7 @@ from ..telemetry import instruments as tm
 from .faults import FaultInjector
 from .integrity import flip_byte, verify_state_dir
 from .replication import ReplicationConfig, ReplicationGroup
+from .statedir import kind_of
 from .validation import ReliabilityConfig, ResourceConfig
 
 __all__ = [
@@ -808,11 +809,9 @@ class ChaosScheduler:
 
     def _flip(self, group, event: Event) -> bool:
         kind, f_file, f_offset, xor = event
-        suffix = ".jsonl" if kind == "flip_wal" else ".npz"
-        prefix = "wal-" if kind == "flip_wal" else "ckpt-"
+        target = "wal" if kind == "flip_wal" else "checkpoint"
         names = sorted(
-            n for n in os.listdir(group.state_dir)
-            if n.startswith(prefix) and n.endswith(suffix)
+            n for n in os.listdir(group.state_dir) if kind_of(n) == target
         )
         candidates = [
             n for n in names

@@ -1,10 +1,9 @@
 """End-to-end state integrity: checksummed durability and anti-entropy repair.
 
-The durability layer of :mod:`.recovery` detects *torn* writes (a crash
-mid-append) but, before this module, trusted every byte that still parsed
-as JSON — a single flipped bit in a WAL payload or a checkpoint array
-silently poisons the density histograms and Chebyshev coefficients every
-downstream answer depends on.  This module closes that gap end to end:
+A single flipped bit in a WAL payload or a checkpoint array would
+silently poison the density histograms and Chebyshev coefficients every
+downstream answer depends on.  This module closes that gap end to end,
+reading the directory through :mod:`.statedir`, the owner of its format:
 
 **Framed WAL records.**  Every record is written as one line
 
@@ -24,8 +23,10 @@ before an image is trusted during recovery or replica bootstrap.
 classifies every file as ``clean``, ``torn-tail`` (an interrupted final
 append of the newest segment — safely truncatable), ``corrupt``
 (checksum mismatch or mid-file damage — never truncatable) or
-``stray-tmp`` (a ``*.tmp`` leftover of a crash-during-rename).  It also
-checks the global LSN chain across segments for gaps.
+``stray-tmp`` (a ``*.tmp`` leftover of a crash-during-rename).  A WAL
+segment's verdict is :func:`~repro.reliability.statedir.scan_segment`'s,
+the same one replay acts on.  It also checks the global LSN chain across
+segments for gaps.
 
 **Quarantine** (:func:`scrub_state_dir`).  Repairs what is safe to
 repair — deletes stray temp files, truncates a torn tail — and moves
@@ -43,21 +44,34 @@ in quarantine for forensics.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import IntegrityError, RepairError
+from ..core.errors import IntegrityError, RecoveryError, RepairError, StorageError
+from .statedir import (
+    QUARANTINE_DIR,
+    checkpoint_seqs,
+    checkpoints,
+    file_crc,
+    image_path,
+    kind_of,
+    load_latest_checkpoint,
+    read_manifest,
+    read_server_config,
+    read_sidecar,
+    scan_segment,
+    seq_of,
+    sidecar_path,
+    wal_path,
+    wal_seqs,
+    write_checkpoint,
+    write_segment,
+)
 
 __all__ = [
     "FileStatus",
     "IntegrityReport",
-    "record_crc",
-    "frame_record",
-    "parse_wal_line",
-    "file_crc",
     "flip_byte",
     "verify_state_dir",
     "scrub_state_dir",
@@ -66,65 +80,10 @@ __all__ = [
     "QUARANTINE_DIR",
 ]
 
-QUARANTINE_DIR = "quarantine"
-
 
 # ----------------------------------------------------------------------
-# checksums and record framing
+# bit rot
 # ----------------------------------------------------------------------
-def _crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def record_crc(lsn: int, payload: str) -> int:
-    """Checksum of one framed record: covers the LSN *and* the payload."""
-    return _crc(f"{lsn}:{payload}".encode("utf-8"))
-
-
-def frame_record(record: dict) -> str:
-    """One WAL line ``lsn:crc:payload\\n`` for a record carrying its LSN."""
-    lsn = int(record["lsn"])
-    payload = json.dumps(record, separators=(",", ":"))
-    return f"{lsn}:{record_crc(lsn, payload):08x}:{payload}\n"
-
-
-def parse_wal_line(text: str) -> dict:
-    """Parse one framed WAL line.
-
-    Raises :class:`ValueError` on any damage — a malformed frame, a
-    checksum mismatch, a header/payload LSN disagreement, or unparseable
-    JSON — leaving torn-vs-corrupt classification to the caller, which
-    knows whether the line is the final one of the newest segment.
-    """
-    if text.endswith("\n"):
-        text = text[:-1]
-    head, sep1, rest = text.partition(":")
-    crc_hex, sep2, payload = rest.partition(":")
-    if not sep1 or not sep2:
-        raise ValueError(f"not a framed record: {text[:40]!r}")
-    lsn = int(head)
-    if int(crc_hex, 16) != record_crc(lsn, payload):
-        raise ValueError(f"checksum mismatch on lsn {lsn}")
-    record = json.loads(payload)
-    if int(record.get("lsn", -1)) != lsn:
-        raise ValueError(
-            f"frame header lsn {lsn} != payload lsn {record.get('lsn')!r}"
-        )
-    return record
-
-
-def file_crc(path: str) -> str:
-    """Hex digest of a whole file (checkpoint artifacts, manifest map)."""
-    crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-    return f"{crc & 0xFFFFFFFF:08x}"
-
-
 def flip_byte(path: str, offset: int, xor: int = 0x01, faults=None) -> int:
     """XOR one byte of ``path`` in place (the chaos bit-rot primitive).
 
@@ -227,50 +186,6 @@ class IntegrityReport:
         }
 
 
-@dataclass
-class _SegmentScan:
-    state: str
-    detail: str
-    records: List[dict]
-    good_bytes: int
-
-
-def _scan_segment(path: str, last_segment: bool) -> _SegmentScan:
-    """Classify one WAL segment without raising (the scrubber's reader)."""
-    records: List[dict] = []
-    good_bytes = 0
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        try:
-            text = line.decode("utf-8")
-            if not text.endswith("\n"):
-                raise ValueError("unterminated line")
-            record = parse_wal_line(text)
-        except (UnicodeDecodeError, ValueError) as exc:
-            if last_segment and i == len(lines) - 1:
-                return _SegmentScan(
-                    "torn-tail", f"torn final record ({exc})", records, good_bytes
-                )
-            return _SegmentScan(
-                "corrupt", f"line {i + 1}: {exc}", records, good_bytes
-            )
-        records.append(record)
-        good_bytes += len(line)
-    return _SegmentScan("clean", "", records, good_bytes)
-
-
-def _manifest_digests(state_dir: str) -> Dict[str, str]:
-    try:
-        with open(os.path.join(state_dir, "MANIFEST.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        digests = manifest.get("digests", {})
-        return digests if isinstance(digests, dict) else {}
-    except (OSError, ValueError, json.JSONDecodeError):
-        return {}
-
-
 def verify_state_dir(state_dir: str) -> IntegrityReport:
     """Walk a state directory and checksum-verify every durable artifact.
 
@@ -278,29 +193,39 @@ def verify_state_dir(state_dir: str) -> IntegrityReport:
     :func:`scrub_state_dir`).  WAL segments are parsed frame-by-frame,
     checkpoint files are verified against the manifest's digests (or
     deep-loaded when the manifest predates digests), and the global LSN
-    chain across surviving segments is checked for gaps.
+    chain across surviving segments — continuing from the newest durable
+    checkpoint, as replay does — is checked for gaps.
     """
     if not os.path.isdir(state_dir):
         raise IntegrityError(f"{state_dir!r} is not a state directory")
     report = IntegrityReport(state_dir=state_dir)
-    names = sorted(os.listdir(state_dir))
-    digests = _manifest_digests(state_dir)
+    try:
+        manifest, manifest_error = read_manifest(state_dir), ""
+        base = next(checkpoints(state_dir), None)
+    except RecoveryError as exc:
+        manifest, base, manifest_error = None, None, str(exc)
+    digests = manifest[1] if manifest is not None else {}
 
-    wal_names = [n for n in names if n.startswith("wal-") and n.endswith(".jsonl")]
+    seqs = wal_seqs(state_dir)
+    # replay resumes after the newest durable checkpoint's LSN, so the
+    # first segment it reads must continue from there
+    tail_start = next((s for s in seqs if base is not None and s >= base[0]), None)
     chain: Optional[int] = None
-    for name in wal_names:
-        path = os.path.join(state_dir, name)
-        scan = _scan_segment(path, last_segment=(name == wal_names[-1]))
-        lsns = [int(r["lsn"]) for r in scan.records if "lsn" in r]
-        status = FileStatus(
-            name=name, kind="wal", state=scan.state, detail=scan.detail,
+    for seq in seqs:
+        if seq == tail_start:
+            chain = max(chain or 0, int(base[1]["lsn"]))
+        path = wal_path(state_dir, seq)
+        scan = scan_segment(path, newest=seq == seqs[-1])
+        lsns = [int(r["lsn"]) for r in scan.records]
+        report.files.append(FileStatus(
+            name=os.path.basename(path), kind="wal", state=scan.verdict,
+            detail=scan.detail,
             lsn_first=lsns[0] if lsns else None,
             lsn_last=lsns[-1] if lsns else None,
             framed_records=len(scan.records),
             good_bytes=scan.good_bytes,
-        )
-        report.files.append(status)
-        if scan.state == "corrupt":
+        ))
+        if scan.verdict == "corrupt":
             # the chain is broken here by definition; restart it after the
             # damage so one corrupt file does not also report as a gap
             chain = None
@@ -310,41 +235,32 @@ def verify_state_dir(state_dir: str) -> IntegrityReport:
                 report.gaps.append((chain + 1, lsn))
             chain = lsn
 
-    for name in names:
-        path = os.path.join(state_dir, name)
-        if name in wal_names or name == QUARANTINE_DIR:
+    for name in sorted(os.listdir(state_dir)):
+        kind = kind_of(name)
+        if kind == "wal" or name == QUARANTINE_DIR:
             continue
-        if name.endswith(".tmp"):
+        if kind == "tmp":
             report.files.append(FileStatus(
                 name=name, kind="tmp", state="stray-tmp",
                 detail="leftover of a crash-during-rename; recovery ignores it",
             ))
-            continue
-        if name.startswith("ckpt-") and name.endswith(".npz"):
+        elif kind == "checkpoint":
             report.files.append(_verify_checkpoint_file(state_dir, name, digests))
-            continue
-        if name.startswith("ckpt-") and name.endswith(".json"):
+        elif kind == "sidecar":
             report.files.append(_verify_sidecar(state_dir, name, digests))
-            continue
-        if name == "MANIFEST.json":
+        elif kind == "manifest":
+            report.files.append(FileStatus(
+                name, kind, "corrupt" if manifest_error else "clean", manifest_error
+            ))
+        elif kind == "config":
             state, detail = "clean", ""
             try:
-                with open(path, encoding="utf-8") as fh:
-                    int(json.load(fh)["seq"])
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+                read_server_config(state_dir)
+            except RecoveryError as exc:
                 state, detail = "corrupt", str(exc)
-            report.files.append(FileStatus(name, "manifest", state, detail))
-            continue
-        if name == "server-config.json":
-            state, detail = "clean", ""
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    json.load(fh)
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                state, detail = "corrupt", str(exc)
-            report.files.append(FileStatus(name, "config", state, detail))
-            continue
-        report.files.append(FileStatus(name, "other", "clean"))
+            report.files.append(FileStatus(name, kind, state, detail))
+        else:
+            report.files.append(FileStatus(name, "other", "clean"))
     return report
 
 
@@ -362,7 +278,6 @@ def _verify_checkpoint_file(state_dir: str, name: str, digests: Dict[str, str]) 
         return FileStatus(name, "checkpoint", "clean")
     # no recorded digest (pre-digest manifest): fall back to a deep load
     from ..storage.snapshot import read_snapshot
-    from ..core.errors import StorageError
 
     try:
         read_snapshot(path)
@@ -376,11 +291,8 @@ def _verify_sidecar(state_dir: str, name: str, digests: Dict[str, str]) -> FileS
     if name in digests and file_crc(path) != digests[name]:
         return FileStatus(name, "sidecar", "corrupt", "digest mismatch with manifest")
     try:
-        with open(path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        for key in ("seq", "lsn", "tnow"):
-            int(sidecar[key])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        read_sidecar(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return FileStatus(name, "sidecar", "corrupt", str(exc))
     return FileStatus(name, "sidecar", "clean")
 
@@ -418,28 +330,26 @@ def scrub_state_dir(state_dir: str) -> IntegrityReport:
     """
     report = verify_state_dir(state_dir)
     actions: List[str] = []
-    corrupt_ckpt_stems = set()
+    corrupt_ckpt_seqs = set()
     for status in report.files:
         path = os.path.join(state_dir, status.name)
         if status.state == "stray-tmp":
             os.unlink(path)
             actions.append(f"deleted stray temp file {status.name}")
         elif status.state == "torn-tail":
-            with open(path, "rb+") as fh:
-                fh.truncate(status.good_bytes or 0)
+            os.truncate(path, status.good_bytes or 0)
             actions.append(f"truncated torn tail of {status.name}")
         elif status.state == "corrupt":
             if status.kind in ("checkpoint", "sidecar"):
-                corrupt_ckpt_stems.add(status.name.rsplit(".", 1)[0])
+                corrupt_ckpt_seqs.add(seq_of(status.name))
             elif status.kind in ("wal", "manifest", "config"):
                 quarantine_file(state_dir, status.name)
                 actions.append(f"quarantined {status.name} ({status.detail})")
-    for stem in sorted(corrupt_ckpt_stems):
-        for ext in (".npz", ".json"):
-            name = stem + ext
-            if os.path.exists(os.path.join(state_dir, name)):
-                quarantine_file(state_dir, name)
-                actions.append(f"quarantined {name}")
+    for seq in sorted(corrupt_ckpt_seqs):
+        for path in (image_path(state_dir, seq), sidecar_path(state_dir, seq)):
+            if os.path.exists(path):
+                quarantine_file(state_dir, os.path.basename(path))
+                actions.append(f"quarantined {os.path.basename(path)}")
     final = verify_state_dir(state_dir)
     final.actions = actions
     return final
@@ -462,17 +372,6 @@ def _missing_runs(present, lo: int, hi: int) -> List[Tuple[int, int]]:
     if start is not None:
         runs.append((start, hi))
     return runs
-
-
-def _write_segment(path: str, records: List[dict], fsync: bool) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(frame_record(record))
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def repair_state_dir(
@@ -499,9 +398,7 @@ def repair_state_dir(
     up to ``target_lsn`` — otherwise :class:`RepairError`, because
     completing would silently lose acknowledged writes.
     """
-    from .recovery import _WAL_RE, _list_seqs, _wal_path, load_latest_checkpoint
-
-    pre_seqs = _list_seqs(state_dir, _WAL_RE)
+    pre_seqs = wal_seqs(state_dir)
     report = scrub_state_dir(state_dir)
     actions = list(report.actions)
 
@@ -513,9 +410,9 @@ def repair_state_dir(
         base_lsn = base_seq = 0
 
     survivors: Dict[int, dict] = {}
-    post_seqs = _list_seqs(state_dir, _WAL_RE)
+    post_seqs = wal_seqs(state_dir)
     for seq in post_seqs:
-        scan = _scan_segment(_wal_path(state_dir, seq), last_segment=True)
+        scan = scan_segment(wal_path(state_dir, seq), newest=seq == post_seqs[-1])
         for record in scan.records:
             lsn = int(record["lsn"])
             if lsn > base_lsn:
@@ -546,12 +443,13 @@ def repair_state_dir(
             "available across survivors, checkpoints and replica history"
         )
     seq_top = max(pre_seqs + [base_seq]) if (pre_seqs or base_seq) else 0
-    _write_segment(_wal_path(state_dir, seq_top), merged, fsync)
+    rebuilt = wal_path(state_dir, seq_top)
+    write_segment(rebuilt, merged, fsync)
     for seq in post_seqs:
         if seq != seq_top:
-            os.unlink(_wal_path(state_dir, seq))
+            os.unlink(wal_path(state_dir, seq))
     actions.append(
-        f"rebuilt wal-{seq_top:08d}.jsonl with {len(merged)} records "
+        f"rebuilt {os.path.basename(rebuilt)} with {len(merged)} records "
         f"(lsn {base_lsn + 1}..{target})"
     )
 
@@ -575,44 +473,20 @@ def _image_repair(
     source's full maintained state at its ``applied_lsn``, which must
     cover every acknowledged write — the image *replaces* the log.
     """
-    from ..storage.snapshot import save_server
-    from .recovery import (
-        _CKPT_RE,
-        _atomic_write_json,
-        _ckpt_npz_path,
-        _ckpt_sidecar_path,
-        _list_seqs,
-        _manifest_path,
-        _wal_path,
-        _WAL_RE,
-    )
-
     if source is None or source.applied_lsn < target:
         have = getattr(source, "applied_lsn", None)
         raise RepairError(
             f"acknowledged writes up to lsn {target} are unrecoverable: "
             f"repair source covers {'nothing' if source is None else f'lsn {have}'}"
         )
-    seq = max(pre_seqs + _list_seqs(state_dir, _CKPT_RE) + [0]) + 1
-    npz = _ckpt_npz_path(state_dir, seq)
-    save_server(source.server, npz, atomic=True)
-    sidecar = _ckpt_sidecar_path(state_dir, seq)
-    _atomic_write_json(
-        sidecar, {"seq": seq, "lsn": source.applied_lsn, "tnow": source.server.tnow}
-    )
-    _atomic_write_json(
-        _manifest_path(state_dir),
-        {"seq": seq, "digests": {
-            os.path.basename(npz): file_crc(npz),
-            os.path.basename(sidecar): file_crc(sidecar),
-        }},
-    )
-    for old in _list_seqs(state_dir, _WAL_RE):
-        os.unlink(_wal_path(state_dir, old))
-    _write_segment(_wal_path(state_dir, seq), [], fsync)
+    seq = max(pre_seqs + checkpoint_seqs(state_dir) + [0]) + 1
+    write_checkpoint(state_dir, seq, source.server, source.applied_lsn)
+    for old in wal_seqs(state_dir):
+        os.unlink(wal_path(state_dir, old))
+    write_segment(wal_path(state_dir, seq), [], fsync)
     actions.append(
-        f"installed checkpoint image ckpt-{seq:08d} from replica state "
-        f"(lsn {source.applied_lsn})"
+        f"installed checkpoint image {os.path.basename(image_path(state_dir, seq))} "
+        f"from replica state (lsn {source.applied_lsn})"
     )
     final = verify_state_dir(state_dir)
     final.actions = actions

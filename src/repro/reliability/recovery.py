@@ -1,18 +1,8 @@
 """Checkpoint/replay recovery: the durability layer of the PDR server.
 
-State directory layout::
-
-    server-config.json     system + reliability configuration (written once)
-    wal-<seq>.jsonl        append-only update log segments (one per epoch);
-                           each line is a checksum-framed record
-                           ``lsn:crc:payload`` (see reliability.integrity)
-    ckpt-<seq>.npz         full state checkpoint (atomic snapshot write)
-    ckpt-<seq>.json        checkpoint sidecar {seq, lsn, tnow}; its presence
-                           marks the .npz as complete
-    MANIFEST.json          {"seq": n, "digests": {...}} — the newest durable
-                           checkpoint plus per-file checksums of every
-                           checkpoint artifact
-    quarantine/            corrupt files moved aside by the scrubber
+The state directory's format (file names, record framing, the segment
+scan, the checkpoint chooser and writer) belongs to :mod:`.statedir`;
+this module drives it.
 
 Every accepted update (report / retire / advance) is appended to the
 current WAL segment *before* it is applied (write-ahead), tagged with a
@@ -30,10 +20,10 @@ Crash safety at every step:
 * a crash after the append but before the apply is healed by replay;
 * a crash during a checkpoint leaves the manifest pointing at the
   previous checkpoint, whose WAL segments are still intact;
-* a torn final WAL line (torn write) is detected and truncated on
-  recovery;
-* a record whose checksum fails *mid*-log is corruption, not a torn
-  write: replay raises :class:`~repro.core.errors.CorruptionError` and
+* a torn final line of the newest WAL segment (torn write) is detected
+  and truncated on recovery;
+* a damaged line anywhere else is corruption, not a torn write: replay
+  raises :class:`~repro.core.errors.CorruptionError` and
   the integrity layer (:mod:`.integrity`) quarantines the segment and
   repairs the LSN range from a caught-up replica.
 """
@@ -41,11 +31,9 @@ Crash safety at every step:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import re
 import time
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -60,8 +48,23 @@ from ..core.errors import (
 from ..telemetry import instruments as tm
 from .crashpoints import crashpoint
 from .faults import FaultInjector, InjectedShortWrite
-from .integrity import file_crc, frame_record, parse_wal_line
 from .lockfile import acquire_state_dir_lock
+from .resources import ResourceManager
+from .statedir import (
+    atomic_write_json,
+    checkpoint_seqs,
+    config_path,
+    frame_record,
+    holds_state,
+    image_path,
+    load_latest_checkpoint,
+    read_server_config,
+    scan_segment,
+    sidecar_path,
+    wal_path,
+    wal_seqs,
+    write_checkpoint,
+)
 from .validation import ReliabilityConfig, ReportPolicy, ResourceConfig
 
 __all__ = [
@@ -73,74 +76,12 @@ __all__ = [
     "load_latest_checkpoint",
 ]
 
-_WAL_RE = re.compile(r"^wal-(\d{8})\.jsonl$")
-_CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
-
-
-def _wal_path(state_dir: str, seq: int) -> str:
-    return os.path.join(state_dir, f"wal-{seq:08d}.jsonl")
-
-
-def _ckpt_npz_path(state_dir: str, seq: int) -> str:
-    return os.path.join(state_dir, f"ckpt-{seq:08d}.npz")
-
-
-def _ckpt_sidecar_path(state_dir: str, seq: int) -> str:
-    return os.path.join(state_dir, f"ckpt-{seq:08d}.json")
-
-
-def _manifest_path(state_dir: str) -> str:
-    return os.path.join(state_dir, "MANIFEST.json")
-
-
-def _server_config_path(state_dir: str) -> str:
-    return os.path.join(state_dir, "server-config.json")
-
-
-def _atomic_write_json(
-    path: str, payload: dict, crash_site: Optional[str] = None
-) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    if crash_site is not None:
-        # the classic crash window: tmp durable but the rename not yet
-        # issued — recovery must ignore the stray .tmp and keep serving
-        # from whatever the path pointed at before
-        crashpoint(crash_site)
-    os.replace(tmp, path)
-
-
-def _list_seqs(state_dir: str, pattern: re.Pattern) -> List[int]:
-    seqs = []
-    for name in os.listdir(state_dir):
-        match = pattern.match(name)
-        if match:
-            seqs.append(int(match.group(1)))
-    return sorted(seqs)
-
-
-def _checkpoint_digests(state_dir: str) -> dict:
-    """Per-file checksums of every checkpoint artifact currently present.
-
-    Stored in the manifest so recovery (and the integrity scrubber) can
-    reject a bit-rotted image instead of trusting whatever still parses.
-    Entries for files that pruning later removes are simply ignored.
-    """
-    digests = {}
-    for name in os.listdir(state_dir):
-        if name.startswith("ckpt-") and (name.endswith(".npz") or name.endswith(".json")):
-            digests[name] = file_crc(os.path.join(state_dir, name))
-    return digests
-
 
 class UpdateLog:
     """One append-only WAL segment of checksum-framed JSONL records.
 
     Each line is ``lsn:crc:payload`` (see
-    :func:`~repro.reliability.integrity.frame_record`); a line that does
+    :func:`~repro.reliability.statedir.frame_record`); a line that does
     not verify is a torn tail or corruption, never a record.
 
     **The fsyncgate rule.**  Any write/flush/fsync failure permanently
@@ -243,42 +184,6 @@ class UpdateLog:
         if not self._fh.closed:
             self._fh.close()
 
-    @staticmethod
-    def read_records(path: str, repair: bool = False) -> List[dict]:
-        """Parse a segment; a torn final line is dropped (and, with
-        ``repair``, truncated from the file so later appends stay valid).
-        A bad line anywhere *else* — including a record whose checksum
-        does not match — means real corruption and raises
-        :class:`~repro.core.errors.CorruptionError` naming the segment;
-        it must be quarantined and repaired, never truncated mid-log."""
-        records: List[dict] = []
-        good_bytes = 0
-        torn = False
-        with open(path, "rb") as fh:
-            data = fh.read()
-        lines = data.splitlines(keepends=True)
-        for i, line in enumerate(lines):
-            try:
-                text = line.decode("utf-8")
-                if not text.endswith("\n"):
-                    raise ValueError("unterminated line")
-                records.append(parse_wal_line(text))
-                good_bytes += len(line)
-            except (UnicodeDecodeError, ValueError) as exc:
-                if i == len(lines) - 1:
-                    torn = True  # tolerated only as the very last line
-                    break
-                raise CorruptionError(
-                    f"corrupt update log {path!r}: {exc} at line {i + 1} "
-                    "before end of file",
-                    path=path,
-                    line=i + 1,
-                ) from exc
-        if torn and repair:
-            with open(path, "rb+") as fh:
-                fh.truncate(good_bytes)
-        return records
-
 
 class ReliabilityManager:
     """Owns the WAL and the checkpoint cycle for one server.
@@ -308,14 +213,11 @@ class ReliabilityManager:
         # kernel drops it if we are SIGKILLed.
         self._lock = acquire_state_dir_lock(state_dir)
         self._wal = UpdateLog(
-            _wal_path(state_dir, seq), fsync=config.fsync, faults=config.faults
+            wal_path(state_dir, seq), fsync=config.fsync, faults=config.faults
         )
-        # Budget enforcement rides along only when configured (lazy import:
-        # resources.py reaches back into this module for layout helpers).
+        # Budget enforcement rides along only when configured.
         self.resources = None
         if config.resources is not None:
-            from .resources import ResourceManager
-
             self.resources = ResourceManager(self, config.resources)
         # Called with each record *after* it is durably appended — the
         # WAL-shipping hook of the replication layer.  A record is only
@@ -331,15 +233,15 @@ class ReliabilityManager:
         """Start durability for a brand-new server in an empty directory."""
         state_dir = config.state_dir
         os.makedirs(state_dir, exist_ok=True)
-        if os.path.exists(_manifest_path(state_dir)) or _list_seqs(state_dir, _WAL_RE):
+        if holds_state(state_dir):
             raise StorageError(
                 f"state directory {state_dir!r} already holds server state; "
                 "use PDRServer.recover() instead of constructing over it"
             )
         from ..storage.snapshot import config_to_dict
 
-        _atomic_write_json(
-            _server_config_path(state_dir),
+        atomic_write_json(
+            config_path(state_dir),
             {
                 "config": config_to_dict(server.config),
                 "expected_objects": server.expected_objects,
@@ -366,9 +268,8 @@ class ReliabilityManager:
     ) -> "ReliabilityManager":
         """Re-attach to an existing directory after recovery (torn WAL
         tails must already have been repaired by the replay scan)."""
-        wal_seqs = _list_seqs(state_dir, _WAL_RE)
-        seq = wal_seqs[-1] if wal_seqs else 0
-        return cls(state_dir, config, seq=seq, lsn=lsn)
+        seqs = wal_seqs(state_dir)
+        return cls(state_dir, config, seq=seqs[-1] if seqs else 0, lsn=lsn)
 
     # ------------------------------------------------------------------
     # write-ahead logging
@@ -442,34 +343,14 @@ class ReliabilityManager:
 
     def checkpoint(self, server) -> int:
         """Write a full checkpoint, flip the manifest, rotate the WAL."""
-        from ..storage.snapshot import save_server
-
         started = time.perf_counter()
         if self.faults is not None:
             self.faults.hit("checkpoint.write")
             self.faults.hit("checkpoint_write")  # resource-fault alias (ENOSPC/EIO)
         crashpoint("checkpoint.write")
         new_seq = self.seq + 1
-        save_server(server, _ckpt_npz_path(self.state_dir, new_seq), atomic=True)
-        _atomic_write_json(
-            _ckpt_sidecar_path(self.state_dir, new_seq),
-            {"seq": new_seq, "lsn": self.lsn, "tnow": server.tnow},
-            crash_site="checkpoint.sidecar",
-        )
-        if self.faults is not None:
-            self.faults.hit("checkpoint.manifest")
-        _atomic_write_json(
-            _manifest_path(self.state_dir),
-            {"seq": new_seq, "digests": _checkpoint_digests(self.state_dir)},
-            crash_site="checkpoint.manifest",
-        )
-        self._wal.close()
-        self.seq = new_seq
-        self._wal = UpdateLog(
-            _wal_path(self.state_dir, new_seq),
-            fsync=self.config.fsync,
-            faults=self.faults,
-        )
+        write_checkpoint(self.state_dir, new_seq, server, self.lsn, self.faults)
+        self._rotate(new_seq)
         self.last_checkpoint_tick = server.tnow
         self._prune()
         tm.CHECKPOINTS.inc()
@@ -486,24 +367,32 @@ class ReliabilityManager:
         return self._wal.poisoned
 
     def reopen_wal(self) -> None:
-        """Leave a poisoned segment behind by opening a *fresh* one.
-
-        The fsyncgate rule forbids touching the poisoned descriptor
-        again, but the *file* is fair game through a new descriptor: its
-        unacknowledged tail (torn lines, records past the acked LSN that
-        a failed fsync may or may not have persisted) is truncated away
-        so the LSN chain stays contiguous when the next acked record
-        lands in the new segment.  Raises ``OSError`` while the disk is
-        still refusing writes — the caller stays read-only and probes
-        again later.  No-op on a healthy log.
+        """Leave a poisoned segment behind by opening a *fresh* one
+        (see :meth:`_rotate`).  Raises ``OSError`` while the disk is still
+        refusing writes — the caller stays read-only and probes again
+        later.  No-op on a healthy log.
         """
         if not self._wal.poisoned:
             return
         crashpoint("wal.reopen")
-        _truncate_unacked(self._wal.path, self.lsn)
-        new_seq = self.seq + 1
+        self._rotate(self.seq + 1)
+
+    def _rotate(self, new_seq: int) -> None:
+        """Close the current segment and open segment ``new_seq``.
+
+        A poisoned segment is first cut back to its acknowledged prefix.
+        The fsyncgate rule forbids touching the poisoned descriptor again,
+        but the *file* is fair game through a new descriptor: its
+        unacknowledged tail (torn lines, records past the acked LSN that a
+        failed fsync may or may not have persisted) is truncated away, so
+        the segment left behind verifies clean and the LSN chain stays
+        contiguous when the next acked record lands in the new segment.
+        """
+        if self._wal.poisoned:
+            _truncate_unacked(self._wal.path, self.lsn)
+        self._wal.close()
         self._wal = UpdateLog(
-            _wal_path(self.state_dir, new_seq),
+            wal_path(self.state_dir, new_seq),
             fsync=self.config.fsync,
             faults=self.faults,
         )
@@ -523,12 +412,12 @@ class ReliabilityManager:
             self.resources.prune()
             return
         keep = max(1, self.config.keep_checkpoints)
-        ckpt_seqs = _list_seqs(self.state_dir, _CKPT_RE)
+        ckpt_seqs = checkpoint_seqs(self.state_dir)
         kept = ckpt_seqs[-keep:]
         for seq in ckpt_seqs[:-keep]:
             for path in (
-                _ckpt_npz_path(self.state_dir, seq),
-                _ckpt_sidecar_path(self.state_dir, seq),
+                image_path(self.state_dir, seq),
+                sidecar_path(self.state_dir, seq),
             ):
                 try:
                     os.unlink(path)
@@ -539,10 +428,10 @@ class ReliabilityManager:
         # shrug at the half-deleted generation
         crashpoint("wal.prune")
         if kept:
-            for seq in _list_seqs(self.state_dir, _WAL_RE):
+            for seq in wal_seqs(self.state_dir):
                 if seq < kept[0]:
                     try:
-                        os.unlink(_wal_path(self.state_dir, seq))
+                        os.unlink(wal_path(self.state_dir, seq))
                     except OSError:  # pragma: no cover - best-effort
                         pass
 
@@ -555,45 +444,59 @@ def _truncate_unacked(path: str, acked_lsn: int) -> None:
     """Cut a poisoned segment back to its acknowledged prefix.
 
     Operates through a fresh descriptor (the poisoned one is never
-    reused).  Keeps every intact framed record with
-    ``lsn <= acked_lsn``; the first torn, corrupt or higher-LSN line —
-    exactly the bytes whose durability the failed fsync left unknown —
-    and everything after it are dropped.  Nothing acknowledged is ever
-    in that region: acks happen only after a successful append+fsync.
+    reused).  Keeps the scan's intact records with ``lsn <= acked_lsn``;
+    the first torn, corrupt or higher-LSN line — exactly the bytes whose
+    durability the failed fsync left unknown — and everything after it
+    are dropped.  Nothing acknowledged is ever in that region: acks
+    happen only after a successful append+fsync.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        scan = scan_segment(path, newest=True)
     except OSError:
         return  # nothing on disk to repair
-    good_bytes = 0
-    for line in data.splitlines(keepends=True):
-        try:
-            text = line.decode("utf-8")
-            if not text.endswith("\n"):
-                raise ValueError("unterminated line")
-            record = parse_wal_line(text)
-            if int(record.get("lsn", acked_lsn + 1)) > acked_lsn:
-                break
-            good_bytes += len(line)
-        except (UnicodeDecodeError, ValueError):
-            break
-    if good_bytes < len(data):
-        with open(path, "rb+") as fh:
-            fh.truncate(good_bytes)
+    kept = 0
+    while kept < len(scan.records) and int(scan.records[kept]["lsn"]) <= acked_lsn:
+        kept += 1
+    os.truncate(path, scan.ends[kept - 1] if kept else 0)
 
 
 # ----------------------------------------------------------------------
 # recovery
 # ----------------------------------------------------------------------
-def _iter_wal_records(state_dir: str, from_seq: int) -> Iterator[Tuple[int, dict]]:
-    """All WAL records in LSN order from segment ``from_seq`` on; the
-    final segment's torn tail (if any) is repaired in place."""
-    seqs = [s for s in _list_seqs(state_dir, _WAL_RE) if s >= from_seq]
-    for i, seq in enumerate(seqs):
-        last_segment = i == len(seqs) - 1
-        for record in UpdateLog.read_records(_wal_path(state_dir, seq), repair=last_segment):
-            yield seq, record
+def _replay(state_dir: str, lsn: int, from_seq: int = 0) -> Iterator[dict]:
+    """Every WAL record above ``lsn`` in segments ``from_seq`` on, in order.
+
+    The newest segment's torn tail is truncated in place; any other
+    damage raises :class:`CorruptionError` naming the segment and line
+    (the verdict ``verify_state_dir`` gives the segment).  The records
+    must continue ``lsn`` without a gap, else :class:`RecoveryError`.
+    """
+    expected = lsn + 1
+    seqs = wal_seqs(state_dir)
+    for seq in seqs:
+        if seq < from_seq:
+            continue
+        path = wal_path(state_dir, seq)
+        scan = scan_segment(path, newest=seq == seqs[-1])
+        if scan.verdict == "corrupt":
+            raise CorruptionError(
+                f"corrupt update log {path!r}: {scan.detail}",
+                path=path,
+                line=scan.line,
+            )
+        if scan.verdict == "torn-tail":
+            os.truncate(path, scan.good_bytes)
+        for record in scan.records:
+            found = int(record["lsn"])
+            if found <= lsn:
+                continue
+            if found != expected:
+                raise RecoveryError(
+                    f"update log gap in {state_dir!r}: expected lsn {expected}, "
+                    f"found {found} (older segments pruned or log corrupt)"
+                )
+            expected += 1
+            yield record
 
 
 def records_from_lsn(state_dir: str, lsn: int) -> Iterator[dict]:
@@ -610,73 +513,7 @@ def records_from_lsn(state_dir: str, lsn: int) -> Iterator[dict]:
     """
     if lsn < 0:
         raise RecoveryError(f"replay cursor must be >= 0, got {lsn}")
-    expected = lsn + 1
-    for _seq, record in _iter_wal_records(state_dir, 0):
-        record_lsn = int(record["lsn"])
-        if record_lsn <= lsn:
-            continue
-        if record_lsn != expected:
-            raise RecoveryError(
-                f"update log in {state_dir!r} cannot replay from lsn {lsn}: "
-                f"expected record {expected}, found {record_lsn} "
-                f"(older segments pruned or log corrupt)"
-            )
-        expected += 1
-        yield record
-
-
-def load_latest_checkpoint(state_dir: str):
-    """The newest loadable checkpoint at or below the manifest seq, or
-    ``None``.
-
-    Returns ``(SnapshotState, sidecar)`` where the sidecar dict carries
-    ``{"seq", "lsn", "tnow"}`` — the replay cursor to resume from after
-    installing the image.  Recovery starts from it, and it is the
-    image-transfer half of replica catch-up; the other half is
-    :func:`records_from_lsn`.
-
-    Candidates are discovered through the anchored ``ckpt-NNNNNNNN.json``
-    pattern, so stray ``*.tmp`` leftovers of a crash-during-rename (a
-    zero-byte or half-written ``ckpt-*.npz.tmp`` / ``MANIFEST.json.tmp``)
-    are never read — the scrubber deletes them.  When the manifest
-    records per-file digests, a candidate whose image or sidecar fails
-    its digest is skipped exactly like an unreadable one: bit rot falls
-    back to the previous checkpoint instead of being replayed on top of.
-    """
-    from ..storage.snapshot import read_snapshot
-
-    manifest_path = _manifest_path(state_dir)
-    if not os.path.exists(manifest_path):
-        return None
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        manifest_seq = int(manifest["seq"])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise RecoveryError(f"corrupt manifest in {state_dir!r}: {exc}") from exc
-    digests = manifest.get("digests", {}) if isinstance(manifest, dict) else {}
-    if not isinstance(digests, dict):
-        digests = {}
-    candidates = [s for s in _list_seqs(state_dir, _CKPT_RE) if s <= manifest_seq]
-    for seq in reversed(candidates):
-        try:
-            if _digest_mismatch(state_dir, seq, digests):
-                continue  # bit rot: fall back to the previous checkpoint
-            with open(_ckpt_sidecar_path(state_dir, seq), "r", encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-            state = read_snapshot(_ckpt_npz_path(state_dir, seq))
-            return state, sidecar
-        except (StorageError, OSError, ValueError, KeyError, json.JSONDecodeError):
-            continue  # fall back to the previous checkpoint
-    return None
-
-
-def _digest_mismatch(state_dir: str, seq: int, digests: dict) -> bool:
-    for path in (_ckpt_npz_path(state_dir, seq), _ckpt_sidecar_path(state_dir, seq)):
-        name = os.path.basename(path)
-        if name in digests and os.path.exists(path) and file_crc(path) != digests[name]:
-            return True
-    return False
+    yield from _replay(state_dir, lsn)
 
 
 def recover_server(
@@ -693,9 +530,7 @@ def recover_server(
     """
     from ..core.system import PDRServer
 
-    config_path = _server_config_path(state_dir)
-    if not os.path.exists(config_path):
-        raise RecoveryError(f"{state_dir!r} holds no server state (no server-config.json)")
+    meta = read_server_config(state_dir)
     # Take the exclusive lock before the replay scan: it repairs torn WAL
     # tails in place, which must never race a live writer in another
     # process.  Released below once the resumed manager (which holds its
@@ -703,8 +538,6 @@ def recover_server(
     boot_lock = acquire_state_dir_lock(state_dir)
     try:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
             from ..storage.snapshot import config_from_dict
 
             system_config = config_from_dict(meta["config"])
@@ -722,7 +555,7 @@ def recover_server(
                 # absent from directories written before budgets existed
                 resources=ResourceConfig.from_dict(rel_meta.get("resources")),
             )
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise RecoveryError(
                 f"corrupt server-config.json in {state_dir!r}: {exc}"
             ) from exc
@@ -756,15 +589,8 @@ def recover_server(
 
         def tail() -> Iterator[dict]:
             nonlocal last_lsn
-            for _seq, record in _iter_wal_records(state_dir, from_seq):
-                lsn = int(record["lsn"])
-                if lsn <= base_lsn:
-                    continue
-                if lsn != last_lsn + 1:
-                    raise RecoveryError(
-                        f"update log gap: expected lsn {last_lsn + 1}, found {lsn}"
-                    )
-                last_lsn = lsn
+            for record in _replay(state_dir, base_lsn, from_seq):
+                last_lsn = int(record["lsn"])
                 yield record
 
         server.apply_logged_records(tail())
@@ -792,7 +618,7 @@ def recover_server(
         # (reports and metrics are tagged with it).
         generation = int(meta.get("generation", 0)) + 1
         meta["generation"] = generation
-        _atomic_write_json(config_path, meta)
+        atomic_write_json(config_path(state_dir), meta)
         server.recovery_generation = generation
         tm.RECOVERIES.inc()
         tm.RECOVERY_GENERATION.set(generation)

@@ -52,8 +52,6 @@ records across links, and time comes from the group's injectable clock.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
@@ -77,6 +75,7 @@ from ..telemetry.journal import JOURNAL
 from .admission import AdmissionConfig, AdmissionController, CircuitBreaker
 from .deadline import ladder_for
 from .faults import FaultInjector, InjectedCrashError
+from .statedir import load_latest_checkpoint, read_server_config
 from .validation import ReliabilityConfig
 
 __all__ = [
@@ -303,7 +302,6 @@ class Replica:
 
     def _install_image_if_newer(self, state_dir: str, min_advance: int = 1) -> bool:
         """Replace this replica's state with the newest checkpoint image."""
-        from .recovery import load_latest_checkpoint
         from ..core.system import PDRServer
         from ..storage.snapshot import restore_server_state
 
@@ -405,9 +403,8 @@ class ReplicationGroup:
     @staticmethod
     def _read_tnow0(state_dir: str) -> int:
         try:
-            with open(os.path.join(state_dir, "server-config.json"), encoding="utf-8") as fh:
-                return int(json.load(fh).get("tnow0", 0))
-        except (OSError, ValueError, json.JSONDecodeError):
+            return int(read_server_config(state_dir).get("tnow0", 0))
+        except (RecoveryError, ValueError):
             return 0
 
     # ------------------------------------------------------------------

@@ -25,7 +25,8 @@ This module owns that policy:
 
 * **Retention rule** (:func:`prunable_wal_segments`): a WAL segment may
   be deleted only when *every* record in it is covered by the newest
-  **digest-verified, durable** checkpoint *and* by every replica's
+  **digest-verified, durable** checkpoint (the first one
+  :func:`~repro.reliability.statedir.checkpoints` yields) *and* by every replica's
   acknowledged (applied) LSN.  A replica that went away and comes back
   from beyond the pruned horizon still heals — ``records_from_lsn``
   raises, and catch-up falls back to the checkpoint-image bootstrap —
@@ -46,13 +47,22 @@ at probes), never on timers.
 from __future__ import annotations
 
 import os
-import re
 from typing import Callable, List, Optional, Tuple
 
-from ..core.errors import WALWriteError
+from ..core.errors import RecoveryError, WALWriteError
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
+from .statedir import (
+    checkpoint_seqs,
+    checkpoints,
+    image_path,
+    kind_of,
+    scan_segment,
+    sidecar_path,
+    wal_path,
+    wal_seqs,
+)
 from .validation import ResourceConfig
 
 __all__ = [
@@ -62,9 +72,6 @@ __all__ = [
     "prune_retention",
     "state_dir_usage",
 ]
-
-_WAL_RE = re.compile(r"^wal-(\d{8})\.jsonl$")
-_CKPT_SIDECAR_RE = re.compile(r"^ckpt-(\d{8})\.json$")
 
 
 def state_dir_usage(state_dir: str) -> Tuple[int, int]:
@@ -92,7 +99,7 @@ def state_dir_usage(state_dir: str) -> Tuple[int, int]:
             total += os.path.getsize(path)
         except OSError:
             continue
-        if _WAL_RE.match(name):
+        if kind_of(name) == "wal":
             segments += 1
     return total, segments
 
@@ -123,64 +130,14 @@ class DiskBudget:
 # ----------------------------------------------------------------------
 # retention
 # ----------------------------------------------------------------------
-def _segment_last_lsn(path: str) -> Optional[int]:
-    """Highest LSN in a segment, ``None`` when it holds no parseable
-    record (empty, or nothing but a torn tail)."""
-    from .recovery import UpdateLog
-
+def _newest_checkpoint(state_dir: str) -> Optional[Tuple[int, int]]:
+    """``(seq, lsn)`` of the newest durable, digest-verified checkpoint;
+    ``None`` (nothing is prunable) when none qualifies."""
     try:
-        records = UpdateLog.read_records(path)
-    except Exception:
-        # mid-log corruption: the scrubber's problem, never retention's
-        return None
-    last = None
-    for record in records:
-        if "lsn" in record:
-            last = int(record["lsn"])
-    return last
-
-
-def _newest_verified_checkpoint(state_dir: str) -> Optional[Tuple[int, int]]:
-    """``(seq, lsn)`` of the newest durable, digest-verified checkpoint.
-
-    Durable means at or below the manifest seq with an intact sidecar;
-    verified means the image and sidecar match their manifest digests.
-    Returns ``None`` when no checkpoint qualifies — then nothing is
-    prunable at all.
-    """
-    import json
-
-    from .recovery import (
-        _ckpt_sidecar_path,
-        _digest_mismatch,
-        _list_seqs,
-        _manifest_path,
-    )
-
-    manifest_path = _manifest_path(state_dir)
-    if not os.path.exists(manifest_path):
-        return None
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        manifest_seq = int(manifest["seq"])
-        digests = manifest.get("digests", {})
-        if not isinstance(digests, dict):
-            digests = {}
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        return None
-    candidates = [
-        s for s in _list_seqs(state_dir, _CKPT_SIDECAR_RE) if s <= manifest_seq
-    ]
-    for seq in reversed(candidates):
-        try:
-            if _digest_mismatch(state_dir, seq, digests):
-                continue
-            with open(_ckpt_sidecar_path(state_dir, seq), encoding="utf-8") as fh:
-                sidecar = json.load(fh)
+        for seq, sidecar in checkpoints(state_dir):
             return seq, int(sidecar["lsn"])
-        except (OSError, ValueError, KeyError):
-            continue
+    except RecoveryError:
+        pass  # unreadable manifest: no checkpoint counts as durable
     return None
 
 
@@ -197,9 +154,7 @@ def prunable_wal_segments(
     An empty segment older than the verified checkpoint carries nothing
     and is released unconditionally.
     """
-    from .recovery import _list_seqs, _wal_path
-
-    verified = _newest_verified_checkpoint(state_dir)
+    verified = _newest_checkpoint(state_dir)
     if verified is None:
         return []
     ckpt_seq, ckpt_lsn = verified
@@ -207,15 +162,23 @@ def prunable_wal_segments(
     for lsn in replica_lsns or []:
         floor = min(floor, int(lsn))
     out: List[int] = []
-    for seq in _list_seqs(state_dir, _WAL_RE):
+    for seq in wal_seqs(state_dir):
         if current_seq is not None and seq >= current_seq:
             continue
         if seq >= ckpt_seq:
             # rotated at (or after) the verified checkpoint: its records
             # are the replay tail that checkpoint needs
             continue
-        last = _segment_last_lsn(_wal_path(state_dir, seq))
-        if last is None or last <= floor:
+        try:
+            scan = scan_segment(wal_path(state_dir, seq), newest=False)
+        except OSError:
+            continue
+        # a corrupt segment is the scrubber's problem, never retention's
+        if (
+            scan.verdict == "corrupt"
+            or not scan.records
+            or int(scan.records[-1]["lsn"]) <= floor
+        ):
             out.append(seq)
     return out
 
@@ -233,13 +196,6 @@ def prune_retention(
     verified checkpoint was released — otherwise they remain a valid
     recovery fallback and keep their replay tail alive.
     """
-    from .recovery import (
-        _ckpt_npz_path,
-        _ckpt_sidecar_path,
-        _list_seqs,
-        _wal_path,
-    )
-
     released = prunable_wal_segments(state_dir, replica_lsns, current_seq)
     removed = 0
     freed = 0
@@ -254,19 +210,19 @@ def prune_retention(
             pass
 
     for seq in released:
-        _unlink(_wal_path(state_dir, seq))
-    verified = _newest_verified_checkpoint(state_dir)
+        _unlink(wal_path(state_dir, seq))
+    verified = _newest_checkpoint(state_dir)
     if verified is not None:
         ckpt_seq = verified[0]
-        surviving = set(_list_seqs(state_dir, _WAL_RE))
-        for seq in _list_seqs(state_dir, _CKPT_SIDECAR_RE):
+        surviving = set(wal_seqs(state_dir))
+        for seq in checkpoint_seqs(state_dir):
             if seq >= ckpt_seq:
                 continue
             # an older checkpoint is dead once any of its replay tail
             # (segments seq..ckpt_seq-1) has been pruned away
             if any(s not in surviving for s in range(seq, ckpt_seq)):
-                _unlink(_ckpt_npz_path(state_dir, seq))
-                _unlink(_ckpt_sidecar_path(state_dir, seq))
+                _unlink(image_path(state_dir, seq))
+                _unlink(sidecar_path(state_dir, seq))
     return removed, freed
 
 

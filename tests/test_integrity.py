@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import small_system_config
 from tests.test_recovery import (
@@ -32,20 +36,28 @@ from repro import PDRServer, cli
 from repro.core.errors import (
     CorruptionError,
     IntegrityError,
+    RecoveryError,
     RepairError,
     TransientIOError,
+    WALWriteError,
 )
 from repro.reliability import FaultInjector
 from repro.reliability.integrity import (
     QUARANTINE_DIR,
-    file_crc,
     flip_byte,
-    frame_record,
-    parse_wal_line,
     repair_state_dir,
     scrub_state_dir,
     verify_state_dir,
 )
+from repro.reliability.statedir import (
+    checkpoints,
+    file_crc,
+    frame_record,
+    parse_wal_line,
+    wal_path,
+    wal_seqs,
+)
+from repro.reliability.validation import ReliabilityConfig
 
 
 def run_workload(tmp_path, n_ops=150, interval=25):
@@ -91,7 +103,7 @@ class TestFraming:
         line = frame_record({"op": "advance", "t": 1, "lsn": 7})
         # forge the header (with a recomputed checksum) to claim lsn 8
         payload = line.rstrip("\n").split(":", 2)[2]
-        from repro.reliability.integrity import record_crc
+        from repro.reliability.statedir import record_crc
 
         forged = f"8:{record_crc(8, payload):08x}:{payload}\n"
         with pytest.raises(ValueError):
@@ -217,6 +229,102 @@ class TestVerify:
             apply_op(recovered, op)
         assert_states_match(recovered, reference)
         recovered.close()
+
+
+@pytest.fixture(scope="module")
+def two_segment_tail(tmp_path_factory):
+    """A durable directory whose replay tail spans two segments: after a
+    checkpoint, a poisoned WAL was healed by opening a fresh segment.
+    Returns ``(state_dir, last_lsn)``."""
+    state_dir = str(tmp_path_factory.mktemp("verdict") / "state")
+    faults = FaultInjector()
+    server = PDRServer(
+        small_system_config(), expected_objects=16,
+        reliability=ReliabilityConfig(
+            state_dir=state_dir, checkpoint_interval=0, fsync=False, faults=faults
+        ),
+    )
+    rng = np.random.default_rng(3)
+
+    def wave():
+        for oid in range(8):
+            x, y = rng.uniform(5.0, 95.0, 2)
+            vx, vy = rng.uniform(-1.0, 1.0, 2)
+            server.report(oid, float(x), float(y), float(vx), float(vy))
+
+    wave()
+    server.checkpoint()
+    wave()
+    faults.inject_enospc("wal_write")
+    with pytest.raises(WALWriteError):
+        server.report(0, 50.0, 50.0, 0.0, 0.0)
+    assert server.probe_resources()
+    wave()
+    last_lsn = server.wal_lsn
+    server.close()
+    return state_dir, last_lsn
+
+
+# the torn append a checkpoint on a poisoned WAL used to leave mid-log
+_TORN_APPEND = b'17:0badc0de:{"op":"report","t":0,"oid":3,"x":30'
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    kind=st.sampled_from(["truncate", "flip", "append"]),
+    where=st.floats(0.0, 1.0),
+    xor=st.integers(1, 255),
+    extra=st.binary(min_size=1, max_size=48),
+)
+@example(which=0, kind="append", where=0.0, xor=1, extra=_TORN_APPEND)
+def test_verify_verdict_decides_replay(two_segment_tail, which, kind, where, xor, extra):
+    """Replay and the scrubber read a segment with the one scan, so the
+    verdict ``verify_state_dir`` gives a damaged segment that replay reads
+    is what replay does: ``clean`` replays every surviving record,
+    ``torn-tail`` drops exactly the damaged line, ``corrupt`` raises."""
+    template, last_lsn = two_segment_tail
+    scratch = tempfile.mkdtemp(prefix="verdict-")
+    try:
+        state_dir = os.path.join(scratch, "state")
+        shutil.copytree(template, state_dir)
+        ckpt_seq, _sidecar = next(checkpoints(state_dir))
+        replayed = [seq for seq in wal_seqs(state_dir) if seq >= ckpt_seq]
+        assert len(replayed) == 2
+        path = wal_path(state_dir, replayed[which])
+        size = os.path.getsize(path)
+        if kind == "truncate":
+            os.truncate(path, min(int(where * size), size - 1))
+        elif kind == "flip":
+            flip_byte(path, int(where * size), xor=xor)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(extra)
+        with open(path, "rb") as fh:
+            damaged = fh.read()
+
+        report = verify_state_dir(state_dir)
+        verdict = {f.name: f for f in report.files}[os.path.basename(path)]
+        assert [f.name for f in report.damaged()] in ([], [verdict.name])
+        if verdict.state == "corrupt":
+            with pytest.raises(CorruptionError):
+                PDRServer.recover(state_dir)
+        elif report.gaps:
+            with pytest.raises(RecoveryError):
+                PDRServer.recover(state_dir)
+        else:
+            recovered = PDRServer.recover(state_dir)
+            survivors = [f.lsn_last for f in report.files
+                         if f.kind == "wal" and f.lsn_last is not None]
+            assert recovered.wal_lsn == max(survivors)
+            if verdict.state == "torn-tail":
+                with open(path, "rb") as fh:
+                    assert fh.read() == damaged[:verdict.good_bytes]
+            elif kind != "truncate":
+                assert recovered.wal_lsn == last_lsn
+            recovered.close()
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 class TestScrub:

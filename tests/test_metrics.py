@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import Rect
-from repro.core.query import QueryStats
 from repro.core.regions import RegionSet
 from repro.metrics.accuracy import (
     accuracy,
     false_negative_ratio,
     false_positive_ratio,
 )
-from repro.metrics.cost import CostAccumulator, UpdateCostTimer
+from repro.metrics.cost import UpdateCostTimer
 from repro.metrics.raster import RasterMeasure
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
@@ -178,22 +177,7 @@ class TestRasterMeasure:
             RasterMeasure(Rect(0, 0, 0, 10), resolution=10)
 
 
-class TestCostAccumulators:
-    def test_means(self):
-        acc = CostAccumulator()
-        acc.add(QueryStats(cpu_seconds=1.0, io_count=10, io_seconds=0.1))
-        acc.add(QueryStats(cpu_seconds=3.0, io_count=20, io_seconds=0.3))
-        assert len(acc) == 2
-        assert acc.mean_cpu_seconds == pytest.approx(2.0)
-        assert acc.mean_io_count == pytest.approx(15.0)
-        assert acc.mean_io_seconds == pytest.approx(0.2)
-        assert acc.mean_total_seconds == pytest.approx(2.2)
-
-    def test_empty_accumulator(self):
-        acc = CostAccumulator()
-        assert acc.mean_cpu_seconds == 0.0
-        assert acc.mean_total_seconds == 0.0
-
+class TestUpdateCostTimer:
     def test_update_timer(self):
         timer = UpdateCostTimer()
         timer.record(0.002)

@@ -41,6 +41,7 @@ from repro.methods.fr import FRMethod
 from repro.methods.interval import evaluate_interval, evaluate_interval_fr
 from repro.motion.table import ObjectTable
 from repro.reliability.recovery import UpdateLog
+from repro.reliability.statedir import scan_segment
 from repro.reliability.validation import ReliabilityConfig
 from repro.storage.buffer import BufferPool
 from repro.sweep.band_sweep import BandBatch, refine_bands
@@ -958,7 +959,7 @@ def test_update_log_group_commit_bytes_identical(tmp_path):
     with open(many_path, "rb") as fh:
         batched_bytes = fh.read()
     assert sequential_bytes == batched_bytes
-    assert UpdateLog.read_records(many_path) == records
+    assert scan_segment(many_path, newest=True).records == records
 
 
 def test_timed_listener_forwards_batches():

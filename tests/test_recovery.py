@@ -458,7 +458,7 @@ class TestAudit:
         # semantic corruption, not bit rot: refresh the manifest digest so
         # the image still checksum-verifies (otherwise recovery would treat
         # it as damaged and fall back) and only the audit can catch it
-        from repro.reliability.integrity import file_crc
+        from repro.reliability.statedir import file_crc
 
         manifest_path = os.path.join(rc.state_dir, "MANIFEST.json")
         with open(manifest_path, encoding="utf-8") as fh:

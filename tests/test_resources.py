@@ -35,9 +35,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import small_system_config
-from repro import PDRServer
+from repro import PDRServer, SystemConfig
 from repro.core.errors import ReadOnlyError, RecoveryError, WALWriteError
 from repro.reliability.faults import FaultInjector
+from repro.reliability.integrity import verify_state_dir
 from repro.reliability.recovery import records_from_lsn
 from repro.reliability.replication import ReplicationConfig, ReplicationGroup
 from repro.reliability.resources import (
@@ -45,6 +46,7 @@ from repro.reliability.resources import (
     prune_retention,
     state_dir_usage,
 )
+from repro.reliability.statedir import checkpoints, scan_segment, wal_path
 from repro.reliability.validation import ReliabilityConfig, ResourceConfig
 
 
@@ -165,6 +167,43 @@ def test_short_write_tears_line_then_heals_cleanly(tmp_path):
     recovered._manager.close()
 
 
+def test_checkpoint_on_a_poisoned_wal_leaves_a_directory_that_verifies(tmp_path):
+    """A checkpoint taken while the WAL is poisoned rotates past the torn
+    segment; it must cut that segment back to its acknowledged prefix, or
+    the torn line ends up mid-log, where verify (and boot) call it corrupt."""
+    state_dir = str(tmp_path / "state")
+    faults = FaultInjector()
+    server = PDRServer(
+        SystemConfig(), expected_objects=50,
+        reliability=ReliabilityConfig(
+            state_dir=state_dir, faults=faults, checkpoint_interval=0
+        ),
+    )
+    server.report_batch([(i, 100.0 + i, 200.0, 0.5, 0.5) for i in range(10)])
+    server.checkpoint()
+    server.report_batch([(i, 110.0 + i, 210.0, 0.5, 0.5) for i in range(10)])
+    faults.inject_short_write("wal_write", fraction=0.5)
+    with pytest.raises(WALWriteError):
+        server.report(3, 300.0, 300.0, 0.1, 0.1)
+    assert server.read_only and server.wal_lsn == 20
+    server.checkpoint()  # allowed while read-only
+
+    report = verify_state_dir(state_dir)
+    assert report.clean, report.summary()
+    server._manager.close()
+    recovered = PDRServer.recover(state_dir)
+    assert recovered.wal_lsn == 20 and len(recovered.table) == 10
+
+    assert recovered.probe_resources()
+    recovered.report(3, 300.0, 300.0, 0.1, 0.1)
+    assert recovered.wal_lsn == 21
+    recovered._manager.close()
+    again = PDRServer.recover(state_dir)
+    assert again.wal_lsn == 21
+    assert again.table.motion_of(3).x == 300.0
+    again._manager.close()
+
+
 # ----------------------------------------------------------------------
 # watermarks
 # ----------------------------------------------------------------------
@@ -264,22 +303,17 @@ def test_retention_never_prunes_a_needed_segment(rotated_state_dir, replica_lsns
     segment carries no record beyond the newest durable checkpoint's LSN
     nor beyond any replica's acknowledged LSN, and is never the segment
     currently open for appends."""
-    from repro.reliability.resources import (
-        _newest_verified_checkpoint,
-        _segment_last_lsn,
-    )
-    from repro.reliability.recovery import _wal_path
-
     state_dir, current_seq, _lsn = rotated_state_dir
-    ckpt_seq, ckpt_lsn = _newest_verified_checkpoint(state_dir)
-    floor = min([ckpt_lsn] + list(replica_lsns))
+    ckpt_seq, sidecar = next(checkpoints(state_dir))
+    floor = min([int(sidecar["lsn"])] + list(replica_lsns))
 
     for seq in prunable_wal_segments(state_dir, list(replica_lsns),
                                      current_seq=current_seq):
         assert seq != current_seq
         assert seq < ckpt_seq
-        last = _segment_last_lsn(_wal_path(state_dir, seq))
-        assert last is None or last <= floor
+        scan = scan_segment(wal_path(state_dir, seq), newest=False)
+        assert scan.verdict == "clean"
+        assert all(int(r["lsn"]) <= floor for r in scan.records)
 
 
 def test_prune_retention_is_recoverable_afterwards(rotated_state_dir):
