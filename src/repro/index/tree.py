@@ -22,6 +22,10 @@ Implementation notes
 * Deletion locates leaves through a table-row -> leaf map (a standard
   implementation shortcut that avoids float-equality MBR searches; I/O
   accounting is unaffected because only queries are charged).
+* A re-report whose new motion its leaf's bound still contains (position
+  and velocity) stays in that leaf, which is only retightened — the
+  bottom-up update of Lee et al. (VLDB 2003); every other report goes
+  through deletion and choose-leaf insertion.
 * Underflowing nodes are condensed: the node is removed and its remaining
   entries reinserted, as in Guttman's R-tree.  A wave of deletions is
   condensed once, leaf-grouped and level by level (:meth:`TPRTree._condense`).
@@ -93,17 +97,22 @@ class TPRTree(UpdateListener):
         """Absorb a wave; the indexed *contents* are contractual, tree shape
         is an implementation detail (only :meth:`validate`'s invariants).
 
-        Every deleted row leaves its leaf *before* anything is retightened
-        or inserted: the wave's rows already hold the new motions in the
-        table (a re-report overwrites in place, a first report may reuse a
-        retired row), so from then on every row in a leaf reads true.
-        Deletions are grouped by leaf and removed in one pass per leaf, then
-        the touched nodes are condensed together (:meth:`_condense`);
+        A re-report whose new motion still lies inside its leaf's bound
+        stays in that leaf (the bottom-up update of Lee et al., VLDB 2003):
+        see :meth:`_stays_put`.  Every other deleted row leaves its leaf
+        *before* anything is retightened or inserted: the wave's rows
+        already hold the new motions in the table (a re-report overwrites in
+        place, a first report may reuse a retired row), so from then on
+        every row in a leaf reads true.  Departures are grouped by leaf and
+        removed in one pass per leaf, then the touched leaves — a kept
+        row's leaf among them — are condensed together (:meth:`_condense`);
         insertions go in Z-order, so spatially adjacent ones descend into
         the same subtrees back to back.  A wave that dominates the
-        population — it deletes at least half of it, or inserts more than
-        what is left — is cheaper to absorb by one STR :meth:`bulk_load`
-        than by condensing or N choose-leaf descents.
+        population — at least half of it leaves its leaves, or more rows
+        go in than stay — is cheaper to absorb by one STR :meth:`bulk_load`
+        than by condensing or N choose-leaf descents; kept rows count as
+        staying, so a tick that re-reports most objects in place is not
+        repacked.
         """
         self._tnow = max(self._tnow, float(wave.tnow))
         doomed, rows = wave.deleted_rows.tolist(), wave.rows.tolist()
@@ -114,20 +123,58 @@ class TPRTree(UpdateListener):
             row in self._leaf_of and row not in gone for row in rows
         ):
             raise IndexError_(f"rows {rows} are already indexed; delete them first")
-        survivors = len(self._leaf_of) - len(doomed)
-        if (doomed and survivors <= len(doomed)) or len(rows) > survivors:
-            tm.TPR_REPACKS.labels("bulk_insert" if len(rows) > survivors else "bulk_delete").inc()
+        kept = self._stays_put(wave)
+        stay = set(wave.rows[kept].tolist())
+        movers = wave.rows[~kept]
+        survivors = len(self._leaf_of) - len(doomed) + len(stay)
+        leaving = len(doomed) - len(stay)
+        if (leaving and survivors <= leaving) or movers.shape[0] > survivors:
+            kind = "bulk_insert" if movers.shape[0] > survivors else "bulk_delete"
+            tm.TPR_REPACKS.labels(kind).inc()
             self.bulk_load()
             return
         if doomed:
             # a dict, not a set: wave order, so tree shape does not hang on id()
             leaves: Dict[Node, List[int]] = {}
             for row in doomed:
-                leaves.setdefault(self._leaf_of.pop(row), []).append(row)
+                if row in stay:
+                    leaves.setdefault(self._leaf_of[row], [])
+                else:
+                    leaves.setdefault(self._leaf_of.pop(row), []).append(row)
             for leaf, rows_gone in leaves.items():
                 leaf.discard(rows_gone)
             self._condense(leaves)
-        self._insert_rows(self._zorder_sorted(wave.rows))
+        self._insert_rows(self._zorder_sorted(movers))
+
+    def _stays_put(self, wave: Wave) -> np.ndarray:
+        """Which of ``wave.rows`` are re-reports that stay in their leaf.
+
+        A re-report stays when, at the current time, its new position lies
+        inside its leaf's bound (closed edges) and its velocity inside the
+        bound's edge velocities: then the bound contains the new motion for
+        every ``t >= tnow``, with no descent and no split.  Testing velocity
+        as well as position keeps the leaf's velocity spread — what makes a
+        TPBR grow (Velocity Partitioning, Nguyen et al.) — from widening.
+        One vectorised test over the leaves' bounds per wave.
+        """
+        kept = np.zeros(wave.rows.shape[0], dtype=bool)
+        again = np.flatnonzero(wave.supersedes >= 0)
+        again = again[wave.rows[again] == wave.deleted_rows[wave.supersedes[again]]]
+        if again.shape[0] == 0:
+            return kept
+        bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = np.array(
+            [self._leaf_of[row].bound.column() for row in wave.rows[again].tolist()]
+        ).T
+        motions = wave.inserted.take(again)
+        x, y = motions.positions_at(self._tnow)
+        dt = self._tnow - bt
+        kept[again] = (
+            (bx1 + bvx1 * dt <= x) & (x <= bx2 + bvx2 * dt)
+            & (by1 + bvy1 * dt <= y) & (y <= by2 + bvy2 * dt)
+            & (bvx1 <= motions.vx) & (motions.vx <= bvx2)
+            & (bvy1 <= motions.vy) & (motions.vy <= bvy2)
+        )
+        return kept
 
     # ------------------------------------------------------------------
     # public API

@@ -66,7 +66,10 @@ class PAMethod(UpdateListener):
         self.md = md
         self._tnow = tnow
         self._slots = horizon + 1
-        self._coeffs = np.zeros((self._slots, g, g, k + 1, k + 1))
+        # Time-minor: one tile's slots are adjacent (k+1)^2 blocks, so a
+        # job's consecutive timestamps in one tile scatter into neighbouring
+        # memory.  Persisted slot-major (state_arrays).
+        self._coeffs = np.zeros((g, g, self._slots, k + 1, k + 1))
         self._slot_time = np.zeros(self._slots, dtype=np.int64)
         for t in range(tnow, tnow + self._slots):
             self._slot_time[t % self._slots] = t
@@ -102,7 +105,7 @@ class PAMethod(UpdateListener):
             # histogram's ring-buffer advance.
             t_old = np.arange(self._tnow, tnow, dtype=np.int64)
             slots = t_old % self._slots
-            self._coeffs[slots] = 0.0
+            self._coeffs[:, :, slots] = 0.0
             self._slot_time[slots] = t_old + self._slots
         self._tnow = tnow
 
@@ -167,6 +170,13 @@ class PAMethod(UpdateListener):
         jobs, and every flush below adds a coefficient's deltas in
         rectangle order — the result is bit-identical to applying the jobs
         one at a time.
+
+        Measured and rejected (CH2K, 2 cores, numpy 2.4): this pass in a
+        worker thread beside DH and TPR (no overlap under the GIL, 2 510 vs
+        2 650 reports/s); a rank-layered exact scatter (2.6x slower than
+        ``np.add.at`` at ~5.7 ns/element); slot-major emission order (no
+        gain); a 2-D transposed ``np.add.at`` index (off the 1-D fast path,
+        12.8 -> 28.3 ms/wave).
         """
         if len(jobs) == 0:
             return
@@ -210,9 +220,8 @@ class PAMethod(UpdateListener):
         # contiguous row of rectangles per retained coefficient.
         g = self.spec.g
         kk = self.spec.k + 1
-        base = (((ts[t_idx] % self._slots)[of] * g + x_tile[xi]) * g + y_tile[yi]) * (
-            kk * kk
-        )
+        slot = (ts[t_idx] % self._slots)[of]
+        base = ((x_tile[xi] * g + y_tile[yi]) * self._slots + slot) * (kk * kk)
         offsets = retained_offsets(self.spec.k)[:, None]
         flat = self._coeffs.reshape(-1)
         for start in range(0, of.shape[0], self._BATCH_RECTS):
@@ -226,9 +235,13 @@ class PAMethod(UpdateListener):
     # persistence
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict:
-        """Raw state for snapshotting (see :mod:`repro.storage.snapshot`)."""
+        """Raw state for snapshotting (see :mod:`repro.storage.snapshot`).
+
+        ``coeffs`` is persisted slot-major, ``(slots, g, g, k+1, k+1)``:
+        ``coeffs[t % slots]`` is the surface of ``t``, whatever the ring's
+        layout in memory."""
         return {
-            "coeffs": self._coeffs.copy(),
+            "coeffs": np.ascontiguousarray(np.moveaxis(self._coeffs, 2, 0)),
             "slot_time": self._slot_time.copy(),
             "tnow": np.int64(self._tnow),
         }
@@ -236,14 +249,15 @@ class PAMethod(UpdateListener):
     def load_state_arrays(self, state: dict) -> None:
         """Restore state produced by :meth:`state_arrays` (shapes must match)."""
         coeffs = np.asarray(state["coeffs"], dtype=float)
-        if coeffs.shape != self._coeffs.shape:
+        g, kk = self.spec.g, self.spec.k + 1
+        expected = (self._slots, g, g, kk, kk)
+        if coeffs.shape != expected:
             raise InvalidParameterError(
-                f"snapshot shape {coeffs.shape} does not match PA state "
-                f"{self._coeffs.shape}"
+                f"snapshot shape {coeffs.shape} does not match PA state {expected}"
             )
         # Contiguity matters: the batched scatter writes through a flat
         # reshape(-1) view, which only aliases contiguous storage.
-        self._coeffs = np.ascontiguousarray(coeffs)
+        self._coeffs = np.ascontiguousarray(np.moveaxis(coeffs, 0, 2))
         self._slot_time = np.asarray(state["slot_time"], dtype=np.int64)
         self._tnow = int(state["tnow"])
 
@@ -259,7 +273,7 @@ class PAMethod(UpdateListener):
         slot = qt % self._slots
         if self._slot_time[slot] != qt:  # pragma: no cover - internal invariant
             raise HorizonError(f"ring-buffer slot for {qt} not materialised")
-        return ChebSurface(self.spec, self._coeffs[slot])
+        return ChebSurface(self.spec, self._coeffs[:, :, slot])
 
     def query(self, query: SnapshotPDRQuery, deadline=None) -> QueryResult:
         """Approximate PDR answer by bound-then-evaluate (Section 6.3).

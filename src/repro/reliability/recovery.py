@@ -630,6 +630,28 @@ def recover_server(
 # ----------------------------------------------------------------------
 # structural invariant audit
 # ----------------------------------------------------------------------
+# Table rows per chunk of the audit's recount: one chunk's (rows, H + 1)
+# trajectory grids are ~16 MB at H = 120, where one pass over a CH100K table
+# would hold ~200 MB.
+_AUDIT_ROWS = 8192
+
+
+def live_in_domain_counts(motions, qts: np.ndarray, horizon: int, domain) -> np.ndarray:
+    """How many of ``motions`` are inside their own prediction window and
+    inside the (half-open) domain at each timestamp of ``qts``.
+
+    Counted over row chunks of :data:`_AUDIT_ROWS`, so the trajectory grids
+    never span the whole table."""
+    counts = np.zeros(qts.shape[0], dtype=np.int64)
+    for start in range(0, len(motions), _AUDIT_ROWS):
+        chunk = motions.take(slice(start, start + _AUDIT_ROWS))
+        counted = chunk.covering(qts, horizon) & domain.contains_points(
+            *chunk.trajectory(qts)
+        )
+        counts += counted.sum(axis=0)
+    return counts
+
+
 def audit_server(server, raise_on_violation: bool = True) -> List[str]:
     """Cross-check every maintained structure against the object table.
 
@@ -655,16 +677,9 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
     if server.pa.tnow != tnow:
         violations.append(f"PA clock {server.pa.tnow} != table clock {tnow}")
     horizon = server.config.horizon
-    domain = server.config.domain
-    # One (n, H + 1) pass over the table's columns: which objects are inside
-    # their own prediction window and inside the (half-open) domain at each
-    # timestamp of the maintained window.
-    motions = server.table.columns()
     qts = np.arange(tnow, tnow + horizon + 1)
-    counted = motions.covering(qts, horizon) & domain.contains_points(
-        *motions.trajectory(qts)
-    )
-    for qt, expected in zip(qts.tolist(), counted.sum(axis=0).tolist()):
+    live = live_in_domain_counts(server.table.columns(), qts, horizon, server.config.domain)
+    for qt, expected in zip(qts.tolist(), live.tolist()):
         observed = server.histogram.total_at(qt)
         if observed != expected:
             violations.append(

@@ -244,3 +244,68 @@ class TestQuery:
             assert any("tiles_evaluated=" in line for line in render_span_tree(root.to_dict()))
             nodes.append(stats.bnb_nodes)
         assert nodes[1] < nodes[0]
+
+
+class TestPersistedRing:
+    """The ring is time-minor in memory, ``(g, g, slots, k+1, k+1)``; what
+    leaves the method — ``state_arrays`` and so snapshot format 2 — stays
+    slot-major, ``(slots, g, g, k+1, k+1)``."""
+
+    @staticmethod
+    def moving_world(horizon=5, g=4, k=4):
+        pa = make_pa(horizon=horizon, g=g, k=k)
+        table = ObjectTable()
+        table.add_listener(pa)
+        gen = np.random.default_rng(3)
+        for tick in range(4):  # the ring has wrapped: slot != t - tnow
+            table.advance_to(tick)
+            table.report_batch([
+                (oid, float(gen.uniform(5, 95)), float(gen.uniform(5, 95)),
+                 float(gen.uniform(-3, 3)), float(gen.uniform(-3, 3)))
+                for oid in range(12)
+            ])
+        return pa, table
+
+    def test_state_arrays_are_slot_major(self):
+        pa, _ = self.moving_world()
+        coeffs = pa.state_arrays()["coeffs"]
+        assert coeffs.shape == (6, 4, 4, 5, 5) and coeffs.flags.c_contiguous
+        lo, hi = pa.window
+        assert lo % 6 != 0
+        for t in range(lo, hi + 1):
+            assert pa.state_arrays()["slot_time"][t % 6] == t
+            assert np.array_equal(coeffs[t % 6], pa.surface_at(t).coeffs)
+            assert np.any(coeffs[t % 6] != 0.0)
+
+    def test_load_state_arrays_round_trip(self):
+        pa, _ = self.moving_world()
+        twin = make_pa(horizon=5, g=4, k=4)
+        twin.load_state_arrays(pa.state_arrays())
+        assert twin.window == pa.window
+        for key, value in pa.state_arrays().items():
+            assert np.array_equal(twin.state_arrays()[key], value)
+        with pytest.raises(InvalidParameterError):  # a time-minor array is refused
+            twin.load_state_arrays({**pa.state_arrays(), "coeffs": pa._coeffs})
+
+    def test_save_server_load_server_round_trip(self, tmp_path):
+        from repro.core.system import PDRServer
+        from repro.storage.snapshot import load_server, save_server
+        from tests.conftest import populate_clustered, small_system_config
+
+        server = PDRServer(small_system_config(), expected_objects=120)
+        populate_clustered(server, 120, seed=5)
+        server.advance_to(4)
+        gen = np.random.default_rng(9)
+        server.report_batch([
+            (oid, float(gen.uniform(10, 90)), float(gen.uniform(10, 90)), 0.5, -0.5)
+            for oid in range(0, 40)
+        ])
+        save_server(server, tmp_path / "snap.npz")
+        restored = load_server(tmp_path / "snap.npz")
+        for key, value in server.pa.state_arrays().items():
+            assert np.array_equal(restored.pa.state_arrays()[key], value)
+        for qt in range(server.tnow, server.tnow + server.config.horizon + 1, 3):
+            for varrho in (1.0, 3.0):
+                a = server.query("pa", qt=qt, varrho=varrho)
+                b = restored.query("pa", qt=qt, varrho=varrho)
+                assert np.array_equal(a.regions.bounds, b.regions.bounds)

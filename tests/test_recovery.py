@@ -23,6 +23,7 @@ from tests.conftest import small_system_config
 from repro import PDRServer
 from repro.core.errors import AuditError, RecoveryError, StorageError
 from repro.reliability.faults import FaultInjector, InjectedCrashError
+from repro.reliability import recovery
 from repro.reliability.recovery import audit_server
 from repro.reliability.validation import ReliabilityConfig
 
@@ -402,8 +403,9 @@ class TestAudit:
         assert info.value.violations == violations
 
     def test_audit_names_the_one_timestamp_whose_slot_was_zeroed(self, reference):
-        """The recount is one (n, H + 1) array expression over the table's
-        columns; the object-by-object loop it replaced is the oracle here.
+        """The recount is a chunked (rows, H + 1) array expression over the
+        table's columns; the object-by-object loop it replaced is the oracle
+        here.
         By tick 200 the workload holds motions that outlived their window
         and motions that left the domain — both must be left out."""
         server, horizon = reference, reference.config.horizon
@@ -426,6 +428,33 @@ class TestAudit:
         try:
             assert server.audit(raise_on_violation=False) == [
                 f"histogram total 0 at t={qt} != {expected[qt]} live in-domain objects"
+            ]
+        finally:
+            slot[:] = saved
+
+    def test_chunked_recount_equals_the_one_pass_recount(self, reference, monkeypatch):
+        """Chunks of 7 rows over a table of more than one chunk (the last one
+        ragged) count what one (n, H + 1) pass counts, and the audit's
+        message does not change with the chunking."""
+        server, horizon = reference, reference.config.horizon
+        domain, tnow = server.config.domain, server.tnow
+        motions = server.table.columns()
+        qts = np.arange(tnow, tnow + horizon + 1)
+        one_pass = (
+            motions.covering(qts, horizon) & domain.contains_points(*motions.trajectory(qts))
+        ).sum(axis=0)
+        monkeypatch.setattr(recovery, "_AUDIT_ROWS", 7)
+        assert len(motions) > 2 * 7 and len(motions) % 7
+        chunked = recovery.live_in_domain_counts(motions, qts, horizon, domain)
+        assert np.array_equal(chunked, one_pass)
+        assert server.audit() == []
+        qt = tnow + 3
+        slot = server.histogram._counts[qt % (horizon + 1)]
+        saved = slot.copy()
+        slot[:] = 0
+        try:
+            assert server.audit(raise_on_violation=False) == [
+                f"histogram total 0 at t={qt} != {one_pass[3]} live in-domain objects"
             ]
         finally:
             slot[:] = saved

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PDRServer
+from repro.baselines.bruteforce import bruteforce_from_motions
 from repro.core.errors import IndexError_
 from repro.core.geometry import Rect
 from repro.datagen import TripSimulator, synthetic_metro
@@ -19,6 +21,8 @@ from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
 from repro.motion.updates import Columns, UpdateListener
 from repro.storage.buffer import BufferPool
+from repro.storage.pages import PageModel
+from tests.conftest import small_system_config
 
 
 def make_tree(fanout=8, horizon=20, buffer_pool=None, tnow=0):
@@ -606,12 +610,195 @@ class TestWaveMaintenance:
         tree.validate()
         packed = [len(leaf.entries) for leaf in leaves_of(tree)]
         assert len(tree) == 30 and packed == [4, 4, 2] * 3  # three STR slabs
-        table.report_batch(self.move_away(range(16)))  # re-reports over half of it
+        table.report_batch(  # moves over half of it
+            [(oid, 100.0 + oid, 100.0, 1.0, 0.0) for oid in range(16)]
+        )
         tree.validate()
         assert [len(leaf.entries) for leaf in leaves_of(tree)] == packed
         table.report_batch(self.move_away(range(5)))  # a small wave goes in row by row
         tree.validate()
         assert len(tree) == 30
+
+
+def edges_at(bound: TPBR, t: float):
+    """A bound's ``x1, y1, x2, y2`` at ``t``, by the tree's own expression."""
+    dt = t - bound.t_ref
+    return (
+        bound.x1 + bound.vx1 * dt, bound.y1 + bound.vy1 * dt,
+        bound.x2 + bound.vx2 * dt, bound.y2 + bound.vy2 * dt,
+    )
+
+
+def inside_motion(bound: TPBR, t: float):
+    """A motion the bound contains from ``t`` on: its centre, mid velocity."""
+    x1, y1, x2, y2 = edges_at(bound, t)
+    return (x1 + x2) / 2, (y1 + y2) / 2, (bound.vx1 + bound.vx2) / 2, (bound.vy1 + bound.vy2) / 2
+
+
+class TestInPlaceReReports:
+    """A re-report whose new motion its leaf's bound contains — position at
+    ``tnow`` inside the closed edges, velocity inside the edge velocities —
+    stays in its leaf: no discard, no choose-leaf descent, no split."""
+
+    @staticmethod
+    def world():
+        """120 objects under fanout 8, the clock one tick past every anchor;
+        a leaf of several rows and the oid of its first (not last) row."""
+        table, tree = make_tree(fanout=8)
+        report(table, random_motions(120, seed=5))
+        table.advance_to(1)
+        leaf = next(leaf for leaf in leaves_of(tree) if len(leaf.entries) >= 3)
+        assert leaf.bound.t_ref < 1
+        row = int(leaf.entries[0])
+        return table, tree, leaf, row, oids_in(table, leaf, 1)[0]
+
+    @staticmethod
+    def spy_inserts(tree, monkeypatch):
+        """The rows that go through choose-leaf insertion from now on."""
+        inserted = []
+        insert_rows = tree._insert_rows
+
+        def spy(rows):
+            inserted.extend(rows.tolist())
+            insert_rows(rows)
+
+        monkeypatch.setattr(tree, "_insert_rows", spy)
+        return inserted
+
+    def test_a_contained_re_report_keeps_its_leaf(self, monkeypatch):
+        table, tree, leaf, row, oid = self.world()
+        order = leaf.entries.tolist()
+        inserted = self.spy_inserts(tree, monkeypatch)
+        table.report(oid, *inside_motion(leaf.bound, 1))
+        assert tree._leaf_of[row] is leaf
+        assert leaf.entries.tolist() == order and inserted == []
+        assert leaf.bound.t_ref == 1  # the leaf was retightened ...
+        settled = leaf.bound.copy()
+        leaf.retighten(tree._tnow, table)
+        assert leaf.bound == settled  # ... to what a fresh retighten gives
+        tree.validate()
+
+    @pytest.mark.parametrize("corner", ["low", "high"])
+    def test_a_re_report_on_the_bound_edge_stays(self, corner, monkeypatch):
+        table, tree, leaf, row, oid = self.world()
+        x1, y1, x2, y2 = edges_at(leaf.bound, 1)
+        b = leaf.bound
+        motion = (x1, y1, b.vx1, b.vy1) if corner == "low" else (x2, y2, b.vx2, b.vy2)
+        inserted = self.spy_inserts(tree, monkeypatch)
+        table.report(oid, *motion)
+        assert tree._leaf_of[row] is leaf and inserted == []
+        tree.validate()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_re_report_just_past_the_edge_descends(self, axis, monkeypatch):
+        table, tree, leaf, row, oid = self.world()
+        motion = list(inside_motion(leaf.bound, 1))
+        motion[axis] = np.nextafter(edges_at(leaf.bound, 1)[axis], -np.inf)
+        inserted = self.spy_inserts(tree, monkeypatch)
+        table.report(oid, *motion)
+        assert row in inserted
+        tree.validate()
+
+    @pytest.mark.parametrize("axis", [2, 3])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_re_report_whose_velocity_leaves_the_bound_descends(
+        self, axis, side, monkeypatch
+    ):
+        table, tree, leaf, row, oid = self.world()
+        b = leaf.bound
+        low, high = (b.vx1, b.vx2) if axis == 2 else (b.vy1, b.vy2)
+        motion = list(inside_motion(b, 1))
+        motion[axis] = high + 0.25 if side > 0 else low - 0.25
+        inserted = self.spy_inserts(tree, monkeypatch)
+        table.report(oid, *motion)
+        assert row in inserted
+        tree.validate()
+        assert oid in tree.range_query(Rect(-1e4, -1e4, 1e4, 1e4), 1)
+
+    def test_rows_that_stay_do_not_count_toward_a_repack(self):
+        """The "wave dominates the population" rule counts the rows that
+        leave their leaves: a tick that re-reports two thirds of the objects
+        where their motions already are retightens; one that moves them
+        repacks."""
+        table, tree = make_tree(fanout=4)
+        table.report_batch(TestWaveMaintenance.move_away(range(30)))  # one STR pack
+        packed = {leaf.page_id for leaf in leaves_of(tree)}
+        table.advance_to(1)
+        table.report_batch([(oid, 500.0 + oid, 501.0, 0.0, 1.0) for oid in range(20)])
+        assert {leaf.page_id for leaf in leaves_of(tree)} == packed
+        moved = table.rows()[:20].tolist()  # first-report order: oids 0..19
+        assert all(tree._leaf_of[row].bound.t_ref == 1 for row in moved)
+        tree.validate()
+        table.report_batch([(oid, 100.0 + oid, 100.0, 1.0, 0.0) for oid in range(20)])
+        assert packed.isdisjoint(leaf.page_id for leaf in leaves_of(tree))
+        tree.validate()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(20, 60),
+        st.integers(1, 5),
+        st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.2)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_mixed_waves_keep_the_tree_exact(self, seed, n, ticks, shares):
+        """First reports, contained and escaping re-reports and retires,
+        tick after tick, on a server whose pages hold 5 rows: the tree stays
+        valid and exact, the audit is clean, and FR equals brute force.
+        Exactly the contained re-reports stay put."""
+        contained_share, escaping_share, retire_share = shares
+        rng = np.random.default_rng(seed)
+        config = dataclasses.replace(small_system_config(), page_model=PageModel(page_size=256))
+        server = PDRServer(config, expected_objects=n)
+        table, tree = server.table, server.tree
+        kept = []
+        stays_put = tree._stays_put
+
+        def counted(wave):
+            stays = stays_put(wave)
+            kept.append(int(stays.sum()))
+            return stays
+
+        tree._stays_put = counted
+
+        def fresh(oid):
+            x, y = rng.uniform(20.0, 80.0, size=2)
+            vx, vy = rng.uniform(-1.0, 1.0, size=2)
+            return (oid, float(x), float(y), float(vx), float(vy))
+
+        server.report_batch([fresh(oid) for oid in range(n)])
+        next_oid, expected_kept = n, 0
+        for tick in range(1, ticks + 1):
+            server.advance_to(tick)
+            oids = table.columns().oid.tolist()
+            fate = rng.random(len(oids))
+            for oid, u in zip(oids, fate):
+                if u < retire_share:
+                    assert server.retire(oid)
+            contained, escaping = [], []
+            for oid, u in zip(oids, fate):
+                u -= retire_share
+                if 0.0 <= u < contained_share:
+                    bound = tree._leaf_of[table._row_of[oid]].bound
+                    contained.append((oid, *inside_motion(bound, tick)))
+                elif 0.0 <= u - contained_share < escaping_share:
+                    bound = tree._leaf_of[table._row_of[oid]].bound
+                    _, x, y, _, vy = fresh(oid)
+                    escaping.append((oid, x, y, bound.vx2 + 0.5, vy))
+            firsts = [fresh(next_oid + i) for i in range(int(rng.integers(0, 4)))]
+            next_oid += len(firsts)
+            wave = contained + escaping + firsts
+            order = rng.permutation(len(wave))
+            accepted = server.report_batch([wave[i] for i in order])
+            expected_kept += sum(
+                accepted[j] is not None for j, i in enumerate(order) if i < len(contained)
+            )
+            tree.validate()
+            assert server.audit(raise_on_violation=False) == []
+            assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
+            result = server.query("fr", qt=tick + 2, varrho=2.0)
+            want = bruteforce_from_motions(table.columns(), config.domain, result.query)
+            assert result.regions.symmetric_difference_area(want.regions) == 0.0
+        assert sum(kept) == expected_kept
 
 
 class _Trace:
