@@ -310,7 +310,7 @@ class RegionSet:
     ) -> np.ndarray:
         """Boolean occupancy of ``bounds`` over the compressed grid (xs, ys).
 
-        Every rectangle's index span is scattered into a 2-D difference
+        Every rectangle's four corners are scattered into a 2-D difference
         array in one ``np.add.at`` pass; the double cumulative sum then
         yields the per-cell cover count, whose nonzero cells are exactly
         the cells the old per-rectangle slice-assignment loop set.
@@ -324,12 +324,14 @@ class RegionSet:
         ix2 = np.searchsorted(xs, bounds[:, 2])
         iy1 = np.searchsorted(ys, bounds[:, 1])
         iy2 = np.searchsorted(ys, bounds[:, 3])
-        acc = np.zeros((nx + 1, ny + 1), dtype=np.int32)
-        np.add.at(acc, (ix1, iy1), 1)
-        np.add.at(acc, (ix2, iy1), -1)
-        np.add.at(acc, (ix1, iy2), -1)
-        np.add.at(acc, (ix2, iy2), 1)
-        counts = acc.cumsum(axis=0).cumsum(axis=1)
+        # One flat index over the four corner sets and int32 values: numpy's
+        # typed 1-D ufunc.at loop, not its casting path.
+        w = ny + 1
+        corners = np.concatenate([ix1 * w + iy1, ix2 * w + iy2, ix2 * w + iy1, ix1 * w + iy2])
+        signs = np.repeat(np.array([1, 1, -1, -1], dtype=np.int32), bounds.shape[0])
+        acc = np.zeros((nx + 1) * w, dtype=np.int32)
+        np.add.at(acc, corners, signs)
+        counts = acc.reshape(nx + 1, w).cumsum(axis=0).cumsum(axis=1)
         return counts[:nx, :ny] > 0
 
     @staticmethod

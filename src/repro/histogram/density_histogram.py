@@ -181,17 +181,14 @@ class DensityHistogram(UpdateListener):
     # update stream
     # ------------------------------------------------------------------
     def on_report_batch(self, wave: Wave) -> None:
-        # Integer counters: the order of retractions and insertions is free.
-        self._scatter_batch(wave.deleted, -1)
-        self._scatter_batch(wave.inserted, +1)
-
-    def _scatter_batch(self, motions: Columns, sign: int) -> None:
-        """Scatter a whole wave of motions in one numpy pass.
+        """Retract ``wave.deleted`` and count ``wave.inserted`` in one scatter.
 
         Each motion covers ``[t_ref, t_ref + horizon]`` intersected with the
         maintained window.  Counter increments are integers, so the
         accumulation is exactly the per-motion result in any order.
         """
+        n_gone = len(wave.deleted)
+        motions = Columns.concatenate((wave.deleted, wave.inserted))
         n = len(motions)
         if n == 0:
             return
@@ -201,8 +198,14 @@ class DensityHistogram(UpdateListener):
         ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
         iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
         hit = covered & (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
-        slots = np.broadcast_to((ts % self._slots)[None, :], (n, self._slots))
-        np.add.at(self._counts, (slots[hit], ix[hit], iy[hit]), sign)
+        # One flat index into the C-contiguous ring and int32 values: numpy's
+        # typed 1-D ufunc.at loop.  A tuple index or a Python-int value takes
+        # its casting path instead, an order of magnitude slower.
+        cell = ((ts % self._slots)[None, :] * self.m + ix) * self.m + iy
+        sign = np.ones(n, dtype=np.int32)
+        sign[:n_gone] = -1
+        values = np.broadcast_to(sign[:, None], hit.shape)[hit]
+        np.add.at(self._counts.reshape(-1), cell[hit], values)
         self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -306,7 +309,9 @@ class DensityHistogram(UpdateListener):
 
     def load_state_arrays(self, state: dict) -> None:
         """Restore state produced by :meth:`state_arrays` (shapes must match)."""
-        counts = np.asarray(state["counts"], dtype=np.int32)
+        # C order: the scatter adds into ``reshape(-1)``, which is a copy —
+        # and every wave would be lost — on any other layout.
+        counts = np.ascontiguousarray(state["counts"], dtype=np.int32)
         slot_time = np.asarray(state["slot_time"], dtype=np.int64)
         if counts.shape != self._counts.shape:
             raise InvalidParameterError(

@@ -10,13 +10,13 @@ after the bound's anchor.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .tpbr import TPBR, anchored_edges
 
-__all__ = ["Node"]
+__all__ = ["Node", "retighten_all"]
 
 
 class Node:
@@ -52,8 +52,7 @@ class Node:
         :meth:`child_columns` — ``TPRTree.validate`` checks exactly that.
         """
         if self.is_leaf:
-            _, t_ref, x, y, vx, vy = table.columns(self.entries)
-            return np.array((x, y, vx, vy, x, y, vx, vy, t_ref), dtype=float)
+            return _row_columns(table, self.entries)
         if self._cols is None:
             self._cols = self.child_columns()
         return self._cols
@@ -96,28 +95,22 @@ class Node:
 
     def set_entries(self, entries: Union[np.ndarray, List["Node"]], t_ref: float, table) -> None:
         """Replace all entries and bound them afresh, anchored at ``t_ref``."""
+        self.adopt(entries)
+        retighten_all([self], t_ref, table)
+
+    def adopt(self, entries: Union[np.ndarray, List["Node"]]) -> None:
+        """Replace all entries (children get their parent pointer set); the
+        bound is stale until :func:`retighten_all`."""
         self.entries = entries
         self._cols = None
         if not self.is_leaf:
             for child in entries:
                 child.parent = self
-        self.retighten(t_ref, table)
 
     def retighten(self, t_ref: float, table) -> None:
-        """Recompute the bound from scratch, anchored at ``t_ref``.
-
-        Called after deletions (bounds may shrink) and periodically on
-        updates; this is the TPR-tree's "tightening" step: one min/max over
-        the entries' bounds re-anchored at ``t_ref``.
-        """
-        bound = TPBR.empty(t_ref)
-        if len(self.entries):
-            lo, hi = anchored_edges(self.columns(table), t_ref)
-            x1, y1, vx1, vy1 = lo.min(axis=1).tolist()
-            x2, y2, vx2, vy2 = hi.max(axis=1).tolist()
-            bound = TPBR(t_ref, x1, y1, x2, y2, vx1, vy1, vx2, vy2)
-        self.bound = bound
-        self._publish_bound()
+        """Recompute the bound from scratch, anchored at ``t_ref``:
+        :func:`retighten_all` of this node alone."""
+        retighten_all([self], t_ref, table)
 
     def subtree_rows(self) -> np.ndarray:
         """Every table row stored at or below this node, in leaf order."""
@@ -135,3 +128,43 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
         return f"Node(page={self.page_id}, {kind}, entries={len(self.entries)})"
+
+
+def retighten_all(nodes: Sequence[Node], t_ref: float, table) -> None:
+    """Recompute the bounds of ``nodes``, all of one level, from scratch,
+    anchored at ``t_ref``.
+
+    Called after deletions (bounds may shrink), splits and bulk loads;
+    this is the TPR-tree's "tightening" step for a whole level at once: one
+    gather of the entries' bounds (one table read over all the leaves'
+    rows, or the internal nodes' cached columns side by side), one
+    re-anchoring, then a min/max per node by ``reduceat``.  Min and max are
+    exact, so each bound is the one a node-by-node loop computes.
+    """
+    full = []
+    for node in nodes:
+        if len(node.entries):
+            full.append(node)
+        else:
+            node.bound = TPBR.empty(t_ref)
+            node._publish_bound()
+    if not full:
+        return
+    if full[0].is_leaf:
+        cols = _row_columns(table, np.concatenate([node.entries for node in full]))
+    else:
+        cols = np.concatenate([node.columns(table) for node in full], axis=1)
+    lo, hi = anchored_edges(cols, t_ref)
+    starts = np.cumsum([0] + [len(node.entries) for node in full[:-1]])
+    lo = np.minimum.reduceat(lo, starts, axis=1).T.tolist()
+    hi = np.maximum.reduceat(hi, starts, axis=1).T.tolist()
+    for node, (x1, y1, vx1, vy1), (x2, y2, vx2, vy2) in zip(full, lo, hi):
+        node.bound = TPBR(t_ref, x1, y1, x2, y2, vx1, vy1, vx2, vy2)
+        node._publish_bound()
+
+
+def _row_columns(table, rows: np.ndarray) -> np.ndarray:
+    """Table ``rows`` as bound columns: a motion is the degenerate
+    :meth:`TPBR.point`."""
+    _, t_ref, x, y, vx, vy = table.columns(rows)
+    return np.array((x, y, vx, vy, x, y, vx, vy, t_ref), dtype=float)

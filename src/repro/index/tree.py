@@ -45,7 +45,7 @@ from ..motion.updates import UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
-from .node import Node
+from .node import Node, retighten_all
 from .positions import deal_positions, query_windows
 from .tpbr import TPBR, cheapest_enlargement, pick_split
 from .zorder import interleave
@@ -391,18 +391,18 @@ class TPRTree(UpdateListener):
             slab = slab[np.argsort(py[slab], kind="stable")]
             for c in range(0, len(slab), per_leaf):
                 leaf = self._new_node(level=0)
-                leaf.set_entries(rows[slab[c : c + per_leaf]], self._tnow, self.table)
+                leaf.adopt(rows[slab[c : c + per_leaf]])
                 self._leaf_of.update(dict.fromkeys(leaf.entries.tolist(), leaf))
                 nodes.append(leaf)
+        retighten_all(nodes, self._tnow, self.table)
         level = 1
         while len(nodes) > 1:
             parents = []
             for c in range(0, len(nodes), self._internal_fanout):
                 parent = self._new_node(level)
-                parent.set_entries(
-                    nodes[c : c + self._internal_fanout], self._tnow, self.table
-                )
+                parent.adopt(nodes[c : c + self._internal_fanout])
                 parents.append(parent)
+            retighten_all(parents, self._tnow, self.table)
             nodes = parents
             level += 1
         self.root = nodes[0]
@@ -429,8 +429,9 @@ class TPRTree(UpdateListener):
                 self._leaf_of.update(dict.fromkeys(groups[1].tolist(), sibling))
             else:
                 groups = [node.entries[i] for i in first], [node.entries[i] for i in second]
-            node.set_entries(groups[0], t_from, self.table)
-            sibling.set_entries(groups[1], t_from, self.table)
+            node.adopt(groups[0])
+            sibling.adopt(groups[1])
+            retighten_all([node, sibling], t_from, self.table)
             parent = node.parent
             if parent is None:
                 self.root = self._new_node(node.level + 1)
@@ -447,15 +448,17 @@ class TPRTree(UpdateListener):
         """Handle (possible) underflow after removals from ``leaves``.
 
         Level by level from the leaves up, every touched node is either
-        retightened — once, however many removals happened beneath it — or,
-        when under-full, dissolved into its parent's orphans; the orphaned
-        rows are reinserted afterwards, as in Guttman's R-tree.
+        retightened — once, however many removals happened beneath it, and
+        in one :func:`retighten_all` with the rest of its level — or, when
+        under-full, dissolved into its parent's orphans; the orphaned rows
+        are reinserted afterwards, as in Guttman's R-tree.
         """
         t_from = self._tnow
         orphans: List[np.ndarray] = []
         touched = list(leaves)
         while touched:
             parents: Dict[Node, None] = {}  # insertion-ordered set
+            kept: List[Node] = []
             for node in touched:
                 parent = node.parent
                 min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
@@ -464,9 +467,10 @@ class TPRTree(UpdateListener):
                     orphans.append(node.subtree_rows())
                     self._free(node.subtree_nodes())
                 else:
-                    node.retighten(t_from, self.table)
+                    kept.append(node)
                 if parent is not None:
                     parents[parent] = None
+            retighten_all(kept, t_from, self.table)
             touched = list(parents)
         while not self.root.is_leaf and len(self.root.entries) <= 1:
             self._free([self.root])

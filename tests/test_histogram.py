@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +260,92 @@ class TestPrefixSums:
             )
             got = DensityHistogram.block_sums(prefix, radius)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# A step of the scatter oracle's script: an advance by ``k`` ticks, or one
+# wave of ``(oid, x, y, vx, vy)`` reports.  Positions sit on a coarse lattice
+# (shared cells) and speeds reach 40/tick (objects leave the 100-wide domain
+# mid-window); advances of up to 8 ticks wrap a 4-slot ring and expire it.
+_lattice = st.sampled_from([-5.0, 0.0, 5.0, 35.0, 50.0, 95.0, 99.0])
+_speed = st.sampled_from([-40.0, -7.5, 0.0, 2.5, 10.0, 40.0])
+_wave = st.lists(
+    st.tuples(st.integers(0, 7), _lattice, _lattice, _speed, _speed),
+    min_size=1, max_size=8, unique_by=lambda report: report[0],
+)
+_step = st.one_of(st.tuples(st.just("advance"), st.integers(1, 8)),
+                  st.tuples(st.just("wave"), _wave),
+                  st.tuples(st.just("retire"), st.integers(0, 7)))
+
+
+def _oracle_counts(hist: DensityHistogram, live: dict) -> np.ndarray:
+    """The ring a per-motion loop counts: every live motion, at every
+    window timestamp its prediction covers, into a dict of cells."""
+    cells: dict = {}
+    slots = hist.horizon + 1
+    for t_ref, x, y, vx, vy in live.values():
+        for t in range(hist.tnow, hist.tnow + slots):
+            if not t_ref <= t <= t_ref + hist.horizon:
+                continue
+            px, py = x + (t - t_ref) * vx, y + (t - t_ref) * vy
+            i, j = math.floor(px / hist.cell_edge), math.floor(py / hist.cell_edge_y)
+            if 0 <= i < hist.m and 0 <= j < hist.m:
+                cells[t % slots, i, j] = cells.get((t % slots, i, j), 0) + 1
+    ring = np.zeros((slots, hist.m, hist.m), dtype=np.int32)
+    for key, count in cells.items():
+        ring[key] = count
+    return ring
+
+
+class TestTypedScatter:
+    @given(st.lists(_step, min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_equals_a_per_motion_loop(self, steps):
+        hist = make_hist(m=4, horizon=3)
+        table = ObjectTable()
+        table.add_listener(hist)
+        live: dict = {}  # oid -> (t_ref, x, y, vx, vy)
+        for kind, arg in steps:
+            if kind == "advance":
+                table.advance_to(table.tnow + arg)
+            elif kind == "retire":
+                if arg in live:
+                    table.retire(arg)
+                    del live[arg]
+            else:
+                table.report_batch(arg)
+                for oid, x, y, vx, vy in arg:
+                    live[oid] = (table.tnow, x, y, vx, vy)
+            assert np.array_equal(hist._counts, _oracle_counts(hist, live))
+
+    @pytest.mark.parametrize("layout", ["fortran", "stepped"])
+    def test_restore_from_a_non_contiguous_ring_keeps_counting(self, layout):
+        def feed(table, waves):
+            for wave in waves:
+                table.advance_to(table.tnow + 1)
+                table.report_batch(wave)
+
+        gen = np.random.default_rng(5)
+        waves = [
+            [(oid, *gen.uniform(0, 100, 2), *gen.uniform(-5, 5, 2)) for oid in range(12)]
+            for _ in range(6)
+        ]
+        fresh = make_hist(m=6, horizon=4)
+        table = ObjectTable()
+        table.add_listener(fresh)
+        feed(table, waves[:3])
+        state = fresh.state_arrays()
+        if layout == "fortran":
+            counts = np.asfortranarray(state["counts"])
+        else:
+            wide = np.zeros((5, 12, 6), dtype=np.int32)
+            wide[:, ::2] = state["counts"]
+            counts = wide[:, ::2]
+        # no flat view of it exists: reshape(-1) must copy
+        assert not np.shares_memory(counts.reshape(-1), counts)
+        restored = make_hist(m=6, horizon=4)
+        restored.load_state_arrays(dict(state, counts=counts))
+        table.add_listener(restored)
+        before = fresh._counts.copy()
+        feed(table, waves[3:])
+        assert not np.array_equal(fresh._counts, before)  # the waves count
+        assert np.array_equal(restored._counts, fresh._counts)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Rect
@@ -196,3 +196,43 @@ class TestPropertyAgainstBruteForce:
     def test_symmetry(self, a, b):
         assert a.intersection_area(b) == pytest.approx(b.intersection_area(a))
         assert a.union_area(b) == pytest.approx(b.union_area(a))
+
+
+class TestRasterBounds:
+    """``_raster_bounds`` scatters every rectangle's four corners into one
+    difference array; its mask must be the per-rectangle slice assignment."""
+
+    @staticmethod
+    def slice_oracle(bounds, xs, ys):
+        mask = np.zeros((max(len(xs) - 1, 0), max(len(ys) - 1, 0)), dtype=bool)
+        for x1, y1, x2, y2 in bounds.tolist():
+            ix1, ix2 = np.searchsorted(xs, [x1, x2])
+            iy1, iy2 = np.searchsorted(ys, [y1, y2])
+            mask[ix1:ix2, iy1:iy2] = True
+        return mask
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 10), st.integers(0, 10), st.integers(0, 4), st.integers(0, 4)
+            ),
+            max_size=12,
+        ),
+        st.lists(st.integers(-2, 16), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(  # duplicate, overlap, touching along x = 4, zero width, zero height
+        [(0, 0, 4, 4), (0, 0, 4, 4), (2, 2, 4, 4), (4, 0, 2, 2), (1, 5, 0, 4), (7, 7, 2, 0)], []
+    )
+    def test_mask_equals_slice_assignment(self, rects, extra_edges):
+        """Overlapping, touching (shared edges, duplicates) and degenerate
+        (zero width or height) rectangles over their own edges plus a few
+        extra grid lines."""
+        bounds = np.array(
+            [(x, y, x + w, y + h) for x, y, w, h in rects], dtype=float
+        ).reshape(-1, 4)
+        xs = np.unique(np.concatenate([bounds[:, (0, 2)].ravel(), extra_edges]).astype(float))
+        ys = np.unique(np.concatenate([bounds[:, (1, 3)].ravel(), extra_edges]).astype(float))
+        got = RegionSet._raster_bounds(bounds, xs, ys)
+        want = self.slice_oracle(bounds, xs, ys)
+        assert got.dtype == bool and np.array_equal(got, want)

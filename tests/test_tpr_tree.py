@@ -15,7 +15,7 @@ from repro.core.errors import IndexError_
 from repro.core.geometry import Rect
 from repro.datagen import TripSimulator, synthetic_metro
 from repro.index.node import Node
-from repro.index.tpbr import TPBR, cheapest_enlargement, pick_split
+from repro.index.tpbr import TPBR, anchored_edges, cheapest_enlargement, pick_split
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
@@ -866,3 +866,88 @@ def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
         )
 
     assert leaf_area(wave) <= 1.10 * leaf_area(rowwise)
+
+
+def fresh_bound(node: Node, table) -> TPBR:
+    """The bound a single-node retighten gives ``node`` at its own anchor,
+    computed here from scratch: leaves from the table's motions, internal
+    nodes from their children's bounds (never the cached columns)."""
+    t = node.bound.t_ref
+    if not len(node.entries):
+        return TPBR.empty(t)
+    if node.is_leaf:
+        _, t_ref, x, y, vx, vy = table.columns(node.entries)
+        cols = np.array([x, y, vx, vy, x, y, vx, vy, t_ref], dtype=float)
+    else:
+        cols = node.child_columns()
+    lo, hi = anchored_edges(cols, t)
+    (x1, y1, vx1, vy1), (x2, y2, vx2, vy2) = lo.min(axis=1).tolist(), hi.max(axis=1).tolist()
+    return TPBR(t, x1, y1, x2, y2, vx1, vy1, vx2, vy2)
+
+
+class TestLevelBatchedCondense:
+    """A wave retightens the touched nodes of a level in one gather and one
+    ``reduceat``; every bound must be the one a node-by-node retighten
+    computes."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(12, 50),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("move"), st.floats(0.05, 0.45)),
+                st.tuples(st.just("retire"), st.integers(1, 12)),
+                st.tuples(st.just("drain"), st.integers(1, 3)),
+                st.tuples(st.just("advance"), st.integers(1, 3)),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_waves_that_dissolve_leaves_and_collapse_the_root(self, seed, n, steps):
+        """Moves re-report a share of the objects far from where they were
+        (their leaves underflow and dissolve), retires shrink the tree one
+        row-wave at a time, and a drain leaves 1-3 objects (the root
+        collapses).  After every wave each leaf's bound, and each internal
+        node's whose children share its anchor, equals :func:`fresh_bound`
+        — a parent anchored later than a child it grew through is tighter
+        than a retighten over that child's bound, by design — the tree
+        validates, indexes the live rows, and FR equals brute force."""
+        rng = np.random.default_rng(seed)
+        config = dataclasses.replace(small_system_config(), page_model=PageModel(page_size=256))
+        server = PDRServer(config, expected_objects=n)
+        table, tree = server.table, server.tree
+
+        def fresh(oid):
+            x, y = rng.uniform(5.0, 95.0, size=2)
+            vx, vy = rng.uniform(-1.0, 1.0, size=2)
+            return (oid, float(x), float(y), float(vx), float(vy))
+
+        def check():
+            tree.validate()
+            for node in tree.root.subtree_nodes():
+                if node.is_leaf or all(
+                    child.bound.t_ref == node.bound.t_ref for child in node.entries
+                ):
+                    assert node.bound == fresh_bound(node, table), node
+            assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
+            result = server.query("fr", qt=server.tnow + 2, varrho=2.0)
+            want = bruteforce_from_motions(table.columns(), config.domain, result.query)
+            assert result.regions.symmetric_difference_area(want.regions) == 0.0
+
+        server.report_batch([fresh(oid) for oid in range(n)])
+        check()
+        for kind, arg in steps:
+            oids = table.columns().oid.tolist()
+            if kind == "advance":
+                server.advance_to(server.tnow + arg)
+                continue
+            if kind == "move":
+                picked = rng.permutation(oids)[: max(1, int(arg * len(oids)))]
+                server.report_batch([fresh(int(oid)) for oid in picked])
+                check()
+                continue
+            doomed = oids[: len(oids) - arg] if kind == "drain" else oids[:arg]
+            for oid in doomed[: len(oids) - 1]:
+                assert server.retire(oid)
+                check()
