@@ -300,9 +300,25 @@ class DensityHistogram(UpdateListener):
     # persistence
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict:
-        """Raw state for snapshotting (see :mod:`repro.storage.snapshot`)."""
+        """Raw state, the ring as a dense copy (what :meth:`load_state_arrays`
+        takes; snapshots persist :meth:`sparse_state`)."""
         return {
             "counts": self._counts.copy(),
+            "slot_time": self._slot_time.copy(),
+            "tnow": np.int64(self._tnow),
+        }
+
+    def sparse_state(self) -> dict:
+        """:meth:`state_arrays` with the ring as its nonzero counters, the
+        form snapshots persist (most cells of most slots are empty):
+        ``cells`` the ascending int64 flat indices into the slot-major
+        ``(slots, m, m)`` ring, ``counts`` their int32 values.  No dense
+        copy of the ring is made."""
+        flat = self._counts.reshape(-1)
+        cells = np.flatnonzero(flat)
+        return {
+            "cells": cells,
+            "counts": flat[cells],
             "slot_time": self._slot_time.copy(),
             "tnow": np.int64(self._tnow),
         }

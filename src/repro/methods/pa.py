@@ -68,7 +68,8 @@ class PAMethod(UpdateListener):
         self._slots = horizon + 1
         # Time-minor: one tile's slots are adjacent (k+1)^2 blocks, so a
         # job's consecutive timestamps in one tile scatter into neighbouring
-        # memory.  Persisted slot-major (state_arrays).
+        # memory.  Persisted in this order, retained coefficients only
+        # (state_arrays).
         self._coeffs = np.zeros((g, g, self._slots, k + 1, k + 1))
         self._slot_time = np.zeros(self._slots, dtype=np.int64)
         for t in range(tnow, tnow + self._slots):
@@ -237,11 +238,16 @@ class PAMethod(UpdateListener):
     def state_arrays(self) -> dict:
         """Raw state for snapshotting (see :mod:`repro.storage.snapshot`).
 
-        ``coeffs`` is persisted slot-major, ``(slots, g, g, k+1, k+1)``:
-        ``coeffs[t % slots]`` is the surface of ``t``, whatever the ring's
-        layout in memory."""
+        ``coeffs`` holds the retained coefficients only (``i + j <= k``, in
+        :func:`~repro.chebyshev.delta.retained_offsets` order), in the ring's
+        time-minor order, ``(g, g, slots, (k+1)(k+2)/2)``:
+        ``coeffs[:, :, t % slots]`` is the surface of ``t``.  The scatter
+        never writes an ``i + j > k`` entry, so those are zero and dropping
+        them loses nothing; the array is :meth:`memory_bytes` long."""
+        g, kk = self.spec.g, self.spec.k + 1
+        ring = self._coeffs.reshape(g, g, self._slots, kk * kk)
         return {
-            "coeffs": np.ascontiguousarray(np.moveaxis(self._coeffs, 2, 0)),
+            "coeffs": np.take(ring, retained_offsets(self.spec.k), axis=3),
             "slot_time": self._slot_time.copy(),
             "tnow": np.int64(self._tnow),
         }
@@ -250,14 +256,18 @@ class PAMethod(UpdateListener):
         """Restore state produced by :meth:`state_arrays` (shapes must match)."""
         coeffs = np.asarray(state["coeffs"], dtype=float)
         g, kk = self.spec.g, self.spec.k + 1
-        expected = (self._slots, g, g, kk, kk)
+        retained = retained_offsets(self.spec.k)
+        expected = (g, g, self._slots, retained.shape[0])
         if coeffs.shape != expected:
             raise InvalidParameterError(
                 f"snapshot shape {coeffs.shape} does not match PA state {expected}"
             )
-        # Contiguity matters: the batched scatter writes through a flat
-        # reshape(-1) view, which only aliases contiguous storage.
-        self._coeffs = np.ascontiguousarray(np.moveaxis(coeffs, 0, 2))
+        # A fresh zero ring, so C-contiguous: the batched scatter writes
+        # through a flat reshape(-1) view, which only aliases such storage.
+        ring = np.zeros((g, g, self._slots, kk * kk))
+        for x in range(g):  # a tile row at a time stays cache-resident: ~2x
+            ring[x][..., retained] = coeffs[x]
+        self._coeffs = ring.reshape(self._coeffs.shape)
         self._slot_time = np.asarray(state["slot_time"], dtype=np.int64)
         self._tnow = int(state["tnow"])
 

@@ -11,10 +11,31 @@ Chebyshev coefficients — into a single ``.npz`` file, and
 layout is not semantically meaningful), while histogram and polynomial
 state is restored bit-for-bit.
 
-Format version 2 stores the table column by column in its own dtypes —
-object ids and reference times as exact int64, positions and velocities as
-float64 (version 1 squeezed all six through one float64 array, which
-rounds ids above 2**53).  Files of any other version are refused.
+Format version 3 is one uncompressed ``np.savez`` image:
+
+* ``motion_<field>``: the table, one column per
+  :class:`~repro.motion.updates.Columns` field (``oid`` and ``t_ref``
+  int64, the rest float64);
+* ``hist_cells`` / ``hist_counts``: the DH ring's nonzero counters, as
+  strictly increasing int64 flat indices into the slot-major
+  ``(slots, m, m)`` ring and their int32 counts;
+* ``pa_coeffs``: the PA ring's ``(k+1)(k+2)/2`` retained coefficients per
+  (tile, slot), in its time-minor memory order,
+  ``(g, g, slots, (k+1)(k+2)/2)`` float64
+  (:meth:`~repro.methods.pa.PAMethod.state_arrays`);
+* ``hist_slot_time``, ``pa_slot_time``, ``tnow``, ``format_version`` and
+  ``config_json`` (:func:`config_to_dict`).
+
+There is no compression.  What zlib used to squeeze out is structure the
+paper already names — nearly every DH counter is zero, and the
+``i + j > k`` coefficients PA never stores (Section 6's
+``H g² (k+1)(k+2)/2``) were zeros too — and inflating and deflating it
+was most of the time of every save and load.  The image keeps only the
+nonzero cells and the retained coefficients, so it is larger than a
+deflated one but written and read at memory speed.  Version 2 (the
+compressed dense image) and version 1 (all six table columns squeezed
+through one float64 array, which rounds ids above 2**53) are refused, as
+is any other version.
 
 Snapshots double as the *checkpoints* of the recovery subsystem
 (:mod:`repro.reliability.recovery`), which imposes two extra duties met
@@ -23,21 +44,28 @@ here: writes are **atomic** (data goes to a temporary file that is
 never leave a half-written file under the final name) and reads are
 **total** (any way a corrupt, truncated or missing file can fail surfaces
 as :class:`~repro.core.errors.StorageError`, so recovery can fall back to
-an older checkpoint instead of dying on an exception zoo).
+an older checkpoint instead of dying on an exception zoo).  With no
+deflate stream left to break, the zip members' CRC-32 is what catches a
+flipped payload byte (``zipfile`` checks it once a member is read to its
+end), and every member's dtype and shape is checked against the
+configuration, so a damaged array header cannot slip a short read past
+it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from ..chebyshev.cheb2d import coefficient_count
 from ..core.config import SystemConfig
-from ..core.errors import StorageError
+from ..core.errors import InvalidParameterError, StorageError
 from ..core.geometry import Rect
 from ..core.system import PDRServer
 from ..motion.updates import Columns
@@ -52,8 +80,9 @@ __all__ = [
     "config_from_dict",
 ]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _MOTION_KEYS = tuple(f"motion_{f.name}" for f in fields(Columns))
+_MOTION_DTYPES = (np.int64, np.int64) + (np.float64,) * (len(_MOTION_KEYS) - 2)
 
 
 def config_to_dict(config: SystemConfig) -> dict:
@@ -109,26 +138,27 @@ def save_server(server: PDRServer, path: Union[str, "object"], atomic: bool = Tr
     point leaves either the old complete file or no file, never a
     truncated one.
     """
-    hist_state = server.histogram.state_arrays()
+    hist_state = server.histogram.sparse_state()
     pa_state = server.pa.state_arrays()
     payload = dict(
         format_version=np.int64(_FORMAT_VERSION),
         config_json=np.bytes_(json.dumps(config_to_dict(server.config)).encode()),
         tnow=np.int64(server.tnow),
         **dict(zip(_MOTION_KEYS, server.table.columns())),
+        hist_cells=hist_state["cells"],
         hist_counts=hist_state["counts"],
         hist_slot_time=hist_state["slot_time"],
         pa_coeffs=pa_state["coeffs"],
         pa_slot_time=pa_state["slot_time"],
     )
     if not atomic or not isinstance(path, (str, os.PathLike)):
-        np.savez_compressed(path, **payload)
+        np.savez(path, **payload)
         return
     target = os.fspath(path)
     tmp = target + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -140,13 +170,45 @@ def save_server(server: PDRServer, path: Union[str, "object"], atomic: bool = Tr
                 pass
 
 
+def _member(data, key: str, dtype, shape: Tuple[Optional[int], ...]) -> np.ndarray:
+    """Array ``key`` of an open image, refused unless it has ``dtype`` and
+    ``shape`` (``None`` accepts any length on that axis)."""
+    array = data[key]
+    if array.dtype != dtype or len(array.shape) != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        raise StorageError(
+            f"snapshot {key} is {array.dtype}{array.shape}, expected "
+            f"{np.dtype(dtype)}{tuple('n' if n is None else n for n in shape)}"
+        )
+    return array
+
+
+def _dense_ring(cells: np.ndarray, counts: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """The int32 ring of ``shape`` holding ``counts`` at the flat ``cells``
+    and zero elsewhere."""
+    if cells.shape != counts.shape:
+        raise StorageError(
+            f"snapshot has {cells.shape[0]} hist_cells but {counts.shape[0]} hist_counts"
+        )
+    size = math.prod(shape)
+    if cells.size and (cells[0] < 0 or cells[-1] >= size or np.any(cells[1:] <= cells[:-1])):
+        raise StorageError(
+            f"snapshot hist_cells are not strictly increasing indices below {size}"
+        )
+    ring = np.zeros(size, dtype=np.int32)
+    ring[cells] = counts
+    return ring.reshape(shape)
+
+
 def read_snapshot(path: Union[str, "object"]) -> SnapshotState:
     """Deserialise a snapshot without constructing a server.
 
-    Every failure mode — missing file, truncated archive, wrong version,
-    missing keys, malformed config — raises :class:`StorageError`, which
-    is what lets recovery treat "this checkpoint is unusable" as one
-    condition and fall back to an older one.
+    Every failure mode — missing file, truncated archive, flipped byte,
+    wrong version, missing keys, an array of the wrong dtype or shape,
+    malformed cells or config — raises :class:`StorageError`, which is what
+    lets recovery treat "this checkpoint is unusable" as one condition and
+    fall back to an older one.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -157,15 +219,28 @@ def read_snapshot(path: Union[str, "object"]) -> SnapshotState:
                 )
             config = config_from_dict(json.loads(bytes(data["config_json"]).decode()))
             tnow = int(data["tnow"])
-            motions = Columns(*(data[key] for key in _MOTION_KEYS))
+            oid = _member(data, _MOTION_KEYS[0], np.int64, (None,))
+            motions = Columns(oid, *(
+                _member(data, key, dtype, oid.shape)
+                for key, dtype in zip(_MOTION_KEYS[1:], _MOTION_DTYPES[1:])
+            ))
+            slots, m, g = config.horizon + 1, config.histogram_cells, config.polynomial_grid
+            counts = _dense_ring(
+                _member(data, "hist_cells", np.int64, (None,)),
+                _member(data, "hist_counts", np.int32, (None,)),
+                (slots, m, m),
+            )
             hist_state = {
-                "counts": data["hist_counts"],
-                "slot_time": data["hist_slot_time"],
+                "counts": counts,
+                "slot_time": _member(data, "hist_slot_time", np.int64, (slots,)),
                 "tnow": tnow,
             }
             pa_state = {
-                "coeffs": data["pa_coeffs"],
-                "slot_time": data["pa_slot_time"],
+                "coeffs": _member(
+                    data, "pa_coeffs", np.float64,
+                    (g, g, slots, coefficient_count(config.polynomial_degree)),
+                ),
+                "slot_time": _member(data, "pa_slot_time", np.int64, (slots,)),
                 "tnow": tnow,
             }
             return SnapshotState(
@@ -177,7 +252,10 @@ def read_snapshot(path: Union[str, "object"]) -> SnapshotState:
             )
     except StorageError:
         raise
-    except (OSError, zipfile.BadZipFile, EOFError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        OSError, zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError,
+        json.JSONDecodeError, InvalidParameterError,
+    ) as exc:
         raise StorageError(f"cannot read snapshot {path!r}: {exc}") from exc
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chebyshev.cheb2d import total_degree_mask
 from repro.core.errors import HorizonError, InvalidParameterError
 from repro.core.geometry import Rect
 from repro.core.query import SnapshotPDRQuery
@@ -248,8 +249,9 @@ class TestQuery:
 
 class TestPersistedRing:
     """The ring is time-minor in memory, ``(g, g, slots, k+1, k+1)``; what
-    leaves the method — ``state_arrays`` and so snapshot format 2 — stays
-    slot-major, ``(slots, g, g, k+1, k+1)``."""
+    leaves the method — ``state_arrays`` and so snapshot format 3 — keeps
+    that order and only the ``(k+1)(k+2)/2`` retained coefficients,
+    ``(g, g, slots, (k+1)(k+2)/2)``."""
 
     @staticmethod
     def moving_world(horizon=5, g=4, k=4):
@@ -266,26 +268,38 @@ class TestPersistedRing:
             ])
         return pa, table
 
-    def test_state_arrays_are_slot_major(self):
+    def test_state_arrays_are_retained_and_time_minor(self):
         pa, _ = self.moving_world()
-        coeffs = pa.state_arrays()["coeffs"]
-        assert coeffs.shape == (6, 4, 4, 5, 5) and coeffs.flags.c_contiguous
+        state = pa.state_arrays()
+        coeffs = state["coeffs"]
+        assert coeffs.shape == (4, 4, 6, 15) and coeffs.flags.c_contiguous
+        assert coeffs.nbytes == pa.memory_bytes()
+        keep = total_degree_mask(4)
         lo, hi = pa.window
         assert lo % 6 != 0
         for t in range(lo, hi + 1):
-            assert pa.state_arrays()["slot_time"][t % 6] == t
-            assert np.array_equal(coeffs[t % 6], pa.surface_at(t).coeffs)
-            assert np.any(coeffs[t % 6] != 0.0)
+            assert state["slot_time"][t % 6] == t
+            surface = pa.surface_at(t).coeffs
+            assert np.array_equal(coeffs[:, :, t % 6], surface[:, :, keep])
+            assert not np.any(surface[:, :, ~keep])
+            assert np.any(coeffs[:, :, t % 6] != 0.0)
 
     def test_load_state_arrays_round_trip(self):
         pa, _ = self.moving_world()
         twin = make_pa(horizon=5, g=4, k=4)
         twin.load_state_arrays(pa.state_arrays())
         assert twin.window == pa.window
+        assert twin._coeffs.flags.c_contiguous
+        assert twin._coeffs.tobytes() == pa._coeffs.tobytes()
         for key, value in pa.state_arrays().items():
             assert np.array_equal(twin.state_arrays()[key], value)
-        with pytest.raises(InvalidParameterError):  # a time-minor array is refused
-            twin.load_state_arrays({**pa.state_arrays(), "coeffs": pa._coeffs})
+        for wrong in (
+            pa._coeffs,  # the full (k+1)^2 ring
+            np.moveaxis(pa.state_arrays()["coeffs"], 2, 0),  # slot-major
+            pa.state_arrays()["coeffs"][..., :-1],  # one coefficient short
+        ):
+            with pytest.raises(InvalidParameterError):
+                twin.load_state_arrays({**pa.state_arrays(), "coeffs": wrong})
 
     def test_save_server_load_server_round_trip(self, tmp_path):
         from repro.core.system import PDRServer

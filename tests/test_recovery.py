@@ -476,14 +476,25 @@ class TestAudit:
         path = os.path.join(rc.state_dir, ckpts[-1])
         with np.load(path, allow_pickle=False) as data:
             payload = {k: data[k] for k in data.files}
-        payload["hist_counts"] = payload["hist_counts"].copy()
         # corrupt the ring slot holding the *final* clock's timestamp:
         # every older slot is retired (zeroed) during replay, so only this
-        # one carries checkpoint corruption through to the live window
-        slots = payload["hist_counts"].shape[0]
-        payload["hist_counts"][server.tnow % slots].flat[0] += 7
+        # one carries checkpoint corruption through to the live window.
+        # The image keeps the ring's nonzero cells (flat indices into the
+        # slot-major ring), so +7 on the slot's first cell is an increment
+        # if that cell is listed and a new sorted entry if it is not.
+        m = small_system_config().histogram_cells
+        slots = payload["hist_slot_time"].shape[0]
+        cell = (server.tnow % slots) * m * m
+        cells, counts = payload["hist_cells"], payload["hist_counts"].copy()
+        at = int(np.searchsorted(cells, cell))
+        if at < cells.size and cells[at] == cell:
+            counts[at] += 7
+        else:
+            cells = np.insert(cells, at, cell)
+            counts = np.insert(counts, at, np.int32(7))
+        payload["hist_cells"], payload["hist_counts"] = cells, counts
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
         # semantic corruption, not bit rot: refresh the manifest digest so
         # the image still checksum-verifies (otherwise recovery would treat
         # it as damaged and fall back) and only the audit can catch it

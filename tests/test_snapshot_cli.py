@@ -68,9 +68,9 @@ class TestSnapshotRoundTrip:
     def test_oid_beyond_float_precision_survives_and_rereports_in_place(
         self, warm_server, tmp_path
     ):
-        """Format 2 stores oids as int64.  Squeezed through float64 (format
-        1) this id checkpointed as 2**53, and a re-report after the restore
-        created a ghost beside it."""
+        """Formats 2 and 3 store oids as int64.  Squeezed through float64
+        (format 1) this id checkpointed as 2**53, and a re-report after the
+        restore created a ghost beside it."""
         big = 2**53 + 1
         assert warm_server.report(big, 40.0, 40.0, 0.0, 0.0) is not None
         path = tmp_path / "snap.npz"
@@ -92,7 +92,8 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "snap.npz"
         save_server(warm_server, path)
         data = dict(np.load(path, allow_pickle=False))
-        for version in (1, 999):  # the float64-oid format, and the future
+        # the float64-oid format, the zlib-compressed dense format, the future
+        for version in (1, 2, 999):
             data["format_version"] = np.int64(version)
             np.savez(path, **data)
             with pytest.raises(StorageError, match="not supported"):
