@@ -25,8 +25,8 @@ twins and emits a ``BENCH_pr9.json`` trajectory file:
   timestamp-keyed cache vs a cold (invalidated) one;
 * **telemetry overhead** — the same ingest+query workload with the
   telemetry layer enabled vs disabled.  This one is gated by an
-  *absolute* floor: enabled throughput must stay within 5% of disabled
-  (ratio >= 0.95), the observability layer's cheap-by-default contract.
+  *absolute* floor: enabled throughput must stay within 10% of disabled
+  (ratio >= 0.90), the observability layer's cheap-by-default contract.
 
 The regression gate compares **speedup ratios** (batch vs sequential,
 cached vs cold) against a checked-in baseline and

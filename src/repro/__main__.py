@@ -1,9 +1,10 @@
 """``python -m repro`` — the CLI entry point as a runnable module.
 
 Being spawnable as ``[sys.executable, "-m", "repro", ...]`` is what lets
-the supervisor (:mod:`repro.serving.supervisor`) and the process-level
-kill matrix (:mod:`repro.reliability.prochaos`) run the server as a real
-child OS process without guessing at console-script install paths.
+the supervisor (:mod:`repro.serving.supervisor`) — and through it the
+chaos scheduler's process plane (:mod:`repro.reliability.chaos`) — run
+the server as a real child OS process without guessing at console-script
+install paths.
 """
 
 import sys

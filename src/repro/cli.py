@@ -210,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--objects", type=int, default=24,
                        help="moving-object id space of the workload")
     chaos.add_argument("--staleness", type=int, default=0,
+                       dest="staleness_bound",
                        help="staleness bound for replica reads")
     chaos.add_argument("--no-shrink", action="store_true",
                        help="on failure, skip shrinking to a minimal reproducer")
@@ -227,15 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "read-only-monotonicity and acked-write-loss "
                             "oracles under them")
     chaos.add_argument("--process", action="store_true",
-                       help="run the process-level kill matrix instead: "
-                            "SIGKILL a real supervised `repro serve` child "
-                            "at an armed crashpoint, restart it, and check "
-                            "the recovered on-disk state (zero acked-write "
-                            "loss, clean-or-quarantined, contiguous LSN "
-                            "chain)")
+                       help="run the schedule's workload over the wire "
+                            "against a real supervised `repro serve` child "
+                            "that SIGKILLs itself at an armed crashpoint, "
+                            "ride out its restart, and check the recovered "
+                            "state directory (one run per crashpoint)")
     chaos.add_argument("--crashpoint", default=None,
                        help="with --process: run only this crashpoint "
-                            "(default: every site on the matrix)")
+                            "(default: every site of the process plane)")
 
     serve = sub.add_parser(
         "serve",
@@ -595,50 +595,57 @@ def _cmd_verify(args) -> int:
     return 0 if report.clean else EXIT_VERIFY_FAILED
 
 
-def _cmd_chaos_process(args) -> int:
-    import json
-    import os
-    import shutil
-    import tempfile
+# The ``repro chaos`` value flags, each the ChaosConfig field of its
+# argparse dest: the one mapping both from parsed flags to configs
+# (chaos_configs) and back to the command line (chaos_rerun).
+CHAOS_VALUE_FLAGS = (
+    ("--events", "events"),
+    ("--replicas", "replicas"),
+    ("--objects", "objects"),
+    ("--staleness", "staleness_bound"),
+)
 
+
+def chaos_configs(args) -> list:
+    """One ChaosConfig per run ``repro chaos`` asks for (one per site for
+    ``--process`` without ``--crashpoint``), every one validated before
+    the first run spawns anything."""
+    from .reliability.chaos import ChaosConfig
     from .reliability.crashpoints import CRASH_SITES
-    from .reliability.prochaos import ProcessChaosConfig, run_process_cell
 
-    sites = [args.crashpoint] if args.crashpoint else list(CRASH_SITES)
-    workroot = tempfile.mkdtemp(prefix="repro-prochaos-")
-    failures = []
-    try:
-        for site in sites:
-            workdir = os.path.join(
-                workroot, f"{site.replace('.', '-')}-{args.seed}"
-            )
-            os.makedirs(workdir, exist_ok=True)
-            result = run_process_cell(
-                ProcessChaosConfig(site=site, seed=args.seed), workdir
-            )
-            if result.ok:
-                print(
-                    f"process-crash: site={site} seed={args.seed} — "
-                    f"{result.stats.get('restarts', 0)} restart(s), acked "
-                    f"lsn {result.stats.get('max_acked_lsn', 0)}, recovered "
-                    f"lsn {result.stats.get('recovered_lsn', 0)}, generation "
-                    f"{result.stats.get('client_generation', 0)} — "
-                    "oracles green"
-                )
-            else:
-                print(result.format_reproducer(), file=sys.stderr)
-                failures.append(result)
-        if not failures:
-            return 0
-        if args.repro_out:
-            with open(args.repro_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    [f.to_dict() for f in failures], fh, indent=2
-                )
-            print(f"reproducer written to {args.repro_out}", file=sys.stderr)
-        return EXIT_CHAOS_ORACLE_FAILED
-    finally:
-        shutil.rmtree(workroot, ignore_errors=True)
+    if args.crashpoint and not args.process:
+        raise InvalidParameterError("--crashpoint selects a site of --process")
+    sites = [None]
+    if args.process:
+        sites = [args.crashpoint] if args.crashpoint else list(CRASH_SITES)
+    values = {name: getattr(args, name) for _flag, name in CHAOS_VALUE_FLAGS}
+    return [
+        ChaosConfig(seed=args.seed, shrink=not args.no_shrink,
+                    network=args.network, resources=args.resources,
+                    crashpoint=site, **values)
+        for site in sites
+    ]
+
+
+def chaos_rerun(config) -> str:
+    """The ``repro chaos`` command line :func:`chaos_configs` turns back
+    into ``config`` (non-default flags only)."""
+    from .reliability.chaos import ChaosConfig
+
+    default = ChaosConfig()
+    if config.min_disruptions != default.min_disruptions:
+        raise InvalidParameterError("min_disruptions has no `repro chaos` flag")
+    parts = ["repro chaos"] + [
+        f"{flag} {getattr(config, name)}" for flag, name in CHAOS_VALUE_FLAGS
+        if getattr(config, name) != getattr(default, name)
+    ]
+    parts += ["--no-shrink"] if not config.shrink else []
+    parts += ["--network"] if config.network else []
+    parts += ["--resources"] if config.resources else []
+    if config.crashpoint:
+        parts.append(f"--process --crashpoint {config.crashpoint}")
+    parts.append(f"--seed {config.seed}")
+    return " ".join(parts)
 
 
 def _cmd_chaos(args) -> int:
@@ -646,60 +653,63 @@ def _cmd_chaos(args) -> int:
     import shutil
     import tempfile
 
-    if args.process:
-        return _cmd_chaos_process(args)
+    from .reliability.chaos import ChaosScheduler
 
-    from .reliability.chaos import ChaosConfig, ChaosScheduler
-
-    config = ChaosConfig(
-        seed=args.seed,
-        events=args.events,
-        replicas=args.replicas,
-        objects=args.objects,
-        staleness_bound=args.staleness,
-        shrink=not args.no_shrink,
-        network=args.network,
-        resources=args.resources,
-    )
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    try:
-        result = ChaosScheduler(config, workdir).run()
-        if result.ok:
+    failures = []
+    for config in chaos_configs(args):
+        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
+        try:
+            result = ChaosScheduler(config, workdir).run()
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        result.rerun = chaos_rerun(config)
+        if not result.ok:
+            print(result.format_reproducer(), file=sys.stderr)
+            failures.append(result)
+            continue
+        stats = result.stats
+        if config.crashpoint:
             print(
-                f"chaos: seed {result.seed}, {result.events_run} events, "
-                f"{result.stats.get('oracle_sweeps', 0)} oracle sweeps, "
-                f"{result.stats.get('failovers', 0)} failovers, "
-                f"{result.stats.get('repairs', 0)} repairs, "
-                f"{result.stats.get('flips', 0)} bit-flips — all oracles green"
+                f"process-crash: site={config.crashpoint} seed={result.seed} — "
+                f"{stats.get('restarts', 0)} restart(s), acked lsn "
+                f"{stats.get('acked_lsn', 0)}, recovered "
+                f"lsn {stats.get('recovered_lsn', 0)}, generation "
+                f"{stats.get('wire', {}).get('generation', 0)} — oracles green"
             )
-            if args.network:
-                proxy = result.stats.get("proxy", {})
-                wire = result.stats.get("wire", {})
-                print(
-                    f"network: {proxy.get('connections', 0)} proxied "
-                    f"connections, {proxy.get('resets', 0)} resets, "
-                    f"{proxy.get('truncations', 0)} truncations, "
-                    f"{proxy.get('slowloris', 0)} slow-loris, "
-                    f"{proxy.get('stalls', 0)} accept stalls; client retried "
-                    f"{wire.get('retries', 0)}x, honored "
-                    f"{wire.get('sheds_honored', 0)} shed hint(s), acked lsn "
-                    f"{wire.get('max_acked_lsn', 0)} — wire oracles green"
-                )
-            if args.resources:
-                print(
-                    f"resources: {result.stats.get('refused_writes', 0)} "
-                    "write(s) refused while degraded — read-only mode "
-                    "stayed monotone with the budget, no acked write lost"
-                )
-            return 0
-        print(result.format_reproducer(), file=sys.stderr)
-        if args.repro_out:
-            with open(args.repro_out, "w", encoding="utf-8") as fh:
-                json.dump(result.to_dict(), fh, indent=2)
-            print(f"reproducer written to {args.repro_out}", file=sys.stderr)
-        return EXIT_CHAOS_ORACLE_FAILED
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+            continue
+        print(
+            f"chaos: seed {result.seed}, {result.events_run} events, "
+            f"{stats.get('oracle_sweeps', 0)} oracle sweeps, "
+            f"{stats.get('failovers', 0)} failovers, "
+            f"{stats.get('repairs', 0)} repairs, "
+            f"{stats.get('flips', 0)} bit-flips — all oracles green"
+        )
+        if args.network:
+            proxy = stats.get("proxy", {})
+            wire = stats.get("wire", {})
+            print(
+                f"network: {proxy.get('connections', 0)} proxied "
+                f"connections, {proxy.get('resets', 0)} resets, "
+                f"{proxy.get('truncations', 0)} truncations, "
+                f"{proxy.get('slowloris', 0)} slow-loris, "
+                f"{proxy.get('stalls', 0)} accept stalls; client retried "
+                f"{wire.get('retries', 0)}x, honored "
+                f"{wire.get('sheds_honored', 0)} shed hint(s), acked lsn "
+                f"{wire.get('max_acked_lsn', 0)} — wire oracles green"
+            )
+        if args.resources:
+            print(
+                f"resources: {stats.get('refused_writes', 0)} "
+                "write(s) refused while degraded — read-only mode "
+                "stayed monotone with the budget, no acked write lost"
+            )
+    if not failures:
+        return 0
+    if args.repro_out:
+        with open(args.repro_out, "w", encoding="utf-8") as fh:
+            json.dump([f.to_dict() for f in failures], fh, indent=2)
+        print(f"reproducer written to {args.repro_out}", file=sys.stderr)
+    return EXIT_CHAOS_ORACLE_FAILED
 
 
 def _boot_verify(state_dir: str, force_recover: bool) -> None:

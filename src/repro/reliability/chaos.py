@@ -1,124 +1,82 @@
-"""Seeded chaos simulation for the replicated PDR serving stack.
+"""Seeded chaos: one scheduler, four fault planes, one oracle list.
 
-The fault matrix of :mod:`tests.test_replication` exercises hand-picked
-failure sites one at a time; real outages are *interleavings* — a
-partition during a checkpoint, bit rot discovered mid-failover.  A
-:class:`ChaosScheduler` drives a full primary+replicas stack
-(:class:`~repro.reliability.replication.ReplicationGroup` over a durable
-:class:`~repro.core.system.PDRServer`) through a randomized but fully
-seeded schedule of events:
+Real outages are *interleavings* — a partition during a checkpoint, bit
+rot discovered mid-failover, a SIGKILL between a checkpoint and its
+manifest.  A :class:`ChaosScheduler` generates one randomized but fully
+seeded schedule of events and runs it against a durable
+:class:`~repro.core.system.PDRServer` on one of four fault planes:
 
-======================  ================================================
-``report``/``retire``   accepted writes through the group (WAL-shipped)
-``advance``             clock ticks (drive checkpoints + rotation)
-``query``               reads through the staleness-aware router
-``partition``/``heal``  link partitions and their repair
-``lag``/``drop``        delivery lag and packet loss on one link
-``crash_primary``       primary death -> failover -> replacement joins
-``crash_replica``       replica death -> fresh replica bootstraps
-``flip_wal``            one byte of a WAL segment XOR-flipped on disk
-``flip_ckpt``           one byte of a checkpoint image XOR-flipped
-======================  ================================================
+==============  ========================================================
+plane           what carries the schedule, and what it adds
+==============  ========================================================
+in-process      a :class:`~repro.reliability.replication.ReplicationGroup`
+                driven directly: ``report``/``retire``/``advance``/
+                ``query`` writes and reads, ``partition``/``heal``/
+                ``lag``/``drop`` on replica links, ``crash_primary``
+                (failover + a fresh replica), ``crash_replica``,
+                ``flip_wal``/``flip_ckpt`` (one byte XOR-flipped on disk,
+                healed by anti-entropy)
+socket          ``network``: the group behind a
+                :class:`~repro.serving.server.PDRTCPServer` and a
+                :class:`~repro.serving.netchaos.ChaosProxy`; workload
+                events travel through a seeded
+                :class:`~repro.serving.client.ResilientClient`, and
+                ``net_reset``/``net_truncate``/``net_slowloris``/
+                ``net_stall`` arm socket faults (an admission bucket on
+                the group's virtual clock makes sheds deterministic)
+resource        ``resources``: a live disk budget, fsync on;
+                ``disk_shrink``/``disk_restore`` move the watermarks,
+                ``wal_fault``/``ckpt_fault`` arm ENOSPC/EIO/short writes.
+                Refused writes are counted, never failures
+process         ``crashpoint``: a supervised ``repro serve`` child with
+                that crashpoint armed; the schedule's workload events go
+                over the wire until the child SIGKILLs itself, the
+                supervisor restarts it, and the client rides it out
+==============  ========================================================
 
-With ``ChaosConfig.network`` the same seeded schedule runs *through the
-wire*: the group is mounted behind a
-:class:`~repro.serving.server.PDRTCPServer` (on its own thread), a
-:class:`~repro.serving.netchaos.ChaosProxy` sits in front, and every
-``report``/``retire``/``advance``/``query`` event travels through a
-seeded :class:`~repro.serving.client.ResilientClient`.  Four extra event
-kinds arm socket-level faults on the proxy (consumed by the next
-connection, which the client is forced to open):
+The socket and resource planes combine; the process plane runs alone.
 
-======================  ================================================
-``net_reset``           hard-RST the client right after the server's
-                        response — the ack is durable, the client never
-                        hears it
-``net_truncate``        the next response frame is cut mid-body
-``net_slowloris``       the next request dribbles in 2-byte sips; the
-                        server's read timeout must cut it loose
-``net_stall``           the proxy stops accepting for a window
-======================  ================================================
+**The live sweep** runs on the group after every recovery and every
+``ORACLE_EVERY`` events (in-process, socket and resource planes):
+read-only monotonicity (read-only iff the budget sits at its hard
+watermark or the WAL reopen still fails), replica convergence (bit-exact
+histogram and coefficients after catch-up), staleness of every replica
+read, and the server oracles below on the live primary plus
+``verify_state_dir``.  The socket plane adds *no acked wire loss* (the
+client's acked LSN is in the primary's WAL) and *shed retry hints*.
 
-Direct group manipulation (partitions, crashes, flips) and every oracle
-sweep run on the server's single backend thread via
-:meth:`~repro.serving.server.ServerThread.call`, preserving the
-serialization discipline.  Network mode keeps all six oracles and adds
-two wire invariants:
+**The durable oracles** (:func:`durable_verdict`) end every episode on
+every plane, against the state directory it left:
 
-7. *no acked wire loss*: every LSN the server acknowledged **to the
-   client** — across resets, truncations and failovers — is covered by
-   the acting primary's durable WAL;
-8. *shed retry hints*: every ``shed``/``draining`` error frame the
-   client ever saw carried ``retry_after`` (the client counts absences).
+1. ``durable-integrity`` — ``verify_state_dir(...).clean`` (checksums and
+   the LSN chain);
+2. ``no-acked-write-loss`` — ``PDRServer.recover`` succeeds and reaches
+   every acked LSN;
+3. ``structural-audit`` — the recovered server's ``audit()`` is empty;
+4. ``answer-vs-bruteforce`` — its FR answer at ``tnow`` equals
+   ``bruteforce_from_motions`` over the in-window motions.
 
-To make sheds actually happen (and stop happening) deterministically,
-network campaigns give the group an admission controller on its virtual
-clock and tick that clock a fixed amount per event — token refill is a
-pure function of the event index, not of wall time.
+The process plane adds three liveness checks, read from the supervisor's
+``supervise.*`` records in ``<state>/journal``: the armed child died by
+SIGKILL, there was exactly one restart, and the client saw the recovery
+generation bump and got acked writes after it.
 
-With ``ChaosConfig.resources`` the group runs under a live
-:class:`~repro.reliability.resources.ResourceManager` (``fsync`` on, so
-the ``wal_fsync`` site is reachable; ``checkpoint_interval=0``, so every
-checkpoint flows through the soft-watermark path) and four more event
-kinds attack the resource envelope:
-
-======================  ================================================
-``disk_shrink``         clamp the disk budget around current usage —
-                        severe fractions drop the *hard* watermark below
-                        usage (forcing read-only), mild ones squeeze the
-                        *soft* watermark (forcing checkpoint-then-prune)
-``disk_restore``        lift the budget limits (disk "freed")
-``wal_fault``           arm one ENOSPC / EIO / short-write at the
-                        ``wal_write`` or ``wal_fsync`` site — the next
-                        append poisons that WAL descriptor
-``ckpt_fault``          arm one ENOSPC / EIO at ``checkpoint_write``
-======================  ================================================
-
-Writes refused while degraded (``ReadOnlyError`` / ``WALWriteError``)
-are counted, never treated as campaign failures — nothing refused was
-ever acknowledged.  After *every* event the scheduler reconciles the
-resource manager with the budget, and two more oracles run:
-
-9.  *no acked-write loss under resource faults* — oracle 1, now spanning
-    ENOSPC/EIO poisoning, fresh-segment reopens and retention pruning;
-10. *read-only monotonicity*: after reconcile the primary is read-only
-    **iff** the budget sits at its hard watermark (or the WAL reopen
-    itself is still failing) — degraded mode neither lags the budget nor
-    lingers after it recovers, and the server never crashes.
-
-Bit-flips go through :func:`~repro.reliability.integrity.flip_byte`,
-which hits the ``integrity.flip`` fault site of the shared
-:class:`~repro.reliability.faults.FaultInjector` (whose counters are
-:meth:`~repro.reliability.faults.FaultInjector.reset_counters`-ed
-between episodes), and are healed by
-:meth:`~repro.reliability.replication.ReplicationGroup.anti_entropy`.
-
-After every recovery (crash, failover, repair) — and periodically in
-between — the **invariant oracles** run:
-
-1. *no acked-write loss*: the acting primary's WAL position covers every
-   acknowledged LSN;
-2. *replica convergence*: after catch-up, every replica's histogram
-   counters and Chebyshev coefficients are bit-exact with the primary's;
-3. *answer correctness*: the primary's FR answer equals the brute-force
-   oracle's, region set for region set;
-4. *structural audit*: table / tree / histogram / PA cross-checks clean;
-5. *staleness*: a replica that served a read was within the bound;
-6. *durable integrity*: the state directory checksum-verifies clean.
-
-Everything is deterministic given the seed: the schedule is generated up
-front by one ``random.Random(seed)``, execution consults no randomness
-and no wall clock, so a failing run replays exactly.  On failure the
-scheduler greedily shrinks the schedule (ddmin-style) to a minimal
-reproducer and prints it with its seed.
+Everything but the process plane is deterministic given the seed: the
+schedule is generated up front by one ``random.Random(seed)`` and
+execution consults no randomness and no wall clock, so on failure the
+scheduler ddmin-shrinks the schedule to a minimal reproducer.  The
+process plane's kill lands where the OS schedules it, so a rerun is its
+only reproducer and it never shrinks.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
 import shutil
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -128,14 +86,17 @@ from ..baselines.bruteforce import bruteforce_from_motions
 from ..core.config import SystemConfig
 from ..core.errors import (
     FailoverError,
+    InvalidParameterError,
     QueryError,
     ReadOnlyError,
     ReproError,
+    ServingError,
     StalenessExceededError,
     WALWriteError,
 )
 from ..core.geometry import Rect
 from ..telemetry import instruments as tm
+from .crashpoints import CRASH_SITES, KILL_EXIT_CODE
 from .faults import FaultInjector
 from .integrity import flip_byte, verify_state_dir
 from .replication import ReplicationConfig, ReplicationGroup
@@ -148,36 +109,88 @@ __all__ = [
     "ChaosResult",
     "ChaosScheduler",
     "ddmin",
+    "durable_verdict",
 ]
 
 # One event is a plain tuple ``(kind, *params)`` — JSON-serialisable so a
 # shrunk reproducer can be printed, stored as a CI artifact and replayed.
 Event = Tuple
+Verdict = Optional[Tuple[str, str]]  # (oracle name, message) or None
+
+CHECKPOINT_INTERVAL = 20  # ticks between checkpoints (in-process plane)
+ORACLE_EVERY = 25  # live sweep cadence, in events
+MAX_SHRINK_RUNS = 120  # ddmin re-executions per failing campaign
+MIN_NET_DISRUPTIONS = 4  # socket faults forced into a network schedule
+NET_ADMISSION_RATE = 25.0  # tokens/s on the group's virtual clock
+NET_ADMISSION_BURST = 4.0  # tight: query bursts must shed
+NET_CLOCK_TICK = 0.02  # virtual seconds ticked per event
+MIN_RESOURCE_DISRUPTIONS = 4  # budget/write faults forced in
+PROCESS_CHECKPOINT_INTERVAL = 2  # every checkpoint site on the path
+POST_RESTART_OPS = 8  # acked writes demanded of the restarted child
+CRASH_DEADLINE = 60.0  # seconds for the armed kill to happen
+RECOVER_DEADLINE = 60.0  # seconds for the restart to go ready
+STARTUP_DEADLINE = 45.0  # seconds for the first child to go ready
+
+DISRUPTIONS = ("crash_primary", "crash_replica", "flip_wal", "flip_ckpt")
+NET_DISRUPTIONS = ("net_reset", "net_truncate", "net_slowloris", "net_stall")
+RESOURCE_DISRUPTIONS = ("disk_shrink", "disk_restore", "wal_fault", "ckpt_fault")
+WORKLOAD = ("report", "retire", "advance", "query")
 
 
 @dataclass
 class ChaosConfig:
-    """Knobs of one chaos campaign (all defaults are CI-sized)."""
+    """One chaos campaign (all defaults are CI-sized).
+
+    Every field means the same thing on every plane, except that the
+    process plane never shrinks (its runs do not replay exactly); a plane
+    that cannot honour a combination refuses it here, before anything
+    runs.
+    """
 
     seed: int = 0
     events: int = 200
     replicas: int = 2
     objects: int = 24
     staleness_bound: int = 0
-    checkpoint_interval: int = 20
     min_disruptions: int = 3  # scheduled crashes + bit-flips, at minimum
-    oracle_every: int = 25  # full oracle sweep cadence (events)
     shrink: bool = True
-    max_shrink_runs: int = 120
-    # --- network mode: run the schedule through TCP + a chaos proxy ---
-    network: bool = False
-    min_net_disruptions: int = 4  # socket faults forced into the schedule
-    net_admission_rate: float = 25.0  # tokens/s on the group's virtual clock
-    net_admission_burst: float = 4.0  # tight: query bursts must shed
-    net_clock_tick: float = 0.02  # virtual seconds ticked per event
-    # --- resource mode: disk budgets, WAL write faults, read-only mode ---
-    resources: bool = False
-    min_resource_disruptions: int = 4  # budget/write faults forced in
+    network: bool = False  # the socket plane
+    resources: bool = False  # the resource plane
+    crashpoint: Optional[str] = None  # the process plane, killed here
+
+    def __post_init__(self) -> None:
+        if self.crashpoint is None:
+            return
+        if self.crashpoint not in CRASH_SITES:
+            raise InvalidParameterError(
+                f"crashpoint {self.crashpoint!r} is not on the process "
+                f"plane; sites: {', '.join(CRASH_SITES)}"
+            )
+        if self.network or self.resources:
+            raise InvalidParameterError(
+                "the process plane runs alone: drop --network/--resources"
+            )
+        if self.min_disruptions != ChaosConfig.min_disruptions:
+            raise InvalidParameterError(
+                "the process plane runs only the schedule's workload "
+                "events: min_disruptions would just thin them"
+            )
+
+    @property
+    def arm_after(self) -> int:
+        """Seed-derived crashpoint hits to skip, so seeds die at different
+        depths: WAL sites fire per record, checkpoint-cycle sites once per
+        checkpoint, so their skip stays small enough to be reached."""
+        if self.crashpoint in ("wal.append", "wal_write", "wal_fsync"):
+            return 3 + (self.seed % 7)
+        return self.seed % 2
+
+    @property
+    def arm_torn(self) -> Optional[float]:
+        """Seed-derived torn fraction for the mid-write site."""
+        if self.crashpoint != "wal_write":
+            return None
+        return (1 + self.seed % 4) / 5.0  # 0.2, 0.4, 0.6, 0.8
 
     def weights(self) -> List[Tuple[str, float]]:
         base = [
@@ -211,11 +224,6 @@ class ChaosConfig:
         return base
 
 
-DISRUPTIONS = ("crash_primary", "crash_replica", "flip_wal", "flip_ckpt")
-NET_DISRUPTIONS = ("net_reset", "net_truncate", "net_slowloris", "net_stall")
-RESOURCE_DISRUPTIONS = ("disk_shrink", "disk_restore", "wal_fault", "ckpt_fault")
-
-
 @dataclass
 class ChaosFailure:
     """One oracle violation, pinned to the event that exposed it."""
@@ -245,6 +253,7 @@ class ChaosResult:
     failure: Optional[ChaosFailure] = None
     reproducer: Optional[List[Event]] = None
     final_state_dir: Optional[str] = None
+    rerun: str = ""
 
     def format_reproducer(self) -> str:
         if self.failure is None:
@@ -252,10 +261,12 @@ class ChaosResult:
         lines = [
             f"chaos failure (seed {self.seed}): oracle {self.failure.oracle!r} "
             f"— {self.failure.message}",
-            f"minimal reproducer ({len(self.reproducer or [])} events):",
         ]
-        for event in self.reproducer or []:
-            lines.append(f"  {json.dumps(list(event))}")
+        if self.rerun:
+            lines.append(f"rerun: {self.rerun}")
+        if self.reproducer is not None:
+            lines.append(f"minimal reproducer ({len(self.reproducer)} events):")
+            lines += [f"  {json.dumps(list(event))}" for event in self.reproducer]
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -266,6 +277,7 @@ class ChaosResult:
             "stats": self.stats,
             "failure": self.failure.to_dict() if self.failure else None,
             "reproducer": [list(e) for e in self.reproducer] if self.reproducer else None,
+            "rerun": self.rerun,
         }
 
 
@@ -295,6 +307,85 @@ def ddmin(events: List[Event], fails: Callable[[List[Event]], bool],
                 break
             granularity = min(len(events), granularity * 2)
     return events
+
+
+# ----------------------------------------------------------------------
+# the oracles
+# ----------------------------------------------------------------------
+def server_verdict(server, acked_lsn: int) -> Verdict:
+    """The server oracles: acked LSNs logged, audit clean, FR == brute force."""
+    if (server.wal_lsn or 0) < acked_lsn:
+        return ("no-acked-write-loss",
+                f"WAL at lsn {server.wal_lsn} < acked {acked_lsn}")
+    violations = server.audit(raise_on_violation=False)
+    if violations:
+        return ("structural-audit", "; ".join(violations))
+    if len(server.table) > 0:
+        q = server.make_query(qt=server.tnow, varrho=2.0)
+        # the maintained structures answer only within the prediction
+        # window, so the oracle shares that filter — the one the
+        # structural audit cross-checks
+        motions = server.table.columns()
+        in_window = motions.covering([q.qt], server.config.horizon)[:, 0]
+        want = bruteforce_from_motions(
+            motions.take(in_window), server.config.domain, q
+        )
+        diff = server.evaluate("fr", q).regions.symmetric_difference_area(
+            want.regions
+        )
+        if diff > 1e-6:
+            return ("answer-vs-bruteforce",
+                    f"FR answer diverged from the oracle by area {diff}")
+    return None
+
+
+def durable_verdict(state_dir: str, acked_lsn: int,
+                    stats: Optional[dict] = None) -> Verdict:
+    """The durable oracles every episode ends with, on the directory it
+    left: integrity, then an actual recovery judged by the server oracles."""
+    from ..core.system import PDRServer
+
+    report = verify_state_dir(state_dir)
+    if not report.clean:
+        return ("durable-integrity", report.summary())
+    try:
+        server = PDRServer.recover(state_dir, audit=False)
+    except ReproError as exc:
+        return ("no-acked-write-loss", f"recovery failed: {exc}")
+    try:
+        if stats is not None:
+            stats["recovered_lsn"] = int(server.wal_lsn or 0)
+        return server_verdict(server, acked_lsn)
+    finally:
+        server.close()
+
+
+def _counted(verdict: Verdict) -> Verdict:
+    tm.CHAOS_ORACLES.labels("fail" if verdict is not None else "pass").inc()
+    return verdict
+
+
+def _await_ready(supervisor, timeout: float) -> bool:
+    """Wait for a ready child; False at the deadline or once the
+    supervisor gave up (a child refusing to boot is a crash loop)."""
+    deadline = time.monotonic() + timeout
+    while supervisor.exit_code is None and time.monotonic() < deadline:
+        if supervisor.wait_ready(0.2):
+            return True
+    return False
+
+
+def _send(client, event: Event, tnow: int) -> dict:
+    """One workload event as one client request (``advance`` goes to an
+    explicit ``tnow`` so a retried advance stays idempotent)."""
+    kind = event[0]
+    if kind == "report":
+        return client.report(*event[1:])
+    if kind == "retire":
+        return client.retire(event[1])
+    if kind == "advance":
+        return client.advance(to=tnow)
+    return client.query(event[1], qt_offset=event[2], varrho=2.0, max_regions=8)
 
 
 class _NetworkHarness:
@@ -357,39 +448,28 @@ class ChaosScheduler:
         rng = random.Random(cfg.seed)
         kinds = [k for k, _ in cfg.weights()]
         weights = [w for _, w in cfg.weights()]
-        events: List[Event] = []
-        for _ in range(cfg.events):
-            kind = rng.choices(kinds, weights=weights, k=1)[0]
-            events.append(self._make_event(kind, rng))
+        events: List[Event] = [
+            self._make_event(rng.choices(kinds, weights=weights, k=1)[0], rng)
+            for _ in range(cfg.events)
+        ]
         # guarantee the campaign actually disrupts: force-replace benign
-        # events (deterministically) until enough crashes/flips exist
-        have = sum(1 for e in events if e[0] in DISRUPTIONS)
-        while have < cfg.min_disruptions and events:
-            idx = rng.randrange(len(events))
-            if events[idx][0] in DISRUPTIONS:
-                continue
-            kind = rng.choice(DISRUPTIONS)
-            events[idx] = self._make_event(kind, rng)
-            have += 1
-        if cfg.network:  # and actually exercises the wire fault matrix
-            have_net = sum(1 for e in events if e[0] in NET_DISRUPTIONS)
-            while have_net < cfg.min_net_disruptions and events:
-                idx = rng.randrange(len(events))
-                if events[idx][0] in DISRUPTIONS + NET_DISRUPTIONS:
-                    continue
-                kind = rng.choice(NET_DISRUPTIONS)
-                events[idx] = self._make_event(kind, rng)
-                have_net += 1
-        if cfg.resources:  # and actually exhausts some resources
-            protected = DISRUPTIONS + NET_DISRUPTIONS + RESOURCE_DISRUPTIONS
-            have_res = sum(1 for e in events if e[0] in RESOURCE_DISRUPTIONS)
-            while have_res < cfg.min_resource_disruptions and events:
+        # events (deterministically) until enough of each plane's faults
+        # exist; a forced fault never overwrites an earlier plane's
+        forced = [(DISRUPTIONS, cfg.min_disruptions, DISRUPTIONS)]
+        if cfg.network:
+            forced.append((NET_DISRUPTIONS, MIN_NET_DISRUPTIONS,
+                           DISRUPTIONS + NET_DISRUPTIONS))
+        if cfg.resources:
+            forced.append((RESOURCE_DISRUPTIONS, MIN_RESOURCE_DISRUPTIONS,
+                           DISRUPTIONS + NET_DISRUPTIONS + RESOURCE_DISRUPTIONS))
+        for plane, minimum, protected in forced:
+            have = sum(1 for e in events if e[0] in plane)
+            while have < minimum and events:
                 idx = rng.randrange(len(events))
                 if events[idx][0] in protected:
                     continue
-                kind = rng.choice(RESOURCE_DISRUPTIONS)
-                events[idx] = self._make_event(kind, rng)
-                have_res += 1
+                events[idx] = self._make_event(rng.choice(plane), rng)
+                have += 1
         return events
 
     def _make_event(self, kind: str, rng: random.Random) -> Event:
@@ -403,8 +483,10 @@ class ChaosScheduler:
                 round(rng.uniform(-1.5, 1.5), 3),
                 round(rng.uniform(-1.5, 1.5), 3),
             )
-        if kind == "advance":
-            return ("advance",)
+        if kind in ("advance", "crash_primary", "disk_restore") or kind in (
+            "net_reset", "net_truncate", "net_slowloris"
+        ):
+            return (kind,)
         if kind == "retire":
             return ("retire", rng.randrange(cfg.objects))
         if kind == "query":
@@ -416,14 +498,10 @@ class ChaosScheduler:
             return ("lag", rng.random(), rng.randrange(0, 12))
         if kind == "drop":
             return ("drop", rng.random(), rng.randrange(1, 4))
-        if kind == "crash_primary":
-            return ("crash_primary",)
         if kind in ("flip_wal", "flip_ckpt"):
             # fractions resolve to a concrete file/offset at execution
             # time, so the event stays meaningful under shrinking
             return (kind, rng.random(), rng.random(), rng.randrange(1, 256))
-        if kind in ("net_reset", "net_truncate", "net_slowloris"):
-            return (kind,)
         if kind == "net_stall":
             return ("net_stall", rng.randrange(1, 4))  # tenths of a second
         if kind == "disk_shrink":
@@ -431,8 +509,6 @@ class ChaosScheduler:
             # execution time (severe < 0.5: hard watermark drops below
             # usage; mild >= 0.5: only the soft watermark is crossed)
             return ("disk_shrink", round(rng.random(), 3))
-        if kind == "disk_restore":
-            return ("disk_restore",)
         if kind == "wal_fault":
             mode = rng.choice(["enospc", "eio", "short"])
             site = "wal_write" if mode == "short" else rng.choice(
@@ -446,6 +522,32 @@ class ChaosScheduler:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def execute(self, events: List[Event]) -> Tuple[Optional[ChaosFailure], dict, str]:
+        """Run one episode from a fresh state directory, on the configured
+        plane, and end it with the durable oracles.
+
+        Returns ``(failure_or_None, stats, state_dir)``; the state
+        directory is left on disk as the surviving evidence.
+        """
+        self._run_counter += 1
+        run_dir = os.path.join(self.workdir, f"run-{self._run_counter}")
+        shutil.rmtree(run_dir, ignore_errors=True)
+        os.makedirs(run_dir)
+        state_dir = os.path.join(run_dir, "state")
+        stats = {"events": 0}
+        if self.config.crashpoint:
+            failure, acked = self._execute_process(events, state_dir, stats)
+        else:
+            failure, acked = self._execute_group(events, state_dir, stats)
+        if failure is None:
+            verdict = _counted(durable_verdict(state_dir, acked, stats))
+            if verdict is not None:
+                failure = ChaosFailure(
+                    len(events) - 1, events[-1] if events else ("empty",),
+                    *verdict,
+                )
+        return failure, stats, state_dir
+
     def _build_group(self, state_dir: str):
         from ..core.system import PDRServer
 
@@ -466,21 +568,21 @@ class ChaosScheduler:
             # soft-watermark path (which absorbs injected checkpoint
             # faults into read-only mode) instead of the interval timer,
             # and need real fsyncs for the fsyncgate poisoning rule
-            checkpoint_interval=0 if cfg.resources else cfg.checkpoint_interval,
+            checkpoint_interval=0 if cfg.resources else CHECKPOINT_INTERVAL,
             fsync=bool(cfg.resources),
             faults=self.faults,
             resources=ResourceConfig() if cfg.resources else None,
         )
         primary = PDRServer(system, expected_objects=cfg.objects, reliability=rc)
         admission = None
-        if cfg.network and cfg.net_admission_rate > 0:
+        if cfg.network:
             # the bucket runs on the primary's *virtual* clock, which
-            # execute() ticks a fixed amount per event: refill — and so
+            # execution ticks a fixed amount per event: refill — and so
             # the shed/admit pattern — is a function of the schedule
             from .admission import AdmissionConfig
 
             admission = AdmissionConfig(
-                rate=cfg.net_admission_rate, burst=cfg.net_admission_burst,
+                rate=NET_ADMISSION_RATE, burst=NET_ADMISSION_BURST,
             )
         return ReplicationGroup(
             primary,
@@ -489,18 +591,9 @@ class ChaosScheduler:
             admission=admission,
         )
 
-    def execute(self, events: List[Event]) -> Tuple[Optional[ChaosFailure], dict, str]:
-        """Run one episode from a fresh state directory.
-
-        Returns ``(failure_or_None, stats, state_dir)``; the state
-        directory is left on disk (the surviving evidence the acceptance
-        scenario runs ``repro verify`` over).
-        """
-        self._run_counter += 1
-        run_dir = os.path.join(self.workdir, f"run-{self._run_counter}")
-        shutil.rmtree(run_dir, ignore_errors=True)
-        os.makedirs(run_dir)
-        state_dir = os.path.join(run_dir, "state")
+    def _execute_group(self, events: List[Event], state_dir: str, stats: dict):
+        """The in-process, socket and resource planes: one live group,
+        swept by the live oracles.  Returns ``(failure, acked_lsn)``."""
         self.faults.clear()
         self.faults.reset_counters()
         group = self._build_group(state_dir)
@@ -510,8 +603,8 @@ class ChaosScheduler:
         # direct access and oracle sweeps go through the server's single
         # backend thread in network mode — the one serialization point
         gcall = net.call if net is not None else (lambda fn, *a, **k: fn(*a, **k))
-        stats = {"events": 0, "oracle_sweeps": 0, "failovers": 0,
-                 "repairs": 0, "flips": 0, "replica_crashes": 0}
+        stats.update(oracle_sweeps=0, failovers=0, repairs=0, flips=0,
+                     replica_crashes=0)
         if net is not None:
             stats["wire_failures"] = 0
         if self.config.resources:
@@ -528,20 +621,19 @@ class ChaosScheduler:
                     oracle_due, joined = self._apply_event(
                         group, event, stats, joined, net=net
                     )
-                    if net is not None and self.config.net_clock_tick > 0:
-                        gcall(group.clock.sleep, self.config.net_clock_tick)
+                    if net is not None:
+                        gcall(group.clock.sleep, NET_CLOCK_TICK)
                     if self.config.resources:
                         # converge read-only with the budget after every
                         # event — the monotonicity the oracle then checks
                         gcall(self._reconcile_resources, group)
                 except (ReproError, AssertionError) as exc:
-                    failure = ChaosFailure(
-                        index, event, "no-unexpected-error",
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                    failure = ChaosFailure(index, event, *_counted((
+                        "no-unexpected-error", f"{type(exc).__name__}: {exc}",
+                    )))
                     break
                 max_acked = max(max_acked, gcall(lambda: group.acked_lsn))
-                if oracle_due or (index + 1) % self.config.oracle_every == 0:
+                if oracle_due or (index + 1) % ORACLE_EVERY == 0:
                     stats["oracle_sweeps"] += 1
                     verdict = self._check_oracles(group, max_acked, net=net)
                     if verdict is not None:
@@ -560,9 +652,10 @@ class ChaosScheduler:
             if net is not None:
                 stats["wire"] = net.client.report_stats()
                 stats["proxy"] = dict(net.proxy.stats)
+                max_acked = max(max_acked, net.client.max_acked_lsn)
                 net.close()
             group.close()
-        return failure, stats, state_dir
+        return failure, max_acked
 
     def _apply_event(self, group, event: Event, stats: dict, joined: int,
                      net: Optional[_NetworkHarness] = None):
@@ -574,7 +667,7 @@ class ChaosScheduler:
         """
         kind = event[0]
         if net is not None:
-            if kind in ("report", "retire", "advance", "query"):
+            if kind in WORKLOAD:
                 return self._apply_event_wire(group, event, stats, joined, net)
             if kind in NET_DISRUPTIONS:
                 return self._apply_net_event(net, event, stats, joined)
@@ -593,22 +686,11 @@ class ChaosScheduler:
         the chaos fault model, and every duplicate is WAL-logged, so the
         oracles hold regardless.
         """
-        from ..core.errors import ServingError
-
         kind = event[0]
+        t = net.call(lambda: group.tnow) + 1 if kind == "advance" else 0
         try:
-            if kind == "report":
-                net.client.report(*event[1:])
-            elif kind == "retire":
-                net.client.retire(event[1])
-            elif kind == "advance":
-                t = net.call(lambda: group.tnow) + 1
-                net.client.advance(to=t)  # explicit `to`: retries idempotent
-            elif kind == "query":
-                method, offset = event[1], event[2]
-                frame = net.client.query(
-                    method, qt_offset=offset, varrho=2.0, max_regions=8
-                )
+            frame = _send(net.client, event, t)
+            if kind == "query":
                 net.call(self._assert_staleness, group, frame.get("served_by"))
         except ServingError:
             # sheds that never recovered, retries exhausted mid-fault,
@@ -679,7 +761,7 @@ class ChaosScheduler:
             except (StalenessExceededError, QueryError):
                 pass  # partitions legitimately starve the router
             else:
-                self._note_served(group, result)
+                self._assert_staleness(group, result.served_by)
         elif kind == "partition":
             replica = self._pick_replica(group, event[1])
             if replica is not None:
@@ -826,11 +908,8 @@ class ChaosScheduler:
         return True
 
     # ------------------------------------------------------------------
-    # oracles
+    # the live sweep
     # ------------------------------------------------------------------
-    def _note_served(self, group, result) -> None:
-        self._assert_staleness(group, result.served_by)
-
     def _assert_staleness(self, group, served) -> None:
         if served and served != group.primary_name:
             for replica in group.replicas:
@@ -845,19 +924,13 @@ class ChaosScheduler:
                         )
 
     def _check_oracles(self, group, max_acked: int,
-                       net: Optional[_NetworkHarness] = None,
-                       ) -> Optional[Tuple[str, str]]:
-        if net is not None:
-            verdict = net.call(self._run_oracles, group, max_acked)
-            if verdict is None:
-                verdict = self._check_wire_oracles(group, net)
-        else:
-            verdict = self._run_oracles(group, max_acked)
-        tm.CHAOS_ORACLES.labels("fail" if verdict is not None else "pass").inc()
-        return verdict
+                       net: Optional[_NetworkHarness] = None) -> Verdict:
+        if net is None:
+            return _counted(self._run_oracles(group, max_acked))
+        verdict = net.call(self._run_oracles, group, max_acked)
+        return _counted(verdict or self._check_wire_oracles(group, net))
 
-    def _check_wire_oracles(self, group,
-                            net: _NetworkHarness) -> Optional[Tuple[str, str]]:
+    def _check_wire_oracles(self, group, net: _NetworkHarness) -> Verdict:
         """The two network invariants, from the client's point of view."""
         wal = net.call(lambda: group.primary.wal_lsn or 0)
         if net.client.max_acked_lsn > wal:
@@ -874,7 +947,7 @@ class ChaosScheduler:
             )
         return None
 
-    def _run_oracles(self, group, max_acked: int) -> Optional[Tuple[str, str]]:
+    def _run_oracles(self, group, max_acked: int) -> Verdict:
         verdict = self._readonly_monotone(group)
         if verdict is not None:
             return verdict
@@ -882,33 +955,9 @@ class ChaosScheduler:
             group.catch_up_replicas()
         except ReproError as exc:
             return ("replica-convergence", f"catch-up failed: {exc}")
-        if (group.primary.wal_lsn or 0) < max_acked:
-            return (
-                "no-acked-write-loss",
-                f"primary WAL at lsn {group.primary.wal_lsn} < acked {max_acked}",
-            )
-        violations = group.primary.audit(raise_on_violation=False)
-        if violations:
-            return ("structural-audit", "; ".join(violations))
-        if len(group.primary.table) > 0:
-            q = group.primary.make_query(qt=group.tnow, varrho=2.0)
-            # the maintained structures answer only within the prediction
-            # window; a chaos workload lets motions expire (no forced
-            # re-report within U), so the oracle must share that filter —
-            # exactly the one the structural audit cross-checks
-            horizon = group.primary.config.horizon
-            motions = group.primary.table.columns()
-            in_window = motions.covering([q.qt], horizon)[:, 0]
-            want = bruteforce_from_motions(
-                motions.take(in_window), group.primary.config.domain, q
-            )
-            got = group.primary.evaluate("fr", q)
-            diff = got.regions.symmetric_difference_area(want.regions)
-            if diff > 1e-6:
-                return (
-                    "answer-vs-bruteforce",
-                    f"FR answer diverged from the oracle by area {diff}",
-                )
+        verdict = server_verdict(group.primary, max_acked)
+        if verdict is not None:
+            return verdict
         for replica in group.replicas:
             if replica.lag(group.acked_lsn) != 0:
                 return ("replica-convergence",
@@ -927,7 +976,7 @@ class ChaosScheduler:
             return ("durable-integrity", report.summary())
         return None
 
-    def _readonly_monotone(self, group) -> Optional[Tuple[str, str]]:
+    def _readonly_monotone(self, group) -> Verdict:
         """Read-only mode must track the budget state after reconcile.
 
         Every event is followed by :meth:`_reconcile_resources`, so by
@@ -958,25 +1007,154 @@ class ChaosScheduler:
         return None
 
     # ------------------------------------------------------------------
+    # the process plane
+    # ------------------------------------------------------------------
+    def _execute_process(self, events: List[Event], state_dir: str, stats: dict):
+        """Boot a supervised ``repro serve`` child with the crashpoint
+        armed, drive the schedule's workload over the wire until it dies
+        and after its restart, then stop it.  Returns ``(failure,
+        acked_lsn)``; the liveness evidence is the supervisor's journal."""
+        from ..serving.client import ClientConfig, ResilientClient
+        from ..serving.supervisor import Supervisor, SupervisorConfig
+        from ..telemetry import read_journal
+
+        cfg = self.config
+        workload = [e for e in events if e[0] in WORKLOAD] or [("advance",)]
+        supervisor = Supervisor(SupervisorConfig(
+            serve_args=[
+                "--state-dir", state_dir,
+                "--objects", str(cfg.objects),
+                "--replicas", str(cfg.replicas),
+                "--staleness", str(cfg.staleness_bound),
+                "--seed", str(cfg.seed),
+                "--fsync",
+                "--checkpoint-interval", str(PROCESS_CHECKPOINT_INTERVAL),
+            ],
+            probe_interval=0.1,
+            startup_deadline=STARTUP_DEADLINE,
+            backoff_initial=0.1,
+            backoff_max=1.0,
+            seed=cfg.seed,
+            arm_crashpoint=cfg.crashpoint,
+            arm_after=cfg.arm_after,
+            arm_torn=cfg.arm_torn,
+        ), out=io.StringIO()).start()
+        client = None
+        try:
+            # a site armed at boot can kill the first child before it is
+            # ever ready; the disarmed restart must still come up
+            if not _await_ready(supervisor, STARTUP_DEADLINE + RECOVER_DEADLINE):
+                message = ("supervised child never became ready "
+                           f"(supervisor exit {supervisor.exit_code})")
+            else:
+                client = ResilientClient(
+                    [("127.0.0.1", int(supervisor.port))],
+                    ClientConfig(max_attempts=12, backoff_cap=1.0, seed=cfg.seed),
+                )
+                message = self._drive_process(workload, supervisor, client, stats)
+        finally:
+            if client is not None:
+                stats["wire"] = client.report_stats()
+                client.close()
+            supervisor.request_stop()
+            supervisor.join(30.0)
+        # the supervisor arms only its first child, so the first exit in
+        # its journal is the armed one's
+        lineage = [r for r in read_journal(os.path.join(state_dir, "journal"))
+                   if r["event"].startswith("supervise.")]
+        stats["supervise"] = [r["event"] for r in lineage]
+        stats["restarts"] = stats["supervise"].count("supervise.backoff")
+        exits = [r.get("code") for r in lineage if r["event"] == "supervise.exit"]
+        if message is None and exits[:1] != [KILL_EXIT_CODE]:
+            message = (f"crashpoint {cfg.crashpoint!r} never killed the armed "
+                       f"child (first supervise.exit codes: {exits[:1]})")
+        if message is None and stats["restarts"] != 1:
+            message = (f"{stats['restarts']} supervised restarts where the "
+                       "armed kill demands exactly one")
+        acked = max(stats.get("acked_lsn", 0),
+                    client.max_acked_lsn if client is not None else 0)
+        verdict = _counted(("process-liveness", message) if message else None)
+        if verdict is None:
+            return None, acked
+        last = stats["events"] - 1
+        return ChaosFailure(last, workload[last % len(workload)], *verdict), acked
+
+    def _drive_process(self, workload: List[Event], supervisor, client,
+                       stats: dict) -> Optional[str]:
+        """Walk the workload (around again if the child has not died and
+        come back yet); returns a liveness violation or None."""
+        stats.update(wire_failures=0, acked_lsn=0, acked_after_restart=0)
+        tnow = self._wire_tnow(client, 0)
+        restarts = 0
+        deadline = time.monotonic() + CRASH_DEADLINE
+        while True:
+            if supervisor.exit_code is not None:
+                return (f"the supervisor gave up (exit {supervisor.exit_code}) "
+                        "instead of restarting the child")
+            if supervisor.restarts != restarts:
+                restarts = supervisor.restarts
+                if not _await_ready(supervisor, RECOVER_DEADLINE):
+                    return ("restarted process never became ready "
+                            f"(supervisor exit {supervisor.exit_code})")
+                tnow = self._wire_tnow(client, tnow)
+                deadline = time.monotonic() + RECOVER_DEADLINE
+            index = stats["events"]
+            if (index >= len(workload) and restarts
+                    and stats["acked_after_restart"] >= POST_RESTART_OPS):
+                break
+            if time.monotonic() > deadline:
+                if not restarts:
+                    return (f"crashpoint {self.config.crashpoint!r} never "
+                            f"fired within {CRASH_DEADLINE:.0f}s "
+                            f"({index} events driven)")
+                return (f"only {stats['acked_after_restart']}/"
+                        f"{POST_RESTART_OPS} acked writes against the "
+                        "restarted process")
+            event = workload[index % len(workload)]
+            stats["events"] += 1
+            if event[0] == "advance":
+                tnow += 1
+            try:
+                frame = _send(client, event, tnow)
+            except (ServingError, OSError):
+                stats["wire_failures"] += 1  # mid-outage: keep driving
+                continue
+            if event[0] == "query":
+                continue
+            # every write response carries the acked LSN (advances too,
+            # which the client's own watermark leaves out)
+            stats["acked_lsn"] = max(stats["acked_lsn"], int(frame.get("lsn", 0)))
+            if event[0] == "advance":
+                tnow = int(frame.get("tnow", tnow))
+            if restarts and (event[0] == "advance" or frame.get("accepted")
+                             or frame.get("retired")):
+                stats["acked_after_restart"] += 1
+        self._wire_tnow(client, tnow)  # refreshes the client's generation
+        if client.generation < 1:
+            return "client never observed a recovery-generation bump"
+        return None
+
+    @staticmethod
+    def _wire_tnow(client, tnow: int) -> int:
+        try:
+            return max(tnow, int(client.health().get("tnow", tnow)))
+        except (ServingError, OSError):
+            return tnow
+
+    # ------------------------------------------------------------------
     # the campaign
     # ------------------------------------------------------------------
     def run(self) -> ChaosResult:
         """Generate, execute and — on failure — shrink one campaign."""
         events = self.build_schedule()
         failure, stats, state_dir = self.execute(events)
-        if failure is None:
-            return ChaosResult(
-                ok=True, seed=self.config.seed, events_run=len(events),
-                stats=stats, final_state_dir=state_dir,
-            )
-        reproducer = events
-        if self.config.shrink:
-            reproducer = self.shrink(events)
-        return ChaosResult(
-            ok=False, seed=self.config.seed, events_run=len(events),
-            stats=stats, failure=failure, reproducer=reproducer,
-            final_state_dir=state_dir,
+        result = ChaosResult(
+            ok=failure is None, seed=self.config.seed, events_run=len(events),
+            stats=stats, failure=failure, final_state_dir=state_dir,
         )
+        if failure is not None and not self.config.crashpoint:
+            result.reproducer = self.shrink(events) if self.config.shrink else events
+        return result
 
     def shrink(self, events: List[Event]) -> List[Event]:
         """ddmin the failing schedule down to a minimal reproducer."""
@@ -985,4 +1163,4 @@ class ChaosScheduler:
             failure, _stats, _dir = self.execute(candidate)
             return failure is not None
 
-        return ddmin(events, still_fails, max_runs=self.config.max_shrink_runs)
+        return ddmin(events, still_fails, max_runs=MAX_SHRINK_RUNS)

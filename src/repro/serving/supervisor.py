@@ -121,7 +121,6 @@ class SupervisorConfig:
     arm_crashpoint: Optional[str] = None  # first child only
     arm_after: int = 0
     arm_torn: Optional[float] = None
-    python: Optional[str] = None  # interpreter override (tests)
 
 
 class _Child:
@@ -275,8 +274,7 @@ class Supervisor:
     # child lifecycle
     # ------------------------------------------------------------------
     def _serve_command(self) -> List[str]:
-        python = self.config.python or sys.executable
-        cmd = [python, "-m", "repro", "serve",
+        cmd = [sys.executable, "-m", "repro", "serve",
                "--host", self.config.host,
                "--port", str(self.port or 0)]
         cmd.extend(self.config.serve_args)

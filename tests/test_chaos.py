@@ -12,16 +12,29 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
-from repro import cli
+from tests.conftest import small_system_config
+from repro import PDRServer, cli
 from repro.reliability.chaos import (
     DISRUPTIONS,
     ChaosConfig,
     ChaosScheduler,
     ddmin,
+    durable_verdict,
 )
+from repro.reliability.statedir import (
+    checkpoint_seqs,
+    file_crc,
+    image_path,
+    manifest_path,
+    wal_path,
+    wal_seqs,
+)
+from repro.reliability.validation import ReliabilityConfig
 
 
 @pytest.fixture
@@ -88,6 +101,89 @@ class TestCampaign:
         _, s2, _ = sched.execute(events)
         # a shared injector without reset_counters() would accumulate
         assert s1["flips"] == s2["flips"]
+
+
+class TestDurableOracles:
+    """The oracle list every plane ends with, on hand-damaged copies of
+    one directory that acknowledged every write — no child processes."""
+
+    @pytest.fixture(scope="class")
+    def acked_dir(self, tmp_path_factory):
+        state_dir = str(tmp_path_factory.mktemp("durable") / "state")
+        server = PDRServer(
+            small_system_config(), expected_objects=12,
+            reliability=ReliabilityConfig(state_dir=state_dir,
+                                          checkpoint_interval=2,
+                                          keep_checkpoints=8),
+        )
+        for t in range(1, 11):
+            for oid in range(12):
+                server.report(oid, 5.0 + 7 * oid, 20.0 + t, 0.5, -0.25)
+            server.advance_to(t)  # a checkpoint (and a fresh segment) at even t
+        for oid in range(4):  # the newest segment holds acked reports
+            server.report(oid, 50.0, 50.0 + oid, 0.0, 0.0)
+        acked, tnow = server.wal_lsn, server.tnow
+        server.close()
+        assert len(wal_seqs(state_dir)) >= 4
+        return state_dir, acked, tnow
+
+    @staticmethod
+    def _copy(acked_dir, tmp_path):
+        state_dir = str(tmp_path / "state")
+        shutil.copytree(acked_dir[0], state_dir)
+        return state_dir
+
+    def test_the_undamaged_directory_passes_every_oracle(self, acked_dir, tmp_path):
+        state_dir = self._copy(acked_dir, tmp_path)
+        assert durable_verdict(state_dir, acked_dir[1]) is None
+
+    def test_a_wal_truncated_below_the_acked_lsn_is_acked_write_loss(
+            self, acked_dir, tmp_path):
+        state_dir = self._copy(acked_dir, tmp_path)
+        newest = wal_path(state_dir, wal_seqs(state_dir)[-1])
+        with open(newest, "rb") as fh:
+            lines = fh.readlines()
+        with open(newest, "wb") as fh:  # whole records only: no torn tail
+            fh.writelines(lines[:-2])
+        verdict = durable_verdict(state_dir, acked_dir[1])
+        assert verdict is not None and verdict[0] == "no-acked-write-loss"
+
+    def test_a_deleted_middle_segment_is_a_durable_integrity_gap(
+            self, acked_dir, tmp_path):
+        state_dir = self._copy(acked_dir, tmp_path)
+        seqs = wal_seqs(state_dir)
+        os.remove(wal_path(state_dir, seqs[1]))  # the chain jumps from seqs[0]
+        verdict = durable_verdict(state_dir, acked_dir[1])
+        assert verdict is not None and verdict[0] == "durable-integrity"
+        assert "gap" in verdict[1].lower()
+
+    def test_a_semantically_corrupt_checkpoint_fails_the_audit(
+            self, acked_dir, tmp_path):
+        """+7 on the DH cell of the final clock's ring slot, digest
+        refreshed: the image checksum-verifies, only the audit catches it."""
+        state_dir = self._copy(acked_dir, tmp_path)
+        path = image_path(state_dir, checkpoint_seqs(state_dir)[-1])
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        m = small_system_config().histogram_cells
+        cell = (acked_dir[2] % payload["hist_slot_time"].shape[0]) * m * m
+        cells, counts = payload["hist_cells"], payload["hist_counts"].copy()
+        at = int(np.searchsorted(cells, cell))
+        if at < cells.size and cells[at] == cell:
+            counts[at] += 7
+        else:
+            cells = np.insert(cells, at, cell)
+            counts = np.insert(counts, at, np.int32(7))
+        payload["hist_cells"], payload["hist_counts"] = cells, counts
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with open(manifest_path(state_dir), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["digests"][os.path.basename(path)] = file_crc(path)
+        with open(manifest_path(state_dir), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        verdict = durable_verdict(state_dir, acked_dir[1])
+        assert verdict is not None and verdict[0] == "structural-audit"
 
 
 class TestDdmin:

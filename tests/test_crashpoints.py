@@ -25,8 +25,10 @@ import pytest
 
 from tests.conftest import small_system_config
 from repro import PDRServer
-from repro.core.errors import StateDirLockedError
+from repro.core.errors import StateDirLockedError, WALWriteError
 from repro.reliability import crashpoints as cp
+from repro.reliability.faults import FaultInjector
+from repro.reliability.integrity import verify_state_dir
 from repro.reliability.lockfile import (
     LOCK_FILENAME,
     acquire_state_dir_lock,
@@ -117,6 +119,37 @@ def test_wal_append_site_is_wired_into_the_real_append_path(tmp_path):
     finally:
         cp.disarm()
         server.close()
+
+
+def test_wal_reopen_site_is_wired_into_the_real_reopen_path(tmp_path):
+    """A kill mid-reopen of a poisoned WAL (the segment not yet cut back
+    to its acked prefix, the fresh one not yet opened) loses nothing."""
+    state_dir = str(tmp_path / "state")
+    faults = FaultInjector()
+    server = PDRServer(
+        small_system_config(),
+        expected_objects=8,
+        reliability=ReliabilityConfig(state_dir=state_dir, faults=faults),
+    )
+    try:
+        for oid in range(4):
+            server.report(oid, 10.0 + oid, 10.0, 0.1, 0.1)
+        acked = server.wal_lsn
+        faults.inject_eio("wal_write")
+        with pytest.raises(WALWriteError):
+            server.report(5, 20.0, 20.0, 0.1, 0.1)
+        assert server._manager.wal_poisoned
+        cp.arm("wal.reopen", kill=_raise_killed)
+        with pytest.raises(_Killed):
+            server._manager.reopen_wal()
+    finally:
+        cp.disarm()
+    recovered = PDRServer.recover(state_dir)
+    try:
+        assert recovered.wal_lsn >= acked > 0
+    finally:
+        recovered.close()
+    assert verify_state_dir(state_dir).clean
 
 
 # ----------------------------------------------------------------------

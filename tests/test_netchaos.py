@@ -16,7 +16,12 @@ import pytest
 
 from tests.conftest import small_system_config
 from repro import PDRServer
-from repro.reliability.chaos import ChaosConfig, ChaosScheduler, NET_DISRUPTIONS
+from repro.reliability.chaos import (
+    MIN_NET_DISRUPTIONS,
+    NET_DISRUPTIONS,
+    ChaosConfig,
+    ChaosScheduler,
+)
 from repro.reliability.replication import ReplicationConfig, ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 from repro.serving.client import ClientConfig, ResilientClient
@@ -121,7 +126,7 @@ def test_network_schedule_forces_socket_faults():
     scheduler = ChaosScheduler(config, workdir="/tmp/unused-netchaos-sched")
     schedule = scheduler.build_schedule()
     net_events = [e for e in schedule if e[0] in NET_DISRUPTIONS]
-    assert len(net_events) >= config.min_net_disruptions
+    assert len(net_events) >= MIN_NET_DISRUPTIONS
     assert schedule == scheduler.build_schedule()  # seed-deterministic
 
 

@@ -5,8 +5,8 @@ children) because that is the supervisor's whole contract: notice a
 corpse the kernel made, restart it over the same state dir at the same
 pinned port, and let an already-connected :class:`ResilientClient` ride
 the outage out.  Kept deliberately few and time-bounded — the full
-crashpoint × seed sweep lives in the kill matrix
-(``scripts/crash_matrix.py``), not here.
+crashpoint × seed sweep lives in the chaos scheduler's process plane
+(``repro chaos --process --seed N``), not here.
 """
 
 from __future__ import annotations
