@@ -11,8 +11,8 @@ edge coordinate of both operands, rasterise each operand onto the resulting
 (non-uniform) grid as a boolean occupancy matrix, and integrate cell areas
 under the requested boolean combination.  This is exact for half-open
 rectangles because region membership is constant within each grid cell.  The
-rasterisation is chunked along the x axis so that the transient boolean
-matrices stay within a fixed memory budget regardless of input size.
+rasterisation is chunked along the x axis so that the transient grids stay
+within a fixed byte budget regardless of input size.
 
 Storage is columnar: a set holds one ``(N, 4)`` float array of bounds, and
 that array is the only representation of an answer between the kernel that
@@ -39,9 +39,12 @@ from .geometry import Rect
 
 __all__ = ["RegionSet"]
 
-# Upper bound on the number of boolean cells materialised per chunk during
-# area computation.  48M cells * 2 operands * 1 byte ~ 100 MB worst case.
-_MAX_CELLS_PER_CHUNK = 48_000_000
+# Bytes one chunk of an area computation may hold.  Per compressed-grid cell
+# a chunk holds an operand's int32 cover count (summed in place) and bool
+# mask, the other operand's mask and the combined mask: 7 bytes, budgeted
+# as 8.  The cell areas are never materialised (see _combine_area).
+_RASTER_BUDGET_BYTES = 32 << 20
+_RASTER_BYTES_PER_CELL = 8
 
 _EMPTY_BOUNDS = np.empty((0, 4), dtype=float)
 
@@ -331,7 +334,11 @@ class RegionSet:
         signs = np.repeat(np.array([1, 1, -1, -1], dtype=np.int32), bounds.shape[0])
         acc = np.zeros((nx + 1) * w, dtype=np.int32)
         np.add.at(acc, corners, signs)
-        counts = acc.reshape(nx + 1, w).cumsum(axis=0).cumsum(axis=1)
+        # In place: cover counts never exceed the rectangle count, and an
+        # int64 cumsum would be two more 8-byte grids.
+        counts = acc.reshape(nx + 1, w)
+        np.cumsum(counts, axis=0, out=counts)
+        np.cumsum(counts, axis=1, out=counts)
         return counts[:nx, :ny] > 0
 
     @staticmethod
@@ -348,10 +355,16 @@ class RegionSet:
         nx, ny = len(xs) - 1, len(ys) - 1
         if nx <= 0 or ny <= 0:
             return 0.0
-        dy = np.diff(ys)
-        total = 0.0
-        # Chunk along x so the transient masks stay bounded.
-        rows_per_chunk = max(1, _MAX_CELLS_PER_CHUNK // max(ny, 1))
+        dy = np.broadcast_to(np.diff(ys), (nx, ny))
+        # Each x-row's covered length, taken against dy with the combined
+        # mask as the reduction's ``where`` (no dense dx * dy product), then
+        # the rows against dx in one sum: the same floats however the rows
+        # are chunked.
+        row_length = np.empty(nx)
+        # Chunk along x so the transient masks stay within the byte budget.
+        rows_per_chunk = max(
+            1, _RASTER_BUDGET_BYTES // (_RASTER_BYTES_PER_CELL * (ny + 1))
+        )
         for x0 in range(0, nx, rows_per_chunk):
             x1 = min(nx, x0 + rows_per_chunk)
             sub_xs = xs[x0 : x1 + 1]
@@ -371,9 +384,8 @@ class RegionSet:
                     combined = mask_a ^ mask_b
                 else:  # pragma: no cover - internal misuse
                     raise GeometryError(f"unknown boolean op {op!r}")
-            dx = np.diff(sub_xs)
-            total += float((dx[:, None] * dy[None, :])[combined].sum())
-        return total
+            np.sum(dy[x0:x1], axis=1, where=combined, out=row_length[x0:x1])
+        return float((np.diff(xs) * row_length).sum())
 
     @staticmethod
     def _clipped_raster_bounds(

@@ -181,31 +181,37 @@ class DensityHistogram(UpdateListener):
     # update stream
     # ------------------------------------------------------------------
     def on_report_batch(self, wave: Wave) -> None:
-        """Retract ``wave.deleted`` and count ``wave.inserted`` in one scatter.
+        """Retract ``wave.deleted`` and count ``wave.inserted``, one
+        :meth:`Columns.passes` run at a time.
 
         Each motion covers ``[t_ref, t_ref + horizon]`` intersected with the
         maintained window.  Counter increments are integers, so the
-        accumulation is exactly the per-motion result in any order.
+        accumulation is exactly the per-motion result in any order and
+        however the wave is cut; the cut bounds a pass's trajectory grid by
+        :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
         """
         n_gone = len(wave.deleted)
         motions = Columns.concatenate((wave.deleted, wave.inserted))
-        n = len(motions)
-        if n == 0:
+        if len(motions) == 0:
             return
-        ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
-        xs, ys = motions.trajectory(ts)
-        covered = motions.covering(ts, self.horizon)
-        ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
-        iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
-        hit = covered & (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
-        # One flat index into the C-contiguous ring and int32 values: numpy's
-        # typed 1-D ufunc.at loop.  A tuple index or a Python-int value takes
-        # its casting path instead, an order of magnitude slower.
-        cell = ((ts % self._slots)[None, :] * self.m + ix) * self.m + iy
-        sign = np.ones(n, dtype=np.int32)
+        sign = np.ones(len(motions), dtype=np.int32)
         sign[:n_gone] = -1
-        values = np.broadcast_to(sign[:, None], hit.shape)[hit]
-        np.add.at(self._counts.reshape(-1), cell[hit], values)
+        ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
+        slot = (ts % self._slots)[None, :]
+        ring = self._counts.reshape(-1)
+        for rows, part in motions.passes(self._slots):
+            xs, ys = part.trajectory(ts)
+            covered = part.covering(ts, self.horizon)
+            ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
+            iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
+            hit = covered & (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
+            # One flat index into the C-contiguous ring and int32 values:
+            # numpy's typed 1-D ufunc.at loop.  A tuple index or a Python-int
+            # value takes its casting path instead, an order of magnitude
+            # slower.
+            cell = (slot * self.m + ix) * self.m + iy
+            values = np.broadcast_to(sign[rows, None], hit.shape)[hit]
+            np.add.at(ring, cell[hit], values)
         self._epoch += 1
 
     # ------------------------------------------------------------------

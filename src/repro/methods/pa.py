@@ -158,19 +158,20 @@ class PAMethod(UpdateListener):
         return span, first, tile, strip_integrals(self.spec.k, z1, z2)
 
     def _apply_batch(self, jobs: Columns, sign: np.ndarray) -> None:
-        """Add (``sign`` +1) or subtract (-1) the motions of ``jobs`` in
-        whole-wave numpy passes (Algorithms 4/5).
+        """Add (``sign`` +1) or subtract (-1) the motions of ``jobs``, in
+        order, one :meth:`Columns.passes` run at a time (Algorithms 4/5).
 
-        Lemma 4's delta is separable, so the 1-D integrals are taken once
-        per (job, timestamp, tile column) and once per (job, timestamp,
-        tile row) strip; an overlap rectangle is a pair of strip indices.
-        Rectangles come out job-major.  Within one job every rectangle hits
-        a distinct ``(slot, tile)`` coefficient block (distinct timestamps
-        map to distinct slots, distinct tiles to distinct blocks), so the
-        only accumulation order that matters per coefficient is *across*
-        jobs, and every flush below adds a coefficient's deltas in
-        rectangle order — the result is bit-identical to applying the jobs
-        one at a time.
+        Bit-identity: within one job every rectangle hits a distinct
+        ``(slot, tile)`` coefficient block (distinct timestamps map to
+        distinct slots, distinct tiles to distinct blocks), so the only
+        accumulation order that matters per coefficient is *across* jobs.
+        The passes take the jobs in order, each pass emits its rectangles
+        job-major, and every flush adds a coefficient's deltas in rectangle
+        order — so each coefficient receives its deltas in job order, and
+        the result is bit-identical to applying the jobs one at a time,
+        however the wave is cut into passes and flushes.  The cut bounds a
+        pass's transient (trajectory grids, rectangle columns) by
+        :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
 
         Measured and rejected (CH2K, 2 cores, numpy 2.4): this pass in a
         worker thread beside DH and TPR (no overlap under the GIL, 2 510 vs
@@ -179,8 +180,18 @@ class PAMethod(UpdateListener):
         gain); a 2-D transposed ``np.add.at`` index (off the 1-D fast path,
         12.8 -> 28.3 ms/wave).
         """
-        if len(jobs) == 0:
-            return
+        for rows, part in jobs.passes(self._slots):
+            self._apply_pass(part, sign[rows])
+
+    def _apply_pass(self, jobs: Columns, sign: np.ndarray) -> None:
+        """One pass of :meth:`_apply_batch`: numpy over every (job, covered
+        timestamp, tile) of ``jobs``.
+
+        Lemma 4's delta is separable, so the 1-D integrals are taken once
+        per (job, timestamp, tile column) and once per (job, timestamp,
+        tile row) strip; an overlap rectangle is a pair of strip indices.
+        Rectangles come out job-major.
+        """
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
         xs, ys = jobs.trajectory(ts)
         covered = jobs.covering(ts, self.horizon)

@@ -24,7 +24,19 @@ import numpy as np
 
 from ..core.errors import ListenerFanoutError
 
-__all__ = ["Columns", "Wave", "UpdateListener", "dispatch"]
+__all__ = ["Columns", "Wave", "UpdateListener", "dispatch", "PASS_JOB_SLOTS"]
+
+# Motions x timestamps one pass over a window may expand at once.  A pass
+# that projects motions over a window (the DH and PA ring listeners, the
+# audit's recount) holds grids of tens to hundreds of bytes per
+# motion-timestamp (PA: ~450 B), so whole-table waves -- the bulk load, a
+# replayed bulk load, a replica's catch-up -- walk their motions in runs of
+# this size and hold ~30 MB at any table size.  A steady-state CH2K tick
+# (~115 jobs x 121 slots) is one pass.  Half this size made ticks slower:
+# after passes that small, glibc's heap trim threshold (twice the largest
+# array freed) falls below a tick's working set, and every wave faults its
+# temporaries back in (~1 900 page faults, +3 ms per CH2K tick).
+PASS_JOB_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,17 @@ class Columns:
     def take(self, index) -> "Columns":
         """The motions at ``index`` (any numpy index), as columns."""
         return Columns(*(column[index] for column in self))
+
+    def passes(self, slots: int) -> Iterator[Tuple[slice, "Columns"]]:
+        """The motions in order, in consecutive runs of at most
+        ``PASS_JOB_SLOTS // slots`` (and at least one): ``(rows, run)`` per
+        run, ``run`` being ``self.take(rows)``.  A pass of ``slots``
+        timestamps over one run expands at most :data:`PASS_JOB_SLOTS`
+        motion-timestamps."""
+        step = max(1, PASS_JOB_SLOTS // slots)
+        for start in range(0, len(self), step):
+            rows = slice(start, start + step)
+            yield rows, self.take(rows)
 
     @staticmethod
     def concatenate(parts: Iterable["Columns"]) -> "Columns":

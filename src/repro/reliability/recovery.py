@@ -630,23 +630,16 @@ def recover_server(
 # ----------------------------------------------------------------------
 # structural invariant audit
 # ----------------------------------------------------------------------
-# Table rows per chunk of the audit's recount: one chunk's (rows, H + 1)
-# trajectory grids are ~16 MB at H = 120, where one pass over a CH100K table
-# would hold ~200 MB.
-_AUDIT_ROWS = 8192
-
-
 def live_in_domain_counts(motions, qts: np.ndarray, horizon: int, domain) -> np.ndarray:
     """How many of ``motions`` are inside their own prediction window and
     inside the (half-open) domain at each timestamp of ``qts``.
 
-    Counted over row chunks of :data:`_AUDIT_ROWS`, so the trajectory grids
-    never span the whole table."""
+    Counted over :meth:`~repro.motion.updates.Columns.passes` runs, so the
+    trajectory grids never span the whole table."""
     counts = np.zeros(qts.shape[0], dtype=np.int64)
-    for start in range(0, len(motions), _AUDIT_ROWS):
-        chunk = motions.take(slice(start, start + _AUDIT_ROWS))
-        counted = chunk.covering(qts, horizon) & domain.contains_points(
-            *chunk.trajectory(qts)
+    for _, part in motions.passes(qts.shape[0]):
+        counted = part.covering(qts, horizon) & domain.contains_points(
+            *part.trajectory(qts)
         )
         counts += counted.sum(axis=0)
     return counts

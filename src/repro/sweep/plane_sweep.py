@@ -115,7 +115,10 @@ def refine_cell(
         min_count: objects required for density (``rho * l**2``).
 
     Returns:
-        The exact dense region inside ``cell`` as half-open rectangles.
+        The exact dense region inside ``cell`` as pairwise-disjoint
+        half-open rectangles (``disjoint=True``): the x-segments are
+        disjoint, and within one segment :func:`dense_segments_1d` emits
+        merged, hence disjoint, y-runs.
     """
     if l <= 0:
         raise InvalidParameterError(f"l must be positive, got {l}")
@@ -124,7 +127,7 @@ def refine_cell(
     half = l / 2.0
     threshold = min_count - _THRESHOLD_EPS
     if not positions:
-        return RegionSet([cell]) if 0 >= threshold else RegionSet()
+        return RegionSet([cell], disjoint=True) if 0 >= threshold else RegionSet()
 
     pos = np.asarray(positions, dtype=float)
     xs = pos[:, 0]
@@ -180,4 +183,4 @@ def refine_cell(
             band_ys, half, cell.y1, cell.y2, min_count
         ):
             out.append(Rect(x_lo, y_lo, x_hi, y_hi))
-    return RegionSet(out)
+    return RegionSet(out, disjoint=True)

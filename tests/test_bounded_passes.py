@@ -1,0 +1,153 @@
+"""Whole-table waves stream through the ring listeners in bounded passes.
+
+``Columns.passes`` cuts a wave's jobs into consecutive runs of at most
+``PASS_JOB_SLOTS`` motion-timestamps.  The cut must not change a bit of
+state (DH counts are integers; PA adds each coefficient's deltas in job
+order however the jobs are cut), and it must bound what a bulk load holds
+at once whatever the table's size.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bench.worlds import T0, road_inputs, uniform_inputs
+from repro import PDRServer
+from repro.motion import updates
+from repro.motion.updates import Columns, Wave
+from tests.conftest import small_system_config
+
+UNBOUNDED = 1 << 62
+
+
+def _state_bytes(server) -> bytes:
+    parts = [server.histogram.state_arrays(), server.pa.state_arrays()]
+    return b"".join(
+        np.ascontiguousarray(value).tobytes() for state in parts for value in state.values()
+    )
+
+
+def _jobs_per_pass(monkeypatch, jobs: int, slots: int) -> None:
+    monkeypatch.setattr(updates, "PASS_JOB_SLOTS", jobs * slots)
+
+
+class TestPasses:
+    def test_runs_are_consecutive_and_capped(self, monkeypatch):
+        monkeypatch.setattr(updates, "PASS_JOB_SLOTS", 30)
+        motions = Columns(*(np.arange(23, dtype=dtype) for dtype in (np.int64,) * 2 + (float,) * 4))
+        runs = list(motions.passes(slots=7))  # 30 // 7 = 4 motions per run
+        assert [rows for rows, _ in runs] == [slice(s, s + 4) for s in range(0, 23, 4)]
+        assert np.array_equal(np.concatenate([run.oid for _, run in runs]), motions.oid)
+
+    def test_a_window_wider_than_the_cap_still_takes_one_motion(self, monkeypatch):
+        monkeypatch.setattr(updates, "PASS_JOB_SLOTS", 5)
+        motions = Columns(*(np.zeros(3) for _ in range(6)))
+        assert [len(run) for _, run in motions.passes(slots=121)] == [1, 1, 1]
+
+    def test_empty_columns_have_no_pass(self):
+        assert list(Columns(*(np.zeros(0) for _ in range(6))).passes(slots=121)) == []
+
+
+def _drive_world(inputs) -> bytes:
+    """Bulk load, 20 ticks of advance + wave, then a wave of retires."""
+    server = PDRServer(inputs.config, expected_objects=inputs.n_objects, tnow=T0)
+    server.report_batch(inputs.state)
+    for tick in range(T0 + 1, T0 + 21):
+        server.advance_to(tick)
+        server.report_batch(inputs.wave(tick))
+    for oid, *_ in inputs.state[::7]:
+        assert server.retire(oid)
+    return _state_bytes(server)
+
+
+@pytest.fixture(scope="module", params=["road", "uniform"])
+def bench_world(request):
+    make = road_inputs if request.param == "road" else uniform_inputs
+    n = 2000 if request.param == "road" else 1000
+    return make(n, 101)
+
+
+class TestByteIdentity:
+    """Bench worlds: the default cut, and three jobs a pass (every tick's
+    boundaries fall between a delete and the insert that supersedes it),
+    leave DH and PA state byte-identical to one unbounded pass per wave."""
+
+    def test_state_is_byte_identical_to_one_pass_per_wave(self, bench_world, monkeypatch):
+        slots = bench_world.config.horizon + 1
+        default = _drive_world(bench_world)
+        monkeypatch.setattr(updates, "PASS_JOB_SLOTS", UNBOUNDED)
+        unbounded = _drive_world(bench_world)
+        _jobs_per_pass(monkeypatch, 3, slots)
+        three = _drive_world(bench_world)
+        assert default == unbounded
+        assert three == unbounded
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_mixed_wave_of_retires_and_out_of_order_supersedes(self, monkeypatch, jobs):
+        """One wave whose retracted motions are listed in another order than
+        the reports that supersede them, with retires between them: PA
+        reorders the jobs to delete_i, insert_i, and a pass boundary after
+        an odd job cuts a delete from its insert."""
+        config = small_system_config()
+        slots = config.horizon + 1
+        rng = np.random.default_rng(jobs)
+        n, d = 24, 16
+        t_ref = rng.integers(0, 5, d + n)
+        xy = rng.uniform(0.0, 100.0, (2, d + n))
+        v = rng.uniform(-3.0, 3.0, (2, d + n))
+        motions = Columns(np.arange(d + n, dtype=np.int64), t_ref.astype(np.int64),
+                          xy[0], xy[1], v[0], v[1])
+        deleted, inserted = motions.take(slice(0, d)), motions.take(slice(d, d + n))
+        inserted = Columns(inserted.oid, np.full(n, 5, dtype=np.int64), *list(inserted)[2:])
+        supersedes = np.full(n, -1, dtype=np.intp)
+        supersedes[rng.permutation(n)[:12]] = rng.permutation(d)[:12]  # 4 retires
+        wave = Wave(5, deleted, np.arange(d), inserted, np.arange(n), supersedes)
+
+        def apply() -> bytes:
+            server = PDRServer(config, expected_objects=8, tnow=5)
+            server.histogram.on_report_batch(wave)
+            server.pa.on_report_batch(wave)
+            return _state_bytes(server)
+
+        monkeypatch.setattr(updates, "PASS_JOB_SLOTS", UNBOUNDED)
+        unbounded = apply()
+        _jobs_per_pass(monkeypatch, jobs, slots)
+        assert apply() == unbounded
+
+
+def _bulk_load_transient(n: int) -> int:
+    """tracemalloc's peak during a bulk-load ``report_batch`` of a uniform
+    world of ``n`` objects, less what the load keeps."""
+    inputs = uniform_inputs(n, 5)
+    server = PDRServer(inputs.config, expected_objects=n, tnow=T0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        server.report_batch(inputs.state)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before < peak - before
+    return peak - kept
+
+
+# A PA pass holds ~450 bytes per motion-timestamp at its peak (trajectory
+# grids, the squares' strips, the rectangles' index columns); the rest of a
+# bulk load (wave columns, table rows, tree) is a few hundred bytes per object.
+BYTES_PER_JOB_SLOT = 1024
+
+
+def test_bulk_load_transient_does_not_grow_with_the_table():
+    """Both sizes take several passes; 4x the objects must not mean 4x the
+    transient (the unbounded pass held ~56 kB per object)."""
+    n = 600
+    small, large = _bulk_load_transient(n), _bulk_load_transient(4 * n)
+    assert large <= 1.25 * small, (small, large)
+    bound = BYTES_PER_JOB_SLOT * updates.PASS_JOB_SLOTS
+    assert small <= bound and large <= bound, (small, large, bound)

@@ -24,6 +24,7 @@ from repro import PDRServer
 from repro.core.errors import AuditError, RecoveryError, StorageError
 from repro.reliability.faults import FaultInjector, InjectedCrashError
 from repro.reliability import recovery
+from repro.motion import updates
 from repro.reliability.recovery import audit_server
 from repro.reliability.validation import ReliabilityConfig
 
@@ -433,7 +434,7 @@ class TestAudit:
             slot[:] = saved
 
     def test_chunked_recount_equals_the_one_pass_recount(self, reference, monkeypatch):
-        """Chunks of 7 rows over a table of more than one chunk (the last one
+        """Passes of 7 rows over a table of more than one pass (the last one
         ragged) count what one (n, H + 1) pass counts, and the audit's
         message does not change with the chunking."""
         server, horizon = reference, reference.config.horizon
@@ -443,7 +444,7 @@ class TestAudit:
         one_pass = (
             motions.covering(qts, horizon) & domain.contains_points(*motions.trajectory(qts))
         ).sum(axis=0)
-        monkeypatch.setattr(recovery, "_AUDIT_ROWS", 7)
+        monkeypatch.setattr(updates, "PASS_JOB_SLOTS", 7 * len(qts))
         assert len(motions) > 2 * 7 and len(motions) % 7
         chunked = recovery.live_in_domain_counts(motions, qts, horizon, domain)
         assert np.array_equal(chunked, one_pass)

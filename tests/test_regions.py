@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import regions
 from repro.core.geometry import Rect
 from repro.core.regions import RegionSet
 
@@ -196,6 +197,56 @@ class TestPropertyAgainstBruteForce:
     def test_symmetry(self, a, b):
         assert a.intersection_area(b) == pytest.approx(b.intersection_area(a))
         assert a.union_area(b) == pytest.approx(b.union_area(a))
+
+
+float_rect_sets = st.lists(
+    st.tuples(
+        st.floats(0, 50), st.floats(0, 50), st.floats(0.01, 20), st.floats(0.01, 20)
+    ).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3])),
+    max_size=10,
+).map(lambda rows: RegionSet.from_bounds(np.array(rows, dtype=float).reshape(-1, 4)))
+
+
+class TestChunkedMeasures:
+    """A measure cut into one x-row per chunk adds the same floats as one
+    chunk: each row's length is reduced alone and the rows are summed once."""
+
+    @staticmethod
+    def measures(a, b):
+        return (
+            a.area(),
+            a.intersection_area(b),
+            a.union_area(b),
+            a.difference_area(b),
+            a.symmetric_difference_area(b),
+        )
+
+    @given(float_rect_sets, float_rect_sets)
+    @settings(max_examples=100, deadline=None)
+    def test_row_chunks_equal_one_chunk(self, a, b):
+        one_chunk = self.measures(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            # a budget of a few cells: every chunk is a single x-row
+            mp.setattr(regions, "_RASTER_BUDGET_BYTES", 3 * regions._RASTER_BYTES_PER_CELL)
+            assert self.measures(a, b) == one_chunk
+
+    def test_chunks_actually_split(self, monkeypatch):
+        """The patched budget cuts a many-row grid into one chunk per row."""
+        calls = []
+        raster = RegionSet._clipped_raster_bounds
+        a = RegionSet([Rect(i, 0.0, i + 1.5, 1.0) for i in range(6)])
+        b = RegionSet([Rect(0.5, 0.5, 4.0, 2.0)])
+        one_chunk = self.measures(a, b)
+        monkeypatch.setattr(regions, "_RASTER_BUDGET_BYTES", regions._RASTER_BYTES_PER_CELL)
+
+        def counting(*args):
+            calls.append(args)
+            return raster(*args)
+
+        monkeypatch.setattr(RegionSet, "_clipped_raster_bounds", staticmethod(counting))
+        assert a.intersection_area(b) == one_chunk[1]
+        xs = np.unique(np.concatenate([a.bounds[:, (0, 2)], b.bounds[:, (0, 2)]]))
+        assert len(calls) == 2 * (len(xs) - 1)  # both operands, one x-row per chunk
 
 
 class TestRasterBounds:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.core.geometry import Rect, point_in_square
+from repro.core.regions import RegionSet
 from repro.sweep.plane_sweep import dense_segments_1d, refine_cell
 
 CELL = Rect(0.0, 0.0, 100.0, 100.0)
@@ -216,3 +217,25 @@ class TestRefineCellAgainstBruteForce:
             refine_cell(positions, CELL, l, float(k)).area() for k in (1, 2, 3)
         ]
         assert areas[0] >= areas[1] >= areas[2]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.floats(-10, 110), st.floats(-10, 110)),
+                # a lattice, so enter and exit events coincide
+                st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
+                    lambda t: (float(t[0] * 5), float(t[1] * 5))
+                ),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from([5.0, 10.0, 17.5, 30.0]),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_answer_is_disjoint(self, positions, l, min_count):
+        """The answer's summed member area (its ``disjoint=True`` fast path)
+        equals the rasterised area of the union of the same bounds."""
+        region = refine_cell(positions, CELL, l, float(min_count))
+        union = RegionSet.from_bounds(region.bounds).area()
+        assert region.area() == pytest.approx(union, rel=1e-9)
