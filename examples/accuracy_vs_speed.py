@@ -34,7 +34,11 @@ def main() -> None:
     # by the same update stream.
     variants = {}
     for g, k in CONFIGS:
-        pa = PAMethod(config.domain, l=config.l, horizon=config.horizon, g=g, k=k)
+        pa = PAMethod(
+            config.domain, l=config.l, horizon=config.horizon, g=g, k=k,
+            prediction_window=config.prediction_window,
+            table=server.table,
+        )
         server.table.add_listener(pa)
         variants[(g, k)] = pa
 

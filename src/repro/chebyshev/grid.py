@@ -78,9 +78,11 @@ class GridSpec:
             y1 + (ny + 1.0) / 2.0 * self.cell_height,
         )
 
-    def coefficients_memory_bytes(self, horizon: int) -> int:
-        """The paper's storage figure: ``H g^2 (k+1)(k+2)/2`` 8-byte floats."""
-        return (horizon + 1) * self.g * self.g * coefficient_count(self.k) * 8
+    def coefficients_memory_bytes(self, window: int) -> int:
+        """A ring of ``window + 1`` timestamps: ``(W + 1) g^2 (k+1)(k+2)/2``
+        8-byte floats.  The paper's figure, ``H g^2 (k+1)(k+2)/2``, keeps
+        the whole horizon; PA stores only the query window."""
+        return (window + 1) * self.g * self.g * coefficient_count(self.k) * 8
 
     def zero_coefficients(self) -> np.ndarray:
         return np.zeros((self.g, self.g, self.k + 1, self.k + 1))

@@ -132,7 +132,12 @@ class PDRServer:
             buffer_pool=self.buffer,
         )
         self.histogram = DensityHistogram(
-            cfg.domain, m=cfg.histogram_cells, horizon=cfg.horizon, tnow=tnow
+            cfg.domain,
+            m=cfg.histogram_cells,
+            horizon=cfg.horizon,
+            tnow=tnow,
+            prediction_window=cfg.prediction_window,
+            table=self.table,
         )
         self.pa = PAMethod(
             cfg.domain,
@@ -143,6 +148,8 @@ class PDRServer:
             md=cfg.evaluation_grid,
             tnow=tnow,
             faults=self.faults,
+            prediction_window=cfg.prediction_window,
+            table=self.table,
         )
         self.dh_timer = UpdateCostTimer()
         self.pa_timer = UpdateCostTimer()
@@ -356,7 +363,8 @@ class PDRServer:
         self._tick_oids.discard(oid)
 
     def advance_to(self, tnow: int) -> None:
-        """Move the server clock; retires and creates histogram/PA slots."""
+        """Move the server clock; retires histogram/PA slots and builds the
+        ones entering the query window."""
         self._check_writable()
         if tnow == self.table.tnow:
             return

@@ -175,13 +175,21 @@ def build_world(spec: WorldSpec, raster_resolution: int = 2048) -> World:
             g=g,
             k=k,
             md=spec.evaluation_grid,
+            prediction_window=config.prediction_window,
+            table=server.table,
         )
         timer = UpdateCostTimer()
         server.table.add_listener(TimedListener(pa, timer))
         world.extra_pa[variant] = pa
         world.extra_pa_timers[variant] = timer
     for m in spec.extra_histograms:
-        hist = DensityHistogram(config.domain, m=m, horizon=config.horizon)
+        hist = DensityHistogram(
+            config.domain,
+            m=m,
+            horizon=config.horizon,
+            prediction_window=config.prediction_window,
+            table=server.table,
+        )
         timer = UpdateCostTimer()
         server.table.add_listener(TimedListener(hist, timer))
         world.extra_histograms[m] = hist

@@ -23,8 +23,17 @@ def run_table1(profile: Optional[ScaleProfile] = None) -> List[Dict]:
     cfg = SystemConfig()
     horizon = cfg.horizon
     g, k, m = cfg.polynomial_grid, cfg.polynomial_degree, cfg.histogram_cells
-    dh_mb = (horizon + 1) * m * m * 4 / 1e6
-    pa_mb = (horizon + 1) * g * g * coefficient_count(k) * 8 / 1e6
+    # Per slot; the paper keeps the horizon's H slots, this system the query
+    # window's W + 1 (DESIGN.md section 4).
+    dh_mb = m * m * 4 / 1e6
+    pa_mb = g * g * coefficient_count(k) * 8 / 1e6
+
+    def memory(per_slot_mb: float) -> str:
+        return (
+            f"{horizon * per_slot_mb:.1f} MB paper (H slots), "
+            f"{(cfg.prediction_window + 1) * per_slot_mb:.1f} MB stored (W + 1 slots)"
+        )
+
     return [
         {"parameter": "Scale profile", "value": profile.name},
         {"parameter": "Page size", "value": f"{cfg.page_model.page_size} B"},
@@ -61,6 +70,6 @@ def run_table1(profile: Optional[ScaleProfile] = None) -> List[Dict]:
             "value": f"{cfg.evaluation_grid} x {cfg.evaluation_grid}",
         },
         {"parameter": "Queries per configuration", "value": profile.n_queries},
-        {"parameter": "DH memory (default)", "value": f"{dh_mb:.1f} MB"},
-        {"parameter": "PA memory (default)", "value": f"{pa_mb:.1f} MB"},
+        {"parameter": "DH memory (default)", "value": memory(dh_mb)},
+        {"parameter": "PA memory (default)", "value": memory(pa_mb)},
     ]

@@ -1,35 +1,38 @@
 """Per-timestamp density histograms (Section 5.1 of the paper).
 
 The domain is divided into an ``m x m`` grid and, for every timestamp ``t``
-in the maintained window ``[t_now, t_now + H]``, a counter grid records how
-many objects occupy each cell at ``t``.  An insertion update at ``t_ref``
-projects the object's predicted trajectory over ``[t_ref, t_ref + H]`` and
-increments the counter of the cell the object occupies at each covered
-timestamp; a deletion decrements the same counters for the still-maintained
-part of the retracted trajectory.
+a query may ask, a counter grid records how many objects occupy each cell at
+``t``: the live motions whose prediction window ``[t_ref, t_ref + H]`` covers
+``t`` and that are inside the domain at ``t``.
 
-The window is a ring buffer of ``H + 1`` slots.  A slot for absolute time
-``t`` is created (zeroed) when ``t_now`` reaches ``t - H``; because an
-insertion issued at ``t_ref`` covers exactly ``[t_ref, t_ref + H]`` and
-``t_ref <= t_now``, every insertion covering ``t`` happens *after* the
-slot's creation, so counters inside the window are exact.  (Objects whose
-last report is older than ``H`` stop contributing to the far end of the
-window — the same guarantee the paper relies on via ``H = U + W``: every
-object re-reports within ``U``, so slots up to ``t_now + W`` are complete.)
+Only the query window ``[t_now, t_now + W]`` is stored, as a ring buffer of
+``W + 1`` slots.  A report retracts its previous motion and counts the new
+one over the stored slots only.  When the clock advances, every slot
+entering the window, ``(t_old + W, t_new + W]``, is *materialised*: built
+from the table's live motions in one all-positive pass.  Every motion
+reported before the entry is counted by it and every motion reported after
+it is counted by its own report, so each stored slot is the per-cell count
+of the live motions covering it — exactly what the paper's eager
+``[t_ref, t_ref + H]`` projection leaves in it.  A query at
+``qt in (t_now + W, t_now + H]`` is answered from a *transient* slot built
+the same way into a scratch grid and never stored.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
-from ..motion.updates import Columns, UpdateListener, Wave
+from ..motion.updates import Columns, UpdateListener, Wave, entering_slots, ring_window
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
+
+if TYPE_CHECKING:
+    from ..motion.table import ObjectTable
 
 __all__ = ["DensityHistogram"]
 
@@ -63,23 +66,40 @@ TELEMETRY.registry.on_collect(_collect_cache_counters)
 
 
 class DensityHistogram(UpdateListener):
-    """Ring-buffered ``(H+1) x m x m`` counter grids."""
+    """Ring-buffered ``(W+1) x m x m`` counter grids.
 
-    def __init__(self, domain: Rect, m: int, horizon: int, tnow: int = 0) -> None:
+    ``prediction_window`` is W (default: the whole horizon, a structure with
+    no update interval).  A ring shorter than the horizon answers the
+    timestamps past it from ``table``'s current motions.
+    """
+
+    def __init__(
+        self,
+        domain: Rect,
+        m: int,
+        horizon: int,
+        tnow: int = 0,
+        prediction_window: Optional[int] = None,
+        table: Optional["ObjectTable"] = None,
+    ) -> None:
         if m < 1:
             raise InvalidParameterError(f"grid resolution must be >= 1, got {m}")
         if horizon < 0:
             raise InvalidParameterError(f"horizon must be >= 0, got {horizon}")
         if domain.is_empty():
             raise InvalidParameterError("domain must have positive area")
+        window = ring_window(horizon, prediction_window, table)
         self.domain = domain
         self.m = m
         self.horizon = horizon
+        self.prediction_window = window
+        # Weak, as the TPR-tree's: the table owns its listeners.
+        self._table = None if table is None else weakref.proxy(table)
         self._tnow = tnow
-        self._slots = horizon + 1
+        self._slots = window + 1
         self._counts = np.zeros((self._slots, m, m), dtype=np.int32)
         # Slot index of absolute time t is t % slots; the invariant is that
-        # _slot_time[t % slots] == t for every t in [tnow, tnow + horizon].
+        # _slot_time[t % slots] == t for every t in [tnow, tnow + W].
         self._slot_time = np.empty(self._slots, dtype=np.int64)
         self._label_slots(tnow)
         # Update epoch: bumped on every counter mutation (scatter, advance,
@@ -150,30 +170,29 @@ class DensityHistogram(UpdateListener):
 
     @property
     def window(self) -> Tuple[int, int]:
+        """The timestamps a query may ask, ``[t_now, t_now + H]``."""
         return (self._tnow, self._tnow + self.horizon)
 
     def memory_bytes(self) -> int:
-        """Counter storage, the paper's ``H * m^2`` figure (4-byte counters)."""
+        """Counter storage: the ``(W + 1) m^2`` stored 4-byte counters.  The
+        paper sizes its histograms for all H timestamps, ``H m^2``; the
+        ``H - W`` slots past the query window are built per query here."""
         return self._counts.size * 4
 
-    def on_advance(self, tnow: int) -> None:
+    def on_advance(self, tnow: int, motions: Columns) -> None:
+        """Move the window to ``[tnow, tnow + W]``: the slots that leave it
+        are reused for the ones that enter it, which are materialised from
+        ``motions``, the table's live motions (all of them after a jump of
+        ``W + 1`` ticks or more)."""
         if tnow < self._tnow:
             raise InvalidParameterError(f"clock moved backwards to {tnow}")
-        steps = tnow - self._tnow
-        if steps == 0:
+        if tnow == self._tnow:
             return
-        if steps >= self._slots:
-            # The whole window expired; reset everything.
-            self._counts[:] = 0
-            self._label_slots(tnow)
-        else:
-            # The expired slots are < _slots of them, hence all distinct:
-            # zero them and bump their labels one ring revolution in two
-            # vectorised writes instead of a per-timestamp Python loop.
-            t_old = np.arange(self._tnow, tnow, dtype=np.int64)
-            slots = t_old % self._slots
-            self._counts[slots] = 0
-            self._slot_time[slots] = t_old + self._slots
+        entering = entering_slots(self._tnow, tnow, self._slots)
+        slot = entering % self._slots
+        self._counts[slot] = 0
+        self._slot_time[slot] = entering
+        self._materialise(motions, entering, self._counts, slot)
         self._tnow = tnow
         self._epoch += 1
 
@@ -181,15 +200,8 @@ class DensityHistogram(UpdateListener):
     # update stream
     # ------------------------------------------------------------------
     def on_report_batch(self, wave: Wave) -> None:
-        """Retract ``wave.deleted`` and count ``wave.inserted``, one
-        :meth:`Columns.passes` run at a time.
-
-        Each motion covers ``[t_ref, t_ref + horizon]`` intersected with the
-        maintained window.  Counter increments are integers, so the
-        accumulation is exactly the per-motion result in any order and
-        however the wave is cut; the cut bounds a pass's trajectory grid by
-        :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
-        """
+        """Retract ``wave.deleted`` and count ``wave.inserted`` over the
+        stored window."""
         n_gone = len(wave.deleted)
         motions = Columns.concatenate((wave.deleted, wave.inserted))
         if len(motions) == 0:
@@ -197,9 +209,38 @@ class DensityHistogram(UpdateListener):
         sign = np.ones(len(motions), dtype=np.int32)
         sign[:n_gone] = -1
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
-        slot = (ts % self._slots)[None, :]
-        ring = self._counts.reshape(-1)
-        for rows, part in motions.passes(self._slots):
+        self._scatter(motions, sign, ts, self._counts, ts % self._slots)
+        self._epoch += 1
+
+    def _materialise(
+        self, motions: Columns, ts: np.ndarray, ring: np.ndarray, slot: np.ndarray
+    ) -> None:
+        """Count every motion of ``motions`` at each timestamp of ``ts`` it
+        covers into ``ring[slot]`` — a stored slot entering the window, or a
+        transient one."""
+        self._scatter(motions, np.ones(len(motions), dtype=np.int32), ts, ring, slot)
+
+    def _scatter(
+        self,
+        motions: Columns,
+        sign: np.ndarray,
+        ts: np.ndarray,
+        ring: np.ndarray,
+        slot: np.ndarray,
+    ) -> None:
+        """Add ``sign[i]`` to the cell motion ``i`` occupies at ``ts[j]`` in
+        the ``(slots, m, m)`` C-contiguous ``ring``'s slot ``slot[j]``, for
+        every timestamp its prediction window covers, one
+        :meth:`Columns.passes` run at a time.
+
+        Counter increments are integers, so the accumulation is exactly the
+        per-motion result in any order and however the motions are cut; the
+        cut bounds a pass's trajectory grid by
+        :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
+        """
+        flat = ring.reshape(-1)
+        slot = slot[None, :]
+        for rows, part in motions.passes(ts.shape[0]):
             xs, ys = part.trajectory(ts)
             covered = part.covering(ts, self.horizon)
             ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
@@ -211,18 +252,24 @@ class DensityHistogram(UpdateListener):
             # slower.
             cell = (slot * self.m + ix) * self.m + iy
             values = np.broadcast_to(sign[rows, None], hit.shape)[hit]
-            np.add.at(ring, cell[hit], values)
-        self._epoch += 1
+            np.add.at(flat, cell[hit], values)
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def counts_at(self, qt: int) -> np.ndarray:
-        """The ``m x m`` counter grid for timestamp ``qt`` (a view, do not mutate)."""
+        """The ``m x m`` counter grid for timestamp ``qt`` (do not mutate):
+        a view of its stored slot, or a transient grid past the window."""
         if not (self._tnow <= qt <= self._tnow + self.horizon):
             raise HorizonError(
                 f"timestamp {qt} outside maintained window {self.window}"
             )
+        if qt > self._tnow + self.prediction_window:
+            ring = np.zeros((1, self.m, self.m), dtype=np.int32)
+            self._materialise(
+                self._table.columns(), np.array([qt]), ring, np.zeros(1, dtype=np.int64)
+            )
+            return ring[0]
         slot = qt % self._slots
         if self._slot_time[slot] != qt:  # pragma: no cover - internal invariant
             raise HorizonError(f"ring-buffer slot for {qt} not materialised")

@@ -111,7 +111,7 @@ class BxTree(UpdateListener):
         for row, (_, *motion) in zip(rows.tolist(), self.table.columns(rows).tuples()):
             self._insert(row, *motion)
 
-    def on_advance(self, tnow: int) -> None:
+    def on_advance(self, tnow: int, motions: Columns) -> None:
         self._tnow = max(self._tnow, float(tnow))
 
     # ------------------------------------------------------------------
@@ -226,7 +226,7 @@ class BxTree(UpdateListener):
         motions = self._candidates(
             ((Rect(*window), float(qt)) for window, qt in zip(rb, qts_arr)), charge_io
         )
-        return deal_positions(motions, rb, qts_arr)
+        return deal_positions(motions, rb, qts_arr, self.horizon)
 
     def validate(self) -> None:
         """Invariants: backbone structure, key map and partition counters."""

@@ -33,10 +33,12 @@ def query_windows(rects, qts) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def deal_positions(
-    motions: Columns, windows: np.ndarray, qts: np.ndarray
+    motions: Columns, windows: np.ndarray, qts: np.ndarray, horizon: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate motions -> ``(offsets, px, py)``: rect ``r`` gets the
-    positions at ``qts[r]`` that lie in the closed window ``windows[r]``.
+    positions at ``qts[r]`` that lie in the closed window ``windows[r]``, of
+    the motions whose prediction window ``[t_ref, t_ref + horizon]`` covers
+    ``qts[r]`` — the motions the density histogram counts there.
 
     Every motion is extrapolated once per *distinct* timestamp, with the
     ``x + (t - t_ref) * vx`` of :meth:`Columns.positions_at`, and the
@@ -56,6 +58,9 @@ def deal_positions(
     hi = np.empty(n_rects, dtype=np.int64)
     for k, qt in enumerate(times):
         x, y = motions.positions_at(qt)
+        # A motion past its prediction window is predicted nowhere: an
+        # infinite y sorts after every window's closed y range.
+        y[motions.t_ref + horizon < qt] = np.inf
         order = np.argsort(y, kind="stable")
         xs[k], ys[k] = x[order], y[order]
         mine = np.flatnonzero(time_of_rect == k)

@@ -41,7 +41,7 @@ import numpy as np
 from ..core.errors import IndexError_, InvalidParameterError
 from ..core.geometry import Rect
 from ..motion.table import ObjectTable
-from ..motion.updates import UpdateListener, Wave
+from ..motion.updates import Columns, UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
 from ..telemetry import instruments as tm
@@ -90,7 +90,7 @@ class TPRTree(UpdateListener):
     # ------------------------------------------------------------------
     # UpdateListener protocol
     # ------------------------------------------------------------------
-    def on_advance(self, tnow: int) -> None:
+    def on_advance(self, tnow: int, motions: Columns) -> None:
         self._tnow = max(self._tnow, float(tnow))
 
     def on_report_batch(self, wave: Wave) -> None:
@@ -290,7 +290,7 @@ class TPRTree(UpdateListener):
                     if sub.size:
                         stack.append((child, sub))
         rows = np.concatenate(leaves) if leaves else np.empty(0, dtype=np.intp)
-        return deal_positions(self.table.columns(rows), rb, qts_arr)
+        return deal_positions(self.table.columns(rows), rb, qts_arr, self.horizon)
 
     def validate(self) -> None:
         """Structural invariants; raises :class:`IndexError_` on violation.

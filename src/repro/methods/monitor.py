@@ -7,9 +7,9 @@ now, and what changed".  :class:`PDRMonitor` subscribes to the server clock
 and re-evaluates a fixed PDR query every ``every`` timestamps, reporting the
 answer plus the appeared/vanished area relative to the previous evaluation.
 
-Because the PA method keeps per-timestamp coefficients for the whole horizon
-anyway, continuous evaluation costs exactly one B&B pass per tick — there is
-no extra maintained state.
+Because the PA method keeps per-timestamp coefficients for the whole query
+window anyway (the monitor's offset is at most W), continuous evaluation
+costs exactly one B&B pass per tick — there is no extra maintained state.
 
 A standing query must outlive individual failures: an evaluation that dies
 (an I/O fault, an exhausted retry budget) is recorded as a ``failed``
@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..core.errors import AdmissionRejectedError, InvalidParameterError, ReproError
 from ..core.query import QueryResult
 from ..core.regions import RegionSet
-from ..motion.updates import UpdateListener
+from ..motion.updates import Columns, UpdateListener
 
 __all__ = ["MonitorEvent", "PDRMonitor"]
 
@@ -169,7 +169,7 @@ class PDRMonitor(UpdateListener):
         self._previous = result.regions
         return event
 
-    def on_advance(self, tnow: int) -> None:
+    def on_advance(self, tnow: int, motions: Columns) -> None:
         if self._last_eval is None or tnow - self._last_eval >= self.every:
             self.poll()
 

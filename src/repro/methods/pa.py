@@ -1,11 +1,15 @@
 """PA — the polynomial-approximation PDR method (Section 6).
 
-For every timestamp in the maintained window ``[t_now, t_now + H]`` the
-method keeps a ``g x g`` grid of total-degree-``k`` Chebyshev expansions of
-the point-density surface.  Each object insertion (deletion) adds
-(subtracts) the closed-form delta coefficients of the object's indicator
-square at every covered timestamp — Algorithm 4/5 — vectorised here over
-the whole trajectory in one numpy pass.  Queries bound each tile's expansion
+For every timestamp of the query window ``[t_now, t_now + W]`` the method
+keeps a ``g x g`` grid of total-degree-``k`` Chebyshev expansions of the
+point-density surface.  Each object insertion (deletion) adds (subtracts)
+the closed-form delta coefficients of the object's indicator square at
+every covered timestamp of that window — Algorithm 4/5 — vectorised here
+over the whole trajectory in one numpy pass.  The ring and its entry
+materialisation mirror :class:`~repro.histogram.density_histogram.
+DensityHistogram`: a slot entering the window on an advance is built from
+the table's live motions, and a query past it, up to ``t_now + H``, from a
+transient surface built the same way.  Queries bound each tile's expansion
 once and evaluate the undecided tiles on the leaf grid (Section 6.3); they
 never touch the objects themselves, which is why PA's query cost is
 independent of the dataset size.
@@ -18,7 +22,8 @@ delta squares are baked into the coefficients); querying with a different
 from __future__ import annotations
 
 import time
-from typing import Tuple
+import weakref
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +32,11 @@ from ..chebyshev.grid import ChebSurface, GridSpec
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
 from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
-from ..motion.updates import Columns, UpdateListener, Wave
+from ..motion.updates import Columns, UpdateListener, Wave, entering_slots, ring_window
 from ..telemetry import TELEMETRY
+
+if TYPE_CHECKING:
+    from ..motion.table import ObjectTable
 
 __all__ = ["PAMethod"]
 
@@ -54,18 +62,24 @@ class PAMethod(UpdateListener):
         md: int = 512,
         tnow: int = 0,
         faults=None,
+        prediction_window: Optional[int] = None,
+        table: Optional["ObjectTable"] = None,
     ) -> None:
         if l <= 0:
             raise InvalidParameterError(f"l must be positive, got {l}")
         if horizon < 0:
             raise InvalidParameterError(f"horizon must be >= 0, got {horizon}")
+        window = ring_window(horizon, prediction_window, table)
         self.faults = faults
         self.spec = GridSpec(domain, g, k)
         self.l = l
         self.horizon = horizon
+        self.prediction_window = window
+        # Weak, as the TPR-tree's: the table owns its listeners.
+        self._table = None if table is None else weakref.proxy(table)
         self.md = md
         self._tnow = tnow
-        self._slots = horizon + 1
+        self._slots = window + 1
         # Time-minor: one tile's slots are adjacent (k+1)^2 blocks, so a
         # job's consecutive timestamps in one tile scatter into neighbouring
         # memory.  Persisted in this order, retained coefficients only
@@ -84,30 +98,31 @@ class PAMethod(UpdateListener):
 
     @property
     def window(self) -> Tuple[int, int]:
+        """The timestamps a query may ask, ``[t_now, t_now + H]``."""
         return (self._tnow, self._tnow + self.horizon)
 
     def memory_bytes(self) -> int:
-        """The paper's figure: ``H g^2 (k+1)(k+2)/2`` 8-byte coefficients."""
-        return self.spec.coefficients_memory_bytes(self.horizon)
+        """The stored ring, ``(W + 1) g^2 (k+1)(k+2)/2`` 8-byte coefficients.
 
-    def on_advance(self, tnow: int) -> None:
+        The paper's figure is ``H g^2 (k+1)(k+2)/2``: it keeps every
+        timestamp of the horizon.  Here only the query window's ``W + 1``
+        slots are stored; a query past it builds its surface per query."""
+        return self.spec.coefficients_memory_bytes(self.prediction_window)
+
+    def on_advance(self, tnow: int, motions: Columns) -> None:
+        """Move the window to ``[tnow, tnow + W]`` and materialise the slots
+        entering it from ``motions``, the table's live motions (as
+        :meth:`DensityHistogram.on_advance
+        <repro.histogram.density_histogram.DensityHistogram.on_advance>`)."""
         if tnow < self._tnow:
             raise InvalidParameterError(f"clock moved backwards to {tnow}")
-        steps = tnow - self._tnow
-        if steps == 0:
+        if tnow == self._tnow:
             return
-        if steps >= self._slots:
-            self._coeffs[:] = 0.0
-            ts = np.arange(tnow, tnow + self._slots, dtype=np.int64)
-            self._slot_time[ts % self._slots] = ts
-        else:
-            # Expired slots are all distinct (steps < _slots): reset and
-            # relabel them in two vectorised writes, mirroring the density
-            # histogram's ring-buffer advance.
-            t_old = np.arange(self._tnow, tnow, dtype=np.int64)
-            slots = t_old % self._slots
-            self._coeffs[:, :, slots] = 0.0
-            self._slot_time[slots] = t_old + self._slots
+        entering = entering_slots(self._tnow, tnow, self._slots)
+        slot = entering % self._slots
+        self._coeffs[:, :, slot] = 0.0
+        self._slot_time[slot] = entering
+        self._materialise(motions, entering, self._coeffs, slot)
         self._tnow = tnow
 
     # ------------------------------------------------------------------
@@ -128,7 +143,20 @@ class PAMethod(UpdateListener):
             np.concatenate((2 * turn, 2 * np.arange(n) + 1)), kind="stable"
         )
         jobs = Columns.concatenate((wave.deleted, wave.inserted)).take(order)
-        self._apply_batch(jobs, np.where(order < d, -1.0, 1.0))
+        ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
+        self._apply_batch(
+            jobs, np.where(order < d, -1.0, 1.0), ts, self._coeffs, ts % self._slots
+        )
+
+    def _materialise(
+        self, motions: Columns, ts: np.ndarray, ring: np.ndarray, slot: np.ndarray
+    ) -> None:
+        """Add every motion of ``motions``, in order, at each timestamp of
+        ``ts`` it covers into ``ring[:, :, slot]`` — a stored slot entering
+        the window, or a transient one.  In the table's ``columns()`` order,
+        which snapshots preserve, the floats come out the same on a live
+        server, a recovered one and a replica."""
+        self._apply_batch(motions, np.ones(len(motions)), ts, ring, slot)
 
     # Rectangles per delta/scatter flush: small enough that the chunk's
     # coefficient rows and the tiles they scatter into stay cache-resident
@@ -136,30 +164,48 @@ class PAMethod(UpdateListener):
     # numpy overhead amortises away.
     _BATCH_RECTS = 4096
 
-    def _axis_strips(
-        self, s1: np.ndarray, s2: np.ndarray, origin: float, width: float
+    def _strips(
+        self, s1: np.ndarray, s2: np.ndarray, origin: np.ndarray, width: np.ndarray
     ) -> Tuple[np.ndarray, ...]:
-        """The tile strips each clipped interval ``[s1, s2]`` crosses on one axis.
+        """The tile strips each clipped interval ``[s1[a, i], s2[a, i]]``
+        crosses on axis ``a`` (0 is x, 1 is y), both axes in one flat run.
 
-        Returns ``(span, first, tile, integrals)``: strips per interval, the
-        index of each interval's first strip, every strip's tile index, and
-        the strips' normalised weighted integrals, shape ``(k+1, strips)``.
+        ``origin`` and ``width`` are the axes' ``(2, 1)`` domain origins and
+        tile widths.  Returns ``(span, first, tile, integrals)`` over the
+        flattened ``(2, N)`` intervals: strips per interval, the index of
+        each interval's first strip, every strip's tile index, and the
+        strips' normalised weighted integrals, shape ``(k+1, strips)``.
+        Elementwise these are the floats of one axis at a time; one call
+        for both halves the pass's fixed numpy overhead.
         """
         g = self.spec.g
-        t0 = np.clip(((s1 - origin) / width).astype(np.int64), 0, g - 1)
-        t1 = np.clip(((s2 - origin) / width - 1e-12).astype(np.int64), 0, g - 1)
+        # np.minimum(np.maximum()) is np.clip without its per-call overhead.
+        t0 = np.minimum(np.maximum(((s1 - origin) / width).astype(np.int64), 0), g - 1)
+        t1 = np.minimum(np.maximum(((s2 - origin) / width - 1e-12).astype(np.int64), 0), g - 1)
+        t0, t1 = t0.ravel(), t1.ravel()
         span = t1 - t0 + 1
         first, of, offset = _expand_runs(span)
         tile = t0[of] + offset
-        tile_lo = origin + tile * width
+        axis = of // s1.shape[1]
+        lo, w = origin.ravel()[axis], width.ravel()[axis]
+        tile_lo = lo + tile * w
         # Overlap of the interval with its tile, in the tile frame [-1, 1].
-        z1 = 2.0 * (np.maximum(s1[of], tile_lo) - tile_lo) / width - 1.0
-        z2 = 2.0 * (np.minimum(s2[of], tile_lo + width) - tile_lo) / width - 1.0
+        z1 = 2.0 * (np.maximum(s1.ravel()[of], tile_lo) - tile_lo) / w - 1.0
+        z2 = 2.0 * (np.minimum(s2.ravel()[of], tile_lo + w) - tile_lo) / w - 1.0
         return span, first, tile, strip_integrals(self.spec.k, z1, z2)
 
-    def _apply_batch(self, jobs: Columns, sign: np.ndarray) -> None:
+    def _apply_batch(
+        self,
+        jobs: Columns,
+        sign: np.ndarray,
+        ts: np.ndarray,
+        ring: np.ndarray,
+        slot: np.ndarray,
+    ) -> None:
         """Add (``sign`` +1) or subtract (-1) the motions of ``jobs``, in
-        order, one :meth:`Columns.passes` run at a time (Algorithms 4/5).
+        order, at the timestamps ``ts`` into the ``(g, g, slots, k+1, k+1)``
+        C-contiguous ``ring``'s slots ``slot``, one :meth:`Columns.passes`
+        run at a time (Algorithms 4/5).
 
         Bit-identity: within one job every rectangle hits a distinct
         ``(slot, tile)`` coefficient block (distinct timestamps map to
@@ -180,10 +226,17 @@ class PAMethod(UpdateListener):
         gain); a 2-D transposed ``np.add.at`` index (off the 1-D fast path,
         12.8 -> 28.3 ms/wave).
         """
-        for rows, part in jobs.passes(self._slots):
-            self._apply_pass(part, sign[rows])
+        for rows, part in jobs.passes(ts.shape[0]):
+            self._apply_pass(part, sign[rows], ts, ring, slot)
 
-    def _apply_pass(self, jobs: Columns, sign: np.ndarray) -> None:
+    def _apply_pass(
+        self,
+        jobs: Columns,
+        sign: np.ndarray,
+        ts: np.ndarray,
+        ring: np.ndarray,
+        slot: np.ndarray,
+    ) -> None:
         """One pass of :meth:`_apply_batch`: numpy over every (job, covered
         timestamp, tile) of ``jobs``.
 
@@ -192,7 +245,6 @@ class PAMethod(UpdateListener):
         tile row) strip; an overlap rectangle is a pair of strip indices.
         Rectangles come out job-major.
         """
-        ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
         xs, ys = jobs.trajectory(ts)
         covered = jobs.covering(ts, self.horizon)
         # The influence square of the object at each covered timestamp,
@@ -212,12 +264,14 @@ class PAMethod(UpdateListener):
         # np.nonzero is row-major, so squares (and everything expanded from
         # them) come out job-major with no sort.
         job_idx, t_idx = np.nonzero(nonempty)
-        x_span, x_first, x_tile, ax = self._axis_strips(
-            sx1[nonempty], sx2[nonempty], dom.x1, self.spec.cell_width
+        span, first, tile, strips = self._strips(
+            np.stack((sx1[nonempty], sy1[nonempty])),
+            np.stack((sx2[nonempty], sy2[nonempty])),
+            np.array([[dom.x1], [dom.y1]]),
+            np.array([[self.spec.cell_width], [self.spec.cell_height]]),
         )
-        y_span, y_first, y_tile, ay = self._axis_strips(
-            sy1[nonempty], sy2[nonempty], dom.y1, self.spec.cell_height
-        )
+        n = job_idx.shape[0]
+        x_span, y_span, x_first, y_first = span[:n], span[n:], first[:n], first[n:]
 
         # One rectangle per (square, tile column, tile row): a pair of
         # strip indices.
@@ -232,14 +286,13 @@ class PAMethod(UpdateListener):
         # contiguous row of rectangles per retained coefficient.
         g = self.spec.g
         kk = self.spec.k + 1
-        slot = (ts[t_idx] % self._slots)[of]
-        base = ((x_tile[xi] * g + y_tile[yi]) * self._slots + slot) * (kk * kk)
+        base = ((tile[xi] * g + tile[yi]) * ring.shape[2] + slot[t_idx][of]) * (kk * kk)
         offsets = retained_offsets(self.spec.k)[:, None]
-        flat = self._coeffs.reshape(-1)
+        flat = ring.reshape(-1)
         for start in range(0, of.shape[0], self._BATCH_RECTS):
             chunk = slice(start, start + self._BATCH_RECTS)
             deltas = separable_deltas(
-                ax[:, xi[chunk]], ay[:, yi[chunk]], heights[chunk]
+                strips[:, xi[chunk]], strips[:, yi[chunk]], heights[chunk]
             )
             np.add.at(flat, (base[chunk] + offsets).reshape(-1), deltas.reshape(-1))
 
@@ -286,11 +339,19 @@ class PAMethod(UpdateListener):
     # reads
     # ------------------------------------------------------------------
     def surface_at(self, qt: int) -> ChebSurface:
-        """The approximated density surface for ``qt`` (shares storage)."""
+        """The approximated density surface for ``qt``: it shares its stored
+        slot's storage, or is a transient surface past the window."""
         if not (self._tnow <= qt <= self._tnow + self.horizon):
             raise HorizonError(
                 f"timestamp {qt} outside maintained window {self.window}"
             )
+        if qt > self._tnow + self.prediction_window:
+            kk = self.spec.k + 1
+            ring = np.zeros((self.spec.g, self.spec.g, 1, kk, kk))
+            self._materialise(
+                self._table.columns(), np.array([qt]), ring, np.zeros(1, dtype=np.int64)
+            )
+            return ChebSurface(self.spec, ring[:, :, 0])
         slot = qt % self._slots
         if self._slot_time[slot] != qt:  # pragma: no cover - internal invariant
             raise HorizonError(f"ring-buffer slot for {qt} not materialised")

@@ -57,6 +57,14 @@ class Method(NamedTuple):
     cheaper: Optional[str]
 
 
+def _bruteforce(server, q, _deadline):
+    """The oracle over the motions the structures count at ``q.qt``: those
+    whose prediction window ``[t_ref, t_ref + H]`` covers it."""
+    motions = server.table.columns()
+    covering = motions.covering([q.qt], server.config.horizon)[:, 0]
+    return bruteforce_from_motions(motions.take(covering), server.config.domain, q)
+
+
 def _edq(server, q, _deadline):
     positions = [(x, y) for (_oid, x, y) in server.table.positions_at(q.qt)]
     return edq_query(positions, server.config.domain, q)
@@ -67,11 +75,7 @@ METHODS: Dict[str, Method] = {
     "pa": Method(lambda s, q, d: s.pa.query(q, deadline=d), 2.0, "dh-optimistic"),
     "dh-optimistic": Method(lambda s, q, d: dh_optimistic(s.histogram, q), 1.0, None),
     "dh-pessimistic": Method(lambda s, q, d: dh_pessimistic(s.histogram, q), 1.0, None),
-    "bruteforce": Method(
-        lambda s, q, d: bruteforce_from_motions(s.table.columns(), s.config.domain, q),
-        8.0,
-        "dh-optimistic",
-    ),
+    "bruteforce": Method(_bruteforce, 8.0, "dh-optimistic"),
     "dense-cell": Method(
         lambda s, q, d: dense_cell_query(s.histogram, q), 1.0, "dh-optimistic"
     ),

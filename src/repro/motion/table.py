@@ -56,7 +56,9 @@ class ObjectTable:
         return self._tnow
 
     def advance_to(self, tnow: int) -> None:
-        """Move the server clock forward and notify listeners."""
+        """Move the server clock forward and notify listeners, handing them
+        the live motions (one gather per advance) for the ring slots that
+        enter their window."""
         if tnow < self._tnow:
             raise InvalidParameterError(
                 f"clock cannot move backwards ({self._tnow} -> {tnow})"
@@ -64,7 +66,7 @@ class ObjectTable:
         if tnow == self._tnow:
             return
         self._tnow = tnow
-        dispatch(self._listeners, "on_advance", tnow)
+        dispatch(self._listeners, "on_advance", tnow, self.columns())
 
     # ------------------------------------------------------------------
     # update protocol

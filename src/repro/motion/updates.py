@@ -18,24 +18,28 @@ subscribes to that one stream through :class:`UpdateListener`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..core.errors import ListenerFanoutError
+from ..core.errors import InvalidParameterError, ListenerFanoutError
 
-__all__ = ["Columns", "Wave", "UpdateListener", "dispatch", "PASS_JOB_SLOTS"]
+__all__ = [
+    "Columns", "Wave", "UpdateListener", "dispatch", "PASS_JOB_SLOTS",
+    "ring_window", "entering_slots",
+]
 
 # Motions x timestamps one pass over a window may expand at once.  A pass
-# that projects motions over a window (the DH and PA ring listeners, the
-# audit's recount) holds grids of tens to hundreds of bytes per
-# motion-timestamp (PA: ~450 B), so whole-table waves -- the bulk load, a
-# replayed bulk load, a replica's catch-up -- walk their motions in runs of
-# this size and hold ~30 MB at any table size.  A steady-state CH2K tick
-# (~115 jobs x 121 slots) is one pass.  Half this size made ticks slower:
-# after passes that small, glibc's heap trim threshold (twice the largest
-# array freed) falls below a tick's working set, and every wave faults its
-# temporaries back in (~1 900 page faults, +3 ms per CH2K tick).
+# that projects motions over a window (the DH and PA ring listeners, their
+# entry materialisation, the audit's recount) holds grids of tens to
+# hundreds of bytes per motion-timestamp (PA: ~450 B), so whole-table waves
+# -- the bulk load, a replayed bulk load, a replica's catch-up -- walk their
+# motions in runs of this size and hold ~30 MB at any table size.  A
+# steady-state CH2K tick (~115 jobs x 61 slots) is one pass.  Half this
+# size made ticks slower: after passes that small, glibc's heap trim
+# threshold (twice the largest array freed) falls below a tick's working
+# set, and every wave faults its temporaries back in (~1 900 page faults,
+# +3 ms per CH2K tick, measured with 121-slot rings).
 PASS_JOB_SLOTS = 1 << 16
 
 
@@ -126,6 +130,31 @@ class Wave:
     supersedes: np.ndarray
 
 
+def ring_window(horizon: int, prediction_window: Optional[int], table) -> int:
+    """W for a listener that stores the ``W + 1`` timestamps of the query
+    window (DH, PA): ``prediction_window``, by default the whole horizon.  A
+    ring shorter than the horizon builds the timestamps past it from
+    ``table``, which it then needs."""
+    window = horizon if prediction_window is None else prediction_window
+    if not 0 <= window <= horizon:
+        raise InvalidParameterError(
+            f"prediction window must be in [0, {horizon}], got {window}"
+        )
+    if window < horizon and table is None:
+        raise InvalidParameterError(
+            "a ring shorter than the horizon needs the table for the timestamps past it"
+        )
+    return window
+
+
+def entering_slots(t_old: int, t_new: int, slots: int) -> np.ndarray:
+    """The timestamps that enter a ring of ``slots`` timestamps from the
+    clock's, ``[t, t + slots)``, when it moves from ``t_old`` to ``t_new``:
+    ``[t_old + slots, t_new + slots)``, or the whole new window after a jump
+    of ``slots`` or more."""
+    return np.arange(max(t_old + slots, t_new), t_new + slots, dtype=np.int64)
+
+
 class UpdateListener:
     """Interface for structures maintained against the update stream.
 
@@ -136,11 +165,12 @@ class UpdateListener:
     def on_report_batch(self, wave: Wave) -> None:  # noqa: B027 - optional hook
         """Called once per :class:`Wave` of deletions and insertions."""
 
-    def on_advance(self, tnow: int) -> None:  # noqa: B027 - optional hook
-        """Called when the server clock moves forward to ``tnow``."""
+    def on_advance(self, tnow: int, motions: Columns) -> None:  # noqa: B027 - optional hook
+        """Called when the server clock moves forward to ``tnow``;
+        ``motions`` are the table's live motions, in ``columns()`` order."""
 
 
-def dispatch(listeners: Iterable[UpdateListener], hook: str, payload) -> None:
+def dispatch(listeners: Iterable[UpdateListener], hook: str, *payload) -> None:
     """Notify every listener, even if some of them fail.
 
     The maintained structures must never diverge from each other merely
@@ -152,7 +182,7 @@ def dispatch(listeners: Iterable[UpdateListener], hook: str, payload) -> None:
     failures = []
     for listener in listeners:
         try:
-            getattr(listener, hook)(payload)
+            getattr(listener, hook)(*payload)
         except Exception as exc:  # noqa: BLE001 - collected and re-raised below
             failures.append((listener, exc))
     if failures:

@@ -53,8 +53,9 @@ every plane, against the state directory it left:
 2. ``no-acked-write-loss`` — ``PDRServer.recover`` succeeds and reaches
    every acked LSN;
 3. ``structural-audit`` — the recovered server's ``audit()`` is empty;
-4. ``answer-vs-bruteforce`` — its FR answer at ``tnow`` equals
-   ``bruteforce_from_motions`` over the in-window motions.
+4. ``answer-vs-bruteforce`` — its FR answer at ``tnow`` equals the
+   ``bruteforce`` method's (over the motions whose prediction window covers
+   ``tnow``).
 
 The process plane adds three liveness checks, read from the supervisor's
 ``supervise.*`` records in ``<state>/journal``: the armed child died by
@@ -82,7 +83,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..baselines.bruteforce import bruteforce_from_motions
 from ..core.config import SystemConfig
 from ..core.errors import (
     FailoverError,
@@ -322,14 +322,9 @@ def server_verdict(server, acked_lsn: int) -> Verdict:
         return ("structural-audit", "; ".join(violations))
     if len(server.table) > 0:
         q = server.make_query(qt=server.tnow, varrho=2.0)
-        # the maintained structures answer only within the prediction
-        # window, so the oracle shares that filter — the one the
-        # structural audit cross-checks
-        motions = server.table.columns()
-        in_window = motions.covering([q.qt], server.config.horizon)[:, 0]
-        want = bruteforce_from_motions(
-            motions.take(in_window), server.config.domain, q
-        )
+        # the oracle counts the motions whose prediction window covers qt,
+        # as the maintained structures do
+        want = server.evaluate("bruteforce", q)
         diff = server.evaluate("fr", q).regions.symmetric_difference_area(
             want.regions
         )

@@ -651,7 +651,9 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
     Checks: TPR-tree structural validity (bounding-rectangle containment
     over the whole subtree, fanout, leaf-map), tree/table cardinality,
     clock alignment of every ring buffer, and histogram totals vs. the
-    in-domain in-window object count at every timestamp of the window.
+    in-domain in-window object count at every stored timestamp of the ring,
+    ``[t_now, t_now + W]`` (past it the histogram is built from the table
+    itself, so a recount there would compare the table with itself).
     """
     violations: List[str] = []
     try:
@@ -670,7 +672,7 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
     if server.pa.tnow != tnow:
         violations.append(f"PA clock {server.pa.tnow} != table clock {tnow}")
     horizon = server.config.horizon
-    qts = np.arange(tnow, tnow + horizon + 1)
+    qts = np.arange(tnow, tnow + server.config.prediction_window + 1)
     live = live_in_domain_counts(server.table.columns(), qts, horizon, server.config.domain)
     for qt, expected in zip(qts.tolist(), live.tolist()):
         observed = server.histogram.total_at(qt)

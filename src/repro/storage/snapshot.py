@@ -11,14 +11,15 @@ Chebyshev coefficients — into a single ``.npz`` file, and
 layout is not semantically meaningful), while histogram and polynomial
 state is restored bit-for-bit.
 
-Format version 3 is one uncompressed ``np.savez`` image:
+Format version 4 is one uncompressed ``np.savez`` image:
 
 * ``motion_<field>``: the table, one column per
   :class:`~repro.motion.updates.Columns` field (``oid`` and ``t_ref``
   int64, the rest float64);
 * ``hist_cells`` / ``hist_counts``: the DH ring's nonzero counters, as
   strictly increasing int64 flat indices into the slot-major
-  ``(slots, m, m)`` ring and their int32 counts;
+  ``(slots, m, m)`` ring and their int32 counts, ``slots`` being the
+  query window's ``W + 1``;
 * ``pa_coeffs``: the PA ring's ``(k+1)(k+2)/2`` retained coefficients per
   (tile, slot), in its time-minor memory order,
   ``(g, g, slots, (k+1)(k+2)/2)`` float64
@@ -32,10 +33,10 @@ paper already names — nearly every DH counter is zero, and the
 ``H g² (k+1)(k+2)/2``) were zeros too — and inflating and deflating it
 was most of the time of every save and load.  The image keeps only the
 nonzero cells and the retained coefficients, so it is larger than a
-deflated one but written and read at memory speed.  Version 2 (the
-compressed dense image) and version 1 (all six table columns squeezed
-through one float64 array, which rounds ids above 2**53) are refused, as
-is any other version.
+deflated one but written and read at memory speed.  Version 3 (the same
+image of ``H + 1``-slot rings), version 2 (the compressed dense image) and
+version 1 (all six table columns squeezed through one float64 array, which
+rounds ids above 2**53) are refused, as is any other version.
 
 Snapshots double as the *checkpoints* of the recovery subsystem
 (:mod:`repro.reliability.recovery`), which imposes two extra duties met
@@ -80,7 +81,7 @@ __all__ = [
     "config_from_dict",
 ]
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _MOTION_KEYS = tuple(f"motion_{f.name}" for f in fields(Columns))
 _MOTION_DTYPES = (np.int64, np.int64) + (np.float64,) * (len(_MOTION_KEYS) - 2)
 
@@ -224,7 +225,8 @@ def read_snapshot(path: Union[str, "object"]) -> SnapshotState:
                 _member(data, key, dtype, oid.shape)
                 for key, dtype in zip(_MOTION_KEYS[1:], _MOTION_DTYPES[1:])
             ))
-            slots, m, g = config.horizon + 1, config.histogram_cells, config.polynomial_grid
+            slots = config.prediction_window + 1
+            m, g = config.histogram_cells, config.polynomial_grid
             counts = _dense_ring(
                 _member(data, "hist_cells", np.int64, (None,)),
                 _member(data, "hist_counts", np.int32, (None,)),

@@ -276,7 +276,23 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     b = a + cnt[eligible]
     count_lo = active_below[b] - active_below[a]
     per_seg = events_below[b] - events_below[a]
-    count_hi = count_lo + 2 * (enters_below[b] - enters_below[a]) - per_seg
+    enters_in = enters_below[b] - enters_below[a]
+    # Bracket each segment before expanding it: over the band its count
+    # never falls below ``cover`` (the low edge's count less every exit
+    # inside) nor rises above the low edge's count plus every enter inside.
+    # A segment that can never clear the threshold is dropped; one that
+    # clears it everywhere sweeps as its low edge alone, at count ``cover``,
+    # and so emits the one full-height run the oracle's merge emits.
+    cover = count_lo - (per_seg - enters_in)
+    undecided = count_lo + enters_in >= threshold
+    eligible, a, count_lo, per_seg, enters_in, cover = (
+        column[undecided] for column in (eligible, a, count_lo, per_seg, enters_in, cover)
+    )
+    whole = cover >= threshold
+    count_lo[whole] = cover[whole]
+    per_seg[whole] = 0
+    enters_in[whole] = 0
+    count_hi = count_lo + 2 * enters_in - per_seg
     owner, event_idx = _ranges(events_below[a], per_seg)
     # One int64 per event, (((segment << bits) | rank) << 1) | is_enter:
     # sorting the values sorts by (segment, coordinate), nothing rides along.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bench.worlds import T0, road_inputs, uniform_inputs
-from repro import PDRServer
+from repro import PDRServer, SystemConfig
 from repro.motion import updates
 from repro.motion.updates import Columns, Wave
 from tests.conftest import small_system_config
@@ -77,7 +77,7 @@ class TestByteIdentity:
     leave DH and PA state byte-identical to one unbounded pass per wave."""
 
     def test_state_is_byte_identical_to_one_pass_per_wave(self, bench_world, monkeypatch):
-        slots = bench_world.config.horizon + 1
+        slots = bench_world.config.prediction_window + 1
         default = _drive_world(bench_world)
         monkeypatch.setattr(updates, "PASS_JOB_SLOTS", UNBOUNDED)
         unbounded = _drive_world(bench_world)
@@ -93,7 +93,7 @@ class TestByteIdentity:
         reorders the jobs to delete_i, insert_i, and a pass boundary after
         an odd job cuts a delete from its insert."""
         config = small_system_config()
-        slots = config.horizon + 1
+        slots = config.prediction_window + 1
         rng = np.random.default_rng(jobs)
         n, d = 24, 16
         t_ref = rng.integers(0, 5, d + n)
@@ -146,7 +146,8 @@ BYTES_PER_JOB_SLOT = 1024
 def test_bulk_load_transient_does_not_grow_with_the_table():
     """Both sizes take several passes; 4x the objects must not mean 4x the
     transient (the unbounded pass held ~56 kB per object)."""
-    n = 600
+    slots = SystemConfig().prediction_window + 1
+    n = 5 * (updates.PASS_JOB_SLOTS // slots) // 4
     small, large = _bulk_load_transient(n), _bulk_load_transient(4 * n)
     assert large <= 1.25 * small, (small, large)
     bound = BYTES_PER_JOB_SLOT * updates.PASS_JOB_SLOTS

@@ -48,8 +48,8 @@ class TestGridSpec:
 
     def test_memory_formula(self):
         spec = GridSpec(DOMAIN, g=20, k=5)
-        # (H+1) * g^2 * (k+1)(k+2)/2 * 8 bytes.
-        assert spec.coefficients_memory_bytes(120) == 121 * 400 * 21 * 8
+        # A ring of W + 1 slots: (W+1) * g^2 * (k+1)(k+2)/2 * 8 bytes.
+        assert spec.coefficients_memory_bytes(60) == 61 * 400 * 21 * 8
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

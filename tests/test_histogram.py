@@ -178,7 +178,7 @@ class TestRingBuffer:
     def test_backwards_advance_rejected(self):
         hist = make_hist(tnow=5)
         with pytest.raises(InvalidParameterError):
-            hist.on_advance(4)
+            hist.on_advance(4, ObjectTable().columns())
 
 
 class TestPrefixSums:

@@ -37,7 +37,7 @@ class Recorder(UpdateListener):
                 self.events.append(("delete", wave.tnow, deleted[j]))
             self.events.append(("insert", wave.tnow, motion))
 
-    def on_advance(self, tnow):
+    def on_advance(self, tnow, motions):
         self.events.append(("advance", tnow, None))
 
 

@@ -116,7 +116,8 @@ class TestMaintenance:
             for report in reports:
                 seq_table.report(*report)
             wave_table.report_batch(reports)
-        squares = 2 * 92 * (horizon + 1)  # delete + insert jobs x timestamps
+        # delete + insert jobs x the ring's timestamps (W = H: no update interval)
+        squares = 2 * 92 * (seq_pa.prediction_window + 1)
         assert 9 * squares > 4 * PAMethod._BATCH_RECTS  # several flushes
         assert np.array_equal(wave_pa._coeffs, seq_pa._coeffs)
         assert np.any(wave_pa._coeffs != 0.0)
@@ -168,7 +169,7 @@ class TestMaintenance:
             PAMethod(DOMAIN, l=5.0, horizon=-1)
         pa = make_pa()
         with pytest.raises(InvalidParameterError):
-            pa.on_advance(-1)
+            pa.on_advance(-1, ObjectTable().columns())
 
 
 class TestQuery:
@@ -249,7 +250,7 @@ class TestQuery:
 
 class TestPersistedRing:
     """The ring is time-minor in memory, ``(g, g, slots, k+1, k+1)``; what
-    leaves the method — ``state_arrays`` and so snapshot format 3 — keeps
+    leaves the method — ``state_arrays`` and so snapshot format 4 — keeps
     that order and only the ``(k+1)(k+2)/2`` retained coefficients,
     ``(g, g, slots, (k+1)(k+2)/2)``."""
 

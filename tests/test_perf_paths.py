@@ -136,6 +136,25 @@ def test_band_kernel_matches_per_strip_oracle(seed):
     assert _bounds(refine_bands(_batch(bands), l, min_count)) == oracle
 
 
+def test_bracket_expands_only_the_undecided_segment():
+    """One band ``[0, 2)``, l = 4, threshold 3 = rho l^2 exactly.  Three
+    x-segments can reach the threshold:
+
+    * ``[0, 3)``: three squares cover the band, one exits and one enters at
+      y = 1 — never below 3 (an exact tie), so dense band-high;
+    * ``[4, 8)``: three active squares, none at the low edge and one entering
+      inside — never above 1, so never dense;
+    * ``[13, 17)``: 3 at the low edge, two exits and one enter inside — it
+      is swept, and its three events are the only ones expanded."""
+    xs = [1.0] * 5 + [6.0] * 3 + [15.0] * 4
+    ys = [1.0, 1.0, 1.0, -1.0, 3.0] + [3.5, 5.0, 5.0] + [-1.5, -1.0, 1.0, 3.5]
+    bands = [(0.0, 2.0, np.array([0.0]), np.array([20.0]), np.array(xs), np.array(ys))]
+    result = refine_bands(_batch(bands), 4.0, 3.0)
+    assert _bounds(result) == _per_strip_oracle(bands, 4.0, 3.0)
+    assert _bounds(result) == [(0.0, 0.0, 3.0, 2.0), (13.0, 0.0, 17.0, 0.5)]
+    assert result.events == 3
+
+
 # Batches on a half-unit lattice with l a whole number: objects exactly l
 # apart (one's exit is another's enter), duplicate x's (tied events), strip
 # edges on events, bands with strips but no objects, bands whose objects all

@@ -423,7 +423,7 @@ class TestAudit:
         assert len(set(expected.values())) > 1 and max(expected.values()) < len(server.table)
         assert server.audit() == []
         qt = tnow + 2
-        slot = server.histogram._counts[qt % (horizon + 1)]
+        slot = server.histogram.counts_at(qt)
         saved = slot.copy()
         slot[:] = 0
         try:
@@ -450,7 +450,7 @@ class TestAudit:
         assert np.array_equal(chunked, one_pass)
         assert server.audit() == []
         qt = tnow + 3
-        slot = server.histogram._counts[qt % (horizon + 1)]
+        slot = server.histogram.counts_at(qt)
         saved = slot.copy()
         slot[:] = 0
         try:
@@ -463,7 +463,11 @@ class TestAudit:
     def test_recover_runs_the_audit_by_default(self, tmp_path):
         rc = durable_config(tmp_path)
         server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
-        for op in OPS[:150]:
+        # End within W ticks of the tick-25 checkpoint: replay rebuilds every
+        # slot that enters the window after it from the table, so only the
+        # checkpoint's slots from the final clock on reach the live window.
+        end = OPS.index(("advance", CKPT_INTERVAL + 3))
+        for op in OPS[:end + 4]:
             apply_op(server, op)
         server.close()
         # cheapest way to produce an inconsistent recovered state:
@@ -478,8 +482,8 @@ class TestAudit:
         with np.load(path, allow_pickle=False) as data:
             payload = {k: data[k] for k in data.files}
         # corrupt the ring slot holding the *final* clock's timestamp:
-        # every older slot is retired (zeroed) during replay, so only this
-        # one carries checkpoint corruption through to the live window.
+        # every older slot is retired during replay, so this one carries
+        # checkpoint corruption through to the live window.
         # The image keeps the ring's nonzero cells (flat indices into the
         # slot-major ring), so +7 on the slot's first cell is an increment
         # if that cell is listed and a new sorted entry if it is not.

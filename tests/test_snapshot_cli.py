@@ -92,8 +92,9 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "snap.npz"
         save_server(warm_server, path)
         data = dict(np.load(path, allow_pickle=False))
-        # the float64-oid format, the zlib-compressed dense format, the future
-        for version in (1, 2, 999):
+        # the float64-oid format, the zlib-compressed dense format, the
+        # H + 1 slot rings, the future
+        for version in (1, 2, 3, 999):
             data["format_version"] = np.int64(version)
             np.savez(path, **data)
             with pytest.raises(StorageError, match="not supported"):

@@ -1,4 +1,4 @@
-"""Snapshot format 3: an uncompressed image of the DH ring's nonzero cells
+"""Snapshot format 4: an uncompressed image of the DH ring's nonzero cells
 and PA's retained coefficients.
 
 Two properties: every way to the image and back — ``save_server`` /
@@ -223,7 +223,7 @@ class TestReadsStayTotal:
     def test_cells_out_of_range(self, image):
         cells, _, _ = self._arrays(image)
         cfg = small_system_config()
-        size = (cfg.horizon + 1) * cfg.histogram_cells**2
+        size = (cfg.prediction_window + 1) * cfg.histogram_cells**2
         high = cells.copy()
         high[-1] = size
         rewrite(image, hist_cells=high)
