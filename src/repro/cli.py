@@ -81,6 +81,7 @@ from .datagen.network import synthetic_metro
 from .datagen.trips import TripSimulator
 from .experiments.viz import render_region
 from .methods.table import METHODS
+from .serving.loadtest import LoadTestConfig
 from .storage.snapshot import load_server, save_server
 from .telemetry.instruments import SERVING_INFLIGHT
 
@@ -262,20 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--admission-rate", type=float, default=None,
                        help="token-bucket refill rate (tokens/s); enables "
                             "the admission controller")
-    serve.add_argument("--read-timeout", type=float, default=30.0,
-                       help="per-connection read timeout (seconds)")
-    serve.add_argument("--max-inflight", type=int, default=16,
-                       help="pipelined requests allowed per connection")
-    serve.add_argument("--drain-deadline", type=float, default=5.0,
-                       help="seconds in-flight requests get to finish on drain")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="also serve /metrics on this port (0 = ephemeral; "
                             "printed to stdout as `metrics-port=N`)")
     serve.add_argument("--fsync", action="store_true",
                        help="fsync every WAL append (durable acks; the "
-                            "default trades that for throughput)")
+                            "default trades that for throughput); a "
+                            "recovered state dir keeps its own setting")
     serve.add_argument("--checkpoint-interval", type=int, default=0,
-                       help="checkpoint every N ticks (0 = WAL only)")
+                       help="checkpoint every N ticks (0 = WAL only); a "
+                            "recovered state dir keeps its own setting")
     serve.add_argument("--force-recover", action="store_true",
                        help="boot from a state dir the verifier flags as "
                             "corrupt by quarantining the damage first "
@@ -286,45 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run `repro serve` as a supervised child process: restart "
              "crashes with capped jittered backoff, probe TCP health, "
              "give up on crash loops (exit 12); args after `--` are "
-             "forwarded to serve verbatim",
+             "forwarded to serve verbatim (policy: docs/operations.md)",
     )
     sup.add_argument("--host", default="127.0.0.1", help="child bind address")
     sup.add_argument("--port", type=int, default=0,
                      help="child TCP port (0 = first child picks an "
                           "ephemeral port, then every restart reuses it)")
-    sup.add_argument("--probe-interval", type=float, default=0.2,
-                     help="seconds between health probes")
-    sup.add_argument("--probe-timeout", type=float, default=2.0,
-                     help="per-probe socket budget (seconds)")
-    sup.add_argument("--liveness-failures", type=int, default=3,
-                     help="consecutive failed probes before a live but "
-                          "unresponsive child is killed as hung")
-    sup.add_argument("--startup-deadline", type=float, default=30.0,
-                     help="seconds a child gets to bind and report ready")
-    sup.add_argument("--backoff-initial", type=float, default=0.2,
-                     help="restart backoff floor (seconds)")
-    sup.add_argument("--backoff-max", type=float, default=5.0,
-                     help="restart backoff cap (seconds)")
-    sup.add_argument("--crash-loop-threshold", type=int, default=5,
-                     help="crashes within the window that mean give up")
-    sup.add_argument("--crash-loop-window", type=float, default=30.0,
-                     help="sliding crash-loop window (seconds)")
-    sup.add_argument("--max-restarts", type=int, default=None,
-                     help="restart budget (default: unbounded)")
-    sup.add_argument("--graceful-deadline", type=float, default=10.0,
-                     help="drain budget on SIGTERM before SIGKILL")
-    sup.add_argument("--seed", type=int, default=0,
-                     help="backoff-jitter seed (determinism for tests)")
-    sup.add_argument("--arm-crashpoint", default=None, metavar="SITE",
-                     help="kill-matrix hook: arm this crashpoint in the "
-                          "FIRST child only (restarts spawn disarmed)")
-    sup.add_argument("--arm-after", type=int, default=0,
-                     help="crashpoint hits to skip before the kill")
-    sup.add_argument("--arm-torn", type=float, default=None,
-                     help="torn-write fraction for the wal_write site")
     sup.add_argument("serve_args", nargs=argparse.REMAINDER,
                      help="arguments after `--` are passed to `repro serve`")
 
+    # the flags that forward a LoadTestConfig field default to the field
+    lt_default = LoadTestConfig()
     lt = sub.add_parser(
         "loadtest",
         help="drive a seeded open/closed-loop load mix against a front door "
@@ -336,33 +305,39 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--port", type=int, default=None,
                     help="target port (with --host)")
     lt.add_argument("--mix", choices=["report-heavy", "query-heavy", "flash-crowd"],
-                    default="report-heavy", help="operation mix")
-    lt.add_argument("--mode", choices=["closed", "open"], default="closed",
+                    default=lt_default.mix, help="operation mix")
+    lt.add_argument("--mode", choices=["closed", "open"], default=lt_default.mode,
                     help="closed loop (workers) or open loop (scheduled "
                          "arrivals, coordinated-omission-free)")
-    lt.add_argument("--duration", type=float, default=5.0,
+    lt.add_argument("--duration", type=float, default=lt_default.duration,
                     help="run length in seconds")
-    lt.add_argument("--rate", type=float, default=100.0,
+    lt.add_argument("--rate", type=float, default=lt_default.rate,
                     help="open loop: offered ops/second")
-    lt.add_argument("--concurrency", type=int, default=4,
+    lt.add_argument("--concurrency", type=int, default=lt_default.concurrency,
                     help="worker count (closed loop) / senders (open loop)")
-    lt.add_argument("--seed", type=int, default=7, help="workload seed")
-    lt.add_argument("--objects", type=int, default=64,
+    lt.add_argument("--seed", type=int, default=lt_default.seed,
+                    help="workload seed")
+    lt.add_argument("--objects", type=int, default=lt_default.objects,
                     help="moving-object id space of the generated reports")
     lt.add_argument("--replicas", type=int, default=2,
                     help="self-hosted group: replicas behind the primary")
     lt.add_argument("--admission-rate", type=float, default=None,
                     help="self-hosted group: admission token rate (tokens/s)")
-    lt.add_argument("--kill-primary-at", type=float, default=None,
+    lt.add_argument("--kill-primary-at", type=float,
+                    default=lt_default.kill_primary_at,
                     help="self-hosted group: kill the primary this many "
                          "seconds into the run (failover under load)")
-    lt.add_argument("--report-slo-ms", type=float, default=250.0,
+    lt.add_argument("--report-slo-ms", type=float,
+                    default=lt_default.report_slo_p99_ms,
                     help="report p99 SLO in milliseconds")
-    lt.add_argument("--query-slo-ms", type=float, default=2000.0,
+    lt.add_argument("--query-slo-ms", type=float,
+                    default=lt_default.query_slo_p99_ms,
                     help="query p99 SLO in milliseconds")
-    lt.add_argument("--max-failure-ratio", type=float, default=0.0,
+    lt.add_argument("--max-failure-ratio", type=float,
+                    default=lt_default.max_failure_ratio,
                     help="fraction of ops allowed to exhaust retries")
-    lt.add_argument("--trace-sample", type=int, default=0, metavar="N",
+    lt.add_argument("--trace-sample", type=int,
+                    default=lt_default.trace_sample, metavar="N",
                     help="sample one in N ops for distributed tracing; on "
                          "an SLO violation the worst stitched trace is "
                          "printed with the verdict")
@@ -469,14 +444,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _serving_group(snapshot_path: str, replicas: int, staleness: int, state_dir: str):
-    """A replication group whose primary is restored from a snapshot.
+def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool = False,
+                      checkpoint_interval: int = 0):
+    """A durable primary (WAL in ``state_dir``) restored from a snapshot.
 
-    The snapshot becomes a durable primary (WAL in ``state_dir``) whose
-    first checkpoint carries the snapshot state at LSN 0, which is what
-    the replicas bootstrap from.
+    Its first checkpoint carries the snapshot state at LSN 0, which is
+    what replicas bootstrap from.
     """
-    from .reliability.replication import ReplicationConfig, ReplicationGroup
     from .reliability.validation import ReliabilityConfig
     from .storage.snapshot import read_snapshot, restore_server_state
 
@@ -485,15 +459,14 @@ def _serving_group(snapshot_path: str, replicas: int, staleness: int, state_dir:
         state.config,
         expected_objects=max(len(state.motions), 1),
         tnow=state.tnow,
-        reliability=ReliabilityConfig(state_dir=state_dir, fsync=False),
+        reliability=ReliabilityConfig(
+            state_dir=state_dir, fsync=fsync,
+            checkpoint_interval=checkpoint_interval,
+        ),
     )
     restore_server_state(primary, state)
     primary._manager.checkpoint(primary)
-    return ReplicationGroup(
-        primary,
-        n_replicas=replicas,
-        config=ReplicationConfig(staleness_bound=staleness),
-    )
+    return primary
 
 
 def _cmd_query(args) -> int:
@@ -501,8 +474,11 @@ def _cmd_query(args) -> int:
         import shutil
         import tempfile
 
+        from .serving.loadtest import mount_group
+
         state_dir = tempfile.mkdtemp(prefix="repro-serving-")
-        group = _serving_group(args.snapshot, args.replicas, args.staleness, state_dir)
+        group = mount_group(_snapshot_primary(args.snapshot, state_dir),
+                            args.replicas, args.staleness)
         try:
             return _answer_query(group, args, group=group)
         finally:
@@ -746,10 +722,9 @@ def _boot_verify(state_dir: str, force_recover: bool) -> None:
             print(f"boot-scrub: {action}", file=sys.stderr)
 
 
-def _recovered_group(state_dir: str, args):
-    """Recover an existing durable directory into a serving group."""
-    from .reliability.replication import ReplicationConfig, ReplicationGroup
-
+def _recovered_primary(state_dir: str, args):
+    """Recover an existing durable directory for `serve`.  Its persisted
+    ``fsync`` and checkpoint interval win over the flags."""
     _boot_verify(state_dir, args.force_recover)
     primary = PDRServer.recover(state_dir)
     print(
@@ -763,11 +738,32 @@ def _recovered_group(state_dir: str, args):
         # replicas bootstrap from a checkpoint image; make sure one exists
         if load_latest_checkpoint(state_dir) is None:
             primary._manager.checkpoint(primary)
-    return ReplicationGroup(
-        primary,
-        n_replicas=args.replicas,
-        config=ReplicationConfig(staleness_bound=args.staleness),
-    )
+    return primary
+
+
+def _boot_group(args, state_dir: str):
+    """The group `serve` mounts: a primary from the snapshot, the recovered
+    state dir or a fresh seeded workload, mounted by one call from the
+    same flags (replicas, staleness, admission) on every path."""
+    from .reliability.statedir import holds_state
+    from .serving.loadtest import mount_group, seeded_primary
+
+    if args.snapshot is not None:
+        primary = _snapshot_primary(
+            args.snapshot, state_dir, fsync=args.fsync,
+            checkpoint_interval=args.checkpoint_interval,
+        )
+    elif holds_state(state_dir):
+        # a previous incarnation (crashed or drained) left durable state:
+        # serve what it acknowledged, not a fresh workload over it
+        primary = _recovered_primary(state_dir, args)
+    else:
+        primary = seeded_primary(
+            state_dir, objects=args.objects, seed=args.seed, fsync=args.fsync,
+            checkpoint_interval=args.checkpoint_interval,
+        )
+    return mount_group(primary, args.replicas, args.staleness,
+                       args.admission_rate)
 
 
 def _cmd_serve(args) -> int:
@@ -778,8 +774,6 @@ def _cmd_serve(args) -> int:
     import threading
 
     from .reliability.crashpoints import arm_from_env
-    from .reliability.statedir import holds_state
-    from .serving.loadtest import build_serving_group
     from .serving.server import ServerThread, ServingConfig
 
     armed = arm_from_env()
@@ -805,28 +799,13 @@ def _cmd_serve(args) -> int:
     from .telemetry import JOURNAL
 
     JOURNAL.bind(os.path.join(state_dir, "journal"), role="serve")
-    if args.snapshot is not None:
-        group = _serving_group(args.snapshot, args.replicas, args.staleness,
-                               state_dir)
-    elif holds_state(state_dir):
-        # a previous incarnation (crashed or drained) left durable state:
-        # serve what it acknowledged, not a fresh workload over it
-        group = _recovered_group(state_dir, args)
-    else:
-        group = build_serving_group(
-            state_dir, objects=args.objects, replicas=args.replicas,
-            seed=args.seed, staleness=args.staleness,
-            admission_rate=args.admission_rate,
-            fsync=args.fsync, checkpoint_interval=args.checkpoint_interval,
-        )
+    group = _boot_group(args, state_dir)
     JOURNAL.update_context(
         epoch=group.epoch,
         generation=getattr(group.primary, "recovery_generation", 0),
     )
-    thread = ServerThread(group, ServingConfig(
-        host=args.host, port=args.port, read_timeout=args.read_timeout,
-        max_inflight=args.max_inflight, drain_deadline=args.drain_deadline,
-    ))
+    serving = ServingConfig(host=args.host, port=args.port)
+    thread = ServerThread(group, serving)
     metrics_server = None
     try:
         thread.start()
@@ -846,10 +825,10 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         stop.wait()
-        JOURNAL.emit("serve.drain", deadline=args.drain_deadline)
+        JOURNAL.emit("serve.drain", deadline=serving.drain_deadline)
         print(
             f"drain: no new connections; in-flight requests get "
-            f"{args.drain_deadline:.1f}s",
+            f"{serving.drain_deadline:.1f}s",
             file=sys.stderr,
         )
     finally:
@@ -872,23 +851,7 @@ def _cmd_supervise(args) -> int:
     if serve_args and serve_args[0] == "--":
         serve_args = serve_args[1:]
     supervisor = Supervisor(SupervisorConfig(
-        serve_args=serve_args,
-        host=args.host,
-        port=args.port,
-        probe_interval=args.probe_interval,
-        probe_timeout=args.probe_timeout,
-        liveness_failures=args.liveness_failures,
-        startup_deadline=args.startup_deadline,
-        backoff_initial=args.backoff_initial,
-        backoff_max=args.backoff_max,
-        crash_loop_threshold=args.crash_loop_threshold,
-        crash_loop_window=args.crash_loop_window,
-        max_restarts=args.max_restarts,
-        graceful_deadline=args.graceful_deadline,
-        seed=args.seed,
-        arm_crashpoint=args.arm_crashpoint,
-        arm_after=args.arm_after,
-        arm_torn=args.arm_torn,
+        serve_args=serve_args, host=args.host, port=args.port,
     ))
     # SIGTERM/Ctrl-C mean "drain the child and stop", exit 0 — the same
     # contract serve itself honors, one level up
@@ -902,7 +865,7 @@ def _cmd_loadtest(args) -> int:
     import shutil
     import tempfile
 
-    from .serving.loadtest import LoadTestConfig, build_serving_group, run_loadtest
+    from .serving.loadtest import build_serving_group, run_loadtest
     from .serving.server import ServerThread, ServingConfig
 
     if (args.host is None) != (args.port is None):
@@ -1190,7 +1153,7 @@ def _probe_workload(seed: int = 7, objects: int = 48) -> None:
 
     from .core.errors import AdmissionRejectedError
     from .reliability.admission import AdmissionConfig
-    from .reliability.replication import ReplicationConfig, ReplicationGroup
+    from .reliability.replication import ReplicationGroup
     from .reliability.validation import ReliabilityConfig
 
     rng = random.Random(seed)
@@ -1221,7 +1184,7 @@ def _probe_workload(seed: int = 7, objects: int = 48) -> None:
         group = ReplicationGroup(
             primary,
             n_replicas=1,
-            config=ReplicationConfig(staleness_bound=1_000_000),
+            staleness_bound=1_000_000,
             admission=AdmissionConfig(rate=0.001, burst=16.0),
         )
         group.advance_to(1)

@@ -18,7 +18,7 @@ instead:
 Everything that needs to know a method reads this table:
 :meth:`PDRServer.evaluate <repro.core.system.PDRServer.evaluate>` (the
 evaluator), :func:`repro.reliability.deadline.ladder_for` (the fallback
-chain), :class:`repro.reliability.admission.AdmissionConfig` (the default
+chain), :class:`repro.reliability.admission.AdmissionController` (the
 prices), ``repro query --method`` (the choices) and the unknown-method
 error.  Adding or retiring a method is an edit here and nowhere else.
 

@@ -61,7 +61,6 @@ from .integrity import (
 from .replication import (
     FailoverCoordinator,
     Replica,
-    ReplicationConfig,
     ReplicationGroup,
     ReplicationLink,
     ShippedRecord,
@@ -100,7 +99,6 @@ __all__ = [
     "RejectedReport",
     "ReliabilityConfig",
     "Replica",
-    "ReplicationConfig",
     "ReplicationGroup",
     "ReplicationLink",
     "ReportPolicy",

@@ -36,11 +36,11 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from ..core.errors import AdmissionRejectedError, InvalidParameterError
-from ..methods.table import METHODS, method_named
+from ..methods.table import method_named
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
 from .deadline import ladder_for
@@ -149,25 +149,22 @@ class CircuitBreaker:
             self._transition("open")
 
 
+# In-flight evaluations the controller seats at once, whatever the
+# token balance (tokens bound throughput, seats bound latency).
+MAX_CONCURRENT = 64
+
+
 @dataclass
 class AdmissionConfig:
-    """Knobs of the front-door admission controller.
+    """The token bucket of the front-door admission controller.
 
-    ``rate``/``burst`` shape the token bucket (tokens per second /
-    bucket capacity); ``max_concurrent`` caps in-flight evaluations;
-    ``cost_classes`` prices each method in tokens (default: the method
-    table's ``cost`` column, which also prices any method the mapping
-    omits); ``degrade`` allows the controller to admit a cheaper method
-    than requested before shedding.
+    ``rate``/``burst`` are tokens per second / bucket capacity.  A method
+    is charged its ``cost`` in the method table, and the controller may
+    admit any cheaper rung it is handed before shedding.
     """
 
     rate: float = 100.0
     burst: float = 200.0
-    max_concurrent: int = 64
-    cost_classes: Dict[str, float] = field(
-        default_factory=lambda: {name: row.cost for name, row in METHODS.items()}
-    )
-    degrade: bool = True
 
 
 class AdmissionController:
@@ -188,8 +185,7 @@ class AdmissionController:
     # admission
     # ------------------------------------------------------------------
     def cost_of(self, method: str) -> float:
-        cost = self.config.cost_classes.get(method)
-        return method_named(method).cost if cost is None else cost
+        return method_named(method).cost
 
     def admit(
         self, method: str, rungs: Optional[Sequence[str]] = None
@@ -198,7 +194,8 @@ class AdmissionController:
 
         ``rungs`` is the request's ladder (``ladder_for(method, query,
         pa_l)``, which the router computes so a rung the query cannot run on
-        is never admitted); left out, it is the method's full ladder.
+        is never admitted); left out, it is the method's full ladder, and
+        ``[method]`` admits the method itself or sheds.
         Returns ``(admitted_method, degraded)``.  Raises
         :class:`AdmissionRejectedError` with a ``retry_after`` computed
         from the bucket's refill rate when even the cheapest acceptable
@@ -208,14 +205,12 @@ class AdmissionController:
         """
         if rungs is None:
             rungs = ladder_for(method)
-        if not self.config.degrade:
-            rungs = rungs[:1]
         with self._lock:
             return self._admit_locked(method, rungs)
 
     def _admit_locked(self, method: str, rungs: Sequence[str]) -> Tuple[str, bool]:
         self.counters["requested"] += 1
-        if self.in_flight >= self.config.max_concurrent:
+        if self.in_flight >= MAX_CONCURRENT:
             self.counters["rejected"] += 1
             self.counters["rejected_concurrency"] += 1
             tm.ADMISSION_SHEDS.labels(method).inc()
@@ -228,7 +223,7 @@ class AdmissionController:
             )
             raise AdmissionRejectedError(
                 f"concurrency cap reached ({self.in_flight} in flight, "
-                f"cap {self.config.max_concurrent})",
+                f"cap {MAX_CONCURRENT})",
                 retry_after=self.bucket.seconds_until(self.cost_of(method)),
             )
         for rung in rungs:

@@ -99,7 +99,7 @@ from ..telemetry import instruments as tm
 from .crashpoints import CRASH_SITES, KILL_EXIT_CODE
 from .faults import FaultInjector
 from .integrity import flip_byte, verify_state_dir
-from .replication import ReplicationConfig, ReplicationGroup
+from .replication import ReplicationGroup
 from .statedir import kind_of
 from .validation import ReliabilityConfig, ResourceConfig
 
@@ -129,7 +129,6 @@ PROCESS_CHECKPOINT_INTERVAL = 2  # every checkpoint site on the path
 POST_RESTART_OPS = 8  # acked writes demanded of the restarted child
 CRASH_DEADLINE = 60.0  # seconds for the armed kill to happen
 RECOVER_DEADLINE = 60.0  # seconds for the restart to go ready
-STARTUP_DEADLINE = 45.0  # seconds for the first child to go ready
 
 DISRUPTIONS = ("crash_primary", "crash_replica", "flip_wal", "flip_ckpt")
 NET_DISRUPTIONS = ("net_reset", "net_truncate", "net_slowloris", "net_stall")
@@ -582,7 +581,7 @@ class ChaosScheduler:
         return ReplicationGroup(
             primary,
             n_replicas=cfg.replicas,
-            config=ReplicationConfig(staleness_bound=cfg.staleness_bound),
+            staleness_bound=cfg.staleness_bound,
             admission=admission,
         )
 
@@ -912,10 +911,10 @@ class ChaosScheduler:
                     lag = replica.lag(group.acked_lsn)
                     # recorded at serve time; checked by the router already,
                     # asserted here as the independent staleness oracle
-                    if lag > group.replication.staleness_bound:
+                    if lag > group.staleness_bound:
                         raise AssertionError(
                             f"staleness oracle: {served} served at lag {lag} "
-                            f"> bound {group.replication.staleness_bound}"
+                            f"> bound {group.staleness_bound}"
                         )
 
     def _check_oracles(self, group, max_acked: int,
@@ -1010,7 +1009,11 @@ class ChaosScheduler:
         and after its restart, then stop it.  Returns ``(failure,
         acked_lsn)``; the liveness evidence is the supervisor's journal."""
         from ..serving.client import ClientConfig, ResilientClient
-        from ..serving.supervisor import Supervisor, SupervisorConfig
+        from ..serving.supervisor import (
+            STARTUP_DEADLINE,
+            Supervisor,
+            SupervisorConfig,
+        )
         from ..telemetry import read_journal
 
         cfg = self.config
@@ -1025,10 +1028,6 @@ class ChaosScheduler:
                 "--fsync",
                 "--checkpoint-interval", str(PROCESS_CHECKPOINT_INTERVAL),
             ],
-            probe_interval=0.1,
-            startup_deadline=STARTUP_DEADLINE,
-            backoff_initial=0.1,
-            backoff_max=1.0,
             seed=cfg.seed,
             arm_crashpoint=cfg.crashpoint,
             arm_after=cfg.arm_after,

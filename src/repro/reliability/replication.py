@@ -79,7 +79,6 @@ from .statedir import load_latest_checkpoint, read_server_config
 from .validation import ReliabilityConfig
 
 __all__ = [
-    "ReplicationConfig",
     "ShippedRecord",
     "ReplicationLink",
     "Replica",
@@ -88,25 +87,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class ReplicationConfig:
-    """Group-level knobs.
-
-    ``staleness_bound`` is the maximum LSN lag at which a replica may
-    still serve reads (0 = only fully caught-up replicas).
-    ``lease_timeout`` is how long the coordinator waits for a heartbeat
-    before declaring the primary dead and failing over.
-    ``repair_history`` is how many applied records each replica retains
-    for anti-entropy repair of a corrupted primary log (the damaged LSN
-    range is re-fetched from this history; beyond it, repair falls back
-    to a checkpoint image of the replica's state).
-    """
-
-    staleness_bound: int = 0
-    lease_timeout: float = 3.0
-    breaker_threshold: int = 3
-    breaker_probation_seconds: float = 5.0
-    repair_history: int = 65536
+# How long the coordinator waits for a primary heartbeat before it
+# declares the primary dead and fails over (seconds on the group's clock).
+LEASE_TIMEOUT = 3.0
+# Consecutive backend failures that open a read breaker, and how long it
+# then stays open before a half-open probe.
+BREAKER_THRESHOLD = 3
+BREAKER_PROBATION_SECONDS = 5.0
+# Applied records each replica retains for anti-entropy repair of a
+# corrupted primary log; past it, repair installs a checkpoint image.
+REPAIR_HISTORY = 65536
 
 
 @dataclass(frozen=True)
@@ -189,28 +179,25 @@ class ReplicationLink:
 class Replica:
     """One replica server plus its apply cursor and reorder buffer.
 
-    Every applied record is also retained (up to ``history_limit``
+    Every applied record is also retained (up to :data:`REPAIR_HISTORY`
     entries, oldest evicted first) in :attr:`history` — the record cache
     that anti-entropy repair re-fetches a corrupted primary-log range
     from (:meth:`records_in_range`).
     """
 
-    def __init__(
-        self, name: str, server, link: ReplicationLink, history_limit: int = 65536
-    ) -> None:
+    def __init__(self, name: str, server, link: ReplicationLink) -> None:
         self.name = name
         self.server = server
         self.link = link
         self.applied_lsn = 0
         self.epoch = 0
-        self.history_limit = max(0, int(history_limit))
         self.history: "OrderedDict[int, dict]" = OrderedDict()
         self._pending: Dict[int, dict] = {}
         self.fenced_rejects = 0
 
     def _remember(self, lsn: int, record: dict) -> None:
         self.history[lsn] = record
-        while len(self.history) > self.history_limit:
+        while len(self.history) > REPAIR_HISTORY:
             self.history.popitem(last=False)
 
     def records_in_range(self, lo: int, hi: int) -> Optional[List[dict]]:
@@ -347,13 +334,17 @@ class FailoverCoordinator:
 
 
 class ReplicationGroup:
-    """One primary plus N replicas behind a staleness-aware read router."""
+    """One primary plus N replicas behind a staleness-aware read router.
+
+    ``staleness_bound`` is the maximum LSN lag at which a replica may
+    still serve reads (0 = only fully caught-up replicas).
+    """
 
     def __init__(
         self,
         primary,
         n_replicas: int = 2,
-        config: Optional[ReplicationConfig] = None,
+        staleness_bound: int = 0,
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         if primary._manager is None:
@@ -363,7 +354,7 @@ class ReplicationGroup:
             )
         if n_replicas < 0:
             raise InvalidParameterError(f"n_replicas must be >= 0, got {n_replicas}")
-        self.replication = config or ReplicationConfig()
+        self.staleness_bound = staleness_bound
         self.primary = primary
         self.primary_name = "primary"
         self.primary_alive = True
@@ -380,7 +371,7 @@ class ReplicationGroup:
         self.admission = (
             AdmissionController(admission, self.clock) if admission is not None else None
         )
-        self.coordinator = FailoverCoordinator(self.clock, self.replication.lease_timeout)
+        self.coordinator = FailoverCoordinator(self.clock, LEASE_TIMEOUT)
         tm.REPLICATION_EPOCH.set(self.epoch)
         primary._manager.on_append.append(self._ship)
         self._wire_resources(primary._manager)
@@ -429,12 +420,7 @@ class ReplicationGroup:
             role="replica",
             reliability=ReliabilityConfig(faults=self.faults),
         )
-        replica = Replica(
-            name,
-            server,
-            ReplicationLink(name, faults=self.faults),
-            history_limit=self.replication.repair_history,
-        )
+        replica = Replica(name, server, ReplicationLink(name, faults=self.faults))
         replica.epoch = self.epoch
         replica.catch_up(self.state_dir, prefer_image=True)
         self.replicas.append(replica)
@@ -450,8 +436,8 @@ class ReplicationGroup:
         if name not in self._breakers:
             self._breakers[name] = CircuitBreaker(
                 self.clock,
-                threshold=self.replication.breaker_threshold,
-                probation_seconds=self.replication.breaker_probation_seconds,
+                threshold=BREAKER_THRESHOLD,
+                probation_seconds=BREAKER_PROBATION_SECONDS,
                 name=name,
             )
         return self._breakers[name]
@@ -665,7 +651,7 @@ class ReplicationGroup:
         """(name, server) candidates: fresh replicas round-robin, then primary."""
         fresh = [
             r for r in self.replicas
-            if r.lag(self._acked_lsn) <= self.replication.staleness_bound
+            if r.lag(self._acked_lsn) <= self.staleness_bound
         ]
         if fresh:
             self._rr = (self._rr + 1) % len(fresh)
@@ -704,7 +690,7 @@ class ReplicationGroup:
         if not backends:
             raise StalenessExceededError(
                 f"no backend within staleness bound "
-                f"{self.replication.staleness_bound} "
+                f"{self.staleness_bound} "
                 f"(acked lsn {self._acked_lsn}) and the primary is unavailable"
             )
         slot = self.admission.slot if self.admission is not None else nullcontext
@@ -795,7 +781,7 @@ class ReplicationGroup:
                 "tnow": self.primary.tnow,
                 "read_only": self.primary.read_only,
             },
-            "staleness_bound": self.replication.staleness_bound,
+            "staleness_bound": self.staleness_bound,
             "replicas": [
                 {
                     "name": r.name,

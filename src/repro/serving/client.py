@@ -6,7 +6,7 @@ surface of the wire:
 
 * **Connection failures and timeouts** are retried with capped
   exponential backoff plus seeded jitter (``base * 2^attempt`` capped at
-  ``backoff_cap``, then scattered ±``jitter``), against a per-endpoint
+  ``backoff_cap``, then scattered ±``JITTER``), against a per-endpoint
   :class:`~repro.reliability.admission.CircuitBreaker` — the same
   closed/open/half-open machine the in-process router uses — so a dead
   endpoint stops eating the retry budget after a few failures.
@@ -54,7 +54,6 @@ from ..reliability.admission import CircuitBreaker
 from ..reliability.faults import Clock, MonotonicClock
 from ..telemetry import JOURNAL, new_span_id, new_trace_id
 from .protocol import (
-    DEFAULT_MAX_FRAME,
     make_trace_envelope,
     read_frame_sync,
     write_frame_sync,
@@ -82,19 +81,20 @@ class WireError(ServingError):
         self.frame = frame or {}
 
 
+# The +- fraction by which a computed backoff is scattered.
+JITTER = 0.25
+
+
 @dataclass
 class ClientConfig:
-    """Retry policy and socket knobs."""
+    """Retry policy and socket settings."""
 
     connect_timeout: float = 2.0
     request_timeout: float = 10.0
     max_attempts: int = 8
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    jitter: float = 0.25  # +- fraction of the computed backoff
     retry_after_cap: float = 5.0  # never sleep longer on a shed hint
-    honor_retry_after: bool = True
-    max_frame: int = DEFAULT_MAX_FRAME
     seed: Optional[int] = None  # jitter rng seed (None = entropy)
     breaker_threshold: int = 3
     breaker_probation_seconds: float = 1.0
@@ -198,7 +198,7 @@ class ResilientClient:
         delay = min(
             self.config.backoff_cap, self.config.backoff_base * (2 ** attempt)
         )
-        spread = 1.0 + self.config.jitter * self._rng.uniform(-1.0, 1.0)
+        spread = 1.0 + JITTER * self._rng.uniform(-1.0, 1.0)
         return max(0.0, delay * spread)
 
     def _pick_endpoint(self) -> Endpoint:
@@ -232,9 +232,8 @@ class ResilientClient:
             try:
                 sock = self._connect(endpoint)
                 try:
-                    write_frame_sync(sock, {"op": "health"},
-                                     max_frame=self.config.max_frame)
-                    frame = read_frame_sync(sock, max_frame=self.config.max_frame)
+                    write_frame_sync(sock, {"op": "health"})
+                    frame = read_frame_sync(sock)
                 finally:
                     sock.close()
             except (OSError, ProtocolError):
@@ -268,7 +267,7 @@ class ResilientClient:
                 # the protocol invariant the chaos oracle checks
                 self.sheds_missing_retry_after += 1
             delay = self._backoff(attempt)
-            if retry_after is not None and self.config.honor_retry_after:
+            if retry_after is not None:
                 hinted = min(float(retry_after), self.config.retry_after_cap)
                 if hinted > delay:
                     delay = hinted
@@ -360,8 +359,8 @@ class ResilientClient:
             breaker = self._breaker(endpoint)
             try:
                 sock = self._socket_for(endpoint)
-                write_frame_sync(sock, message, max_frame=self.config.max_frame)
-                frame = read_frame_sync(sock, max_frame=self.config.max_frame)
+                write_frame_sync(sock, message)
+                frame = read_frame_sync(sock)
             except (OSError, ProtocolError) as exc:
                 breaker.record_failure()
                 self._drop_connection()

@@ -7,7 +7,7 @@ p50/p95/p99 latency per operation class against configured SLOs:
 * ``report-heavy`` — 90% location reports, 10% queries (ingest-bound);
 * ``query-heavy``  — 20% reports, 80% queries (read-bound);
 * ``flash-crowd``  — report-heavy, but the offered load multiplies by
-  ``flash_factor`` in the middle third of the run (open loop: the
+  ``FLASH_FACTOR`` in the middle third of the run (open loop: the
   arrival rate ramps; closed loop: burst workers join) — the overload
   regime where admission sheds and ``retry_after`` honoring earn their
   keep.
@@ -43,6 +43,8 @@ __all__ = [
     "LoadTestResult",
     "run_loadtest",
     "build_serving_group",
+    "seeded_primary",
+    "mount_group",
     "MIXES",
 ]
 
@@ -52,6 +54,16 @@ MIXES: Dict[str, Tuple[float, float]] = {
     "query-heavy": (0.20, 0.80),
     "flash-crowd": (0.90, 0.10),
 }
+# flash-crowd: the load multiplier of the middle third of the run
+FLASH_FACTOR = 6.0
+# Every generated query: its methods (drawn uniformly), its relative
+# threshold and its degradation-ladder budget in seconds.
+QUERY_METHODS = ("pa", "fr")
+QUERY_VARRHO = 2.0
+QUERY_DEADLINE = 0.5
+# Ticks a self-hosted group advances after seeding, so every maintained
+# structure has state before the first request.
+WARMUP_TICKS = 2
 
 
 @dataclass
@@ -63,12 +75,8 @@ class LoadTestConfig:
     duration: float = 5.0
     rate: float = 100.0  # open loop: offered ops/sec (base, pre-flash)
     concurrency: int = 4  # closed loop: workers (base, pre-flash)
-    flash_factor: float = 6.0  # load multiplier in the middle third
     seed: int = 7
     objects: int = 64  # oid space for generated reports
-    varrho: float = 2.0
-    query_deadline: Optional[float] = 0.5  # degradation ladder budget
-    query_methods: Tuple[str, ...] = ("pa", "fr")
     report_slo_p99_ms: float = 250.0  # reports own the writer thread; queries
                                       # run on the reader pool and no longer
                                       # queue ahead of them
@@ -296,12 +304,10 @@ class _Worker:
             )
         else:
             kind = "query"
-            method = cfg.query_methods[
-                self.rng.randrange(len(cfg.query_methods))
-            ]
+            method = QUERY_METHODS[self.rng.randrange(len(QUERY_METHODS))]
             call = lambda: self.client.query(  # noqa: E731
                 method, qt_offset=self.rng.randrange(0, 2),
-                varrho=cfg.varrho, deadline=cfg.query_deadline,
+                varrho=QUERY_VARRHO, deadline=QUERY_DEADLINE,
                 max_regions=8,  # percentiles need timing, not geometry
             )
         try:
@@ -352,7 +358,7 @@ def _open_loop_arrivals(config: LoadTestConfig) -> List[float]:
     while t < config.duration:
         rate = config.rate
         if config.mix == "flash-crowd" and third <= t < 2 * third:
-            rate *= config.flash_factor
+            rate *= FLASH_FACTOR
         arrivals.append(t)
         t += 1.0 / rate
     return arrivals
@@ -395,7 +401,7 @@ def run_loadtest(
             workers.append(_Worker(i, endpoints, config, client_config,
                                    window=(0.0, config.duration)))
         if config.mix == "flash-crowd":
-            burst = max(1, int(config.concurrency * (config.flash_factor - 1)))
+            burst = max(1, int(config.concurrency * (FLASH_FACTOR - 1)))
             for j in range(burst):
                 workers.append(_Worker(
                     1000 + j, endpoints, config, client_config,
@@ -459,23 +465,28 @@ def build_serving_group(
     seed: int = 7,
     staleness: int = 1_000_000,
     admission_rate: Optional[float] = None,
-    admission_burst: Optional[float] = None,
-    warmup_ticks: int = 2,
     fsync: bool = False,
     checkpoint_interval: int = 0,
 ):
-    """A durable, warmed :class:`ReplicationGroup` for self-hosted runs.
+    """A durable, warmed :class:`ReplicationGroup` for self-hosted runs:
+    :func:`seeded_primary` mounted by :func:`mount_group`.  The caller
+    owns ``state_dir`` and must ``close()`` the group."""
+    primary = seeded_primary(state_dir, objects, seed, fsync, checkpoint_interval)
+    return mount_group(primary, replicas, staleness, admission_rate)
 
-    Seeds ``objects`` moving objects over the default domain, advances a
-    couple of ticks so every maintained structure has state, and mounts
-    the admission controller when a rate is given.  The caller owns
-    ``state_dir`` and must ``close()`` the group.
-    """
+
+def seeded_primary(
+    state_dir: str,
+    objects: int = 200,
+    seed: int = 7,
+    fsync: bool = False,
+    checkpoint_interval: int = 0,
+):
+    """A durable primary holding ``objects`` seeded moving objects over
+    the default domain, advanced :data:`WARMUP_TICKS` ticks."""
     from ..core.config import SystemConfig
     from ..core.geometry import Rect
     from ..core.system import PDRServer
-    from ..reliability.admission import AdmissionConfig
-    from ..reliability.replication import ReplicationConfig, ReplicationGroup
     from ..reliability.validation import ReliabilityConfig
 
     rng = random.Random(seed)
@@ -512,17 +523,31 @@ def build_serving_group(
         )
         for oid in range(objects)
     ])
-    for _ in range(warmup_ticks):
+    for _ in range(WARMUP_TICKS):
         primary.advance_to(primary.tnow + 1)
+    return primary
+
+
+def mount_group(
+    primary,
+    replicas: int,
+    staleness: int,
+    admission_rate: Optional[float] = None,
+):
+    """Mount a durable ``primary`` as a :class:`ReplicationGroup`.
+
+    ``replicas`` replicas read within ``staleness`` LSNs; a rate mounts
+    the admission controller with a bucket of two seconds' tokens.
+    """
+    from ..reliability.admission import AdmissionConfig
+    from ..reliability.replication import ReplicationGroup
+
     admission = None
     if admission_rate is not None:
-        admission = AdmissionConfig(
-            rate=admission_rate,
-            burst=admission_burst or admission_rate * 2.0,
-        )
+        admission = AdmissionConfig(rate=admission_rate, burst=2.0 * admission_rate)
     return ReplicationGroup(
         primary,
         n_replicas=replicas,
-        config=ReplicationConfig(staleness_bound=staleness),
+        staleness_bound=staleness,
         admission=admission,
     )

@@ -8,8 +8,8 @@ behind the length-prefixed JSON protocol of :mod:`.protocol`:
 
 * **Per-connection limits.**  Reads and writes carry timeouts (a
   slow-loris peer cannot hold a connection forever), frames above
-  ``max_frame`` are refused with a structured error *without* breaking
-  the stream framing, and at most ``max_inflight`` requests may be
+  ``DEFAULT_MAX_FRAME`` are refused with a structured error *without*
+  breaking the stream framing, and at most ``MAX_INFLIGHT`` requests may be
   pipelined per connection — the excess is answered ``too_many_inflight``
   immediately rather than queued without bound.
 * **One writer thread, many reader threads.**  Mutations (``report``,
@@ -64,7 +64,6 @@ from ..core.errors import (
 from ..telemetry import NOOP_SPAN, TELEMETRY
 from ..telemetry import instruments as tm
 from .protocol import (
-    DEFAULT_MAX_FRAME,
     encode_frame,
     parse_trace_envelope,
     read_frame_async,
@@ -73,20 +72,23 @@ from .protocol import (
 __all__ = ["ServingConfig", "PDRTCPServer", "ServerThread"]
 
 
+# Requests one connection may pipeline; the excess is refused at once.
+MAX_INFLIGHT = 16
+# Reader threads for the read-only ops.
+READ_WORKERS = 4
+# The retry hint (seconds) on `draining` error frames.
+DRAIN_RETRY_AFTER = 1.0
+
+
 @dataclass
 class ServingConfig:
-    """Front-door knobs (timeouts in seconds)."""
+    """Front-door settings (timeouts in seconds)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is in .address
     read_timeout: float = 30.0
     write_timeout: float = 10.0
-    max_frame: int = DEFAULT_MAX_FRAME
-    max_inflight: int = 16  # pipelined requests per connection
-    read_workers: int = 4  # reader threads for read-only ops
     drain_deadline: float = 5.0
-    drain_retry_after: float = 1.0  # hint on `draining` error frames
-    advertise: Optional[Tuple[str, int]] = None  # address told to clients
     primary_address: Optional[Tuple[str, int]] = None  # redirect target
 
 
@@ -170,7 +172,7 @@ class PDRTCPServer:
         )
         # read-only queries fan out here, sharing the state lock's read side
         self._read_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, self.config.read_workers),
+            max_workers=READ_WORKERS,
             thread_name_prefix="pdr-read",
         )
         self._state_lock = _ReadWriteLock()
@@ -271,7 +273,7 @@ class PDRTCPServer:
             "pid": os.getpid(),
             "lsn": self._lsn(),
             "tnow": int(self.backend.tnow),
-            "advertise": list(self.config.advertise or self.address or ()),
+            "advertise": list(self.address or ()),
         }
 
     def _op_drain(self, message: dict) -> dict:
@@ -299,7 +301,7 @@ class PDRTCPServer:
             while True:
                 try:
                     framed = await asyncio.wait_for(
-                        read_frame_async(reader, self.config.max_frame),
+                        read_frame_async(reader),
                         timeout=self.config.read_timeout,
                     )
                 except asyncio.TimeoutError:
@@ -317,11 +319,11 @@ class PDRTCPServer:
                 if framed is None:
                     break  # clean EOF
                 message, _length = framed
-                if conn.inflight >= self.config.max_inflight:
+                if conn.inflight >= MAX_INFLIGHT:
                     await self._send(conn, self._error_frame(
                         "too_many_inflight",
                         f"connection has {conn.inflight} requests in flight "
-                        f"(cap {self.config.max_inflight})",
+                        f"(cap {MAX_INFLIGHT})",
                         retry_after=0.05,
                         request=message,
                     ))
@@ -381,7 +383,7 @@ class PDRTCPServer:
         if self.draining:
             return self._error_frame(
                 "draining", "server is draining; use another endpoint",
-                retry_after=self.config.drain_retry_after,
+                retry_after=DRAIN_RETRY_AFTER,
             )
         loop = asyncio.get_event_loop()
         executor = self._read_executor if entry.reads else self._executor
@@ -418,7 +420,7 @@ class PDRTCPServer:
             # the executor rejects work while shutting down
             return self._error_frame(
                 "draining", f"backend unavailable: {exc}",
-                retry_after=self.config.drain_retry_after,
+                retry_after=DRAIN_RETRY_AFTER,
             )
         payload["ok"] = True
         payload.setdefault("epoch", self._epoch())
@@ -442,7 +444,7 @@ class PDRTCPServer:
 
     async def _send(self, conn: _Connection, message: dict) -> None:
         try:
-            data = encode_frame(message, max_frame=self.config.max_frame)
+            data = encode_frame(message)
         except ProtocolError:
             data = encode_frame(self._error_frame(
                 "internal", "response exceeded the frame limit"))

@@ -98,26 +98,36 @@ def _state_dir_from_args(serve_args: Sequence[str]) -> Optional[str]:
     return None
 
 
+# Supervision policy (seconds unless noted).  One child lineage is
+# probed every PROBE_INTERVAL with a PROBE_TIMEOUT socket budget, and
+# LIVENESS_FAILURES consecutive failed probes of a running child mean
+# it hung.  A child gets STARTUP_DEADLINE to print its port and answer
+# ready.  Restarts wait BACKOFF_INITIAL, times BACKOFF_FACTOR per crash
+# up to BACKOFF_MAX, scattered +- BACKOFF_JITTER (a fraction); a healthy
+# start resets the delay.  CRASH_LOOP_THRESHOLD crashes inside
+# CRASH_LOOP_WINDOW is a crash loop.  On stop a child gets
+# GRACEFUL_DEADLINE to drain before SIGKILL.
+PROBE_INTERVAL = 0.1
+PROBE_TIMEOUT = 2.0
+LIVENESS_FAILURES = 3
+STARTUP_DEADLINE = 45.0
+BACKOFF_INITIAL = 0.1
+BACKOFF_MAX = 5.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+CRASH_LOOP_THRESHOLD = 5
+CRASH_LOOP_WINDOW = 30.0
+GRACEFUL_DEADLINE = 10.0
+
+
 @dataclasses.dataclass
 class SupervisorConfig:
-    """Knobs for one supervised ``repro serve`` lineage."""
+    """One supervised ``repro serve`` lineage."""
 
     serve_args: Sequence[str] = ()  # forwarded to `repro serve` verbatim
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the first child pick; then pinned
-    probe_interval: float = 0.2  # seconds between health probes
-    probe_timeout: float = 2.0  # per-probe socket budget
-    liveness_failures: int = 3  # consecutive failed probes = hung child
-    startup_deadline: float = 30.0  # port line + first ready, per child
-    backoff_initial: float = 0.2
-    backoff_max: float = 5.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25  # +- fraction of the delay
-    crash_loop_threshold: int = 5  # this many crashes ...
-    crash_loop_window: float = 30.0  # ... within this window = give up
-    graceful_deadline: float = 10.0  # drain budget on stop before SIGKILL
-    max_restarts: Optional[int] = None  # None = unbounded
-    seed: int = 0  # jitter determinism for tests
+    seed: int = 0  # backoff-jitter rng seed
     arm_crashpoint: Optional[str] = None  # first child only
     arm_after: int = 0
     arm_torn: Optional[float] = None
@@ -217,14 +227,14 @@ class Supervisor:
     # ------------------------------------------------------------------
     def run(self) -> int:
         crashes: deque = deque()
-        backoff = self.config.backoff_initial
+        backoff = BACKOFF_INITIAL
         spawned = 0
         while True:
             child = self._spawn(first=spawned == 0)
             spawned += 1
             became_ready = self._await_startup(child)
             if became_ready:
-                backoff = self.config.backoff_initial  # healthy start resets
+                backoff = BACKOFF_INITIAL  # healthy start resets
             code = self._monitor(child)
             self._ready.clear()
             self._child = None
@@ -239,26 +249,19 @@ class Supervisor:
             tm.SUPERVISOR_RESTARTS.inc()
             now = time.monotonic()
             crashes.append(now)
-            while crashes and now - crashes[0] > self.config.crash_loop_window:
+            while crashes and now - crashes[0] > CRASH_LOOP_WINDOW:
                 crashes.popleft()
-            if len(crashes) >= self.config.crash_loop_threshold:
+            if len(crashes) >= CRASH_LOOP_THRESHOLD:
                 self._emit(
                     "giveup", reason="crash-loop", crashes=len(crashes),
-                    window=self.config.crash_loop_window, code=code,
+                    window=CRASH_LOOP_WINDOW, code=code,
                 )
                 tm.SUPERVISOR_CRASH_LOOPS.inc()
                 self.exit_code = EXIT_CRASH_LOOP
                 return EXIT_CRASH_LOOP
-            if (
-                self.config.max_restarts is not None
-                and self.restarts >= self.config.max_restarts
-            ):
-                self._emit("giveup", reason="max-restarts", code=code)
-                self.exit_code = code
-                return code
             self.restarts += 1
             delay = backoff * (
-                1.0 + self.config.backoff_jitter * self._rng.uniform(-1.0, 1.0)
+                1.0 + BACKOFF_JITTER * self._rng.uniform(-1.0, 1.0)
             )
             self._emit("backoff", delay=round(delay, 3), code=code,
                        restarts=self.restarts)
@@ -266,9 +269,7 @@ class Supervisor:
                 self._emit("stopped", code=code)
                 self.exit_code = 0
                 return 0
-            backoff = min(
-                backoff * self.config.backoff_factor, self.config.backoff_max
-            )
+            backoff = min(backoff * BACKOFF_FACTOR, BACKOFF_MAX)
 
     # ------------------------------------------------------------------
     # child lifecycle
@@ -318,8 +319,8 @@ class Supervisor:
     def _await_startup(self, child: _Child) -> bool:
         """Wait for the port line, then the first ready probe.  Returns
         True on readiness; False if the child died or overstayed."""
-        deadline = time.monotonic() + self.config.startup_deadline
-        port = child.wait_port(self.config.startup_deadline)
+        deadline = time.monotonic() + STARTUP_DEADLINE
+        port = child.wait_port(STARTUP_DEADLINE)
         if port is None:
             return False  # died before binding; _monitor reaps it
         if self.port is None:
@@ -342,7 +343,7 @@ class Supervisor:
                     lsn=health.get("lsn"),
                 )
                 return True
-            time.sleep(self.config.probe_interval)
+            time.sleep(PROBE_INTERVAL)
         return False
 
     def _monitor(self, child: _Child) -> int:
@@ -360,7 +361,7 @@ class Supervisor:
             health = self._probe()
             if health is None:
                 misses += 1
-                if misses >= self.config.liveness_failures and self.port:
+                if misses >= LIVENESS_FAILURES and self.port:
                     # live process, dead socket: hung beyond doubt
                     self._emit("hung", pid=child.process.pid, misses=misses)
                     try:
@@ -375,7 +376,7 @@ class Supervisor:
                     self._ready.set()
                 else:
                     self._ready.clear()
-            time.sleep(self.config.probe_interval)
+            time.sleep(PROBE_INTERVAL)
 
     def _shutdown_child(self, child: _Child) -> int:
         """SIGTERM -> graceful drain -> SIGKILL past the deadline."""
@@ -386,7 +387,7 @@ class Supervisor:
             except OSError:  # pragma: no cover - lost the race to exit
                 pass
             try:
-                child.process.wait(self.config.graceful_deadline)
+                child.process.wait(GRACEFUL_DEADLINE)
             except subprocess.TimeoutExpired:
                 self._emit("drain-timeout", pid=child.process.pid)
                 child.process.kill()
@@ -409,9 +410,9 @@ class Supervisor:
             return None
         try:
             with socket.create_connection(
-                (self.config.host, self.port), timeout=self.config.probe_timeout
+                (self.config.host, self.port), timeout=PROBE_TIMEOUT
             ) as sock:
-                sock.settimeout(self.config.probe_timeout)
+                sock.settimeout(PROBE_TIMEOUT)
                 write_frame_sync(sock, {"op": "health"})
                 frame = read_frame_sync(sock)
         except Exception:  # refused, timeout, reset, bad frame: not live

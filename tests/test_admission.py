@@ -24,12 +24,13 @@ from repro.core.errors import (
     QueryError,
 )
 from repro.methods.monitor import PDRMonitor
+from repro.reliability import admission as admission_module
+from repro.reliability import replication as replication_module
 from repro.reliability import (
     AdmissionConfig,
     AdmissionController,
     CircuitBreaker,
     FaultInjector,
-    ReplicationConfig,
     ReplicationGroup,
     TokenBucket,
     VirtualClock,
@@ -118,12 +119,10 @@ class TestAdmissionController:
         assert ctl.admit("fr") == ("fr", False)
         assert ctl.admit("pa") == ("pa", False)
 
-    def test_degrade_false_sheds_instead_of_downgrading(self):
-        ctl = AdmissionController(
-            AdmissionConfig(rate=1.0, burst=2.0, degrade=False), VirtualClock()
-        )
+    def test_one_rung_admit_sheds_instead_of_downgrading(self):
+        ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=2.0), VirtualClock())
         with pytest.raises(AdmissionRejectedError):
-            ctl.admit("fr")
+            ctl.admit("fr", rungs=["fr"])
         assert ctl.counters["degraded"] == 0
 
     def test_non_ladder_methods_degrade_to_the_optimistic_bound(self):
@@ -135,11 +134,9 @@ class TestAdmissionController:
         ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=2.0), VirtualClock())
         assert ctl.admit("bruteforce") == ("dh-optimistic", True)  # costs 8
         assert ctl.admit("dh-pessimistic") == ("dh-pessimistic", False)  # terminal
-        ctl = AdmissionController(
-            AdmissionConfig(rate=1.0, burst=2.0, degrade=False), VirtualClock()
-        )
+        ctl = AdmissionController(AdmissionConfig(rate=1.0, burst=2.0), VirtualClock())
         with pytest.raises(AdmissionRejectedError):
-            ctl.admit("bruteforce")
+            ctl.admit("bruteforce", rungs=["bruteforce"])
 
     def test_admit_prices_only_the_ladder_it_is_handed(self):
         # the router hands over ladder_for(method, query, pa_l): PA is not
@@ -155,16 +152,10 @@ class TestAdmissionController:
         with pytest.raises(InvalidParameterError, match="unknown method 'mystery'"):
             ctl.admit("mystery")
         assert ctl.bucket.tokens == 2.0 and ctl.counters["requested"] == 0
-        # a partial price list falls back to the method table's column
-        partial = AdmissionController(
-            AdmissionConfig(rate=1.0, burst=2.0, cost_classes={"fr": 3.0}), VirtualClock()
-        )
-        assert partial.cost_of("fr") == 3.0 and partial.cost_of("pa") == 2.0
 
-    def test_concurrency_cap_rejects_with_retry_after(self):
-        ctl = AdmissionController(
-            AdmissionConfig(rate=10.0, burst=20.0, max_concurrent=1), VirtualClock()
-        )
+    def test_concurrency_cap_rejects_with_retry_after(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "MAX_CONCURRENT", 1)
+        ctl = AdmissionController(AdmissionConfig(rate=10.0, burst=20.0), VirtualClock())
         with ctl.slot():
             with pytest.raises(AdmissionRejectedError):
                 ctl.admit("pa")
@@ -195,7 +186,7 @@ def make_serving_group(tmp_path, admission=None, n_replicas=1, faults=None):
     group = ReplicationGroup(
         primary,
         n_replicas=0,
-        config=ReplicationConfig(staleness_bound=0),
+        staleness_bound=0,
         admission=admission,
     )
     populate_clustered(primary, N_OBJECTS, seed=11)
@@ -225,7 +216,7 @@ class TestBreakerIntegration:
         assert group.status()["replicas"][0]["breaker"] == "open"
 
         replica.server.query = healthy_query
-        faults.clock.sleep(group.replication.breaker_probation_seconds + 0.1)
+        faults.clock.sleep(replication_module.BREAKER_PROBATION_SECONDS + 0.1)
         result = group.query("pa", qt=group.tnow, varrho=2.0)
         assert result.served_by == "replica-0"  # half-open probe succeeded
         assert group.status()["replicas"][0]["breaker"] == "closed"
@@ -278,7 +269,7 @@ class TestOneQueryPath:
         group, _ = make_serving_group(tmp_path, n_replicas=1)
         replica = group.replicas[0]
         replica.link.partitioned = True
-        group.replication.staleness_bound = 10
+        group.staleness_bound = 10
         group.advance_to(group.tnow + 1)
         qt = group.tnow + group.config.horizon  # inside the primary's window only
         result = group.query("dh-optimistic", qt=qt, varrho=2.0)
@@ -308,10 +299,12 @@ class TestOneQueryPath:
 
 class TestMonitorShedding:
     def test_monitor_records_shed_events_with_retry_after(self, tmp_path):
-        admission = AdmissionConfig(rate=1.0, burst=1.0, degrade=False)
+        admission = AdmissionConfig(rate=0.5, burst=0.5)
         group, _ = make_serving_group(tmp_path, admission=admission)
         monitor = PDRMonitor(group, offset=2, method="pa", varrho=2.0)
-        event = monitor.poll()  # pa costs 2, bucket holds 1: shed
+        # pa costs 2 and its cheapest rung 1, the bucket holds 0.5: shed,
+        # with the half token the bound lacks due in one second
+        event = monitor.poll()
         assert event.status == "shed"
         assert event.result is None
         assert event.retry_after == pytest.approx(1.0)

@@ -58,7 +58,7 @@ def test_open_loop_arrivals_are_deterministic_with_flash_ramp():
     base = LoadTestConfig(mix="report-heavy", mode="open", rate=30.0,
                           duration=3.0)
     flash = LoadTestConfig(mix="flash-crowd", mode="open", rate=30.0,
-                           duration=3.0, flash_factor=6.0)
+                           duration=3.0)
     plain = _open_loop_arrivals(base)
     crowd = _open_loop_arrivals(flash)
     assert plain == _open_loop_arrivals(base)  # pure function of config
@@ -129,8 +129,9 @@ def test_query_heavy_sheds_carry_retry_after():
     rejection (the client counts any shed without one).
     """
     workdir = tempfile.mkdtemp(prefix="loadtest-shed-")
+    # burst = 2 x rate: a bucket of 3 tokens, at most one pa and one bound
     group = build_serving_group(workdir + "/state", objects=32, replicas=1,
-                                admission_rate=3.0, admission_burst=3.0)
+                                admission_rate=1.5)
     thread = ServerThread(group, ServingConfig()).start()
     try:
         config = LoadTestConfig(mix="query-heavy", mode="closed",

@@ -22,7 +22,7 @@ from repro.reliability.chaos import (
     ChaosConfig,
     ChaosScheduler,
 )
-from repro.reliability.replication import ReplicationConfig, ReplicationGroup
+from repro.reliability.replication import ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 from repro.serving.client import ClientConfig, ResilientClient
 from repro.serving.netchaos import ChaosProxy
@@ -43,7 +43,7 @@ def proxied(tmp_path):
     ])
     group = ReplicationGroup(
         primary, n_replicas=1,
-        config=ReplicationConfig(staleness_bound=1_000_000),
+        staleness_bound=1_000_000,
     )
     thread = ServerThread(
         group, ServingConfig(read_timeout=0.5, write_timeout=2.0)

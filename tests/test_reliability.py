@@ -27,7 +27,7 @@ from repro.core.errors import (
 from repro.methods.table import METHODS
 from repro.motion.table import ObjectTable
 from repro.motion.updates import UpdateListener
-from repro.reliability.admission import AdmissionConfig
+from repro.reliability.admission import AdmissionConfig, AdmissionController
 from repro.reliability.deadline import (
     Deadline,
     ladder_for,
@@ -303,7 +303,8 @@ class TestMethodTable:
         assert list(method.choices) == list(METHODS)
 
     def test_every_ladder_ends_in_a_bound_and_never_costs_more(self):
-        prices = AdmissionConfig().cost_classes
+        admission = AdmissionController(AdmissionConfig(), VirtualClock())
+        prices = {name: admission.cost_of(name) for name in METHODS}
         assert prices == {name: row.cost for name, row in METHODS.items()}
         for name in METHODS:
             rungs = ladder_for(name)

@@ -38,10 +38,10 @@ from repro.core.errors import (
     NotPrimaryError,
     StalenessExceededError,
 )
+from repro.reliability import replication as replication_module
 from repro.reliability import (
     FaultInjector,
     InjectedCrashError,
-    ReplicationConfig,
     ReplicationGroup,
     ShippedRecord,
 )
@@ -49,14 +49,14 @@ from repro.reliability import (
 GROUP_CRASH_SITES = CRASH_SITES + ("replication.send",)
 
 
-def make_group(tmp_path, n_replicas=2, faults=None, staleness=0, interval=25, lease=3.0):
+def make_group(tmp_path, n_replicas=2, faults=None, staleness=0, interval=25):
     faults = faults or FaultInjector()
     rc = durable_config(tmp_path, faults=faults, interval=interval)
     primary = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
     group = ReplicationGroup(
         primary,
         n_replicas=n_replicas,
-        config=ReplicationConfig(staleness_bound=staleness, lease_timeout=lease),
+        staleness_bound=staleness,
     )
     return group, faults
 
@@ -102,7 +102,7 @@ class TestShipping:
         result = group.query("pa", qt=group.tnow, varrho=2.0)
         assert result.served_by == "primary"
         # within a looser bound the replica serves (slightly stale is fine)
-        group.replication.staleness_bound = 50
+        group.staleness_bound = 50
         result = group.query("pa", qt=group.tnow, varrho=2.0)
         assert result.served_by == "replica-0"
         # releasing the lag converges to bit-exact
@@ -217,7 +217,7 @@ class TestFailover:
 
         durable = group.acked_lsn
         assert durable >= acked  # every acknowledged write is in the WAL
-        faults.clock.sleep(group.replication.lease_timeout + 1)
+        faults.clock.sleep(group.coordinator.lease_timeout + 1)
         promoted = group.maybe_failover()
         assert promoted is not None
         # the promoted replica replayed the durable WAL to its end, then
@@ -240,8 +240,11 @@ class TestFailover:
             assert_replica_bit_exact(replica, group.primary)
         group.close()
 
-    def test_lease_expiry_triggers_failover_without_explicit_kill(self, tmp_path):
-        group, faults = make_group(tmp_path, lease=2.0)
+    def test_lease_expiry_triggers_failover_without_explicit_kill(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(replication_module, "LEASE_TIMEOUT", 2.0)
+        group, faults = make_group(tmp_path)
         for op in OPS[:100]:
             apply_group_op(group, op)
         assert group.maybe_failover() is None  # lease fresh: no failover
@@ -379,7 +382,7 @@ def test_replica_prefix_then_catchup_converges(raw_ops, cut):
         rc = durable_config(tmp, faults=faults, interval=3)
         primary = PDRServer(small_system_config(), expected_objects=16, reliability=rc)
         group = ReplicationGroup(
-            primary, n_replicas=1, config=ReplicationConfig(staleness_bound=0)
+            primary, n_replicas=1, staleness_bound=0
         )
         replica = group.replicas[0]
         live = set()

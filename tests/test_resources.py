@@ -40,7 +40,7 @@ from repro.core.errors import ReadOnlyError, RecoveryError, WALWriteError
 from repro.reliability.faults import FaultInjector
 from repro.reliability.integrity import verify_state_dir
 from repro.reliability.recovery import records_from_lsn
-from repro.reliability.replication import ReplicationConfig, ReplicationGroup
+from repro.reliability.replication import ReplicationGroup
 from repro.reliability.resources import (
     prunable_wal_segments,
     prune_retention,
@@ -338,7 +338,7 @@ def make_group(state_dir, resources=None, n_replicas=1):
     primary = make_server(state_dir, resources=resources, fsync=False)
     return ReplicationGroup(
         primary, n_replicas=n_replicas,
-        config=ReplicationConfig(staleness_bound=1_000_000),
+        staleness_bound=1_000_000,
     )
 
 

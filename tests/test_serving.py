@@ -28,15 +28,17 @@ from repro.core.errors import (
 )
 from repro.reliability.admission import AdmissionConfig
 from repro.reliability.faults import FaultInjector, VirtualClock
-from repro.reliability.replication import ReplicationConfig, ReplicationGroup
+from repro.reliability.replication import ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 from repro.serving.client import ClientConfig, ResilientClient, WireError
 from repro.serving.protocol import (
+    DEFAULT_MAX_FRAME,
     decode_frame,
     encode_frame,
     read_frame_sync,
     write_frame_sync,
 )
+from repro.serving import server as server_module
 from repro.serving.server import OPS, ServerThread, ServingConfig
 from repro.telemetry import instruments as tm
 
@@ -61,7 +63,7 @@ def _make_group(state_dir, replicas=1, admission=None, faults=None):
     return ReplicationGroup(
         primary,
         n_replicas=replicas,
-        config=ReplicationConfig(staleness_bound=1_000_000),
+        staleness_bound=1_000_000,
         admission=admission,
     )
 
@@ -337,18 +339,19 @@ def test_a_reader_that_raises_releases_the_state_lock(front_door, monkeypatch):
 
 def test_oversized_frame_gets_error_but_connection_survives(tmp_path):
     group = _make_group(tmp_path / "state")
-    thread = ServerThread(group, ServingConfig(max_frame=2048)).start()
+    thread = ServerThread(group, ServingConfig()).start()
     try:
         sock = _raw_conn(thread.address)
         try:
             # hand-build an announced length over the cap; the body must
             # still be drained so the next frame parses
-            big = encode_frame({"op": "report", "pad": "y" * 4096})
+            big = encode_frame({"op": "report", "pad": "y" * DEFAULT_MAX_FRAME},
+                               max_frame=2 * DEFAULT_MAX_FRAME)
             sock.sendall(big)
-            error = read_frame_sync(sock, max_frame=2048)
+            error = read_frame_sync(sock)
             assert error["error"] == "frame_too_large"
-            write_frame_sync(sock, {"op": "health"}, max_frame=2048)
-            assert read_frame_sync(sock, max_frame=2048)["ok"] is True
+            write_frame_sync(sock, {"op": "health"})
+            assert read_frame_sync(sock)["ok"] is True
         finally:
             sock.close()
     finally:
@@ -356,9 +359,11 @@ def test_oversized_frame_gets_error_but_connection_survives(tmp_path):
         group.close()
 
 
-def test_pipelining_beyond_max_inflight_is_refused(tmp_path):
+def test_pipelining_beyond_max_inflight_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_INFLIGHT", 1)
+    monkeypatch.setattr(server_module, "READ_WORKERS", 1)
     group = _make_group(tmp_path / "state")
-    thread = ServerThread(group, ServingConfig(max_inflight=1, read_workers=1)).start()
+    thread = ServerThread(group, ServingConfig()).start()
     try:
         # park the one reader thread so the first status request stays in
         # flight while the second arrives
@@ -530,7 +535,7 @@ def test_shed_retry_after_on_the_wire_equals_the_token_bucket(tmp_path):
     faults = FaultInjector()
     group = _make_group(
         tmp_path / "state",
-        admission=AdmissionConfig(rate=1.0, burst=4.0, degrade=True),
+        admission=AdmissionConfig(rate=1.0, burst=4.0),
         faults=faults,
     )
     thread = ServerThread(group, ServingConfig()).start()

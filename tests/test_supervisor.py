@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.errors import ClientError, ServingError
 from repro.reliability.lockfile import acquire_state_dir_lock
+from repro.serving import supervisor as supervisor_module
 from repro.serving.client import ClientConfig, ResilientClient
 from repro.serving.supervisor import (
     EXIT_CRASH_LOOP,
@@ -32,10 +33,6 @@ def _config(tmp_path, **overrides) -> SupervisorConfig:
     settings = dict(
         serve_args=["--state-dir", str(tmp_path / "state"),
                     "--objects", "16", "--replicas", "0", "--seed", "3"],
-        probe_interval=0.1,
-        startup_deadline=60.0,
-        backoff_initial=0.05,
-        backoff_max=0.2,
         seed=7,
     )
     settings.update(overrides)
@@ -101,19 +98,16 @@ def test_sigkill_restart_is_transparent_to_a_connected_client(tmp_path):
     assert "code=137" in log  # the SIGKILL was seen as such
 
 
-def test_crash_loop_gives_up_with_exit_12(tmp_path):
+def test_crash_loop_gives_up_with_exit_12(tmp_path, monkeypatch):
     # a snapshot that does not exist crashes every incarnation with the
     # (retryable) storage exit 3 — the definition of a crash loop
+    monkeypatch.setattr(supervisor_module, "BACKOFF_INITIAL", 0.02)
+    monkeypatch.setattr(supervisor_module, "BACKOFF_MAX", 0.05)
+    monkeypatch.setattr(supervisor_module, "CRASH_LOOP_THRESHOLD", 3)
+    monkeypatch.setattr(supervisor_module, "CRASH_LOOP_WINDOW", 60.0)
     events = io.StringIO()
     supervisor = Supervisor(
-        _config(
-            tmp_path,
-            serve_args=["--snapshot", str(tmp_path / "missing.npz")],
-            backoff_initial=0.02,
-            backoff_max=0.05,
-            crash_loop_threshold=3,
-            crash_loop_window=60.0,
-        ),
+        _config(tmp_path, serve_args=["--snapshot", str(tmp_path / "missing.npz")]),
         out=events,
     )
     assert supervisor.run() == EXIT_CRASH_LOOP

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import small_system_config
 from repro import PDRServer
-from repro.reliability.replication import ReplicationConfig, ReplicationGroup
+from repro.reliability.replication import ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 from repro.serving.client import ClientConfig, ResilientClient
 from repro.serving.protocol import (
@@ -242,7 +242,7 @@ def traced_front_door(tmp_path):
     primary.advance_to(1)
     group = ReplicationGroup(
         primary, n_replicas=1,
-        config=ReplicationConfig(staleness_bound=1_000_000),
+        staleness_bound=1_000_000,
     )
     thread = ServerThread(group, ServingConfig()).start()
     try:

@@ -22,7 +22,7 @@ from bench.worlds import T0, road_inputs, uniform_inputs
 from repro import PDRServer
 from repro.core.errors import HorizonError
 from repro.methods.pa import PAMethod
-from repro.reliability.replication import ReplicationConfig, ReplicationGroup
+from repro.reliability.replication import ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 from tests.conftest import small_system_config
 from tests.test_bounded_passes import _state_bytes
@@ -173,7 +173,7 @@ def test_live_recovered_and_replica_state_are_byte_identical(tmp_path):
         state_dir=os.path.join(str(tmp_path), "state"), checkpoint_interval=0, fsync=False
     )
     primary = PDRServer(inputs.config, expected_objects=inputs.n_objects, tnow=T0, reliability=rc)
-    group = ReplicationGroup(primary, n_replicas=1, config=ReplicationConfig(staleness_bound=0))
+    group = ReplicationGroup(primary, n_replicas=1, staleness_bound=0)
     replica = group.replicas[0]
     replica.link.partitioned = True  # it learns everything from the image and the log
     primary.report_batch(inputs.state)
