@@ -19,8 +19,10 @@ n = 2 000, ..., CH500K n = 500 000) and, in this process, with no WAL:
    entering their window), the two listeners' report work, and the minor
    page faults (``ru_minflt``);
 4. runs the world's PA query list and, up to CH50K, its FR query list with
-   the median of each FR stage (filter, fuse, fetch, sweep, merge) and the
-   Y-events the sweep expanded per X-segment, after the write path's peak
+   the median of each FR stage (filter, fuse, fetch, sweep, merge), the
+   Y-events the sweep expanded per X-segment, and per query the objects
+   the index returned (``fr_objects_examined``) and the object-band pairs
+   the sweep received (``fr_refine_objects``), after the write path's peak
    is read (the FR list's own high-water mark is ``fr_list_peak_mb``).
    Past CH50K the FR list is not run: its sweep is still quadratic
    (ROADMAP item 2).
@@ -29,11 +31,13 @@ It prints one JSON record; ``--out`` stores it under the world's name in a
 JSON file (other worlds' records are kept).  ``--check`` exits 1 when the
 peak exceeds twice the resident set after the load (whole-table waves must
 stream through the listeners in bounded passes, not hold grids in
-proportion to the table) or, for worlds of 10 000 objects or more, when the
+proportion to the table); for worlds of 10 000 objects or more, when the
 server holds more than ``RSS_BYTES_PER_OBJECT_LIMIT`` per object after the
-load (below that size the fixed rings dominate the figure).  Each world
-should run in a process of its own, so that the high-water mark is that
-world's.
+load (below that size the fixed rings dominate the figure); or when one of
+the FR list's first three answers misclassifies a probe point of
+``bench.checks.point_oracle_mismatches``, the check ``bench/query_passes.py``
+runs at CH2K (recorded as ``fr_oracle_mismatches``).  Each world should
+run in a process of its own, so that the high-water mark is that world's.
 """
 
 from __future__ import annotations
@@ -46,12 +50,14 @@ import resource
 import statistics
 import sys
 import time
+from typing import Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
 import numpy as np  # noqa: E402
 
+from bench.checks import point_oracle_mismatches  # noqa: E402
 from bench.worlds import T0, road_inputs  # noqa: E402
 from repro.core.system import PDRServer  # noqa: E402
 
@@ -67,6 +73,10 @@ RSS_BYTES_PER_OBJECT_LIMIT = 3_000
 RSS_GATE_MIN_OBJECTS = 10_000
 FR_MAX_OBJECTS = 50_000
 FR_STAGES = ("filter", "fuse", "fetch", "sweep", "merge")
+# FR answers of the list checked against the point oracle under --check,
+# with as many probe points each as bench/query_passes.py uses at CH2K.
+ORACLE_QUERIES = 3
+ORACLE_POINTS = 2000
 
 
 def _status_mb() -> dict:
@@ -105,15 +115,18 @@ def _median_ms(seconds) -> float:
     return round(1000.0 * statistics.median(seconds), 3)
 
 
-def _fr_list(server, inputs) -> dict:
-    """The world's FR list: p50 wall ms, each stage's p50 ms, and the
-    Y-events expanded per X-segment over the list."""
-    wall, stats = [], []
+def _fr_list(server, inputs) -> Tuple[dict, list]:
+    """The world's FR list: p50 wall ms, each stage's p50 ms, the Y-events
+    expanded per X-segment over the list, and per query the objects the
+    index returned and the object-band pairs the sweep received; and the
+    answers."""
+    wall, results = [], []
     for l, varrho, offset in inputs.fr_queries:
         t0 = time.perf_counter()
         result = server.query("fr", qt=server.tnow + offset, l=l, varrho=varrho)
         wall.append(time.perf_counter() - t0)
-        stats.append(result.stats.extra)
+        results.append(result)
+    stats = [result.stats.extra for result in results]
     segments = sum(extra.get("refine_segments", 0.0) for extra in stats)
     events = sum(extra.get("refine_events", 0.0) for extra in stats)
     record = {"fr_query_ms_p50": _median_ms(wall)}
@@ -122,10 +135,21 @@ def _fr_list(server, inputs) -> dict:
             [extra.get(f"{stage}_seconds", 0.0) for extra in stats]
         )
     record["fr_events_per_segment"] = round(events / segments, 2) if segments else 0.0
-    return record
+    record["fr_objects_examined"] = [result.stats.objects_examined for result in results]
+    record["fr_refine_objects"] = [int(extra.get("refine_objects", 0)) for extra in stats]
+    return record, results
 
 
-def probe(world: str) -> dict:
+def _fr_oracle_mismatches(server, results) -> list:
+    """Probe points misclassified by each of the first ``ORACLE_QUERIES``
+    FR answers, counted against Definition 1-3 directly."""
+    return [
+        point_oracle_mismatches(server, result, ORACLE_POINTS, SEED)
+        for result in results[:ORACLE_QUERIES]
+    ]
+
+
+def probe(world: str, check_answers: bool = False) -> dict:
     n = WORLDS[world]
     t0 = time.perf_counter()
     inputs = road_inputs(n, SEED)
@@ -170,8 +194,10 @@ def probe(world: str) -> dict:
     status = _status_mb()
     fr = {}
     if n <= FR_MAX_OBJECTS:
-        fr = _fr_list(server, inputs)
+        fr, results = _fr_list(server, inputs)
         fr["fr_list_peak_mb"] = round(_status_mb()["VmHWM"], 1)
+        if check_answers:
+            fr["fr_oracle_mismatches"] = _fr_oracle_mismatches(server, results)
     return {
         "world": world,
         "n_objects": n,
@@ -210,12 +236,13 @@ def main() -> int:
     parser.add_argument("--world", choices=sorted(WORLDS, key=WORLDS.get), required=True)
     parser.add_argument("--check", action="store_true",
                         help=f"exit 1 if peak > {PEAK_OVER_LOAD_LIMIT:g} x RSS after the load, "
-                        f"or (from {RSS_GATE_MIN_OBJECTS} objects) the server holds more than "
-                        f"{RSS_BYTES_PER_OBJECT_LIMIT} B per object")
+                        f"(from {RSS_GATE_MIN_OBJECTS} objects) the server holds more than "
+                        f"{RSS_BYTES_PER_OBJECT_LIMIT} B per object, or one of the first "
+                        f"{ORACLE_QUERIES} FR answers disagrees with the point oracle")
     parser.add_argument("--out", default=None,
                         help="store the record under the world's name in this JSON file")
     args = parser.parse_args()
-    record = probe(args.world)
+    record = probe(args.world, check_answers=args.check)
     print(json.dumps(record))
     if args.out:
         results = {}
@@ -234,6 +261,11 @@ def main() -> int:
         print(f"scale probe {args.world}: peak {record['peak_mb']} MB is more than "
               f"{PEAK_OVER_LOAD_LIMIT:g} x the {record['rss_after_load_mb']} MB held after "
               "the bulk load", file=sys.stderr)
+        failed = True
+    wrong = record.get("fr_oracle_mismatches", [])
+    if any(wrong):
+        print(f"scale probe {args.world}: FR answers misclassify {wrong} of "
+              f"{ORACLE_POINTS} probe points each", file=sys.stderr)
         failed = True
     per_object = record["server_rss_bytes_per_object"]
     if record["n_objects"] >= RSS_GATE_MIN_OBJECTS and per_object > RSS_BYTES_PER_OBJECT_LIMIT:

@@ -1,7 +1,7 @@
 """Chebyshev machinery behind the PA method: expansions, deltas, bounds, dense regions."""
 
 from .bnb import BnBResult, dense_boxes
-from .bounds import bound_expansion
+from .bounds import bound_expansion, frame_bounds
 from .cheb1d import chebyshev_values, interval_bounds, weighted_integrals
 from .cheb2d import approximate_function, coefficient_count, evaluate, evaluate_grid
 from .contours import contour_segments, contour_segments_from_grid
@@ -19,6 +19,7 @@ __all__ = [
     "delta_coefficients",
     "delta_coefficients_batch",
     "bound_expansion",
+    "frame_bounds",
     "dense_boxes",
     "BnBResult",
     "GridSpec",

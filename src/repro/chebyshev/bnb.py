@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from .bounds import bound_expansion
+from .bounds import frame_bounds
 from .cheb1d import chebyshev_values
 from .cheb2d import evaluate_tiles
 
@@ -87,7 +87,8 @@ def dense_boxes_grid(coeff_grid: np.ndarray, rho: float, min_edge: float) -> BnB
 
     Each tile is classified in its own normalized ``[-1, 1]^2`` frame at
     the leaves the paper's quartering stops at: the first dyadic edge
-    ``2 / n`` that is ``<= min_edge``.
+    ``2 / n`` that is ``<= min_edge``.  A tile is bracketed once, over
+    that whole frame (:func:`~repro.chebyshev.bounds.frame_bounds`).
     """
     if min_edge <= 0:
         raise InvalidParameterError(f"min_edge must be positive, got {min_edge}")
@@ -99,7 +100,7 @@ def dense_boxes_grid(coeff_grid: np.ndarray, rho: float, min_edge: float) -> BnB
     n = 1
     while 2.0 / n > min_edge:
         n *= 2
-    lower, upper = bound_expansion(coeff_grid, -1.0, 1.0, -1.0, 1.0)
+    lower, upper = frame_bounds(coeff_grid)
     accept = lower >= rho
     undecided = ~accept & (upper >= rho)
     ti, tj = np.nonzero(undecided)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cheb1d import interval_bounds_all
 
-__all__ = ["bound_expansion"]
+__all__ = ["bound_expansion", "frame_bounds"]
 
 
 def bound_expansion(coeffs: np.ndarray, x1, x2, y1, y2) -> Tuple[np.ndarray, np.ndarray]:
@@ -45,3 +45,19 @@ def bound_expansion(coeffs: np.ndarray, x1, x2, y1, y2) -> Tuple[np.ndarray, np.
         (pos * t_lo + neg * t_hi).sum(axis=(-2, -1)),
         (pos * t_hi + neg * t_lo).sum(axis=(-2, -1)),
     )
+
+
+def frame_bounds(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`bound_expansion` over the whole frame ``[-1, 1]^2``, in its
+    closed form ``a_00 ∓ Σ|a_ij|`` (the other terms).
+
+    There every ``T_i`` with ``i >= 1`` spans ``[-1, 1]`` and ``T_0`` is
+    1, so each term's interval product is ``±|a_ij|`` and the constant term
+    is ``a_00`` itself: the same term arrays, summed the same way, without
+    the interval arithmetic — the floats equal :func:`bound_expansion`'s.
+    """
+    upper = np.abs(coeffs)
+    upper[..., 0, 0] = coeffs[..., 0, 0]
+    lower = -upper
+    lower[..., 0, 0] = coeffs[..., 0, 0]
+    return lower.sum(axis=(-2, -1)), upper.sum(axis=(-2, -1))

@@ -108,7 +108,7 @@ class DensityHistogram(UpdateListener):
         # single integer comparison — no eager clearing on the update path.
         self._epoch = 0
         self._cache_epoch = 0
-        self._prefix_cache: Dict[int, np.ndarray] = {}
+        self._prefix_cache: Dict[int, Tuple[np.ndarray, int, np.ndarray]] = {}
         self._block_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -287,34 +287,66 @@ class DensityHistogram(UpdateListener):
             self._block_cache.clear()
             self._cache_epoch = self._epoch
 
+    def _padded_prefix(self, qt: int, radius: int) -> Tuple[np.ndarray, int, np.ndarray]:
+        """``(padded, pad, prefix)``: the prefix sums of ``qt`` edge-padded
+        by at least ``radius``, and the unpadded view of them.
+
+        ``padded[k, l] = P[clip(k - pad), clip(l - pad)]`` for the zero-border
+        prefix ``P`` of :meth:`prefix_sums` (``prefix``) and a pad of
+        ``radius`` or more (never more than ``m``: a block that wide already
+        spans the grid).
+        int32 suffices: every object adds at most one to a slot, so no sum
+        exceeds the object count.  Memoized per ``qt`` until the next
+        counter mutation (the caller runs :meth:`_cache_ready`); a wider
+        radius than the cached pad rebuilds it.
+        """
+        m = self.m
+        cached = self._prefix_cache.get(qt)
+        if cached is not None and (cached[1] >= radius or cached[1] == m):
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
+        pad = min(radius, m)
+        padded = np.empty((m + 1 + 2 * pad,) * 2, dtype=np.int32)
+        # Rows and columns 0..pad repeat P's zero border; the interior is
+        # the cumulative sums; the rows and columns past it repeat P's last.
+        padded[: pad + 1] = 0
+        padded[:, : pad + 1] = 0
+        interior = padded[pad + 1 : pad + 1 + m, pad + 1 : pad + 1 + m]
+        np.cumsum(self.counts_at(qt), axis=0, dtype=np.int32, out=interior)
+        np.cumsum(interior, axis=1, dtype=np.int32, out=interior)
+        padded[pad + 1 + m :] = padded[pad + m]
+        padded[:, pad + 1 + m :] = padded[:, pad + m : pad + m + 1]
+        entry = padded, pad, padded[pad : pad + 1 + m, pad : pad + 1 + m]
+        self._prefix_cache[qt] = entry
+        return entry
+
     def prefix_sums(self, qt: int) -> np.ndarray:
         """2-D inclusive prefix sums ``P`` with a zero border.
 
         ``P[i+1, j+1] - P[i0, j+1] - P[i+1, j0] + P[i0, j0]`` is the count of
         the cell block ``[i0..i] x [j0..j]``.
 
-        Memoized per ``qt`` until the next counter mutation; the returned
-        array is shared cached state — treat it as read-only.
+        A view into the memoized edge-padded prefix of ``qt`` (shared
+        cached state — treat it as read-only).
         """
         self._cache_ready()
         cached = self._prefix_cache.get(qt)
         if cached is not None:
             self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        counts = self.counts_at(qt)
-        prefix = np.zeros((self.m + 1, self.m + 1), dtype=np.int64)
-        prefix[1:, 1:] = counts.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-        self._prefix_cache[qt] = prefix
-        return prefix
+            return cached[2]
+        return self._padded_prefix(qt, 0)[2]
 
     def block_sums_at(self, qt: int, radius: int) -> np.ndarray:
-        """Memoized :meth:`block_sums` over :meth:`prefix_sums` of ``qt``.
+        """Memoized :meth:`block_sums` of ``qt``, read from one edge-padded
+        prefix per ``qt`` whatever the radius.
 
         This is the cache the FR filter, the DH answers, interval
         classification and the monitor's re-evaluations share: the same
         ``(qt, radius)`` pair between two updates costs one dict lookup.
-        The returned array is shared cached state — treat it as read-only.
+        Ask for the widest radius first: the prefix is padded for it, and
+        narrower ones read the same array.  The returned array is shared
+        cached state — treat it as read-only.
         """
         self._cache_ready()
         key = (qt, radius)
@@ -322,16 +354,18 @@ class DensityHistogram(UpdateListener):
         if cached is not None:
             self.cache_hits += 1
             return cached
-        prefix = self.prefix_sums(qt)
+        if radius < 0:
+            raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+        padded, pad, _prefix = self._padded_prefix(qt, radius)
         self.cache_misses += 1
-        block = self.block_sums(prefix, radius)
+        block = self._padded_block_sums(padded, pad, radius)
         self._block_cache[key] = block
         return block
 
     def cache_memory_bytes(self) -> int:
         """Bytes held by the prefix/block-sum caches (reclaimable)."""
         total = 0
-        for arr in self._prefix_cache.values():
+        for arr, _pad, _prefix in self._prefix_cache.values():
             total += arr.nbytes
         for arr in self._block_cache.values():
             total += arr.nbytes
@@ -400,11 +434,18 @@ class DensityHistogram(UpdateListener):
         """
         if radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-        m = prefix.shape[0] - 1
+        pad = min(radius, prefix.shape[0] - 1)
+        return DensityHistogram._padded_block_sums(np.pad(prefix, pad, mode="edge"), pad, radius)
+
+    @staticmethod
+    def _padded_block_sums(padded: np.ndarray, pad: int, radius: int) -> np.ndarray:
+        """:meth:`block_sums` from the prefix edge-padded by ``pad``, which
+        is at least ``min(radius, m)``."""
+        m = padded.shape[0] - 1 - 2 * pad
         # Clamping an index to [0, m] is edge replication: in the padded
         # array, prefix[clip(i - radius)] and prefix[clip(i + radius + 1)]
-        # for i = 0..m-1 are two slices.
-        padded = np.pad(prefix, radius, mode="edge")
-        lo = slice(0, m)
-        hi = slice(2 * radius + 1, 2 * radius + 1 + m)
+        # for i = 0..m-1 are two slices.  Past m a radius clamps as m does.
+        radius = min(radius, m)
+        lo = slice(pad - radius, pad - radius + m)
+        hi = slice(pad + radius + 1, pad + radius + 1 + m)
         return padded[hi, hi] - padded[lo, hi] - padded[hi, lo] + padded[lo, lo]

@@ -98,9 +98,10 @@ def filter_query(histogram: DensityHistogram, query: SnapshotPDRQuery) -> Filter
     eta_l, eta_h = neighborhood_radii(query.l, histogram.cell_edge)
     # Memoized per (qt, radius) until the next counter mutation: monitors,
     # interval evaluation and repeated same-timestamp queries pay for the
-    # prefix sums once (see DensityHistogram.block_sums_at).
-    n_conservative = histogram.block_sums_at(query.qt, eta_l - 1)
+    # prefix sums once (see DensityHistogram.block_sums_at).  The wider
+    # radius comes first, so one padded prefix serves both.
     n_expansive = histogram.block_sums_at(query.qt, eta_h)
+    n_conservative = histogram.block_sums_at(query.qt, eta_l - 1)
     threshold = query.min_count - _THRESHOLD_EPS
     accepted = n_conservative >= threshold
     rejected = ~accepted & (n_expansive < threshold)

@@ -20,10 +20,12 @@ timestamp.  Its three stages build and consume one
 every entry, never unpacked into per-band objects:
 
 * **fuse** — candidate cells become per-row **bands** of maximal strips;
-* **fetch** — every band's ``l/2``-expanded rectangle is answered by one
+* **fetch** — every band's ``l/2``-expanded hull is answered by one
   ``range_positions_batch`` call on the index, whose CSR columns become the
   batch's object columns (in whatever order the index deals them: the
-  kernel depends only on each band's multiset of positions);
+  kernel depends only on each band's multiset of positions), less the
+  objects whose column lies beyond reach of every candidate cell of their
+  band — those can never be active in one of its segments;
 * **sweep** — the band kernel :func:`repro.sweep.band_sweep.refine_bands`
   turns the batch into dense rectangles.
 
@@ -38,6 +40,7 @@ counters do not depend on which queries ran before it or beside it.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, NamedTuple, Sequence, Tuple
 
@@ -60,13 +63,29 @@ def _concat(parts, dtype=float) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
+def _reach_mask(rows: np.ndarray, reach: int) -> np.ndarray:
+    """``rows`` dilated along each row by ``reach`` columns either way:
+    ``out[b, i]`` is true when some ``rows[b, i']`` with ``|i - i'| <=
+    reach`` is.  Each step ORs the mask with itself shifted both ways by
+    up to its radius plus one, so the radius grows 0, 1, 3, 7, ..."""
+    out = rows.copy()
+    radius = 0
+    while radius < reach:
+        step = min(radius + 1, reach - radius)
+        out[:, step:] |= out[:, :-step]
+        out[:, :-step] |= out[:, step:]
+        radius += step
+    return out
+
+
 class Refinement(NamedTuple):
     """Output of :meth:`FRMethod.refine`.
 
     ``bounds`` is the ``(R, 4)`` array of dense rectangles over every
     entry, ``objects_examined`` the number of positions the index returned,
     and ``extra`` the stage seconds and band counters destined for
-    ``QueryStats.extra``.
+    ``QueryStats.extra`` — among them ``refine_objects``, the object-band
+    pairs the kernel received.
     """
 
     bounds: np.ndarray
@@ -99,27 +118,39 @@ class FRMethod:
     # ------------------------------------------------------------------
     def _plan_rows(
         self, candidate: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fuse a candidate mask into per-row strips.
 
-        Returns ``(band_row, strip_band, strip_x1, strip_x2)``: the rows
-        with at least one candidate cell, ascending (one band each), and
-        every row's maximal runs of adjacent candidate columns as flat
+        Returns ``(band_row, strip_band, strip_x1, strip_x2, rows)``: the
+        rows with at least one candidate cell, ascending (one band each);
+        every such row's maximal runs of adjacent candidate columns as flat
         strips in band order — ``strip_band[s]`` indexes ``band_row`` —
         with world extents matching :meth:`DensityHistogram.cell_rect` bit
-        for bit.
+        for bit; and ``rows``, the ``(bands, m)`` slice of the mask the
+        strips were read from (``rows[b, i]`` = cell ``(i, band_row[b])``).
         """
         hist = self.histogram
         lx = hist.cell_edge
         x0 = hist.domain.x1
-        # candidate is indexed [i, j] = (column, row): one diff along each
-        # row finds where its runs start (+1) and end (-1), row-major.
-        steps = np.diff(candidate.T.astype(np.int8), axis=1, prepend=0, append=0)
-        strip_row, run_starts = np.nonzero(steps == 1)
-        run_ends = np.nonzero(steps == -1)[1] - 1
-        band_row, strip_band = np.unique(strip_row, return_inverse=True)
+        m = hist.m
+        # candidate is indexed [i, j] = (column, row): only the rows that
+        # hold a candidate are planned.  Framed by a False column on either
+        # side, every row's value changes alternate run start, run end in
+        # one flat, row-major scan.
+        band_row = np.flatnonzero(candidate.any(axis=0))
+        framed = np.zeros((band_row.size, m + 2), dtype=bool)
+        framed[:, 1:-1] = candidate[:, band_row].T
+        flips = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
+        strip_band, run_starts = np.divmod(flips[0::2], m + 1)
+        run_ends = flips[1::2] - strip_band * (m + 1) - 1
         # Same float expressions as cell_rect: x1 = x0 + i*lx, x2 = x1 + lx.
-        return band_row, strip_band, x0 + run_starts * lx, (x0 + run_ends * lx) + lx
+        return (
+            band_row,
+            strip_band,
+            x0 + run_starts * lx,
+            (x0 + run_ends * lx) + lx,
+            framed[:, 1:-1],
+        )
 
     # ------------------------------------------------------------------
     # refinement
@@ -145,13 +176,19 @@ class FRMethod:
         hist = self.histogram
         domain = hist.domain
         half = l / 2.0
+        # An object more than l/2 from every strip of its band is never
+        # active there; in cells that is ceil(l/2 / l_c) columns, plus one
+        # for the rounding of its column and of the cell edges.
+        reach = math.ceil(half / hist.cell_edge) + 1
 
         # --- fuse: candidate masks -> one flat batch of strip bands --------
         stage = time.perf_counter()
-        band_y1, band_qt, strip_band, strip_x1, strip_x2 = [], [], [], [], []
+        band_y1, band_qt, strip_band, strip_x1, strip_x2, reachable = (
+            [], [], [], [], [], []
+        )
         n_bands = 0
         for qt, candidate in entries:
-            band_row, strips, x1s, x2s = self._plan_rows(candidate)
+            band_row, strips, x1s, x2s, rows = self._plan_rows(candidate)
             for _ in range(band_row.size):
                 if self.faults is not None:
                     self.faults.hit("fr.refine")
@@ -162,6 +199,7 @@ class FRMethod:
             strip_band.append(strips + n_bands)
             strip_x1.append(x1s)
             strip_x2.append(x2s)
+            reachable.append(_reach_mask(rows, reach))
             n_bands += band_row.size
         y1 = _concat(band_y1)
         y2 = y1 + hist.cell_edge_y
@@ -188,13 +226,26 @@ class FRMethod:
         objects_examined = int(px.size)
         # Objects outside the domain do not count toward density — the
         # same convention the histogram maintains (see DensityHistogram).
-        inside = (
+        # Of those inside, a band keeps the ones whose column its reach
+        # mask holds: the hull fetch also returns objects between and
+        # beyond its strips' l/2 windows, which the kernel would only sort.
+        m = hist.m
+        column = ((px - domain.x1) / hist.cell_edge).astype(np.int64)
+        np.clip(column, 0, m - 1, out=column)
+        # ... as an index into the bands' flat (band, column) reach masks.
+        column += np.repeat(np.arange(0, n_bands * m, m), np.diff(offsets))
+        keep = (
             (px >= domain.x1) & (px < domain.x2) & (py >= domain.y1) & (py < domain.y2)
         )
+        keep &= _concat(reachable, dtype=bool).ravel()[column]
+        # Kept positions ascend, so a band's new offset is the number kept
+        # before its old one.
+        kept = np.flatnonzero(keep)
         batch = BandBatch(
             y1, y2, strip_x1, strip_x2, strip_band,
-            np.concatenate(([0], np.cumsum(inside)))[offsets], px[inside], py[inside],
+            np.searchsorted(kept, offsets), px.take(kept), py.take(kept),
         )
+        refine_objects = int(batch.px.size)
         fetch_seconds = time.perf_counter() - stage
         tracer.record_span("fetch", fetch_seconds, objects=objects_examined)
 
@@ -206,7 +257,7 @@ class FRMethod:
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
-            segments=swept.segments, events=swept.events,
+            objects=refine_objects, segments=swept.segments, events=swept.events,
         )
 
         return Refinement(
@@ -217,6 +268,7 @@ class FRMethod:
                 "fetch_seconds": fetch_seconds,
                 "sweep_seconds": sweep_seconds,
                 "refine_bands": float(n_bands),
+                "refine_objects": float(refine_objects),
                 "refine_segments": float(swept.segments),
                 "refine_events": float(swept.events),
             },

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..chebyshev.bounds import bound_expansion
+from ..chebyshev.bounds import bound_expansion, frame_bounds
 from ..chebyshev.cheb2d import evaluate
 from ..core.errors import InvalidParameterError
 from .pa import PAMethod
@@ -66,7 +66,7 @@ def top_k_peaks(
 
     counter = itertools.count()  # heap tie-breaker
     heap: List[Tuple[float, int, int, int, float, float, float, float]] = []
-    _lo, hi = bound_expansion(surface.coeffs, -1.0, 1.0, -1.0, 1.0)
+    _lo, hi = frame_bounds(surface.coeffs)
     for (i, j), tile_hi in np.ndenumerate(hi):
         heapq.heappush(
             heap, (-float(tile_hi), next(counter), i, j, -1.0, -1.0, 1.0, 1.0)

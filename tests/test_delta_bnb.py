@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chebyshev.bnb import dense_boxes, dense_boxes_grid
-from repro.chebyshev.bounds import bound_expansion
+from repro.chebyshev.bounds import bound_expansion, frame_bounds
 from repro.chebyshev.cheb2d import (
     approximate_function,
     evaluate,
@@ -133,6 +133,42 @@ class TestBoundExpansion:
         lo, hi = bound_expansion(coeffs, 0.2, 0.6, -1, 1)
         assert lo == pytest.approx(0.2)
         assert hi == pytest.approx(0.6)
+
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 6),
+        st.integers(0, 10_000),
+        st.sampled_from([1e-12, 1.0, 1e6]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frame_bounds_are_the_whole_frame_bound_expansion(self, g, k, seed, scale, holes):
+        """``a_00 ∓ Σ|a_ij|`` is the same pair of floats as the interval
+        arithmetic over ``[-1, 1]^2``, for grids with zeros, signs and
+        magnitudes mixed, on a strided view as on a contiguous one."""
+        gen = np.random.default_rng(seed)
+        ring = gen.normal(scale=scale, size=(g, g, 3, k + 1, k + 1))
+        if holes:
+            ring[gen.random(ring.shape) < 0.3] = 0.0
+        ring[..., ~total_degree_mask(k)] = 0.0
+        for grid in (ring[:, :, 1], np.ascontiguousarray(ring[:, :, 1])):
+            lower, upper = frame_bounds(grid)
+            want_lower, want_upper = bound_expansion(grid, -1.0, 1.0, -1.0, 1.0)
+            assert np.array_equal(lower, want_lower)
+            assert np.array_equal(upper, want_upper)
+
+    def test_frame_bounds_on_the_bench_worlds_pa_surfaces(self):
+        from bench.harness import build_server
+        from bench.worlds import road_inputs, uniform_inputs
+
+        for inputs in (road_inputs(2000, 1), uniform_inputs(1000, 1)):
+            server, _seconds = build_server(inputs)
+            for offset in range(server.pa.horizon + 1):
+                grid = server.pa.surface_at(server.tnow + offset).coeffs
+                lower, upper = frame_bounds(grid)
+                want_lower, want_upper = bound_expansion(grid, -1.0, 1.0, -1.0, 1.0)
+                assert np.array_equal(lower, want_lower)
+                assert np.array_equal(upper, want_upper)
 
 
 def leaves_per_tile(min_edge):

@@ -176,12 +176,13 @@ class TestFRBatchedRefinement:
         table, hist, tree = build_world(120, seed=3)
         query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)
         filtered = filter_query(hist, query)
-        band_row, strip_band, x1s, x2s = FRMethod(hist, tree)._plan_rows(
+        band_row, strip_band, x1s, x2s, rows = FRMethod(hist, tree)._plan_rows(
             filtered.candidate
         )
         if filtered.candidate_count > 1:
             assert band_row.size < filtered.candidate_count  # one fetch per row
         assert np.array_equal(band_row, np.flatnonzero(filtered.candidate.any(axis=0)))
+        assert np.array_equal(rows, filtered.candidate[:, band_row].T)
         assert np.array_equal(np.unique(strip_band), np.arange(band_row.size))
         area_cells = filtered.candidate_region().area()
         area_strips = float((x2s - x1s).sum()) * hist.cell_edge_y

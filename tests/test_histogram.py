@@ -261,6 +261,52 @@ class TestPrefixSums:
             got = DensityHistogram.block_sums(prefix, radius)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 2, 7, 40]),
+        st.sampled_from([1.0, 1.5, 2.5, 6.0]),
+        st.permutations(range(6)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_padded_prefix_classifies_as_the_int64_block_sums(self, seed, m, ratio, order):
+        """The filter reads both radii from one edge-padded int32 prefix per
+        ``qt``; its masks are the ones int64 block sums at clamped indices
+        give, and the memo answers any radius, in any order — the cell
+        itself, the filter's two, and radii that pass the pad or the grid."""
+        from repro.core.query import SnapshotPDRQuery
+        from repro.histogram.filter import filter_query, neighborhood_radii
+
+        gen = np.random.default_rng(seed)
+        hist = make_hist(m=m, horizon=0)
+        counts = gen.integers(0, 40, (1, m, m)).astype(np.int32)
+        hist.load_state_arrays({"counts": counts, "slot_time": np.zeros(1), "tnow": 0})
+        prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
+        prefix[1:, 1:] = counts[0].astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+        idx = np.arange(m)
+
+        def old_block_sums(radius):
+            lo = np.clip(idx - radius, 0, m)
+            hi = np.clip(idx + radius + 1, 0, m)
+            return (
+                prefix[np.ix_(hi, hi)] - prefix[np.ix_(lo, hi)]
+                - prefix[np.ix_(hi, lo)] + prefix[np.ix_(lo, lo)]
+            )
+
+        l = 2.0 * hist.cell_edge * ratio
+        eta_l, eta_h = neighborhood_radii(l, hist.cell_edge)
+        expansive = old_block_sums(eta_h)
+        min_count = float(np.median(expansive))
+        got = filter_query(hist, SnapshotPDRQuery(rho=min_count / (l * l), l=l, qt=0))
+        threshold = got.query.min_count - 1e-9
+        accepted = old_block_sums(eta_l - 1) >= threshold
+        candidate = ~accepted & (expansive >= threshold)
+        assert np.array_equal(got.accepted, accepted)
+        assert np.array_equal(got.candidate, candidate)
+        radii = [0, 1, eta_l - 1, eta_h, m, m + 3]
+        for radius in (radii[k] for k in order):
+            assert np.array_equal(hist.block_sums_at(0, radius), old_block_sums(radius))
+        assert np.array_equal(hist.prefix_sums(0), prefix)
+
 
 # A step of the scatter oracle's script: an advance by ``k`` ticks, or one
 # wave of ``(oid, x, y, vx, vy)`` reports.  Positions sit on a coarse lattice
