@@ -30,10 +30,7 @@ def bx_world(profile):
     world = get_world(spec, profile.raster_resolution)
     server = world.server
     if not hasattr(world, "_bx_index"):
-        bx_buffer = BufferPool(
-            capacity_pages=server.buffer.capacity,
-            random_io_seconds=server.config.page_model.random_io_seconds,
-        )
+        bx_buffer = BufferPool(capacity_pages=server.buffer.capacity)
         bx = BxTree(
             server.table,
             server.config.domain,

@@ -2,7 +2,7 @@
 
 Three subcommands cover the typical downstream workflow::
 
-    python -m repro.cli simulate --objects 5000 --warmup 30 --out world.npz
+    python -m repro.cli simulate --objects 5000 --out world.npz
     python -m repro.cli query --snapshot world.npz --method pa --varrho 2 \\
         --offset 20 --render
     python -m repro.cli report            # the full evaluation (run_all)
@@ -114,6 +114,16 @@ EXIT_STATE_LOCKED = 11
 EXIT_CRASH_LOOP = 12
 EXIT_INTERRUPTED = 130
 
+# Settings no caller sets to a second value, read where they are used.
+SIMULATE_SEED = 7  # `simulate`'s workload seed
+SIMULATE_WARMUP = 30  # timestamps `simulate` runs before saving
+NETWORK_GRID = 30  # road-network intersections per side
+MAX_RECTS = 10  # rectangles `query` lists
+PEAKS_K = 5  # density peaks `peaks` reports
+PEAKS_SEPARATION = 50.0  # minimum distance between reported peaks
+TOP_INTERVAL = 1.0  # seconds between `top` refreshes
+METRICS_SEED = 7  # seed of `metrics`' probe workload
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -125,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="generate and warm a server, save a snapshot")
     sim.add_argument("--objects", type=int, default=2000, help="number of moving objects")
-    sim.add_argument("--seed", type=int, default=7, help="workload seed")
-    sim.add_argument("--warmup", type=int, default=30, help="timestamps to simulate")
-    sim.add_argument("--network-grid", type=int, default=30,
-                     help="road-network intersections per side")
     sim.add_argument("--out", required=True, help="output snapshot path (.npz)")
     sim.add_argument("--metrics-out", default=None,
                      help="also save a telemetry snapshot (JSON) here, "
@@ -138,10 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--snapshot", required=True, help="snapshot produced by simulate")
     query.add_argument("--method", default="pa",
                        choices=list(METHODS))
-    group = query.add_mutually_exclusive_group(required=True)
-    group.add_argument("--varrho", type=float, help="threshold relative to average density")
-    group.add_argument("--rho", type=float, help="absolute density threshold")
-    query.add_argument("--l", type=float, default=None, help="neighborhood edge length")
+    query.add_argument("--varrho", type=float, required=True,
+                       help="threshold relative to average density")
     query.add_argument("--offset", type=int, default=0,
                        help="query timestamp offset from t_now (predictive)")
     query.add_argument("--deadline", type=float, default=None,
@@ -151,27 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print an ASCII map of the dense regions")
     query.add_argument("--geojson", action="store_true",
                        help="print the answer as a GeoJSON MultiPolygon")
-    query.add_argument("--max-rects", type=int, default=10,
-                       help="number of rectangles to list")
-    query.add_argument("--replicas", type=int, default=0,
-                       help="serve through a replication group with this many "
-                            "replicas (0 = query the snapshot server directly)")
-    query.add_argument("--staleness", type=int, default=0,
-                       help="max LSN lag at which a replica may serve reads")
     query.add_argument("--reliability-report", action="store_true",
                        help="print the reliability counters (dead-letter, "
-                            "degradations, replication) as JSON on stderr")
+                            "degradations, stage seconds) as JSON on stderr")
     query.add_argument("--metrics-out", default=None,
                        help="save a telemetry snapshot (JSON) of this run, "
                             "renderable later with `repro metrics --from`")
 
-    peaks = sub.add_parser("peaks", help="report the k densest locations")
+    peaks = sub.add_parser("peaks", help="report the densest locations at t_now")
     peaks.add_argument("--snapshot", required=True, help="snapshot produced by simulate")
-    peaks.add_argument("--k", type=int, default=5, help="number of peaks")
-    peaks.add_argument("--offset", type=int, default=0,
-                       help="query timestamp offset from t_now (predictive)")
-    peaks.add_argument("--separation", type=float, default=50.0,
-                       help="minimum distance between reported peaks")
 
     sub.add_parser("report", help="run the full evaluation (all tables/figures)")
 
@@ -206,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0, help="schedule seed")
     chaos.add_argument("--events", type=int, default=200,
                        help="number of scheduled events")
-    chaos.add_argument("--replicas", type=int, default=2,
-                       help="replicas behind the primary")
-    chaos.add_argument("--objects", type=int, default=24,
-                       help="moving-object id space of the workload")
-    chaos.add_argument("--staleness", type=int, default=0,
-                       dest="staleness_bound",
-                       help="staleness bound for replica reads")
     chaos.add_argument("--no-shrink", action="store_true",
                        help="on failure, skip shrinking to a minimal reproducer")
     chaos.add_argument("--repro-out", default=None,
@@ -364,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     jr.add_argument("--event", default=None,
                     help="keep records with this event name; a trailing "
                          "'.' matches a prefix (e.g. `supervise.`)")
-    jr.add_argument("--trace-id", default=None,
-                    help="keep records stamped with this trace id")
-    jr.add_argument("--since", type=float, default=None, metavar="EPOCH",
-                    help="keep records at or after this wall timestamp "
-                         "(epoch seconds)")
     jr.add_argument("--tail", type=int, default=50,
                     help="newest N records after filtering (0 = all)")
     jr.add_argument("--format", choices=["text", "json"], default="text",
@@ -396,15 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
              "percentiles, inflight, SLO budget, readonly/epoch state "
              "(renders from the /metrics.json scrape endpoint)",
     )
-    top.add_argument("--url", default=None,
-                     help="metrics base URL (e.g. http://127.0.0.1:9100); "
-                          "overrides --host/--port")
     top.add_argument("--host", default="127.0.0.1", help="metrics host")
-    top.add_argument("--port", type=int, default=None,
+    top.add_argument("--port", type=int, required=True,
                      help="metrics port (the `metrics-port=` line printed "
                           "by `repro serve --metrics-port`)")
-    top.add_argument("--interval", type=float, default=1.0,
-                     help="refresh interval in seconds")
     top.add_argument("--once", action="store_true",
                      help="print one frame and exit (scripts and CI)")
 
@@ -420,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="prometheus", help="output format")
     met.add_argument("--out", default=None,
                      help="write the rendering here instead of stdout")
-    met.add_argument("--seed", type=int, default=7, help="probe workload seed")
     met.add_argument("--serve", type=int, default=None, metavar="PORT",
                      help="after rendering, serve /metrics and /metrics.json "
                           "on this port until interrupted (0 = ephemeral)")
@@ -430,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     config = SystemConfig()
     server = PDRServer(config, expected_objects=args.objects)
-    network = synthetic_metro(config.domain, grid_n=args.network_grid, seed=args.seed)
+    network = synthetic_metro(config.domain, grid_n=NETWORK_GRID, seed=SIMULATE_SEED)
     simulator = TripSimulator(
-        network, args.objects, config.max_update_interval, seed=args.seed
+        network, args.objects, config.max_update_interval, seed=SIMULATE_SEED
     )
     simulator.initialize(server.table)
-    simulator.run_until(server.table, args.warmup)
+    simulator.run_until(server.table, SIMULATE_WARMUP)
     save_server(server, args.out)
     print(
         f"simulated {server.object_count()} objects to t={server.tnow} "
@@ -444,8 +418,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool = False,
-                      checkpoint_interval: int = 0):
+def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool,
+                      checkpoint_interval: int):
     """A durable primary (WAL in ``state_dir``) restored from a snapshot.
 
     Its first checkpoint carries the snapshot state at LSN 0, which is
@@ -470,28 +444,10 @@ def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool = False,
 
 
 def _cmd_query(args) -> int:
-    if args.replicas > 0:
-        import shutil
-        import tempfile
-
-        from .serving.loadtest import mount_group
-
-        state_dir = tempfile.mkdtemp(prefix="repro-serving-")
-        group = mount_group(_snapshot_primary(args.snapshot, state_dir),
-                            args.replicas, args.staleness)
-        try:
-            return _answer_query(group, args, group=group)
-        finally:
-            group.close()
-            shutil.rmtree(state_dir, ignore_errors=True)
-    return _answer_query(load_server(args.snapshot), args)
-
-
-def _answer_query(server, args, group=None) -> int:
+    server = load_server(args.snapshot)
     qt = server.tnow + args.offset
     result = server.query(
-        args.method, qt=qt, l=args.l, rho=args.rho, varrho=args.varrho,
-        deadline=args.deadline,
+        args.method, qt=qt, varrho=args.varrho, deadline=args.deadline
     )
     if result.degraded:
         print(
@@ -499,12 +455,10 @@ def _answer_query(server, args, group=None) -> int:
             f"answered with {result.stats.method}",
             file=sys.stderr,
         )
-    backend = f" [served by {result.served_by}]" if result.served_by else ""
     print(
         f"{result.stats.method} @ qt={qt}: {len(result.regions)} dense rectangles, "
         f"area {result.area():,.1f}, cpu {result.stats.cpu_seconds * 1000:.1f} ms, "
         f"io {result.stats.io_count} pages ({result.stats.io_seconds:.2f} s charged)"
-        f"{backend}"
     )
     extra = result.stats.extra
     if "filter_seconds" in extra:
@@ -515,18 +469,9 @@ def _answer_query(server, args, group=None) -> int:
             f"histogram cache {int(extra.get('cache_hits', 0))} hit(s) / "
             f"{int(extra.get('cache_misses', 0))} miss(es)"
         )
-    if group is not None:
-        status = group.status()
-        lags = ", ".join(
-            f"{r['name']} lag={r['lag']}" for r in status["replicas"]
-        )
-        print(
-            f"replication: epoch {status['epoch']}, "
-            f"acked lsn {status['primary']['acked_lsn']}, {lags}"
-        )
-    for x1, y1, x2, y2 in result.regions.bounds[: args.max_rects].tolist():
+    for x1, y1, x2, y2 in result.regions.bounds[:MAX_RECTS].tolist():
         print(f"  [{x1:.2f}, {x2:.2f}) x [{y1:.2f}, {y2:.2f})")
-    remaining = len(result.regions) - args.max_rects
+    remaining = len(result.regions) - MAX_RECTS
     if remaining > 0:
         print(f"  ... and {remaining} more")
     if args.render:
@@ -571,17 +516,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.clean else EXIT_VERIFY_FAILED
 
 
-# The ``repro chaos`` value flags, each the ChaosConfig field of its
-# argparse dest: the one mapping both from parsed flags to configs
-# (chaos_configs) and back to the command line (chaos_rerun).
-CHAOS_VALUE_FLAGS = (
-    ("--events", "events"),
-    ("--replicas", "replicas"),
-    ("--objects", "objects"),
-    ("--staleness", "staleness_bound"),
-)
-
-
 def chaos_configs(args) -> list:
     """One ChaosConfig per run ``repro chaos`` asks for (one per site for
     ``--process`` without ``--crashpoint``), every one validated before
@@ -594,11 +528,10 @@ def chaos_configs(args) -> list:
     sites = [None]
     if args.process:
         sites = [args.crashpoint] if args.crashpoint else list(CRASH_SITES)
-    values = {name: getattr(args, name) for _flag, name in CHAOS_VALUE_FLAGS}
     return [
-        ChaosConfig(seed=args.seed, shrink=not args.no_shrink,
+        ChaosConfig(seed=args.seed, events=args.events, shrink=not args.no_shrink,
                     network=args.network, resources=args.resources,
-                    crashpoint=site, **values)
+                    crashpoint=site)
         for site in sites
     ]
 
@@ -608,13 +541,8 @@ def chaos_rerun(config) -> str:
     into ``config`` (non-default flags only)."""
     from .reliability.chaos import ChaosConfig
 
-    default = ChaosConfig()
-    if config.min_disruptions != default.min_disruptions:
-        raise InvalidParameterError("min_disruptions has no `repro chaos` flag")
-    parts = ["repro chaos"] + [
-        f"{flag} {getattr(config, name)}" for flag, name in CHAOS_VALUE_FLAGS
-        if getattr(config, name) != getattr(default, name)
-    ]
+    parts = ["repro chaos"]
+    parts += [f"--events {config.events}"] if config.events != ChaosConfig.events else []
     parts += ["--no-shrink"] if not config.shrink else []
     parts += ["--network"] if config.network else []
     parts += ["--resources"] if config.resources else []
@@ -963,12 +891,7 @@ def _cmd_journal(args) -> int:
     prefix = None
     if event is not None and event.endswith("."):
         prefix, event = event, None
-    records = read_journal(
-        _journal_dir(args),
-        event=event,
-        trace_id=args.trace_id,
-        since=args.since,
-    )
+    records = read_journal(_journal_dir(args), event=event)
     if prefix is not None:
         records = [
             r for r in records
@@ -1104,10 +1027,7 @@ def _cmd_top(args) -> int:
     import time as _time
     import urllib.request
 
-    if args.url is None and args.port is None:
-        raise InvalidParameterError("give --url, or --port (with --host)")
-    base = args.url if args.url is not None else f"http://{args.host}:{args.port}"
-    url = base.rstrip("/") + "/metrics.json"
+    url = f"http://{args.host}:{args.port}/metrics.json"
 
     def fetch() -> dict:
         with urllib.request.urlopen(url, timeout=5.0) as resp:
@@ -1134,11 +1054,11 @@ def _cmd_top(args) -> int:
         prev_total, prev_at = total, now
         # one ANSI clear per frame keeps the view in place like top(1)
         print("\x1b[2J\x1b[H" + _render_top_frame(families, qps), flush=True)
-        stop.wait(max(0.1, args.interval))
+        stop.wait(TOP_INTERVAL)
     return 0
 
 
-def _probe_workload(seed: int = 7, objects: int = 48) -> None:
+def _probe_workload() -> None:
     """A tiny seeded workload that exercises every required metric family.
 
     Durable primary (WAL appends + fsyncs), batched ingest with a wave
@@ -1156,7 +1076,8 @@ def _probe_workload(seed: int = 7, objects: int = 48) -> None:
     from .reliability.replication import ReplicationGroup
     from .reliability.validation import ReliabilityConfig
 
-    rng = random.Random(seed)
+    objects = 48
+    rng = random.Random(METRICS_SEED)
     workdir = tempfile.mkdtemp(prefix="repro-metrics-")
     try:
         config = SystemConfig()
@@ -1224,7 +1145,7 @@ def _cmd_metrics(args) -> int:
             ) from exc
         slow = snapshot.get("slow_queries")
     else:
-        _probe_workload(seed=args.seed)
+        _probe_workload()
         snapshot = TELEMETRY.registry.snapshot()
         slow = TELEMETRY.slow_queries.to_dict()
     if args.format == "prometheus":
@@ -1279,8 +1200,8 @@ def _cmd_peaks(args) -> int:
     from .methods.topk import top_k_peaks
 
     server = load_server(args.snapshot)
-    qt = server.tnow + args.offset
-    peaks = top_k_peaks(server.pa, qt, k=args.k, separation=args.separation)
+    qt = server.tnow
+    peaks = top_k_peaks(server.pa, qt, k=PEAKS_K, separation=PEAKS_SEPARATION)
     print(f"top {len(peaks)} density peaks @ qt={qt} (objects per sq mile):")
     for rank, peak in enumerate(peaks, start=1):
         print(f"  {rank}. ({peak.x:7.1f}, {peak.y:7.1f})  density {peak.density:.5f}")

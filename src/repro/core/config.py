@@ -7,14 +7,14 @@ domain, maximum update interval U = 60 and prediction window W = 60 (so the
 horizon H = U + W = 120), neighborhood edges l of 30 or 60 miles, density
 histograms of m^2 = 40000 cells, 400 degree-5 polynomials, an m_d = 512
 evaluation grid, 4 KB pages, 10 ms per random I/O and a buffer of 10 % of
-the dataset.
+the dataset (the page model's three figures are constants of
+:mod:`repro.storage.pages`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..storage.pages import PageModel
 from .errors import InvalidParameterError
 from .geometry import Rect
 
@@ -35,7 +35,6 @@ class SystemConfig:
     polynomial_grid: int = 20  # g  (g x g polynomials per timestamp)
     polynomial_degree: int = 5  # k
     evaluation_grid: int = 512  # m_d
-    page_model: PageModel = field(default_factory=PageModel)
 
     def __post_init__(self) -> None:
         if self.max_update_interval < 1:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..histogram.density_histogram import DensityHistogram
 from ..index.tree import TPRTree
@@ -35,8 +35,6 @@ from ..methods.fr import FRMethod
 from ..methods.interval import evaluate_interval, evaluate_interval_fr
 from ..methods.pa import PAMethod
 from ..methods.table import method_named
-from ..metrics.cost import UpdateCostTimer
-from ..metrics.instrument import TimedListener
 from ..motion.model import Motion
 from ..motion.table import ObjectTable
 from ..reliability.deadline import evaluate_with_degradation
@@ -47,6 +45,7 @@ from ..reliability.validation import (
     ReliabilityConfig,
     ReportValidator,
 )
+from ..storage import pages
 from ..storage.buffer import BufferPool
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
@@ -70,6 +69,8 @@ __all__ = ["PDRServer"]
 # The FR stages whose seconds the reliability report sums; "bnb" is PA's.
 _FR_STAGES = ("filter", "fuse", "fetch", "sweep", "merge")
 _STAGES = _FR_STAGES + ("bnb",)
+# The retry hint (seconds) a write refused in read-only mode carries.
+READONLY_RETRY_AFTER = 0.5
 
 
 class PDRServer:
@@ -103,7 +104,6 @@ class PDRServer:
         # poisoned WAL descriptor; left through probe_resources().
         self.read_only = False
         self.read_only_reason = ""
-        self.read_only_retry_after = 0.5
         # Bumped (and persisted in server-config.json) each time this
         # state directory goes through checkpoint+replay recovery.
         self.recovery_generation = 0
@@ -116,21 +116,14 @@ class PDRServer:
         # An injector brings its own (virtual) clock, which then also
         # drives deadlines and retry backoff; without one, real time.
         self.clock = self.faults.clock if self.faults is not None else MonotonicClock()
-        self.dead_letters = DeadLetterQueue(self.reliability.dead_letter_capacity)
-        self._validator = ReportValidator(self.reliability.policy, cfg.domain)
-        self._tick_oids: Set[int] = set()
+        self.dead_letters = DeadLetterQueue()
+        self._validator = ReportValidator(cfg.domain)
         self.table = ObjectTable(tnow=tnow)
         self.buffer = BufferPool(
-            capacity_pages=cfg.page_model.buffer_pages(expected_objects),
-            random_io_seconds=cfg.page_model.random_io_seconds,
+            capacity_pages=pages.buffer_pages(expected_objects),
             faults=self.faults,
         )
-        self.tree = TPRTree(
-            self.table,
-            horizon=cfg.horizon,
-            page_model=cfg.page_model,
-            buffer_pool=self.buffer,
-        )
+        self.tree = TPRTree(self.table, horizon=cfg.horizon, buffer_pool=self.buffer)
         self.histogram = DensityHistogram(
             cfg.domain,
             m=cfg.histogram_cells,
@@ -151,10 +144,8 @@ class PDRServer:
             prediction_window=cfg.prediction_window,
             table=self.table,
         )
-        self.dh_timer = UpdateCostTimer()
-        self.pa_timer = UpdateCostTimer()
-        self.table.add_listener(TimedListener(self.histogram, self.dh_timer))
-        self.table.add_listener(TimedListener(self.pa, self.pa_timer))
+        self.table.add_listener(self.histogram)
+        self.table.add_listener(self.pa)
         self.table.add_listener(self.tree)
         self._fr = FRMethod(self.histogram, self.tree, faults=self.faults)
         self._manager = None
@@ -202,7 +193,7 @@ class PDRServer:
             raise ReadOnlyError(
                 f"server is in read-only degraded mode "
                 f"({self.read_only_reason}); writes are refused",
-                retry_after=self.read_only_retry_after,
+                retry_after=READONLY_RETRY_AFTER,
                 reason=self.read_only_reason,
             )
 
@@ -229,13 +220,12 @@ class PDRServer:
     # ------------------------------------------------------------------
     # read-only degraded mode
     # ------------------------------------------------------------------
-    def enter_read_only(self, reason: str, retry_after: float = 0.5) -> None:
+    def enter_read_only(self, reason: str) -> None:
         """Refuse writes (queries keep serving) until a probe clears it."""
         if not self.read_only:  # journal actual transitions, not re-entries
             JOURNAL.emit("readonly_enter", reason=reason)
         self.read_only = True
         self.read_only_reason = reason
-        self.read_only_retry_after = float(retry_after)
         tm.READONLY.set(1)
 
     def exit_read_only(self) -> None:
@@ -271,10 +261,9 @@ class PDRServer:
     ) -> List[Optional[Motion]]:
         """Process a wave of ``(oid, x, y, vx, vy)`` reports in one pass.
 
-        Every report is validated in order (a duplicate policy sees the
-        earlier accepted reports of the same wave); rejects land in
-        :attr:`dead_letters`.  The accepted reports are write-ahead logged
-        in a single group commit (one fsync for the wave) and applied as one
+        Every report is validated; rejects land in :attr:`dead_letters`.
+        The accepted reports are write-ahead logged in a single group commit
+        (one fsync for the wave) and applied as one
         :meth:`ObjectTable.report_batch` wave (one numpy pass per
         structure).  Returns a list aligned with the input: the registered
         :class:`Motion` per accepted report, ``None`` per rejected one.
@@ -293,12 +282,8 @@ class PDRServer:
         results: List[Optional[Motion]] = [None] * len(reports)
         accepted: List[Tuple[int, float, float, float, float]] = []
         slots: List[int] = []
-        # Validation must see earlier accepted reports of the same wave
-        # (duplicate policy) without committing to _tick_oids before the
-        # wave is applied.
-        seen = set(self._tick_oids)
         for i, (oid, x, y, vx, vy) in enumerate(reports):
-            verdict = self._validator.validate(oid, x, y, vx, vy, t, tnow, seen)
+            verdict = self._validator.validate(oid, x, y, vx, vy, t, tnow)
             if verdict is not None:
                 reason, detail = verdict
                 self.dead_letters.push(
@@ -308,7 +293,6 @@ class PDRServer:
                     )
                 )
                 continue
-            seen.add(oid)
             accepted.append((oid, x, y, vx, vy))
             slots.append(i)
         rejected = len(reports) - len(accepted)
@@ -326,7 +310,6 @@ class PDRServer:
         motions = self.table.report_batch(accepted)
         for slot, motion in zip(slots, motions):
             results[slot] = motion
-        self._tick_oids.update(report[0] for report in accepted)
         self._resource_check()
         return results
 
@@ -354,13 +337,9 @@ class PDRServer:
             self._log_guarded(self._manager.log_retire, oid, self.table.tnow)
         if self.faults is not None:
             self.faults.hit("report.apply")
-        self._apply_retire(oid)
+        self.table.retire(oid)
         self._resource_check()
         return True
-
-    def _apply_retire(self, oid: int) -> None:
-        self.table.retire(oid)
-        self._tick_oids.discard(oid)
 
     def advance_to(self, tnow: int) -> None:
         """Move the server clock; retires histogram/PA slots and builds the
@@ -376,14 +355,10 @@ class PDRServer:
             self._log_guarded(self._manager.log_advance, tnow)
         if self.faults is not None:
             self.faults.hit("advance.apply")
-        self._apply_advance(tnow)
+        self.table.advance_to(tnow)
         if self._manager is not None:
             self._manager.maybe_checkpoint(self, tnow)
         self._resource_check()
-
-    def _apply_advance(self, tnow: int) -> None:
-        self.table.advance_to(tnow)
-        self._tick_oids.clear()
 
     def object_count(self) -> int:
         return len(self.table)
@@ -405,7 +380,6 @@ class PDRServer:
         def flush() -> None:
             if wave:
                 self.table.report_batch(wave)
-                self._tick_oids.update(report[0] for report in wave)
                 wave.clear()
 
         for record in records:
@@ -426,11 +400,11 @@ class PDRServer:
                 continue
             flush()
             if op == "retire":
-                self._apply_retire(int(record["oid"]))
+                self.table.retire(int(record["oid"]))
             elif op == "advance":
                 t = int(record["t"])
                 if t > self.table.tnow:
-                    self._apply_advance(t)
+                    self.table.advance_to(t)
             elif op == "epoch":
                 self.epoch = max(self.epoch, int(record["epoch"]))
             else:
@@ -542,7 +516,6 @@ class PDRServer:
         rho: Optional[float] = None,
         varrho: Optional[float] = None,
         deadline: Optional[float] = None,
-        retries: Optional[int] = None,
     ) -> QueryResult:
         """Evaluate a snapshot PDR query with the named method.
 
@@ -552,9 +525,9 @@ class PDRServer:
         answer is produced within the budget; the result's
         ``requested_method`` / ``degraded`` fields say what actually ran.
         Without one the requested method alone runs.  Transient faults are
-        retried with exponential backoff either way (``retries`` overrides
-        the configured count).  An unknown ``method`` is refused before
-        anything is evaluated or counted.
+        retried with exponential backoff either way
+        (:func:`~repro.reliability.deadline.run_with_retries`).  An unknown
+        ``method`` is refused before anything is evaluated or counted.
         """
         method_named(method)
         q = self.make_query(qt=qt, l=l, rho=rho, varrho=varrho)
@@ -562,14 +535,7 @@ class PDRServer:
         with TELEMETRY.tracer.trace(
             "query", method=method, qt=q.qt, l=q.l, rho=q.rho, role=self.role
         ) as span:
-            result = evaluate_with_degradation(
-                self,
-                method,
-                q,
-                budget_seconds=deadline,
-                retries=self.reliability.retries if retries is None else retries,
-                backoff_seconds=self.reliability.backoff_seconds,
-            )
+            result = evaluate_with_degradation(self, method, q, budget_seconds=deadline)
             span.set(
                 served_method=result.stats.method,
                 degraded=result.degraded,

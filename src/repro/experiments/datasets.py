@@ -32,7 +32,7 @@ from ..metrics.instrument import TimedListener
 from ..metrics.raster import RasterMeasure
 from .config import ScaleProfile
 
-__all__ = ["WorldSpec", "World", "get_world", "clear_world_cache"]
+__all__ = ["WorldSpec", "World", "get_world", "clear_world_cache", "time_updates"]
 
 PAVariant = Tuple[int, int, float]  # (g, k, l)
 
@@ -61,6 +61,9 @@ class World:
     spec: WorldSpec
     server: PDRServer
     simulator: TripSimulator
+    # Figure 9(b): the primary histogram's and PA's share of the update stream
+    dh_timer: UpdateCostTimer = field(default_factory=UpdateCostTimer)
+    pa_timer: UpdateCostTimer = field(default_factory=UpdateCostTimer)
     extra_pa: Dict[PAVariant, PAMethod] = field(default_factory=dict)
     extra_pa_timers: Dict[PAVariant, UpdateCostTimer] = field(default_factory=dict)
     extra_histograms: Dict[int, DensityHistogram] = field(default_factory=dict)
@@ -148,6 +151,14 @@ def clear_world_cache() -> None:
     _WORLD_CACHE.clear()
 
 
+def time_updates(table, structure) -> UpdateCostTimer:
+    """Subscribe ``structure`` to ``table`` behind a :class:`TimedListener`
+    and return the timer it charges (Figure 9(b))."""
+    timer = UpdateCostTimer()
+    table.add_listener(TimedListener(structure, timer))
+    return timer
+
+
 def build_world(spec: WorldSpec, raster_resolution: int = 2048) -> World:
     """Construct and warm up a world (no caching; prefer :func:`get_world`)."""
     config = SystemConfig(
@@ -158,10 +169,16 @@ def build_world(spec: WorldSpec, raster_resolution: int = 2048) -> World:
         evaluation_grid=spec.evaluation_grid,
     )
     server = PDRServer(config, expected_objects=spec.n_objects)
+    # The server subscribes its histogram and PA untimed; the world times
+    # them the way it times the variants below.
+    server.table.remove_listener(server.histogram)
+    server.table.remove_listener(server.pa)
     world = World(
         spec=spec,
         server=server,
         simulator=None,  # set below
+        dh_timer=time_updates(server.table, server.histogram),
+        pa_timer=time_updates(server.table, server.pa),
         raster=RasterMeasure(config.domain, raster_resolution),
     )
     # Variant structures subscribe to the same update stream as the primary
@@ -178,10 +195,8 @@ def build_world(spec: WorldSpec, raster_resolution: int = 2048) -> World:
             prediction_window=config.prediction_window,
             table=server.table,
         )
-        timer = UpdateCostTimer()
-        server.table.add_listener(TimedListener(pa, timer))
         world.extra_pa[variant] = pa
-        world.extra_pa_timers[variant] = timer
+        world.extra_pa_timers[variant] = time_updates(server.table, pa)
     for m in spec.extra_histograms:
         hist = DensityHistogram(
             config.domain,
@@ -190,10 +205,8 @@ def build_world(spec: WorldSpec, raster_resolution: int = 2048) -> World:
             prediction_window=config.prediction_window,
             table=server.table,
         )
-        timer = UpdateCostTimer()
-        server.table.add_listener(TimedListener(hist, timer))
         world.extra_histograms[m] = hist
-        world.extra_histogram_timers[m] = timer
+        world.extra_histogram_timers[m] = time_updates(server.table, hist)
 
     network = synthetic_metro(config.domain, grid_n=spec.network_grid, seed=spec.seed)
     simulator = TripSimulator(

@@ -85,8 +85,8 @@ def run_fig9b(
         {
             "structure": "DH",
             "config": f"m={world.spec.histogram_cells}",
-            "ms_per_update": world.server.dh_timer.mean_millis_per_update,
-            "updates": world.server.dh_timer.updates,
+            "ms_per_update": world.dh_timer.mean_millis_per_update,
+            "updates": world.dh_timer.updates,
         },
         {
             "structure": "PA",
@@ -94,8 +94,8 @@ def run_fig9b(
                 f"g={world.spec.polynomial_grid} k={world.spec.polynomial_degree} "
                 f"l={world.spec.l:g}"
             ),
-            "ms_per_update": world.server.pa_timer.mean_millis_per_update,
-            "updates": world.server.pa_timer.updates,
+            "ms_per_update": world.pa_timer.mean_millis_per_update,
+            "updates": world.pa_timer.updates,
         },
     ]
     for (g, k, l), timer in sorted(world.extra_pa_timers.items()):

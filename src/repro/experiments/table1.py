@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 
 from ..chebyshev.cheb2d import coefficient_count
 from ..core.config import SystemConfig
+from ..storage import pages
 from .config import EDGE_SWEEP, VARRHO_SWEEP, ScaleProfile, active_profile
 
 __all__ = ["run_table1"]
@@ -36,11 +37,11 @@ def run_table1(profile: Optional[ScaleProfile] = None) -> List[Dict]:
 
     return [
         {"parameter": "Scale profile", "value": profile.name},
-        {"parameter": "Page size", "value": f"{cfg.page_model.page_size} B"},
-        {"parameter": "Buffer size", "value": "10% of dataset size"},
+        {"parameter": "Page size", "value": f"{pages.PAGE_SIZE} B"},
+        {"parameter": "Buffer size", "value": f"{pages.BUFFER_FRACTION:.0%} of dataset size"},
         {
             "parameter": "Random disk access time",
-            "value": f"{cfg.page_model.random_io_seconds * 1000:.0f} ms",
+            "value": f"{pages.RANDOM_IO_SECONDS * 1000:.0f} ms",
         },
         {"parameter": "Maximum update interval (U)", "value": cfg.max_update_interval},
         {"parameter": "Prediction window length (W)", "value": cfg.prediction_window},

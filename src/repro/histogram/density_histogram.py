@@ -362,26 +362,13 @@ class DensityHistogram(UpdateListener):
         self._block_cache[key] = block
         return block
 
-    def cache_memory_bytes(self) -> int:
-        """Bytes held by the prefix/block-sum caches (reclaimable)."""
-        total = 0
-        for arr, _pad, _prefix in self._prefix_cache.values():
-            total += arr.nbytes
-        for arr in self._block_cache.values():
-            total += arr.nbytes
-        return total
-
-    def shed_caches(self) -> int:
-        """Drop the prefix/block-sum caches now (memory watermark).
-
-        Purely a capacity action: the caches rebuild on demand and every
-        answer is recomputed from the counters, so correctness is
-        untouched.  Returns the bytes freed.
+    def shed_caches(self) -> None:
+        """Drop the prefix/block-sum caches now, so the next filter runs
+        cold (Figure 9(a) times it that way).  The caches rebuild on
+        demand from the counters; no answer changes.
         """
-        freed = self.cache_memory_bytes()
         self._prefix_cache.clear()
         self._block_cache.clear()
-        return freed
 
     # ------------------------------------------------------------------
     # persistence

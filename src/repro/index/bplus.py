@@ -1,8 +1,8 @@
 """A disk-page B+-tree over integer keys.
 
 The substrate for the B^x-tree (:mod:`repro.index.bx`): a classic B+-tree
-whose nodes are sized to disk pages (same :class:`~repro.storage.pages.
-PageModel` accounting as the TPR-tree) and whose leaves are chained for
+whose nodes are sized to disk pages (the same :mod:`repro.storage.pages`
+accounting as the TPR-tree) and whose leaves are chained for
 range scans.  Keys are non-negative integers (Z-order codes prefixed with a
 partition label); duplicate keys are allowed — each leaf slot stores a
 ``(key, value)`` pair and deletion removes one matching pair.

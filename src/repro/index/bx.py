@@ -34,7 +34,7 @@ from ..core.geometry import Rect
 from ..motion.table import ObjectTable
 from ..motion.updates import Columns, UpdateListener, Wave
 from ..storage.buffer import BufferPool
-from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
+from ..storage import pages
 from .bplus import BPlusTree
 from .positions import deal_positions, query_windows
 from .zorder import ZGrid
@@ -53,7 +53,6 @@ class BxTree(UpdateListener):
         phase_length: Optional[int] = None,
         bits: int = 8,
         max_speed_hint: float = 0.0,
-        page_model: PageModel = DEFAULT_PAGE_MODEL,
         buffer_pool: Optional[BufferPool] = None,
         fanout_override: Optional[int] = None,
     ) -> None:
@@ -75,7 +74,7 @@ class BxTree(UpdateListener):
         self._tnow = float(table.tnow)
         self._max_speed = float(max_speed_hint)
         fanout = (
-            fanout_override if fanout_override is not None else page_model.leaf_fanout
+            fanout_override if fanout_override is not None else pages.LEAF_FANOUT
         )
         self._btree = BPlusTree(fanout=fanout, buffer_pool=buffer_pool)
         self._key_of: Dict[int, int] = {}  # table row -> stored key

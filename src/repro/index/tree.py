@@ -43,7 +43,7 @@ from ..core.geometry import Rect
 from ..motion.table import ObjectTable
 from ..motion.updates import Columns, UpdateListener, Wave
 from ..storage.buffer import BufferPool
-from ..storage.pages import DEFAULT_PAGE_MODEL, PageModel
+from ..storage import pages
 from ..telemetry import instruments as tm
 from .node import Node, retighten_all
 from .positions import deal_positions, query_windows
@@ -60,7 +60,6 @@ class TPRTree(UpdateListener):
         self,
         table: ObjectTable,
         horizon: float,
-        page_model: PageModel = DEFAULT_PAGE_MODEL,
         buffer_pool: Optional[BufferPool] = None,
         fanout_override: Optional[int] = None,
     ) -> None:
@@ -70,7 +69,6 @@ class TPRTree(UpdateListener):
         # tie every maintained structure into a cycle only the GC can free.
         self.table = weakref.proxy(table)
         self.horizon = horizon
-        self.page_model = page_model
         self.buffer = buffer_pool
         self._tnow = float(table.tnow)
         if fanout_override is not None:
@@ -79,8 +77,8 @@ class TPRTree(UpdateListener):
             self._leaf_fanout = fanout_override
             self._internal_fanout = fanout_override
         else:
-            self._leaf_fanout = page_model.leaf_fanout
-            self._internal_fanout = page_model.internal_fanout
+            self._leaf_fanout = pages.LEAF_FANOUT
+            self._internal_fanout = pages.INTERNAL_FANOUT
         self._min_fill_leaf = max(2, self._leaf_fanout * 2 // 5)
         self._min_fill_internal = max(2, self._internal_fanout * 2 // 5)
         self._next_page = 0

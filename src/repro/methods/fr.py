@@ -51,6 +51,7 @@ from ..core.query import QueryResult, QueryStats, SnapshotPDRQuery
 from ..core.regions import RegionSet
 from ..histogram.density_histogram import DensityHistogram
 from ..histogram.filter import filter_query
+from ..storage.pages import RANDOM_IO_SECONDS
 from ..sweep.band_sweep import BandBatch, refine_bands
 from ..telemetry import TELEMETRY
 
@@ -314,9 +315,7 @@ class FRMethod:
 
         cpu = time.perf_counter() - start
         io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
-        io_seconds = (
-            io_count * buffer.io_seconds_per_miss if buffer is not None else 0.0
-        )
+        io_seconds = io_count * RANDOM_IO_SECONDS
         stats = QueryStats(
             method="fr",
             cpu_seconds=cpu,

@@ -41,6 +41,7 @@ from ..core.query import (
 )
 from ..core.regions import RegionSet
 from ..histogram.interval_filter import filter_query_interval
+from ..storage.pages import RANDOM_IO_SECONDS
 
 __all__ = ["evaluate_interval", "evaluate_interval_fr"]
 
@@ -86,7 +87,7 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
         method="fr-interval",
         cpu_seconds=cpu,
         io_count=io_count,
-        io_seconds=io_count * buffer.io_seconds_per_miss if buffer is not None else 0.0,
+        io_seconds=io_count * RANDOM_IO_SECONDS,
         accepted_cells=filtered.accepted_count,
         rejected_cells=filtered.rejected_count,
         candidate_cells=filtered.candidate_count,

@@ -70,7 +70,6 @@ from .validation import (
     DeadLetterQueue,
     RejectedReport,
     ReliabilityConfig,
-    ReportPolicy,
     ReportValidator,
     ResourceConfig,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "Replica",
     "ReplicationGroup",
     "ReplicationLink",
-    "ReportPolicy",
     "ReportValidator",
     "ResourceConfig",
     "ShippedRecord",

@@ -117,6 +117,10 @@ __all__ = [
 Event = Tuple
 Verdict = Optional[Tuple[str, str]]  # (oracle name, message) or None
 
+REPLICAS = 2  # replicas behind the primary
+OBJECTS = 24  # moving-object id space of the workload
+STALENESS_BOUND = 0  # LSN lag at which a replica may serve reads
+MIN_DISRUPTIONS = 3  # scheduled crashes + bit-flips, at minimum
 CHECKPOINT_INTERVAL = 20  # ticks between checkpoints (in-process plane)
 ORACLE_EVERY = 25  # live sweep cadence, in events
 MAX_SHRINK_RUNS = 120  # ddmin re-executions per failing campaign
@@ -148,10 +152,6 @@ class ChaosConfig:
 
     seed: int = 0
     events: int = 200
-    replicas: int = 2
-    objects: int = 24
-    staleness_bound: int = 0
-    min_disruptions: int = 3  # scheduled crashes + bit-flips, at minimum
     shrink: bool = True
     network: bool = False  # the socket plane
     resources: bool = False  # the resource plane
@@ -168,11 +168,6 @@ class ChaosConfig:
         if self.network or self.resources:
             raise InvalidParameterError(
                 "the process plane runs alone: drop --network/--resources"
-            )
-        if self.min_disruptions != ChaosConfig.min_disruptions:
-            raise InvalidParameterError(
-                "the process plane runs only the schedule's workload "
-                "events: min_disruptions would just thin them"
             )
 
     @property
@@ -449,7 +444,7 @@ class ChaosScheduler:
         # guarantee the campaign actually disrupts: force-replace benign
         # events (deterministically) until enough of each plane's faults
         # exist; a forced fault never overwrites an earlier plane's
-        forced = [(DISRUPTIONS, cfg.min_disruptions, DISRUPTIONS)]
+        forced = [(DISRUPTIONS, MIN_DISRUPTIONS, DISRUPTIONS)]
         if cfg.network:
             forced.append((NET_DISRUPTIONS, MIN_NET_DISRUPTIONS,
                            DISRUPTIONS + NET_DISRUPTIONS))
@@ -467,11 +462,10 @@ class ChaosScheduler:
         return events
 
     def _make_event(self, kind: str, rng: random.Random) -> Event:
-        cfg = self.config
         if kind == "report":
             return (
                 "report",
-                rng.randrange(cfg.objects),
+                rng.randrange(OBJECTS),
                 round(rng.uniform(2.0, 98.0), 3),
                 round(rng.uniform(2.0, 98.0), 3),
                 round(rng.uniform(-1.5, 1.5), 3),
@@ -482,7 +476,7 @@ class ChaosScheduler:
         ):
             return (kind,)
         if kind == "retire":
-            return ("retire", rng.randrange(cfg.objects))
+            return ("retire", rng.randrange(OBJECTS))
         if kind == "query":
             return ("query", rng.choice(["fr", "pa", "dh-optimistic"]),
                     rng.randrange(0, 4))
@@ -567,7 +561,7 @@ class ChaosScheduler:
             faults=self.faults,
             resources=ResourceConfig() if cfg.resources else None,
         )
-        primary = PDRServer(system, expected_objects=cfg.objects, reliability=rc)
+        primary = PDRServer(system, expected_objects=OBJECTS, reliability=rc)
         admission = None
         if cfg.network:
             # the bucket runs on the primary's *virtual* clock, which
@@ -580,8 +574,8 @@ class ChaosScheduler:
             )
         return ReplicationGroup(
             primary,
-            n_replicas=cfg.replicas,
-            staleness_bound=cfg.staleness_bound,
+            n_replicas=REPLICAS,
+            staleness_bound=STALENESS_BOUND,
             admission=admission,
         )
 
@@ -1021,9 +1015,9 @@ class ChaosScheduler:
         supervisor = Supervisor(SupervisorConfig(
             serve_args=[
                 "--state-dir", state_dir,
-                "--objects", str(cfg.objects),
-                "--replicas", str(cfg.replicas),
-                "--staleness", str(cfg.staleness_bound),
+                "--objects", str(OBJECTS),
+                "--replicas", str(REPLICAS),
+                "--staleness", str(STALENESS_BOUND),
                 "--seed", str(cfg.seed),
                 "--fsync",
                 "--checkpoint-interval", str(PROCESS_CHECKPOINT_INTERVAL),

@@ -55,6 +55,11 @@ __all__ = [
 
 T = TypeVar("T")
 
+# Transient-fault retries inside one rung, and the first backoff (seconds
+# on the server clock; the n-th retry waits BACKOFF_SECONDS * 2**n).
+RETRIES = 2
+BACKOFF_SECONDS = 0.05
+
 
 class Deadline:
     """An absolute expiry on a clock, checked cooperatively."""
@@ -93,12 +98,11 @@ class Deadline:
 
 def run_with_retries(
     fn: Callable[[], T],
-    retries: int,
-    backoff_seconds: float,
     clock: Clock,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[T, int]:
-    """Run ``fn``, retrying transient faults with exponential backoff.
+    """Run ``fn``, retrying transient faults with exponential backoff:
+    :data:`RETRIES` retries, the ``n``-th after ``BACKOFF_SECONDS * 2**n``.
 
     Returns ``(result, attempts_used_beyond_the_first)``.  Only
     :class:`TransientFaultError` is retried; a deadline (when given) is
@@ -111,9 +115,9 @@ def run_with_retries(
         try:
             return fn(), attempt
         except TransientFaultError:
-            if attempt >= retries:
+            if attempt >= RETRIES:
                 raise
-            clock.sleep(backoff_seconds * (2 ** attempt))
+            clock.sleep(BACKOFF_SECONDS * (2 ** attempt))
             attempt += 1
 
 
@@ -145,8 +149,6 @@ def evaluate_with_degradation(
     method: str,
     query: SnapshotPDRQuery,
     budget_seconds: Optional[float],
-    retries: int,
-    backoff_seconds: float,
 ) -> QueryResult:
     """Evaluate ``query``, degrading down the ladder to stay inside the budget.
 
@@ -187,8 +189,6 @@ def evaluate_with_degradation(
                     lambda r=rung, d=rung_deadline: server.evaluate(
                         r, query, deadline=d
                     ),
-                    retries,
-                    backoff_seconds,
                     clock,
                     deadline=rung_deadline,
                 )

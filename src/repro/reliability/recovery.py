@@ -65,7 +65,7 @@ from .statedir import (
     wal_seqs,
     write_checkpoint,
 )
-from .validation import ReliabilityConfig, ReportPolicy, ResourceConfig
+from .validation import ReliabilityConfig, ResourceConfig
 
 __all__ = [
     "UpdateLog",
@@ -75,6 +75,10 @@ __all__ = [
     "records_from_lsn",
     "load_latest_checkpoint",
 ]
+
+# Checkpoints the interval pruner keeps (a resource-managed directory runs
+# the retention rule instead).
+KEEP_CHECKPOINTS = 2
 
 
 class UpdateLog:
@@ -247,12 +251,7 @@ class ReliabilityManager:
                 "expected_objects": server.expected_objects,
                 "tnow0": server.tnow,
                 "reliability": {
-                    "policy": dataclasses.asdict(config.policy),
-                    "dead_letter_capacity": config.dead_letter_capacity,
-                    "retries": config.retries,
-                    "backoff_seconds": config.backoff_seconds,
                     "checkpoint_interval": config.checkpoint_interval,
-                    "keep_checkpoints": config.keep_checkpoints,
                     "fsync": config.fsync,
                     "resources": (
                         config.resources.to_dict() if config.resources else None
@@ -399,7 +398,7 @@ class ReliabilityManager:
         self.seq = new_seq
 
     def _prune(self) -> None:
-        """Drop checkpoints beyond ``keep_checkpoints`` and WAL segments
+        """Drop checkpoints beyond :data:`KEEP_CHECKPOINTS` and WAL segments
         older than the oldest kept checkpoint (still replayable from it).
 
         Under a :class:`~repro.reliability.resources.ResourceManager` the
@@ -411,10 +410,9 @@ class ReliabilityManager:
             crashpoint("wal.prune")
             self.resources.prune()
             return
-        keep = max(1, self.config.keep_checkpoints)
         ckpt_seqs = checkpoint_seqs(self.state_dir)
-        kept = ckpt_seqs[-keep:]
-        for seq in ckpt_seqs[:-keep]:
+        kept = ckpt_seqs[-KEEP_CHECKPOINTS:]
+        for seq in ckpt_seqs[:-KEEP_CHECKPOINTS]:
             for path in (
                 image_path(self.state_dir, seq),
                 sidecar_path(self.state_dir, seq),
@@ -541,15 +539,13 @@ def recover_server(
             from ..storage.snapshot import config_from_dict
 
             system_config = config_from_dict(meta["config"])
+            # keys of settings that are constants now (a policy, retry
+            # counts, checkpoint retention, ...) may still be present in
+            # directories written before; they are ignored
             rel_meta = meta["reliability"]
             rc = ReliabilityConfig(
-                policy=ReportPolicy(**rel_meta["policy"]),
-                dead_letter_capacity=int(rel_meta["dead_letter_capacity"]),
-                retries=int(rel_meta["retries"]),
-                backoff_seconds=float(rel_meta["backoff_seconds"]),
                 state_dir=state_dir,
                 checkpoint_interval=int(rel_meta["checkpoint_interval"]),
-                keep_checkpoints=int(rel_meta["keep_checkpoints"]),
                 fsync=bool(rel_meta["fsync"]),
                 faults=faults,
                 # absent from directories written before budgets existed

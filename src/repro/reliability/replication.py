@@ -731,7 +731,6 @@ class ReplicationGroup:
         rho: Optional[float] = None,
         varrho: Optional[float] = None,
         deadline: Optional[float] = None,
-        retries: Optional[int] = None,
     ):
         """Evaluate a snapshot query on the best available backend
         (:meth:`_route`).  The result's ``served_by`` names the backend."""
@@ -741,7 +740,7 @@ class ReplicationGroup:
                 self.primary.make_query(qt=qt, l=l, rho=rho, varrho=varrho),
                 lambda server, admitted: server.query(
                     admitted, qt=qt, l=l, rho=rho, varrho=varrho,
-                    deadline=deadline, retries=retries,
+                    deadline=deadline,
                 ),
             )
             span.set(served_by=result.served_by, served_method=result.stats.method)

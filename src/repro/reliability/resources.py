@@ -34,11 +34,6 @@ This module owns that policy:
   older than the newest verified one are dropped together with their
   segments (a checkpoint whose replay tail is gone is dead weight).
 
-* **Memory watermark**: when the reclaimable query-path memory (the
-  histogram's prefix/block-sum caches plus the slow-query exemplars)
-  crosses ``memory_limit_bytes``, it is shed.  The caches rebuild on
-  demand; correctness is untouched.
-
 Everything is deterministic: usage is a pure function of the files on
 disk, and all decisions are made at explicit call points (after writes,
 at probes), never on timers.
@@ -50,7 +45,6 @@ import os
 from typing import Callable, List, Optional, Tuple
 
 from ..core.errors import RecoveryError, WALWriteError
-from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from ..telemetry.journal import JOURNAL
 from .statedir import (
@@ -253,7 +247,6 @@ class ResourceManager:
             "prune": 0,
             "wal_poisoned": 0,
             "wal_reopened": 0,
-            "memory_shed": 0,
         }
         self._checking = False
 
@@ -301,7 +294,6 @@ class ResourceManager:
         usage = self.usage()
         state = self.budget.state(usage)
         if state == "ok":
-            self._shed_memory_if_needed(server)
             return state
         if state == "soft" and not server.read_only:
             self._event("soft_watermark")
@@ -323,7 +315,6 @@ class ResourceManager:
                 f"state directory at {usage} bytes >= hard limit "
                 f"{self.config.hard_limit_bytes}",
             )
-        self._shed_memory_if_needed(server)
         return state
 
     def note_wal_failure(self, server, exc: BaseException) -> None:
@@ -386,40 +377,13 @@ class ResourceManager:
         if server.read_only:
             return
         self._event("readonly_enter")
-        server.enter_read_only(reason, retry_after=self.config.readonly_retry_after)
+        server.enter_read_only(reason)
 
     def _exit_readonly(self, server) -> None:
         if not server.read_only:
             return
         self._event("readonly_exit")
         server.exit_read_only()
-
-    # ------------------------------------------------------------------
-    # memory watermark
-    # ------------------------------------------------------------------
-    def reclaimable_bytes(self, server) -> int:
-        """Query-path memory the watermark may shed: the histogram's
-        prefix/block-sum caches plus retained slow-query exemplars."""
-        total = server.histogram.cache_memory_bytes()
-        for entry in TELEMETRY.slow_queries.entries():
-            total += 1024  # per-exemplar overhead estimate
-            if entry.trace:
-                total += len(str(entry.trace))
-        return total
-
-    def _shed_memory_if_needed(self, server) -> None:
-        limit = self.config.memory_limit_bytes
-        if limit is None:
-            return
-        if self.reclaimable_bytes(server) >= limit:
-            self.shed_memory(server)
-
-    def shed_memory(self, server) -> int:
-        """Drop the reclaimable caches now; returns bytes freed."""
-        freed = server.histogram.shed_caches()
-        TELEMETRY.slow_queries.clear()
-        self._event("memory_shed")
-        return freed
 
     # ------------------------------------------------------------------
     # introspection

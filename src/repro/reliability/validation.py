@@ -11,22 +11,22 @@ Reject reasons
 --------------
 ``nonfinite``      a coordinate or velocity is NaN or infinite
 ``out_of_bounds``  the reported position lies outside the domain
-``over_speed``     the reported speed exceeds ``policy.max_speed``
 ``bad_oid``        the object id is negative, not integral, or above 2**63 - 1
 ``stale``          the report carries an explicit timestamp < ``t_now``
 ``future``         the report carries an explicit timestamp > ``t_now``
-``duplicate``      the object already reported this tick (strict mode)
 ``unknown_oid``    a retire names an object the server does not know
+
+A re-report of an object within one tick is accepted: the update
+protocol (Section 5.1) treats it as delete + insert.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
-from ..core.errors import InvalidParameterError
 from ..core.geometry import Rect
 from .faults import FaultInjector
 
@@ -34,7 +34,6 @@ __all__ = [
     "REJECT_REASONS",
     "RejectedReport",
     "DeadLetterQueue",
-    "ReportPolicy",
     "ReportValidator",
     "ResourceConfig",
     "ReliabilityConfig",
@@ -43,15 +42,15 @@ __all__ = [
 # Object ids are stored (table, checkpoints) as exact int64; a larger id
 # must die here, before its WAL record would poison every later recovery.
 _MAX_OID = 2**63 - 1
+# Rejects the dead-letter queue keeps (its counters keep counting past it).
+DEAD_LETTER_CAPACITY = 1024
 
 REJECT_REASONS = (
     "nonfinite",
     "out_of_bounds",
-    "over_speed",
     "bad_oid",
     "stale",
     "future",
-    "duplicate",
     "unknown_oid",
 )
 
@@ -74,16 +73,14 @@ class RejectedReport:
 class DeadLetterQueue:
     """A bounded FIFO of rejects plus unbounded per-reason counters.
 
-    The queue keeps only the most recent ``capacity`` rejects (old entries
-    are dropped), but ``counts`` and ``total`` keep counting forever so
-    operators can alarm on reject *rates* even after the queue wrapped.
+    The queue keeps only the most recent :data:`DEAD_LETTER_CAPACITY`
+    rejects (old entries are dropped), but ``counts`` and ``total`` keep
+    counting forever so operators can alarm on reject *rates* even after
+    the queue wrapped.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise InvalidParameterError(f"dead-letter capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: "deque[RejectedReport]" = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._entries: "deque[RejectedReport]" = deque(maxlen=DEAD_LETTER_CAPACITY)
         self.counts: Counter = Counter()
         self.total = 0
 
@@ -103,28 +100,10 @@ class DeadLetterQueue:
         return self._entries[-1] if self._entries else None
 
 
-@dataclass(frozen=True)
-class ReportPolicy:
-    """What the ingestion boundary rejects.
-
-    ``max_speed`` is in domain units per timestamp; ``None`` disables the
-    check.  ``reject_duplicates`` rejects a second report for the same
-    object id within one tick — off by default because the update
-    protocol (Section 5.1) legitimately treats a re-report as
-    delete + insert, and the paper's workloads re-report freely.
-    """
-
-    reject_nonfinite: bool = True
-    reject_out_of_bounds: bool = True
-    max_speed: Optional[float] = None
-    reject_duplicates: bool = False
-
-
 class ReportValidator:
-    """Applies a :class:`ReportPolicy` at the ``report()`` boundary."""
+    """The checks every report passes at the ``report()`` boundary."""
 
-    def __init__(self, policy: ReportPolicy, domain: Rect) -> None:
-        self.policy = policy
+    def __init__(self, domain: Rect) -> None:
         self.domain = domain
 
     def validate(
@@ -136,53 +115,37 @@ class ReportValidator:
         vy: float,
         t: Optional[int],
         tnow: int,
-        seen_this_tick: Set[int],
     ) -> Optional[Tuple[str, str]]:
         """Return ``(reason, detail)`` for a reject, or ``None`` to accept."""
-        policy = self.policy
         if not isinstance(oid, int) or isinstance(oid, bool) or not 0 <= oid <= _MAX_OID:
             return (
                 "bad_oid",
                 f"object id must be an integer in [0, 2**63 - 1], got {oid!r}",
             )
-        if policy.reject_nonfinite and not all(
-            math.isfinite(v) for v in (x, y, vx, vy)
-        ):
+        if not all(math.isfinite(v) for v in (x, y, vx, vy)):
             return ("nonfinite", f"non-finite report ({x}, {y}, {vx}, {vy})")
         if t is not None:
             if t < tnow:
                 return ("stale", f"report timestamped {t} behind server clock {tnow}")
             if t > tnow:
                 return ("future", f"report timestamped {t} ahead of server clock {tnow}")
-        if policy.reject_out_of_bounds and not self.domain.contains_point(x, y):
+        if not self.domain.contains_point(x, y):
             return (
                 "out_of_bounds",
                 f"position ({x}, {y}) outside domain {self.domain.as_tuple()}",
             )
-        if policy.max_speed is not None:
-            speed = math.hypot(vx, vy)
-            if speed > policy.max_speed:
-                return (
-                    "over_speed",
-                    f"speed {speed:.3f} exceeds max_speed {policy.max_speed}",
-                )
-        if policy.reject_duplicates and oid in seen_this_tick:
-            return ("duplicate", f"object {oid} already reported at tick {tnow}")
         return None
 
 
 @dataclass
 class ResourceConfig:
-    """Resource-exhaustion knobs (disk budget, memory watermark).
+    """The disk budget of a state directory.
 
     ``soft_limit_bytes``: state-dir size at which the server checkpoints
     and prunes retention-covered WAL segments.  ``hard_limit_bytes``:
     size at which it flips to read-only degraded mode (queries keep
     serving, writes are refused with ``retry_after``).  Either may be
-    ``None`` to disable that watermark.  ``memory_limit_bytes`` bounds
-    the reclaimable query-path memory (prefix/block-sum caches plus
-    slow-query exemplars); crossing it sheds those caches.
-    ``readonly_retry_after`` is the hint carried on refused writes.
+    ``None`` to disable that watermark.
 
     The object is deliberately mutable and *shared* (never copied by
     ``dataclasses.replace`` of the enclosing ``ReliabilityConfig``), so
@@ -192,58 +155,46 @@ class ResourceConfig:
 
     soft_limit_bytes: Optional[int] = None
     hard_limit_bytes: Optional[int] = None
-    memory_limit_bytes: Optional[int] = None
-    readonly_retry_after: float = 0.5
 
     def to_dict(self) -> dict:
         return {
             "soft_limit_bytes": self.soft_limit_bytes,
             "hard_limit_bytes": self.hard_limit_bytes,
-            "memory_limit_bytes": self.memory_limit_bytes,
-            "readonly_retry_after": self.readonly_retry_after,
         }
 
     @classmethod
     def from_dict(cls, payload: Optional[dict]) -> Optional["ResourceConfig"]:
+        """Inverse of :meth:`to_dict`; keys it does not know are ignored."""
         if not payload:
             return None
-        return cls(
-            soft_limit_bytes=(
-                None if payload.get("soft_limit_bytes") is None
-                else int(payload["soft_limit_bytes"])
-            ),
-            hard_limit_bytes=(
-                None if payload.get("hard_limit_bytes") is None
-                else int(payload["hard_limit_bytes"])
-            ),
-            memory_limit_bytes=(
-                None if payload.get("memory_limit_bytes") is None
-                else int(payload["memory_limit_bytes"])
-            ),
-            readonly_retry_after=float(payload.get("readonly_retry_after", 0.5)),
-        )
+        limits = {
+            name: None if payload.get(name) is None else int(payload[name])
+            for name in ("soft_limit_bytes", "hard_limit_bytes")
+        }
+        return cls(**limits)
 
 
 @dataclass
 class ReliabilityConfig:
-    """Everything the server's reliability layer can be tuned with.
+    """The reliability layer's settings.
 
     ``state_dir`` enables durability: an append-only update log (WAL) plus
     a full checkpoint every ``checkpoint_interval`` ticks, from which
-    :meth:`PDRServer.recover` reconstructs the server after a crash.
+    :meth:`PDRServer.recover` reconstructs the server after a crash;
+    ``fsync`` makes every WAL append durable before it is acked.
     ``faults`` attaches a :class:`FaultInjector`, whose (virtual) clock
     then also drives query deadlines and retry backoff.  ``resources``
-    attaches disk/memory budgets (see :class:`ResourceConfig` and
-    :mod:`repro.reliability.resources`).
+    attaches a disk budget (see :class:`ResourceConfig` and
+    :mod:`repro.reliability.resources`).  Retry counts, the dead-letter
+    capacity and checkpoint retention are constants:
+    :data:`repro.reliability.deadline.RETRIES` /
+    :data:`~repro.reliability.deadline.BACKOFF_SECONDS`,
+    :data:`DEAD_LETTER_CAPACITY` and
+    :data:`repro.reliability.recovery.KEEP_CHECKPOINTS`.
     """
 
-    policy: ReportPolicy = field(default_factory=ReportPolicy)
-    dead_letter_capacity: int = 1024
-    retries: int = 2
-    backoff_seconds: float = 0.05
     state_dir: Optional[str] = None
     checkpoint_interval: int = 0  # ticks between checkpoints; 0 = WAL only
-    keep_checkpoints: int = 2
     fsync: bool = True
     faults: Optional[FaultInjector] = None
     resources: Optional[ResourceConfig] = None

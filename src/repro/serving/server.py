@@ -1,10 +1,10 @@
 """The asyncio TCP front door for a PDR serving stack.
 
-:class:`PDRTCPServer` mounts a backend — a single
-:class:`~repro.core.system.PDRServer` or a whole
+:class:`PDRTCPServer` mounts a
 :class:`~repro.reliability.replication.ReplicationGroup` (admission
-controller, deadline ladder, staleness router and failover included) —
-behind the length-prefixed JSON protocol of :mod:`.protocol`:
+controller, deadline ladder, staleness router and failover included;
+``repro serve --replicas 0`` is the group of one primary) behind the
+length-prefixed JSON protocol of :mod:`.protocol`:
 
 * **Per-connection limits.**  Reads and writes carry timeouts (a
   slow-loris peer cannot hold a connection forever), frames above
@@ -154,10 +154,10 @@ class _Connection:
 
 
 class PDRTCPServer:
-    """One TCP listener over one backend (server or replication group)."""
+    """One TCP listener over one replication group."""
 
-    def __init__(self, backend, config: Optional[ServingConfig] = None) -> None:
-        self.backend = backend
+    def __init__(self, group, config: Optional[ServingConfig] = None) -> None:
+        self.group = group
         self.config = config or ServingConfig()
         self.draining = False
         self.address: Optional[Tuple[str, int]] = None
@@ -230,32 +230,14 @@ class PDRTCPServer:
         self._read_executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # backend introspection (duck-typed over server vs group)
+    # group introspection
     # ------------------------------------------------------------------
-    @property
-    def _is_group(self) -> bool:
-        return hasattr(self.backend, "primary")
-
-    def _epoch(self) -> int:
-        return int(self.backend.epoch)
-
     def _lsn(self) -> int:
-        if self._is_group:
-            return int(self.backend.acked_lsn)
-        return int(self.backend.wal_lsn or 0)
+        return int(self.group.acked_lsn)
 
     def _role(self) -> str:
-        if self._is_group:
-            return "primary" if self.backend.primary_alive else "unavailable"
-        return self.backend.role
-
-    def _read_only(self) -> bool:
-        server = self.backend.primary if self._is_group else self.backend
-        return bool(getattr(server, "read_only", False))
-
-    def _generation(self) -> int:
-        server = self.backend.primary if self._is_group else self.backend
-        return int(getattr(server, "recovery_generation", 0) or 0)
+        group = self.group
+        return group.primary.role if group.primary_alive else "unavailable"
 
     def _op_health(self, message: dict) -> dict:
         return {
@@ -263,16 +245,16 @@ class PDRTCPServer:
             "live": True,
             "ready": not self.draining and self._role() == "primary",
             "draining": self.draining,
-            "read_only": self._read_only(),
+            "read_only": self.group.primary.read_only,
             "role": self._role(),
-            "epoch": self._epoch(),
+            "epoch": self.group.epoch,
             # which incarnation of the state directory answered: bumps on
             # every recovery, so clients and the supervisor can observe a
             # process restart even though the epoch never moved
-            "generation": self._generation(),
+            "generation": self.group.primary.recovery_generation,
             "pid": os.getpid(),
             "lsn": self._lsn(),
-            "tnow": int(self.backend.tnow),
+            "tnow": int(self.group.tnow),
             "advertise": list(self.address or ()),
         }
 
@@ -280,7 +262,7 @@ class PDRTCPServer:
         asyncio.ensure_future(self.drain())
         return {"ok": True, "draining": True,
                 "drain_deadline": self.config.drain_deadline,
-                "epoch": self._epoch()}
+                "epoch": self.group.epoch}
 
     # ------------------------------------------------------------------
     # connection handling
@@ -423,13 +405,13 @@ class PDRTCPServer:
                 retry_after=DRAIN_RETRY_AFTER,
             )
         payload["ok"] = True
-        payload.setdefault("epoch", self._epoch())
+        payload.setdefault("epoch", self.group.epoch)
         return payload
 
     def _error_frame(self, code: str, message: str, retry_after=None,
                      redirect=None, request=None) -> dict:
         frame = {"ok": False, "error": code, "message": message,
-                 "epoch": self._epoch()}
+                 "epoch": self.group.epoch}
         if code in ("shed", "draining", "too_many_inflight", "staleness",
                     "read_only"):
             # the retry invariant: these codes ALWAYS carry retry_after
@@ -500,38 +482,38 @@ class PDRTCPServer:
                 self._state_lock.release_write()
 
     def _op_report(self, message: dict) -> dict:
-        backend = self.backend
-        # Object ids reach the backend as decoded: its validator dead-letters
+        group = self.group
+        # Object ids reach the group as decoded: its validator dead-letters
         # a non-integer id as ``bad_oid`` before anything is logged, where a
         # coercion here would log 3.7 or true under somebody else's key.
-        motion = backend.report(
+        motion = group.report(
             message["oid"], float(message["x"]), float(message["y"]),
             float(message["vx"]), float(message["vy"]),
         )
         return {"accepted": motion is not None, "lsn": self._lsn(),
-                "tnow": int(backend.tnow)}
+                "tnow": int(group.tnow)}
 
     def _op_report_batch(self, message: dict) -> dict:
         reports = [
             (r[0], float(r[1]), float(r[2]), float(r[3]), float(r[4]))
             for r in message["reports"]
         ]
-        results = self.backend.report_batch(reports)
+        results = self.group.report_batch(reports)
         accepted = sum(1 for r in results if r is not None)
         return {"accepted": accepted, "rejected": len(results) - accepted,
-                "lsn": self._lsn(), "tnow": int(self.backend.tnow)}
+                "lsn": self._lsn(), "tnow": int(self.group.tnow)}
 
     def _op_retire(self, message: dict) -> dict:
-        return {"retired": bool(self.backend.retire(message["oid"])),
+        return {"retired": bool(self.group.retire(message["oid"])),
                 "lsn": self._lsn()}
 
     def _op_advance(self, message: dict) -> dict:
-        backend = self.backend
-        backend.advance_to(int(message.get("to", backend.tnow + 1)))
-        return {"tnow": int(backend.tnow), "lsn": self._lsn()}
+        group = self.group
+        group.advance_to(int(message.get("to", group.tnow + 1)))
+        return {"tnow": int(group.tnow), "lsn": self._lsn()}
 
     def _op_query(self, message: dict) -> dict:
-        backend = self.backend
+        group = self.group
         max_regions = message.get("max_regions")
         if max_regions is not None and (
             type(max_regions) is not int or max_regions < 0
@@ -543,8 +525,8 @@ class PDRTCPServer:
         # ``fr_query`` / ``pa_query`` name their method in the op
         method = str(message.get("method") or message["op"].split("_", 1)[0])
         qt = (int(message["qt"]) if "qt" in message
-              else int(backend.tnow) + int(message.get("qt_offset", 0)))
-        result = backend.query(
+              else int(group.tnow) + int(message.get("qt_offset", 0)))
+        result = group.query(
             method, qt=qt,
             l=(None if message.get("l") is None else float(message["l"])),
             rho=(None if message.get("rho") is None
@@ -559,9 +541,9 @@ class PDRTCPServer:
         regions = result.regions.bounds[:max_regions].tolist()
         return {
             "method": result.stats.method,
-            "requested_method": getattr(result, "requested_method", method),
+            "requested_method": result.requested_method,
             "degraded": bool(result.degraded),
-            "served_by": getattr(result, "served_by", None),
+            "served_by": result.served_by,
             "qt": qt,
             "n_regions": len(result.regions),
             "regions": regions,
@@ -570,18 +552,12 @@ class PDRTCPServer:
         }
 
     def _op_status(self, message: dict) -> dict:
-        backend = self.backend
-        # operator polling doubles as the resource probe: a backend in
+        # operator polling doubles as the resource probe: a primary in
         # read-only degraded mode tries to heal whenever it is looked
         # at (no-op — and cheap — while writable; an idempotent heal-attempt,
         # safe under concurrent readers)
-        if hasattr(backend, "probe_resources"):
-            backend.probe_resources()
-        if self._is_group:
-            return {"status": backend.status()}
-        return {"status": {"role": backend.role, "epoch": self._epoch(),
-                           "lsn": self._lsn(), "tnow": int(backend.tnow),
-                           "read_only": self._read_only()}}
+        self.group.probe_resources()
+        return {"status": self.group.status()}
 
 
 # Every op the front door answers.  Executor choice, lock side, the metric
@@ -611,8 +587,8 @@ class ServerThread:
     :meth:`drain`/:meth:`stop`.
     """
 
-    def __init__(self, backend, config: Optional[ServingConfig] = None) -> None:
-        self.server = PDRTCPServer(backend, config)
+    def __init__(self, group, config: Optional[ServingConfig] = None) -> None:
+        self.server = PDRTCPServer(group, config)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()

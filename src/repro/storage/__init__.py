@@ -1,6 +1,6 @@
 """Simulated storage: page model and LRU buffer pool with I/O accounting."""
 
+from . import pages
 from .buffer import BufferPool, IOStats
-from .pages import DEFAULT_PAGE_MODEL, PageModel
 
-__all__ = ["BufferPool", "IOStats", "PageModel", "DEFAULT_PAGE_MODEL"]
+__all__ = ["BufferPool", "IOStats", "pages"]

@@ -1,7 +1,7 @@
 """LRU buffer pool simulator.
 
 The pool tracks which page ids are resident and charges
-``random_io_seconds`` for every miss.  It does not hold page *contents* —
+:data:`~repro.storage.pages.RANDOM_IO_SECONDS` for every miss.  It does not hold page *contents* —
 the TPR-tree keeps its nodes in Python objects — it exists purely so that
 query evaluation pays a faithful I/O bill (Section 7.3: each random I/O is
 charged 10 ms, buffer = 10 % of the dataset).
@@ -14,6 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..core.errors import InvalidParameterError
+from .pages import RANDOM_IO_SECONDS
 
 __all__ = ["BufferPool", "IOStats"]
 
@@ -37,18 +38,10 @@ class IOStats:
 class BufferPool:
     """A capacity-bounded LRU set of resident page ids."""
 
-    def __init__(
-        self,
-        capacity_pages: int,
-        random_io_seconds: float = 0.010,
-        faults=None,
-    ) -> None:
+    def __init__(self, capacity_pages: int, faults=None) -> None:
         if capacity_pages < 1:
             raise InvalidParameterError(f"buffer capacity must be >= 1, got {capacity_pages}")
-        if random_io_seconds < 0:
-            raise InvalidParameterError("random_io_seconds must be >= 0")
         self._capacity = capacity_pages
-        self._io_seconds_per_miss = random_io_seconds
         self._resident: "OrderedDict[int, None]" = OrderedDict()
         self._faults = faults
         self.stats = IOStats()
@@ -61,10 +54,6 @@ class BufferPool:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def io_seconds_per_miss(self) -> float:
-        return self._io_seconds_per_miss
 
     def resize(self, capacity_pages: int) -> None:
         """Change capacity, evicting LRU pages if shrinking."""
@@ -120,7 +109,7 @@ class BufferPool:
     def charged_seconds(self, stats: IOStats = None) -> float:
         """I/O time charged for ``stats`` (default: the live counters)."""
         s = self.stats if stats is None else stats
-        return s.misses * self._io_seconds_per_miss
+        return s.misses * RANDOM_IO_SECONDS
 
     def __len__(self) -> int:
         return len(self._resident)

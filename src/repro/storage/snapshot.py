@@ -115,11 +115,6 @@ def config_from_dict(data: dict) -> SystemConfig:
     )
 
 
-# Backwards-compatible private aliases (pre-reliability callers).
-_config_to_dict = config_to_dict
-_config_from_dict = config_from_dict
-
-
 @dataclass
 class SnapshotState:
     """The deserialised content of one snapshot file."""

@@ -98,10 +98,10 @@ __all__ = [
 class Telemetry:
     """The observability hub: registry + tracer + slow-query log."""
 
-    def __init__(self, enabled: bool = True, slowlog_capacity: int = 32) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled)
-        self.slow_queries = SlowQueryLog(capacity=slowlog_capacity)
+        self.slow_queries = SlowQueryLog()
 
     @property
     def enabled(self) -> bool:

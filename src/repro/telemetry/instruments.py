@@ -224,7 +224,7 @@ RESOURCE_EVENTS = _reg.counter(
     "repro_resource_events_total",
     "Resource-budget lifecycle events",
     # soft_watermark | hard_watermark | readonly_enter | readonly_exit |
-    # prune | wal_poisoned | wal_reopened | memory_shed
+    # prune | wal_poisoned | wal_reopened
     labelnames=("event",),
 )
 

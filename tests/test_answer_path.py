@@ -24,7 +24,9 @@ from repro.core.query import IntervalPDRQuery
 from repro.histogram.density_histogram import DensityHistogram
 from repro.histogram.filter import filter_query
 from repro.methods.interval import evaluate_interval
+from repro.reliability.validation import ReliabilityConfig
 from repro.serving.client import ResilientClient
+from repro.serving.loadtest import mount_group
 from repro.serving.server import ServerThread, ServingConfig
 
 N_OBJECTS = 120
@@ -34,22 +36,29 @@ METHODS = ("fr", "pa", "dh-optimistic", "dh-pessimistic", "dense-cell")
 
 
 @pytest.fixture(scope="module")
-def world():
+def world(tmp_path_factory):
     """Sparse uniform objects on the paper's domain: a low relative
     threshold makes every method's answer thousands of rectangles."""
-    server = PDRServer(SystemConfig(), expected_objects=N_OBJECTS)
+    state_dir = str(tmp_path_factory.mktemp("answer-path") / "state")
+    server = PDRServer(
+        SystemConfig(), expected_objects=N_OBJECTS,
+        reliability=ReliabilityConfig(state_dir=state_dir, fsync=False),
+    )
     gen = np.random.default_rng(5)
     server.report_batch([
         (oid, float(gen.uniform(5, 995)), float(gen.uniform(5, 995)),
          float(gen.uniform(-1, 1)), float(gen.uniform(-1, 1)))
         for oid in range(N_OBJECTS)
     ])
-    return server
+    yield server
+    server.close()
 
 
 @pytest.fixture(scope="module")
 def wire(world):
-    thread = ServerThread(world, ServingConfig()).start()
+    """The front door over ``world`` mounted as a group of one primary."""
+    group = mount_group(world, 0, 0)
+    thread = ServerThread(group, ServingConfig()).start()
     try:
         yield thread
     finally:

@@ -19,6 +19,7 @@ import pytest
 
 from tests.conftest import small_system_config
 from repro import PDRServer, cli
+from repro.reliability import chaos, recovery
 from repro.reliability.chaos import (
     DISRUPTIONS,
     ChaosConfig,
@@ -53,8 +54,9 @@ class TestSchedule:
         b = ChaosScheduler(ChaosConfig(seed=2), workdir).build_schedule()
         assert a != b
 
-    def test_minimum_disruptions_are_forced(self, workdir):
-        config = ChaosConfig(seed=5, events=30, min_disruptions=6)
+    def test_minimum_disruptions_are_forced(self, workdir, monkeypatch):
+        monkeypatch.setattr(chaos, "MIN_DISRUPTIONS", 6)
+        config = ChaosConfig(seed=5, events=30)
         events = ChaosScheduler(config, workdir).build_schedule()
         assert sum(1 for e in events if e[0] in DISRUPTIONS) >= 6
 
@@ -68,7 +70,7 @@ class TestCampaign:
         """The acceptance run: >= 200 events, >= 3 injected corruptions
         and crashes across primary and replicas, every oracle green, and
         ``repro verify`` exits 0 on the surviving state directory."""
-        config = ChaosConfig(seed=42, events=220, replicas=2)
+        config = ChaosConfig(seed=42, events=220)
         result = ChaosScheduler(config, workdir).run()
         assert result.ok, result.format_reproducer()
         assert result.events_run == 220
@@ -80,7 +82,7 @@ class TestCampaign:
         assert result.stats.get("flips", 0) >= 3
         assert result.stats.get("failovers", 0) >= 1
         assert result.stats.get("replica_crashes", 0) >= 1
-        assert disruptions >= config.min_disruptions
+        assert disruptions >= chaos.MIN_DISRUPTIONS
         assert result.stats.get("oracle_sweeps", 0) > 0
         assert cli.main(["verify", "--state-dir", result.final_state_dir]) == 0
 
@@ -113,13 +115,14 @@ class TestDurableOracles:
         server = PDRServer(
             small_system_config(), expected_objects=12,
             reliability=ReliabilityConfig(state_dir=state_dir,
-                                          checkpoint_interval=2,
-                                          keep_checkpoints=8),
+                                          checkpoint_interval=2),
         )
-        for t in range(1, 11):
-            for oid in range(12):
-                server.report(oid, 5.0 + 7 * oid, 20.0 + t, 0.5, -0.25)
-            server.advance_to(t)  # a checkpoint (and a fresh segment) at even t
+        with pytest.MonkeyPatch.context() as mp:  # keep every checkpoint
+            mp.setattr(recovery, "KEEP_CHECKPOINTS", 8)
+            for t in range(1, 11):
+                for oid in range(12):
+                    server.report(oid, 5.0 + 7 * oid, 20.0 + t, 0.5, -0.25)
+                server.advance_to(t)  # a checkpoint (and a fresh segment) at even t
         for oid in range(4):  # the newest segment holds acked reports
             server.report(oid, 50.0, 50.0 + oid, 0.0, 0.0)
         acked, tnow = server.wal_lsn, server.tnow

@@ -1,30 +1,51 @@
-"""Every setting of the serving stack, pinned.
+"""Every setting of the program, pinned.
 
-A field stays on a config only when it is a deployment setting, gates a
-capability, or has two callers outside the tests that set it to
-different values; everything else is a module constant.  These sets make
-a new knob a visible diff, and every flag that forwards a field (or a
-builder's parameter) must default to that field's default.
+A config field, builder parameter or CLI flag stays only when it is a
+deployment setting (a path, address or port), gates a capability, or has
+two callers outside the tests that set it to different values; everything
+else is a module constant read where it is used.  These sets make a new
+knob a visible diff: every dataclass named ``*Config`` under ``repro`` and
+every subcommand's flags are listed here, and every flag that forwards a
+field (or a builder's parameter) must default to that field's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import repro
 from repro import cli
+from repro.core.config import SystemConfig
 from repro.reliability import replication
 from repro.reliability.admission import AdmissionConfig
 from repro.reliability.chaos import ChaosConfig
+from repro.reliability.validation import ReliabilityConfig, ResourceConfig
 from repro.serving.client import ClientConfig
 from repro.serving.loadtest import LoadTestConfig, build_serving_group, seeded_primary
 from repro.serving.server import ServingConfig
 from repro.serving.supervisor import SupervisorConfig
+from repro.telemetry import Telemetry
 
 FIELDS = {
+    # the paper's Table 1; the page model is storage/pages.py's constants
+    SystemConfig: {
+        "domain", "max_update_interval", "prediction_window", "l",
+        "histogram_cells", "polynomial_grid", "polynomial_degree",
+        "evaluation_grid",
+    },
+    ReliabilityConfig: {
+        "state_dir", "checkpoint_interval", "fsync", "faults", "resources",
+    },
+    ResourceConfig: {"soft_limit_bytes", "hard_limit_bytes"},
+    ChaosConfig: {
+        "seed", "events", "shrink", "network", "resources", "crashpoint",
+    },
     SupervisorConfig: {
         "serve_args", "host", "port", "seed",
         "arm_crashpoint", "arm_after", "arm_torn",
@@ -81,24 +102,46 @@ FORWARDED = {
     },
     "chaos": {
         "--seed": (ChaosConfig, "seed"),
-        **{flag: (ChaosConfig, name) for flag, name in cli.CHAOS_VALUE_FLAGS},
+        "--events": (ChaosConfig, "events"),
+        "--crashpoint": (ChaosConfig, "crashpoint"),
     },
 }
 
-# the flags that forward nothing: a path, a target, or a switch of the CLI
+# The flags that forward no field, each for the rule's reason: a path, an
+# address or port, a switch that gates a capability, or the question the
+# command answers (a query's method, threshold and time; a journal filter),
+# which two callers outside the tests set to different values.
 UNFORWARDED = {
+    "simulate": {"--objects", "--out", "--metrics-out"},
+    "query": {
+        "--snapshot", "--method", "--varrho", "--offset", "--deadline",
+        "--render", "--geojson", "--reliability-report", "--metrics-out",
+    },
+    "peaks": {"--snapshot"},
+    "report": set(),
+    "reliability": {"--state-dir"},
+    "verify": {"--state-dir", "--json", "--scrub"},
+    "chaos": {"--no-shrink", "--network", "--resources", "--process", "--repro-out"},
     "serve": {"--snapshot", "--state-dir", "--metrics-port", "--force-recover"},
     "supervise": set(),
     "loadtest": {"--host", "--port", "--journal-dir", "--json-out"},
+    "journal": {"--dir", "--state-dir", "--event", "--tail", "--format"},
+    "trace": {"--dir", "--state-dir", "--from"},
+    "top": {"--host", "--port", "--once"},
+    "metrics": {"--from", "--format", "--out", "--serve"},
 }
 
 
-def _flags(command: str) -> dict:
+def _subparsers() -> dict:
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _flags(command: str) -> dict:
     return {
         option: action
-        for action in sub.choices[command]._actions
+        for action in _subparsers()[command]._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
@@ -109,6 +152,25 @@ def _default(owner, name):
         (found,) = [f for f in dataclasses.fields(owner) if f.name == name]
         return found.default
     return inspect.signature(owner).parameters[name].default
+
+
+def _configs_under_repro() -> set:
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue  # running it is the CLI
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if (
+                inspect.isclass(value) and dataclasses.is_dataclass(value)
+                and name.endswith("Config") and value.__module__ == module.__name__
+            ):
+                found.add(value)
+    return found
+
+
+def test_every_config_dataclass_is_pinned():
+    assert _configs_under_repro() == set(FIELDS)
 
 
 @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
@@ -124,12 +186,32 @@ def test_replication_has_no_config_object():
     ]
     assert configs == []
     assert "staleness_bound" in inspect.signature(replication.ReplicationGroup).parameters
-    assert sum(len(fields) for fields in FIELDS.values()) == 38
 
 
-@pytest.mark.parametrize("command", list(UNFORWARDED))
+def test_the_knob_counts():
+    """59 config fields (38 of the serving stack, 21 of the paper, the
+    reliability layer and chaos), the telemetry hub's on/off switch, and 73
+    flags on 14 subcommands."""
+    assert sum(len(fields) for fields in FIELDS.values()) == 59
+    assert set(inspect.signature(Telemetry).parameters) == {"enabled"}
+    assert set(_subparsers()) == set(UNFORWARDED)
+    assert sum(len(_flags(command)) for command in UNFORWARDED) == 73
+
+
+def _assert_flags_pinned(command: str) -> None:
+    assert set(_flags(command)) == set(FORWARDED.get(command, {})) | UNFORWARDED[command]
+
+
+@pytest.mark.parametrize("command", ["serve", "supervise", "loadtest"])
 def test_serving_flags_are_pinned(command):
-    assert set(_flags(command)) == set(FORWARDED[command]) | UNFORWARDED[command]
+    _assert_flags_pinned(command)
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in UNFORWARDED if c not in ("serve", "supervise", "loadtest")]
+)
+def test_command_flags_are_pinned(command):
+    _assert_flags_pinned(command)
 
 
 @pytest.mark.parametrize("command", list(FORWARDED))

@@ -200,7 +200,7 @@ class TestMetricsCLI:
         snap = str(tmp_path / "world.json")
         metrics = str(tmp_path / "m.json")
         _run_cli(
-            "simulate", "--objects", "25", "--seed", "5",
+            "simulate", "--objects", "25",
             "--out", snap, "--metrics-out", metrics,
         )
         proc = _run_cli("metrics", "--from", metrics)
@@ -214,7 +214,7 @@ class TestMetricsCLI:
     def test_query_metrics_out_records_the_query(self, tmp_path):
         snap = str(tmp_path / "world.json")
         metrics = str(tmp_path / "q.json")
-        _run_cli("simulate", "--objects", "25", "--seed", "5", "--out", snap)
+        _run_cli("simulate", "--objects", "25", "--out", snap)
         _run_cli(
             "query", "--snapshot", snap, "--method", "fr", "--varrho", "1.5",
             "--metrics-out", metrics,

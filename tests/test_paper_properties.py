@@ -108,8 +108,8 @@ class TestFigure9Properties:
     def test_pa_update_costlier_than_dh(self, world):
         """Figure 9(b): PA maintenance costs more per update than DH."""
         assert (
-            world.server.pa_timer.mean_seconds_per_update
-            > world.server.dh_timer.mean_seconds_per_update
+            world.pa_timer.mean_seconds_per_update
+            > world.dh_timer.mean_seconds_per_update
         )
 
 

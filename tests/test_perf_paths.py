@@ -814,7 +814,6 @@ def _assert_same_state(a, b):
         server.tree.validate()
         assert _tree_contents(server) == _table_contents(server)
         assert server.audit(raise_on_violation=False) == []
-        assert server._tick_oids == a._tick_oids
 
 
 def _assert_fr_is_exact(server):
@@ -982,27 +981,29 @@ def test_update_log_group_commit_bytes_identical(tmp_path):
 
 
 def test_timed_listener_forwards_batches():
-    """The server wraps histogram/PA in TimedListener: a wave must reach the
-    wrapped listener as the wave it is — through an attribute lookup at call
-    time, so a proxy set on the inner instance (the benchmark's span
-    recorder does that) is what gets called — and the timer is charged one
-    update per deletion and per insertion."""
-    from repro.metrics.instrument import TimedListener
+    """The experiments world times the server's histogram behind a
+    TimedListener (Figure 9(b)): a wave must reach the wrapped listener as
+    the wave it is — through an attribute lookup at call time, so a proxy
+    set on the inner instance (the benchmark's span recorder does that) is
+    what gets called — and the timer is charged one update per deletion and
+    per insertion."""
+    from repro.experiments.datasets import time_updates
 
     calls = []
-    table = ObjectTable()
-    hist = DensityHistogram(Rect(0.0, 0.0, 100.0, 100.0), m=10, horizon=4)
-    timed = TimedListener(hist)
-    table.add_listener(timed)
+    server = PDRServer(small_system_config(), expected_objects=16)
+    hist = server.histogram
+    server.table.remove_listener(hist)  # what build_world does
+    timer = time_updates(server.table, hist)
     inner = hist.on_report_batch
     hist.on_report_batch = lambda wave: (calls.append(wave), inner(wave))[1]
-    table.report_batch([(i, 10.0 * i + 5.0, 20.0, 0.0, 0.0) for i in range(4)])
-    table.report_batch([(0, 50.0, 50.0, 0.0, 0.0), (9, 60.0, 60.0, 0.0, 0.0)])
-    table.retire(1)
-    table.advance_to(1)
+    server.report_batch([(i, 10.0 * i + 5.0, 20.0, 0.0, 0.0) for i in range(4)])
+    server.report_batch([(0, 50.0, 50.0, 0.0, 0.0), (9, 60.0, 60.0, 0.0, 0.0)])
+    server.retire(1)
+    server.advance_to(1)
     assert [(len(w.deleted), len(w.inserted)) for w in calls] == [(0, 4), (1, 2), (1, 0)]
-    assert timed.timer.updates == 4 + 3 + 1
+    assert timer.updates == 4 + 3 + 1
     assert hist.total_at(1) == 4 and hist.tnow == 1
+    assert server.audit() == []
 
 
 # ----------------------------------------------------------------------

@@ -184,7 +184,6 @@ class TestCleanRecovery:
         recovered = PDRServer.recover(rc.state_dir)
         assert recovered.wal_lsn == len(ops)
         assert recovered.epoch == live.epoch == 2
-        assert recovered._tick_oids == live._tick_oids
         assert sorted(recovered.table.motions(), key=lambda m: m.oid) == sorted(
             live.table.motions(), key=lambda m: m.oid
         )
@@ -299,7 +298,7 @@ class TestCorruptionHandling:
             n for n in os.listdir(rc.state_dir)
             if n.startswith("ckpt-") and n.endswith(".npz")
         )
-        assert len(ckpts) >= 2  # keep_checkpoints=2
+        assert len(ckpts) >= 2  # recovery.KEEP_CHECKPOINTS
         newest = os.path.join(rc.state_dir, ckpts[-1])
         with open(newest, "wb") as fh:
             fh.write(b"not a zip archive")
@@ -545,7 +544,7 @@ class TestStateDirLayout:
             int(n[5:13]) for n in names if n.startswith("ckpt-") and n.endswith(".npz")
         )
         wal_seqs = sorted(int(n[4:12]) for n in names if n.startswith("wal-"))
-        assert len(ckpt_seqs) == 2  # keep_checkpoints default
+        assert len(ckpt_seqs) == recovery.KEEP_CHECKPOINTS == 2
         assert min(wal_seqs) >= min(ckpt_seqs)
 
 
@@ -611,8 +610,11 @@ class TestRecordsFromLsn:
 
 
 class TestKeepCheckpoints:
-    def test_recovery_from_oldest_kept_checkpoint_after_cycles(self, tmp_path, reference):
-        rc = durable_config(tmp_path, keep_checkpoints=3)
+    def test_recovery_from_oldest_kept_checkpoint_after_cycles(
+        self, tmp_path, reference, monkeypatch
+    ):
+        monkeypatch.setattr(recovery, "KEEP_CHECKPOINTS", 3)
+        rc = durable_config(tmp_path)
         server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
         for op in OPS:
             apply_op(server, op)

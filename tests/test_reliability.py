@@ -10,8 +10,6 @@ half (WAL, checkpoints, crash recovery) lives in ``test_recovery.py``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,7 @@ from repro.methods.table import METHODS
 from repro.motion.table import ObjectTable
 from repro.motion.updates import UpdateListener
 from repro.reliability.admission import AdmissionConfig, AdmissionController
+from repro.reliability import deadline, validation
 from repro.reliability.deadline import (
     Deadline,
     ladder_for,
@@ -38,16 +37,11 @@ from repro.reliability.faults import (
     InjectedCrashError,
     VirtualClock,
 )
-from repro.reliability.validation import (
-    DeadLetterQueue,
-    ReliabilityConfig,
-    ReportPolicy,
-    ReportValidator,
-)
+from repro.reliability.validation import ReliabilityConfig
 
 
-def make_server(faults=None, policy=None, **kwargs) -> PDRServer:
-    rc = ReliabilityConfig(policy=policy or ReportPolicy(), faults=faults, **kwargs)
+def make_server(faults=None) -> PDRServer:
+    rc = ReliabilityConfig(faults=faults)
     server = PDRServer(small_system_config(), expected_objects=200, reliability=rc)
     return server
 
@@ -57,7 +51,7 @@ def make_server(faults=None, policy=None, **kwargs) -> PDRServer:
 # ----------------------------------------------------------------------
 class TestReportValidation:
     def test_rejects_every_documented_reason(self):
-        server = make_server(policy=ReportPolicy(max_speed=5.0))
+        server = make_server()
         server.advance_to(3)
         populate_clustered(server, 20)
         before = server.object_count()
@@ -65,7 +59,6 @@ class TestReportValidation:
         assert server.report(90, float("nan"), 5.0, 0.0, 0.0) is None
         assert server.report(91, 5.0, float("inf"), 0.0, 0.0) is None
         assert server.report(92, 250.0, 5.0, 0.0, 0.0) is None
-        assert server.report(93, 5.0, 5.0, 30.0, 0.0) is None
         assert server.report(-7, 5.0, 5.0, 0.0, 0.0) is None
         assert server.report(True, 5.0, 5.0, 0.0, 0.0) is None
         assert server.report("car", 5.0, 5.0, 0.0, 0.0) is None
@@ -76,12 +69,11 @@ class TestReportValidation:
         counts = server.dead_letters.counts
         assert counts["nonfinite"] == 2
         assert counts["out_of_bounds"] == 1
-        assert counts["over_speed"] == 1
         assert counts["bad_oid"] == 3
         assert counts["stale"] == 1
         assert counts["future"] == 1
         assert counts["unknown_oid"] == 1
-        assert server.dead_letters.total == 10
+        assert server.dead_letters.total == 9
         # none of the rejects leaked into any maintained structure
         assert server.object_count() == before
         assert len(server.tree) == before
@@ -101,37 +93,23 @@ class TestReportValidation:
         assert "(-3.0, 5.0)" in reject.detail
         assert reject.oid == 1 and reject.tnow == 0
 
-    def test_duplicate_rejection_is_opt_in(self):
-        # default: a re-report within the tick is the documented
-        # delete+insert protocol and must go through
+    def test_re_report_within_a_tick_is_accepted(self):
+        # a re-report within the tick is the documented delete+insert
+        # protocol and must go through, in one wave or in two, at any speed
         server = make_server()
         assert server.report(1, 10.0, 10.0, 0.0, 0.0) is not None
-        assert server.report(1, 20.0, 20.0, 0.0, 0.0) is not None
+        assert server.report(1, 20.0, 20.0, 30.0, 0.0) is not None
+        assert server.report_batch([(1, 30.0, 30.0, 0.0, 0.0),
+                                    (1, 40.0, 40.0, 0.0, 0.0)])[1] is not None
         assert server.dead_letters.total == 0
         assert server.object_count() == 1
-
-        strict = make_server(policy=ReportPolicy(reject_duplicates=True))
-        assert strict.report(1, 10.0, 10.0, 0.0, 0.0) is not None
-        assert strict.report(1, 20.0, 20.0, 0.0, 0.0) is None
-        assert strict.dead_letters.counts["duplicate"] == 1
-        # the duplicate window resets at the next tick
-        strict.advance_to(1)
-        assert strict.report(1, 30.0, 30.0, 0.0, 0.0) is not None
-
-    def test_speed_uses_euclidean_norm(self):
-        validator = ReportValidator(
-            ReportPolicy(max_speed=5.0), small_system_config().domain
-        )
-        ok = validator.validate(1, 50.0, 50.0, 3.0, 4.0, None, 0, set())
-        assert ok is None  # speed exactly 5.0
-        bad = validator.validate(1, 50.0, 50.0, 3.0, 4.1, None, 0, set())
-        assert bad is not None and bad[0] == "over_speed"
-        assert f"{math.hypot(3.0, 4.1):.3f}" in bad[1]
+        assert server.table.motion_of(1).x == 40.0
 
 
 class TestDeadLetterQueue:
-    def test_bounded_entries_unbounded_counters(self):
-        server = make_server(dead_letter_capacity=4)
+    def test_bounded_entries_unbounded_counters(self, monkeypatch):
+        monkeypatch.setattr(validation, "DEAD_LETTER_CAPACITY", 4)
+        server = make_server()
         for i in range(9):
             server.report(i, -1.0, -1.0, 0.0, 0.0)
         assert len(server.dead_letters) == 4  # queue wrapped
@@ -141,8 +119,9 @@ class TestDeadLetterQueue:
         assert [r.oid for r in server.dead_letters] == [5, 6, 7, 8]
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            DeadLetterQueue(capacity=0)
+        # a constant now: the bound the constructor checked holds on it
+        assert validation.DEAD_LETTER_CAPACITY >= 1
+        assert validation.DeadLetterQueue()._entries.maxlen == validation.DEAD_LETTER_CAPACITY
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +207,9 @@ class TestDeadline:
 
 
 class TestRetries:
-    def test_transient_faults_retried_with_exponential_backoff(self):
+    def test_transient_faults_retried_with_exponential_backoff(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RETRIES", 3)
+        monkeypatch.setattr(deadline, "BACKOFF_SECONDS", 0.1)
         clock = VirtualClock()
         calls = []
 
@@ -238,18 +219,23 @@ class TestRetries:
                 raise TransientIOError("flaky")
             return "ok"
 
-        result, attempts = run_with_retries(flaky, retries=3, backoff_seconds=0.1, clock=clock)
+        result, attempts = run_with_retries(flaky, clock=clock)
         assert result == "ok" and attempts == 2
         assert calls == [pytest.approx(0.0), pytest.approx(0.1), pytest.approx(0.3)]
 
     def test_exhausted_retries_reraise(self):
+        calls = []
+
         def always():
+            calls.append(1)
             raise TransientIOError("down")
 
         with pytest.raises(TransientFaultError):
-            run_with_retries(always, retries=1, backoff_seconds=0.0, clock=VirtualClock())
+            run_with_retries(always, clock=VirtualClock())
+        assert len(calls) == deadline.RETRIES + 1
 
-    def test_non_transient_errors_not_retried(self):
+    def test_non_transient_errors_not_retried(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RETRIES", 5)
         calls = []
 
         def broken():
@@ -257,7 +243,7 @@ class TestRetries:
             raise InvalidParameterError("bad")
 
         with pytest.raises(InvalidParameterError):
-            run_with_retries(broken, retries=5, backoff_seconds=0.0, clock=VirtualClock())
+            run_with_retries(broken, clock=VirtualClock())
         assert len(calls) == 1
 
 
@@ -319,7 +305,7 @@ class TestQueryDegradation:
     @pytest.fixture
     def loaded(self):
         faults = FaultInjector()
-        server = make_server(faults=faults, policy=ReportPolicy())
+        server = make_server(faults=faults)
         server.advance_to(1)
         populate_clustered(server, 120)
         return server, faults
@@ -380,10 +366,11 @@ class TestQueryDegradation:
         assert result.stats.method == "fr" and not result.degraded
         assert result.stats.extra == result.stats.extra  # no crash markers
 
-    def test_transient_faults_inside_ladder_fall_through(self, loaded):
+    def test_transient_faults_inside_ladder_fall_through(self, loaded, monkeypatch):
         server, faults = loaded
+        monkeypatch.setattr(deadline, "RETRIES", 1)
         faults.inject_error("fr.refine", times=None)  # FR permanently down
-        result = server.query("fr", qt=2, rho=0.004, deadline=10.0, retries=1)
+        result = server.query("fr", qt=2, rho=0.004, deadline=10.0)
         assert result.stats.method == "pa"
         assert result.degraded is True
 
@@ -391,7 +378,7 @@ class TestQueryDegradation:
         server, faults = loaded
         faults.inject_error("buffer.io", times=None)
         with pytest.raises(TransientFaultError):
-            server.query("fr", qt=2, rho=0.004, retries=2)
+            server.query("fr", qt=2, rho=0.004)
 
     def test_deadline_spent_uses_server_clock(self, loaded):
         server, faults = loaded

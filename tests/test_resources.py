@@ -261,21 +261,6 @@ def test_soft_watermark_checkpoints_then_prunes(tmp_path):
     recovered._manager.close()
 
 
-def test_memory_watermark_sheds_query_caches(tmp_path):
-    resources = ResourceConfig(memory_limit_bytes=1)
-    server = make_server(tmp_path / "state", resources=resources, fsync=False)
-    seed_reports(server, 10)
-    server.histogram.prefix_sums(0)  # warm the prefix-sum cache
-    assert server.histogram.cache_memory_bytes() > 0
-
-    server.report(50, 10.0, 10.0, 0.1, 0.1)  # the check() after the write sheds
-    assert server.histogram.cache_memory_bytes() == 0
-    assert server._manager.resources.events["memory_shed"] >= 1
-    # correctness untouched: the caches rebuild on demand
-    assert server.query("fr", qt=0, varrho=2.0) is not None
-    server._manager.close()
-
-
 # ----------------------------------------------------------------------
 # retention
 # ----------------------------------------------------------------------

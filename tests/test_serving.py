@@ -39,6 +39,7 @@ from repro.serving.protocol import (
     write_frame_sync,
 )
 from repro.serving import server as server_module
+from repro.serving.loadtest import mount_group
 from repro.serving.server import OPS, ServerThread, ServingConfig
 from repro.telemetry import instruments as tm
 
@@ -485,10 +486,14 @@ def test_cancelled_drain_of_an_undrained_server_still_raises(front_door, monkeyp
 # ----------------------------------------------------------------------
 # redirects and failover visibility
 # ----------------------------------------------------------------------
-def test_not_primary_redirect_is_followed(front_door):
+def test_not_primary_redirect_is_followed(front_door, tmp_path):
     thread, _group = front_door
-    fenced = PDRServer(small_system_config(), expected_objects=8)
-    fenced.demote()
+    fenced = mount_group(PDRServer(
+        small_system_config(), expected_objects=8,
+        reliability=ReliabilityConfig(state_dir=str(tmp_path / "fenced"),
+                                      fsync=False),
+    ), 0, 0)
+    fenced.primary.demote()
     fenced_thread = ServerThread(
         fenced, ServingConfig(primary_address=thread.address)
     ).start()
@@ -501,6 +506,7 @@ def test_not_primary_redirect_is_followed(front_door):
             assert tuple(thread.address) in client.endpoints
     finally:
         fenced_thread.stop()
+        fenced.close()
 
 
 def test_client_sees_epoch_change_across_failover(tmp_path):

@@ -5,11 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.core.errors import QueryError, StorageError
 from repro.storage.snapshot import load_server, save_server
 from tests.conftest import populate_clustered, small_system_config
 from repro.core.system import PDRServer
+
+
+@pytest.fixture(autouse=True)
+def _small_simulate(monkeypatch):
+    """`simulate` at test size: a short warm-up on a small road grid."""
+    monkeypatch.setattr(cli, "SIMULATE_WARMUP", 2)
+    monkeypatch.setattr(cli, "NETWORK_GRID", 8)
 
 
 @pytest.fixture
@@ -138,47 +146,44 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["query", "--snapshot", "x.npz"])
 
-    def test_simulate_then_query(self, tmp_path, capsys):
+    def test_simulate_then_query(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SIMULATE_WARMUP", 4)
+        monkeypatch.setattr(cli, "MAX_RECTS", 2)
         snap = tmp_path / "world.npz"
-        rc = main(
-            [
-                "simulate", "--objects", "150", "--warmup", "4",
-                "--network-grid", "8", "--out", str(snap),
-            ]
-        )
+        rc = main(["simulate", "--objects", "150", "--out", str(snap)])
         assert rc == 0
         assert snap.exists()
         rc = main(
             [
                 "query", "--snapshot", str(snap), "--method", "pa",
-                "--varrho", "3", "--offset", "2", "--max-rects", "2",
+                "--varrho", "3", "--offset", "2",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "dense rectangles" in out
 
-    def test_peaks_subcommand(self, tmp_path, capsys):
+    def test_peaks_subcommand(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PEAKS_K", 2)
+        monkeypatch.setattr(cli, "PEAKS_SEPARATION", 10.0)
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "120", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "120", "--out", str(snap)])
         capsys.readouterr()
-        rc = main(["peaks", "--snapshot", str(snap), "--k", "2",
-                   "--separation", "10"])
+        rc = main(["peaks", "--snapshot", str(snap)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "density peaks" in out
         assert out.count("density 0") >= 1
 
-    def test_query_geojson(self, tmp_path, capsys):
+    def test_query_geojson(self, tmp_path, capsys, monkeypatch):
         import json
 
+        monkeypatch.setattr(cli, "MAX_RECTS", 0)
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "120", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "120", "--out", str(snap)])
         capsys.readouterr()
         main(["query", "--snapshot", str(snap), "--method", "pa",
-              "--varrho", "4", "--geojson", "--max-rects", "0"])
+              "--varrho", "4", "--geojson"])
         out = capsys.readouterr().out
         geo_line = out.strip().splitlines()[-1]
         geo = json.loads(geo_line)
@@ -186,8 +191,7 @@ class TestCLI:
 
     def test_query_render(self, tmp_path, capsys):
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "100", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "100", "--out", str(snap)])
         capsys.readouterr()
         main(["query", "--snapshot", str(snap), "--method", "dh-optimistic",
               "--varrho", "2", "--render"])
@@ -199,8 +203,7 @@ class TestCLI:
 
     def test_query_with_deadline_reports_actual_method(self, tmp_path, capsys):
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "100", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "100", "--out", str(snap)])
         capsys.readouterr()
         rc = main(["query", "--snapshot", str(snap), "--method", "fr",
                    "--varrho", "2", "--deadline", "60"])
@@ -226,18 +229,16 @@ class TestCLIErrorMapping:
 
     def test_invalid_parameter_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "80", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "80", "--out", str(snap)])
         capsys.readouterr()
         rc = main(["query", "--snapshot", str(snap), "--varrho", "2",
-                   "--l", "-5"])
+                   "--deadline", "-5"])
         assert rc == 2
         assert "error: InvalidParameterError" in capsys.readouterr().err
 
     def test_horizon_violation_exits_4(self, tmp_path, capsys):
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "80", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "80", "--out", str(snap)])
         capsys.readouterr()
         rc = main(["query", "--snapshot", str(snap), "--varrho", "2",
                    "--offset", "10000"])
@@ -253,26 +254,13 @@ class TestCLIErrorMapping:
 
 
 class TestServingCLI:
-    """The replicated-serving surface: --replicas/--staleness/reliability."""
+    """The reliability surface: --reliability-report and `repro reliability`
+    (a replicated group is served by `repro serve --replicas`)."""
 
     def _snapshot(self, tmp_path):
         snap = tmp_path / "world.npz"
-        main(["simulate", "--objects", "120", "--warmup", "2",
-              "--network-grid", "8", "--out", str(snap)])
+        main(["simulate", "--objects", "120", "--out", str(snap)])
         return snap
-
-    def test_query_through_a_replication_group(self, tmp_path, capsys):
-        snap = self._snapshot(tmp_path)
-        capsys.readouterr()
-        rc = main(["query", "--snapshot", str(snap), "--method", "pa",
-                   "--varrho", "2", "--replicas", "2", "--staleness", "0"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        # a caught-up replica (bootstrapped from the LSN-0 checkpoint
-        # image) serves the read, and the topology line reports the group
-        assert "[served by replica-" in out
-        assert "replication: epoch 1" in out
-        assert "replica-0 lag=0, replica-1 lag=0" in out
 
     def test_reliability_report_flag_emits_json(self, tmp_path, capsys):
         import json
@@ -280,12 +268,12 @@ class TestServingCLI:
         snap = self._snapshot(tmp_path)
         capsys.readouterr()
         rc = main(["query", "--snapshot", str(snap), "--method", "pa",
-                   "--varrho", "2", "--replicas", "1", "--reliability-report"])
+                   "--varrho", "2", "--reliability-report"])
         captured = capsys.readouterr()
         assert rc == 0
         report = json.loads(captured.err.strip().splitlines()[-1])
-        assert report["replication"]["epoch"] == 1
-        assert report["queries_served"] >= 0
+        assert report["role"] == "primary"
+        assert report["queries_served"] == 1
         assert "dead_letter_total" in report
 
     def test_reliability_subcommand_reads_a_state_dir(self, tmp_path, capsys):

@@ -7,51 +7,47 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
+from repro.storage import pages
 from repro.storage.buffer import BufferPool, IOStats
-from repro.storage.pages import DEFAULT_PAGE_MODEL, PageModel
 
 
 class TestPageModel:
     def test_default_is_4k_10ms_10pct(self):
-        pm = DEFAULT_PAGE_MODEL
-        assert pm.page_size == 4096
-        assert pm.random_io_seconds == pytest.approx(0.010)
-        assert pm.buffer_fraction == pytest.approx(0.10)
+        assert pages.PAGE_SIZE == 4096
+        assert pages.RANDOM_IO_SECONDS == pytest.approx(0.010)
+        assert pages.BUFFER_FRACTION == pytest.approx(0.10)
 
     def test_fanouts_fit_in_page(self):
-        pm = PageModel(page_size=4096)
-        assert pm.leaf_fanout * 40 <= 4096
-        assert pm.internal_fanout * 72 <= 4096
-        assert pm.leaf_fanout > pm.internal_fanout  # leaf entries are smaller
+        assert pages.LEAF_FANOUT * 40 <= pages.PAGE_SIZE
+        assert pages.INTERNAL_FANOUT * 72 <= pages.PAGE_SIZE
+        assert pages.LEAF_FANOUT > pages.INTERNAL_FANOUT  # leaf entries are smaller
 
+    # The page model is three constants; the bounds its constructor used to
+    # enforce are checked on them here.
     def test_small_page_raises(self):
-        with pytest.raises(InvalidParameterError):
-            PageModel(page_size=100)
+        assert pages.PAGE_SIZE >= 256
+        assert min(pages.LEAF_FANOUT, pages.INTERNAL_FANOUT) >= 4
 
     def test_invalid_fractions(self):
-        with pytest.raises(InvalidParameterError):
-            PageModel(buffer_fraction=1.5)
-        with pytest.raises(InvalidParameterError):
-            PageModel(random_io_seconds=-1.0)
+        assert 0.0 <= pages.BUFFER_FRACTION <= 1.0
+        assert pages.RANDOM_IO_SECONDS >= 0.0
 
     def test_dataset_pages_rounds_up(self):
-        pm = PageModel()
-        f = pm.leaf_fanout
-        assert pm.dataset_pages(f) == 1
-        assert pm.dataset_pages(f + 1) == 2
-        assert pm.dataset_pages(0) == 1  # at least one page
+        f = pages.LEAF_FANOUT
+        assert pages.dataset_pages(f) == 1
+        assert pages.dataset_pages(f + 1) == 2
+        assert pages.dataset_pages(0) == 1  # at least one page
 
     def test_buffer_pages_is_10_percent(self):
-        pm = PageModel()
-        n = pm.leaf_fanout * 100  # exactly 100 pages
-        assert pm.buffer_pages(n) == 10
+        n = pages.LEAF_FANOUT * 100  # exactly 100 pages
+        assert pages.buffer_pages(n) == 10
 
     def test_buffer_pages_minimum_one(self):
-        assert PageModel().buffer_pages(1) == 1
+        assert pages.buffer_pages(1) == 1
 
     def test_negative_objects_raise(self):
         with pytest.raises(InvalidParameterError):
-            PageModel().dataset_pages(-1)
+            pages.dataset_pages(-1)
 
 
 class TestBufferPool:
@@ -95,11 +91,11 @@ class TestBufferPool:
         assert len(pool) == 0
 
     def test_charged_seconds(self):
-        pool = BufferPool(capacity_pages=1, random_io_seconds=0.01)
+        pool = BufferPool(capacity_pages=1)
         pool.access(1)
         pool.access(2)
         pool.access(2)
-        assert pool.charged_seconds() == pytest.approx(0.02)
+        assert pool.charged_seconds() == pytest.approx(2 * pages.RANDOM_IO_SECONDS)
 
     def test_reset_stats_returns_previous(self):
         pool = BufferPool(capacity_pages=1)
@@ -123,8 +119,6 @@ class TestBufferPool:
     def test_invalid_construction(self):
         with pytest.raises(InvalidParameterError):
             BufferPool(capacity_pages=0)
-        with pytest.raises(InvalidParameterError):
-            BufferPool(capacity_pages=1, random_io_seconds=-0.1)
 
     def test_io_stats_ratios(self):
         stats = IOStats(hits=3, misses=1)

@@ -21,7 +21,7 @@ from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
 from repro.motion.updates import Columns, UpdateListener
 from repro.storage.buffer import BufferPool
-from repro.storage.pages import PageModel
+from repro.storage import pages
 from tests.conftest import small_system_config
 
 
@@ -620,6 +620,14 @@ class TestWaveMaintenance:
         assert len(tree) == 30
 
 
+def _small_page_server(n: int) -> PDRServer:
+    """A server on 256-byte pages: 5 rows a leaf, 4 children a node."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pages, "LEAF_FANOUT", (256 - 32) // 40)
+        mp.setattr(pages, "INTERNAL_FANOUT", 4)
+        return PDRServer(small_system_config(), expected_objects=n)
+
+
 def edges_at(bound: TPBR, t: float):
     """A bound's ``x1, y1, x2, y2`` at ``t``, by the tree's own expression."""
     dt = t - bound.t_ref
@@ -747,8 +755,7 @@ class TestInPlaceReReports:
         Exactly the contained re-reports stay put."""
         contained_share, escaping_share, retire_share = shares
         rng = np.random.default_rng(seed)
-        config = dataclasses.replace(small_system_config(), page_model=PageModel(page_size=256))
-        server = PDRServer(config, expected_objects=n)
+        server = _small_page_server(n)
         table, tree = server.table, server.tree
         kept = []
         stays_put = tree._stays_put
@@ -796,7 +803,7 @@ class TestInPlaceReReports:
             assert server.audit(raise_on_violation=False) == []
             assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
             result = server.query("fr", qt=tick + 2, varrho=2.0)
-            want = bruteforce_from_motions(table.columns(), config.domain, result.query)
+            want = bruteforce_from_motions(table.columns(), server.config.domain, result.query)
             assert result.regions.symmetric_difference_area(want.regions) == 0.0
         assert sum(kept) == expected_kept
 
@@ -914,8 +921,7 @@ class TestLevelBatchedCondense:
         than a retighten over that child's bound, by design — the tree
         validates, indexes the live rows, and FR equals brute force."""
         rng = np.random.default_rng(seed)
-        config = dataclasses.replace(small_system_config(), page_model=PageModel(page_size=256))
-        server = PDRServer(config, expected_objects=n)
+        server = _small_page_server(n)
         table, tree = server.table, server.tree
 
         def fresh(oid):
@@ -932,7 +938,7 @@ class TestLevelBatchedCondense:
                     assert node.bound == fresh_bound(node, table), node
             assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
             result = server.query("fr", qt=server.tnow + 2, varrho=2.0)
-            want = bruteforce_from_motions(table.columns(), config.domain, result.query)
+            want = bruteforce_from_motions(table.columns(), server.config.domain, result.query)
             assert result.regions.symmetric_difference_area(want.regions) == 0.0
 
         server.report_batch([fresh(oid) for oid in range(n)])
