@@ -420,11 +420,14 @@ def _cmd_simulate(args) -> int:
 
 def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool,
                       checkpoint_interval: int):
-    """A durable primary (WAL in ``state_dir``) restored from a snapshot.
+    """A durable primary (WAL in ``state_dir``) restored from a snapshot,
+    armed with the environment's crash rule
+    (:meth:`~repro.reliability.faults.FaultInjector.from_env`).
 
     Its first checkpoint carries the snapshot state at LSN 0, which is
     what replicas bootstrap from.
     """
+    from .reliability.faults import FaultInjector
     from .reliability.validation import ReliabilityConfig
     from .storage.snapshot import read_snapshot, restore_server_state
 
@@ -436,6 +439,7 @@ def _snapshot_primary(snapshot_path: str, state_dir: str, fsync: bool,
         reliability=ReliabilityConfig(
             state_dir=state_dir, fsync=fsync,
             checkpoint_interval=checkpoint_interval,
+            faults=FaultInjector.from_env(),
         ),
     )
     restore_server_state(primary, state)
@@ -521,7 +525,7 @@ def chaos_configs(args) -> list:
     ``--process`` without ``--crashpoint``), every one validated before
     the first run spawns anything."""
     from .reliability.chaos import ChaosConfig
-    from .reliability.crashpoints import CRASH_SITES
+    from .reliability.faults import CRASH_SITES
 
     if args.crashpoint and not args.process:
         raise InvalidParameterError("--crashpoint selects a site of --process")
@@ -651,10 +655,13 @@ def _boot_verify(state_dir: str, force_recover: bool) -> None:
 
 
 def _recovered_primary(state_dir: str, args):
-    """Recover an existing durable directory for `serve`.  Its persisted
-    ``fsync`` and checkpoint interval win over the flags."""
+    """Recover an existing durable directory for `serve`, armed with the
+    environment's crash rule.  Its persisted ``fsync`` and checkpoint
+    interval win over the flags."""
+    from .reliability.faults import FaultInjector
+
     _boot_verify(state_dir, args.force_recover)
-    primary = PDRServer.recover(state_dir)
+    primary = PDRServer.recover(state_dir, faults=FaultInjector.from_env())
     print(
         f"recovered {state_dir} at lsn {primary.wal_lsn}, "
         f"generation {primary.recovery_generation}",
@@ -701,12 +708,8 @@ def _cmd_serve(args) -> int:
     import tempfile
     import threading
 
-    from .reliability.crashpoints import arm_from_env
     from .serving.server import ServerThread, ServingConfig
 
-    armed = arm_from_env()
-    if armed:
-        print(f"crashpoint armed: {armed}", file=sys.stderr)
     # install the drain handlers before the server (and its health
     # endpoint) exists: a supervisor forwards SIGTERM the moment a
     # probe reports ready, which can be before this function's next

@@ -54,7 +54,6 @@ class BxTree(UpdateListener):
         bits: int = 8,
         max_speed_hint: float = 0.0,
         buffer_pool: Optional[BufferPool] = None,
-        fanout_override: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
@@ -73,10 +72,7 @@ class BxTree(UpdateListener):
         self.grid = ZGrid(domain, bits=bits)
         self._tnow = float(table.tnow)
         self._max_speed = float(max_speed_hint)
-        fanout = (
-            fanout_override if fanout_override is not None else pages.LEAF_FANOUT
-        )
-        self._btree = BPlusTree(fanout=fanout, buffer_pool=buffer_pool)
+        self._btree = BPlusTree(fanout=pages.LEAF_FANOUT, buffer_pool=buffer_pool)
         self._key_of: Dict[int, int] = {}  # table row -> stored key
         self._partition_count: Dict[int, int] = {}  # partition -> live entries
         # Per-partition speed bound for query enlargement (the original

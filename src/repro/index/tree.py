@@ -61,7 +61,6 @@ class TPRTree(UpdateListener):
         table: ObjectTable,
         horizon: float,
         buffer_pool: Optional[BufferPool] = None,
-        fanout_override: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
@@ -71,14 +70,8 @@ class TPRTree(UpdateListener):
         self.horizon = horizon
         self.buffer = buffer_pool
         self._tnow = float(table.tnow)
-        if fanout_override is not None:
-            if fanout_override < 4:
-                raise InvalidParameterError("fanout_override must be >= 4")
-            self._leaf_fanout = fanout_override
-            self._internal_fanout = fanout_override
-        else:
-            self._leaf_fanout = pages.LEAF_FANOUT
-            self._internal_fanout = pages.INTERNAL_FANOUT
+        self._leaf_fanout = pages.LEAF_FANOUT
+        self._internal_fanout = pages.INTERNAL_FANOUT
         self._min_fill_leaf = max(2, self._leaf_fanout * 2 // 5)
         self._min_fill_internal = max(2, self._internal_fanout * 2 // 5)
         self._next_page = 0

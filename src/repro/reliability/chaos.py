@@ -29,7 +29,9 @@ resource        ``resources``: a live disk budget, fsync on;
                 ``wal_fault``/``ckpt_fault`` arm ENOSPC/EIO/short writes.
                 Refused writes are counted, never failures
 process         ``crashpoint``: a supervised ``repro serve`` child with
-                that crashpoint armed; the schedule's workload events go
+                a hard crash armed at that site
+                (:meth:`~repro.reliability.faults.FaultInjector.from_env`);
+                the schedule's workload events go
                 over the wire until the child SIGKILLs itself, the
                 supervisor restarts it, and the client rides it out
 ==============  ========================================================
@@ -96,8 +98,7 @@ from ..core.errors import (
 )
 from ..core.geometry import Rect
 from ..telemetry import instruments as tm
-from .crashpoints import CRASH_SITES, KILL_EXIT_CODE
-from .faults import FaultInjector
+from .faults import CRASH_SITES, KILL_EXIT_CODE, FaultInjector
 from .integrity import flip_byte, verify_state_dir
 from .replication import ReplicationGroup
 from .statedir import kind_of
@@ -819,9 +820,9 @@ class ChaosScheduler:
                 self.faults.inject_enospc(site)
         elif kind == "ckpt_fault":
             if event[1] == "eio":
-                self.faults.inject_eio("checkpoint_write")
+                self.faults.inject_eio("checkpoint.write")
             else:
-                self.faults.inject_enospc("checkpoint_write")
+                self.faults.inject_enospc("checkpoint.write")
         else:
             raise ValueError(f"unknown chaos event kind {kind!r}")
         return oracle_due, joined

@@ -3,9 +3,22 @@
 Production components call :meth:`FaultInjector.hit` at their fault sites
 ("buffer.io", "fr.refine", "wal.append", ...).  With no rules armed a hit
 is a counter increment and nothing else, so the instrumentation is safe to
-leave in the serving path.  Tests arm rules that raise transient errors,
-inject delays, or simulate a process crash at the *n*-th hit of a site —
-all keyed off deterministic hit counts, never wall-clock or randomness.
+leave in the serving path; a server built without an injector makes no
+hit at all.  Tests arm rules that raise transient errors, inject delays,
+or crash at the *n*-th hit of a site — all keyed off deterministic hit
+counts, never wall-clock or randomness.
+
+A crash unwinds as :class:`InjectedCrashError`, or — a *hard* crash —
+SIGKILLs the process on the spot (:func:`hard_kill`): no ``finally``, no
+``atexit``, no flushing, the guarantees a kernel OOM-kill or power loss
+gives the durability layer.  :meth:`FaultInjector.from_env` arms one hard
+crash per process from the environment, so a supervised ``repro serve``
+child can be told to die exactly once at exactly one site:
+
+    REPRO_CRASHPOINT=checkpoint.manifest   the site to die at
+    REPRO_CRASHPOINT_AFTER=2               skip this many hits first
+    REPRO_CRASHPOINT_TORN=0.5              (wal_write only) land this
+                                           fraction of the payload first
 
 Time is abstracted behind a tiny clock interface so that delay injection
 and query deadlines compose deterministically: a :class:`VirtualClock`
@@ -16,14 +29,24 @@ exact instead of racy.
 from __future__ import annotations
 
 import errno
+import os
+import signal
+import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..core.errors import InvalidParameterError, TransientIOError
 
 __all__ = [
+    "CRASH_SITES",
+    "DURABILITY_SITES",
+    "ENV_AFTER",
+    "ENV_SITE",
+    "ENV_TORN",
+    "KILL_EXIT_CODE",
+    "hard_kill",
     "Clock",
     "MonotonicClock",
     "VirtualClock",
@@ -33,6 +56,47 @@ __all__ = [
 ]
 
 
+# The durability protocol's crash windows, in protocol order: each is one
+# ``hit`` at one code position (``wal.prune``: one per pruner).
+DURABILITY_SITES = (
+    "wal.append",  # before a record (or a wave's batch) is framed
+    "wal_write",  # before the write+flush; a torn crash lands a prefix first
+    "wal_fsync",  # records written and flushed, not yet fsynced
+    "checkpoint.write",  # before the checkpoint image is written
+    "checkpoint.sidecar",  # image durable; sidecar tmp durable, not renamed
+    "checkpoint.digests",  # sidecar durable; the manifest not yet begun
+    "checkpoint.manifest",  # manifest tmp durable, not renamed
+    "wal.prune",  # stale checkpoints unlinked, their WAL segments not yet
+    "wal.reopen",  # mid segment-reopen past a poisoned descriptor
+)
+
+# The process plane's kill matrix: the sites a standard serve workload
+# (reports and advances across a few checkpoint cycles) reaches.
+# ``wal.reopen`` needs a poisoned WAL first, and ``checkpoint.digests``
+# is crashed in process only.
+CRASH_SITES = tuple(
+    site for site in DURABILITY_SITES
+    if site not in ("checkpoint.digests", "wal.reopen")
+)
+
+ENV_SITE = "REPRO_CRASHPOINT"
+ENV_AFTER = "REPRO_CRASHPOINT_AFTER"
+ENV_TORN = "REPRO_CRASHPOINT_TORN"
+
+# What a SIGKILLed process reports as in shell convention (128 + 9); the
+# os._exit fallback uses the same number so supervisors see one code.
+KILL_EXIT_CODE = 137
+
+
+def hard_kill() -> None:  # pragma: no cover - the process dies here
+    """Die NOW: no unwinding, no atexit, no buffered-IO flush."""
+    try:
+        os.kill(os.getpid(), signal.SIGKILL)
+    except OSError:
+        pass
+    os._exit(KILL_EXIT_CODE)
+
+
 class InjectedCrashError(BaseException):
     """Simulated process death at a fault site.
 
@@ -40,7 +104,28 @@ class InjectedCrashError(BaseException):
     ``KeyboardInterrupt``): no amount of ``except Exception`` or
     ``except ReproError`` in the serving path may "survive" a crash —
     the only legitimate response is to restart and recover.
+
+    A torn crash carries the fraction of the payload the ``wal_write``
+    site lands before :meth:`die`; every other crash dies where it is
+    raised.
     """
+
+    def __init__(self, message: str, fraction: Optional[float] = None,
+                 hard: bool = False) -> None:
+        super().__init__(message)
+        self.fraction = fraction
+        self.hard = hard
+
+    def die(self) -> None:
+        """Unwind as this error or, for a hard crash, SIGKILL the process."""
+        if self.hard:
+            try:
+                print(f"{self}: killing pid {os.getpid()}", file=sys.stderr,
+                      flush=True)
+            except OSError:  # pragma: no cover - stderr gone; still die
+                pass
+            hard_kill()
+        raise self
 
 
 class InjectedShortWrite(OSError):
@@ -102,6 +187,8 @@ class _FaultRule:
     times: Optional[int]  # trigger at most this many times (None = forever)
     delay_seconds: float = 0.0
     exc_factory: Optional[Callable[[], BaseException]] = None
+    torn: Optional[float] = None  # crash: payload fraction landed first
+    hard: bool = False  # crash: SIGKILL instead of unwinding
     fired: int = 0
 
     def should_fire(self, hit_index: int) -> bool:
@@ -197,11 +284,62 @@ class FaultInjector:
             _FaultRule(kind="delay", after=after, times=times, delay_seconds=seconds)
         )
 
-    def inject_crash(self, site: str, after: int = 0, times: Optional[int] = 1) -> None:
-        """Simulate process death at the ``after + 1``-th hit of ``site``."""
+    def inject_crash(
+        self,
+        site: str,
+        after: int = 0,
+        times: Optional[int] = 1,
+        torn: Optional[float] = None,
+        hard: bool = False,
+    ) -> None:
+        """Crash at the ``after + 1``-th hit of ``site``.
+
+        ``torn`` (``wal_write`` only) lands that fraction of the payload
+        first; ``hard`` SIGKILLs the process instead of raising
+        :class:`InjectedCrashError`.
+        """
+        if torn is not None:
+            if site != "wal_write":
+                raise InvalidParameterError(
+                    f"a torn crash lands part of a WAL write; {site!r} has none"
+                )
+            if not 0.0 <= torn < 1.0:
+                raise InvalidParameterError(
+                    f"torn fraction must be in [0, 1), got {torn}"
+                )
         self._rules.setdefault(site, []).append(
-            _FaultRule(kind="crash", after=after, times=times)
+            _FaultRule(kind="crash", after=after, times=times, torn=torn, hard=hard)
         )
+
+    @classmethod
+    def from_env(
+        cls, environ: Optional[Mapping[str, str]] = None
+    ) -> Optional["FaultInjector"]:
+        """The process's hard crash rule from ``REPRO_CRASHPOINT*``, or
+        None when no site is set.
+
+        The injector runs on real time: a serving process takes its clock
+        from it.  A site off :data:`DURABILITY_SITES` or a malformed
+        AFTER/TORN value is a hard error — a kill-matrix cell that
+        silently never fires would report green.
+        """
+        env = os.environ if environ is None else environ
+        site = env.get(ENV_SITE)
+        if not site:
+            return None
+        if site not in DURABILITY_SITES:
+            raise InvalidParameterError(
+                f"{ENV_SITE}={site!r} is not a durability site; "
+                f"sites: {', '.join(DURABILITY_SITES)}"
+            )
+        try:
+            after = int(env.get(ENV_AFTER, "0"))
+            torn = float(env[ENV_TORN]) if env.get(ENV_TORN) else None
+        except ValueError as exc:
+            raise InvalidParameterError(f"malformed {ENV_AFTER}/{ENV_TORN}: {exc}") from exc
+        faults = cls(clock=MonotonicClock())
+        faults.inject_crash(site, after=after, torn=torn, hard=True)
+        return faults
 
     def clear(self, site: Optional[str] = None) -> None:
         """Disarm rules (for one site, or all); hit counters are kept.
@@ -252,9 +390,14 @@ class FaultInjector:
             elif raiser is None:
                 raiser = rule
         if raiser is not None:
-            if raiser.kind == "crash":
-                raise InjectedCrashError(f"injected crash at {site!r} (hit {index})")
-            raise raiser.exc_factory()
+            if raiser.kind != "crash":
+                raise raiser.exc_factory()
+            crash = InjectedCrashError(
+                f"injected crash at {site!r} (hit {index})", raiser.torn, raiser.hard
+            )
+            if crash.fraction is None:
+                crash.die()
+            raise crash  # the WAL lands the torn prefix, then dies
 
     def hits(self, site: str) -> int:
         return self._hits[site]

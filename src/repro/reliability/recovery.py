@@ -46,8 +46,7 @@ from ..core.errors import (
     WALWriteError,
 )
 from ..telemetry import instruments as tm
-from .crashpoints import crashpoint
-from .faults import FaultInjector, InjectedShortWrite
+from .faults import FaultInjector, InjectedCrashError, InjectedShortWrite
 from .lockfile import acquire_state_dir_lock
 from .resources import ResourceManager
 from .statedir import (
@@ -98,7 +97,7 @@ class UpdateLog:
     a *fresh* segment via
     :meth:`ReliabilityManager.reopen_wal`.  Fault sites: ``wal_write``
     fires before the write+flush, ``wal_fsync`` before the fsync; both
-    accept injected ``OSError`` (ENOSPC / EIO / short writes).
+    accept injected ``OSError`` (ENOSPC / EIO / short writes) and crashes.
     """
 
     def __init__(
@@ -131,17 +130,20 @@ class UpdateLog:
         try:
             if self.faults is not None:
                 self.faults.hit("wal_write")
-            crashpoint("wal_write", payload=data, fh=self._fh)
             self._fh.write(data)
             self._fh.flush()
-        except InjectedShortWrite as exc:
+        except (InjectedShortWrite, InjectedCrashError) as exc:
             # land a prefix of the payload first: the torn line a real
-            # partial write would leave for recovery to repair
-            try:
-                self._fh.write(data[: max(1, int(len(data) * exc.fraction))])
-                self._fh.flush()
-            except OSError:
-                pass
+            # partial write (or a power cut mid-write) would leave for
+            # recovery to repair
+            if exc.fraction is not None:
+                try:
+                    self._fh.write(data[: max(1, int(len(data) * exc.fraction))])
+                    self._fh.flush()
+                except OSError:
+                    pass
+            if isinstance(exc, InjectedCrashError):
+                exc.die()
             self._poison(exc)
         except OSError as exc:
             self._poison(exc)
@@ -150,31 +152,19 @@ class UpdateLog:
         try:
             if self.faults is not None:
                 self.faults.hit("wal_fsync")
-            crashpoint("wal_fsync")
             self.fsync_calls += 1
             os.fsync(self._fh.fileno())
         except OSError as exc:
             self._poison(exc)
 
-    def append(self, record: dict) -> None:
-        t0 = time.perf_counter()
-        self._write_flush(frame_record(record))
-        t1 = time.perf_counter()
-        if self.fsync:
-            self._fsync_once()
-            tm.WAL_FSYNC_SECONDS.observe(time.perf_counter() - t1)
-        tm.WAL_APPEND_SECONDS.observe(t1 - t0)
-        tm.WAL_RECORDS.inc()
-
-    def append_many(self, records) -> None:
+    def append(self, records: List[dict]) -> None:
         """Group commit: one write + flush + fsync for the whole batch.
 
-        The on-disk bytes are identical to sequential :meth:`append` calls
-        — each record is individually framed — so recovery and replication
-        cannot tell the difference; only the syscall count changes.
+        Each record is individually framed, so the bytes on disk are the
+        same whether records come one per call or many — recovery and
+        replication cannot tell the difference; only the syscall count
+        changes.
         """
-        if not records:
-            return
         t0 = time.perf_counter()
         self._write_flush("".join(frame_record(record) for record in records))
         t1 = time.perf_counter()
@@ -192,10 +182,11 @@ class UpdateLog:
 class ReliabilityManager:
     """Owns the WAL and the checkpoint cycle for one server.
 
-    Fault sites: ``wal.append`` fires before each record is written,
-    ``checkpoint.write`` before the snapshot file is written and
-    ``checkpoint.manifest`` before the manifest flip — the three distinct
-    failure windows of the durability protocol.
+    Fault sites (see :data:`~repro.reliability.faults.DURABILITY_SITES`):
+    ``wal.append`` fires before each batch is written, ``checkpoint.write``
+    before the snapshot file is written (the checkpoint's artifacts add
+    their own in :func:`~repro.reliability.statedir.write_checkpoint`),
+    ``wal.reopen`` mid-reopen and ``wal.prune`` mid-prune.
     """
 
     def __init__(
@@ -273,32 +264,20 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # write-ahead logging
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        if self.faults is not None:
-            self.faults.hit("wal.append")
-        crashpoint("wal.append")
-        record["lsn"] = self.lsn + 1
-        self._wal.append(record)
-        self.lsn += 1
-        tm.WAL_LSN.set(self.lsn)
-        for callback in self.on_append:
-            callback(record)
-
-    def _append_many(self, records: List[dict]) -> None:
+    def _append(self, records: List[dict]) -> None:
         """Durably append a batch under one fault-site hit and one fsync.
 
-        LSNs are assigned sequentially exactly as repeated :meth:`_append`
-        calls would, and each record still reaches every ``on_append``
-        subscriber individually (replication ships records, not batches).
+        LSNs are assigned sequentially, and each record reaches every
+        ``on_append`` subscriber individually (replication ships records,
+        not batches); a single record is a one-element batch.
         """
         if not records:
             return
         if self.faults is not None:
             self.faults.hit("wal.append")
-        crashpoint("wal.append")
         for i, record in enumerate(records):
             record["lsn"] = self.lsn + 1 + i
-        self._wal.append_many(records)
+        self._wal.append(records)
         self.lsn += len(records)
         tm.WAL_LSN.set(self.lsn)
         for record in records:
@@ -307,7 +286,7 @@ class ReliabilityManager:
 
     def log_report_batch(self, reports, tnow: int) -> None:
         """Group-commit a wave of ``(oid, x, y, vx, vy)`` reports."""
-        self._append_many(
+        self._append(
             [
                 {"op": "report", "t": tnow, "oid": oid, "x": x, "y": y, "vx": vx, "vy": vy}
                 for oid, x, y, vx, vy in reports
@@ -315,18 +294,14 @@ class ReliabilityManager:
         )
 
     def log_retire(self, oid: int, tnow: int) -> None:
-        self._append({"op": "retire", "t": tnow, "oid": oid})
+        self._append([{"op": "retire", "t": tnow, "oid": oid}])
 
     def log_advance(self, tnow: int) -> None:
-        self._append({"op": "advance", "t": tnow})
+        self._append([{"op": "advance", "t": tnow}])
 
     def log_epoch(self, epoch: int, tnow: int) -> None:
         """Durably record a fencing-epoch bump (written at promotion)."""
-        self._append({"op": "epoch", "t": tnow, "epoch": epoch})
-
-    def records_from_lsn(self, lsn: int) -> Iterator[dict]:
-        """Public replay cursor over this manager's WAL (see module fn)."""
-        return records_from_lsn(self.state_dir, lsn)
+        self._append([{"op": "epoch", "t": tnow, "epoch": epoch}])
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -345,8 +320,6 @@ class ReliabilityManager:
         started = time.perf_counter()
         if self.faults is not None:
             self.faults.hit("checkpoint.write")
-            self.faults.hit("checkpoint_write")  # resource-fault alias (ENOSPC/EIO)
-        crashpoint("checkpoint.write")
         new_seq = self.seq + 1
         write_checkpoint(self.state_dir, new_seq, server, self.lsn, self.faults)
         self._rotate(new_seq)
@@ -373,7 +346,8 @@ class ReliabilityManager:
         """
         if not self._wal.poisoned:
             return
-        crashpoint("wal.reopen")
+        if self.faults is not None:
+            self.faults.hit("wal.reopen")
         self._rotate(self.seq + 1)
 
     def _rotate(self, new_seq: int) -> None:
@@ -407,7 +381,8 @@ class ReliabilityManager:
         would happily drop a tail a partitioned replica is still owed.
         """
         if self.resources is not None:
-            crashpoint("wal.prune")
+            if self.faults is not None:
+                self.faults.hit("wal.prune")
             self.resources.prune()
             return
         ckpt_seqs = checkpoint_seqs(self.state_dir)
@@ -424,7 +399,8 @@ class ReliabilityManager:
         # mid-prune crash window: stale checkpoint artifacts already
         # unlinked, their covered WAL segments not yet — recovery must
         # shrug at the half-deleted generation
-        crashpoint("wal.prune")
+        if self.faults is not None:
+            self.faults.hit("wal.prune")
         if kept:
             for seq in wal_seqs(self.state_dir):
                 if seq < kept[0]:

@@ -253,9 +253,12 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _event(self, name: str) -> None:
+    def _count(self, name: str) -> None:
         self.events[name] = self.events.get(name, 0) + 1
         tm.RESOURCE_EVENTS.labels(name).inc()
+
+    def _event(self, name: str) -> None:
+        self._count(name)
         JOURNAL.emit("resource." + name)
 
     def usage(self) -> int:
@@ -371,18 +374,18 @@ class ResourceManager:
                 )
 
     # ------------------------------------------------------------------
-    # read-only transitions
+    # read-only transitions (counted here; the server journals them)
     # ------------------------------------------------------------------
     def _enter_readonly(self, server, reason: str) -> None:
         if server.read_only:
             return
-        self._event("readonly_enter")
+        self._count("readonly_enter")
         server.enter_read_only(reason)
 
     def _exit_readonly(self, server) -> None:
         if not server.read_only:
             return
-        self._event("readonly_exit")
+        self._count("readonly_exit")
         server.exit_read_only()
 
     # ------------------------------------------------------------------

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import RecoveryError, StorageError
-from .crashpoints import crashpoint
 
 __all__ = [
     "QUARANTINE_DIR",
@@ -143,18 +142,20 @@ def holds_state(state_dir: str) -> bool:
     )
 
 
-def atomic_write_json(path: str, payload: dict, crash_site: Optional[str] = None) -> None:
-    """Replace ``path`` with ``payload`` via a durable temp file + rename."""
+def atomic_write_json(path: str, payload: dict, faults=None, site: str = "") -> None:
+    """Replace ``path`` with ``payload`` via a durable temp file + rename.
+
+    ``site`` is hit on ``faults`` in the classic crash window: the tmp
+    durable, the rename not yet issued — recovery must ignore the stray
+    ``.tmp`` and keep serving from whatever the path pointed at before.
+    """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.flush()
         os.fsync(fh.fileno())
-    if crash_site is not None:
-        # the classic crash window: tmp durable but the rename not yet
-        # issued — recovery must ignore the stray .tmp and keep serving
-        # from whatever the path pointed at before
-        crashpoint(crash_site)
+    if faults is not None:
+        faults.hit(site)
     os.replace(tmp, path)
 
 
@@ -373,11 +374,12 @@ def write_checkpoint(state_dir: str, seq: int, server, lsn: int, faults=None) ->
     """Write checkpoint ``seq`` of ``server`` at ``lsn`` and flip the
     manifest to it.
 
-    Order: the image (atomic snapshot write), the sidecar (crash site
-    ``checkpoint.sidecar``), then the manifest (fault site and crash
-    site ``checkpoint.manifest``), whose digests cover every checkpoint
-    artifact present.  A crash anywhere before the manifest rename leaves
-    the previous checkpoint in charge.
+    Order: the image (atomic snapshot write), the sidecar (fault site
+    ``checkpoint.sidecar`` before its rename), then the manifest (fault
+    site ``checkpoint.digests`` before its digests are computed and
+    ``checkpoint.manifest`` before its rename), whose digests cover every
+    checkpoint artifact present.  A crash anywhere before the manifest
+    rename leaves the previous checkpoint in charge.
     """
     from ..storage.snapshot import save_server
 
@@ -385,10 +387,11 @@ def write_checkpoint(state_dir: str, seq: int, server, lsn: int, faults=None) ->
     atomic_write_json(
         sidecar_path(state_dir, seq),
         {"seq": seq, "lsn": lsn, "tnow": server.tnow},
-        crash_site="checkpoint.sidecar",
+        faults,
+        "checkpoint.sidecar",
     )
     if faults is not None:
-        faults.hit("checkpoint.manifest")
+        faults.hit("checkpoint.digests")
     digests = {
         name: file_crc(os.path.join(state_dir, name))
         for name in os.listdir(state_dir)
@@ -397,5 +400,6 @@ def write_checkpoint(state_dir: str, seq: int, server, lsn: int, faults=None) ->
     atomic_write_json(
         manifest_path(state_dir),
         {"seq": seq, "digests": digests},
-        crash_site="checkpoint.manifest",
+        faults,
+        "checkpoint.manifest",
     )

@@ -483,10 +483,13 @@ def seeded_primary(
     checkpoint_interval: int = 0,
 ):
     """A durable primary holding ``objects`` seeded moving objects over
-    the default domain, advanced :data:`WARMUP_TICKS` ticks."""
+    the default domain, advanced :data:`WARMUP_TICKS` ticks, and armed
+    with the environment's crash rule
+    (:meth:`~repro.reliability.faults.FaultInjector.from_env`)."""
     from ..core.config import SystemConfig
     from ..core.geometry import Rect
     from ..core.system import PDRServer
+    from ..reliability.faults import FaultInjector
     from ..reliability.validation import ReliabilityConfig
 
     rng = random.Random(seed)
@@ -510,6 +513,7 @@ def seeded_primary(
         reliability=ReliabilityConfig(
             state_dir=state_dir, fsync=fsync,
             checkpoint_interval=checkpoint_interval,
+            faults=FaultInjector.from_env(),
         ),
     )
     domain = config.domain

@@ -63,7 +63,7 @@ import time
 from collections import deque
 from typing import IO, List, Optional, Sequence
 
-from ..reliability.crashpoints import ENV_AFTER, ENV_SITE, ENV_TORN
+from ..reliability.faults import ENV_AFTER, ENV_SITE, ENV_TORN
 from ..telemetry import Journal
 from ..telemetry import instruments as tm
 from .protocol import read_frame_sync, write_frame_sync

@@ -45,7 +45,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 __all__ = ["Journal", "JOURNAL", "read_journal", "JOURNAL_ENV"]
 
@@ -272,20 +272,14 @@ def read_journal(
     *,
     event: Optional[str] = None,
     trace_id: Optional[str] = None,
-    since: Optional[float] = None,
-    pids: Optional[Iterable[int]] = None,
-    limit: Optional[int] = None,
 ) -> List[dict]:
     """Read and merge every process's segments in ``directory``.
 
     Records are merged on ``(ts, pid, seq)`` — cross-process order is
     wall-clock best-effort, per-process order is exact.  Unparseable
-    lines (torn tails after SIGKILL) are skipped.  ``since`` filters on
-    the wall timestamp (epoch seconds); ``limit`` keeps the newest N
-    after filtering.
+    lines (torn tails after SIGKILL) are skipped.
     """
     records: List[dict] = []
-    pid_filter = set(pids) if pids is not None else None
     for path in sorted(glob.glob(os.path.join(directory, "journal-*.jsonl"))):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -306,11 +300,7 @@ def read_journal(
         records = [r for r in records if r.get("event") == event]
     if trace_id is not None:
         records = [r for r in records if r.get("trace_id") == trace_id]
-    if since is not None:
-        records = [r for r in records if (r.get("ts") or 0.0) >= since]
     records.sort(key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("seq", 0)))
-    if limit is not None and limit >= 0:
-        records = records[len(records) - min(limit, len(records)):]
     return records
 
 

@@ -1,7 +1,7 @@
 """The slow-query log: a bounded buffer of the N worst query traces.
 
 Every finished root query trace is *offered* to the log with the query's
-resolved parameters; the log keeps the ``capacity`` slowest ones.  Each
+resolved parameters; the log keeps the :data:`CAPACITY` slowest ones.  Each
 retained entry is a **replayable exemplar**: it records the method that
 actually produced the answer (after any degradation) plus the resolved
 absolute threshold, so ``server.query(**entry.replay_kwargs())`` against
@@ -19,7 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-__all__ = ["SlowQueryEntry", "SlowQueryLog"]
+__all__ = ["CAPACITY", "SlowQueryEntry", "SlowQueryLog"]
+
+CAPACITY = 32  # worst queries retained
 
 
 @dataclass
@@ -61,12 +63,9 @@ class SlowQueryEntry:
 
 
 class SlowQueryLog:
-    """Keeps the ``capacity`` slowest entries ever offered."""
+    """Keeps the :data:`CAPACITY` slowest entries ever offered."""
 
-    def __init__(self, capacity: int = 32) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.offered = 0
         self._seq = itertools.count()
         self._heap: List[tuple] = []  # (duration, seq, entry) min-heap
@@ -77,17 +76,13 @@ class SlowQueryLog:
     @property
     def threshold_seconds(self) -> float:
         """Durations at or below this cannot enter a full log."""
-        if self.capacity == 0:
-            return float("inf")
-        if len(self._heap) < self.capacity:
+        if len(self._heap) < CAPACITY:
             return 0.0
         return self._heap[0][0]
 
     def would_retain(self, duration_seconds: float) -> bool:
         """Whether an offer with this duration would be kept (no mutation)."""
-        if self.capacity == 0:
-            return False
-        if len(self._heap) < self.capacity:
+        if len(self._heap) < CAPACITY:
             return True
         return duration_seconds > self._heap[0][0]
 
@@ -98,10 +93,8 @@ class SlowQueryLog:
     def offer(self, entry: SlowQueryEntry) -> bool:
         """Consider one finished query; returns True if it was retained."""
         self.offered += 1
-        if self.capacity == 0:
-            return False
         item = (entry.duration_seconds, next(self._seq), entry)
-        if len(self._heap) < self.capacity:
+        if len(self._heap) < CAPACITY:
             heapq.heappush(self._heap, item)
             return True
         if entry.duration_seconds <= self._heap[0][0]:
@@ -122,7 +115,7 @@ class SlowQueryLog:
 
     def to_dict(self) -> dict:
         return {
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "offered": self.offered,
             "entries": [entry.to_dict() for entry in self.entries()],
         }

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from repro import PDRServer, SystemConfig
 from repro.core.geometry import Rect
+from repro.storage import pages
+
+
+@contextlib.contextmanager
+def small_pages(leaf: int, internal: Optional[int] = None):
+    """Trees built inside hold ``leaf`` rows a leaf and ``internal``
+    (default ``leaf``) children a node: a tree reads the page model's
+    fanouts when it is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pages, "LEAF_FANOUT", leaf)
+        mp.setattr(pages, "INTERNAL_FANOUT", leaf if internal is None else internal)
+        yield
 
 
 @pytest.fixture

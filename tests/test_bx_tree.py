@@ -13,6 +13,7 @@ from repro.index.bx import BxTree
 from repro.index.zorder import ZGrid, deinterleave, interleave
 from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
+from tests.conftest import small_pages
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -109,11 +110,11 @@ def brute_range(motions, rect, qt):
 def make_bx(tnow=0, **kwargs):
     """A table and the B^x-tree maintained against it (the table's waves are
     the tree's only write path)."""
-    defaults = dict(domain=DOMAIN, horizon=20, phase_length=5, bits=6,
-                    fanout_override=8)
+    defaults = dict(domain=DOMAIN, horizon=20, phase_length=5, bits=6)
     defaults.update(kwargs)
     table = ObjectTable(tnow=tnow)
-    bx = BxTree(table, **defaults)
+    with small_pages(8):
+        bx = BxTree(table, **defaults)
     table.add_listener(bx)
     return table, bx
 
@@ -184,7 +185,8 @@ class TestBxTreeQueries:
 
         motions = random_motions(120, seed=4)
         table, bx = make_bx()
-        tpr = TPRTree(table, horizon=20, fanout_override=8)
+        with small_pages(8):
+            tpr = TPRTree(table, horizon=20)
         table.add_listener(tpr)
         report(table, motions)
         rect = Rect(20, 30, 70, 80)
@@ -244,8 +246,9 @@ class TestFRWithBxIndex:
 
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=12)
-        bx = BxTree(table, DOMAIN, horizon=12, phase_length=3, bits=6, fanout_override=8)
-        tpr = TPRTree(table, horizon=12, fanout_override=8)
+        with small_pages(8):
+            bx = BxTree(table, DOMAIN, horizon=12, phase_length=3, bits=6)
+            tpr = TPRTree(table, horizon=12)
         table.add_listener(hist)
         table.add_listener(bx)
         table.add_listener(tpr)

@@ -1,11 +1,14 @@
-"""Crashpoints and the state-dir lockfile.
+"""Crash rules and the state-dir lockfile.
 
-The crashpoint contract: disarmed it is free, armed it dies at exactly
-the configured hit of exactly the configured site — after landing the
-torn payload prefix a mid-write power cut would have left.  Tests
-observe the kill in-process by arming a ``kill`` callable that raises
-instead of SIGKILLing the test runner; the real-SIGKILL path is covered
-by the supervisor and kill-matrix tests, which spawn real children.
+The crash-rule contract: an unset ``REPRO_CRASHPOINT`` arms nothing (a
+server without an injector makes no fault-site hit at all); set, it
+builds one hard crash rule that dies at exactly the configured hit of
+exactly the configured site — after landing the torn payload prefix a
+mid-write power cut would have left.  Tests observe the kill in-process
+by swapping :func:`~repro.reliability.faults.hard_kill` for a callable
+that raises instead of SIGKILLing the test runner; the real-SIGKILL path
+is covered by the supervisor and process-plane tests, which spawn real
+children.
 
 The lockfile contract: one *process* owns a state dir at a time
 (``fcntl.flock`` — the kernel releases it when the holder dies, so
@@ -16,7 +19,6 @@ still holds open).
 
 from __future__ import annotations
 
-import io
 import os
 import subprocess
 import sys
@@ -25,14 +27,22 @@ import pytest
 
 from tests.conftest import small_system_config
 from repro import PDRServer
-from repro.core.errors import StateDirLockedError, WALWriteError
-from repro.reliability import crashpoints as cp
-from repro.reliability.faults import FaultInjector
+from repro.core.errors import InvalidParameterError, StateDirLockedError, WALWriteError
+from repro.reliability import faults as faults_module
+from repro.reliability.faults import (
+    ENV_AFTER,
+    ENV_SITE,
+    ENV_TORN,
+    FaultInjector,
+    MonotonicClock,
+)
 from repro.reliability.integrity import verify_state_dir
 from repro.reliability.lockfile import (
     LOCK_FILENAME,
     acquire_state_dir_lock,
 )
+from repro.reliability.recovery import UpdateLog
+from repro.reliability.statedir import frame_record
 from repro.reliability.validation import ReliabilityConfig
 
 SRC_ROOT = os.path.join(
@@ -48,76 +58,110 @@ def _raise_killed() -> None:
     raise _Killed()
 
 
-@pytest.fixture(autouse=True)
-def _always_disarmed():
-    cp.disarm()
-    yield
-    cp.disarm()
+@pytest.fixture
+def armed(monkeypatch):
+    """``FaultInjector.from_env`` over a given environment, its SIGKILL
+    swapped for :class:`_Killed`."""
+    monkeypatch.setattr(faults_module, "hard_kill", _raise_killed)
+    return FaultInjector.from_env
 
 
 # ----------------------------------------------------------------------
-# crashpoint arming semantics
+# the env-armed crash rule
 # ----------------------------------------------------------------------
 
-def test_disarmed_crashpoint_is_a_noop():
-    for site in cp.CRASH_SITES:
-        cp.crashpoint(site)  # must simply return
-
-
-def test_armed_site_fires_after_hit_budget_and_other_sites_never():
-    cp.arm("wal.append", after=2, kill=_raise_killed)
-    assert cp.armed_site() == "wal.append"
-    cp.crashpoint("wal_fsync")  # different site: untouched
-    cp.crashpoint("wal.append")  # hit 1: skipped
-    cp.crashpoint("wal.append")  # hit 2: skipped
-    with pytest.raises(_Killed):
-        cp.crashpoint("wal.append")  # hit 3: dies
-    cp.disarm()
-    cp.crashpoint("wal.append")  # disarmed again: noop
-    assert cp.armed_site() is None
-
-
-def test_torn_write_lands_payload_prefix_before_dying():
-    fh = io.BytesIO()
-    cp.arm("wal_write", torn=0.5, kill=_raise_killed)
-    with pytest.raises(_Killed):
-        cp.crashpoint("wal_write", payload=b"0123456789", fh=fh)
-    assert fh.getvalue() == b"01234"
-
-
-def test_torn_fraction_is_validated():
-    with pytest.raises(ValueError):
-        cp.arm("wal_write", torn=1.0)
-    with pytest.raises(ValueError):
-        cp.arm("wal_write", torn=-0.1)
-
-
-def test_arm_from_env_parses_and_rejects_garbage():
-    assert cp.arm_from_env({}) is None
-    assert cp.armed_site() is None
-    site = cp.arm_from_env({
-        cp.ENV_SITE: "checkpoint.manifest",
-        cp.ENV_AFTER: "3",
-        cp.ENV_TORN: "",
-    })
-    assert site == "checkpoint.manifest"
-    assert cp.armed_site() == "checkpoint.manifest"
-    with pytest.raises(ValueError):
-        cp.arm_from_env({cp.ENV_SITE: "wal.append", cp.ENV_AFTER: "soon"})
-
-
-def test_wal_append_site_is_wired_into_the_real_append_path(tmp_path):
+def test_disarmed_crashpoint_is_a_noop(tmp_path):
+    """No site in the environment: no injector, so the server runs with
+    ``faults=None`` and its durability sites cost one ``is None`` test."""
+    assert FaultInjector.from_env({}) is None
+    assert FaultInjector.from_env({ENV_SITE: "", ENV_AFTER: "3"}) is None
     server = PDRServer(
         small_system_config(),
         expected_objects=8,
-        reliability=ReliabilityConfig(state_dir=str(tmp_path / "state")),
+        reliability=ReliabilityConfig(
+            state_dir=str(tmp_path / "state"), checkpoint_interval=1,
+            faults=FaultInjector.from_env({}),
+        ),
     )
     try:
-        cp.arm("wal.append", kill=_raise_killed)
+        assert server.faults is None and server._manager.faults is None
+        for t in range(1, 4):
+            server.report(t, 10.0 + t, 10.0, 0.1, 0.1)
+            server.advance_to(t)  # every checkpoint site on the way
+        assert server.wal_lsn == 6
+    finally:
+        server.close()
+
+
+def test_armed_site_fires_after_hit_budget_and_other_sites_never(armed):
+    faults = armed({ENV_SITE: "wal.append", ENV_AFTER: "2"})
+    assert isinstance(faults.clock, MonotonicClock)  # a live child's clock
+    faults.hit("wal_fsync")  # different site: untouched
+    faults.hit("wal.append")  # hit 1: skipped
+    faults.hit("wal.append")  # hit 2: skipped
+    with pytest.raises(_Killed):
+        faults.hit("wal.append")  # hit 3: dies
+    faults.hit("wal.append")  # a rule fires once
+    assert faults.hits("wal.append") == 4
+
+
+def test_torn_write_lands_payload_prefix_before_dying(armed, tmp_path):
+    """A torn crash at ``wal_write`` lands the first fraction of the
+    framed payload, flushed, and then dies — the one torn-write path an
+    injected short write takes too."""
+    path = str(tmp_path / "wal.jsonl")
+    log = UpdateLog(path, fsync=False, faults=armed({ENV_SITE: "wal_write", ENV_TORN: "0.5"}))
+    record = {"op": "advance", "t": 1, "lsn": 1}
+    with pytest.raises(_Killed):
+        log.append([dict(record)])
+    whole = frame_record(record)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == whole[: len(whole) // 2]
+
+
+def test_torn_fraction_is_validated():
+    faults = FaultInjector()
+    with pytest.raises(InvalidParameterError):
+        faults.inject_crash("wal_write", torn=1.0)
+    with pytest.raises(InvalidParameterError):
+        faults.inject_crash("wal_write", torn=-0.1)
+    with pytest.raises(InvalidParameterError):  # only a WAL write tears
+        faults.inject_crash("wal_fsync", torn=0.5)
+
+
+def test_arm_from_env_parses_and_rejects_garbage(armed):
+    faults = armed({ENV_SITE: "checkpoint.manifest", ENV_AFTER: "3", ENV_TORN: ""})
+    for _ in range(3):
+        faults.hit("checkpoint.manifest")
+    with pytest.raises(_Killed):
+        faults.hit("checkpoint.manifest")
+    # a malformed value is a hard error, never a rule that cannot fire
+    with pytest.raises(ValueError):
+        armed({ENV_SITE: "wal.append", ENV_AFTER: "soon"})
+    with pytest.raises(ValueError):
+        armed({ENV_SITE: "wal_write", ENV_TORN: "half"})
+    with pytest.raises(ValueError):
+        armed({ENV_SITE: "wal_write", ENV_TORN: "1.5"})
+    with pytest.raises(ValueError):
+        armed({ENV_SITE: "wal.append", ENV_TORN: "0.5"})
+    with pytest.raises(ValueError):  # a typo would never fire
+        armed({ENV_SITE: "wal.apend"})
+
+
+def test_wal_append_site_is_wired_into_the_real_append_path(armed, tmp_path):
+    server = PDRServer(
+        small_system_config(),
+        expected_objects=8,
+        reliability=ReliabilityConfig(
+            state_dir=str(tmp_path / "state"),
+            faults=armed({ENV_SITE: "wal.append"}),
+        ),
+    )
+    try:
         with pytest.raises(_Killed):
             server.report(0, 10.0, 10.0, 0.1, 0.1)
+        assert server.wal_lsn == 0  # died before the record was framed
     finally:
-        cp.disarm()
         server.close()
 
 
@@ -131,19 +175,18 @@ def test_wal_reopen_site_is_wired_into_the_real_reopen_path(tmp_path):
         expected_objects=8,
         reliability=ReliabilityConfig(state_dir=state_dir, faults=faults),
     )
-    try:
-        for oid in range(4):
-            server.report(oid, 10.0 + oid, 10.0, 0.1, 0.1)
-        acked = server.wal_lsn
-        faults.inject_eio("wal_write")
-        with pytest.raises(WALWriteError):
-            server.report(5, 20.0, 20.0, 0.1, 0.1)
-        assert server._manager.wal_poisoned
-        cp.arm("wal.reopen", kill=_raise_killed)
+    for oid in range(4):
+        server.report(oid, 10.0 + oid, 10.0, 0.1, 0.1)
+    acked = server.wal_lsn
+    faults.inject_eio("wal_write")
+    with pytest.raises(WALWriteError):
+        server.report(5, 20.0, 20.0, 0.1, 0.1)
+    assert server._manager.wal_poisoned
+    faults.inject_crash("wal.reopen", hard=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faults_module, "hard_kill", _raise_killed)
         with pytest.raises(_Killed):
             server._manager.reopen_wal()
-    finally:
-        cp.disarm()
     recovered = PDRServer.recover(state_dir)
     try:
         assert recovered.wal_lsn >= acked > 0

@@ -26,6 +26,7 @@ from repro.index.tree import TPRTree
 from repro.methods.fr import FRMethod
 from repro.motion.table import ObjectTable
 from repro.storage.buffer import BufferPool
+from tests.conftest import small_pages
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 HORIZON = 6
@@ -35,7 +36,8 @@ def build_world(n, seed, clustered=True, buffer_pages=8):
     table = ObjectTable()
     hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)  # cell edge 5
     pool = BufferPool(capacity_pages=buffer_pages)
-    tree = TPRTree(table, horizon=HORIZON, buffer_pool=pool, fanout_override=8)
+    with small_pages(8):
+        tree = TPRTree(table, horizon=HORIZON, buffer_pool=pool)
     table.add_listener(hist)
     table.add_listener(tree)
     gen = np.random.default_rng(seed)
@@ -153,7 +155,8 @@ class TestFRMatchesBruteForce:
     def test_empty_world(self):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tree = TPRTree(table, horizon=HORIZON, fanout_override=8)
+        with small_pages(8):
+            tree = TPRTree(table, horizon=HORIZON)
         table.add_listener(hist)
         table.add_listener(tree)
         fr = FRMethod(hist, tree)
@@ -204,8 +207,9 @@ class TestFRIsIndexIndependent:
     def world(points):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tpr = TPRTree(table, horizon=HORIZON, fanout_override=8)
-        bx = BxTree(table, DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        with small_pages(8):
+            tpr = TPRTree(table, horizon=HORIZON)
+            bx = BxTree(table, DOMAIN, horizon=HORIZON, phase_length=3, bits=6)
         for listener in (hist, tpr, bx):
             table.add_listener(listener)
         for oid, (x, y, vx, vy) in enumerate(points):
@@ -273,7 +277,8 @@ class TestFRIsIndexIndependent:
         ahead, behind = ObjectTable(), ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
         ahead.add_listener(hist)
-        bx = BxTree(behind, DOMAIN, horizon=HORIZON, phase_length=3, bits=6, fanout_override=8)
+        with small_pages(8):
+            bx = BxTree(behind, DOMAIN, horizon=HORIZON, phase_length=3, bits=6)
         behind.add_listener(bx)
         # Three cells, one l-square: candidates for the filter, never accepted.
         trio = [
@@ -360,7 +365,8 @@ class TestFRStats:
     def test_no_buffer_pool_means_no_io_charge(self):
         table = ObjectTable()
         hist = DensityHistogram(DOMAIN, m=20, horizon=HORIZON)
-        tree = TPRTree(table, horizon=HORIZON, buffer_pool=None, fanout_override=8)
+        with small_pages(8):
+            tree = TPRTree(table, horizon=HORIZON, buffer_pool=None)
         table.add_listener(hist)
         table.add_listener(tree)
         gen = np.random.default_rng(0)

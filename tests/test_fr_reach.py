@@ -34,6 +34,7 @@ from repro.methods import fr as fr_module
 from repro.methods.fr import FRMethod
 from repro.motion.table import ObjectTable
 from repro.sweep.band_sweep import refine_bands
+from tests.conftest import small_pages
 
 
 @contextmanager
@@ -206,7 +207,8 @@ def test_pruned_kernel_equals_the_unpruned_kernel_on_window_edges(case):
     l, mask, points, count = case
     table = ObjectTable()
     hist = DensityHistogram(_DOMAIN, m=_M, horizon=2)
-    tree = TPRTree(table, horizon=2, fanout_override=8)
+    with small_pages(8):
+        tree = TPRTree(table, horizon=2)
     table.add_listener(hist)
     table.add_listener(tree)
     inside = [(x, y) for x, y in points if _DOMAIN.contains_point(x, y)]

@@ -94,10 +94,8 @@ def test_reader_merges_processes_and_skips_torn_lines(tmp_path):
     )
     records = read_journal(str(directory))
     assert [r["event"] for r in records] == ["theirs", "mine"]  # ts order
+    assert records[0]["pid"] == 424242
     assert read_journal(str(directory), event="mine")[0]["pid"] == os.getpid()
-    assert read_journal(str(directory), pids=[424242])[0]["event"] == "theirs"
-    assert read_journal(str(directory), since=1.0)[0]["event"] == "mine"
-    assert len(read_journal(str(directory), limit=1)) == 1
 
 
 def test_emit_inside_a_span_stamps_the_trace_id(tmp_path):

@@ -47,7 +47,7 @@ from repro.storage.buffer import BufferPool
 from repro.sweep.band_sweep import BandBatch, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
-from .conftest import populate_clustered, small_system_config
+from .conftest import populate_clustered, small_pages, small_system_config
 
 finite = st.floats(
     min_value=-50.0, max_value=150.0, allow_nan=False, allow_infinity=False
@@ -487,7 +487,8 @@ def test_batch_fetch_touches_the_pages_of_its_range_queries(seed):
     pages the per-rect range queries read between them."""
     rng = np.random.default_rng(seed)
     log = _PageLog()
-    table, tree = _random_tree(rng, fanout_override=8, buffer_pool=log)
+    with small_pages(8):
+        table, tree = _random_tree(rng, buffer_pool=log)
     n_rects = int(rng.integers(1, 10))
     corner = rng.uniform(0, 90, (n_rects, 2))
     rects = np.hstack([corner, corner + rng.uniform(1, 30, (n_rects, 2))])
@@ -967,10 +968,10 @@ def test_update_log_group_commit_bytes_identical(tmp_path):
     many_path = str(tmp_path / "many.jsonl")
     one = UpdateLog(one_path, fsync=False)
     for record in records:
-        one.append(dict(record))
+        one.append([dict(record)])  # a single record is a one-element batch
     one.close()
     many = UpdateLog(many_path, fsync=False)
-    many.append_many([dict(r) for r in records])
+    many.append([dict(r) for r in records])
     many.close()
     with open(one_path, "rb") as fh:
         sequential_bytes = fh.read()

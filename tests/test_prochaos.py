@@ -22,7 +22,7 @@ from repro.reliability.chaos import (
     ChaosResult,
     ChaosScheduler,
 )
-from repro.reliability.crashpoints import CRASH_SITES
+from repro.reliability.faults import CRASH_SITES
 from repro.telemetry import read_journal
 
 

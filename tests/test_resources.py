@@ -235,6 +235,28 @@ def test_hard_watermark_enters_readonly_and_budget_restore_exits(tmp_path):
     server._manager.close()
 
 
+def test_each_readonly_transition_is_one_journal_record(tmp_path):
+    """A hard-watermark entry and a probe exit are journaled once each, by
+    the server (``readonly_enter``/``readonly_exit``); the resource manager
+    only counts them."""
+    from repro.telemetry import JOURNAL
+
+    resources = ResourceConfig()
+    server = make_server(tmp_path / "state", resources=resources)
+    seed_reports(server, 4)
+    since = max((r["seq"] for r in JOURNAL.recent()), default=0)
+    resources.hard_limit_bytes = 1
+    server.report(50, 10.0, 10.0, 0.1, 0.1)
+    resources.hard_limit_bytes = None
+    assert server.probe_resources()
+    events = [r["event"] for r in JOURNAL.recent() if r["seq"] > since]
+    assert [e for e in events if "readonly" in e] == ["readonly_enter", "readonly_exit"]
+    assert "resource.hard_watermark" in events
+    counted = server._manager.resources.events
+    assert (counted["readonly_enter"], counted["readonly_exit"]) == (1, 1)
+    server._manager.close()
+
+
 def test_soft_watermark_checkpoints_then_prunes(tmp_path):
     resources = ResourceConfig()
     server = make_server(tmp_path / "state", resources=resources, fsync=False)

@@ -19,6 +19,7 @@ from repro.cli import EXIT_CODES, _boot_group, build_parser
 from repro.core.errors import IntegrityError
 from repro.reliability import statedir
 from repro.reliability.admission import AdmissionConfig
+from repro.reliability.faults import ENV_SITE, FaultInjector, MonotonicClock
 from repro.storage.snapshot import save_server
 from repro.telemetry import JOURNAL
 
@@ -60,6 +61,35 @@ def test_admission_survives_the_recovered_boot_path(tmp_path):
         assert group.primary.recovery_generation == 1
         assert group.admission is not None
         assert group.admission.config == fresh == AdmissionConfig(rate=5.0, burst=10.0)
+    finally:
+        group.close()
+
+
+@pytest.mark.parametrize("path", ["seeded", "recovered", "snapshot"])
+def test_every_boot_path_arms_the_environments_crash_rule(tmp_path, monkeypatch, path):
+    """`REPRO_CRASHPOINT` becomes the primary's injector on each boot path,
+    on real time (the server's clock is the injector's); unset, the primary
+    has no injector."""
+    monkeypatch.delenv(ENV_SITE, raising=False)
+    state_dir = _state_dir(tmp_path)
+    flags = ()
+    if path == "recovered":
+        group = _boot_group(_serve_args(state_dir), state_dir)
+        assert group.primary.faults is None
+        group.close()
+    elif path == "snapshot":
+        server = PDRServer(small_system_config(), expected_objects=8)
+        populate_clustered(server, 8, seed=3)
+        flags = ("--snapshot", str(tmp_path / "world.npz"))
+        save_server(server, flags[1])
+    monkeypatch.setenv(ENV_SITE, "wal.reopen")  # armed; no boot reaches it
+    group = _boot_group(_serve_args(state_dir, *flags), state_dir)
+    try:
+        faults = group.primary.faults
+        assert isinstance(faults, FaultInjector)
+        assert isinstance(faults.clock, MonotonicClock)
+        assert group.primary.clock is faults.clock
+        assert group.primary._manager.faults is faults
     finally:
         group.close()
 

@@ -26,6 +26,7 @@ from repro.index.bx import BxTree
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
+from tests.conftest import small_pages
 
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -41,7 +42,8 @@ class TPRTreeMachine(RuleBasedStateMachine):
     def setup(self) -> None:
         self.tnow = 0
         self.table = ObjectTable()
-        self.tree = TPRTree(self.table, horizon=15, fanout_override=5)
+        with small_pages(5):
+            self.tree = TPRTree(self.table, horizon=15)
         self.table.add_listener(self.tree)
         self.model = {}
 
@@ -106,9 +108,8 @@ class BxTreeMachine(RuleBasedStateMachine):
     def setup(self) -> None:
         self.tnow = 0
         self.table = ObjectTable()
-        self.tree = BxTree(
-            self.table, DOMAIN, horizon=15, phase_length=4, bits=5, fanout_override=6
-        )
+        with small_pages(6):
+            self.tree = BxTree(self.table, DOMAIN, horizon=15, phase_length=4, bits=5)
         self.table.add_listener(self.tree)
         self.model = {}
 

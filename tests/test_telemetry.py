@@ -14,6 +14,7 @@ observability work:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import subprocess
@@ -34,6 +35,7 @@ from repro.telemetry import (
     SlowQueryLog,
     Tracer,
 )
+from repro.telemetry import slowlog
 from repro.telemetry.tracing import NOOP_SPAN
 
 
@@ -257,40 +259,42 @@ def _entry(duration: float, method: str = "fr") -> SlowQueryEntry:
     )
 
 
+@contextlib.contextmanager
+def _slow_log(capacity: int):
+    """A fresh slow-query log retaining ``capacity`` entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slowlog, "CAPACITY", capacity)
+        yield SlowQueryLog()
+
+
 class TestSlowQueryLog:
     def test_keeps_the_n_worst_in_slowest_first_order(self):
-        log = SlowQueryLog(capacity=3)
-        for d in (0.1, 0.5, 0.2, 0.9, 0.05, 0.3):
-            log.offer(_entry(d))
-        durations = [e.duration_seconds for e in log.entries()]
+        with _slow_log(3) as log:
+            for d in (0.1, 0.5, 0.2, 0.9, 0.05, 0.3):
+                log.offer(_entry(d))
+            durations = [e.duration_seconds for e in log.entries()]
         assert durations == [0.9, 0.5, 0.3]
         assert log.offered == 6
         assert len(log) == 3
 
     def test_would_retain_matches_offer(self):
-        log = SlowQueryLog(capacity=2)
-        assert log.would_retain(0.0)  # not yet full
-        log.offer(_entry(0.5))
-        log.offer(_entry(0.6))
-        assert not log.would_retain(0.5)  # ties lose
-        assert log.would_retain(0.7)
-        assert log.threshold_seconds == 0.5
-
-    def test_capacity_zero_never_retains(self):
-        log = SlowQueryLog(capacity=0)
-        assert not log.offer(_entry(99.0))
-        assert not log.would_retain(99.0)
-        assert log.threshold_seconds == float("inf")
+        with _slow_log(2) as log:
+            assert log.would_retain(0.0)  # not yet full
+            log.offer(_entry(0.5))
+            log.offer(_entry(0.6))
+            assert not log.would_retain(0.5)  # ties lose
+            assert log.would_retain(0.7)
+            assert log.threshold_seconds == 0.5
 
     def test_note_skipped_counts_offers(self):
-        log = SlowQueryLog(capacity=1)
-        log.note_skipped()
+        with _slow_log(1) as log:
+            log.note_skipped()
         assert log.offered == 1 and len(log) == 0
 
     def test_to_dict_and_replay_kwargs(self):
-        log = SlowQueryLog(capacity=4)
-        log.offer(_entry(0.25, method="pa"))
-        payload = log.to_dict()
+        with _slow_log(4) as log:
+            log.offer(_entry(0.25, method="pa"))
+            payload = log.to_dict()
         assert payload["capacity"] == 4
         (entry,) = payload["entries"]
         assert entry["method"] == "pa"
@@ -304,13 +308,13 @@ class TestSlowQueryLog:
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
             max_size=30,
         ),
-        capacity=st.integers(min_value=0, max_value=8),
+        capacity=st.integers(min_value=1, max_value=8),
     )
     def test_retention_equals_sorted_tail(self, durations, capacity):
-        log = SlowQueryLog(capacity=capacity)
-        for d in durations:
-            log.offer(_entry(d))
-        kept = [e.duration_seconds for e in log.entries()]
+        with _slow_log(capacity) as log:
+            for d in durations:
+                log.offer(_entry(d))
+            kept = [e.duration_seconds for e in log.entries()]
         # multiset of the capacity largest (ties broken arbitrarily)
         expected = sorted(durations, reverse=True)[:capacity]
         assert sorted(kept, reverse=True) == pytest.approx(expected)

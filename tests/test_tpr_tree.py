@@ -21,15 +21,15 @@ from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
 from repro.motion.updates import Columns, UpdateListener
 from repro.storage.buffer import BufferPool
-from repro.storage import pages
-from tests.conftest import small_system_config
+from tests.conftest import small_pages, small_system_config
 
 
 def make_tree(fanout=8, horizon=20, buffer_pool=None, tnow=0):
     """A table and the TPR-tree maintained against it: reports and retires
     go to the table, whose waves are the tree's only write path."""
     table = ObjectTable(tnow=tnow)
-    tree = TPRTree(table, horizon=horizon, buffer_pool=buffer_pool, fanout_override=fanout)
+    with small_pages(fanout):
+        tree = TPRTree(table, horizon=horizon, buffer_pool=buffer_pool)
     table.add_listener(tree)
     return table, tree
 
@@ -175,17 +175,6 @@ class TestDelete:
         tree.validate()
         hits = tree.range_query(Rect(-1000, -1000, 1000, 1000), 0)
         assert sorted(hits) == sorted(live)
-
-    def test_root_collapse(self):
-        table, tree = make_tree(fanout=4)
-        motions = random_motions(30, seed=5)
-        report(table, motions)
-        tall = tree.height
-        for m in motions[:-2]:
-            table.retire(m.oid)
-        assert tree.height <= tall
-        tree.validate()
-        assert len(tree) == 2
 
     def test_retire_then_first_report_reuses_the_row_within_one_tick(self):
         table, tree = make_tree(fanout=4)
@@ -595,7 +584,8 @@ class TestWaveMaintenance:
         motions = random_motions(300, seed=9)
         table = ObjectTable()
         report(table, motions)
-        packed = TPRTree(table, horizon=20, fanout_override=8)
+        with small_pages(8):
+            packed = TPRTree(table, horizon=20)
         packed.bulk_load()
         packed.validate()
         assert contents(table, packed) == sorted(
@@ -622,9 +612,7 @@ class TestWaveMaintenance:
 
 def _small_page_server(n: int) -> PDRServer:
     """A server on 256-byte pages: 5 rows a leaf, 4 children a node."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pages, "LEAF_FANOUT", (256 - 32) // 40)
-        mp.setattr(pages, "INTERNAL_FANOUT", 4)
+    with small_pages((256 - 32) // 40, 4):
         return PDRServer(small_system_config(), expected_objects=n)
 
 
@@ -850,7 +838,8 @@ def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
     for _ in range(2):
         table = ObjectTable()
         table.restore(start, 60)
-        tree = TPRTree(table, horizon=horizon, fanout_override=16)
+        with small_pages(16):
+            tree = TPRTree(table, horizon=horizon)
         tree.bulk_load()
         table.add_listener(tree)
         pair.append((table, tree))
