@@ -5,7 +5,9 @@ road world.
     PYTHONPATH=src python scripts/scale_probe.py --world CH10K [--check] [--out BENCH_scale.json]
 
 Generates the road world ``bench.worlds.road_inputs(n, 101)`` (CH2K is
-n = 2 000, ..., CH500K n = 500 000) and, in this process, with no WAL:
+n = 2 000, ..., CH500K n = 500 000), timing it whole (``datagen_s``) and
+per report generated (``datagen_us_per_report``), and, in this process,
+with no WAL:
 
 1. bulk-loads its tick-``T0`` state into an empty server in one
    ``report_batch``, timing the two ring listeners (``dh_s``, ``pa_s``) by
@@ -38,6 +40,12 @@ the FR list's first three answers misclassifies a probe point of
 ``bench.checks.point_oracle_mismatches``, the check ``bench/query_passes.py``
 runs at CH2K (recorded as ``fr_oracle_mismatches``).  Each world should
 run in a process of its own, so that the high-water mark is that world's.
+
+Every record carries the bench's machine-speed kernel (``bench.harness.
+Context.slowdown``, the median of ``SLOWDOWN_WINDOW`` samples) taken before
+the world is generated and after its last query (``machine_slowdown_before``
+/ ``_after``: times slower than the bench's reference machine), so a slow
+minute on the box reads as such rather than as slow code.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 import numpy as np  # noqa: E402
 
 from bench.checks import point_oracle_mismatches  # noqa: E402
+from bench.harness import SLOWDOWN_WINDOW, Context  # noqa: E402
 from bench.worlds import T0, road_inputs  # noqa: E402
 from repro.core.system import PDRServer  # noqa: E402
 
@@ -111,6 +120,14 @@ class _Timer:
         return seconds
 
 
+def _slowdown(ctx: Context) -> float:
+    """How many times slower than the bench's reference machine this one
+    runs now: the median of ``SLOWDOWN_WINDOW`` fresh kernel samples."""
+    for _ in range(SLOWDOWN_WINDOW):
+        slowdown = ctx.slowdown()
+    return round(slowdown, 3)
+
+
 def _median_ms(seconds) -> float:
     return round(1000.0 * statistics.median(seconds), 3)
 
@@ -151,9 +168,13 @@ def _fr_oracle_mismatches(server, results) -> list:
 
 def probe(world: str, check_answers: bool = False) -> dict:
     n = WORLDS[world]
+    ctx = Context("scale_probe", SEED, 0.0, trace=False, scale="full", workdir=ROOT)
+    slowdown_before = _slowdown(ctx)
     t0 = time.perf_counter()
     inputs = road_inputs(n, SEED)
     datagen_s = time.perf_counter() - t0
+    # every report the simulator issued up to the end of the digest window
+    reports_generated = inputs._simulator.reports_issued
     rss_datagen = _status_mb()["VmRSS"]
 
     server = PDRServer(inputs.config, expected_objects=n, tnow=T0)
@@ -198,11 +219,13 @@ def probe(world: str, check_answers: bool = False) -> dict:
         fr["fr_list_peak_mb"] = round(_status_mb()["VmHWM"], 1)
         if check_answers:
             fr["fr_oracle_mismatches"] = _fr_oracle_mismatches(server, results)
+    slowdown_after = _slowdown(ctx)
     return {
         "world": world,
         "n_objects": n,
         "seed": SEED,
         "datagen_s": round(datagen_s, 3),
+        "datagen_us_per_report": round(1e6 * datagen_s / reports_generated, 2),
         "bulk_load_s": round(load_s, 3),
         "bulk_load_dh_s": round(dh_s, 3),
         "bulk_load_pa_s": round(pa_s, 3),
@@ -226,6 +249,8 @@ def probe(world: str, check_answers: bool = False) -> dict:
         "pa_list_ms": round(sum(pa_ms), 2),
         "pa_query_ms_p50": round(statistics.median(pa_ms), 3),
         **fr,
+        "machine_slowdown_before": slowdown_before,
+        "machine_slowdown_after": slowdown_after,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
     }

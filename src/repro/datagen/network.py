@@ -16,6 +16,7 @@ corridors between hubs exactly the way arterial roads concentrate traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,28 +38,57 @@ class Hub:
     radius: float
 
 
+def choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(n, p=p)`` searches, built with its own
+    steps (``p.cumsum()``, then divided by the last entry).
+
+    ``bisect.bisect_right(cdf, rng.random())`` is then the index
+    ``rng.choice(n, p=p)`` would draw, from the same one ``random()`` draw,
+    and ``np.searchsorted(cdf, rng.random(size), side="right")`` the array
+    ``rng.choice(n, size=size, p=p)`` would.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class RoadNetwork:
-    """A lattice road network with hub-weighted intersections."""
+    """A lattice road network with hub-weighted intersections.
+
+    Adjacency is one CSR table: the neighbours of node ``i`` are
+    ``neighbor_ids[neighbor_start[i]:neighbor_start[i + 1]]``, in the order
+    :meth:`greedy_step` breaks ties in.
+    """
 
     def __init__(
         self,
         domain: Rect,
         positions: np.ndarray,
-        neighbors: List[np.ndarray],
+        neighbor_start: np.ndarray,
+        neighbor_ids: np.ndarray,
         weights: np.ndarray,
     ) -> None:
-        if len(positions) != len(neighbors) or len(positions) != len(weights):
-            raise DatagenError("positions, neighbors and weights must align")
+        if len(positions) + 1 != len(neighbor_start) or len(positions) != len(weights):
+            raise DatagenError("positions, neighbor_start and weights must align")
         if len(positions) == 0:
             raise DatagenError("a road network needs at least one node")
         self.domain = domain
         self.positions = positions
-        self.neighbors = neighbors
+        self.neighbor_start = np.asarray(neighbor_start, dtype=np.int64)
+        self.neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)
+        if self.neighbor_start[-1] != len(self.neighbor_ids):
+            raise DatagenError("neighbor_start must end at len(neighbor_ids)")
         self.weights = weights
         total = float(weights.sum())
         if total <= 0:
             raise DatagenError("node weights must have positive mass")
-        self._probabilities = weights / total
+        self._cdf = choice_cdf(weights / total)
+        # Per-event lookups read Python scalars and flat neighbour
+        # coordinates rather than indexing numpy per call.
+        self._xy = [tuple(xy) for xy in positions.tolist()]
+        self._start = self.neighbor_start.tolist()
+        self._neighbor_x = positions[self.neighbor_ids, 0]
+        self._neighbor_y = positions[self.neighbor_ids, 1]
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -68,20 +98,19 @@ class RoadNetwork:
         return len(self.positions)
 
     def node_position(self, node: int) -> Tuple[float, float]:
-        return (float(self.positions[node, 0]), float(self.positions[node, 1]))
-
-    def edge_length(self, a: int, b: int) -> float:
-        return float(np.hypot(*(self.positions[a] - self.positions[b])))
+        return self._xy[node]
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
     def sample_node(self, rng: np.random.Generator) -> int:
-        """A node drawn proportionally to its attraction weight."""
-        return int(rng.choice(self.node_count, p=self._probabilities))
+        """A node drawn proportionally to its attraction weight: the node
+        ``rng.choice(node_count, p=weights / weights.sum())`` draws."""
+        return bisect_right(self._cdf, rng.random())
 
     def sample_nodes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.node_count, size=size, p=self._probabilities)
+        """``size`` draws of :meth:`sample_node`, from the same CDF."""
+        return np.searchsorted(self._cdf, rng.random(size), side="right")
 
     def greedy_step(
         self, current: int, destination: int, rng: np.random.Generator
@@ -94,16 +123,22 @@ class RoadNetwork:
         """
         if current == destination:
             return current
-        nbrs = self.neighbors[current]
-        if len(nbrs) == 0:
+        start, stop = self._start[current], self._start[current + 1]
+        if start == stop:
             return current
-        dest = self.positions[destination]
+        dest_x, dest_y = self._xy[destination]
         dists = np.hypot(
-            self.positions[nbrs, 0] - dest[0], self.positions[nbrs, 1] - dest[1]
-        )
-        best = dists.min()
-        candidates = nbrs[dists <= best + 1e-9]
-        return int(candidates[rng.integers(len(candidates))])
+            self._neighbor_x[start:stop] - dest_x, self._neighbor_y[start:stop] - dest_y
+        ).tolist()
+        limit = min(dists) + 1e-9
+        candidates = [k for k, dist in enumerate(dists) if dist <= limit]
+        if len(candidates) > 1:
+            k = candidates[rng.integers(len(candidates))]
+        else:
+            # rng.integers(1) returns 0 without drawing, so skipping it
+            # leaves the stream where the call would.
+            k = candidates[0]
+        return int(self.neighbor_ids[start + k])
 
     def nearest_node(self, x: float, y: float) -> int:
         d = np.hypot(self.positions[:, 0] - x, self.positions[:, 1] - y)
@@ -152,25 +187,22 @@ def synthetic_metro(
     py = py + rng.uniform(-0.15, 0.15, py.shape) * sy
     positions = np.stack([px.ravel(), py.ravel()], axis=1)
 
-    def node_id(i: int, j: int) -> int:
-        return i * grid_n + j
-
-    neighbors: List[np.ndarray] = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            nbrs = []
-            if i > 0:
-                nbrs.append(node_id(i - 1, j))
-            if i < grid_n - 1:
-                nbrs.append(node_id(i + 1, j))
-            if j > 0:
-                nbrs.append(node_id(i, j - 1))
-            if j < grid_n - 1:
-                nbrs.append(node_id(i, j + 1))
-            neighbors.append(np.asarray(nbrs, dtype=np.int64))
+    # Lattice adjacency in CSR form; each node lists its neighbours in the
+    # order (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1).
+    ids = np.arange(grid_n * grid_n).reshape(grid_n, grid_n)
+    steps = [
+        np.pad(ids[:-1, :], ((1, 0), (0, 0)), constant_values=-1),
+        np.pad(ids[1:, :], ((0, 1), (0, 0)), constant_values=-1),
+        np.pad(ids[:, :-1], ((0, 0), (1, 0)), constant_values=-1),
+        np.pad(ids[:, 1:], ((0, 0), (0, 1)), constant_values=-1),
+    ]
+    table = np.stack([step.ravel() for step in steps], axis=1)
+    present = table >= 0
+    neighbor_start = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    neighbor_ids = table[present]
 
     weights = np.full(len(positions), base_weight)
     for hub in hubs:
         d2 = (positions[:, 0] - hub.x) ** 2 + (positions[:, 1] - hub.y) ** 2
         weights = weights + hub.weight * np.exp(-d2 / (2.0 * hub.radius**2))
-    return RoadNetwork(domain, positions, neighbors, weights)
+    return RoadNetwork(domain, positions, neighbor_start, neighbor_ids, weights)

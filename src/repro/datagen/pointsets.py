@@ -16,6 +16,7 @@ movement model with one line.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +24,16 @@ import numpy as np
 from ..core.errors import DatagenError
 from ..core.geometry import Rect
 from ..motion.table import ObjectTable
+from .network import choice_cdf
 
 __all__ = ["GaussianCluster", "RandomWalkWorkload", "uniform_workload", "clustered_workload"]
+
+
+def _clip(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for one float, signed zeros and
+    NaN included: a value equal to a bound is returned as it is."""
+    value = low if value < low else value
+    return float(high if value > high else value)
 
 
 class GaussianCluster:
@@ -66,8 +75,16 @@ class RandomWalkWorkload:
         self.update_interval = update_interval
         self.clusters = list(clusters) if clusters else []
         self.max_speed = max_speed
+        # Per-report constants: the clamp's upper bounds (the largest
+        # coordinates inside the half-open domain) and the mixture's CDF.
+        self._x_top = float(np.nextafter(domain.x2, -np.inf))
+        self._y_top = float(np.nextafter(domain.y2, -np.inf))
+        if self.clusters:
+            weights = np.array([c.weight for c in self.clusters])
+            self._cluster_cdf = choice_cdf(weights / weights.sum())
         self._rng = np.random.default_rng(seed)
-        self._events: List[Tuple[int, int]] = []
+        # Min-heap of report_time * n_objects + oid (see TripSimulator).
+        self._events: List[int] = []
         self._initialized = False
         self.reports_issued = 0
 
@@ -79,12 +96,9 @@ class RandomWalkWorkload:
                 float(rng.uniform(self.domain.x1, self.domain.x2)),
                 float(rng.uniform(self.domain.y1, self.domain.y2)),
             )
-        weights = np.array([c.weight for c in self.clusters])
-        cluster = self.clusters[int(rng.choice(len(self.clusters), p=weights / weights.sum()))]
-        x = float(np.clip(rng.normal(cluster.x, cluster.sigma),
-                          self.domain.x1, np.nextafter(self.domain.x2, -np.inf)))
-        y = float(np.clip(rng.normal(cluster.y, cluster.sigma),
-                          self.domain.y1, np.nextafter(self.domain.y2, -np.inf)))
+        cluster = self.clusters[bisect_right(self._cluster_cdf, rng.random())]
+        x = _clip(rng.normal(cluster.x, cluster.sigma), self.domain.x1, self._x_top)
+        y = _clip(rng.normal(cluster.y, cluster.sigma), self.domain.y1, self._y_top)
         return x, y
 
     def _sample_velocity(self, x: float, y: float) -> Tuple[float, float]:
@@ -116,7 +130,7 @@ class RandomWalkWorkload:
             table.report(oid, x, y, vx, vy)
             self.reports_issued += 1
             next_t = t0 + 1 + int(rng.integers(self.update_interval))
-            heapq.heappush(self._events, (next_t, oid))
+            heapq.heappush(self._events, next_t * self.n_objects + oid)
         self._initialized = True
 
     def run_until(self, table: ObjectTable, t_end: int) -> None:
@@ -126,18 +140,17 @@ class RandomWalkWorkload:
             raise DatagenError(f"cannot run backwards to {t_end}")
         for t in range(table.tnow + 1, t_end + 1):
             table.advance_to(t)
-            while self._events and self._events[0][0] <= t:
-                _, oid = heapq.heappop(self._events)
+            due = (t + 1) * self.n_objects  # keys of report times <= t
+            while self._events and self._events[0] < due:
+                oid = heapq.heappop(self._events) % self.n_objects
                 motion = table.motion_of(oid)
                 x, y = motion.position_at(t)
-                x = float(np.clip(x, self.domain.x1,
-                                  np.nextafter(self.domain.x2, -np.inf)))
-                y = float(np.clip(y, self.domain.y1,
-                                  np.nextafter(self.domain.y2, -np.inf)))
+                x = _clip(x, self.domain.x1, self._x_top)
+                y = _clip(y, self.domain.y1, self._y_top)
                 vx, vy = self._sample_velocity(x, y)
                 table.report(oid, x, y, vx, vy)
                 self.reports_issued += 1
-                heapq.heappush(self._events, (t + self.update_interval, oid))
+                heapq.heappush(self._events, (t + self.update_interval) * self.n_objects + oid)
 
     def step(self, table: ObjectTable) -> None:
         self.run_until(table, table.tnow + 1)

@@ -15,8 +15,9 @@ miles-per-timestamp with a configurable minutes-per-timestamp scale.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -50,17 +51,45 @@ class SpeedModel:
         return mph * self.minutes_per_timestamp / 60.0
 
 
-@dataclass
-class _ObjectState:
-    """Driving state of one simulated object."""
+class _Leg:
+    """Driving state of one simulated object on its current leg.
 
-    at_node: int  # intersection the current leg departs from
-    to_node: int  # intersection the current leg heads to
-    destination: int
-    speed: float  # miles per timestamp
-    depart_time: float  # (possibly fractional) time the leg started
-    x: float  # position at depart_time
-    y: float
+    The leg's geometry (velocity and arrival time) is computed once, when
+    the leg starts; every report and turn check on the leg reads it.  Each
+    object keeps one ``_Leg`` for the whole run, restarted in place at every
+    turn.
+    """
+
+    __slots__ = ("at_node", "to_node", "destination", "speed", "depart_time",
+                 "x", "y", "vx", "vy", "arrival")
+
+    def start(
+        self,
+        network: RoadNetwork,
+        at_node: int,
+        to_node: int,
+        destination: int,
+        speed: float,
+        depart_time: float,
+    ) -> None:
+        """Begin the leg ``at_node -> to_node`` at ``depart_time``, in place."""
+        self.at_node = at_node  # intersection the leg departs from
+        self.to_node = to_node  # intersection the leg heads to
+        self.destination = destination
+        self.speed = speed  # miles per timestamp
+        self.depart_time = depart_time  # (possibly fractional) start time
+        self.x, self.y = network.node_position(at_node)  # position at depart_time
+        tx, ty = network.node_position(to_node)
+        dx, dy = tx - self.x, ty - self.y
+        length = float(np.hypot(dx, dy))
+        if length <= 0 or speed <= 0:  # parked: no heading, no arrival
+            ux = uy = 0.0
+            self.arrival = math.inf
+        else:
+            ux, uy = dx / length, dy / length
+            self.arrival = depart_time + length / speed
+        self.vx = ux * speed
+        self.vy = uy * speed
 
 
 class TripSimulator:
@@ -83,8 +112,11 @@ class TripSimulator:
         self.update_interval = update_interval
         self.speed_model = speed_model or SpeedModel()
         self._rng = np.random.default_rng(seed)
-        self._states: Dict[int, _ObjectState] = {}
-        self._events: List[Tuple[int, int]] = []  # (report_time, oid) min-heap
+        self._legs: List[_Leg] = []
+        # Min-heap of report_time * n_objects + oid: the (report_time, oid)
+        # order, kept as ints, which compare faster than tuples and which
+        # the garbage collector does not track.
+        self._events: List[int] = []
         self._initialized = False
         self.reports_issued = 0
 
@@ -102,8 +134,9 @@ class TripSimulator:
         t0 = table.tnow
         for oid in range(self.n_objects):
             start = self.network.sample_node(self._rng)
-            state = self._new_leg(start, t0)
-            self._states[oid] = state
+            leg = _Leg()
+            self._new_trip(leg, start, t0)
+            self._legs.append(leg)
             self._report(table, oid, t0)
         self._initialized = True
 
@@ -115,8 +148,9 @@ class TripSimulator:
             raise DatagenError(f"cannot run backwards to {t_end}")
         for t in range(table.tnow + 1, t_end + 1):
             table.advance_to(t)
-            while self._events and self._events[0][0] <= t:
-                _, oid = heapq.heappop(self._events)
+            due = (t + 1) * self.n_objects  # keys of report times <= t
+            while self._events and self._events[0] < due:
+                oid = heapq.heappop(self._events) % self.n_objects
                 self._advance_object(oid, t)
                 self._report(table, oid, t)
 
@@ -127,82 +161,41 @@ class TripSimulator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _new_leg(self, at_node: int, t: float, destination: int = -1) -> _ObjectState:
-        """Start a fresh leg from ``at_node`` at time ``t``."""
-        rng = self._rng
-        if destination < 0 or destination == at_node:
-            destination = self.network.sample_node(rng)
-            while destination == at_node:
-                destination = self.network.sample_node(rng)
-        to_node = self.network.greedy_step(at_node, destination, rng)
-        if to_node == at_node:  # isolated node: park the object
-            to_node = at_node
-        x, y = self.network.node_position(at_node)
-        return _ObjectState(
-            at_node=at_node,
-            to_node=to_node,
-            destination=destination,
-            speed=self.speed_model.sample(rng),
-            depart_time=t,
-            x=x,
-            y=y,
-        )
-
-    def _leg_geometry(self, state: _ObjectState) -> Tuple[float, float, float, float]:
-        """(ux, uy, length, arrival_time) of the current leg."""
-        tx, ty = self.network.node_position(state.to_node)
-        dx, dy = tx - state.x, ty - state.y
-        length = float(np.hypot(dx, dy))
-        if length <= 0 or state.speed <= 0:
-            return (0.0, 0.0, 0.0, float("inf"))
-        ux, uy = dx / length, dy / length
-        arrival = state.depart_time + length / state.speed
-        return (ux, uy, length, arrival)
+    def _new_trip(self, leg: _Leg, at_node: int, t: float) -> None:
+        """Start ``leg`` on a fresh trip from ``at_node`` at time ``t``."""
+        network, rng = self.network, self._rng
+        destination = network.sample_node(rng)
+        while destination == at_node:
+            destination = network.sample_node(rng)
+        to_node = network.greedy_step(at_node, destination, rng)
+        leg.start(network, at_node, to_node, destination, self.speed_model.sample(rng), t)
 
     def _advance_object(self, oid: int, t: int) -> None:
         """Move the object's logical state forward to time ``t``."""
-        state = self._states[oid]
-        while True:
-            ux, uy, length, arrival = self._leg_geometry(state)
-            if arrival > t:
-                break
+        leg = self._legs[oid]
+        while leg.arrival <= t:
             # Arrived at to_node at (fractional) time `arrival`; turn.
-            node = state.to_node
-            if node == state.destination:
-                state = self._new_leg(node, arrival)
+            node = leg.to_node
+            if node == leg.destination:
+                self._new_trip(leg, node, leg.arrival)
             else:
-                nxt = self.network.greedy_step(node, state.destination, self._rng)
-                x, y = self.network.node_position(node)
-                state = _ObjectState(
-                    at_node=node,
-                    to_node=nxt,
-                    destination=state.destination,
-                    speed=state.speed,
-                    depart_time=arrival,
-                    x=x,
-                    y=y,
-                )
-            self._states[oid] = state
-            if state.to_node == state.at_node:
+                nxt = self.network.greedy_step(node, leg.destination, self._rng)
+                leg.start(self.network, node, nxt, leg.destination, leg.speed, leg.arrival)
+            if leg.to_node == leg.at_node:
                 break
 
     def _report(self, table: ObjectTable, oid: int, t: int) -> None:
         """Issue a position report at integer time ``t`` and schedule the next."""
-        state = self._states[oid]
-        ux, uy, length, arrival = self._leg_geometry(state)
-        dt = t - state.depart_time
-        x = state.x + ux * state.speed * dt
-        y = state.y + uy * state.speed * dt
-        vx = ux * state.speed
-        vy = uy * state.speed
-        table.report(oid, x, y, vx, vy)
+        leg = self._legs[oid]
+        dt = t - leg.depart_time
+        table.report(oid, leg.x + leg.vx * dt, leg.y + leg.vy * dt, leg.vx, leg.vy)
         self.reports_issued += 1
         # Next report: when the heading will change (next intersection),
         # capped by the maximum update interval U.
-        if arrival == float("inf"):
+        if leg.arrival == math.inf:
             next_t = t + self.update_interval
         else:
-            next_t = min(int(np.ceil(arrival)), t + self.update_interval)
+            next_t = min(math.ceil(leg.arrival), t + self.update_interval)
             if next_t <= t:
                 next_t = t + 1
-        heapq.heappush(self._events, (next_t, oid))
+        heapq.heappush(self._events, next_t * self.n_objects + oid)

@@ -10,6 +10,7 @@ from repro.core.geometry import Rect
 from repro.datagen.pointsets import (
     GaussianCluster,
     RandomWalkWorkload,
+    _clip,
     clustered_workload,
     uniform_workload,
 )
@@ -93,6 +94,21 @@ class TestBehaviour:
         for oid in range(30):
             a, b = t1.motion_of(oid), t2.motion_of(oid)
             assert (a.x, a.y, a.vx, a.vy) == (b.x, b.y, b.vx, b.vy)
+
+
+def test_scalar_clip_is_np_clip():
+    """The walkers' scalar clamp returns np.clip's float, repr for repr:
+    a value equal to a bound (a signed zero included) comes back as it is,
+    and NaN stays NaN."""
+    top = float(np.nextafter(100.0, -np.inf))
+    values = [-0.0, 0.0, 1.0, -1.0, 50.0, 100.0, top, 1e-300, -1e-300,
+              float("inf"), float("-inf"), float("nan")]
+    bounds = [-0.0, 0.0, -1.0, 1e-300, 100.0, top]
+    for value in values:
+        for low in bounds:
+            for high in bounds:
+                want = float(np.clip(value, low, high))
+                assert repr(_clip(value, low, high)) == repr(want), (value, low, high)
 
 
 class TestEndToEndWithServer:
