@@ -11,7 +11,8 @@ with no WAL:
 
 1. bulk-loads its tick-``T0`` state into an empty server in one
    ``report_batch``, timing the two ring listeners (``dh_s``, ``pa_s``) by
-   wrapping their ``on_report_batch``; the remainder of the load is the
+   wrapping their ``on_report_batch`` and counting the load's minor page
+   faults (``bulk_load_minflt``); the remainder of the load is the
    TPR-tree and the object table;
 2. reads the process's resident set after the load and its high-water mark
    (``VmRSS`` / ``VmHWM`` from ``/proc/self/status``), and the bytes the DH
@@ -20,26 +21,33 @@ with no WAL:
    advance (whose DH and PA share is the materialisation of the slot
    entering their window), the two listeners' report work, and the minor
    page faults (``ru_minflt``);
-4. runs the world's PA query list and, up to CH50K, its FR query list with
-   the median of each FR stage (filter, fuse, fetch, sweep, merge), the
-   Y-events the sweep expanded per X-segment, and per query the objects
-   the index returned (``fr_objects_examined``) and the object-band pairs
-   the sweep received (``fr_refine_objects``), after the write path's peak
-   is read (the FR list's own high-water mark is ``fr_list_peak_mb``).
-   Past CH50K the FR list is not run: its sweep is still quadratic
-   (ROADMAP item 2).
+4. runs the world's PA query list and its FR query list with the median
+   of each FR stage (filter, fuse, fetch, sweep, merge), the Y-events the
+   sweep expanded per X-segment, and per query the objects the index
+   returned (``fr_objects_examined``) and the object-band pairs the sweep
+   received (``fr_refine_objects``), after the write path's peak is read
+   (the FR list's own high-water mark is ``fr_list_peak_mb``, its run time
+   ``fr_list_s``);
+5. re-runs the FR list's heaviest query (the most Y-events) under
+   tracemalloc, for the most its fetch and its sweep each allocate above
+   what they start from (``fr_fetch_peak_mb``, ``fr_sweep_peak_mb``).
 
 It prints one JSON record; ``--out`` stores it under the world's name in a
 JSON file (other worlds' records are kept).  ``--check`` exits 1 when the
 peak exceeds twice the resident set after the load (whole-table waves must
 stream through the listeners in bounded passes, not hold grids in
-proportion to the table); for worlds of 10 000 objects or more, when the
-server holds more than ``RSS_BYTES_PER_OBJECT_LIMIT`` per object after the
-load (below that size the fixed rings dominate the figure); or when one of
-the FR list's first three answers misclassifies a probe point of
+proportion to the table); when the FR list's high-water mark exceeds
+``FR_PEAK_OVER_WRITE_LIMIT`` times the write path's (the sweep expands its
+events in budgeted runs); when a tick takes more than
+``TICK_MINFLT_LIMIT`` minor faults at the median (a pass reuses its
+working set); for worlds of 10 000 objects or more, when the server holds
+more than ``RSS_BYTES_PER_OBJECT_LIMIT`` per object after the load (below
+that size the fixed rings dominate the figure); or when one of the FR
+list's first three answers misclassifies a probe point of
 ``bench.checks.point_oracle_mismatches``, the check ``bench/query_passes.py``
 runs at CH2K (recorded as ``fr_oracle_mismatches``).  Each world should
-run in a process of its own, so that the high-water mark is that world's.
+run in a process of its own, so that the high-water mark and the page
+faults are that world's.
 
 Every record carries the bench's machine-speed kernel (``bench.harness.
 Context.slowdown``, the median of ``SLOWDOWN_WINDOW`` samples) taken before
@@ -58,6 +66,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from typing import Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,6 +78,7 @@ from bench.checks import point_oracle_mismatches  # noqa: E402
 from bench.harness import SLOWDOWN_WINDOW, Context  # noqa: E402
 from bench.worlds import T0, road_inputs  # noqa: E402
 from repro.core.system import PDRServer  # noqa: E402
+from repro.methods import fr as fr_module  # noqa: E402
 
 WORLDS = {"CH2K": 2_000, "CH10K": 10_000, "CH50K": 50_000, "CH100K": 100_000,
           "CH500K": 500_000}
@@ -80,7 +90,13 @@ PEAK_OVER_LOAD_LIMIT = 2.0
 # rings (4 235 B with the H + 1 slot rings before them).
 RSS_BYTES_PER_OBJECT_LIMIT = 3_000
 RSS_GATE_MIN_OBJECTS = 10_000
-FR_MAX_OBJECTS = 50_000
+# The FR list's high-water mark over the write path's: the sweep's runs and
+# the fetch hold a few MB beside the server (CH50K read 5.7x with the sweep
+# expanding all of a query's events at once).
+FR_PEAK_OVER_WRITE_LIMIT = 1.5
+# Minor faults of a median tick: a pass that reuses its working set faults
+# none (CH10K read 5 190 and CH50K 17 029 when passes took fresh memory).
+TICK_MINFLT_LIMIT = 100
 FR_STAGES = ("filter", "fuse", "fetch", "sweep", "merge")
 # FR answers of the list checked against the point oracle under --check,
 # with as many probe points each as bench/query_passes.py uses at CH2K.
@@ -157,6 +173,37 @@ def _fr_list(server, inputs) -> Tuple[dict, list]:
     return record, results
 
 
+def _fr_stage_peaks(server, inputs, results) -> dict:
+    """The most FR's fetch and its sweep each allocate above what they
+    start from (tracemalloc, MB), re-running the list's heaviest query."""
+    extras = [result.stats.extra for result in results]
+    heaviest = max(range(len(extras)), key=lambda i: extras[i].get("refine_events", 0.0))
+    l, varrho, offset = inputs.fr_queries[heaviest]
+    peaks = {"fetch": 0, "sweep": 0}
+
+    def traced(stage, call):
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return call(*args, **kwargs)
+            finally:
+                peaks[stage] = max(peaks[stage], tracemalloc.get_traced_memory()[1] - start)
+        return run
+
+    fetch, sweep = server.tree.range_positions_batch, fr_module.refine_bands
+    server.tree.range_positions_batch = traced("fetch", fetch)
+    fr_module.refine_bands = traced("sweep", sweep)
+    tracemalloc.start()
+    try:
+        server.query("fr", qt=server.tnow + offset, l=l, varrho=varrho)
+    finally:
+        tracemalloc.stop()
+        del server.tree.range_positions_batch
+        fr_module.refine_bands = sweep
+    return {f"fr_{stage}_peak_mb": round(peak / 2**20, 1) for stage, peak in peaks.items()}
+
+
 def _fr_oracle_mismatches(server, results) -> list:
     """Probe points misclassified by each of the first ``ORACLE_QUERIES``
     FR answers, counted against Definition 1-3 directly."""
@@ -182,9 +229,11 @@ def probe(world: str, check_answers: bool = False) -> dict:
     dh_entry, pa_entry = (
         _Timer(server.histogram, "on_advance"), _Timer(server.pa, "on_advance")
     )
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     server.report_batch(inputs.state)
     load_s = time.perf_counter() - t0
+    load_minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
     dh_s, pa_s = dh_timer.take(), pa_timer.take()
     rss_load = _status_mb()["VmRSS"]
 
@@ -213,12 +262,13 @@ def probe(world: str, check_answers: bool = False) -> dict:
         pa_ms.append(1000.0 * (time.perf_counter() - t0))
 
     status = _status_mb()
-    fr = {}
-    if n <= FR_MAX_OBJECTS:
-        fr, results = _fr_list(server, inputs)
-        fr["fr_list_peak_mb"] = round(_status_mb()["VmHWM"], 1)
-        if check_answers:
-            fr["fr_oracle_mismatches"] = _fr_oracle_mismatches(server, results)
+    t0 = time.perf_counter()
+    fr, results = _fr_list(server, inputs)
+    fr["fr_list_s"] = round(time.perf_counter() - t0, 3)
+    fr["fr_list_peak_mb"] = round(_status_mb()["VmHWM"], 1)
+    fr.update(_fr_stage_peaks(server, inputs, results))
+    if check_answers:
+        fr["fr_oracle_mismatches"] = _fr_oracle_mismatches(server, results)
     slowdown_after = _slowdown(ctx)
     return {
         "world": world,
@@ -230,6 +280,7 @@ def probe(world: str, check_answers: bool = False) -> dict:
         "bulk_load_dh_s": round(dh_s, 3),
         "bulk_load_pa_s": round(pa_s, 3),
         "bulk_load_tpr_and_table_s": round(load_s - dh_s - pa_s, 3),
+        "bulk_load_minflt": load_minflt,
         "rss_after_datagen_mb": round(rss_datagen, 1),
         "rss_after_load_mb": round(rss_load, 1),
         "server_rss_bytes_per_object": round((rss_load - rss_datagen) * 2**20 / n),
@@ -261,6 +312,8 @@ def main() -> int:
     parser.add_argument("--world", choices=sorted(WORLDS, key=WORLDS.get), required=True)
     parser.add_argument("--check", action="store_true",
                         help=f"exit 1 if peak > {PEAK_OVER_LOAD_LIMIT:g} x RSS after the load, "
+                        f"the FR list's peak > {FR_PEAK_OVER_WRITE_LIMIT:g} x the write path's, "
+                        f"a median tick takes > {TICK_MINFLT_LIMIT} minor faults, "
                         f"(from {RSS_GATE_MIN_OBJECTS} objects) the server holds more than "
                         f"{RSS_BYTES_PER_OBJECT_LIMIT} B per object, or one of the first "
                         f"{ORACLE_QUERIES} FR answers disagrees with the point oracle")
@@ -286,6 +339,15 @@ def main() -> int:
         print(f"scale probe {args.world}: peak {record['peak_mb']} MB is more than "
               f"{PEAK_OVER_LOAD_LIMIT:g} x the {record['rss_after_load_mb']} MB held after "
               "the bulk load", file=sys.stderr)
+        failed = True
+    if record["fr_list_peak_mb"] > FR_PEAK_OVER_WRITE_LIMIT * record["peak_mb"]:
+        print(f"scale probe {args.world}: the FR list's peak {record['fr_list_peak_mb']} MB is "
+              f"more than {FR_PEAK_OVER_WRITE_LIMIT:g} x the write path's {record['peak_mb']} MB",
+              file=sys.stderr)
+        failed = True
+    if record["tick_minflt_p50"] > TICK_MINFLT_LIMIT:
+        print(f"scale probe {args.world}: a median tick takes {record['tick_minflt_p50']} minor "
+              f"page faults, more than {TICK_MINFLT_LIMIT}", file=sys.stderr)
         failed = True
     wrong = record.get("fr_oracle_mismatches", [])
     if any(wrong):

@@ -27,7 +27,9 @@ import numpy as np
 
 from ..core.errors import HorizonError, InvalidParameterError
 from ..core.geometry import Rect
-from ..motion.updates import Columns, UpdateListener, Wave, entering_slots, ring_window
+from ..motion.updates import (
+    Columns, UpdateListener, Wave, entering_slots, ring_window, workspace,
+)
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 
@@ -231,7 +233,8 @@ class DensityHistogram(UpdateListener):
         """Add ``sign[i]`` to the cell motion ``i`` occupies at ``ts[j]`` in
         the ``(slots, m, m)`` C-contiguous ``ring``'s slot ``slot[j]``, for
         every timestamp its prediction window covers, one
-        :meth:`Columns.passes` run at a time.
+        :meth:`Columns.passes` run at a time, every pass's grids in a frame
+        of this thread's :func:`~repro.motion.updates.workspace`.
 
         Counter increments are integers, so the accumulation is exactly the
         per-motion result in any order and however the motions are cut; the
@@ -239,20 +242,38 @@ class DensityHistogram(UpdateListener):
         :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
         """
         flat = ring.reshape(-1)
-        slot = slot[None, :]
+        work = workspace()
         for rows, part in motions.passes(ts.shape[0]):
-            xs, ys = part.trajectory(ts)
-            covered = part.covering(ts, self.horizon)
-            ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
-            iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
-            hit = covered & (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
-            # One flat index into the C-contiguous ring and int32 values:
-            # numpy's typed 1-D ufunc.at loop.  A tuple index or a Python-int
-            # value takes its casting path instead, an order of magnitude
-            # slower.
-            cell = (slot * self.m + ix) * self.m + iy
-            values = np.broadcast_to(sign[rows, None], hit.shape)[hit]
-            np.add.at(flat, cell[hit], values)
+            with work.frame():
+                shape = (len(part), ts.shape[0])
+                xs, ys = part.trajectory(ts, out=(work(shape), work(shape)))
+                hit = part.covering(ts, self.horizon, out=work(shape, bool))
+                ix, iy = work(shape, np.int64), work(shape, np.int64)
+                for pos, origin, edge, index in (
+                    (xs, self.domain.x1, self.cell_edge, ix),
+                    (ys, self.domain.y1, self.cell_edge_y, iy),
+                ):
+                    # floor((pos - origin) / edge) as int64
+                    np.floor(np.divide(np.subtract(pos, origin, out=pos), edge, out=pos), out=pos)
+                    np.copyto(index, pos, casting="unsafe")
+                    hit &= index >= 0
+                    hit &= index < self.m
+                # One flat index into the C-contiguous ring and int32 values:
+                # numpy's typed 1-D ufunc.at loop.  A tuple index or a
+                # Python-int value takes its casting path instead, an order
+                # of magnitude slower.  A miss adds 0 to cell 0 (exact for
+                # integers), so the pass compacts nothing and allocates no
+                # index.
+                cell = np.multiply(slot[None, :], self.m, out=work(shape, np.int64))
+                cell += ix
+                cell *= self.m
+                cell += iy
+                values = work(shape, np.int32)
+                values[...] = sign[rows, None]
+                miss = ~hit
+                cell[miss] = 0
+                values[miss] = 0
+                np.add.at(flat, cell.reshape(-1), values.reshape(-1))
 
     # ------------------------------------------------------------------
     # reads

@@ -45,6 +45,7 @@ from ..core.errors import (
     StorageError,
     WALWriteError,
 )
+from ..motion.updates import workspace
 from ..telemetry import instruments as tm
 from .faults import FaultInjector, InjectedCrashError, InjectedShortWrite
 from .lockfile import acquire_state_dir_lock
@@ -606,14 +607,19 @@ def live_in_domain_counts(motions, qts: np.ndarray, horizon: int, domain) -> np.
     """How many of ``motions`` are inside their own prediction window and
     inside the (half-open) domain at each timestamp of ``qts``.
 
-    Counted over :meth:`~repro.motion.updates.Columns.passes` runs, so the
-    trajectory grids never span the whole table."""
+    Counted over :meth:`~repro.motion.updates.Columns.passes` runs whose
+    grids come from this thread's :func:`~repro.motion.updates.workspace`,
+    so they never span the whole table and take no fresh pages."""
     counts = np.zeros(qts.shape[0], dtype=np.int64)
+    work = workspace()
     for _, part in motions.passes(qts.shape[0]):
-        counted = part.covering(qts, horizon) & domain.contains_points(
-            *part.trajectory(qts)
-        )
-        counts += counted.sum(axis=0)
+        shape = (len(part), qts.shape[0])
+        with work.frame():
+            counted = part.covering(qts, horizon, out=work(shape, bool))
+            counted &= domain.contains_points(
+                *part.trajectory(qts, out=(work(shape), work(shape)))
+            )
+            counts += counted.sum(axis=0)
     return counts
 
 

@@ -35,7 +35,12 @@ objects.  This module refines an entire batch of such **bands** in one pass:
   the only thing expanded per segment.  The event coordinates are ranked
   once per band, an expanded event is one int64 ``(segment, rank, sign)``,
   and sorting those values is the whole sweep order: running counts and
-  dense runs are flat passes over the sorted keys.
+  dense runs are flat passes over the sorted keys;
+* the segments are expanded and swept in consecutive runs of at most
+  :data:`RUN_EVENTS` keys, so the sweep's working set is bounded whatever
+  the world's size.  A segment's sweep restarts at its low edge and the
+  emission is segment-major, so the runs' rectangles, concatenated in
+  order, are the emission of one run.
 
 Equality with the oracle.  Each strip's breakpoint set equals
 ``refine_cell``'s (the same float events restricted to the same strict
@@ -65,10 +70,18 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-__all__ = ["BandBatch", "BandBatchResult", "refine_bands"]
+from ..motion.updates import PASS_JOB_SLOTS
+
+__all__ = ["BandBatch", "BandBatchResult", "refine_bands", "RUN_EVENTS"]
 
 # Dense test: integer count vs float rho*l^2 — nudge so equality means dense.
 _THRESHOLD_EPS = 1e-9
+
+# Phase B's working-set budget, in expanded keys (Y-events plus a low edge
+# per segment): the write passes' one budget, scaled so that a run holds
+# ~6 MB at any world size (~100 bytes of temporaries a key).  A CH2K query
+# (at most ~41 000 keys) is one run.
+RUN_EVENTS = 16 * PASS_JOB_SLOTS
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
@@ -168,15 +181,45 @@ def _sort_pairs(
     return order, values, distinct
 
 
-def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResult:
-    """Refine every band of ``batch``; see the module docstring for the math."""
-    half = l / 2.0
-    threshold = min_count - _THRESHOLD_EPS
+class _Segments(NamedTuple):
+    """Phase A's output: the objects that can reach their band, in (band,
+    x) order (``obj_band``, ``ys``), and every X-segment's band, x-extent,
+    first active object and active count."""
+
+    obj_band: np.ndarray
+    ys: np.ndarray
+    band: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    first_active: np.ndarray
+    count: np.ndarray
+
+
+def _strip_counts(
+    obj_band: np.ndarray, stops: np.ndarray, batch: BandBatch
+) -> Tuple[np.ndarray, ...]:
+    """``(entered, expired, n_enter, n_exit)`` per strip: at a strip's left
+    end this many of the flat (band, x)-order have entered and this many
+    have expired; its breakpoints are the enters and the exits strictly
+    inside (x1, x2), two ranges of ``stops`` (every enter, then every
+    exit)."""
+    n_obj = obj_band.size
+    enters = _band_keys(obj_band, stops[:n_obj])
+    exits = _band_keys(obj_band, stops[n_obj:])
+    strip_lo = _band_keys(batch.strip_band, batch.strip_x1)
+    strip_hi = _band_keys(batch.strip_band, batch.strip_x2)
+    entered = np.searchsorted(enters, strip_lo, side="right")
+    expired = np.searchsorted(exits, strip_lo, side="right")
+    n_enter = np.searchsorted(enters, strip_hi, side="left") - entered
+    n_exit = np.searchsorted(exits, strip_hi, side="left") - expired
+    return entered, expired, n_enter, n_exit
+
+
+def _segments(batch: BandBatch, half: float) -> _Segments:
+    """Phase A: segment construction, all bands at once."""
     y1, y2 = batch.y1, batch.y2
     x1s, x2s, strip_band = batch.strip_x1, batch.strip_x2, batch.strip_band
     n_bands, n_strips = y1.size, x1s.size
-
-    # ---------------- phase A: segment construction, all bands at once ------
     # Only objects whose y-range can overlap their band matter (the band's
     # y-extent is shared by every strip); exactness comes from the Y-sweep.
     obj_band = np.repeat(np.arange(n_bands), np.diff(batch.offsets))
@@ -190,17 +233,7 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     ys = batch.py[keep][order]
     n_obj = xs.size
     stops = np.concatenate([xs - half, xs + half])
-    enters = _band_keys(obj_band, stops[:n_obj])
-    exits = _band_keys(obj_band, stops[n_obj:])
-    strip_lo = _band_keys(strip_band, x1s)
-    strip_hi = _band_keys(strip_band, x2s)
-    # At a strip's left end this many of the flat x-order have entered and
-    # this many have expired; its breakpoints are the enters and the exits
-    # strictly inside (x1, x2), two ranges of ``stops``.
-    entered = np.searchsorted(enters, strip_lo, side="right")
-    expired = np.searchsorted(exits, strip_lo, side="right")
-    n_enter = np.searchsorted(enters, strip_hi, side="left") - entered
-    n_exit = np.searchsorted(exits, strip_hi, side="left") - expired
+    entered, expired, n_enter, n_exit = _strip_counts(obj_band, stops, batch)
     # Expand the ranges (all enters, then all exits), add each strip's own
     # left end — it lies below its stops — and sort by (strip, x): every
     # distinct pair is the left edge of one segment.
@@ -212,12 +245,10 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
         stop_strip, np.concatenate([stops[stop_idx], x1s]), n_strips
     )
     seg_first = np.flatnonzero(new_seg)
-    segments_total = seg_first.size
     strip_of = stop_strip[order[seg_first]]
-    seg_band = strip_band[strip_of]
     x_lo = stop_x[seg_first]
     # A segment runs to the next one's left edge, a strip's last one to x2.
-    x_hi = np.empty(segments_total, dtype=float)
+    x_hi = np.empty(seg_first.size, dtype=float)
     x_hi[:-1] = x_lo[1:]
     x_hi[_last_of_run(strip_of)] = x2s
     # Active at a left edge e: enter <= e < exit.  In the band's x-order the
@@ -232,23 +263,28 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     )
     stops_seen = seg_end - 1 - _prefix_counts(n_enter + n_exit + 1)[strip_of]
     first_active = expired[strip_of] + stops_seen - enters_seen
-    cnt = entered[strip_of] + enters_seen - first_active
+    count = entered[strip_of] + enters_seen - first_active
+    return _Segments(obj_band, ys, strip_band[strip_of], x_lo, x_hi, first_active, count)
 
-    # Empty segments are emitted full-height (only when the threshold is <= 0);
-    # the global segment index is the emission-order key.
-    full = np.flatnonzero(cnt == 0) if threshold <= 0 else _EMPTY_I
-    # Sweep-eligible segments: the active count may clear the threshold.
-    eligible = np.flatnonzero((cnt > 0) & (cnt >= threshold))
 
-    # ---------------- phase B: flat segmented Y-sweep ----------------
-    # What an object does to a Y-sweep of its band — is it active at the low
-    # edge, does it enter inside, does it exit inside — does not depend on
-    # the segment: ask once per (band, object).
+def _event_codes(
+    obj_band: np.ndarray, ys: np.ndarray, y1: np.ndarray, y2: np.ndarray, half: float
+) -> Tuple[np.ndarray, ...]:
+    """Phase B's per-(band, object) step: ``(active_below, enters_below,
+    events_below, code, low_edge, coord_of_rank)``.
+
+    What an object does to a Y-sweep of its band — is it active at the low
+    edge, does it enter inside, does it exit inside — does not depend on the
+    segment: it is asked once per (band, object), and prefix sums over the
+    x-order count it for any range of objects.  ``code`` is every event's
+    ``(rank << 1) | is_enter``, the event list object-major, enter before
+    exit; ``low_edge`` the same for each band's low edge;
+    ``coord_of_rank`` the doubles by rank."""
+    n_bands = y1.size
     coords = np.column_stack([ys - half, ys + half])
     lo_of_obj = y1[obj_band]
     active_below = _prefix_counts((coords[:, 0] <= lo_of_obj) & (coords[:, 1] > lo_of_obj))
-    # Events strictly inside (lo, hi): +1 at an enter, -1 at an exit.  The
-    # event list is object-major (x-ordered per band), enter before exit.
+    # Events strictly inside (lo, hi): +1 at an enter, -1 at an exit.
     inside = (lo_of_obj[:, None] < coords) & (coords < y2[obj_band][:, None])
     enters_below = _prefix_counts(inside[:, 0])
     events_below = _prefix_counts(inside.ravel())[::2]
@@ -262,18 +298,32 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
         np.concatenate([coords.ravel()[event], y1]),
         n_bands,
     )
-    coord_of_rank = coord[distinct]
     # (rank << 1) | is_enter, per event and then per band's low edge.
     code = np.empty(order.size, dtype=np.int64)
     code[order] = (np.cumsum(distinct) - 1) << 1
     code[: event.size] |= ~event & 1
+    return (
+        active_below, enters_below, events_below,
+        code[: event.size], code[event.size :], coord[distinct],
+    )
 
+
+def _undecided(
+    seg: _Segments, eligible: np.ndarray, y1: np.ndarray, y2: np.ndarray, half: float,
+    threshold: float,
+) -> Tuple[np.ndarray, ...]:
+    """The segments of ``eligible`` the bracket leaves undecided, with what
+    their sweep needs: ``(eligible, first_event, per_seg, count_lo,
+    count_hi, low_edge, code, coord_of_rank)``."""
+    active_below, enters_below, events_below, code, band_code, coord_of_rank = _event_codes(
+        seg.obj_band, seg.ys, y1, y2, half
+    )
     # A segment's active objects are a range [a, b) of the flat x-order, so
     # its counts at the low and at the high edge are differences of prefix
     # sums and its events are one range of the event list — the only thing
     # expanded per segment.
-    a = first_active[eligible]
-    b = a + cnt[eligible]
+    a = seg.first_active[eligible]
+    b = a + seg.count[eligible]
     count_lo = active_below[b] - active_below[a]
     per_seg = events_below[b] - events_below[a]
     enters_in = enters_below[b] - enters_below[a]
@@ -293,7 +343,88 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     per_seg[whole] = 0
     enters_in[whole] = 0
     count_hi = count_lo + 2 * enters_in - per_seg
-    owner, event_idx = _ranges(events_below[a], per_seg)
+    low_edge = band_code[seg.band[eligible]]
+    return (
+        eligible, events_below[a], per_seg, count_lo, count_hi, low_edge, code, coord_of_rank,
+    )
+
+
+def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResult:
+    """Refine every band of ``batch``; see the module docstring for the math.
+
+    Each step is a function of its own, so what one step builds and the
+    next does not read is freed before the next runs."""
+    half = l / 2.0
+    threshold = min_count - _THRESHOLD_EPS
+    y1, y2 = batch.y1, batch.y2
+
+    # ---------------- phase A: segment construction, all bands at once ------
+    seg = _segments(batch, half)
+    # Empty segments are emitted full-height (only when the threshold is <= 0);
+    # the global segment index is the emission-order key.
+    full = np.flatnonzero(seg.count == 0) if threshold <= 0 else _EMPTY_I
+    # Sweep-eligible segments: the active count may clear the threshold.
+    eligible = np.flatnonzero((seg.count > 0) & (seg.count >= threshold))
+
+    # ---------------- phase B: flat segmented Y-sweep ----------------
+    eligible, first_event, per_seg, count_lo, count_hi, low_edge, code, coord_of_rank = (
+        _undecided(seg, eligible, y1, y2, half, threshold)
+    )
+    # Expand and sweep the segments in consecutive runs of at most
+    # RUN_EVENTS keys (a segment's events plus its low edge), a segment over
+    # budget alone.  A segment's sweep restarts at its low edge, so a run may
+    # end after any segment; emission is segment-major, so the runs'
+    # rectangles concatenated in order are the one-run emission.
+    ends = _run_ends(per_seg + 1, RUN_EVENTS)
+    parts = [
+        _sweep_run(
+            eligible[run], first_event[run], per_seg[run], count_lo[run], count_hi[run],
+            low_edge[run], code, coord_of_rank, seg, y2, threshold,
+        )
+        for run in (slice(start, end) for start, end in zip(np.append(0, ends[:-1]), ends))
+    ]
+    bounds = np.concatenate([part[0] for part in parts]) if parts else np.empty((0, 4))
+    gid = np.concatenate([part[1] for part in parts]) if parts else _EMPTY_I
+
+    # ---------------- phase C: merge with full-height emissions ----------------
+    # Canonical emission order is segment-major (which encodes band and strip
+    # order), y ascending within a segment; the swept rows already are.
+    if full.size:
+        full_band = seg.band[full]
+        bounds = np.concatenate(
+            [
+                bounds,
+                np.column_stack([seg.x_lo[full], y1[full_band], seg.x_hi[full], y2[full_band]]),
+            ]
+        )
+        gid = np.concatenate([gid, full])
+        order = np.lexsort((bounds[:, 1], gid))
+        bounds, gid = bounds[order], gid[order]
+    return BandBatchResult(bounds, seg.band[gid], seg.count.size, int(per_seg.sum()))
+
+
+def _run_ends(keys: np.ndarray, budget: int) -> np.ndarray:
+    """Where consecutive runs of ``keys`` end: greedy runs of total at most
+    ``budget``, a single item over budget a run of its own."""
+    total = np.cumsum(keys)
+    ends, start = [], 0
+    while start < total.size:
+        before = total[start - 1] if start else 0
+        start = max(int(np.searchsorted(total, before + budget, side="right")), start + 1)
+        ends.append(start)
+    return np.array(ends, dtype=np.int64)
+
+
+def _sweep_run(
+    eligible, first_event, per_seg, count_lo, count_hi, low_edge,
+    code, coord_of_rank, seg: _Segments, y2, threshold,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase B's Y-sweep of the segments ``eligible`` (global indices):
+    their dense ``(R, 4)`` rectangles, segment-major, and each one's
+    segment.  Segment ``i``'s events are ``code[first_event[i]:][:per_seg[i]]``,
+    its counts at the band's low and high edges ``count_lo[i]`` and
+    ``count_hi[i]``, its low edge's code ``low_edge[i]``."""
+    owner, event_idx = _ranges(first_event, per_seg)
     # One int64 per event, (((segment << bits) | rank) << 1) | is_enter:
     # sorting the values sorts by (segment, coordinate), nothing rides along.
     bits = int(coord_of_rank.size).bit_length()
@@ -302,7 +433,6 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
             f"{eligible.size} segments x {coord_of_rank.size} event coordinates "
             "do not fit an int64 key"
         )
-    low_edge = code[event.size + seg_band[eligible]]
     keys = np.concatenate([owner, np.arange(eligible.size)]) << (bits + 1)
     keys |= np.concatenate([code[event_idx], low_edge])
     keys.sort()
@@ -335,25 +465,10 @@ def refine_bands(batch: BandBatch, l: float, min_count: float) -> BandBatchResul
     rank_of = (1 << bits) - 1
     top = np.where(
         seg_last[e_idx],
-        y2[seg_band[gid]],
+        y2[seg.band[gid]],
         coord_of_rank[group[np.minimum(e_idx + 1, group.size - 1)] & rank_of],
     )
     bounds = np.column_stack(
-        [x_lo[gid], coord_of_rank[group[s_idx] & rank_of], x_hi[gid], top]
+        [seg.x_lo[gid], coord_of_rank[group[s_idx] & rank_of], seg.x_hi[gid], top]
     )
-
-    # ---------------- phase C: merge with full-height emissions ----------------
-    # Canonical emission order is segment-major (which encodes band and strip
-    # order), y ascending within a segment; the swept rows already are.
-    if full.size:
-        full_band = seg_band[full]
-        bounds = np.concatenate(
-            [
-                bounds,
-                np.column_stack([x_lo[full], y1[full_band], x_hi[full], y2[full_band]]),
-            ]
-        )
-        gid = np.concatenate([gid, full])
-        order = np.lexsort((bounds[:, 1], gid))
-        bounds, gid = bounds[order], gid[order]
-    return BandBatchResult(bounds, seg_band[gid], segments_total, event_idx.size)
+    return bounds, gid

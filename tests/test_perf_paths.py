@@ -44,6 +44,7 @@ from repro.reliability.recovery import UpdateLog
 from repro.reliability.statedir import scan_segment
 from repro.reliability.validation import ReliabilityConfig
 from repro.storage.buffer import BufferPool
+from repro.sweep import band_sweep
 from repro.sweep.band_sweep import BandBatch, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
@@ -414,6 +415,90 @@ def test_band_kernel_matches_bruteforce_on_ties(points, l, count, mask_bits):
     want = bruteforce_pdr(inside, domain, query).regions
     got = RegionSet.from_bounds(result.bounds)
     assert got.symmetric_difference_area(want) == 0.0
+
+
+# ----------------------------------------------------------------------
+# phase B in budgeted runs: the same bounds, the same work counters
+# ----------------------------------------------------------------------
+UNBUDGETED = 1 << 62
+
+
+def _refine_with_budget(budget, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(band_sweep, "RUN_EVENTS", budget)
+        return refine_bands(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), budget=st.sampled_from([1, 2, 7]))
+def test_budgeted_runs_match_the_per_strip_oracle(seed, budget):
+    """A budget of one key runs every segment alone; 2 and 7 cut runs
+    between segments of one strip and across strips and bands."""
+    bands, l, min_count, oracle = _random_band_case(seed)
+    batch = _batch(bands)
+    whole = _refine_with_budget(UNBUDGETED, batch, l, min_count)
+    runs = _refine_with_budget(budget, batch, l, min_count)
+    assert _bounds(runs) == oracle
+    assert np.array_equal(runs.bounds, whole.bounds)
+    assert np.array_equal(runs.band_of_rect, whole.band_of_rect)
+    assert (runs.segments, runs.events) == (whole.segments, whole.events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.tuples(tie_coord, tie_coord), max_size=40),
+    l=st.sampled_from([2.0, 3.0, 4.0, 6.0]),
+    count=st.integers(0, 5),
+)
+def test_one_segment_runs_are_bruteforce_exact_on_ties(points, l, count):
+    """Every row of the tie lattice one band of one strip, each segment its
+    own run: the sequential per-strip oracle's bounds, and brute force's
+    point set exactly."""
+    domain = Rect(0.0, 0.0, _TIE_SIDE, _TIE_SIDE)
+    query = SnapshotPDRQuery(rho=count / (l * l), l=l, qt=0)
+    inside = [p for p in points if domain.contains_point(*p)]
+    xs, ys = [p[0] for p in inside], [p[1] for p in inside]
+    bands = [
+        (j * _TIE_CELL, (j + 1) * _TIE_CELL, [0.0], [_TIE_SIDE], xs, ys)
+        for j in range(_TIE_M)
+    ]
+    result = _refine_with_budget(1, _batch(bands), l, query.min_count)
+    assert _bounds(result) == _per_strip_oracle(bands, l, query.min_count)
+    want = bruteforce_pdr(inside, domain, query).regions
+    assert RegionSet.from_bounds(result.bounds).symmetric_difference_area(want) == 0.0
+
+
+def _counters(result):
+    extra = result.stats.extra
+    return extra["refine_segments"], extra["refine_events"], result.stats.objects_examined
+
+
+def test_budgeted_fr_answers_equal_the_one_run_kernel(road_world, fr_world):
+    """The ten benchmark query shapes on the road world, and one interval
+    query: bounds ``==`` and the same work counters whether phase B runs
+    in one run or in runs of a few segments."""
+    server = road_world
+    window = server.config.prediction_window
+    queries = [
+        server.make_query(qt=server.tnow + (3 * i) % (window + 1), l=l, varrho=varrho)
+        for i, (l, varrho) in enumerate((l, v) for l in (30.0, 60.0) for v in range(1, 6))
+    ]
+    interval = _interval(fr_world, 1.2, fr_world.tnow, fr_world.tnow + 4)
+
+    def answers(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(band_sweep, "RUN_EVENTS", budget)
+            fr = FRMethod(server.histogram, server.tree)
+            snapshot = [fr.query(query) for query in queries]
+            return snapshot + [
+                evaluate_interval_fr(FRMethod(fr_world.histogram, fr_world.tree), interval)
+            ]
+
+    whole, runs = answers(UNBUDGETED), answers(64)
+    assert sum(_counters(result)[1] for result in whole) > 64 * len(queries)
+    for want, got in zip(whole, runs):
+        assert np.array_equal(want.regions.bounds, got.regions.bounds)
+        assert _counters(want) == _counters(got)
 
 
 def _random_tree(rng, **tree_options):
