@@ -19,8 +19,13 @@ with no WAL:
    and PA rings hold;
 3. runs 20 ticks of ``advance_to`` + the tick's report wave: per tick, the
    advance (whose DH and PA share is the materialisation of the slot
-   entering their window), the two listeners' report work, and the minor
-   page faults (``ru_minflt``);
+   entering their window), the two listeners' report work, the kernel
+   passes each listener ran (``tick_pa_passes_p50``,
+   ``tick_dh_passes_p50``: ``Columns.passes`` runs, entry and wave) and the
+   minor page faults (``ru_minflt``); then times one PA and one DH pass over
+   one motion at one timestamp into a scratch slot (``pa_pass_one_us``,
+   ``dh_pass_one_us``, the median of ``ONE_PASS_SAMPLES``): what a pass
+   costs before its first square;
 4. runs the world's PA query list and its FR query list with the median
    of each FR stage (filter, fuse, fetch, sweep, merge), the Y-events the
    sweep expanded per X-segment, and per query the objects the index
@@ -79,6 +84,7 @@ from bench.harness import SLOWDOWN_WINDOW, Context  # noqa: E402
 from bench.worlds import T0, road_inputs  # noqa: E402
 from repro.core.system import PDRServer  # noqa: E402
 from repro.methods import fr as fr_module  # noqa: E402
+from repro.motion.updates import Columns  # noqa: E402
 
 WORLDS = {"CH2K": 2_000, "CH10K": 10_000, "CH50K": 50_000, "CH100K": 100_000,
           "CH500K": 500_000}
@@ -98,6 +104,9 @@ FR_PEAK_OVER_WRITE_LIMIT = 1.5
 # none (CH10K read 5 190 and CH50K 17 029 when passes took fresh memory).
 TICK_MINFLT_LIMIT = 100
 FR_STAGES = ("filter", "fuse", "fetch", "sweep", "merge")
+# Timed one-motion, one-timestamp passes per listener (after as many
+# untimed ones).
+ONE_PASS_SAMPLES = 200
 # FR answers of the list checked against the point oracle under --check,
 # with as many probe points each as bench/query_passes.py uses at CH2K.
 ORACLE_QUERIES = 3
@@ -115,25 +124,73 @@ def _status_mb() -> dict:
     return out
 
 
+_PASSES = [0]  # Columns.passes runs yielded so far, once counting is on
+
+
+def _count_passes() -> None:
+    """Count every run :meth:`Columns.passes` yields, in ``_PASSES``."""
+    plain = Columns.passes
+
+    def counted(self, slots):
+        for run in plain(self, slots):
+            _PASSES[0] += 1
+            yield run
+
+    Columns.passes = counted
+
+
 class _Timer:
-    """Seconds spent in one listener hook (``on_report_batch`` by default)."""
+    """Seconds spent in one listener hook (``on_report_batch`` by default),
+    and the kernel passes it ran (when :func:`_count_passes` is on)."""
 
     def __init__(self, listener, hook_name: str = "on_report_batch") -> None:
         self.seconds = 0.0
+        self.passes = 0
         hook = getattr(listener, hook_name)
 
         def timed(*args):
+            passes = _PASSES[0]
             t0 = time.perf_counter()
             try:
                 hook(*args)
             finally:
                 self.seconds += time.perf_counter() - t0
+                self.passes += _PASSES[0] - passes
 
         setattr(listener, hook_name, timed)  # dispatch looks the hook up per call
 
     def take(self) -> float:
         seconds, self.seconds = self.seconds, 0.0
         return seconds
+
+    def take_passes(self) -> int:
+        passes, self.passes = self.passes, 0
+        return passes
+
+
+def _one_pass_us(server) -> dict:
+    """Median microseconds of one PA and one DH pass over one motion at one
+    timestamp, the motion's square inside the domain, into a scratch slot."""
+    motions = server.table.columns()
+    xs, ys = motions.positions_at(server.tnow)
+    inside = np.flatnonzero(server.config.domain.contains_points(xs, ys))
+    one = motions.take(inside[:1])
+    ts, slot = np.array([server.tnow]), np.zeros(1, dtype=np.int64)
+    pa, dh = server.pa, server.histogram
+    rings = {
+        "pa": (pa, np.zeros((pa.spec.g, pa.spec.g, 1, pa.spec.k + 1, pa.spec.k + 1))),
+        "dh": (dh, np.zeros((1, dh.m, dh.m), dtype=np.int32)),
+    }
+    record = {}
+    for name, (listener, ring) in rings.items():
+        seconds = []
+        for sample in range(2 * ONE_PASS_SAMPLES):
+            t0 = time.perf_counter()
+            listener._materialise(one, ts, ring, slot)
+            seconds.append(time.perf_counter() - t0)
+        median = statistics.median(seconds[ONE_PASS_SAMPLES:])
+        record[f"{name}_pass_one_us"] = round(1e6 * median, 1)
+    return record
 
 
 def _slowdown(ctx: Context) -> float:
@@ -239,6 +296,8 @@ def probe(world: str, check_answers: bool = False) -> dict:
 
     ticks = {key: [] for key in ("tick", "advance", "dh", "pa", "dh_entry", "pa_entry")}
     reports, faults = [], []
+    passes = {"pa": [], "dh": []}
+    _count_passes()
     for tick in range(T0 + 1, T0 + TICKS + 1):
         wave = inputs.wave(tick)
         minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -253,7 +312,10 @@ def probe(world: str, check_answers: bool = False) -> dict:
         for key, timer in (("dh", dh_timer), ("pa", pa_timer),
                            ("dh_entry", dh_entry), ("pa_entry", pa_entry)):
             ticks[key].append(timer.take())
+        passes["dh"].append(dh_timer.take_passes() + dh_entry.take_passes())
+        passes["pa"].append(pa_timer.take_passes() + pa_entry.take_passes())
         reports.append(len(wave))
+    one_pass = _one_pass_us(server)
 
     pa_ms = []
     for l, varrho, offset in inputs.pa_queries:
@@ -296,6 +358,9 @@ def probe(world: str, check_answers: bool = False) -> dict:
         "tick_dh_ms_p50": _median_ms(ticks["dh"]),
         "tick_pa_ms_p50": _median_ms(ticks["pa"]),
         "tick_minflt_p50": statistics.median(faults),
+        "tick_pa_passes_p50": statistics.median(passes["pa"]),
+        "tick_dh_passes_p50": statistics.median(passes["dh"]),
+        **one_pass,
         "ticks_s": round(sum(ticks["tick"]), 3),
         "pa_list_ms": round(sum(pa_ms), 2),
         "pa_query_ms_p50": round(statistics.median(pa_ms), 3),

@@ -53,60 +53,60 @@ def delta_coefficients(
 
 def strip_integrals(
     k: int,
-    z1: np.ndarray,
-    z2: np.ndarray,
+    z: np.ndarray,
     work: Optional[Workspace] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Normalised 1-D integrals ``c_i * A_i(z1, z2)`` of ``S`` strips.
+    """Normalised 1-D integrals ``c_i * A_i(z[0], z[1])`` of ``S`` strips.
 
-    Returns shape ``(k+1, S)``, written into ``out`` if given.  Bounds are
-    clipped to ``[-1, 1]``; an empty strip yields zeros.  The axis half
+    ``z`` is the ``(2, S)`` block of the strips' lower and upper bounds,
+    and the function's scratch: it is clipped to ``[-1, 1]`` in place (then
+    doubled for the recurrence).  An empty strip yields zeros.  Returns
+    shape ``(k+1, S)``, written into ``out`` if given.  The axis half
     ``c_i`` (1 for ``i = 0``, else 2) of Theorem 1's factor ``c_ij = c_i
     c_j`` is folded in here: scaling by a power of two is exact, so the
     product of an x and a y strip equals ``c_ij A_i A_j`` bit for bit
-    whatever the grouping.  The temporaries come from ``work`` (the PA
-    maintainer's passes) or from a workspace of their own.
+    whatever the grouping.  The temporaries come from ``work``
+    (the PA maintainer's passes) or from a workspace of their own.
 
     ``sin(i * arccos(z))`` comes from the Chebyshev recurrence
     ``s_i = 2 z s_{i-1} - s_{i-2}`` seeded with ``sqrt(1 - z^2)`` — for the
     small ``k`` in play this agrees with direct ``np.sin`` to a few ulps
-    while skipping ~k transcendental evaluations per bound.
+    while skipping ~k transcendental evaluations per bound.  Both bounds
+    run the recurrence as one ``(2, S)`` block: every step is elementwise,
+    so each row gets the floats a recurrence over that bound alone would.
     """
-    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-    if z1.shape != z2.shape:
-        raise InvalidParameterError("strip bound arrays must share a shape")
+    if z.ndim != 2 or z.shape[0] != 2:
+        raise InvalidParameterError("strip bounds must be a (2, S) block")
     work = Workspace() if work is None else work
-    s = z1.shape[0]
+    s = z.shape[1]
     if out is None:
         out = work((k + 1, s))
     with work.frame():
         # np.minimum(np.maximum()) is np.clip without its per-call
         # overhead, which the PA maintainer pays once per pass.
-        z1, z2 = (np.maximum(z, -1.0, out=work(s)) for z in (z1, z2))
-        np.minimum(z1, 1.0, out=z1)
-        np.minimum(z2, 1.0, out=z2)
-        tmp = work(s)
-        # arccos(z1) is the larger angle
-        np.subtract(np.arccos(z1, out=out[0]), np.arccos(z2, out=tmp), out=out[0])
+        np.minimum(np.maximum(z, -1.0, out=z), 1.0, out=z)
+        empty = z[1] <= z[0]
+        # s_i of both bounds, the last three orders in turn
+        sines = work((3, 2, s))
+        # arccos(z[0]) is the larger angle
+        np.arccos(z, out=sines[0])
+        np.subtract(sines[0, 0], sines[0, 1], out=out[0])
         if k >= 1:
-            cur1, cur2, prev1, prev2 = (work(s) for _ in range(4))
             # sin(theta) = sqrt(1 - z^2), theta in [0, pi]
-            for z, cur in ((z1, cur1), (z2, cur2)):
-                np.sqrt(np.subtract(1.0, np.multiply(z, z, out=cur), out=cur), out=cur)
-            prev1.fill(0.0)
-            prev2.fill(0.0)
-            np.subtract(cur1, cur2, out=out[1])
+            s1 = sines[1]
+            np.sqrt(np.subtract(1.0, np.multiply(z, z, out=s1), out=s1), out=s1)
+            np.subtract(s1[0], s1[1], out=out[1])
+            z *= 2.0  # exact: the recurrence's 2 z
             for i in range(2, k + 1):
-                # cur, prev = 2 z cur - prev, cur: the new value overwrites prev.
-                for z, cur, prev in ((z1, cur1, prev1), (z2, cur2, prev2)):
-                    np.subtract(
-                        np.multiply(np.multiply(2.0, z, out=tmp), cur, out=tmp), prev, out=prev
-                    )
-                cur1, prev1, cur2, prev2 = prev1, cur1, prev2, cur2
-                np.divide(np.subtract(cur1, cur2, out=out[i]), i, out=out[i])
+                # s_i = 2 z s_{i-1} - s_{i-2}; s_0 = 0, and x - 0.0 is x
+                si = np.multiply(z, sines[(i - 1) % 3], out=sines[i % 3])
+                if i > 2:
+                    si -= sines[(i - 2) % 3]
+                np.subtract(si[0], si[1], out=out[i])
+            out[2:] /= np.arange(2.0, k + 1.0)[:, None]
             out[1:] *= 2.0
-        out[:, z2 <= z1] = 0.0
+        np.copyto(out, 0.0, where=empty)
     return out
 
 
@@ -151,11 +151,12 @@ def delta_coefficients_batch(
     scalar shared by every rectangle or an ``(M,)`` array of per-rectangle
     heights.
     """
-    ax = strip_integrals(k, x1, x2)
-    ay = strip_integrals(k, y1, y2)
-    m = ax.shape[1]
-    if ay.shape[1] != m:
+    bounds = [np.asarray(bound, dtype=float) for bound in (x1, x2, y1, y2)]
+    if len({bound.shape for bound in bounds}) != 1:
         raise InvalidParameterError("rectangle bound arrays must share a shape")
+    ax = strip_integrals(k, np.stack(bounds[:2]))  # a copy: clipped in place
+    ay = strip_integrals(k, np.stack(bounds[2:]))
+    m = ax.shape[1]
     if np.ndim(height) == 1 and np.shape(height)[0] != m:
         raise InvalidParameterError(
             f"height array has {np.shape(height)[0]} entries for {m} rectangles"

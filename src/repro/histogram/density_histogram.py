@@ -104,6 +104,9 @@ class DensityHistogram(UpdateListener):
         # _slot_time[t % slots] == t for every t in [tnow, tnow + W].
         self._slot_time = np.empty(self._slots, dtype=np.int64)
         self._label_slots(tnow)
+        # A pass's cell geometry, as (2, 1, 1) blocks over both axes.
+        self._origin = np.array([domain.x1, domain.y1])[:, None, None]
+        self._edge = np.array([self.cell_edge, self.cell_edge_y])[:, None, None]
         # Update epoch: bumped on every counter mutation (scatter, advance,
         # snapshot restore).  The per-timestamp prefix/block-sum caches are
         # tagged with the epoch they were built at, so invalidation is a
@@ -204,12 +207,10 @@ class DensityHistogram(UpdateListener):
     def on_report_batch(self, wave: Wave) -> None:
         """Retract ``wave.deleted`` and count ``wave.inserted`` over the
         stored window."""
-        n_gone = len(wave.deleted)
-        motions = Columns.concatenate((wave.deleted, wave.inserted))
+        motions, retract = wave.jobs
         if len(motions) == 0:
             return
-        sign = np.ones(len(motions), dtype=np.int32)
-        sign[:n_gone] = -1
+        sign = np.where(retract, np.int32(-1), np.int32(1))
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
         self._scatter(motions, sign, ts, self._counts, ts % self._slots)
         self._epoch += 1
@@ -242,37 +243,34 @@ class DensityHistogram(UpdateListener):
         :data:`~repro.motion.updates.PASS_JOB_SLOTS`, not by the wave.
         """
         flat = ring.reshape(-1)
+        m = self.m
         work = workspace()
         for rows, part in motions.passes(ts.shape[0]):
             with work.frame():
                 shape = (len(part), ts.shape[0])
-                xs, ys = part.trajectory(ts, out=(work(shape), work(shape)))
-                hit = part.covering(ts, self.horizon, out=work(shape, bool))
-                ix, iy = work(shape, np.int64), work(shape, np.int64)
-                for pos, origin, edge, index in (
-                    (xs, self.domain.x1, self.cell_edge, ix),
-                    (ys, self.domain.y1, self.cell_edge_y, iy),
-                ):
-                    # floor((pos - origin) / edge) as int64
-                    np.floor(np.divide(np.subtract(pos, origin, out=pos), edge, out=pos), out=pos)
-                    np.copyto(index, pos, casting="unsafe")
-                    hit &= index >= 0
-                    hit &= index < self.m
+                pos = work((2,) + shape)
+                index = work((3,) + shape, np.int64)  # x and y cell, flat cell
+                test = work((6,) + shape, bool)
+                part.trajectory(ts, out=(pos[0], pos[1]))
+                # floor((pos - origin) / edge) as int64, both axes at once
+                np.subtract(pos, self._origin, out=pos)
+                np.floor(np.divide(pos, self._edge, out=pos), out=pos)
+                np.copyto(index[:2], pos, casting="unsafe")
+                part.covering(ts, self.horizon, out=test[0])
+                np.greater_equal(index[:2], 0, out=test[1:3])
+                np.less(index[:2], m, out=test[3:5])
+                hit = np.logical_and.reduce(test[:5], axis=0, out=test[5])
                 # One flat index into the C-contiguous ring and int32 values:
                 # numpy's typed 1-D ufunc.at loop.  A tuple index or a
                 # Python-int value takes its casting path instead, an order
                 # of magnitude slower.  A miss adds 0 to cell 0 (exact for
                 # integers), so the pass compacts nothing and allocates no
                 # index.
-                cell = np.multiply(slot[None, :], self.m, out=work(shape, np.int64))
-                cell += ix
-                cell *= self.m
-                cell += iy
-                values = work(shape, np.int32)
-                values[...] = sign[rows, None]
-                miss = ~hit
-                cell[miss] = 0
-                values[miss] = 0
+                cell = np.multiply(index[0], m, out=index[2])
+                cell += index[1]
+                cell += np.multiply(slot, m * m, out=index[0, 0])[None, :]
+                cell *= hit
+                values = np.multiply(hit, sign[rows, None], out=work(shape, np.int32))
                 np.add.at(flat, cell.reshape(-1), values.reshape(-1))
 
     # ------------------------------------------------------------------

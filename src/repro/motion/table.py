@@ -37,6 +37,9 @@ class ObjectTable:
         self._t_ref = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._xyv = np.empty((4, _INITIAL_CAPACITY))  # x, y, vx, vy
         self._row_of: Dict[int, int] = {}  # oid -> row, in first-report order
+        # _row_of's rows as an array, kept between first reports and retires
+        # (a first report appends, a retire drops it until the next read).
+        self._live: Optional[np.ndarray] = np.empty(0, dtype=np.intp)
         self._free: List[int] = []  # retired rows, reused last-freed first
         self._used = 0  # rows [0, _used) have been handed out at least once
         self._tnow = tnow
@@ -126,6 +129,7 @@ class ObjectTable:
         if row is None:
             raise QueryError(f"cannot retire unknown object {oid}")
         self._free.append(row)
+        self._live = None
         self._apply([], [row])
 
     def _apply(self, reports: Sequence[tuple], retired_rows: List[int]) -> None:
@@ -154,8 +158,11 @@ class ObjectTable:
         supersedes = np.full(n, -1, dtype=np.intp)
         supersedes[known] = np.arange(len(retired_rows), deleted_rows.shape[0])
         first = np.flatnonzero(~known)
-        rows[first] = self._allocate(first.shape[0])
-        self._row_of.update(zip(oid[first].tolist(), rows[first].tolist()))
+        if first.shape[0]:
+            rows[first] = self._allocate(first.shape[0])
+            self._row_of.update(zip(oid[first].tolist(), rows[first].tolist()))
+            if self._live is not None:
+                self._live = np.concatenate((self._live, rows[first]))
         self._write(rows, inserted)
         wave = Wave(self._tnow, deleted, deleted_rows, inserted, rows, supersedes)
         dispatch(self._listeners, "on_report_batch", wave)
@@ -192,6 +199,7 @@ class ObjectTable:
         rows = self._allocate(len(columns))
         self._write(rows, columns)
         self._row_of = dict(zip(columns.oid.tolist(), rows.tolist()))
+        self._live = rows
         self._tnow = tnow
 
     # ------------------------------------------------------------------
@@ -204,14 +212,23 @@ class ObjectTable:
         return oid in self._row_of
 
     def rows(self) -> np.ndarray:
-        """The rows of the live motions, in first-report order."""
-        return np.fromiter(self._row_of.values(), dtype=np.intp, count=len(self._row_of))
+        """The rows of the live motions, in first-report order (a copy)."""
+        return self._live_rows().copy()
+
+    def _live_rows(self) -> np.ndarray:
+        # Rebuilt after a retire, and whenever it no longer counts the
+        # registry's rows (a registry edited behind the table's back).
+        if self._live is None or self._live.shape[0] != len(self._row_of):
+            self._live = np.fromiter(
+                self._row_of.values(), dtype=np.intp, count=len(self._row_of)
+            )
+        return self._live
 
     def columns(self, rows: Optional[np.ndarray] = None) -> Columns:
         """The motions in ``rows`` (default: every live one) — a gather,
         hence a copy that later writes to the table do not reach."""
         if rows is None:
-            rows = self.rows()
+            rows = self._live_rows()
         return Columns(
             self._oid.take(rows), self._t_ref.take(rows), *self._xyv.take(rows, axis=1)
         )

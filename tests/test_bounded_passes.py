@@ -89,6 +89,28 @@ class TestByteIdentity:
         assert default == unbounded
         assert one == unbounded
 
+    def test_one_motion_one_timestamp_passes_are_byte_identical(self, bench_world, monkeypatch):
+        """A pass over one motion at one timestamp -- the whole of a pass's
+        fixed cost -- leaves every DH and PA slot as one unbounded pass over
+        all the motions and timestamps: a slot receives the motions in the
+        same order either way."""
+        server = PDRServer(bench_world.config, expected_objects=bench_world.n_objects, tnow=T0)
+        server.report_batch(bench_world.state)
+        motions = server.table.columns().take(slice(0, None, 50))
+        for listener in (server.histogram, server.pa):
+            slots = listener._slots
+            ts = np.arange(T0, T0 + slots, dtype=np.int64)
+            ring = listener._counts if listener is server.histogram else listener._coeffs
+            whole, single = np.zeros_like(ring), np.zeros_like(ring)
+            monkeypatch.setattr(updates, "PASS_JOB_SLOTS", UNBOUNDED)
+            listener._materialise(motions, ts, whole, ts % slots)
+            assert whole.any()
+            for t in ts:
+                at = np.array([t])
+                for i in range(len(motions)):
+                    listener._materialise(motions.take(slice(i, i + 1)), at, single, at % slots)
+            assert single.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_mixed_wave_of_retires_and_out_of_order_supersedes(self, monkeypatch, jobs):
         """One wave whose retracted motions are listed in another order than
@@ -120,6 +142,29 @@ class TestByteIdentity:
         unbounded = apply()
         _jobs_per_pass(monkeypatch, jobs, slots)
         assert apply() == unbounded
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wave_jobs_run_in_report_order(seed):
+    """``Wave.jobs`` is the stable order of the keys ``2 * turn`` (a
+    retraction: the index of the report superseding it, a retire its own
+    index) and ``2 * i + 1`` (report ``i``), retires colliding with reports'
+    turns included."""
+    rng = np.random.default_rng(seed)
+    d, n = (int(v) for v in rng.integers(0, 12, 2))
+    superseded = rng.permutation(d)[: int(rng.integers(0, min(d, n) + 1))]
+    supersedes = np.full(n, -1, dtype=np.intp)
+    supersedes[rng.permutation(n)[: superseded.shape[0]]] = superseded
+    columns = [Columns(*(np.arange(k, dtype=dtype) for dtype in (np.int64,) * 2 + (float,) * 4))
+               for k in (d, n)]
+    wave = Wave(0, columns[0], np.arange(d), columns[1], np.arange(n), supersedes)
+    turn = np.arange(d)
+    replaces = supersedes >= 0
+    turn[supersedes[replaces]] = np.flatnonzero(replaces)
+    order = np.argsort(np.concatenate((2 * turn, 2 * np.arange(n) + 1)), kind="stable")
+    jobs, retract = wave.jobs
+    assert np.array_equal(retract, order < d)
+    assert np.array_equal(jobs.oid, np.concatenate((columns[0].oid, columns[1].oid))[order])
 
 
 def _in_fresh_thread(call):
@@ -214,6 +259,39 @@ def test_a_second_identical_pass_reuses_the_workspace(listener, monkeypatch):
     (first, *again), work = _in_fresh_thread(lambda: _pass_peaks(target, motions, ring))
     assert first >= work > 0
     assert max(again) <= first / 4, (first, again)
+
+
+@pytest.mark.parametrize("listener", ["pa", "histogram"])
+def test_a_one_motion_one_timestamp_pass_takes_its_arrays_from_the_workspace(listener):
+    """The fixed-cost path: after the first pass over one motion at one
+    timestamp, the same pass again fits the workspace the first one left
+    (which does not grow) and allocates no more than the first did."""
+    inputs = uniform_inputs(1000, 5)
+    loaded = PDRServer(inputs.config, expected_objects=1000, tnow=T0)
+    loaded.report_batch(inputs.state)
+    target = getattr(loaded, listener)
+    motion = loaded.table.columns().take(slice(3, 4))
+    ts = np.array([target.tnow + 2])
+    ring = np.zeros_like(target._coeffs if listener == "pa" else target._counts)
+
+    def passes():
+        peaks, sizes = [], []
+        for _ in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                target._materialise(motion, ts, ring, ts % target._slots)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            sizes.append(workspace().nbytes())
+        return peaks, sizes
+
+    ((first, *again), sizes), _ = _in_fresh_thread(passes)
+    assert ring.any()
+    assert sizes[0] > 0 and len(set(sizes)) == 1, sizes
+    assert max(again) <= first, (first, again)
 
 
 def test_every_server_on_a_thread_shares_its_workspace():
