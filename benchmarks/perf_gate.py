@@ -22,14 +22,16 @@ twins and emits a ``BENCH_pr9.json`` trajectory file:
   to catch is a protocol- or serialization-level slowdown, which costs
   integer multiples;
 * **cached vs cold filter** — ``DensityHistogram.prefix_sums`` with a warm
-  timestamp-keyed cache vs a cold (invalidated) one;
+  timestamp-keyed cache vs a cold (invalidated) one, recorded but not
+  gated: their ratio falls whenever the cold path gets faster, and the
+  cache itself is pinned by ``tests/test_perf_paths.py``;
 * **telemetry overhead** — the same ingest+query workload with the
   telemetry layer enabled vs disabled.  This one is gated by an
   *absolute* floor: enabled throughput must stay within 10% of disabled
   (ratio >= 0.90), the observability layer's cheap-by-default contract.
 
-The regression gate compares **speedup ratios** (batch vs sequential,
-cached vs cold) against a checked-in baseline and
+The regression gate compares **speedup ratios** (batch vs sequential)
+and calibration-normalised throughput against a checked-in baseline and
 fails on a >25% drop.  Ratios, unlike raw ops/sec, transfer across
 machines: both sides of each ratio run on the same hardware in the same
 process.  Raw ops/sec are still recorded — normalized by a fixed numpy
@@ -66,7 +68,6 @@ from repro.reliability.recovery import ReliabilityConfig
 
 GATED_RATIOS = (
     "ingest_speedup_memory",
-    "filter_cache_speedup",
     "fr_query_per_cal",
     "pa_query_per_cal",
     "slo_report_p50_speed_per_cal",
@@ -80,11 +81,7 @@ TOLERANCE = 0.25
 # Per-key headroom where the default 25% would trip on run-to-run noise
 # rather than a real regression.  Calibration-normalized absolutes
 # (query throughput per unit of machine speed) carry cross-run noise the
-# same-process speedup ratios cancel out.  The extreme-magnitude ratios
-# swing 25-40% between back-to-back runs on virtualized hardware (the
-# cached/warm arm is sub-microsecond work), but the regression they
-# exist to catch is a ~1000x (cache broken) collapse — a wide floor
-# loses nothing.
+# same-process speedup ratios cancel out.
 KEY_TOLERANCE = {
     # Tightened from the original 0.45 when band-fused refinement landed:
     # the vectorized pipeline both raised throughput ~10x and cut
@@ -92,7 +89,6 @@ KEY_TOLERANCE = {
     # win cannot erode silently behind a wide floor.
     "fr_query_per_cal": 0.30,
     "pa_query_per_cal": 0.30,
-    "filter_cache_speedup": 0.60,
     "ingest_speedup_memory": 0.40,
     # Wire percentiles on a loopback socket under a shared CI box swing
     # hard with scheduler jitter; the catastrophic slowdowns the gate is
@@ -384,7 +380,6 @@ def run_suite(mode):
             "pa_query_per_cal": round(pa_ops / cal, 6),
             "filter_cold": entry(cold_ops),
             "filter_cached": entry(warm_ops),
-            "filter_cache_speedup": round(warm_ops / cold_ops, 3),
             "telemetry_enabled": entry(tel_on_ops),
             "telemetry_disabled": entry(tel_off_ops),
             "telemetry_overhead_ratio": round(tel_on_ops / tel_off_ops, 3),
@@ -470,7 +465,6 @@ def main(argv=None):
     for key in (
         "ingest_speedup_memory",
         "ingest_speedup_durable",
-        "filter_cache_speedup",
         "telemetry_overhead_ratio",
     ):
         print(f"perf_gate: {key} = {result['metrics'][key]}x")

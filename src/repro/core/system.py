@@ -204,18 +204,13 @@ class PDRServer:
         try:
             log_fn(*args)
         except WALWriteError as exc:
-            resources = getattr(self._manager, "resources", None)
-            if resources is not None:
-                resources.note_wal_failure(self, exc)
-            else:
-                self.enter_read_only(f"WAL poisoned: {exc}")
+            self._manager.resources.note_wal_failure(self, exc)
             raise
 
     def _resource_check(self) -> None:
-        """Evaluate the disk/memory budget after a successful write."""
-        resources = getattr(self._manager, "resources", None)
-        if resources is not None:
-            resources.check(self)
+        """Evaluate the disk budget after a successful write."""
+        if self._manager is not None:
+            self._manager.resources.check(self)
 
     # ------------------------------------------------------------------
     # read-only degraded mode
@@ -238,21 +233,12 @@ class PDRServer:
     def probe_resources(self) -> bool:
         """Try to leave read-only mode; returns True when writable.
 
-        With a resource manager configured this is its full probe (fresh
-        WAL segment past a poisoned one, prune, re-check the budget);
-        without one it still heals a poisoned WAL, which is the only
-        other way into read-only mode.
+        A durable server runs its resource manager's probe (fresh WAL
+        segment past a poisoned one, prune, re-check the budget); an
+        in-memory one has neither a WAL nor a budget to wait for.
         """
-        resources = getattr(self._manager, "resources", None)
-        if resources is not None:
-            return resources.probe(self)
-        if not self.read_only:
-            return True
-        if self._manager is not None and self._manager.wal_poisoned:
-            try:
-                self._manager.reopen_wal()
-            except OSError:
-                return False
+        if self._manager is not None:
+            return self._manager.resources.probe(self)
         self.exit_read_only()
         return True
 
@@ -617,14 +603,14 @@ class PDRServer:
 
     def reliability_report(self) -> dict:
         """Operator-facing counters for the reliability layer."""
-        resources = getattr(self._manager, "resources", None)
+        manager = self._manager
         return {
             "role": self.role,
             "epoch": self.epoch,
             "recovery_generation": self.recovery_generation,
             "read_only": self.read_only,
             "read_only_reason": self.read_only_reason,
-            "resources": resources.report() if resources is not None else None,
+            "resources": manager.resources.report() if manager is not None else None,
             "dead_letter_total": self.dead_letters.total,
             "dead_letter_counts": dict(self.dead_letters.counts),
             "queries_served": self.query_counters["served"],

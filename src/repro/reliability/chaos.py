@@ -102,7 +102,7 @@ from .faults import CRASH_SITES, KILL_EXIT_CODE, FaultInjector
 from .integrity import flip_byte, verify_state_dir
 from .replication import ReplicationGroup
 from .statedir import kind_of
-from .validation import ReliabilityConfig, ResourceConfig
+from .validation import ReliabilityConfig
 
 __all__ = [
     "ChaosConfig",
@@ -560,7 +560,6 @@ class ChaosScheduler:
             checkpoint_interval=0 if cfg.resources else CHECKPOINT_INTERVAL,
             fsync=bool(cfg.resources),
             faults=self.faults,
-            resources=ResourceConfig() if cfg.resources else None,
         )
         primary = PDRServer(system, expected_objects=OBJECTS, reliability=rc)
         admission = None
@@ -847,9 +846,7 @@ class ChaosScheduler:
             budget.hard_limit_bytes = usage * 8
 
     def _reconcile_resources(self, group) -> None:
-        manager = group.primary._manager
-        if manager is not None and manager.resources is not None:
-            manager.resources.reconcile(group.primary)
+        group.primary._manager.resources.reconcile(group.primary)
 
     def _honor_update_contract(self, group, t: int) -> None:
         """Re-report motions about to age out of the update window.
@@ -974,12 +971,9 @@ class ChaosScheduler:
         reopen itself failed) — degraded mode may neither lag the budget
         nor linger after it recovers.
         """
-        manager = getattr(group.primary, "_manager", None)
-        if manager is None or manager.resources is None:
-            return None
-        res = manager.resources
-        usage = res.usage()
-        state = res.budget.state(usage)
+        manager = group.primary._manager
+        usage = manager.resources.usage()
+        state = manager.resources.budget_state(usage)
         if state == "hard" and not group.primary.read_only:
             return (
                 "readonly-monotone",

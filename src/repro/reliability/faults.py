@@ -57,7 +57,7 @@ __all__ = [
 
 
 # The durability protocol's crash windows, in protocol order: each is one
-# ``hit`` at one code position (``wal.prune``: one per pruner).
+# ``hit`` at one code position (``wal.prune``: once per prune).
 DURABILITY_SITES = (
     "wal.append",  # before a record (or a wave's batch) is framed
     "wal_write",  # before the write+flush; a torn crash lands a prefix first
@@ -66,7 +66,7 @@ DURABILITY_SITES = (
     "checkpoint.sidecar",  # image durable; sidecar tmp durable, not renamed
     "checkpoint.digests",  # sidecar durable; the manifest not yet begun
     "checkpoint.manifest",  # manifest tmp durable, not renamed
-    "wal.prune",  # stale checkpoints unlinked, their WAL segments not yet
+    "wal.prune",  # stale checkpoints unlinked, released WAL segments not yet
     "wal.reopen",  # mid segment-reopen past a poisoned descriptor
 )
 

@@ -52,15 +52,12 @@ from .lockfile import acquire_state_dir_lock
 from .resources import ResourceManager
 from .statedir import (
     atomic_write_json,
-    checkpoint_seqs,
     config_path,
     frame_record,
     holds_state,
-    image_path,
     load_latest_checkpoint,
     read_server_config,
     scan_segment,
-    sidecar_path,
     wal_path,
     wal_seqs,
     write_checkpoint,
@@ -75,11 +72,6 @@ __all__ = [
     "records_from_lsn",
     "load_latest_checkpoint",
 ]
-
-# Checkpoints the interval pruner keeps (a resource-managed directory runs
-# the retention rule instead).
-KEEP_CHECKPOINTS = 2
-
 
 class UpdateLog:
     """One append-only WAL segment of checksum-framed JSONL records.
@@ -187,7 +179,8 @@ class ReliabilityManager:
     ``wal.append`` fires before each batch is written, ``checkpoint.write``
     before the snapshot file is written (the checkpoint's artifacts add
     their own in :func:`~repro.reliability.statedir.write_checkpoint`),
-    ``wal.reopen`` mid-reopen and ``wal.prune`` mid-prune.
+    ``wal.reopen`` mid-reopen and ``wal.prune`` mid-prune (in
+    :func:`~repro.reliability.resources.prune_retention`).
     """
 
     def __init__(
@@ -211,10 +204,8 @@ class ReliabilityManager:
         self._wal = UpdateLog(
             wal_path(state_dir, seq), fsync=config.fsync, faults=config.faults
         )
-        # Budget enforcement rides along only when configured.
-        self.resources = None
-        if config.resources is not None:
-            self.resources = ResourceManager(self, config.resources)
+        # Retention after every checkpoint, the disk budget after every write.
+        self.resources = ResourceManager(self, config.resources)
         # Called with each record *after* it is durably appended — the
         # WAL-shipping hook of the replication layer.  A record is only
         # shipped once it is on disk, so a replica can never get ahead of
@@ -245,9 +236,7 @@ class ReliabilityManager:
                 "reliability": {
                     "checkpoint_interval": config.checkpoint_interval,
                     "fsync": config.fsync,
-                    "resources": (
-                        config.resources.to_dict() if config.resources else None
-                    ),
+                    "resources": config.resources.to_dict(),
                 },
             },
         )
@@ -255,12 +244,19 @@ class ReliabilityManager:
 
     @classmethod
     def resume(
-        cls, state_dir: str, config: ReliabilityConfig, lsn: int
+        cls, state_dir: str, config: ReliabilityConfig, lsn: int, min_seq: int = 0
     ) -> "ReliabilityManager":
         """Re-attach to an existing directory after recovery (torn WAL
-        tails must already have been repaired by the replay scan)."""
+        tails must already have been repaired by the replay scan).
+
+        Appends go to the newest segment, or to segment ``min_seq`` (the
+        checkpoint recovery started from) when that is newer: a crash
+        between a checkpoint's manifest flip and its WAL rotation leaves
+        no segment at the checkpoint's seq, and records appended below it
+        would sit where replay from that checkpoint never looks.
+        """
         seqs = wal_seqs(state_dir)
-        return cls(state_dir, config, seq=seqs[-1] if seqs else 0, lsn=lsn)
+        return cls(state_dir, config, seq=max(seqs[-1:] + [min_seq]), lsn=lsn)
 
     # ------------------------------------------------------------------
     # write-ahead logging
@@ -325,7 +321,7 @@ class ReliabilityManager:
         write_checkpoint(self.state_dir, new_seq, server, self.lsn, self.faults)
         self._rotate(new_seq)
         self.last_checkpoint_tick = server.tnow
-        self._prune()
+        self.resources.prune()
         tm.CHECKPOINTS.inc()
         tm.CHECKPOINT_SECONDS.observe(time.perf_counter() - started)
         return new_seq
@@ -371,44 +367,6 @@ class ReliabilityManager:
             faults=self.faults,
         )
         self.seq = new_seq
-
-    def _prune(self) -> None:
-        """Drop checkpoints beyond :data:`KEEP_CHECKPOINTS` and WAL segments
-        older than the oldest kept checkpoint (still replayable from it).
-
-        Under a :class:`~repro.reliability.resources.ResourceManager` the
-        interval rule is superseded by the retention rule, which also
-        respects every replica's acknowledged LSN — the keep-N pruner
-        would happily drop a tail a partitioned replica is still owed.
-        """
-        if self.resources is not None:
-            if self.faults is not None:
-                self.faults.hit("wal.prune")
-            self.resources.prune()
-            return
-        ckpt_seqs = checkpoint_seqs(self.state_dir)
-        kept = ckpt_seqs[-KEEP_CHECKPOINTS:]
-        for seq in ckpt_seqs[:-KEEP_CHECKPOINTS]:
-            for path in (
-                image_path(self.state_dir, seq),
-                sidecar_path(self.state_dir, seq),
-            ):
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - best-effort
-                    pass
-        # mid-prune crash window: stale checkpoint artifacts already
-        # unlinked, their covered WAL segments not yet — recovery must
-        # shrug at the half-deleted generation
-        if self.faults is not None:
-            self.faults.hit("wal.prune")
-        if kept:
-            for seq in wal_seqs(self.state_dir):
-                if seq < kept[0]:
-                    try:
-                        os.unlink(wal_path(self.state_dir, seq))
-                    except OSError:  # pragma: no cover - best-effort
-                        pass
 
     def close(self) -> None:
         self._wal.close()
@@ -525,7 +483,8 @@ def recover_server(
                 checkpoint_interval=int(rel_meta["checkpoint_interval"]),
                 fsync=bool(rel_meta["fsync"]),
                 faults=faults,
-                # absent from directories written before budgets existed
+                # absent (or null) in directories written before budgets
+                # were always on: unbounded
                 resources=ResourceConfig.from_dict(rel_meta.get("resources")),
             )
         except (ValueError, KeyError, TypeError) as exc:
@@ -568,7 +527,9 @@ def recover_server(
 
         server.apply_logged_records(tail())
 
-        manager = ReliabilityManager.resume(state_dir, rc, lsn=last_lsn)
+        manager = ReliabilityManager.resume(
+            state_dir, rc, lsn=last_lsn, min_seq=from_seq
+        )
         server.attach_manager(manager)
         # The replay-time config carried state_dir=None so construction
         # would not open a second WAL; now that the resumed manager owns

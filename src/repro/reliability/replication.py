@@ -373,23 +373,23 @@ class ReplicationGroup:
         )
         self.coordinator = FailoverCoordinator(self.clock, LEASE_TIMEOUT)
         tm.REPLICATION_EPOCH.set(self.epoch)
-        primary._manager.on_append.append(self._ship)
-        self._wire_resources(primary._manager)
+        self._attach(primary._manager)
         for i in range(n_replicas):
             self.add_replica(f"replica-{i}")
 
-    def _wire_resources(self, manager) -> None:
-        """Point the manager's retention floor at the live replica set.
+    def _attach(self, manager) -> None:
+        """Ship ``manager``'s appends to the group and point its retention
+        floor at the live replica set.
 
         WAL retention may never prune a record a live replica has not
-        applied — re-wired onto every manager incarnation (initial,
-        promoted, anti-entropy resumed), all of which share the group's
-        replica list through this closure.
+        applied — done for every manager incarnation (initial, promoted,
+        anti-entropy resumed), all of which share the group's replica
+        list through this closure.
         """
-        if manager.resources is not None:
-            manager.resources.replica_lsns = lambda: [
-                r.applied_lsn for r in self.replicas
-            ]
+        manager.on_append.append(self._ship)
+        manager.resources.replica_lsns = lambda: [
+            r.applied_lsn for r in self.replicas
+        ]
 
     @staticmethod
     def _read_tnow0(state_dir: str) -> int:
@@ -545,8 +545,7 @@ class ReplicationGroup:
                 manager = ReliabilityManager.resume(
                     self.state_dir, self.primary.reliability, lsn=self._acked_lsn
                 )
-                manager.on_append.append(self._ship)
-                self._wire_resources(manager)
+                self._attach(manager)
                 self.primary.attach_manager(manager)
         return report
 
@@ -605,8 +604,7 @@ class ReplicationGroup:
             self.primary.reliability, state_dir=self.state_dir, faults=self.faults
         )
         manager = ReliabilityManager.resume(self.state_dir, rc, lsn=replica.applied_lsn)
-        manager.on_append.append(self._ship)
-        self._wire_resources(manager)
+        self._attach(manager)
         old = self.primary
         self.epoch = new_epoch  # _ship must stamp the new epoch below
         self.replicas.remove(replica)

@@ -1,19 +1,29 @@
-"""Resource-exhaustion robustness: disk budgets, WAL retention, read-only mode.
+"""Resource-exhaustion robustness: WAL retention, disk budgets, read-only mode.
 
 The serving tier is a *continuously running* monitor — objects report
 forever — so the state directory grows without bound unless something
 prunes it, and a filling disk must degrade the server, not kill it.
-This module owns that policy:
+This module owns that policy for every durable directory: each
+:class:`~repro.reliability.recovery.ReliabilityManager` runs one
+:class:`ResourceManager`, which
 
-* :class:`DiskBudget` accounts the state directory's bytes against a
-  **soft** and a **hard** watermark (both optional, both resizable at
-  runtime — the resource chaos scheduler shrinks and restores them
-  mid-campaign).
-* :class:`ResourceManager` reacts to the budget on behalf of one
-  :class:`~repro.reliability.recovery.ReliabilityManager`:
+* prunes by the **retention rule** (:func:`prunable_wal_segments`) after
+  every checkpoint: a WAL segment may be deleted only when *every*
+  record in it is covered by the oldest of the newest (up to)
+  :data:`KEEP_CHECKPOINTS` **digest-verified, durable** checkpoints (the
+  first ones :func:`~repro.reliability.statedir.checkpoints` yields)
+  *and* by every live replica's applied LSN.  A replica that went away
+  and comes back from beyond the pruned horizon still heals —
+  ``records_from_lsn`` raises, and catch-up falls back to the
+  checkpoint-image bootstrap — but a *live* replica never loses the
+  tail it is owed.  An older checkpoint is dropped once part of its
+  replay tail is gone (a checkpoint without its tail is dead weight);
+* accounts the state directory's bytes against a **soft** and a
+  **hard** watermark of the shared :class:`ResourceConfig` (both
+  ``None`` — unbounded — by default, both resizable at runtime — the
+  resource chaos scheduler shrinks and restores them mid-campaign):
 
-  - crossing the **soft** watermark checkpoints the server and prunes
-    every WAL segment the retention rule releases;
+  - crossing the **soft** watermark checkpoints the server and prunes;
   - crossing the **hard** watermark — or a poisoned WAL descriptor
     (see ``UpdateLog``'s fsyncgate rule) — flips the server to
     **read-only degraded mode**: queries keep serving, writes raise
@@ -23,20 +33,9 @@ This module owns that policy:
     WAL segment past the poisoned one, prune, and leave read-only once
     the budget is below the hard watermark again.
 
-* **Retention rule** (:func:`prunable_wal_segments`): a WAL segment may
-  be deleted only when *every* record in it is covered by the newest
-  **digest-verified, durable** checkpoint (the first one
-  :func:`~repro.reliability.statedir.checkpoints` yields) *and* by every replica's
-  acknowledged (applied) LSN.  A replica that went away and comes back
-  from beyond the pruned horizon still heals — ``records_from_lsn``
-  raises, and catch-up falls back to the checkpoint-image bootstrap —
-  but a *live* replica never loses the tail it is owed.  Checkpoints
-  older than the newest verified one are dropped together with their
-  segments (a checkpoint whose replay tail is gone is dead weight).
-
 Everything is deterministic: usage is a pure function of the files on
 disk, and all decisions are made at explicit call points (after writes,
-at probes), never on timers.
+at checkpoints, at probes), never on timers.
 """
 
 from __future__ import annotations
@@ -60,18 +59,24 @@ from .statedir import (
 from .validation import ResourceConfig
 
 __all__ = [
-    "DiskBudget",
+    "KEEP_CHECKPOINTS",
     "ResourceManager",
     "prunable_wal_segments",
     "prune_retention",
     "state_dir_usage",
 ]
 
+# Verified checkpoints whose replay tails retention keeps: the newest is
+# what recovery starts from, the one before it the fallback when the
+# newest turns out damaged.
+KEEP_CHECKPOINTS = 2
+
 
 def state_dir_usage(state_dir: str) -> Tuple[int, int]:
     """``(total_bytes, wal_segment_count)`` of the state directory.
 
-    Counts regular files at the top level plus the quarantine directory;
+    Sums the regular files at the top level and the files one level
+    down in every subdirectory (the journal and the quarantine alike);
     missing files raced away mid-scan count as zero.
     """
     total = 0
@@ -98,41 +103,58 @@ def state_dir_usage(state_dir: str) -> Tuple[int, int]:
     return total, segments
 
 
-class DiskBudget:
-    """Soft/hard byte watermarks over one state directory.
-
-    Reads its limits from the shared :class:`ResourceConfig` on every
-    evaluation, so resizing the config (operator action, chaos event)
-    takes effect immediately — including on a manager incarnation
-    created after a failover, which shares the same config object.
-    """
-
-    def __init__(self, config: ResourceConfig) -> None:
-        self.config = config
-
-    def state(self, usage_bytes: int) -> str:
-        """``"ok"`` | ``"soft"`` | ``"hard"`` for a measured usage."""
-        hard = self.config.hard_limit_bytes
-        if hard is not None and usage_bytes >= hard:
-            return "hard"
-        soft = self.config.soft_limit_bytes
-        if soft is not None and usage_bytes >= soft:
-            return "soft"
-        return "ok"
-
-
 # ----------------------------------------------------------------------
 # retention
 # ----------------------------------------------------------------------
-def _newest_checkpoint(state_dir: str) -> Optional[Tuple[int, int]]:
-    """``(seq, lsn)`` of the newest durable, digest-verified checkpoint;
+def _anchor(state_dir: str) -> Optional[Tuple[int, int]]:
+    """``(seq, lsn)`` of the oldest of the newest (up to)
+    :data:`KEEP_CHECKPOINTS` durable, digest-verified checkpoints;
     ``None`` (nothing is prunable) when none qualifies."""
+    anchor = None
     try:
-        for seq, sidecar in checkpoints(state_dir):
-            return seq, int(sidecar["lsn"])
+        for kept, (seq, sidecar) in enumerate(checkpoints(state_dir), 1):
+            anchor = (seq, int(sidecar["lsn"]))
+            if kept == KEEP_CHECKPOINTS:
+                break
     except RecoveryError:
         pass  # unreadable manifest: no checkpoint counts as durable
-    return None
+    return anchor
+
+
+def _released(
+    state_dir: str,
+    anchor: Tuple[int, int],
+    replica_lsns: Optional[List[int]],
+    current_seq: Optional[int],
+) -> List[int]:
+    """The WAL segment seqs the retention rule releases below ``anchor``
+    (see :func:`_anchor`), oldest first.
+
+    A segment rotated before the anchor holds no LSN above the anchor's,
+    so it is parsed only when some replica's LSN is below the anchor's.
+    """
+    anchor_seq, anchor_lsn = anchor
+    floor = min([anchor_lsn] + [int(lsn) for lsn in replica_lsns or []])
+    out: List[int] = []
+    for seq in wal_seqs(state_dir):
+        if seq >= anchor_seq or (current_seq is not None and seq >= current_seq):
+            # rotated at (or after) the anchor: its records are the replay
+            # tail that checkpoint needs
+            break
+        if floor < anchor_lsn:
+            try:
+                scan = scan_segment(wal_path(state_dir, seq), newest=False)
+            except OSError:
+                continue
+            # a corrupt segment is the scrubber's problem, never retention's
+            if (
+                scan.verdict != "corrupt"
+                and scan.records
+                and int(scan.records[-1]["lsn"]) > floor
+            ):
+                continue
+        out.append(seq)
+    return out
 
 
 def prunable_wal_segments(
@@ -143,80 +165,64 @@ def prunable_wal_segments(
     """WAL segment seqs the retention rule releases, oldest first.
 
     A segment is released only when its highest LSN is covered by the
-    newest digest-verified durable checkpoint **and** by every replica's
-    acknowledged LSN; the currently open segment is never released.
-    An empty segment older than the verified checkpoint carries nothing
-    and is released unconditionally.
+    oldest of the newest (up to) :data:`KEEP_CHECKPOINTS` digest-verified
+    durable checkpoints **and** by every replica's applied LSN; the
+    currently open segment is never released.  An empty segment older
+    than that checkpoint carries nothing and is released unconditionally.
     """
-    verified = _newest_checkpoint(state_dir)
-    if verified is None:
+    anchor = _anchor(state_dir)
+    if anchor is None:
         return []
-    ckpt_seq, ckpt_lsn = verified
-    floor = ckpt_lsn
-    for lsn in replica_lsns or []:
-        floor = min(floor, int(lsn))
-    out: List[int] = []
-    for seq in wal_seqs(state_dir):
-        if current_seq is not None and seq >= current_seq:
-            continue
-        if seq >= ckpt_seq:
-            # rotated at (or after) the verified checkpoint: its records
-            # are the replay tail that checkpoint needs
-            continue
-        try:
-            scan = scan_segment(wal_path(state_dir, seq), newest=False)
-        except OSError:
-            continue
-        # a corrupt segment is the scrubber's problem, never retention's
-        if (
-            scan.verdict == "corrupt"
-            or not scan.records
-            or int(scan.records[-1]["lsn"]) <= floor
-        ):
-            out.append(seq)
-    return out
+    return _released(state_dir, anchor, replica_lsns, current_seq)
 
 
 def prune_retention(
     state_dir: str,
     replica_lsns: Optional[List[int]] = None,
     current_seq: Optional[int] = None,
+    faults=None,
 ) -> Tuple[int, int]:
-    """Apply the retention rule: drop released segments and the dead
-    checkpoints older than the newest verified one.  Returns
-    ``(files_removed, bytes_freed)``.
+    """Apply the retention rule: drop the released segments and every
+    checkpoint older than the retained ones whose replay tail loses a
+    segment.  Returns ``(files_removed, bytes_freed)``.
 
-    Older checkpoints go *only* when every segment between them and the
-    verified checkpoint was released — otherwise they remain a valid
-    recovery fallback and keep their replay tail alive.
+    The checkpoints go first, then the segments: between the two (fault
+    site ``wal.prune``, hit once per prune) the directory holds surplus
+    segments, never a checkpoint without its tail.  An older checkpoint
+    whose tail stays whole remains a valid recovery fallback.
     """
-    released = prunable_wal_segments(state_dir, replica_lsns, current_seq)
+    anchor = _anchor(state_dir)
+    released: List[int] = []
+    doomed: List[str] = []
+    if anchor is not None:
+        anchor_seq = anchor[0]
+        released = _released(state_dir, anchor, replica_lsns, current_seq)
+        surviving = set(wal_seqs(state_dir)).difference(released)
+        for seq in checkpoint_seqs(state_dir):
+            # an older checkpoint is dead once any of its replay tail
+            # (segments seq..anchor_seq-1) is gone
+            if seq < anchor_seq and not surviving.issuperset(range(seq, anchor_seq)):
+                doomed += [image_path(state_dir, seq), sidecar_path(state_dir, seq)]
+    removed, freed = _unlink(doomed)
+    if faults is not None:
+        faults.hit("wal.prune")
+    segments, segment_bytes = _unlink([wal_path(state_dir, s) for s in released])
+    return removed + segments, freed + segment_bytes
+
+
+def _unlink(paths: List[str]) -> Tuple[int, int]:
+    """Delete ``paths`` best-effort (a later prune retries); returns
+    ``(files_removed, bytes_freed)``."""
     removed = 0
     freed = 0
-
-    def _unlink(path: str) -> None:
-        nonlocal removed, freed
+    for path in paths:
         try:
-            freed += os.path.getsize(path)
+            size = os.path.getsize(path)
             os.unlink(path)
-            removed += 1
-        except OSError:  # best-effort, like the interval pruner
-            pass
-
-    for seq in released:
-        _unlink(wal_path(state_dir, seq))
-    verified = _newest_checkpoint(state_dir)
-    if verified is not None:
-        ckpt_seq = verified[0]
-        surviving = set(wal_seqs(state_dir))
-        for seq in checkpoint_seqs(state_dir):
-            if seq >= ckpt_seq:
-                continue
-            # an older checkpoint is dead once any of its replay tail
-            # (segments seq..ckpt_seq-1) has been pruned away
-            if any(s not in surviving for s in range(seq, ckpt_seq)):
-                _unlink(image_path(state_dir, seq))
-                _unlink(sidecar_path(state_dir, seq))
+        except OSError:
+            continue
+        removed += 1
+        freed += size
     return removed, freed
 
 
@@ -224,21 +230,26 @@ def prune_retention(
 # the manager
 # ----------------------------------------------------------------------
 class ResourceManager:
-    """Budget enforcement for one reliability manager (and its server).
+    """Retention and budget enforcement for one reliability manager.
 
-    Owned by the :class:`~repro.reliability.recovery.ReliabilityManager`;
-    the server calls :meth:`check` after successful writes and
-    :meth:`probe` when trying to leave read-only mode.  The replication
-    layer wires :attr:`replica_lsns` so retention never outruns a live
-    replica's acknowledged position.
+    Owned by the :class:`~repro.reliability.recovery.ReliabilityManager`,
+    which prunes through it after every checkpoint; the server calls
+    :meth:`check` after successful writes, :meth:`note_wal_failure` when
+    the WAL descriptor is poisoned and :meth:`probe` when trying to leave
+    read-only mode.  The replication layer wires :attr:`replica_lsns` so
+    retention never outruns a live replica's applied position.
+
+    The watermarks are read from the shared :class:`ResourceConfig` on
+    every evaluation, so resizing the config (operator action, chaos
+    event) takes effect immediately — including on a manager incarnation
+    created after a failover, which shares the same config object.
     """
 
     def __init__(self, manager, config: ResourceConfig) -> None:
         self.manager = manager
         self.config = config
-        self.budget = DiskBudget(config)
-        # provider of every live replica's applied LSN; None = standalone
-        self.replica_lsns: Optional[Callable[[], List[int]]] = None
+        # every live replica's applied LSN; none on a standalone server
+        self.replica_lsns: Callable[[], List[int]] = lambda: []
         self.events = {
             "soft_watermark": 0,
             "hard_watermark": 0,
@@ -267,15 +278,23 @@ class ResourceManager:
         tm.WAL_SEGMENTS.set(segments)
         return total
 
-    def _lsn_floor_inputs(self) -> Optional[List[int]]:
-        return self.replica_lsns() if self.replica_lsns is not None else None
+    def budget_state(self, usage_bytes: int) -> str:
+        """``"ok"`` | ``"soft"`` | ``"hard"`` for a measured usage."""
+        hard = self.config.hard_limit_bytes
+        if hard is not None and usage_bytes >= hard:
+            return "hard"
+        soft = self.config.soft_limit_bytes
+        if soft is not None and usage_bytes >= soft:
+            return "soft"
+        return "ok"
 
     def prune(self) -> Tuple[int, int]:
         """Run the retention rule now; returns ``(files, bytes)`` freed."""
         removed, freed = prune_retention(
             self.manager.state_dir,
-            self._lsn_floor_inputs(),
+            self.replica_lsns(),
             current_seq=self.manager.seq,
+            faults=self.manager.faults,
         )
         if removed:
             self._event("prune")
@@ -287,15 +306,19 @@ class ResourceManager:
     def check(self, server) -> str:
         """Evaluate the budget after a write; returns the budget state.
 
-        Soft watermark: checkpoint, then prune (a checkpoint is what
-        makes segments prunable).  Hard watermark — or a checkpoint that
-        itself fails on the filling disk — enters read-only mode.
-        Re-entrant calls (the checkpoint path writes too) are no-ops.
+        Unbounded (both watermarks ``None``) it touches no disk.  Soft
+        watermark: checkpoint, which prunes.  Hard watermark — or a
+        checkpoint that itself fails on the filling disk — enters
+        read-only mode.  Re-entrant calls (the checkpoint path writes
+        too) are no-ops.
         """
-        if self._checking:
+        config = self.config
+        if self._checking or (
+            config.soft_limit_bytes is None and config.hard_limit_bytes is None
+        ):
             return "ok"
         usage = self.usage()
-        state = self.budget.state(usage)
+        state = self.budget_state(usage)
         if state == "ok":
             return state
         if state == "soft" and not server.read_only:
@@ -303,21 +326,15 @@ class ResourceManager:
             self._checking = True
             try:
                 self.manager.checkpoint(server)
-                self.prune()
             except (OSError, WALWriteError) as exc:
                 self._enter_readonly(server, f"checkpoint failed: {exc}")
                 return "hard"
             finally:
                 self._checking = False
             usage = self.usage()
-            state = self.budget.state(usage)
-        if state == "hard" and not server.read_only:
-            self._event("hard_watermark")
-            self._enter_readonly(
-                server,
-                f"state directory at {usage} bytes >= hard limit "
-                f"{self.config.hard_limit_bytes}",
-            )
+            state = self.budget_state(usage)
+        if state == "hard":
+            self._hard_watermark(server, usage)
         return state
 
     def note_wal_failure(self, server, exc: BaseException) -> None:
@@ -348,8 +365,7 @@ class ResourceManager:
                 return False  # the disk has not recovered; stay degraded
             self._event("wal_reopened")
         self.prune()
-        usage = self.usage()
-        if self.budget.state(usage) == "hard":
+        if self.budget_state(self.usage()) == "hard":
             return False
         self._exit_readonly(server)
         return True
@@ -363,19 +379,24 @@ class ResourceManager:
         """
         if server.read_only:
             self.probe(server)
-        else:
-            usage = self.usage()
-            if self.budget.state(usage) == "hard":
-                self._event("hard_watermark")
-                self._enter_readonly(
-                    server,
-                    f"state directory at {usage} bytes >= hard limit "
-                    f"{self.config.hard_limit_bytes}",
-                )
+            return
+        usage = self.usage()
+        if self.budget_state(usage) == "hard":
+            self._hard_watermark(server, usage)
 
     # ------------------------------------------------------------------
     # read-only transitions (counted here; the server journals them)
     # ------------------------------------------------------------------
+    def _hard_watermark(self, server, usage: int) -> None:
+        if server.read_only:
+            return
+        self._event("hard_watermark")
+        self._enter_readonly(
+            server,
+            f"state directory at {usage} bytes >= hard limit "
+            f"{self.config.hard_limit_bytes}",
+        )
+
     def _enter_readonly(self, server, reason: str) -> None:
         if server.read_only:
             return
@@ -398,6 +419,6 @@ class ResourceManager:
             "wal_segments": segments,
             "soft_limit_bytes": self.config.soft_limit_bytes,
             "hard_limit_bytes": self.config.hard_limit_bytes,
-            "budget_state": self.budget.state(total),
+            "budget_state": self.budget_state(total),
             "events": dict(self.events),
         }

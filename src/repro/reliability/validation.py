@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from ..core.geometry import Rect
@@ -144,8 +144,8 @@ class ResourceConfig:
     ``soft_limit_bytes``: state-dir size at which the server checkpoints
     and prunes retention-covered WAL segments.  ``hard_limit_bytes``:
     size at which it flips to read-only degraded mode (queries keep
-    serving, writes are refused with ``retry_after``).  Either may be
-    ``None`` to disable that watermark.
+    serving, writes are refused with ``retry_after``).  ``None`` (the
+    default for both) disables that watermark.
 
     The object is deliberately mutable and *shared* (never copied by
     ``dataclasses.replace`` of the enclosing ``ReliabilityConfig``), so
@@ -163,10 +163,11 @@ class ResourceConfig:
         }
 
     @classmethod
-    def from_dict(cls, payload: Optional[dict]) -> Optional["ResourceConfig"]:
-        """Inverse of :meth:`to_dict`; keys it does not know are ignored."""
-        if not payload:
-            return None
+    def from_dict(cls, payload: Optional[dict]) -> "ResourceConfig":
+        """Inverse of :meth:`to_dict`; keys it does not know are ignored,
+        and ``None`` (what older writers stored for no budget) is the
+        unbounded default."""
+        payload = payload or {}
         limits = {
             name: None if payload.get(name) is None else int(payload[name])
             for name in ("soft_limit_bytes", "hard_limit_bytes")
@@ -183,18 +184,19 @@ class ReliabilityConfig:
     :meth:`PDRServer.recover` reconstructs the server after a crash;
     ``fsync`` makes every WAL append durable before it is acked.
     ``faults`` attaches a :class:`FaultInjector`, whose (virtual) clock
-    then also drives query deadlines and retry backoff.  ``resources``
-    attaches a disk budget (see :class:`ResourceConfig` and
-    :mod:`repro.reliability.resources`).  Retry counts, the dead-letter
-    capacity and checkpoint retention are constants:
-    :data:`repro.reliability.deadline.RETRIES` /
+    then also drives query deadlines and retry backoff.  ``resources`` is
+    the state directory's disk budget (see :class:`ResourceConfig`),
+    unbounded by default; every durable directory is pruned by the one
+    retention rule of :mod:`repro.reliability.resources` whatever the
+    budget.  Retry counts, the dead-letter capacity and checkpoint
+    retention are constants: :data:`repro.reliability.deadline.RETRIES` /
     :data:`~repro.reliability.deadline.BACKOFF_SECONDS`,
     :data:`DEAD_LETTER_CAPACITY` and
-    :data:`repro.reliability.recovery.KEEP_CHECKPOINTS`.
+    :data:`repro.reliability.resources.KEEP_CHECKPOINTS`.
     """
 
     state_dir: Optional[str] = None
     checkpoint_interval: int = 0  # ticks between checkpoints; 0 = WAL only
     fsync: bool = True
     faults: Optional[FaultInjector] = None
-    resources: Optional[ResourceConfig] = None
+    resources: ResourceConfig = field(default_factory=ResourceConfig)

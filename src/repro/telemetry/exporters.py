@@ -51,8 +51,9 @@ REQUIRED_FAMILIES = (
     "repro_slo_burn_rate",
     "repro_slo_budget_remaining",
     # unlabeled resource gauges exist (at zero) from process start;
-    # repro_resource_events_total is labeled and only materialises under
-    # actual resource pressure, so it is not required of every scrape
+    # repro_resource_events_total is labeled and only materialises with a
+    # durable server's first prune or resource event, so it is not
+    # required of every scrape
     "repro_state_dir_bytes",
     "repro_wal_segments",
     "repro_readonly",

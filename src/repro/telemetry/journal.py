@@ -20,8 +20,8 @@ Cross-process safety: the supervisor parent and the serve child share
 one journal *directory*, but each process appends only to its own
 ``journal-<pid>-<n>.jsonl`` segments — no write interleaving, no
 rotation races.  Readers glob every segment and merge on ``(ts, pid,
-seq)``.  Rotation is size-capped per process (``max_segment_bytes`` ×
-``max_segments``); the journal lives inside the state dir, so the PR 7
+seq)``.  Rotation is size-capped per process (:data:`MAX_SEGMENT_BYTES`
+× :data:`MAX_SEGMENTS`); the journal lives inside the state dir, so the
 disk budget accounts its bytes like any other state file, and the cap
 keeps it a rounding error against the WAL retention math.
 
@@ -51,10 +51,12 @@ __all__ = ["Journal", "JOURNAL", "read_journal", "JOURNAL_ENV"]
 
 JOURNAL_ENV = "REPRO_JOURNAL_DIR"
 
-#: Per-process rotation defaults: 512 KiB x 4 segments = at most ~2 MiB
-#: of journal per process, far under any disk-budget watermark.
-DEFAULT_MAX_SEGMENT_BYTES = 512 * 1024
-DEFAULT_MAX_SEGMENTS = 4
+#: Records the in-memory ring keeps (read when a journal is made).
+RING_CAPACITY = 512
+#: Per-process rotation caps: 512 KiB x 4 segments = at most ~2 MiB of
+#: journal per process, far under any disk-budget watermark.
+MAX_SEGMENT_BYTES = 512 * 1024
+MAX_SEGMENTS = 4
 
 
 def _current_trace_id() -> Optional[str]:
@@ -72,16 +74,14 @@ def _current_trace_id() -> Optional[str]:
 class Journal:
     """One process's journal writer: in-memory ring until bound to a dir."""
 
-    def __init__(self, ring_capacity: int = 512) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq = 0
-        self._ring: deque = deque(maxlen=ring_capacity)
+        self._ring: deque = deque(maxlen=RING_CAPACITY)
         self._dir: Optional[str] = None
         self._fh: Optional[io.TextIOWrapper] = None
         self._segment_index = 0
         self._segment_bytes = 0
-        self.max_segment_bytes = DEFAULT_MAX_SEGMENT_BYTES
-        self.max_segments = DEFAULT_MAX_SEGMENTS
         self.rotations = 0
         # Ambient context merged into every record; update_context() as
         # role/epoch/generation become known or change.
@@ -99,8 +99,6 @@ class Journal:
         self,
         directory: str,
         *,
-        max_segment_bytes: Optional[int] = None,
-        max_segments: Optional[int] = None,
         role: Optional[str] = None,
     ) -> None:
         """Start appending to ``directory`` (created if missing)."""
@@ -108,10 +106,6 @@ class Journal:
             self._close_locked()
             os.makedirs(directory, exist_ok=True)
             self._dir = directory
-            if max_segment_bytes is not None:
-                self.max_segment_bytes = max(1024, int(max_segment_bytes))
-            if max_segments is not None:
-                self.max_segments = max(1, int(max_segments))
             if role is not None:
                 self._context["role"] = role
             self._env_checked = True
@@ -184,7 +178,7 @@ class Journal:
         )
         # Prune this process's oldest segments beyond the cap.
         own = self._own_segments_locked()
-        while len(own) > self.max_segments:
+        while len(own) > MAX_SEGMENTS:
             victim = own.pop(0)
             try:
                 os.unlink(victim)
@@ -236,7 +230,7 @@ class Journal:
                     self._fh.write(line + "\n")
                     self._fh.flush()
                     self._segment_bytes += len(line) + 1
-                    if self._segment_bytes >= self.max_segment_bytes:
+                    if self._segment_bytes >= MAX_SEGMENT_BYTES:
                         self._rotate_locked()
                 except (OSError, ValueError):
                     # Journal writes must never take the server down —

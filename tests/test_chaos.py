@@ -19,7 +19,7 @@ import pytest
 
 from tests.conftest import small_system_config
 from repro import PDRServer, cli
-from repro.reliability import chaos, recovery
+from repro.reliability import chaos, resources
 from repro.reliability.chaos import (
     DISRUPTIONS,
     ChaosConfig,
@@ -118,7 +118,7 @@ class TestDurableOracles:
                                           checkpoint_interval=2),
         )
         with pytest.MonkeyPatch.context() as mp:  # keep every checkpoint
-            mp.setattr(recovery, "KEEP_CHECKPOINTS", 8)
+            mp.setattr(resources, "KEEP_CHECKPOINTS", 8)
             for t in range(1, 11):
                 for oid in range(12):
                     server.report(oid, 5.0 + 7 * oid, 20.0 + t, 0.5, -0.25)

@@ -17,7 +17,7 @@ import numpy as np
 from repro import PDRServer
 from repro.core.config import SystemConfig
 from repro.core.geometry import Rect
-from repro.reliability import recovery, statedir
+from repro.reliability import resources, statedir
 from repro.reliability.validation import ReliabilityConfig, ResourceConfig
 from repro.storage.snapshot import load_server
 
@@ -81,6 +81,7 @@ def test_a_config_with_every_removed_key_recovers_byte_identical(tmp_path):
         meta = json.load(fh)
     assert not set(REMOVED_KEYS) & set(meta["reliability"])  # no longer written
     meta["reliability"].update(REMOVED_KEYS)
+    meta["reliability"]["resources"] = None  # the older writer's "no budget"
     statedir.atomic_write_json(path, meta)
 
     recovered = PDRServer.recover(state_dir)
@@ -89,7 +90,8 @@ def test_a_config_with_every_removed_key_recovers_byte_identical(tmp_path):
         assert state_bytes(recovered) == state_bytes(live)
         assert recovered.wal_lsn == live.wal_lsn
         kept = recovered.reliability
-        assert (kept.checkpoint_interval, kept.fsync, kept.resources) == (2, False, None)
+        assert (kept.checkpoint_interval, kept.fsync) == (2, False)
+        assert kept.resources == ResourceConfig()  # null reads as unbounded
         # the constants rule, whatever the file said: a re-report is not a
         # duplicate, a fast report is not over speed, 2 checkpoints are kept
         assert recovered.report(40, 60.0, 60.0, 30.0, 0.0) is not None
@@ -97,7 +99,7 @@ def test_a_config_with_every_removed_key_recovers_byte_identical(tmp_path):
         recovered.advance_to(5)
         for _ in range(3):
             recovered.checkpoint()
-        assert len(statedir.checkpoint_seqs(state_dir)) == recovery.KEEP_CHECKPOINTS
+        assert len(statedir.checkpoint_seqs(state_dir)) == resources.KEEP_CHECKPOINTS
     finally:
         recovered.close()
 

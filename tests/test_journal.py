@@ -2,7 +2,7 @@
 
 The journal's contract is operational: every emit succeeds (ring-only
 when unbound, never an exception when the disk goes away), its on-disk
-footprint stays under ``max_segment_bytes * max_segments`` per process
+footprint stays under ``MAX_SEGMENT_BYTES * MAX_SEGMENTS`` per process
 (the disk-budget guarantee), and readers reconstruct a merged,
 per-process-ordered timeline while skipping torn lines — the exact
 artifact SIGKILL leaves behind.
@@ -14,12 +14,13 @@ import glob
 import json
 import os
 
-from repro.telemetry import TELEMETRY
+from repro.telemetry import TELEMETRY, journal as journal_module
 from repro.telemetry.journal import Journal, read_journal
 
 
-def test_unbound_journal_is_a_ring_and_never_touches_disk(tmp_path):
-    journal = Journal(ring_capacity=4)
+def test_unbound_journal_is_a_ring_and_never_touches_disk(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal_module, "RING_CAPACITY", 4)
+    journal = Journal()
     seqs = [journal.emit("e", n=i) for i in range(10)]
     assert seqs == list(range(1, 11))  # per-process monotonic
     recent = journal.recent()
@@ -62,16 +63,18 @@ def test_event_fields_cannot_clobber_the_record_envelope(tmp_path):
     assert record["subject_pid"] == 99999        # the field survives, renamed
 
 
-def test_rotation_bounds_disk_usage_under_the_caps(tmp_path):
+def test_rotation_bounds_disk_usage_under_the_caps(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal_module, "MAX_SEGMENT_BYTES", 2048)
+    monkeypatch.setattr(journal_module, "MAX_SEGMENTS", 3)
     directory = str(tmp_path / "journal")
     journal = Journal()
-    journal.bind(directory, max_segment_bytes=2048, max_segments=3)
+    journal.bind(directory)
     for i in range(500):
         journal.emit("spin", i=i, pad="x" * 64)
     assert journal.rotations > 0
     own = glob.glob(os.path.join(directory, f"journal-{os.getpid()}-*.jsonl"))
     assert len(own) <= 3
-    # worst case: max_segments full segments plus one record of overshoot
+    # worst case: MAX_SEGMENTS full segments plus one record of overshoot
     assert journal.disk_bytes() <= 3 * 2048 + 1024
     # the newest records survived pruning
     events = read_journal(directory)
@@ -125,16 +128,17 @@ def test_poisoned_descriptor_degrades_to_ring_only(tmp_path):
     assert [r["event"] for r in read_journal(str(tmp_path / "j"))] == ["before"]
 
 
-def test_rebind_resumes_after_the_highest_existing_segment(tmp_path):
+def test_rebind_resumes_after_the_highest_existing_segment(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal_module, "MAX_SEGMENT_BYTES", 1024)
     directory = str(tmp_path / "j")
     journal = Journal()
-    journal.bind(directory, max_segment_bytes=1024)
+    journal.bind(directory)
     for i in range(60):
         journal.emit("first", pad="y" * 48)
     journal.close()
     before = read_journal(directory)
     journal2 = Journal()
-    journal2.bind(directory, max_segment_bytes=1024)
+    journal2.bind(directory)
     journal2.emit("second-life")
     journal2.close()
     after = read_journal(directory)

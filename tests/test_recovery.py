@@ -25,10 +25,10 @@ from repro import PDRServer
 from repro.core.errors import AuditError, RecoveryError, StorageError, WALWriteError
 from repro.reliability.chaos import durable_verdict
 from repro.reliability.faults import DURABILITY_SITES, FaultInjector, InjectedCrashError
-from repro.reliability import recovery
+from repro.reliability import recovery, resources, statedir
 from repro.motion import updates
 from repro.reliability.recovery import audit_server
-from repro.reliability.validation import ReliabilityConfig, ResourceConfig
+from repro.reliability.validation import ReliabilityConfig
 
 N_TICKS = 200
 N_OBJECTS = 30
@@ -275,13 +275,8 @@ class TestEveryDurabilitySite:
     verifies clean, recovers every acked write, audits clean and answers FR
     as brute force does — the process plane's checks at tier-1 cost."""
 
-    @pytest.mark.parametrize(
-        "site, retention",
-        [(site, False) for site in DURABILITY_SITES] + [("wal.prune", True)],
-    )
-    def test_crash_leaves_a_directory_the_durable_oracles_pass(
-        self, site, retention, tmp_path
-    ):
+    @pytest.mark.parametrize("site", DURABILITY_SITES)
+    def test_crash_leaves_a_directory_the_durable_oracles_pass(self, site, tmp_path):
         faults = FaultInjector()
         faults.inject_crash(
             site, after=SITE_AFTER.get(site, 3),
@@ -294,8 +289,6 @@ class TestEveryDurabilitySite:
             checkpoint_interval=CKPT_INTERVAL,
             fsync=site == "wal_fsync",
             faults=faults,
-            # the retention pruner stands in for the interval pruner
-            resources=ResourceConfig() if retention else None,
         )
         server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
         acked = 0
@@ -311,6 +304,27 @@ class TestEveryDurabilitySite:
         # the restart: recovery repairs a torn tail, and audits
         PDRServer.recover(rc.state_dir).close()
         assert durable_verdict(rc.state_dir, acked) is None
+
+
+def test_a_crash_between_manifest_flip_and_rotation_loses_no_acked_write(tmp_path):
+    """A checkpoint whose manifest flipped but whose WAL never rotated
+    leaves no segment at its seq: the recovered server must append there,
+    where the next replay from that checkpoint looks, not below it."""
+    rc = durable_config(tmp_path)
+    server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
+    for op in OPS[:40]:
+        apply_op(server, op)
+    manager = server._manager
+    statedir.write_checkpoint(rc.state_dir, manager.seq + 1, server, manager.lsn)
+    server.close()  # the process dies before the rotation
+    recovered = PDRServer.recover(rc.state_dir)
+    for op in OPS[40:60]:
+        apply_op(recovered, op)
+    acked = recovered.wal_lsn
+    recovered.close()
+    again = PDRServer.recover(rc.state_dir)
+    assert again.wal_lsn == acked
+    again.close()
 
 
 class TestCorruptionHandling:
@@ -350,7 +364,7 @@ class TestCorruptionHandling:
             n for n in os.listdir(rc.state_dir)
             if n.startswith("ckpt-") and n.endswith(".npz")
         )
-        assert len(ckpts) >= 2  # recovery.KEEP_CHECKPOINTS
+        assert len(ckpts) >= 2  # resources.KEEP_CHECKPOINTS
         newest = os.path.join(rc.state_dir, ckpts[-1])
         with open(newest, "wb") as fh:
             fh.write(b"not a zip archive")
@@ -596,7 +610,7 @@ class TestStateDirLayout:
             int(n[5:13]) for n in names if n.startswith("ckpt-") and n.endswith(".npz")
         )
         wal_seqs = sorted(int(n[4:12]) for n in names if n.startswith("wal-"))
-        assert len(ckpt_seqs) == recovery.KEEP_CHECKPOINTS == 2
+        assert len(ckpt_seqs) == resources.KEEP_CHECKPOINTS == 2
         assert min(wal_seqs) >= min(ckpt_seqs)
 
 
@@ -656,7 +670,7 @@ class TestKeepCheckpoints:
     def test_recovery_from_oldest_kept_checkpoint_after_cycles(
         self, tmp_path, reference, monkeypatch
     ):
-        monkeypatch.setattr(recovery, "KEEP_CHECKPOINTS", 3)
+        monkeypatch.setattr(resources, "KEEP_CHECKPOINTS", 3)
         rc = durable_config(tmp_path)
         server = PDRServer(small_system_config(), expected_objects=N_OBJECTS, reliability=rc)
         for op in OPS:

@@ -60,7 +60,7 @@ def make_server(state_dir, faults=None, resources=None, fsync=True,
             checkpoint_interval=checkpoint_interval,
             fsync=fsync,
             faults=faults,
-            resources=resources,
+            resources=resources or ResourceConfig(),
         ),
     )
 
@@ -288,10 +288,14 @@ def test_soft_watermark_checkpoints_then_prunes(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def rotated_state_dir():
-    """A state dir with three checkpoints and four WAL segments."""
+    """A state dir with three checkpoints and four WAL segments.
+
+    A replica pinned at LSN 0 holds the line, so the checkpoints' own
+    prunes leave every file for the tests to release."""
     tmp = tempfile.mkdtemp(prefix="retention-")
     state_dir = os.path.join(tmp, "state")
     server = make_server(state_dir, fsync=False)
+    server._manager.resources.replica_lsns = lambda: [0]
     for batch in range(3):
         seed_reports(server, 6, seed=batch, start_oid=batch * 10)
         server._manager.checkpoint(server)
@@ -411,27 +415,49 @@ def test_lagging_replica_heals_when_replacement_segment_is_empty(tmp_path):
     group.close()
 
 
-def test_retention_holds_the_line_for_live_lagging_replicas(tmp_path):
-    """A *live* (merely partitioned) replica pins retention: the
-    checkpoint-time pruner may not drop the tail it is still owed."""
-    resources = ResourceConfig()
-    group = make_group(tmp_path / "state", resources=resources, n_replicas=1)
-    state_dir = str(tmp_path / "state")
+def _hold_the_line(tmp_path, reliability, prune_again):
+    """A *live* (merely partitioned) replica pins retention across three
+    checkpoints: no pruner may drop the tail it is still owed."""
+    primary = PDRServer(small_system_config(), expected_objects=64,
+                        reliability=reliability)
+    group = ReplicationGroup(primary, n_replicas=1, staleness_bound=1_000_000)
     replica = group.replicas[0]
     for i in range(4):
         group.report(i, 10.0 + i, 20.0 + i, 0.2, -0.1)
     replica.link.partitioned = True
-    for i in range(4, 8):
-        group.report(i, 10.0 + i, 20.0 + i, 0.2, -0.1)
     manager = group.primary._manager
-    manager.checkpoint(group.primary)
-    manager.resources.prune()
+    for start in (4, 8, 12):
+        for i in range(start, start + 4):
+            group.report(i, 10.0 + i, 20.0 + i, 0.2, -0.1)
+        manager.checkpoint(group.primary)
+        if prune_again:
+            manager.resources.prune()
 
     # every record past the replica's cursor is still replayable
     tail = [int(r["lsn"]) for r in
-            records_from_lsn(state_dir, replica.applied_lsn)]
+            records_from_lsn(reliability.state_dir, replica.applied_lsn)]
     assert tail == list(range(replica.applied_lsn + 1, group.acked_lsn + 1))
     group.close()
+
+
+def test_retention_holds_the_line_for_live_lagging_replicas(tmp_path):
+    """A budgeted directory, pruned by its checkpoints and by hand."""
+    _hold_the_line(
+        tmp_path,
+        ReliabilityConfig(state_dir=str(tmp_path / "state"), fsync=False,
+                          resources=ResourceConfig()),
+        prune_again=True,
+    )
+
+
+def test_retention_holds_the_line_under_the_default_config(tmp_path):
+    """The default config (no budget), pruned by its checkpoints alone:
+    the same retention rule runs, so the same tail survives."""
+    _hold_the_line(
+        tmp_path,
+        ReliabilityConfig(state_dir=str(tmp_path / "state"), fsync=False),
+        prune_again=False,
+    )
 
 
 # ----------------------------------------------------------------------
