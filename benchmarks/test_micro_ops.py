@@ -47,7 +47,8 @@ def test_bench_fr_query(medium_world, query, benchmark):
 
 
 def test_bench_location_update(medium_world, benchmark):
-    """One full report: delete + insert across histogram, PA and TPR-tree."""
+    """One full report: delete + insert across histogram and PA (the
+    TPR-tree only marks itself stale; its next read rebuilds it)."""
     server = medium_world.server
     oid = 999_999_999
     gen = np.random.default_rng(0)

@@ -22,7 +22,7 @@ __all__ = ["Node", "retighten_all"]
 class Node:
     """One TPR-tree node / disk page."""
 
-    __slots__ = ("page_id", "level", "entries", "parent", "bound", "_cols")
+    __slots__ = ("page_id", "level", "entries", "bound", "_cols")
 
     def __init__(self, page_id: int, level: int, t_ref: float) -> None:
         self.page_id = page_id
@@ -30,7 +30,6 @@ class Node:
         self.entries: Union[np.ndarray, List["Node"]] = (
             np.empty(0, dtype=np.intp) if level == 0 else []
         )
-        self.parent: Optional["Node"] = None
         self.bound: TPBR = TPBR.empty(t_ref)
         self._cols: Optional[np.ndarray] = None
 
@@ -46,10 +45,10 @@ class Node:
 
         A leaf reads its rows from ``table`` — one gather, never cached; a
         motion is the degenerate bound :meth:`TPBR.point`.  An internal
-        node caches its children's bounds: the cache is dropped whenever
-        ``entries`` changes and a child's column is rewritten whenever its
-        bound does (:meth:`_publish_bound`), so it always equals
-        :meth:`child_columns` — ``TPRTree.validate`` checks exactly that.
+        node caches its children's bounds, read once they are final (a
+        tree is bounded bottom-up, level by level) and dropped whenever
+        ``entries`` changes, so it always equals :meth:`child_columns` —
+        ``TPRTree.validate`` checks exactly that.
         """
         if self.is_leaf:
             return _row_columns(table, self.entries)
@@ -61,62 +60,14 @@ class Node:
         rows = [child.bound.column() for child in self.entries]
         return np.array(rows, dtype=float).reshape(len(rows), 9).T.copy()
 
-    def _publish_bound(self) -> None:
-        """Rewrite this node's column in its parent's cached columns."""
-        parent = self.parent
-        if parent is not None and parent._cols is not None:
-            parent._cols[:, parent.entries.index(self)] = self.bound.column()
-
-    def add(self, entry: Union[int, "Node"], bound: TPBR) -> None:
-        """Append a table row (leaf) or a child node (which gets its parent
-        pointer set) and grow over its ``bound``."""
-        if self.is_leaf:
-            self.entries = np.append(self.entries, entry)
-        else:
-            self.entries.append(entry)
-            entry.parent = self
-            self._cols = None
-        self.grow(bound)
-
-    def grow(self, bound: TPBR) -> None:
-        """Extend the bound over something inserted at or below this node."""
-        self.bound.extend_tpbr(bound)
-        self._publish_bound()
-
-    def remove(self, child: "Node") -> None:
-        """Drop a child; the bound stays loose until :meth:`retighten`."""
-        self.entries.remove(child)
-        self._cols = None
-
-    def discard(self, rows) -> None:
-        """Drop ``rows`` from a leaf, keeping the order of the rest; the
-        bound stays loose until :meth:`retighten`."""
-        self.entries = self.entries[(self.entries[:, None] != rows).all(axis=1)]
-
-    def set_entries(self, entries: Union[np.ndarray, List["Node"]], t_ref: float, table) -> None:
-        """Replace all entries and bound them afresh, anchored at ``t_ref``."""
-        self.adopt(entries)
-        retighten_all([self], t_ref, table)
-
     def adopt(self, entries: Union[np.ndarray, List["Node"]]) -> None:
-        """Replace all entries (children get their parent pointer set); the
-        bound is stale until :func:`retighten_all`."""
+        """Replace all entries; the bound is stale until :func:`retighten_all`."""
         self.entries = entries
         self._cols = None
-        if not self.is_leaf:
-            for child in entries:
-                child.parent = self
-
-    def retighten(self, t_ref: float, table) -> None:
-        """Recompute the bound from scratch, anchored at ``t_ref``:
-        :func:`retighten_all` of this node alone."""
-        retighten_all([self], t_ref, table)
 
     def subtree_rows(self) -> np.ndarray:
         """Every table row stored at or below this node, in leaf order."""
-        leaves = [node.entries for node in self.subtree_nodes() if node.is_leaf]
-        # an internal node whose children were all dissolved has none
-        return np.concatenate(leaves) if leaves else np.empty(0, dtype=np.intp)
+        return np.concatenate([node.entries for node in self.subtree_nodes() if node.is_leaf])
 
     def subtree_nodes(self):
         """Yield every node of the subtree rooted here (preorder)."""
@@ -131,36 +82,25 @@ class Node:
 
 
 def retighten_all(nodes: Sequence[Node], t_ref: float, table) -> None:
-    """Recompute the bounds of ``nodes``, all of one level, from scratch,
-    anchored at ``t_ref``.
+    """Recompute the bounds of ``nodes``, all of one level and none empty,
+    from scratch, anchored at ``t_ref``.
 
-    Called after deletions (bounds may shrink), splits and bulk loads;
-    this is the TPR-tree's "tightening" step for a whole level at once: one
+    A bulk load bounds each level of the tree this way, leaves first: one
     gather of the entries' bounds (one table read over all the leaves'
     rows, or the internal nodes' cached columns side by side), one
     re-anchoring, then a min/max per node by ``reduceat``.  Min and max are
     exact, so each bound is the one a node-by-node loop computes.
     """
-    full = []
-    for node in nodes:
-        if len(node.entries):
-            full.append(node)
-        else:
-            node.bound = TPBR.empty(t_ref)
-            node._publish_bound()
-    if not full:
-        return
-    if full[0].is_leaf:
-        cols = _row_columns(table, np.concatenate([node.entries for node in full]))
+    if nodes[0].is_leaf:
+        cols = _row_columns(table, np.concatenate([node.entries for node in nodes]))
     else:
-        cols = np.concatenate([node.columns(table) for node in full], axis=1)
+        cols = np.concatenate([node.columns(table) for node in nodes], axis=1)
     lo, hi = anchored_edges(cols, t_ref)
-    starts = np.cumsum([0] + [len(node.entries) for node in full[:-1]])
+    starts = np.cumsum([0] + [len(node.entries) for node in nodes[:-1]])
     lo = np.minimum.reduceat(lo, starts, axis=1).T.tolist()
     hi = np.maximum.reduceat(hi, starts, axis=1).T.tolist()
-    for node, (x1, y1, vx1, vy1), (x2, y2, vx2, vy2) in zip(full, lo, hi):
+    for node, (x1, y1, vx1, vy1), (x2, y2, vx2, vy2) in zip(nodes, lo, hi):
         node.bound = TPBR(t_ref, x1, y1, x2, y2, vx1, vy1, vx2, vy2)
-        node._publish_bound()
 
 
 def _row_columns(table, rows: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
 """The TPR-tree: a time-parameterized R-tree over linearly moving points.
 
 This is the index the paper assumes for the refinement step of the FR
-method (Section 4): it stores predicted trajectories, supports insertion and
-deletion driven by the location-update protocol, and answers timestamped
+method (Section 4): it stores predicted trajectories and answers timestamped
 spatial range queries.  Query page accesses are routed through a simulated
 :class:`~repro.storage.buffer.BufferPool` so the experiment harness can
 charge I/O exactly as the paper does; update I/O is deliberately *not*
@@ -13,28 +12,29 @@ Implementation notes
 * The tree stores no motions.  A leaf holds rows of the
   :class:`~repro.motion.table.ObjectTable` it was built over and reads
   their columns there (a batched query gathers its visited leaves' rows
-  once, after the descent); a motion is a
-  degenerate TPBR, so leaves and internal nodes share every bounding,
-  choose-subtree and split expression (:meth:`Node.columns`).
-* Insertion descends by minimum enlargement of the *integral* bounding area
-  over the horizon window ``[t_now, t_now + H]`` and splits overflowing
-  nodes with the axis-sweep heuristic of :func:`repro.index.tpbr.pick_split`.
-* Deletion locates leaves through a table-row -> leaf map (a standard
-  implementation shortcut that avoids float-equality MBR searches; I/O
-  accounting is unaffected because only queries are charged).
-* A re-report whose new motion its leaf's bound still contains (position
-  and velocity) stays in that leaf, which is only retightened — the
-  bottom-up update of Lee et al. (VLDB 2003); every other report goes
-  through deletion and choose-leaf insertion.
-* Underflowing nodes are condensed: the node is removed and its remaining
-  entries reinserted, as in Guttman's R-tree.  A wave of deletions is
-  condensed once, leaf-grouped and level by level (:meth:`TPRTree._condense`).
+  once, after the descent); a motion is a degenerate TPBR, so leaves and
+  internal nodes share every bounding expression (:meth:`Node.columns`).
+* The tree is a derived index, rebuilt when it is read rather than
+  maintained per report (Dittrich et al., "Indexing Moving Objects Using
+  Short-Lived Throwaway Indexes", SSTD 2009).  A wave of reports or
+  retires, and a snapshot restore, only mark it stale; the first read
+  after that — a range query, :meth:`validate`, or a look at its shape —
+  repacks the whole table by one Sort-Tile-Recursive :meth:`bulk_load`,
+  anchored at the current clock.  One repack costs less than one wave of
+  per-report ChooseSubtree descents, splits and condenses did, at every
+  scale measured (docs/performance.md, "The TPR-tree is rebuilt when it
+  is read").
+* Concurrent readers share the server's read lock, so the rebuild runs
+  under a lock of the tree's own: one reader repacks, the others wait for
+  it and read the new tree.  Writers hold the server's write lock, so the
+  table does not move under a rebuild.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,11 +44,10 @@ from ..motion.table import ObjectTable
 from ..motion.updates import Columns, UpdateListener, Wave
 from ..storage.buffer import BufferPool
 from ..storage import pages
+from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 from .node import Node, retighten_all
 from .positions import deal_positions, query_windows
-from .tpbr import TPBR, cheapest_enlargement, pick_split
-from .zorder import interleave
 
 __all__ = ["TPRTree"]
 
@@ -72,106 +71,67 @@ class TPRTree(UpdateListener):
         self._tnow = float(table.tnow)
         self._leaf_fanout = pages.LEAF_FANOUT
         self._internal_fanout = pages.INTERNAL_FANOUT
-        self._min_fill_leaf = max(2, self._leaf_fanout * 2 // 5)
-        self._min_fill_internal = max(2, self._internal_fanout * 2 // 5)
         self._next_page = 0
-        self._leaf_of: Dict[int, Node] = {}
-        self.root = self._new_node(level=0)
+        self._lock = threading.Lock()
+        # The rows the waves seen so far leave in the table, which a rebuild
+        # indexes: a wave that does not carry this count to the table's is
+        # one the tree has seen already, or follows one it missed.
+        self._indexed = len(table)
+        self._stale = self._indexed > 0
+        self._root = self._new_node(level=0)
 
     # ------------------------------------------------------------------
-    # UpdateListener protocol
+    # UpdateListener protocol: writes only mark the tree stale
     # ------------------------------------------------------------------
     def on_advance(self, tnow: int, motions: Columns) -> None:
         self._tnow = max(self._tnow, float(tnow))
 
     def on_report_batch(self, wave: Wave) -> None:
-        """Absorb a wave; the indexed *contents* are contractual, tree shape
-        is an implementation detail (only :meth:`validate`'s invariants).
-
-        A re-report whose new motion still lies inside its leaf's bound
-        stays in that leaf (the bottom-up update of Lee et al., VLDB 2003):
-        see :meth:`_stays_put`.  Every other deleted row leaves its leaf
-        *before* anything is retightened or inserted: the wave's rows
-        already hold the new motions in the table (a re-report overwrites in
-        place, a first report may reuse a retired row), so from then on
-        every row in a leaf reads true.  Departures are grouped by leaf and
-        removed in one pass per leaf, then the touched leaves — a kept
-        row's leaf among them — are condensed together (:meth:`_condense`);
-        insertions go in Z-order, so spatially adjacent ones descend into
-        the same subtrees back to back.  A wave that dominates the
-        population — at least half of it leaves its leaves, or more rows
-        go in than stay — is cheaper to absorb by one STR :meth:`bulk_load`
-        than by condensing or N choose-leaf descents; kept rows count as
-        staying, so a tick that re-reports most objects in place is not
-        repacked.
-        """
+        """Note a wave; the next read rebuilds the tree over the table."""
         self._tnow = max(self._tnow, float(wave.tnow))
-        doomed, rows = wave.deleted_rows.tolist(), wave.rows.tolist()
-        gone = set(doomed)
-        if len(gone) < len(doomed) or not gone <= self._leaf_of.keys():
-            raise IndexError_(f"rows {doomed} are not all indexed, each once")
-        if len(set(rows)) < len(rows) or any(
-            row in self._leaf_of and row not in gone for row in rows
-        ):
-            raise IndexError_(f"rows {rows} are already indexed; delete them first")
-        kept = self._stays_put(wave)
-        stay = set(wave.rows[kept].tolist())
-        movers = wave.rows[~kept]
-        survivors = len(self._leaf_of) - len(doomed) + len(stay)
-        leaving = len(doomed) - len(stay)
-        if (leaving and survivors <= leaving) or movers.shape[0] > survivors:
-            kind = "bulk_insert" if movers.shape[0] > survivors else "bulk_delete"
-            tm.TPR_REPACKS.labels(kind).inc()
-            self.bulk_load()
-            return
-        if doomed:
-            # a dict, not a set: wave order, so tree shape does not hang on id()
-            leaves: Dict[Node, List[int]] = {}
-            for row in doomed:
-                if row in stay:
-                    leaves.setdefault(self._leaf_of[row], [])
-                else:
-                    leaves.setdefault(self._leaf_of.pop(row), []).append(row)
-            for leaf, rows_gone in leaves.items():
-                leaf.discard(rows_gone)
-            self._condense(leaves)
-        self._insert_rows(self._zorder_sorted(movers))
+        indexed = self._indexed + wave.rows.shape[0] - wave.deleted_rows.shape[0]
+        if indexed != len(self.table):
+            raise IndexError_(
+                f"a wave taking the tree from {self._indexed} to {indexed} rows "
+                f"leaves the table with {len(self.table)}: seen twice, or one missed"
+            )
+        self._indexed = indexed
+        self._stale = True
 
-    def _stays_put(self, wave: Wave) -> np.ndarray:
-        """Which of ``wave.rows`` are re-reports that stay in their leaf.
+    def mark_stale(self) -> None:
+        """The table was restored behind the listeners: rebuild on the next
+        read, from whatever the table holds then."""
+        self._indexed = len(self.table)
+        self._stale = True
 
-        A re-report stays when, at the current time, its new position lies
-        inside its leaf's bound (closed edges) and its velocity inside the
-        bound's edge velocities: then the bound contains the new motion for
-        every ``t >= tnow``, with no descent and no split.  Testing velocity
-        as well as position keeps the leaf's velocity spread — what makes a
-        TPBR grow (Velocity Partitioning, Nguyen et al.) — from widening.
-        One vectorised test over the leaves' bounds per wave.
+    def _catch_up(self, kind: str) -> Node:
+        """The root, rebuilt first when a write made the tree stale.
+
+        ``kind`` names the read that triggered a rebuild (the
+        ``repro_tpr_repacks_total`` label); inside a trace the rebuild is a
+        ``catch_up`` span — under an FR query, part of its fetch stage.
+        The first of several racing readers rebuilds; the rest block on the
+        lock, then see it fresh.
         """
-        kept = np.zeros(wave.rows.shape[0], dtype=bool)
-        again = np.flatnonzero(wave.supersedes >= 0)
-        again = again[wave.rows[again] == wave.deleted_rows[wave.supersedes[again]]]
-        if again.shape[0] == 0:
-            return kept
-        bx1, by1, bvx1, bvy1, bx2, by2, bvx2, bvy2, bt = np.array(
-            [self._leaf_of[row].bound.column() for row in wave.rows[again].tolist()]
-        ).T
-        motions = wave.inserted.take(again)
-        x, y = motions.positions_at(self._tnow)
-        dt = self._tnow - bt
-        kept[again] = (
-            (bx1 + bvx1 * dt <= x) & (x <= bx2 + bvx2 * dt)
-            & (by1 + bvy1 * dt <= y) & (y <= by2 + bvy2 * dt)
-            & (bvx1 <= motions.vx) & (motions.vx <= bvx2)
-            & (bvy1 <= motions.vy) & (motions.vy <= bvy2)
-        )
-        return kept
+        if self._stale:
+            with self._lock:
+                if self._stale:
+                    with TELEMETRY.tracer.span("catch_up", kind=kind) as span:
+                        self.bulk_load()
+                        span.set(objects=self._indexed)
+                    tm.TPR_REPACKS.labels(kind).inc()
+        return self._root
 
     # ------------------------------------------------------------------
-    # public API
+    # public API: every read brings the tree up to date first
     # ------------------------------------------------------------------
+    @property
+    def root(self) -> Node:
+        return self._catch_up("shape")
+
     def __len__(self) -> int:
-        return len(self._leaf_of)
+        self._catch_up("shape")
+        return self._indexed
 
     @property
     def height(self) -> int:
@@ -179,25 +139,6 @@ class TPRTree(UpdateListener):
 
     def node_count(self) -> int:
         return sum(1 for _ in self.root.subtree_nodes())
-
-    def _insert_rows(self, rows: np.ndarray) -> None:
-        """Insert table rows one choose-leaf descent at a time, in order."""
-        t_from, t_to = self._tnow, self._tnow + self.horizon
-        for row, (_, *motion) in zip(rows.tolist(), self.table.columns(rows).tuples()):
-            point = TPBR.point(*motion)
-            leaf = self.root
-            while not leaf.is_leaf:
-                leaf = leaf.entries[
-                    cheapest_enlargement(leaf.columns(self.table), point, t_from, t_to)
-                ]
-            leaf.add(row, point)
-            self._leaf_of[row] = leaf
-            node = leaf.parent
-            while node is not None:
-                node.grow(point)
-                node = node.parent
-            if len(leaf.entries) > self._leaf_fanout:
-                self._split_upwards(leaf)
 
     def range_query(self, rect: Rect, qt: float, charge_io: bool = True) -> List[int]:
         """Ids of the objects whose predicted position at ``qt`` lies in
@@ -209,12 +150,13 @@ class TPRTree(UpdateListener):
         edge — callers needing half-open semantics re-filter (deliberate
         superset; see :meth:`TPBR.intersects_rect_at`).
         """
+        root = self._catch_up("range_query")
         if qt < self._tnow:
             raise IndexError_(
                 f"TPR-tree bounds are only valid for t >= {self._tnow}, got {qt}"
             )
         results: List[int] = []
-        stack = [self.root]
+        stack = [root]
         while stack:
             node = stack.pop()
             self._touch(node, charge_io)
@@ -249,6 +191,7 @@ class TPRTree(UpdateListener):
         contains every motion beneath it from its anchor on, so any object
         inside a window lies in a leaf that window reaches.
         """
+        root = self._catch_up("fetch")
         rb, qts_arr = query_windows(rects, qts)
         n_rects = rb.shape[0]
         if n_rects and float(qts_arr.min()) < self._tnow:
@@ -257,7 +200,7 @@ class TPRTree(UpdateListener):
                 f"got {float(qts_arr.min())}"
             )
         leaves: List[np.ndarray] = []
-        stack: List[tuple] = [(self.root, np.arange(n_rects))] if n_rects else []
+        stack: List[tuple] = [(root, np.arange(n_rects))] if n_rects else []
         while stack:
             node, active = stack.pop()
             self._touch(node, charge_io)
@@ -286,35 +229,27 @@ class TPRTree(UpdateListener):
     def validate(self) -> None:
         """Structural invariants; raises :class:`IndexError_` on violation.
 
-        Checks parent pointers, fanout limits, leaf-map consistency, and the
-        TPR-tree's bounding invariant: **every node's bound contains every
-        motion in its subtree** at the current time and at the horizon end.
-        (Parent bounds need not contain child *bounds* — bounds anchored at
-        different times have different tightness; each is independently
-        sound with respect to the objects beneath it, which is all query
-        pruning relies on.)
+        Brings the tree up to date, then checks fanout limits, the internal
+        nodes' cached child bounds, that the leaves hold the table's live
+        rows each once, and the TPR-tree's bounding invariant: **every
+        node's bound contains every motion in its subtree** at the current
+        time and at the horizon end.  A table written behind the tree's
+        back (not through a wave) fails the last two.
         """
-        seen_rows = set()
-        for node in self.root.subtree_nodes():
+        root = self._catch_up("validate")
+        seen_rows: List[np.ndarray] = []
+        for node in root.subtree_nodes():
             if len(node.entries) == 0:
-                if node is not self.root:
+                if node is not root:
                     raise IndexError_(f"empty non-root node {node.page_id}")
                 continue
             limit = self._leaf_fanout if node.is_leaf else self._internal_fanout
             if len(node.entries) > limit:
                 raise IndexError_(f"node {node.page_id} overflows fanout {limit}")
             if node.is_leaf:
-                for row in node.entries.tolist():
-                    if self._leaf_of.get(row) is not node:
-                        raise IndexError_(f"leaf map stale for table row {row}")
-                    if row in seen_rows:
-                        raise IndexError_(f"table row {row} indexed twice")
-                    seen_rows.add(row)
-            else:
-                if not np.array_equal(node.columns(self.table), node.child_columns()):
-                    raise IndexError_(f"node {node.page_id} caches stale child bounds")
-                if any(child.parent is not node for child in node.entries):
-                    raise IndexError_(f"bad parent pointer under {node.page_id}")
+                seen_rows.append(node.entries)
+            elif not np.array_equal(node.columns(self.table), node.child_columns()):
+                raise IndexError_(f"node {node.page_id} caches stale child bounds")
             motions = self.table.columns(node.subtree_rows())
             for t in (self._tnow, self._tnow + self.horizon):
                 x, y = motions.positions_at(t)
@@ -328,47 +263,29 @@ class TPRTree(UpdateListener):
                         f"object {motions.oid[escaped][0]} escapes node "
                         f"{node.page_id} bound at t={t}"
                     )
-        if seen_rows != set(self._leaf_of):
-            raise IndexError_("leaf map does not match tree contents")
-        if seen_rows != set(self.table.rows().tolist()):
-            raise IndexError_("indexed rows are not the table's live rows")
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _zorder_sorted(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` ordered by Morton code of current position.
-
-        The quantisation grid spans the rows' own bounding box (the tree
-        has no domain of its own), which is all locality needs; ties keep
-        arrival order (stable sort)."""
-        if rows.shape[0] < 2:
-            return rows
-        pos = np.stack(self.table.columns(rows).positions_at(self._tnow), axis=1)
-        lo = pos.min(axis=0)
-        span = pos.max(axis=0) - lo
-        span[span == 0.0] = 1.0
-        cells = np.clip(((pos - lo) / span * 1024.0).astype(np.int64), 0, 1023)
-        codes = interleave(cells[:, 0], cells[:, 1])
-        return rows[np.argsort(codes, kind="stable")]
+        rows = np.concatenate(seen_rows) if seen_rows else np.empty(0, np.intp)
+        if not np.array_equal(np.sort(rows), np.sort(self.table.rows())):
+            raise IndexError_("indexed rows are not the table's live rows, each once")
 
     def bulk_load(self) -> None:
         """Replace the whole tree by a Sort-Tile-Recursive packing of the
-        table's live rows.
+        table's live rows, anchored at the current clock.
 
         Leaves are packed from vertical slabs of the x-sorted rows, each
         slab y-sorted (classic STR); upper levels chunk children in slab
-        order.  Every node is bounded afresh at the current time, so
-        :meth:`validate`'s containment invariant holds by construction.  All
-        previous pages are invalidated — a rebuild rewrites the file in the
-        simulated-I/O model.
+        order.  Every node is bounded afresh, so :meth:`validate`'s
+        containment invariant holds by construction.  All previous pages
+        are invalidated — a rebuild rewrites the file in the simulated-I/O
+        model.
         """
-        self._free(self.root.subtree_nodes())
-        self._leaf_of = {}
+        self._free(self._root.subtree_nodes())
+        self._tnow = max(self._tnow, float(self.table.tnow))
         rows = self.table.rows()
         n = rows.shape[0]
+        self._indexed = n
         if n == 0:
-            self.root = self._new_node(level=0)
+            self._root = self._new_node(level=0)
+            self._stale = False
             return
         px, py = self.table.columns(rows).positions_at(self._tnow)
         per_leaf = self._leaf_fanout
@@ -383,7 +300,6 @@ class TPRTree(UpdateListener):
             for c in range(0, len(slab), per_leaf):
                 leaf = self._new_node(level=0)
                 leaf.adopt(rows[slab[c : c + per_leaf]])
-                self._leaf_of.update(dict.fromkeys(leaf.entries.tolist(), leaf))
                 nodes.append(leaf)
         retighten_all(nodes, self._tnow, self.table)
         level = 1
@@ -396,8 +312,12 @@ class TPRTree(UpdateListener):
             retighten_all(parents, self._tnow, self.table)
             nodes = parents
             level += 1
-        self.root = nodes[0]
+        self._root = nodes[0]
+        self._stale = False
 
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
     def _new_node(self, level: int) -> Node:
         node = Node(self._next_page, level, t_ref=self._tnow)
         self._next_page += 1
@@ -406,75 +326,6 @@ class TPRTree(UpdateListener):
     def _touch(self, node: Node, charge_io: bool) -> None:
         if charge_io and self.buffer is not None:
             self.buffer.access(node.page_id)
-
-    def _split_upwards(self, node: Node) -> None:
-        t_from, t_to = self._tnow, self._tnow + self.horizon
-        while len(node.entries) > (
-            self._leaf_fanout if node.is_leaf else self._internal_fanout
-        ):
-            min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
-            first, second = pick_split(node.columns(self.table), min_fill, t_from, t_to)
-            sibling = self._new_node(node.level)
-            if node.is_leaf:
-                groups = node.entries[first], node.entries[second]
-                self._leaf_of.update(dict.fromkeys(groups[1].tolist(), sibling))
-            else:
-                groups = [node.entries[i] for i in first], [node.entries[i] for i in second]
-            node.adopt(groups[0])
-            sibling.adopt(groups[1])
-            retighten_all([node, sibling], t_from, self.table)
-            parent = node.parent
-            if parent is None:
-                self.root = self._new_node(node.level + 1)
-                self.root.set_entries([node, sibling], t_from, self.table)
-                return
-            parent.add(sibling, sibling.bound)
-            ancestor = parent
-            while ancestor is not None:
-                ancestor.retighten(t_from, self.table)
-                ancestor = ancestor.parent
-            node = parent
-
-    def _condense(self, leaves: Iterable[Node]) -> None:
-        """Handle (possible) underflow after removals from ``leaves``.
-
-        Level by level from the leaves up, every touched node is either
-        retightened — once, however many removals happened beneath it, and
-        in one :func:`retighten_all` with the rest of its level — or, when
-        under-full, dissolved into its parent's orphans; the orphaned rows
-        are reinserted afterwards, as in Guttman's R-tree.
-        """
-        t_from = self._tnow
-        orphans: List[np.ndarray] = []
-        touched = list(leaves)
-        while touched:
-            parents: Dict[Node, None] = {}  # insertion-ordered set
-            kept: List[Node] = []
-            for node in touched:
-                parent = node.parent
-                min_fill = self._min_fill_leaf if node.is_leaf else self._min_fill_internal
-                if parent is not None and len(node.entries) < min_fill:
-                    parent.remove(node)
-                    orphans.append(node.subtree_rows())
-                    self._free(node.subtree_nodes())
-                else:
-                    kept.append(node)
-                if parent is not None:
-                    parents[parent] = None
-            retighten_all(kept, t_from, self.table)
-            touched = list(parents)
-        while not self.root.is_leaf and len(self.root.entries) <= 1:
-            self._free([self.root])
-            if self.root.entries:
-                self.root = self.root.entries[0]
-                self.root.parent = None
-            else:  # every child was dissolved
-                self.root = self._new_node(level=0)
-        if orphans:
-            rows = np.concatenate(orphans)
-            for row in rows.tolist():
-                del self._leaf_of[row]
-            self._insert_rows(rows)
 
     def _free(self, nodes: Iterable[Node]) -> None:
         """Drop the pages of nodes that left the tree from the buffer pool."""

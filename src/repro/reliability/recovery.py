@@ -588,8 +588,8 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
     """Cross-check every maintained structure against the object table.
 
     Checks: TPR-tree structural validity (bounding-rectangle containment
-    over the whole subtree, fanout, leaf-map), tree/table cardinality,
-    clock alignment of every ring buffer, and histogram totals vs. the
+    over the whole subtree, fanout, the live rows each once), tree/table
+    cardinality, clock alignment of every ring buffer, and histogram totals vs. the
     in-domain in-window object count at every stored timestamp of the ring,
     ``[t_now, t_now + W]`` (past it the histogram is built from the table
     itself, so a recount there would compare the table with itself).

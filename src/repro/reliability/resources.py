@@ -16,8 +16,9 @@ This module owns that policy for every durable directory: each
   and comes back from beyond the pruned horizon still heals —
   ``records_from_lsn`` raises, and catch-up falls back to the
   checkpoint-image bootstrap — but a *live* replica never loses the
-  tail it is owed.  An older checkpoint is dropped once part of its
-  replay tail is gone (a checkpoint without its tail is dead weight);
+  tail it is owed.  Every checkpoint older than the retained ones is
+  dropped: a replica pins segments, never images, so a partition holds
+  at most :data:`KEEP_CHECKPOINTS` images however long it lasts;
 * accounts the state directory's bytes against a **soft** and a
   **hard** watermark of the shared :class:`ResourceConfig` (both
   ``None`` — unbounded — by default, both resizable at runtime — the
@@ -183,25 +184,23 @@ def prune_retention(
     faults=None,
 ) -> Tuple[int, int]:
     """Apply the retention rule: drop the released segments and every
-    checkpoint older than the retained ones whose replay tail loses a
-    segment.  Returns ``(files_removed, bytes_freed)``.
+    checkpoint older than the retained ones.  Returns ``(files_removed,
+    bytes_freed)``.
 
-    The checkpoints go first, then the segments: between the two (fault
-    site ``wal.prune``, hit once per prune) the directory holds surplus
-    segments, never a checkpoint without its tail.  An older checkpoint
-    whose tail stays whole remains a valid recovery fallback.
+    At most :data:`KEEP_CHECKPOINTS` verified images stay.  A lagging
+    replica pins WAL segments only: it catches up from the log, or else
+    from the newest image, never from an older one.  The checkpoints go
+    first, then the segments: between the two (fault site ``wal.prune``,
+    hit once per prune) the directory holds surplus segments, never a
+    retained checkpoint without its tail.
     """
     anchor = _anchor(state_dir)
     released: List[int] = []
     doomed: List[str] = []
     if anchor is not None:
-        anchor_seq = anchor[0]
         released = _released(state_dir, anchor, replica_lsns, current_seq)
-        surviving = set(wal_seqs(state_dir)).difference(released)
         for seq in checkpoint_seqs(state_dir):
-            # an older checkpoint is dead once any of its replay tail
-            # (segments seq..anchor_seq-1) is gone
-            if seq < anchor_seq and not surviving.issuperset(range(seq, anchor_seq)):
+            if seq < anchor[0]:
                 doomed += [image_path(state_dir, seq), sidecar_path(state_dir, seq)]
     removed, freed = _unlink(doomed)
     if faults is not None:

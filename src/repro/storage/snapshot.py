@@ -6,10 +6,10 @@ timestamps of updates.  :func:`save_server` serialises the whole maintained
 state — configuration, the object table's columns, histogram counters and
 Chebyshev coefficients — into a single ``.npz`` file, and
 :func:`load_server` reconstructs an equivalent
-:class:`~repro.core.system.PDRServer`: the TPR-tree is rebuilt by one STR
-``bulk_load`` over the restored table (cheap, and the tree's exact page
-layout is not semantically meaningful), while histogram and polynomial
-state is restored bit-for-bit.
+:class:`~repro.core.system.PDRServer`: the TPR-tree is marked stale and
+rebuilt by its first read (cheap, and the tree's exact page layout is not
+semantically meaningful), while histogram and polynomial state is restored
+bit-for-bit.
 
 Format version 4 is one uncompressed ``np.savez`` image:
 
@@ -261,9 +261,9 @@ def restore_server_state(server: PDRServer, state: SnapshotState) -> None:
     server.table.restore(state.motions, state.tnow)
     server.histogram.load_state_arrays(state.hist_state)
     server.pa.load_state_arrays(state.pa_state)
-    # Rebuild the index by one STR bulk load (the table must NOT re-notify
-    # the histogram/PA listeners, whose state is already restored).
-    server.tree.bulk_load()
+    # The table must NOT re-notify the histogram/PA listeners, whose state
+    # is already restored; the index rebuilds itself on its first read.
+    server.tree.mark_stale()
 
 
 def load_server(path: Union[str, "object"], expected_objects: int = 0) -> PDRServer:

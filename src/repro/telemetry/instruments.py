@@ -202,8 +202,8 @@ CACHE_HIT_RATIO = _reg.gauge(
 )
 TPR_REPACKS = _reg.counter(
     "repro_tpr_repacks_total",
-    "TPR-tree whole-tree STR repacks, by trigger",
-    labelnames=("kind",),  # bulk_insert | bulk_delete
+    "TPR-tree rebuilds on read, by the read that found the tree stale",
+    labelnames=("kind",),  # fetch | range_query | validate | shape
 )
 
 # ----------------------------------------------------------------------

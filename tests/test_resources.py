@@ -46,7 +46,7 @@ from repro.reliability.resources import (
     prune_retention,
     state_dir_usage,
 )
-from repro.reliability.statedir import checkpoints, scan_segment, wal_path
+from repro.reliability.statedir import checkpoint_seqs, checkpoints, scan_segment, wal_path
 from repro.reliability.validation import ReliabilityConfig, ResourceConfig
 
 
@@ -288,10 +288,11 @@ def test_soft_watermark_checkpoints_then_prunes(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def rotated_state_dir():
-    """A state dir with three checkpoints and four WAL segments.
+    """A state dir with four WAL segments and three checkpoints taken, the
+    newest two of them kept.
 
     A replica pinned at LSN 0 holds the line, so the checkpoints' own
-    prunes leave every file for the tests to release."""
+    prunes leave every segment for the tests to release."""
     tmp = tempfile.mkdtemp(prefix="retention-")
     state_dir = os.path.join(tmp, "state")
     server = make_server(state_dir, fsync=False)
@@ -458,6 +459,35 @@ def test_retention_holds_the_line_under_the_default_config(tmp_path):
         ReliabilityConfig(state_dir=str(tmp_path / "state"), fsync=False),
         prune_again=False,
     )
+
+
+def test_a_partitioned_replica_pins_segments_not_images(tmp_path):
+    """Six checkpoints while a replica is partitioned: two images stay,
+    every record past the replica's cursor stays in the log, and the
+    replica converges from it once the partition heals."""
+    group = make_group(tmp_path / "state", n_replicas=1)
+    state_dir = str(tmp_path / "state")
+    replica = group.replicas[0]
+    for i in range(4):
+        group.report(i, 10.0 + i, 20.0 + i, 0.2, -0.1)
+    replica.link.partitioned = True
+    manager = group.primary._manager
+    for start in range(4, 28, 4):
+        for i in range(start, start + 4):
+            group.report(i, 10.0 + i % 60, 20.0 + i % 60, 0.2, -0.1)
+        manager.checkpoint(group.primary)
+
+    assert len(checkpoint_seqs(state_dir)) == 2
+    assert len(list(checkpoints(state_dir))) == 2
+    tail = [int(r["lsn"]) for r in records_from_lsn(state_dir, replica.applied_lsn)]
+    assert replica.applied_lsn < group.acked_lsn
+    assert tail == list(range(replica.applied_lsn + 1, group.acked_lsn + 1))
+
+    replica.link.partitioned = False
+    group.catch_up_replicas()
+    assert replica.lag(group.acked_lsn) == 0
+    assert _bit_exact(replica, group.primary)
+    group.close()
 
 
 # ----------------------------------------------------------------------

@@ -126,13 +126,6 @@ class TestExtend:
         assert TPBR.empty(0).is_empty()
         assert not TPBR(0, 0, 0, 1, 1, 0, 0, 0, 0).is_empty()
 
-    def test_enlarged_integral_does_not_mutate(self):
-        bound = TPBR(0, 0, 0, 1, 1, 0, 0, 0, 0)
-        before = bound.copy()
-        grown = bound.enlarged_integral(point(Motion(0, 0, 50.0, 50.0, 1.0, 1.0)), 0, 10)
-        assert bound == before
-        assert grown > bound.integral_area(0, 10)
-
     @given(st.lists(motion_strategy, min_size=1, max_size=8), st.integers(10, 40))
     @settings(max_examples=60)
     def test_bound_contains_all_motions_property(self, motions, t):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +18,16 @@ from repro.baselines.bruteforce import bruteforce_from_motions
 from repro.core.errors import IndexError_
 from repro.core.geometry import Rect
 from repro.datagen import TripSimulator, synthetic_metro
-from repro.index.node import Node
-from repro.index.tpbr import TPBR, anchored_edges, cheapest_enlargement, pick_split
+from repro.index.node import Node, retighten_all
+from repro.index.tpbr import TPBR, anchored_edges
 from repro.index.tree import TPRTree
 from repro.motion.model import Motion
 from repro.motion.table import ObjectTable
 from repro.motion.updates import Columns, UpdateListener
 from repro.storage.buffer import BufferPool
+from repro.storage.snapshot import load_server, save_server
+from repro.telemetry import TELEMETRY
+from repro.telemetry import instruments as tm
 from tests.conftest import small_pages, small_system_config
 
 
@@ -238,6 +245,7 @@ class TestValidateInvariants:
     def test_validate_sees_a_tree_that_lost_step_with_its_table(self):
         table, tree = make_tree(fanout=4)
         report(table, random_motions(12, seed=1))
+        tree.validate()  # built over the table as it is now
         table.remove_listener(tree)
         table.report(3, 500.0, 500.0, 0.0, 0.0)  # overwrites row 3 behind the tree
         with pytest.raises(IndexError_, match="escapes"):
@@ -300,59 +308,14 @@ def bound_of_entries(bounds, t_ref: float) -> TPBR:
     return bound
 
 
-def loop_split(bounds, min_fill, t_from, t_to):
-    """The scalar axis-sweep split the columnar :func:`pick_split` replaced:
-    ``sorted`` by centre, prefix/suffix bounds grown by ``extend_tpbr``, key
-    (summed integral area, summed integral margin), first minimum wins."""
-    n = len(bounds)
-    t_mid = (t_from + t_to) / 2.0
-
-    def center(b, axis):
-        r = bound_of_entries([b], t_mid)
-        return ((r.x1 + r.x2) / 2.0, (r.y1 + r.y2) / 2.0)[axis]
-
-    best_cost, best = (float("inf"), float("inf")), None
-    for axis in (0, 1):
-        order = sorted(range(n), key=lambda i: center(bounds[i], axis))
-        for k in range(min_fill, n - min_fill + 1):
-            first = bound_of_entries([bounds[i] for i in order[:k]], t_from)
-            second = bound_of_entries([bounds[i] for i in order[k:]], t_from)
-            cost = (
-                first.integral_area(t_from, t_to) + second.integral_area(t_from, t_to),
-                first.integral_margin(t_from, t_to) + second.integral_margin(t_from, t_to),
-            )
-            if cost < best_cost:
-                best_cost, best = cost, (order[:k], order[k:])
-    return best
-
-
 class TestSplitHelper:
-    def test_pick_split_sizes(self):
-        cols = bound_columns([point(m) for m in random_motions(10, seed=1)])
-        a, b = pick_split(cols, min_fill=3, t_from=0, t_to=10)
-        assert len(a) >= 3 and len(b) >= 3
-        assert sorted(a.tolist() + b.tolist()) == list(range(10))
-
-    def test_pick_split_too_few_raises(self):
-        cols = bound_columns([point(m) for m in random_motions(4)])
-        with pytest.raises(IndexError_):
-            pick_split(cols, min_fill=3, t_from=0, t_to=10)
-
-    def test_split_separates_clusters(self):
-        left = [Motion(i, 0, float(i), 0.0, 0.0, 0.0) for i in range(5)]
-        right = [Motion(10 + i, 0, 100.0 + i, 0.0, 0.0, 0.0) for i in range(5)]
-        cols = bound_columns([point(m) for m in left + right])
-        a, b = pick_split(cols, min_fill=2, t_from=0, t_to=10)
-        assert {frozenset(a.tolist()), frozenset(b.tolist())} == {
-            frozenset(range(5)), frozenset(range(5, 10))
-        }
-
     def test_bound_of_entries(self):
         motions = [Motion(0, 0, 0, 0, 0, 0), Motion(1, 0, 10, 5, 0, 0)]
         table = ObjectTable()
         report(table, motions)
         leaf = Node(0, level=0, t_ref=0.0)
-        leaf.set_entries(table.rows(), 0.0, table)
+        leaf.adopt(table.rows())
+        retighten_all([leaf], 0.0, table)
         r = leaf.bound.rect_at(0)
         assert (r.x1, r.y1, r.x2, r.y2) == (0, 0, 10, 5)
         assert leaf.bound == bound_of_entries([point(m) for m in motions], 0.0)
@@ -395,22 +358,11 @@ def leaves_over(groups, anchors):
     leaves, start = [], 0
     for page, (motions, anchor) in enumerate(zip(groups, anchors)):
         leaf = Node(page, level=0, t_ref=0.0)
-        leaf.set_entries(rows[start : start + len(motions)], float(anchor), table)
+        leaf.adopt(rows[start : start + len(motions)])
+        retighten_all([leaf], float(anchor), table)
         leaves.append(leaf)
         start += len(motions)
     return table, leaves
-
-
-def loop_choice(children, probe, t_from, t_to):
-    """The scalar choose-subtree loop: key (enlargement, base), first minimum."""
-    best, best_key = None, None
-    for index, child in enumerate(children):
-        base = child.bound.integral_area(t_from, t_to)
-        grown = child.bound.enlarged_integral(probe, t_from, t_to)
-        key = (grown - base, base)
-        if best_key is None or key < best_key:
-            best, best_key = index, key
-    return best
 
 
 class TestColumnarArithmetic:
@@ -419,69 +371,6 @@ class TestColumnarArithmetic:
     def test_leaf_bound_equals_extend_motion_loop(self, motions, t_ref):
         table, (leaf,) = leaves_over([motions], [t_ref])
         assert leaf.bound == bound_of_entries([point(m) for m in motions], float(t_ref))
-        # ... and again for a leaf that grew one row at a time
-        grown = Node(1, level=0, t_ref=float(t_ref))
-        for row, motion in zip(table.rows().tolist(), motions):
-            grown.add(row, point(motion))
-        assert grown.bound == leaf.bound
-        grown.retighten(float(t_ref), table)
-        assert grown.bound == leaf.bound
-        assert grown.entries.tolist() == leaf.entries.tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(motion_lists(max_size=4), min_size=1, max_size=8),
-        st.lists(st.integers(min_value=0, max_value=7), max_size=4),
-        st.lists(st.integers(min_value=0, max_value=9), min_size=12, max_size=12),
-        motion_lists(max_size=1),
-        st.integers(min_value=0, max_value=30),
-    )
-    def test_choose_subtree_equals_scalar_loop(self, groups, repeats, anchors, probe, horizon):
-        t_from = 10.0
-        # duplicated groups tie exactly; single motions and collinear groups
-        # have zero integral area
-        groups = groups + [groups[i % len(groups)] for i in repeats]
-        table, children = leaves_over(groups, anchors)
-        parent = Node(99, level=1, t_ref=t_from)
-        parent.set_entries(children, t_from, table)
-        got = cheapest_enlargement(parent.columns(table), point(probe[0]), t_from, t_from + horizon)
-        assert got == loop_choice(children, point(probe[0]), t_from, t_from + horizon)
-        # the parent's own bound: one min/max over the cached child columns
-        assert parent.bound == bound_of_entries([c.bound for c in children], t_from)
-
-    def test_choose_subtree_first_minimum_wins_on_ties(self):
-        twin = [Motion(0, 0, 1.0, 1.0, 0.0, 0.0), Motion(1, 0, 3.0, 2.0, 0.5, 0.0)]
-        table, twins = leaves_over([twin, twin, twin], [0.0, 0.0, 0.0])
-        parent = Node(9, level=1, t_ref=0.0)
-        parent.set_entries(twins, 0.0, table)
-        inside = point(Motion(50, 0, 2.0, 1.5, 0.25, 0.0))  # enlarges none of them
-        assert cheapest_enlargement(parent.columns(table), inside, 0.0, 10.0) == 0
-        assert loop_choice(twins, inside, 0.0, 10.0) == 0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(motion_lists(max_size=3), min_size=4, max_size=12),
-        st.lists(st.integers(min_value=0, max_value=9), min_size=12, max_size=12),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=30),
-        st.booleans(),
-    )
-    def test_pick_split_equals_scalar_loop(self, groups, anchors, min_fill, horizon, as_leaf):
-        """Leaf entries (degenerate bounds) and internal entries (child
-        bounds, mixed anchors) go through the same columnar scorer; lattice
-        values make tied centres, tied costs and zero-area groups common."""
-        t_from = 10.0
-        if as_leaf:
-            bounds = [point(m) for motions in groups for m in motions]
-        else:
-            bounds = [leaf.bound for leaf in leaves_over(groups, anchors)[1]]
-        if len(bounds) < 2 * min_fill:
-            with pytest.raises(IndexError_):
-                pick_split(bound_columns(bounds), min_fill, t_from, t_from + horizon)
-            return
-        first, second = pick_split(bound_columns(bounds), min_fill, t_from, t_from + horizon)
-        want = loop_split(bounds, min_fill, t_from, t_from + horizon)
-        assert (first.tolist(), second.tolist()) == want
 
 
 # ----------------------------------------------------------------------
@@ -525,60 +414,11 @@ class TestWaveMaintenance:
         rowwise.validate()
         assert contents(wave_table, wave) == contents(rowwise_table, rowwise)
 
-    def test_wave_underfilling_several_leaves_and_emptying_one(self):
-        pair = self.build_pair()
-        table, wave = pair[1]
-        min_fill = wave._min_fill_leaf
-        leaves = leaves_of(wave)
-        assert len(leaves) >= 8
-        movers = oids_in(table, leaves[0])  # this leaf is emptied
-        for leaf in leaves[1:5]:  # these end one short of the minimum fill
-            movers += oids_in(table, leaf, len(leaf.entries) - min_fill + 1)
-        assert 2 * len(movers) < len(wave)  # below the repack threshold
-        self.apply_both(pair, self.move_away(movers))
-        assert len(wave) == 120
-
     def test_report_wave_moving_whole_leaves_away(self):
         pair = self.build_pair()
         table, wave = pair[1]
         movers = [oid for leaf in leaves_of(wave)[:4] for oid in oids_in(table, leaf)]
         self.apply_both(pair, self.move_away(movers))
-
-    def test_wave_dissolving_every_leaf_of_a_two_leaf_tree(self):
-        table, tree = make_tree(fanout=20)
-        motions = random_motions(21, seed=2)  # one split: two leaves under one root
-        report(table, motions)
-        assert tree.height == 2 and len(leaves_of(tree)) == 2
-        min_fill = tree._min_fill_leaf
-        movers = [
-            oid for leaf in leaves_of(tree)
-            for oid in oids_in(table, leaf, len(leaf.entries) - min_fill + 1)
-        ]
-        assert 2 * len(movers) < len(tree)
-        table.report_batch(self.move_away(movers))
-        tree.validate()
-        assert sorted(tree.range_query(Rect(-1e4, -1e4, 1e4, 1e4), 0)) == list(range(21))
-        assert sorted(tree.range_query(Rect(400, 400, 700, 700), 0)) == sorted(movers)
-
-    def test_wave_rejects_unknown_and_repeated_oids_before_mutating(self):
-        table, tree = self.build_pair(n=40)[1]
-        waves = Waves()
-        table.remove_listener(tree)
-        table.add_listener(waves)
-        table.report_batch(self.move_away([3, 4]))  # the tree does not see this wave ...
-        good = waves.seen[0]
-        before = sorted(tree.root.subtree_rows().tolist())
-        unknown = table.rows().max() + 1
-        for field, value in (
-            ("deleted_rows", np.array([good.deleted_rows[0]] * 2)),  # ... a row twice
-            ("deleted_rows", np.array([good.deleted_rows[0], unknown])),  # ... a row unknown
-            ("rows", np.array([good.rows[0], table.rows()[10]])),  # ... a row still indexed
-        ):
-            with pytest.raises(IndexError_):
-                tree.on_report_batch(dataclasses.replace(good, **{field: value}))
-            assert sorted(tree.root.subtree_rows().tolist()) == before
-        tree.on_report_batch(good)  # ... until now
-        tree.validate()
 
     def test_bulk_load_matches_incremental_contents(self):
         motions = random_motions(300, seed=9)
@@ -595,6 +435,9 @@ class TestWaveMaintenance:
         assert sorted(packed.range_query(rect, 4)) == brute_range(motions, rect, 4)
 
     def test_dominating_waves_repack(self):
+        """Every read after a write repacks by STR, a wave that moves most
+        of the tree as much as a small one: the packing's shape is the
+        table's, not the waves'."""
         table, tree = make_tree(fanout=4)
         table.report_batch(self.move_away(range(30)))  # outnumbers an empty tree
         tree.validate()
@@ -605,9 +448,117 @@ class TestWaveMaintenance:
         )
         tree.validate()
         assert [len(leaf.entries) for leaf in leaves_of(tree)] == packed
-        table.report_batch(self.move_away(range(5)))  # a small wave goes in row by row
+        table.report_batch(self.move_away(range(5)))  # a small wave repacks as well
         tree.validate()
         assert len(tree) == 30
+
+
+# ----------------------------------------------------------------------
+# writes mark the tree stale; the first read rebuilds it
+# ----------------------------------------------------------------------
+def spy_rebuilds(tree):
+    """The rebuilds ``tree`` runs from now on, one entry each."""
+    rebuilds = []
+    bulk_load = tree.bulk_load
+
+    def counted():
+        rebuilds.append(threading.get_ident())
+        bulk_load()
+
+    tree.bulk_load = counted
+    return rebuilds
+
+
+def brute_positions(columns, rect, qt, horizon):
+    """What ``range_positions_batch`` answers for one closed ``rect``: the
+    positions at ``qt`` inside it of the motions predicted at ``qt``."""
+    x, y = columns.positions_at(qt)
+    inside = (
+        (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
+        & (columns.t_ref + horizon >= qt)
+    )
+    return sorted(zip(x[inside].tolist(), y[inside].tolist()))
+
+
+def batch_positions(tree, rect, qt):
+    offsets, px, py = tree.range_positions_batch(
+        np.array([[rect.x1, rect.y1, rect.x2, rect.y2]]), qt
+    )
+    assert offsets.tolist() == [0, px.size]
+    return sorted(zip(px.tolist(), py.tolist()))
+
+
+def test_many_writes_then_one_read_rebuild_once():
+    table, tree = make_tree(fanout=4)
+    rebuilds = spy_rebuilds(tree)
+    repacks = tm.TPR_REPACKS.labels("fetch")
+    before = repacks.value
+    motions = random_motions(40, seed=3)
+    report(table, motions)  # 40 one-row waves
+    table.advance_to(1)
+    table.report_batch([(m.oid, m.x + 1.0, m.y, m.vx, m.vy) for m in motions[:10]])
+    table.retire(motions[11].oid)
+    assert rebuilds == []  # writes only mark the tree stale
+    rect = Rect(10, 10, 80, 80)
+    with TELEMETRY.tracer.trace("read") as span:
+        got = batch_positions(tree, rect, 3)
+    assert got == brute_positions(table.columns(), rect, 3, tree.horizon)
+    assert len(rebuilds) == 1 and repacks.value == before + 1
+    (catch_up,) = span.children
+    assert (catch_up.name, catch_up.attrs) == ("catch_up", {"kind": "fetch", "objects": 39})
+    # every other read finds it fresh; an advance is no write
+    table.advance_to(2)
+    tree.range_query(rect, 2)
+    tree.validate()
+    assert (len(tree), tree.height, tree.node_count() > 1) == (39, 3, True)
+    assert len(rebuilds) == 1
+    table.report(500, 50.0, 50.0, 0.0, 0.0)
+    assert tree.range_query(Rect(49, 49, 51, 51), 2) == [500]
+    assert len(rebuilds) == 2
+
+
+def test_racing_readers_rebuild_once_and_answer_exactly():
+    """Four readers race a stale tree: the first rebuilds, the others wait
+    for it on the tree's lock; every answer is exact."""
+    table, tree = make_tree(fanout=4)
+    motions = random_motions(300, seed=8)
+    report(table, motions)
+    rebuilds = []
+    bulk_load = tree.bulk_load
+
+    def slow_rebuild():
+        rebuilds.append(threading.get_ident())
+        time.sleep(0.05)  # the other readers arrive while it runs
+        bulk_load()
+
+    tree.bulk_load = slow_rebuild
+    rect = Rect(20, 20, 70, 70)
+    barrier = threading.Barrier(4, timeout=10)
+    answers = [None] * 4
+
+    def reader(i):
+        barrier.wait()
+        if i % 2:
+            answers[i] = sorted(tree.range_query(rect, 3))
+        else:
+            answers[i] = batch_positions(tree, rect, 3)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more, shorter turns: a racing check-then-build shows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(rebuilds) == 1
+    assert answers[1] == answers[3] == brute_range(motions, rect, 3)
+    want = brute_positions(table.columns(), rect, 3, tree.horizon)
+    assert answers[0] == answers[2] == want and want
+    tree.validate()
 
 
 def _small_page_server(n: int) -> PDRServer:
@@ -616,184 +567,72 @@ def _small_page_server(n: int) -> PDRServer:
         return PDRServer(small_system_config(), expected_objects=n)
 
 
-def edges_at(bound: TPBR, t: float):
-    """A bound's ``x1, y1, x2, y2`` at ``t``, by the tree's own expression."""
-    dt = t - bound.t_ref
-    return (
-        bound.x1 + bound.vx1 * dt, bound.y1 + bound.vy1 * dt,
-        bound.x2 + bound.vx2 * dt, bound.y2 + bound.vy2 * dt,
-    )
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 50),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("wave"), st.floats(0.05, 1.0)),
+            st.tuples(st.just("retire"), st.integers(1, 12)),
+            st.tuples(st.just("advance"), st.integers(1, 4)),
+            st.tuples(st.just("restore"), st.just(0)),
+            st.tuples(st.just("read"), st.integers(0, 6)),
+        ),
+        min_size=1, max_size=10,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_interleaved_writes_restores_and_reads_stay_exact(seed, n, steps):
+    """Waves of re-reports and first reports, retires, advances and
+    snapshot restores in any order: whenever the tree is read it validates
+    and its range answers equal brute force over the table."""
+    rng = np.random.default_rng(seed)
+    server = _small_page_server(n)
 
+    def fresh(oid):
+        x, y = rng.uniform(0.0, 100.0, size=2)
+        vx, vy = rng.uniform(-2.0, 2.0, size=2)
+        return (oid, float(x), float(y), float(vx), float(vy))
 
-def inside_motion(bound: TPBR, t: float):
-    """A motion the bound contains from ``t`` on: its centre, mid velocity."""
-    x1, y1, x2, y2 = edges_at(bound, t)
-    return (x1 + x2) / 2, (y1 + y2) / 2, (bound.vx1 + bound.vx2) / 2, (bound.vy1 + bound.vy2) / 2
-
-
-class TestInPlaceReReports:
-    """A re-report whose new motion its leaf's bound contains — position at
-    ``tnow`` inside the closed edges, velocity inside the edge velocities —
-    stays in its leaf: no discard, no choose-leaf descent, no split."""
-
-    @staticmethod
-    def world():
-        """120 objects under fanout 8, the clock one tick past every anchor;
-        a leaf of several rows and the oid of its first (not last) row."""
-        table, tree = make_tree(fanout=8)
-        report(table, random_motions(120, seed=5))
-        table.advance_to(1)
-        leaf = next(leaf for leaf in leaves_of(tree) if len(leaf.entries) >= 3)
-        assert leaf.bound.t_ref < 1
-        row = int(leaf.entries[0])
-        return table, tree, leaf, row, oids_in(table, leaf, 1)[0]
-
-    @staticmethod
-    def spy_inserts(tree, monkeypatch):
-        """The rows that go through choose-leaf insertion from now on."""
-        inserted = []
-        insert_rows = tree._insert_rows
-
-        def spy(rows):
-            inserted.extend(rows.tolist())
-            insert_rows(rows)
-
-        monkeypatch.setattr(tree, "_insert_rows", spy)
-        return inserted
-
-    def test_a_contained_re_report_keeps_its_leaf(self, monkeypatch):
-        table, tree, leaf, row, oid = self.world()
-        order = leaf.entries.tolist()
-        inserted = self.spy_inserts(tree, monkeypatch)
-        table.report(oid, *inside_motion(leaf.bound, 1))
-        assert tree._leaf_of[row] is leaf
-        assert leaf.entries.tolist() == order and inserted == []
-        assert leaf.bound.t_ref == 1  # the leaf was retightened ...
-        settled = leaf.bound.copy()
-        leaf.retighten(tree._tnow, table)
-        assert leaf.bound == settled  # ... to what a fresh retighten gives
+    def read(offset):
+        tree, table = server.tree, server.table
         tree.validate()
+        assert len(tree) == len(table)
+        qt = server.tnow + offset
+        x1, y1 = rng.uniform(-10.0, 90.0, size=2)
+        w, h = rng.uniform(5.0, 70.0, size=2)
+        rect = Rect(float(x1), float(y1), float(x1 + w), float(y1 + h))
+        columns = table.columns()
+        x, y = columns.positions_at(qt)
+        inside = (rect.x1 <= x) & (x <= rect.x2) & (rect.y1 <= y) & (y <= rect.y2)
+        assert sorted(tree.range_query(rect, qt)) == sorted(columns.oid[inside].tolist())
+        assert batch_positions(tree, rect, qt) == brute_positions(
+            columns, rect, qt, tree.horizon
+        )
 
-    @pytest.mark.parametrize("corner", ["low", "high"])
-    def test_a_re_report_on_the_bound_edge_stays(self, corner, monkeypatch):
-        table, tree, leaf, row, oid = self.world()
-        x1, y1, x2, y2 = edges_at(leaf.bound, 1)
-        b = leaf.bound
-        motion = (x1, y1, b.vx1, b.vy1) if corner == "low" else (x2, y2, b.vx2, b.vy2)
-        inserted = self.spy_inserts(tree, monkeypatch)
-        table.report(oid, *motion)
-        assert tree._leaf_of[row] is leaf and inserted == []
-        tree.validate()
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_a_re_report_just_past_the_edge_descends(self, axis, monkeypatch):
-        table, tree, leaf, row, oid = self.world()
-        motion = list(inside_motion(leaf.bound, 1))
-        motion[axis] = np.nextafter(edges_at(leaf.bound, 1)[axis], -np.inf)
-        inserted = self.spy_inserts(tree, monkeypatch)
-        table.report(oid, *motion)
-        assert row in inserted
-        tree.validate()
-
-    @pytest.mark.parametrize("axis", [2, 3])
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_a_re_report_whose_velocity_leaves_the_bound_descends(
-        self, axis, side, monkeypatch
-    ):
-        table, tree, leaf, row, oid = self.world()
-        b = leaf.bound
-        low, high = (b.vx1, b.vx2) if axis == 2 else (b.vy1, b.vy2)
-        motion = list(inside_motion(b, 1))
-        motion[axis] = high + 0.25 if side > 0 else low - 0.25
-        inserted = self.spy_inserts(tree, monkeypatch)
-        table.report(oid, *motion)
-        assert row in inserted
-        tree.validate()
-        assert oid in tree.range_query(Rect(-1e4, -1e4, 1e4, 1e4), 1)
-
-    def test_rows_that_stay_do_not_count_toward_a_repack(self):
-        """The "wave dominates the population" rule counts the rows that
-        leave their leaves: a tick that re-reports two thirds of the objects
-        where their motions already are retightens; one that moves them
-        repacks."""
-        table, tree = make_tree(fanout=4)
-        table.report_batch(TestWaveMaintenance.move_away(range(30)))  # one STR pack
-        packed = {leaf.page_id for leaf in leaves_of(tree)}
-        table.advance_to(1)
-        table.report_batch([(oid, 500.0 + oid, 501.0, 0.0, 1.0) for oid in range(20)])
-        assert {leaf.page_id for leaf in leaves_of(tree)} == packed
-        moved = table.rows()[:20].tolist()  # first-report order: oids 0..19
-        assert all(tree._leaf_of[row].bound.t_ref == 1 for row in moved)
-        tree.validate()
-        table.report_batch([(oid, 100.0 + oid, 100.0, 1.0, 0.0) for oid in range(20)])
-        assert packed.isdisjoint(leaf.page_id for leaf in leaves_of(tree))
-        tree.validate()
-
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(20, 60),
-        st.integers(1, 5),
-        st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.2)),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_mixed_waves_keep_the_tree_exact(self, seed, n, ticks, shares):
-        """First reports, contained and escaping re-reports and retires,
-        tick after tick, on a server whose pages hold 5 rows: the tree stays
-        valid and exact, the audit is clean, and FR equals brute force.
-        Exactly the contained re-reports stay put."""
-        contained_share, escaping_share, retire_share = shares
-        rng = np.random.default_rng(seed)
-        server = _small_page_server(n)
-        table, tree = server.table, server.tree
-        kept = []
-        stays_put = tree._stays_put
-
-        def counted(wave):
-            stays = stays_put(wave)
-            kept.append(int(stays.sum()))
-            return stays
-
-        tree._stays_put = counted
-
-        def fresh(oid):
-            x, y = rng.uniform(20.0, 80.0, size=2)
-            vx, vy = rng.uniform(-1.0, 1.0, size=2)
-            return (oid, float(x), float(y), float(vx), float(vy))
-
-        server.report_batch([fresh(oid) for oid in range(n)])
-        next_oid, expected_kept = n, 0
-        for tick in range(1, ticks + 1):
-            server.advance_to(tick)
-            oids = table.columns().oid.tolist()
-            fate = rng.random(len(oids))
-            for oid, u in zip(oids, fate):
-                if u < retire_share:
-                    assert server.retire(oid)
-            contained, escaping = [], []
-            for oid, u in zip(oids, fate):
-                u -= retire_share
-                if 0.0 <= u < contained_share:
-                    bound = tree._leaf_of[table._row_of[oid]].bound
-                    contained.append((oid, *inside_motion(bound, tick)))
-                elif 0.0 <= u - contained_share < escaping_share:
-                    bound = tree._leaf_of[table._row_of[oid]].bound
-                    _, x, y, _, vy = fresh(oid)
-                    escaping.append((oid, x, y, bound.vx2 + 0.5, vy))
-            firsts = [fresh(next_oid + i) for i in range(int(rng.integers(0, 4)))]
+    server.report_batch([fresh(oid) for oid in range(n)])
+    next_oid = n
+    for kind, arg in steps:
+        oids = server.table.columns().oid.tolist()
+        if kind == "wave":
+            picked = rng.permutation(oids)[: int(arg * len(oids))].tolist()
+            firsts = list(range(next_oid, next_oid + int(rng.integers(0, 4))))
             next_oid += len(firsts)
-            wave = contained + escaping + firsts
-            order = rng.permutation(len(wave))
-            accepted = server.report_batch([wave[i] for i in order])
-            expected_kept += sum(
-                accepted[j] is not None for j, i in enumerate(order) if i < len(contained)
-            )
-            tree.validate()
-            assert server.audit(raise_on_violation=False) == []
-            assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
-            result = server.query("fr", qt=tick + 2, varrho=2.0)
-            want = bruteforce_from_motions(table.columns(), server.config.domain, result.query)
-            assert result.regions.symmetric_difference_area(want.regions) == 0.0
-        assert sum(kept) == expected_kept
+            server.report_batch([fresh(int(oid)) for oid in picked + firsts])
+        elif kind == "retire":
+            for oid in oids[:arg]:
+                assert server.retire(oid)
+        elif kind == "advance":
+            server.advance_to(server.tnow + arg)
+        elif kind == "restore":
+            image = io.BytesIO()
+            save_server(server, image)
+            image.seek(0)
+            with small_pages((256 - 32) // 40, 4):
+                server = load_server(image)
+        else:
+            read(arg)
+    read(0)
 
 
 class _Trace:
@@ -819,11 +658,11 @@ class _Trace:
 
 
 def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
-    """Tree-quality guard: leaf-grouped condense and Z-ordered wave inserts
-    must not buy their speed with looser leaves than one-row waves give.
-    Both trees start from one STR pack of the tick-60 world (by then the
-    road traffic reports staggered, a few to a few dozen objects per tick)
-    and absorb the same 50 ticks of reports."""
+    """Tree-quality guard: a tick's reports taken as one wave must leave
+    leaves as tight as one-row waves do.  Both trees start from one STR pack
+    of the tick-60 world (by then the road traffic reports staggered, a few
+    to a few dozen objects per tick) and absorb the same 50 ticks of
+    reports; each is read every tick, so each is rebuilt every tick."""
     domain = Rect(0.0, 0.0, 1000.0, 1000.0)
     simulator = TripSimulator(
         synthetic_metro(domain, grid_n=20, seed=7), n_objects=600, update_interval=60, seed=13
@@ -846,7 +685,7 @@ def test_wave_maintained_tree_is_as_tight_as_the_sequential_one():
     (rowwise_table, rowwise), (wave_table, wave) = pair
     for tick in range(61, 111):
         reports = trace.waves.get(tick, [])
-        assert 0 < 2 * len(reports) < len(wave)  # never the repack path
+        assert 0 < 2 * len(reports) < len(wave)  # small waves only
         rowwise_table.advance_to(tick)
         wave_table.advance_to(tick)
         for r in reports:
@@ -882,7 +721,7 @@ def fresh_bound(node: Node, table) -> TPBR:
 
 
 class TestLevelBatchedCondense:
-    """A wave retightens the touched nodes of a level in one gather and one
+    """A rebuild bounds each level of the tree in one gather and one
     ``reduceat``; every bound must be the one a node-by-node retighten
     computes."""
 
@@ -901,14 +740,12 @@ class TestLevelBatchedCondense:
     )
     @settings(max_examples=25, deadline=None)
     def test_waves_that_dissolve_leaves_and_collapse_the_root(self, seed, n, steps):
-        """Moves re-report a share of the objects far from where they were
-        (their leaves underflow and dissolve), retires shrink the tree one
-        row-wave at a time, and a drain leaves 1-3 objects (the root
-        collapses).  After every wave each leaf's bound, and each internal
-        node's whose children share its anchor, equals :func:`fresh_bound`
-        — a parent anchored later than a child it grew through is tighter
-        than a retighten over that child's bound, by design — the tree
-        validates, indexes the live rows, and FR equals brute force."""
+        """Moves re-report a share of the objects far from where they were,
+        retires shrink the tree one row-wave at a time, and a drain leaves
+        1-3 objects (a one-leaf tree).  After every wave each node's bound
+        equals :func:`fresh_bound` (a rebuild anchors the whole tree at one
+        time), the tree validates, indexes the live rows, and FR equals
+        brute force."""
         rng = np.random.default_rng(seed)
         server = _small_page_server(n)
         table, tree = server.table, server.tree
@@ -921,10 +758,7 @@ class TestLevelBatchedCondense:
         def check():
             tree.validate()
             for node in tree.root.subtree_nodes():
-                if node.is_leaf or all(
-                    child.bound.t_ref == node.bound.t_ref for child in node.entries
-                ):
-                    assert node.bound == fresh_bound(node, table), node
+                assert node.bound == fresh_bound(node, table), node
             assert sorted(tree.root.subtree_rows().tolist()) == sorted(table.rows().tolist())
             result = server.query("fr", qt=server.tnow + 2, varrho=2.0)
             want = bruteforce_from_motions(table.columns(), server.config.domain, result.query)
